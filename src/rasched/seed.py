@@ -1,32 +1,43 @@
 """Initial schedule of all small and medium jobs.
 
-Solves the assignment feasibility LP at scaled threshold 1 exactly, converts
-the solution to a vertex (forest support), then rounds the forest so that
+Decides the assignment LP at scaled threshold 1 as an exact max-flow on the
+network source -> job (capacity p_j) -> permitted machine (capacity p_j) ->
+sink (capacity 1): the LP is feasible exactly when the flow saturates every
+job, and x[j,i] = f[j,i] / p_j is then a solution. Cycles of the flow's
+support are cancelled until it is a forest, and the forest is rounded so that
 every machine receives at most one extra fractional job. The resulting plain
 load per machine is at most 1 + max small/medium size <= 11/6.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from math import lcm
 
 from .rational import Frac, ZERO
-from .simplex import solve_equality_feasibility, SimplexError
+from .simplex import SimplexError
+from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
 from .model import Schedule, ScaledInstance
 
 
 class SeedInfeasible(Exception):
     """The assignment LP has no solution at this guess (so neither has the
-    configuration LP): the guess is below the optimum."""
+    configuration LP): the guess is below the optimum.
+
+    `jobs` is a Hall violator when the flow found one: small/medium jobs J
+    with p(J) > |union of their permitted sets| at scaled threshold 1.
+    """
+
+    def __init__(self, jobs=()):
+        super().__init__("assignment LP infeasible")
+        self.jobs = tuple(jobs)
 
 
 @dataclass
 class FractionalAssignment:
     entries: dict  # (job, machine) -> value in (0, 1]
     jobs: list  # participating (small+medium) jobs
-
-    def support_of(self, j):
-        return [i for (jj, i) in self.entries if jj == j]
 
     def job_sum(self, j):
         return sum((v for (jj, _), v in self.entries.items() if jj == j), ZERO)
@@ -38,45 +49,129 @@ class FractionalAssignment:
         )
 
 
-def solve_assignment_lp(scaled: ScaledInstance) -> FractionalAssignment:
-    """Exact basic feasible solution of the small/medium assignment LP.
+class _Network:
+    """Residual graph with integer capacities; arc e and its reverse e ^ 1."""
 
-    Rows: sum_i x[j,i] = 1 per job, sum_j p_j x[j,i] + slack = 1 per machine.
-    Raises SeedInfeasible when the LP is empty (the solver verifies the Farkas
-    vector it produces).
+    def __init__(self, nodes):
+        self.out = [[] for _ in range(nodes)]  # arc ids leaving each node
+        self.head = []
+        self.cap = []
+
+    def arc(self, u, v, cap):
+        self.out[u].append(len(self.head))
+        self.head.append(v)
+        self.cap.append(cap)
+        self.out[v].append(len(self.head))
+        self.head.append(u)
+        self.cap.append(0)
+
+    def levels(self, source):
+        """BFS distance from the source over arcs with residual capacity;
+        -1 marks nodes the source cannot reach."""
+        level = [-1] * len(self.out)
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for e in self.out[u]:
+                v = self.head[e]
+                if level[v] < 0 and self.cap[e] > 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def push_path(self, source, sink, level, cursor):
+        """Augment along one source-sink path of the level graph and return
+        the amount pushed, 0 once the phase's flow is blocking. Iterative
+        depth-first search; cursor[u] skips arcs already found useless."""
+        head, cap, out = self.head, self.cap, self.out
+        path = []
+        u = source
+        while u != sink:
+            arcs = out[u]
+            while cursor[u] < len(arcs):
+                e = arcs[cursor[u]]
+                if cap[e] > 0 and level[head[e]] == level[u] + 1:
+                    break
+                cursor[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
+                cursor[u] += 1
+                continue
+            path.append(e)
+            u = head[e]
+        delta = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= delta
+            cap[e ^ 1] += delta
+        return delta
+
+    def max_flow(self, source, sink):
+        """Dinic's algorithm; returns the flow value and the final levels."""
+        total = 0
+        while True:
+            level = self.levels(source)
+            if level[sink] < 0:
+                return total, level
+            cursor = [0] * len(self.out)
+            while pushed := self.push_path(source, sink, level, cursor):
+                total += pushed
+
+
+def solve_assignment_lp(scaled: ScaledInstance) -> FractionalAssignment:
+    """Forest-supported solution of the small/medium assignment LP.
+
+    Constraints: sum_i x[j,i] = 1 per job, sum_j p_j x[j,i] <= 1 per machine.
+    Solved as an exact max-flow with every capacity scaled by the common
+    denominator L of the sizes, so that the flow is integral: job j supplies
+    P_j = L p_j and every machine absorbs L. The support then goes through
+    `eliminate_support_cycles`, so it has at most jobs + machines entries.
+    Raises SeedInfeasible, carrying the Hall violator read off the residual
+    graph, when the flow cannot saturate every job.
     """
     sm_jobs = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
-    m = scaled.base.num_machines
     if not sm_jobs:
         return FractionalAssignment({}, [])
-    job_row = {j: idx for idx, j in enumerate(sm_jobs)}
-    nrows = len(sm_jobs) + m
-
-    columns = []
-    keys = []
-    one = Frac(1)
-    for j in sm_jobs:
+    n, m = len(sm_jobs), scaled.base.num_machines
+    scale = lcm(*(int(scaled.size[j].denominator) for j in sm_jobs))
+    supply = [int(scaled.size[j].numerator) * (scale // int(scaled.size[j].denominator))
+              for j in sm_jobs]
+    source, sink = 0, n + m + 1  # jobs are nodes 1..n, machine i is node n + i
+    net = _Network(n + m + 2)
+    for k in range(n):
+        net.arc(source, k + 1, supply[k])
+    job_arcs = []
+    for k, j in enumerate(sm_jobs):
         for i in sorted(scaled.base.gamma[j]):
-            columns.append([(job_row[j], one), (len(sm_jobs) + i - 1, scaled.size[j])])
-            keys.append((j, i))
-    for i in range(m):  # machine slack
-        columns.append([(len(sm_jobs) + i, one)])
-        keys.append(None)
+            job_arcs.append((k, i, len(net.head)))
+            net.arc(k + 1, n + i, supply[k])
+    for i in scaled.base.machines:
+        net.arc(n + i, sink, scale)
 
-    rhs = [one] * nrows
-    out = solve_equality_feasibility(nrows, columns, rhs, artificial_rows=range(len(sm_jobs)))
-    if not out.feasible:
-        raise SeedInfeasible
+    value, level = net.max_flow(source, sink)
+    if value < sum(supply):
+        # Every machine the residual graph reaches from a reachable job is
+        # full, and only reachable jobs load it, so these jobs outweigh the
+        # machines they may use.
+        raise SeedInfeasible(j for k, j in enumerate(sm_jobs) if level[k + 1] >= 0)
     entries = {}
-    for k, v in out.values.items():
-        if keys[k] is not None and v > 0:
-            entries[keys[k]] = v
-    return FractionalAssignment(entries, sm_jobs)
+    for k, i, e in job_arcs:
+        flow = supply[k] - net.cap[e]
+        if flow:
+            entries[(sm_jobs[k], i)] = Frac(flow, supply[k])
+    fa = FractionalAssignment(entries, sm_jobs)
+    eliminate_support_cycles(fa, scaled)
+    return fa
 
 
 def _support_cycle(entries):
     """Return one cycle of the bipartite support graph as an alternating node
-    list [("j", job), ("m", machine), ...], or None when it is a forest."""
+    list [("j", job), ("m", machine), ...], or None when it is a forest.
+
+    Depth-first search from each unvisited node in sorted order, neighbours
+    in sorted order; iterative, so long supports cannot exhaust the stack."""
     adj = {}
     for (j, i) in entries:
         adj.setdefault(("j", j), []).append(("m", i))
@@ -84,27 +179,28 @@ def _support_cycle(entries):
     for node in adj:
         adj[node].sort()
     visited = set()
-
-    def dfs(node, parent, path):
-        visited.add(node)
-        path.append(node)
-        for nxt in adj[node]:
-            if nxt == parent:
-                continue
-            if nxt in path:
-                return path[path.index(nxt):]
-            if nxt not in visited:
-                found = dfs(nxt, node, path)
-                if found is not None:
-                    return found
-        path.pop()
-        return None
-
     for start in sorted(adj):
-        if start not in visited:
-            cycle = dfs(start, None, [])
-            if cycle is not None:
-                return cycle
+        if start in visited:
+            continue
+        visited.add(start)
+        path, depth = [start], {start: 0}  # current DFS path and node positions
+        stack = [(None, iter(adj[start]))]  # (parent, remaining neighbours)
+        while stack:
+            parent, neighbours = stack[-1]
+            for nxt in neighbours:
+                if nxt == parent:
+                    continue
+                if nxt in depth:
+                    return path[depth[nxt]:]
+                if nxt not in visited:
+                    visited.add(nxt)
+                    depth[nxt] = len(path)
+                    stack.append((path[-1], iter(adj[nxt])))
+                    path.append(nxt)
+                    break
+            else:
+                stack.pop()
+                del depth[path.pop()]
     return None
 
 
@@ -113,9 +209,10 @@ def eliminate_support_cycles(fa: FractionalAssignment, scaled: ScaledInstance) -
 
     Around the even cycle j_0, m_0, j_1, m_1, ..., job j_k's two cycle entries
     get +t_k / -t_k with t_k = p(j_0)/p(j_k), which keeps every job sum and
-    every machine load exactly unchanged; theta runs until an entry hits zero.
-    Basic solutions are vertices and already forests, so this is a guarded
-    safety pass. Returns the number of cancelled cycles.
+    every machine load exactly unchanged; theta runs until an entry hits zero,
+    so every pass removes at least one entry. Max-flow supports generally
+    contain cycles, and rounding needs a forest. Returns the number of
+    cancelled cycles.
     """
     cancelled = 0
     while True:
@@ -152,13 +249,15 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     rooted at its lowest machine, and every remaining fractional job goes to
     its lowest-id child machine, so machines gain at most one extra job."""
     schedule = Schedule(scaled)
+    support = {j: [] for j in fa.jobs}
+    for (j, i) in fa.entries:
+        support[j].append(i)
     fractional = set()
     for j in fa.jobs:
-        support = fa.support_of(j)
-        placed = [i for i in support if fa.entries[(j, i)] == 1]
+        placed = [i for i in support[j] if fa.entries[(j, i)] == 1]
         if placed:
             schedule.assign(j, placed[0])
-        elif not support:
+        elif not support[j]:
             raise SimplexError(f"job {j} lost all assignment mass")
         else:
             fractional.add(j)
@@ -166,7 +265,7 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     if not fractional:
         return schedule
 
-    adj_j = {j: sorted(fa.support_of(j)) for j in fractional}
+    adj_j = {j: sorted(support[j]) for j in fractional}
     adj_m = {}
     for j, machines in adj_j.items():
         for i in machines:
@@ -176,9 +275,9 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     for root in sorted(adj_m):
         if root in visited_m:
             continue
-        queue = [("m", root, None)]  # oriented away from the machine root
+        queue = deque([("m", root, None)])  # oriented away from the machine root
         while queue:
-            kind, node, parent = queue.pop(0)
+            kind, node, parent = queue.popleft()
             if kind == "m":
                 if node in visited_m:
                     continue
@@ -191,7 +290,9 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
                     continue
                 visited_j.add(node)
                 children = [i for i in adj_j[node] if i != parent]
-                if not children:  # fractional leaves cannot occur at a vertex
+                # A fractional job has two or more support machines, so in a
+                # forest it always has a child; the parent is a fallback only.
+                if not children:
                     children = [parent]
                 schedule.assign(node, children[0])
                 for i in children:
@@ -206,7 +307,6 @@ def seed_small_medium(scaled: ScaledInstance) -> Schedule:
     configuration LP) has no solution, i.e. the guess is too small.
     """
     fa = solve_assignment_lp(scaled)
-    eliminate_support_cycles(fa, scaled)
     schedule = round_forest(fa, scaled)
     sm = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
     assert all(schedule.machine_of(j) is not None for j in sm)
