@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rational import Frac, ZERO, frac, parse_ratio, ratio_str
-from .model import Instance, ScaledInstance, scale_instance
+from .model import Instance, InstanceFormatError, ScaledInstance, scale_instance
 from .engine import BlockerType, StuckState, ALL_UNDESIRABLE
 from .oracle import KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
@@ -19,6 +19,10 @@ from .simplex import simplex_min
 
 class CertificateError(RuntimeError):
     """A certificate that was required to verify did not."""
+
+
+class CertificateFormatError(InstanceFormatError):
+    """Malformed certificate text; carries a 1-based line number."""
 
 
 @dataclass
@@ -255,30 +259,70 @@ def certificate_to_text(cert: DualCertificate, inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_FIELDS = {"guess": parse_ratio, "epsilon": parse_ratio, "delta": parse_ratio,
+                  "K": int, "machines": int}
+
+
 def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
-    fields = {}
-    z_by_name, y = {}, {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if toks[0] == "ra-certificate":
-            continue
-        if toks[0] in ("guess", "epsilon", "delta"):
-            fields[toks[0]] = parse_ratio(toks[1])
-        elif toks[0] in ("K", "machines"):
-            fields[toks[0]] = int(toks[1])
-        elif toks[0] == "z":
-            z_by_name[toks[1]] = parse_ratio(toks[2])
-        elif toks[0] == "y":
-            y[int(toks[1])] = parse_ratio(toks[2])
-        else:
-            raise ValueError(f"unknown certificate line: {line!r}")
+    """Parse `certificate_to_text` output against its instance.
+
+    Raises CertificateFormatError on an unknown line or job name, a bad or
+    repeated entry, a missing header field, or a y row that is missing or
+    names no machine of the instance. Jobs without a z row get z = 0.
+    """
     name_to_internal = {
         inst.names[orig]: inst.internal_of[orig] for orig in range(len(inst.names))
     }
-    z = {name_to_internal[name]: v for name, v in z_by_name.items()}
+    fields, z, y = {}, {}, {}
+    where = {}  # (kind, key) -> line number
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        kind, *args = line.split()
+        if kind == "ra-certificate":
+            continue
+        if kind not in _HEADER_FIELDS and kind not in ("z", "y"):
+            raise CertificateFormatError(lineno, f"unknown certificate line {line!r}")
+        if len(args) != (1 if kind in _HEADER_FIELDS else 2):
+            raise CertificateFormatError(lineno, f"wrong number of fields in {line!r}")
+        try:
+            if kind in _HEADER_FIELDS:
+                table, key, value = fields, kind, _HEADER_FIELDS[kind](args[0])
+            elif kind == "z":
+                table, key, value = z, args[0], parse_ratio(args[1])
+            else:
+                table, key, value = y, int(args[0]), parse_ratio(args[1])
+        except ValueError:
+            raise CertificateFormatError(lineno, f"bad number in {line!r}") from None
+        if kind == "z":
+            if key not in name_to_internal:
+                raise CertificateFormatError(lineno, f"unknown job {key!r}")
+            key = name_to_internal[key]
+        if (kind, key) in where:
+            label = kind if kind in _HEADER_FIELDS else f"{kind} {args[0]}"
+            raise CertificateFormatError(lineno, f"repeated '{label}' line")
+        where[kind, key] = lineno
+        table[key] = value
+
+    last = max(len(lines), 1)
+    for name in _HEADER_FIELDS:
+        if name not in fields:
+            raise CertificateFormatError(last, f"missing '{name}' line")
+    if fields["guess"] <= 0:
+        raise CertificateFormatError(where["guess", "guess"], "guess must be positive")
+    if fields["machines"] != inst.num_machines:
+        raise CertificateFormatError(
+            where["machines", "machines"],
+            f"certificate has {fields['machines']} machines, "
+            f"the instance {inst.num_machines}")
+    for i in sorted(y):
+        if i not in inst.machines:
+            raise CertificateFormatError(where["y", i], f"no machine {i} in the instance")
+    for i in inst.machines:
+        if i not in y:
+            raise CertificateFormatError(last, f"missing y row for machine {i}")
     for j in inst.jobs:
         z.setdefault(j, ZERO)
     return DualCertificate(
@@ -305,7 +349,8 @@ class ConfigLPRun:
     rounds: int = 0
 
 
-def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500) -> ConfigLPRun:
+def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
+                          pool: dict | None = None) -> ConfigLPRun:
     """Column generation on the covering LP at makespan T.
 
     The restricted master minimizes uncovered job mass; pricing is an exact
@@ -313,6 +358,12 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500) -> Config
     configuration weights; otherwise the final duals give an exact improving
     ray (z per job, y per machine) with z(C) <= y_i for every configuration,
     verified by the pricing knapsacks themselves.
+
+    The master is warm-started: priced columns are appended, so the previous
+    optimal basis stays primal feasible and each round's simplex resumes from
+    it. `pool`, a dict (machine, config) -> size shared across calls, seeds
+    the master with every pooled configuration that fits in T and receives
+    the configurations priced here; without it the run starts cold.
     """
     T = frac(T)
     m, n = inst.num_machines, inst.num_jobs
@@ -333,6 +384,10 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500) -> Config
             if i in inst.gamma[j] and inst.sizes[j] <= T and (i, (j,)) not in generated:
                 generated.add((i, (j,)))
                 add_config(i, (j,))
+    for key in sorted(pool or ()):
+        if pool[key] <= T and key not in generated:
+            generated.add(key)
+            add_config(*key)
     slack_first = len(columns)
     for i in range(m):  # machine slack u_i
         columns.append([(i, one)])
@@ -345,14 +400,17 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500) -> Config
         keys.append(None)
 
     rhs = [one] * (m + n)
+    costs = [ZERO] * len(columns)
+    for idx in range(n):
+        costs[slack_first + m + idx] = one
+    basis = list(range(slack_first, slack_first + m + n))
+    warm = None
     for round_no in range(1, max_rounds + 1):
-        costs = [ZERO] * len(columns)
-        for idx in range(n):
-            costs[slack_first + m + idx] = one
-        basis = list(range(slack_first, slack_first + m + n))
-        out = simplex_min(m + n, columns, costs, rhs, basis)
+        costs += [ZERO] * (len(columns) - len(costs))
+        out = simplex_min(m + n, columns, costs, rhs, basis, warm=warm)
         if out.status != "optimal":
             raise CertificateError("covering master cannot be unbounded")
+        basis, warm = out.basis, (out.binv, out.x_b)
         if out.objective == 0:
             weights = {}
             for k, v in out.values.items():
@@ -377,6 +435,8 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500) -> Config
                     raise CertificateError("pricing regenerated an existing column")
                 generated.add((i, conf))
                 add_config(i, conf)
+                if pool is not None:
+                    pool[(i, conf)] = sum((inst.sizes[j] for j in conf), ZERO)
                 improving = True
         if not improving:
             dual_z = {j: beta[job_row[j] - m] for j in inst.jobs}
@@ -402,21 +462,22 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, max_rounds=500) -> Confi
     tolerance = frac(tolerance)
     lo = inst.max_size()
     hi = inst.total_size()
-    hi_run = config_lp_feasible_cg(inst, hi, max_rounds=max_rounds)
+    pool = {}  # configurations priced by any probe, reused by the later ones
+    hi_run = config_lp_feasible_cg(inst, hi, max_rounds=max_rounds, pool=pool)
     if hi_run.status != "feasible":
         raise CertificateError("covering LP must be feasible at the total size")
     weights = hi_run.weights
     probes = 1
     lo_certified = False
     if lo < hi:
-        lo_run = config_lp_feasible_cg(inst, lo, max_rounds=max_rounds)
+        lo_run = config_lp_feasible_cg(inst, lo, max_rounds=max_rounds, pool=pool)
         probes += 1
         if lo_run.status == "feasible":
             return ConfigLPBound(lo, lo, False, lo_run.weights, probes)
         lo_certified = lo_run.status == "infeasible"
     while hi > lo * (1 + tolerance):
         mid = (lo + hi) / 2
-        run = config_lp_feasible_cg(inst, mid, max_rounds=max_rounds)
+        run = config_lp_feasible_cg(inst, mid, max_rounds=max_rounds, pool=pool)
         probes += 1
         if run.status == "feasible":
             hi, weights = mid, run.weights

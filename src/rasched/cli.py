@@ -1,6 +1,9 @@
 """Command-line interface: solve, gen, bench, trace, check.
 
-Exit codes: 0 success, 2 input error, 3 internal invariant violation.
+Exit codes: 0 success, 2 input error, 3 internal invariant violation,
+4 limit exceeded: a valid input beyond an exact routine's cap, such as a
+machine with more than 30 pricing items for the config-LP bound (`--lp-bound`
+and `bench`) or more jobs than an oracle enumerates.
 """
 
 from __future__ import annotations
@@ -17,8 +20,9 @@ from .bench import bench, rows_to_text, rows_to_jsonl
 from .certificate import certificate_from_text, recheck_certificate, CertificateError
 from .engine import EngineInvariantError
 from .simplex import SimplexError
+from .oracle import CapExceededError
 
-EXIT_OK, EXIT_INPUT, EXIT_INTERNAL = 0, 2, 3
+EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT = 0, 2, 3, 4
 
 
 def _add_common(p):
@@ -128,6 +132,9 @@ def main(argv=None) -> int:
     except (InstanceFormatError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CapExceededError as exc:
+        print(f"limit exceeded: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     except (EngineInvariantError, CertificateError, SimplexError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

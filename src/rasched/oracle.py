@@ -18,8 +18,8 @@ CONFIG_LP_JOB_CAP = 15
 KNAPSACK_ITEM_CAP = 30
 
 
-class CapExceededError(ValueError):
-    pass
+class CapExceededError(Exception):
+    """The input is valid but larger than an exact routine's documented cap."""
 
 
 @dataclass(frozen=True)

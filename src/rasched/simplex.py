@@ -3,6 +3,10 @@
 Revised simplex with a dense basis inverse; every LP in this package is
 formulated as min c.x s.t. Ax = b, x >= 0 with b >= 0 and an initial basis of
 identity columns (unit slacks or artificials), so a single phase suffices.
+A solve can also resume warm from the optimal basis of an earlier call: after
+columns are appended, that basis is still primal feasible, which is how the
+config-LP column generation re-optimizes its master between pricing rounds.
+The duals are kept up to date across pivots instead of being recomputed.
 Dantzig pricing with a permanent switch to Bland's rule after a degenerate
 streak guarantees termination; all arithmetic is exact.
 """
@@ -27,26 +31,37 @@ class SimplexOutcome:
     values: dict  # column index -> value, basic columns only (nonbasic are 0)
     duals: list  # y per row (1 entry per constraint), from c_B B^-1
     basis: list  # column index per basis position
+    binv: list | None = None  # final B^-1 rows (optimal only), for warm starts
+    x_b: list | None = None  # final basic values (optimal only), for warm starts
 
 
-def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=200000):
+def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=200000,
+                warm=None):
     """Minimize costs.x subject to (sparse) columns assembled as Ax = rhs, x >= 0.
 
     `columns[k]` is a list of (row, coeff) pairs; `initial_basis` must name
     columns that form an identity: column initial_basis[r] has the single
     entry (r, 1). All rhs entries must be nonnegative.
+
+    With `warm=(binv, x_b)`, taken from an earlier optimal outcome together
+    with its `basis` as `initial_basis`, the solve resumes from that basis
+    instead (rhs is then not read). Columns may have been appended since, but
+    the basic ones must be unchanged. The arguments are copied, not mutated.
     """
     m = num_rows
-    if any(v < 0 for v in rhs):
-        raise SimplexError("rhs must be nonnegative")
-    for r, k in enumerate(initial_basis):
-        col = columns[k]
-        if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
-            raise SimplexError("initial basis must be identity columns")
-
-    binv = [[Frac(1) if a == b else ZERO for b in range(m)] for a in range(m)]
     basis = list(initial_basis)
-    x_b = [Frac(v) for v in rhs]
+    if warm is None:
+        if any(v < 0 for v in rhs):
+            raise SimplexError("rhs must be nonnegative")
+        for r, k in enumerate(initial_basis):
+            col = columns[k]
+            if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
+                raise SimplexError("initial basis must be identity columns")
+        binv = [[Frac(1) if a == b else ZERO for b in range(m)] for a in range(m)]
+        x_b = [Frac(v) for v in rhs]
+    else:
+        binv = [list(row) for row in warm[0]]
+        x_b = list(warm[1])
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True
@@ -64,19 +79,19 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
 
     bland = False
     degenerate_streak = 0
+    y = dual_vector()
     for _ in range(max_pivots):
-        y = dual_vector()
         entering = -1
-        best = ZERO
+        best = ZERO  # the entering column's reduced cost
         for k, col in enumerate(columns):
             if in_basis[k]:
                 continue
             red = costs[k]
             for r, coeff in col:
-                red -= y[r] * coeff
+                red -= y[r] if coeff == 1 else y[r] * coeff
             if red < 0:
                 if bland:
-                    entering = k
+                    entering, best = k, red
                     break
                 if red < best:
                     best = red
@@ -84,7 +99,7 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
         if entering < 0:
             values = {basis[r]: x_b[r] for r in range(m)}
             obj = sum((costs[basis[r]] * x_b[r] for r in range(m)), ZERO)
-            return SimplexOutcome("optimal", obj, values, y, basis)
+            return SimplexOutcome("optimal", obj, values, y, basis, binv, x_b)
 
         # direction d = B^-1 A_entering
         d = [ZERO] * m
@@ -128,6 +143,10 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
                     if lrow[s]:
                         row[s] -= f * lrow[s]
                 x_b[r] -= f * x_b[leaving]
+        # c_B B^-1 changes by the entering reduced cost times the new pivot row
+        for s in range(m):
+            if lrow[s]:
+                y[s] += best * lrow[s]
     raise SimplexError("pivot limit exceeded")
 
 

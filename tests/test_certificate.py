@@ -11,7 +11,7 @@ from rasched.certificate import (build_dual_certificate, verify_objective_negati
                                  check_big_job_value_bound,
                                  certificate_to_text, certificate_from_text,
                                  recheck_certificate, config_lp_feasible_cg,
-                                 config_lp_lower_bound)
+                                 config_lp_lower_bound, CertificateFormatError)
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
@@ -160,6 +160,31 @@ class TestSerialization:
         assert not recheck_certificate(again, inst)
 
 
+class TestCertificateFormat:
+    @pytest.mark.parametrize("edit,line,message", [
+        (lambda t: t.replace("machines 1\n", "machines 1\nmachines 1\n"), 7,
+         "repeated 'machines' line"),
+        (lambda t: t.replace("machines 1\n", "machines 2\n"), 6,
+         "certificate has 2 machines, the instance 1"),
+        (lambda t: t.replace("guess 1/1", "guess 0/1"), 2, "guess must be positive"),
+        (lambda t: t.replace("K ", "Kay "), 5, "unknown certificate line"),
+        (lambda t: t.replace("delta 23/24", "delta 23/24 1"), 4, "wrong number of fields"),
+        (lambda t: t.replace("epsilon 1/24", "epsilon 1/0"), 3, "bad number"),
+        (lambda t: t + "y 2 0/1\n", None, "no machine 2 in the instance"),
+        (lambda t: t + "y 1 0/1\n", None, "repeated 'y 1' line"),
+    ])
+    def test_malformed_text_names_its_line(self, edit, line, message):
+        stuck, sc = three_smalls_stuck()
+        text = certificate_to_text(build_dual_certificate(stuck), sc.base)
+        bad = edit(text)
+        assert bad != text
+        with pytest.raises(CertificateFormatError) as info:
+            certificate_from_text(bad, sc.base)
+        expected = line if line is not None else len(bad.splitlines())
+        assert info.value.line == expected
+        assert str(info.value).startswith(f"line {expected}: {message}")
+
+
 class TestConfigLPBounds:
     def test_single_machine_exact_total(self):
         inst = make_instance(1, [(Frac(3, 4), {1}), (Frac(1), {1})])
@@ -220,3 +245,73 @@ class TestConfigLPBounds:
         assert not exact_config_lp_feasible(sc.base, sc.guess)
         run = config_lp_feasible_cg(sc.base, sc.guess)
         assert run.status == "infeasible"
+
+
+def cold_bisection(inst, tolerance):
+    """The bracket search without a shared pool: every probe starts cold."""
+    lo, hi = inst.max_size(), inst.total_size()
+    assert config_lp_feasible_cg(inst, hi).status == "feasible"
+    probes, lo_certified = 1, False
+    if lo < hi:
+        run = config_lp_feasible_cg(inst, lo)
+        probes += 1
+        if run.status == "feasible":
+            return lo, lo, False, probes
+        lo_certified = run.status == "infeasible"
+    while hi > lo * (1 + tolerance):
+        mid = (lo + hi) / 2
+        run = config_lp_feasible_cg(inst, mid)
+        probes += 1
+        if run.status == "feasible":
+            hi = mid
+        elif run.status == "infeasible":
+            lo, lo_certified = mid, True
+        else:
+            break
+    return lo, hi, lo_certified, probes
+
+
+def assert_ray_is_knapsack_checked(inst, run):
+    from rasched.oracle import KnapsackQuery, knapsack_max_value
+    T = run.T
+    assert sum(run.dual_z.values(), ZERO) > sum(run.dual_y.values(), ZERO)
+    for i in inst.machines:
+        items = [(inst.sizes[j], run.dual_z[j]) for j in inst.jobs
+                 if i in inst.gamma[j] and inst.sizes[j] <= T and run.dual_z[j] > 0]
+        best = knapsack_max_value(KnapsackQuery(tuple(items), T))[0] if items else ZERO
+        assert best <= run.dual_y[i]
+
+
+POOLED_CASES = [(preset, seed) for preset in ("collision", "huge_heavy") for seed in range(22)]
+
+
+class TestPooledBisection:
+    @pytest.mark.parametrize("preset,seed", POOLED_CASES)
+    def test_pool_matches_cold_bisection(self, preset, seed, monkeypatch):
+        import rasched.certificate as cm
+        machines = 2 + seed % 3
+        inst = generate_instance(GenSpec(machines=machines, jobs=5 + seed % 7,
+                                         preset=preset, density=Frac(2, 3), seed=seed))
+        tol = Frac(1, 50)
+        expected = cold_bisection(inst, tol)
+
+        runs = []
+        original = cm.config_lp_feasible_cg
+
+        def recording(*args, **kwargs):
+            assert kwargs.get("pool") is not None  # every probe shares the pool
+            run = original(*args, **kwargs)
+            runs.append(run)
+            return run
+
+        monkeypatch.setattr(cm, "config_lp_feasible_cg", recording)
+        bound = config_lp_lower_bound(inst, tol)
+        got = (bound.lower, bound.upper, bound.lower_certified, bound.probes)
+        assert got == expected
+        assert len(runs) == bound.probes
+        assert exact_config_lp_feasible(inst, bound.upper)
+        if bound.lower_certified:
+            assert not exact_config_lp_feasible(inst, bound.lower)
+        for run in runs:
+            if run.status == "infeasible":
+                assert_ray_is_knapsack_checked(inst, run)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rasched.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INTERNAL
+from rasched.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT
 
 
 @pytest.fixture
@@ -62,6 +62,14 @@ class TestSolve:
         inst.write_text("ra 1\nmachines 1\njob a 1/2 : 1\n")
         code, _, err = run_cli(capsys, "solve", str(inst), "--epsilon", "1/2")
         assert code == EXIT_INPUT
+
+    def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
+        inst = workdir / "big.ra"
+        inst.write_text("ra 1\nmachines 1\n"
+                        + "".join(f"job j{k} 1/1 : 1\n" for k in range(31)))
+        code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
+        assert code == EXIT_LIMIT and out == ""
+        assert err.startswith("limit exceeded: knapsack limited to 30 items")
 
 
 class TestTraceCommand:
@@ -130,3 +138,61 @@ class TestBench:
         recs = [json.loads(ln) for ln in rows.read_text().splitlines()]
         assert {r["epsilon"] for r in recs} == {"1/24", "1/30"}
         assert all(r["ratio_vs_lp"] for r in recs)
+        assert out.splitlines()[0].split()[6] == "lp_s"
+        assert all(r["lp_seconds"] >= 0 for r in recs)
+
+
+def stuck_certificate_lines(workdir, capsys):
+    """Solve an instance with a stuck probe; return its path and certificate lines."""
+    inst = workdir / "i.ra"
+    inst.write_text("ra 1\nmachines 3\njob a 1/1 : 1\njob b 1/1 : 2\n"
+                    "job c 1/1 : 3\njob d 59/60 : 1 2 3\n")
+    code, out, _ = run_cli(capsys, "solve", str(inst))
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    start = next(k for k, ln in enumerate(lines) if ln.startswith("certificate-at"))
+    body = []
+    for ln in lines[start + 1:]:
+        if not ln.startswith("  "):
+            break
+        body.append(ln[2:])
+    return inst, body
+
+
+class TestCheckMalformed:
+    def check_edited(self, workdir, capsys, edit):
+        inst, body = stuck_certificate_lines(workdir, capsys)
+        cert_path = workdir / "c.cert"
+        cert_path.write_text("\n".join(edit(body)) + "\n")
+        return run_cli(capsys, "check", str(inst), str(cert_path))
+
+    def test_unknown_job_name(self, workdir, capsys):
+        def rename(body):
+            k = next(k for k, ln in enumerate(body) if ln.startswith("z "))
+            return body[:k] + ["z nope " + body[k].split()[2]] + body[k + 1:]
+        code, out, err = self.check_edited(workdir, capsys, rename)
+        assert code == EXIT_INPUT and out == ""
+        assert "input error: line 7: unknown job 'nope'" in err
+
+    @pytest.mark.parametrize("field", ["guess", "epsilon", "delta", "K", "machines"])
+    def test_missing_header_line(self, workdir, capsys, field):
+        def drop(body):
+            return [ln for ln in body if not ln.startswith(field + " ")]
+        code, out, err = self.check_edited(workdir, capsys, drop)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error: line ")
+        assert f"missing '{field}' line" in err
+
+    def test_missing_y_row(self, workdir, capsys):
+        def drop(body):
+            return [ln for ln in body if not ln.startswith("y 2 ")]
+        code, out, err = self.check_edited(workdir, capsys, drop)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error: line ")
+        assert "missing y row for machine 2" in err
+
+    def test_bad_number_names_its_line(self, workdir, capsys):
+        def corrupt(body):
+            return [("K many" if ln.startswith("K ") else ln) for ln in body]
+        code, _, err = self.check_edited(workdir, capsys, corrupt)
+        assert code == EXIT_INPUT and "line 5: bad number in 'K many'" in err
