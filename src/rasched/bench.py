@@ -15,6 +15,7 @@ from .model import parse_instance, InstanceFormatError
 from .driver import solve
 from .certificate import config_lp_lower_bound
 from .engine import layer_cap
+from .oracle import CapExceededError
 
 
 @dataclass
@@ -27,7 +28,7 @@ class BenchRow:
     wall_seconds: float  # best solve time over the repetitions
     lp_seconds: float  # the config-LP bound, computed once after the solves
     makespan: object
-    lp_lower: object
+    lp_lower: object  # None when the bound refused the instance (over a cap)
     ratio: object
 
 
@@ -53,14 +54,18 @@ def _run_one(args):
             if ev["layer"]:
                 max_layer = max(max_layer, ev["layer"])
     start = time.perf_counter()
-    bound = config_lp_lower_bound(inst, tau)
+    try:
+        lp_lower = config_lp_lower_bound(inst, tau).lower
+    except CapExceededError:
+        lp_lower = None
     lp_seconds = time.perf_counter() - start
     row = BenchRow(
         instance=os.path.basename(path), epsilon=eps,
         layer_limit=layer_cap(inst.num_machines, eps),
         engine_iterations=iters, max_layer=max_layer,
         wall_seconds=best_elapsed, lp_seconds=lp_seconds, makespan=report.makespan,
-        lp_lower=bound.lower, ratio=report.makespan / bound.lower,
+        lp_lower=lp_lower,
+        ratio=None if lp_lower is None else report.makespan / lp_lower,
     )
     return row
 
@@ -100,10 +105,11 @@ def rows_to_text(rows) -> str:
               f"[{rational.BACKEND}]")
     lines = [header, "-" * len(header)]
     for r in rows:
+        ratio = "refused" if r.ratio is None else f"{as_float(r.ratio):.6f}"
         lines.append(
             f"{r.instance:24} {ratio_str(r.epsilon):>8} {r.layer_limit:>5} "
             f"{r.engine_iterations:>7} {r.max_layer:>5} {r.wall_seconds:>9.4f} "
-            f"{r.lp_seconds:>9.4f} {as_float(r.ratio):>12.6f}"
+            f"{r.lp_seconds:>9.4f} {ratio:>12}"
         )
     return "\n".join(lines) + "\n"
 
@@ -120,8 +126,8 @@ def rows_to_jsonl(rows) -> str:
             "wall_seconds": round(r.wall_seconds, 6),
             "lp_seconds": round(r.lp_seconds, 6),
             "makespan": ratio_str(r.makespan),
-            "lp_lower_bound": ratio_str(r.lp_lower),
-            "ratio_vs_lp": ratio_str(r.ratio),
+            "lp_lower_bound": None if r.lp_lower is None else ratio_str(r.lp_lower),
+            "ratio_vs_lp": None if r.ratio is None else ratio_str(r.ratio),
             "backend": rational.BACKEND,
         }, sort_keys=True))
     return "\n".join(out) + ("\n" if out else "")

@@ -410,7 +410,7 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
         out = simplex_min(m + n, columns, costs, rhs, basis, warm=warm)
         if out.status != "optimal":
             raise CertificateError("covering master cannot be unbounded")
-        basis, warm = out.basis, (out.binv, out.x_b)
+        basis, warm = out.basis, out.warm
         if out.objective == 0:
             weights = {}
             for k, v in out.values.items():

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input error, 3 internal invariant violation,
 4 limit exceeded: a valid input beyond an exact routine's cap, such as a
-machine with more than 30 pricing items for the config-LP bound (`--lp-bound`
-and `bench`) or more jobs than an oracle enumerates.
+machine with more than 30 pricing items for the config-LP bound
+(`--lp-bound`) or more jobs than an oracle enumerates. `bench` does not exit
+on a bound over the cap; it prints that row's ratio as `refused`.
 """
 
 from __future__ import annotations

@@ -126,13 +126,6 @@ class BlockerTree:
     def contains_move(self, job, machine) -> bool:
         return any(b.job == job and b.machine == machine for b in self.blockers())
 
-    def machines_of(self, types, max_layer=None):
-        got = set()
-        for b in self.blockers():
-            if b.btype in types and (max_layer is None or b.layer <= max_layer):
-                got.add(b.machine)
-        return got
-
     def _wipe(self, blockers) -> int:
         for b in blockers:
             b.alive = False

@@ -224,9 +224,6 @@ class ScaledInstance:
     def small_jobs(self):
         return [j for j in self.base.jobs if self.is_small(j)]
 
-    def medium_jobs(self):
-        return [j for j in self.base.jobs if self.is_medium(j)]
-
     def huge_jobs(self):
         return [j for j in self.base.jobs if self.is_huge(j)]
 
@@ -318,10 +315,6 @@ class Schedule:
 
     def assigned_jobs(self):
         return [j for j in self.scaled.base.jobs if self.assignment[j] is not UNASSIGNED]
-
-    def makespan_plain(self):
-        m = self.scaled.base.num_machines
-        return max((self._load[PLAIN][i] for i in range(1, m + 1)), default=ZERO)
 
 
 def machine_load(schedule: Schedule, i: int, system: str = PLAIN):

@@ -8,6 +8,8 @@ than none.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from math import lcm
 
 from .rational import Frac, ZERO, frac
 from .simplex import solve_equality_feasibility
@@ -39,36 +41,45 @@ def knapsack_max_value(query: KnapsackQuery):
 
     Branch and bound in value-density order with the fractional relaxation as
     the upper bound. Deterministic: the first optimum found in take-before-skip
-    order is kept and reported as sorted original indices.
+    order is kept and reported as sorted original indices. The search runs on
+    integers: weights and capacity are scaled by their common denominator and
+    values by theirs, which leaves every comparison as it is on the rationals.
     """
     if len(query.items) > KNAPSACK_ITEM_CAP:
         raise CapExceededError(f"knapsack limited to {KNAPSACK_ITEM_CAP} items")
     cap = frac(query.capacity)
-    usable = [
-        (w, v, idx) for idx, (w, v) in enumerate(query.items) if w <= cap and v > 0
-    ]
-    usable.sort(key=lambda t: (-(t[1] / t[0]), t[2]))
+    weight_scale = lcm(cap.denominator, *(w.denominator for w, _ in query.items))
+    value_scale = lcm(*(v.denominator for _, v in query.items))
+    cap = int(cap.numerator) * int(weight_scale // cap.denominator)
+    usable = []
+    for idx, (w, v) in enumerate(query.items):
+        w = int(w.numerator) * int(weight_scale // w.denominator)
+        if w <= cap and v > 0:
+            usable.append((w, int(v.numerator) * int(value_scale // v.denominator), idx))
+    # value density v/w descending, then index, compared exactly
+    usable.sort(key=cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0] or a[2] - b[2]))
     n = len(usable)
 
-    suffix_value = [ZERO] * (n + 1)
+    suffix_value = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
         suffix_value[k] = suffix_value[k + 1] + usable[k][1]
 
-    best_value = ZERO
+    best_value = 0
     best_set: tuple = ()
     chosen = []
 
-    def fractional_bound(k, room):
-        total = ZERO
+    def below_best(k, room, value):
+        """Whether value plus the fractional bound from item k on is <= best."""
+        total = value - best_value
         while k < n and room > 0:
             w, v, _ = usable[k]
             if w <= room:
                 total += v
                 room -= w
             else:
-                return total + v * room / w
+                return total * w + v * room <= 0
             k += 1
-        return total
+        return total <= 0
 
     def descend(k, room, value):
         nonlocal best_value, best_set
@@ -77,7 +88,7 @@ def knapsack_max_value(query: KnapsackQuery):
             best_set = tuple(sorted(idx for _, _, idx in chosen))
         if k == n or value + suffix_value[k] <= best_value:
             return
-        if value + fractional_bound(k, room) <= best_value:
+        if below_best(k, room, value):
             return
         w, v, idx = usable[k]
         if w <= room:
@@ -86,8 +97,8 @@ def knapsack_max_value(query: KnapsackQuery):
             chosen.pop()
         descend(k + 1, room, value)
 
-    descend(0, cap, ZERO)
-    return best_value, best_set
+    descend(0, cap, 0)
+    return Frac(best_value, value_scale), best_set
 
 
 def exact_optimal_makespan(inst: Instance, *, job_cap: int = MAKESPAN_JOB_CAP):

@@ -1,4 +1,4 @@
-"""Exact rational simplex over sparse columns.
+"""Exact rational simplex over sparse columns, run on integers.
 
 Revised simplex with a dense basis inverse; every LP in this package is
 formulated as min c.x s.t. Ax = b, x >= 0 with b >= 0 and an initial basis of
@@ -6,14 +6,24 @@ identity columns (unit slacks or artificials), so a single phase suffices.
 A solve can also resume warm from the optimal basis of an earlier call: after
 columns are appended, that basis is still primal feasible, which is how the
 config-LP column generation re-optimizes its master between pricing rounds.
-The duals are kept up to date across pivots instead of being recomputed.
 Dantzig pricing with a permanent switch to Bland's rule after a degenerate
 streak guarantees termination; all arithmetic is exact.
+
+The arithmetic is fraction-free (Edmonds 1967; Bareiss 1968). Each row is
+scaled by the lcm of its denominators, rhs included, and the costs by one
+common lcm; neither changes a reduced cost's sign order or a ratio. The solver
+then keeps B^-1 = A / D with an integer matrix A and D = |det B| > 0, the basic
+values as X = D x_B and the duals as Y = D c_B B^-1, all plain ints. Every
+reduced cost and every ratio carries the same positive scale, so the pivot
+sequence is the one a rational implementation would take, and each update
+divides exactly by the old D (Cramer's rule). The duals are kept up to date
+across pivots instead of being recomputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm, prod
 
 from .rational import Frac, ZERO
 
@@ -31,8 +41,21 @@ class SimplexOutcome:
     values: dict  # column index -> value, basic columns only (nonbasic are 0)
     duals: list  # y per row (1 entry per constraint), from c_B B^-1
     basis: list  # column index per basis position
-    binv: list | None = None  # final B^-1 rows (optimal only), for warm starts
-    x_b: list | None = None  # final basic values (optimal only), for warm starts
+    warm: tuple | None = None  # opaque solver state (optimal only), for warm starts
+
+
+def _scaled(q, scale):
+    """The integer q * scale, for a `scale` that q's denominator divides."""
+    return int(q.numerator) * (scale // int(q.denominator))
+
+
+def _raise_row_scales(scales, columns):
+    """Raise each row's scale to a multiple of its coefficients' denominators."""
+    for col in columns:
+        for r, coeff in col:
+            den = coeff.denominator
+            if den != 1 and scales[r] % den:
+                scales[r] = lcm(scales[r], int(den))
 
 
 def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=200000,
@@ -41,12 +64,16 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
 
     `columns[k]` is a list of (row, coeff) pairs; `initial_basis` must name
     columns that form an identity: column initial_basis[r] has the single
-    entry (r, 1). All rhs entries must be nonnegative.
+    entry (r, 1). All rhs entries must be nonnegative. Coefficients, costs
+    and rhs are exact rationals (or ints); the solve runs on their row-scaled
+    and cost-scaled integer images and maps the results back.
 
-    With `warm=(binv, x_b)`, taken from an earlier optimal outcome together
-    with its `basis` as `initial_basis`, the solve resumes from that basis
-    instead (rhs is then not read). Columns may have been appended since, but
-    the basic ones must be unchanged. The arguments are copied, not mutated.
+    With `warm=out.warm`, taken from an earlier optimal outcome together with
+    its `basis` as `initial_basis`, the solve resumes from that basis instead
+    (rhs is then not read). Columns may have been appended since, but the
+    basic ones must be unchanged; an appended column that raises a row's
+    denominator lcm rescales the kept state first. The state is opaque and
+    is copied, not mutated.
     """
     m = num_rows
     basis = list(initial_basis)
@@ -57,38 +84,51 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
             col = columns[k]
             if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
                 raise SimplexError("initial basis must be identity columns")
-        binv = [[Frac(1) if a == b else ZERO for b in range(m)] for a in range(m)]
-        x_b = [Frac(v) for v in rhs]
+        scales = [int(v.denominator) for v in rhs]
+        _raise_row_scales(scales, columns)
+        D = prod(scales)  # |det| of the scaled identity basis
+        A = [[D // scales[a] if a == b else 0 for b in range(m)] for a in range(m)]
+        X = [_scaled(v, D) for v in rhs]
     else:
-        binv = [list(row) for row in warm[0]]
-        x_b = list(warm[1])
+        A0, X0, D, old_scales = warm
+        A = [list(row) for row in A0]
+        X = list(X0)
+        scales = list(old_scales)
+        _raise_row_scales(scales, columns)
+        for r in range(m):
+            t = scales[r] // old_scales[r]
+            if t != 1:  # row r was multiplied by t: |det B| and X follow
+                D *= t
+                X = [x * t for x in X]
+                for row in A:
+                    keep = row[r]
+                    row[:] = [a * t for a in row]
+                    row[r] = keep
+    cost_scale = lcm(*(int(c.denominator) for c in costs))
+    icosts = [_scaled(c, cost_scale) for c in costs]
+    icols = [[(r, int(q.numerator) * (scales[r] // int(q.denominator))) for r, q in col]
+             for col in columns]
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True
 
-    def dual_vector():
-        y = [ZERO] * m
-        for r in range(m):
-            cb = costs[basis[r]]
-            if cb:
-                row = binv[r]
-                for s in range(m):
-                    if row[s]:
-                        y[s] += cb * row[s]
-        return y
-
     bland = False
     degenerate_streak = 0
-    y = dual_vector()
+    Y = [0] * m  # D * c_B B^-1
+    for r in range(m):
+        cb = icosts[basis[r]]
+        if cb:
+            Y = [y + cb * a for y, a in zip(Y, A[r])]
     for _ in range(max_pivots):
         entering = -1
-        best = ZERO  # the entering column's reduced cost
-        for k, col in enumerate(columns):
+        best = 0  # the entering column's reduced cost, times D
+        for k, col in enumerate(icols):
             if in_basis[k]:
                 continue
-            red = costs[k]
+            c = icosts[k]
+            red = D * c if c else 0
             for r, coeff in col:
-                red -= y[r] if coeff == 1 else y[r] * coeff
+                red -= Y[r] if coeff == 1 else Y[r] * coeff
             if red < 0:
                 if bland:
                     entering, best = k, red
@@ -97,56 +137,60 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
                     best = red
                     entering = k
         if entering < 0:
-            values = {basis[r]: x_b[r] for r in range(m)}
-            obj = sum((costs[basis[r]] * x_b[r] for r in range(m)), ZERO)
-            return SimplexOutcome("optimal", obj, values, y, basis, binv, x_b)
+            values = {basis[r]: Frac(X[r], D) for r in range(m)}
+            obj = Frac(sum(icosts[basis[r]] * X[r] for r in range(m)), D * cost_scale)
+            duals = [Frac(Y[r] * scales[r], D * cost_scale) for r in range(m)]
+            return SimplexOutcome("optimal", obj, values, duals, basis,
+                                  (A, X, D, scales))
 
-        # direction d = B^-1 A_entering
-        d = [ZERO] * m
-        for r, coeff in columns[entering]:
-            if coeff:
-                for s in range(m):
-                    if binv[s][r]:
-                        d[s] += binv[s][r] * coeff
+        # direction times D: A a_entering
+        d = [0] * m
+        for r, coeff in icols[entering]:
+            for s in range(m):
+                a = A[s][r]
+                if a:
+                    d[s] += a * coeff
+        # ratio test X[r]/d[r] by cross-multiplication, ties to the smaller basis index
         leaving = -1
-        theta = None
         for r in range(m):
-            if d[r] > 0:
-                ratio = x_b[r] / d[r]
-                if theta is None or ratio < theta or (ratio == theta and basis[r] < basis[leaving]):
-                    theta = ratio
+            dr = d[r]
+            if dr > 0:
+                if leaving < 0:
+                    leaving = r
+                    continue
+                lhs, rhs_ = X[r] * d[leaving], X[leaving] * dr
+                if lhs < rhs_ or (lhs == rhs_ and basis[r] < basis[leaving]):
                     leaving = r
         if leaving < 0:
             return SimplexOutcome("unbounded", None, {}, [], basis)
 
-        if theta == 0:
+        if X[leaving] == 0:
             degenerate_streak += 1
             if degenerate_streak >= _DEGENERATE_STREAK:
                 bland = True
         else:
             degenerate_streak = 0
 
-        piv = d[leaving]
+        p = d[leaving]  # D * the pivot, and |det| of the new basis
         in_basis[basis[leaving]] = False
         in_basis[entering] = True
         basis[leaving] = entering
-        # eta update of B^-1 and x_b
-        lrow = binv[leaving]
-        for s in range(m):
-            lrow[s] = lrow[s] / piv
-        x_b[leaving] = x_b[leaving] / piv
+        # fraction-free update; row `leaving` of A and X keeps its values
+        lrow = A[leaving]
+        xl = X[leaving]
         for r in range(m):
-            if r != leaving and d[r]:
-                f = d[r]
-                row = binv[r]
-                for s in range(m):
-                    if lrow[s]:
-                        row[s] -= f * lrow[s]
-                x_b[r] -= f * x_b[leaving]
+            if r == leaving:
+                continue
+            dr = d[r]
+            if dr:
+                A[r] = [(a * p - dr * b) // D for a, b in zip(A[r], lrow)]
+                X[r] = (X[r] * p - dr * xl) // D
+            elif p != D:
+                A[r] = [a * p // D for a in A[r]]
+                X[r] = X[r] * p // D
         # c_B B^-1 changes by the entering reduced cost times the new pivot row
-        for s in range(m):
-            if lrow[s]:
-                y[s] += best * lrow[s]
+        Y = [(p * y + best * b) // D for y, b in zip(Y, lrow)]
+        D = p
     raise SimplexError("pivot limit exceeded")
 
 

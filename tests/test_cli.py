@@ -141,6 +141,26 @@ class TestBench:
         assert out.splitlines()[0].split()[6] == "lp_s"
         assert all(r["lp_seconds"] >= 0 for r in recs)
 
+    def test_bench_marks_an_over_cap_bound_refused(self, workdir, capsys):
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "good.ra").write_text(
+            "ra 1\nmachines 2\njob a 1/3 : 1\njob b 9/10 : 1 2\n")
+        (corpus / "wide.ra").write_text(  # 31 pricing items on machine 1
+            "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31)))
+        rows = workdir / "rows.jsonl"
+        code, out, _ = run_cli(capsys, "bench", str(corpus), "--jsonl", str(rows))
+        assert code == EXIT_OK
+        lines = {ln.split()[0]: ln.split() for ln in out.splitlines()[2:]}
+        assert set(lines) == {"good.ra", "wide.ra"}
+        assert lines["wide.ra"][7] == "refused"
+        assert lines["good.ra"][7] != "refused"
+        recs = {r["instance"]: r for r in map(json.loads, rows.read_text().splitlines())}
+        assert recs["wide.ra"]["lp_lower_bound"] is None
+        assert recs["wide.ra"]["ratio_vs_lp"] is None
+        assert recs["wide.ra"]["makespan"] == "31/1"
+        assert recs["good.ra"]["ratio_vs_lp"] is not None
+
 
 def stuck_certificate_lines(workdir, capsys):
     """Solve an instance with a stuck probe; return its path and certificate lines."""

@@ -71,6 +71,95 @@ class TestKnapsack:
         assert sum((items[k][1] for k in subset), ZERO) == value
 
 
+def reference_knapsack_max_value(query):
+    """The Fraction branch and bound the integer kernel replaced."""
+    cap = Frac(query.capacity)
+    usable = [
+        (w, v, idx) for idx, (w, v) in enumerate(query.items) if w <= cap and v > 0
+    ]
+    usable.sort(key=lambda t: (-(t[1] / t[0]), t[2]))
+    n = len(usable)
+
+    suffix_value = [ZERO] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix_value[k] = suffix_value[k + 1] + usable[k][1]
+
+    best_value = ZERO
+    best_set: tuple = ()
+    chosen = []
+
+    def fractional_bound(k, room):
+        total = ZERO
+        while k < n and room > 0:
+            w, v, _ = usable[k]
+            if w <= room:
+                total += v
+                room -= w
+            else:
+                return total + v * room / w
+            k += 1
+        return total
+
+    def descend(k, room, value):
+        nonlocal best_value, best_set
+        if value > best_value:
+            best_value = value
+            best_set = tuple(sorted(idx for _, _, idx in chosen))
+        if k == n or value + suffix_value[k] <= best_value:
+            return
+        if value + fractional_bound(k, room) <= best_value:
+            return
+        w, v, idx = usable[k]
+        if w <= room:
+            chosen.append(usable[k])
+            descend(k + 1, room - w, value + v)
+            chosen.pop()
+        descend(k + 1, room, value)
+
+    descend(0, cap, ZERO)
+    return best_value, best_set
+
+
+def random_knapsack_query(rng):
+    """Mixed denominators, repeated densities, zero values, heavy items."""
+    dens = rng.sample([1, 2, 3, 4, 5, 6, 7, 9, 10, 12], 3)
+    n = rng.randint(0, 14)
+    items = []
+    for _ in range(n):
+        shape = rng.random()
+        if items and shape < 0.25:  # the density of an earlier item
+            w0, v0 = rng.choice(items)
+            f = Frac(rng.randint(1, 6), rng.choice(dens))
+            items.append((w0 * f, v0 * f))
+        elif shape < 0.35:
+            items.append((Frac(rng.randint(1, 30), rng.choice(dens)), ZERO))
+        else:
+            items.append((Frac(rng.randint(1, 30), rng.choice(dens)),
+                          Frac(rng.randint(0, 40), rng.choice(dens))))
+    cap = Frac(rng.randint(0, 40), rng.choice(dens))
+    if rng.random() < 0.5 and items:  # at least one item heavier than the cap
+        items[rng.randrange(len(items))] = (cap + Frac(1, rng.choice(dens)),
+                                             Frac(rng.randint(1, 50)))
+    return KnapsackQuery(tuple(items), cap)
+
+
+class TestKnapsackMatchesRational:
+    def test_random_queries_return_identical_value_and_subset(self):
+        ties = 0
+        for seed in range(600):
+            q = random_knapsack_query(random.Random(seed))
+            got = knapsack_max_value(q)
+            assert got == reference_knapsack_max_value(q)
+            densities = [v / w for w, v in q.items if v > 0 and w <= q.capacity]
+            ties += len(densities) != len(set(densities))
+        assert ties >= 50
+
+    def test_equal_densities_keep_the_index_order(self):
+        q = KnapsackQuery(((Frac(1, 2), Frac(1)), (Frac(1, 3), Frac(2, 3)),
+                           (Frac(1, 2), Frac(1)), (Frac(1, 6), Frac(1, 3))), Frac(1))
+        assert knapsack_max_value(q) == reference_knapsack_max_value(q) == (2, (0, 1, 3))
+
+
 class TestMakespan:
     def test_single_job(self):
         inst = make_instance(1, [(Frac(7, 5), {1})])

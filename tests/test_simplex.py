@@ -1,3 +1,5 @@
+import copy
+import math
 import random
 
 import pytest
@@ -160,7 +162,7 @@ class TestWarmStart:
         basis = [small_to_full[k] for k in first.basis]
         y = first.duals
         assert reduced_cost(cols[1], costs[1], y) < 0
-        warm = simplex_min(2, cols, costs, rhs, basis, warm=(first.binv, first.x_b))
+        warm = simplex_min(2, cols, costs, rhs, basis, warm=first.warm)
         cold = simplex_min(2, cols, costs, rhs, [2, 3])
         assert warm.objective == cold.objective == Frac(-14, 5)
         assert_consistent_optimum(2, cols, costs, rhs, warm)
@@ -169,11 +171,11 @@ class TestWarmStart:
         cols = [[(0, Frac(1))], [(0, Frac(1))], [(0, Frac(2))]]
         costs = [ZERO, Frac(-1), Frac(-3)]
         first = simplex_min(1, cols[:2], costs[:2], [Frac(4)], [0])
-        state = ([list(row) for row in first.binv], list(first.x_b))
+        state = copy.deepcopy(first.warm)
         again = simplex_min(1, cols, costs, [Frac(4)], first.basis,
-                            warm=(first.binv, first.x_b))
+                            warm=first.warm)
         assert again.objective == -6
-        assert (first.binv, first.x_b) == state
+        assert first.warm == state
 
     @pytest.mark.parametrize("seed", range(25))
     def test_randomized_append_and_resume(self, seed):
@@ -199,7 +201,7 @@ class TestWarmStart:
                 cols.append(col)
                 costs.append(sum((out.duals[r] * c for r, c in col), ZERO) - drop)
                 added += 1
-            out = simplex_min(m, cols, costs, rhs, out.basis, warm=(out.binv, out.x_b))
+            out = simplex_min(m, cols, costs, rhs, out.basis, warm=out.warm)
             assert_consistent_optimum(m, cols, costs, rhs, out)
             cold = simplex_min(m, cols, costs, rhs, list(range(m)))
             assert out.objective == cold.objective
@@ -220,7 +222,267 @@ class TestWarmStart:
         assert first.objective == 0
         assert all(reduced_cost(cols[k], costs[k], first.duals) < 0 for k in (5, 6))
         # the resumed basis is degenerate (x_b = 0, 0, 1): the first pivot is too
-        warm = simplex_min(3, cols, costs, rhs, first.basis, warm=(first.binv, first.x_b))
+        warm = simplex_min(3, cols, costs, rhs, first.basis, warm=first.warm)
         cold = simplex_min(3, cols, costs, rhs, [2, 3, 4])
         assert warm.objective == cold.objective == Frac(-77, 100)
         assert_consistent_optimum(3, cols, costs, rhs, warm)
+
+
+# ---------- differential check against the rational revised simplex ----------
+
+def reference_simplex_min(num_rows, columns, costs, rhs, initial_basis, *,
+                          max_pivots=200000, warm=None):
+    """The Fraction revised simplex with a dense B^-1, as the integer solver
+    replaced it; warm is (binv, x_b). Returns (outcome, (binv, x_b))."""
+    m = num_rows
+    basis = list(initial_basis)
+    if warm is None:
+        if any(v < 0 for v in rhs):
+            raise SimplexError("rhs must be nonnegative")
+        for r, k in enumerate(initial_basis):
+            col = columns[k]
+            if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
+                raise SimplexError("initial basis must be identity columns")
+        binv = [[Frac(1) if a == b else ZERO for b in range(m)] for a in range(m)]
+        x_b = [Frac(v) for v in rhs]
+    else:
+        binv = [list(row) for row in warm[0]]
+        x_b = list(warm[1])
+    in_basis = [False] * len(columns)
+    for k in basis:
+        in_basis[k] = True
+
+    def dual_vector():
+        y = [ZERO] * m
+        for r in range(m):
+            cb = costs[basis[r]]
+            if cb:
+                row = binv[r]
+                for s in range(m):
+                    if row[s]:
+                        y[s] += cb * row[s]
+        return y
+
+    bland = False
+    degenerate_streak = 0
+    y = dual_vector()
+    for _ in range(max_pivots):
+        entering = -1
+        best = ZERO
+        for k, col in enumerate(columns):
+            if in_basis[k]:
+                continue
+            red = costs[k]
+            for r, coeff in col:
+                red -= y[r] if coeff == 1 else y[r] * coeff
+            if red < 0:
+                if bland:
+                    entering, best = k, red
+                    break
+                if red < best:
+                    best = red
+                    entering = k
+        if entering < 0:
+            values = {basis[r]: x_b[r] for r in range(m)}
+            obj = sum((costs[basis[r]] * x_b[r] for r in range(m)), ZERO)
+            return simplex.SimplexOutcome("optimal", obj, values, y, basis), (binv, x_b)
+
+        d = [ZERO] * m
+        for r, coeff in columns[entering]:
+            if coeff:
+                for s in range(m):
+                    if binv[s][r]:
+                        d[s] += binv[s][r] * coeff
+        leaving = -1
+        theta = None
+        for r in range(m):
+            if d[r] > 0:
+                ratio = x_b[r] / d[r]
+                if theta is None or ratio < theta or (ratio == theta and basis[r] < basis[leaving]):
+                    theta = ratio
+                    leaving = r
+        if leaving < 0:
+            return simplex.SimplexOutcome("unbounded", None, {}, [], basis), None
+
+        if theta == 0:
+            degenerate_streak += 1
+            if degenerate_streak >= simplex._DEGENERATE_STREAK:
+                bland = True
+        else:
+            degenerate_streak = 0
+
+        piv = d[leaving]
+        in_basis[basis[leaving]] = False
+        in_basis[entering] = True
+        basis[leaving] = entering
+        lrow = binv[leaving]
+        for s in range(m):
+            lrow[s] = lrow[s] / piv
+        x_b[leaving] = x_b[leaving] / piv
+        for r in range(m):
+            if r != leaving and d[r]:
+                f = d[r]
+                row = binv[r]
+                for s in range(m):
+                    if lrow[s]:
+                        row[s] -= f * lrow[s]
+                x_b[r] -= f * x_b[leaving]
+        for s in range(m):
+            if lrow[s]:
+                y[s] += best * lrow[s]
+    raise SimplexError("pivot limit exceeded")
+
+
+def assert_same_outcome(got, want):
+    assert got.status == want.status
+    assert got.basis == want.basis
+    assert got.objective == want.objective
+    assert got.values == want.values
+    assert got.duals == want.duals
+
+
+def random_rational(rng, dens, lo, hi):
+    den = rng.choice(dens)
+    return Frac(rng.randint(lo * den, hi * den), den)
+
+
+def random_column(rng, m, dens):
+    col = []
+    for r in range(m):
+        if rng.random() < 0.6:
+            v = random_rational(rng, dens, -1, 5)
+            if v:
+                col.append((r, v))
+    return col or [(rng.randrange(m), Frac(1, rng.choice(dens)))]
+
+
+def determinant(rows):
+    """|det| by Gaussian elimination over the rationals."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    det = Frac(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if rows[r][c] != 0), None)
+        if p is None:
+            return ZERO
+        rows[c], rows[p] = rows[p], rows[c]
+        det *= rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return abs(det)
+
+
+def assert_adjugate_invariant(m, columns, rhs, out):
+    """The warm state is A = D B^-1 for the row-scaled basis B, D = |det B|,
+    with X = D x_B, recomputed from scratch by Gauss-Jordan."""
+    A, X, D, scales = out.warm
+    for r in range(m):
+        dens = [rhs[r].denominator] + [c.denominator for col in columns
+                                       for row, c in col if row == r]
+        assert scales[r] % math.lcm(*dens) == 0
+    scaled = [[(r, c * scales[r]) for r, c in col] for col in columns]
+    basis_matrix = [[ZERO] * m for _ in range(m)]
+    for q, k in enumerate(out.basis):
+        for r, c in scaled[k]:
+            basis_matrix[r][q] = c
+    assert D == determinant(basis_matrix) > 0
+    for q, k in enumerate(out.basis):
+        unit = [ZERO] * len(columns)
+        unit[k] = Frac(1)
+        binv_row = basis_duals_from_scratch(scaled, unit, out.basis)
+        assert A[q] == [D * v for v in binv_row]
+        assert X[q] == D * out.values[k]
+
+
+def differential_run(seed):
+    """A random LP solved cold, then resumed warm over three rounds of new
+    columns with new row denominators, by both solvers; yields each pair."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 5)
+    cols = [[(r, Frac(1))] for r in range(m)]
+    costs = [ZERO] * m
+    for _ in range(rng.randint(1, 7)):
+        cols.append(random_column(rng, m, [1, 2, 3, 4, 6]))
+        costs.append(random_rational(rng, [1, 2, 5], -4, 3))
+    rhs = [ZERO if rng.random() < 0.3 else random_rational(rng, [1, 2, 3], 0, 6)
+           for _ in range(m)]
+    got = simplex_min(m, cols, costs, rhs, list(range(m)))
+    want, ref_warm = reference_simplex_min(m, cols, costs, rhs, list(range(m)))
+    yield cols, costs, rhs, got, want
+    for _ in range(3):
+        if want.status != "optimal":
+            return
+        for _ in range(rng.randint(1, 3)):
+            col = random_column(rng, m, [1, 5, 7, 9, 11])
+            cols.append(col)
+            if rng.random() < 0.7:  # priced to a negative reduced cost
+                drop = random_rational(rng, [1, 3, 7], 0, 2) or Frac(1, 7)
+                costs.append(sum((want.duals[r] * c for r, c in col), ZERO) - drop)
+            else:
+                costs.append(random_rational(rng, [1, 13], -3, 3))
+        got = simplex_min(m, cols, costs, rhs, got.basis, warm=got.warm)
+        want, ref_warm = reference_simplex_min(m, cols, costs, rhs, want.basis,
+                                               warm=ref_warm)
+        yield cols, costs, rhs, got, want
+
+
+class TestIntegerKernelMatchesRational:
+    @pytest.mark.parametrize("streak", [40, 1])
+    def test_random_lps_with_warm_rounds(self, monkeypatch, streak):
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", streak)
+        statuses = set()
+        warm_rounds = 0
+        for seed in range(250):
+            for step, (_, _, _, got, want) in enumerate(differential_run(seed)):
+                assert_same_outcome(got, want)
+                statuses.add(got.status)
+                warm_rounds += step > 0
+        assert statuses == {"optimal", "unbounded"}
+        assert warm_rounds >= 300
+
+    def test_adjugate_invariant_after_every_warm_round(self):
+        checked = 0
+        for seed in range(250):
+            for cols, _, rhs, got, _ in differential_run(seed):
+                if got.status == "optimal":
+                    assert_adjugate_invariant(len(rhs), cols, rhs, got)
+                    checked += 1
+        assert checked >= 400
+
+    def test_new_row_denominator_rescales_the_warm_state(self):
+        cols = [[(0, Frac(1))], [(1, Frac(1))], [(0, Frac(1)), (1, Frac(2))]]
+        costs = [ZERO, ZERO, Frac(-1)]
+        rhs = [Frac(4), Frac(6)]
+        first = simplex_min(2, cols, costs, rhs, [0, 1])
+        assert first.warm[3] == [1, 1]
+        cols.append([(0, Frac(1, 3)), (1, Frac(2, 7))])
+        costs.append(Frac(-2))
+        again = simplex_min(2, cols, costs, rhs, first.basis, warm=first.warm)
+        assert again.warm[3] == [3, 7]
+        cold, _ = reference_simplex_min(2, cols, costs, rhs, [0, 1])
+        assert_same_outcome(again, cold)
+        assert_adjugate_invariant(2, cols, rhs, again)
+
+    def test_beale_in_bland_mode_matches(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 1)
+        rows = [[Frac(1, 4), Frac(-8), Frac(-1), Frac(9), Frac(1), ZERO, ZERO],
+                [Frac(1, 2), Frac(-12), Frac(-1, 2), Frac(3), ZERO, Frac(1), ZERO],
+                [ZERO, ZERO, Frac(1), ZERO, ZERO, ZERO, Frac(1)]]
+        order = [1, 3, 4, 5, 6, 0, 2]
+        cols = [dense_to_columns(rows)[k] for k in order]
+        all_costs = [Frac(-3, 4), Frac(150), Frac(-1, 50), Frac(6), ZERO, ZERO, ZERO]
+        costs = [all_costs[k] for k in order]
+        rhs = [ZERO, ZERO, Frac(1)]
+        first = simplex_min(3, cols[:5], costs[:5], rhs, [2, 3, 4])
+        ref_first, ref_warm = reference_simplex_min(3, cols[:5], costs[:5], rhs, [2, 3, 4])
+        assert_same_outcome(first, ref_first)
+        warm = simplex_min(3, cols, costs, rhs, first.basis, warm=first.warm)
+        ref, _ = reference_simplex_min(3, cols, costs, rhs, ref_first.basis, warm=ref_warm)
+        assert_same_outcome(warm, ref)
+        assert warm.objective == Frac(-77, 100)
+        assert_adjugate_invariant(3, cols, rhs, warm)
+        cold_cols = dense_to_columns(rows)
+        got = simplex_min(3, cold_cols, all_costs, rhs, [4, 5, 6])
+        want, _ = reference_simplex_min(3, cold_cols, all_costs, rhs, [4, 5, 6])
+        assert_same_outcome(got, want)
