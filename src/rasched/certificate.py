@@ -347,10 +347,12 @@ class ConfigLPRun:
     dual_z: dict | None = None  # infeasibility ray otherwise
     dual_y: dict | None = None
     rounds: int = 0
+    final: tuple | None = None  # (basis keys, simplex warm state) when infeasible
 
 
 def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
-                          pool: dict | None = None) -> ConfigLPRun:
+                          pool: dict | None = None,
+                          resume: tuple | None = None) -> ConfigLPRun:
     """Column generation on the covering LP at makespan T.
 
     The restricted master minimizes uncovered job mass; pricing is an exact
@@ -364,47 +366,56 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
     it. `pool`, a dict (machine, config) -> size shared across calls, seeds
     the master with every pooled configuration that fits in T and receives
     the configurations priced here; without it the run starts cold.
+
+    An infeasible run returns its final master as `final`: the basis, named
+    by configuration key or slack key, and the simplex state. A later run at
+    T' >= T that shares the same pool may pass it as `resume` and start from
+    that basis: each of its columns fits in T' and is in the master again.
     """
     T = frac(T)
     m, n = inst.num_machines, inst.num_jobs
     if n == 0:
         return ConfigLPRun("feasible", T, weights={})
-    job_row = {j: m + idx for idx, j in enumerate(inst.jobs)}
+    pos = {j: idx for idx, j in enumerate(inst.jobs)}
+    # each machine's permitted jobs that fit in T, in job order
+    fits = {i: [j for j in inst.jobs if i in inst.gamma[j] and inst.sizes[j] <= T]
+            for i in inst.machines}
     one = Frac(1)
 
     columns, keys = [], []
 
     def add_config(i, conf):
-        columns.append([(i - 1, one)] + [(job_row[j], one) for j in sorted(conf)])
+        columns.append([(i - 1, one)] + [(m + pos[j], one) for j in sorted(conf)])
         keys.append((i, tuple(sorted(conf))))
 
     generated = set()
     for i in inst.machines:
-        for j in inst.jobs:
-            if i in inst.gamma[j] and inst.sizes[j] <= T and (i, (j,)) not in generated:
-                generated.add((i, (j,)))
-                add_config(i, (j,))
+        for j in fits[i]:
+            generated.add((i, (j,)))
+            add_config(i, (j,))
     for key in sorted(pool or ()):
         if pool[key] <= T and key not in generated:
             generated.add(key)
             add_config(*key)
     slack_first = len(columns)
-    for i in range(m):  # machine slack u_i
-        columns.append([(i, one)])
-        keys.append(None)
-    for idx in range(n):  # cover shortfall s_j (cost 1) and surplus e_j
-        columns.append([(m + idx, one)])
-        keys.append(None)
+    # slack columns, keyed (None, t): machine slacks u_i, then per job the
+    # cover shortfall s_j (cost 1), then the surplus e_j
+    for r in range(m + n):
+        columns.append([(r, one)])
     for idx in range(n):
         columns.append([(m + idx, -one)])
-        keys.append(None)
+    keys += [(None, t) for t in range(m + 2 * n)]
 
     rhs = [one] * (m + n)
     costs = [ZERO] * len(columns)
     for idx in range(n):
         costs[slack_first + m + idx] = one
-    basis = list(range(slack_first, slack_first + m + n))
-    warm = None
+    if resume is None:
+        basis, warm = list(range(slack_first, slack_first + m + n)), None
+    else:
+        index = {key: k for k, key in enumerate(keys)}
+        basis_keys, warm = resume
+        basis = [index[key] for key in basis_keys]
     for round_no in range(1, max_rounds + 1):
         costs += [ZERO] * (len(columns) - len(costs))
         out = simplex_min(m + n, columns, costs, rhs, basis, warm=warm)
@@ -414,20 +425,20 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
         if out.objective == 0:
             weights = {}
             for k, v in out.values.items():
-                if keys[k] is not None and v > 0:
+                if keys[k][0] is not None and v > 0:
                     weights[keys[k]] = v
             return ConfigLPRun("feasible", T, weights=weights, rounds=round_no)
         alpha = out.duals[:m]
         beta = out.duals[m:]
+        priced = [b > 0 for b in beta]
         improving = False
         for i in inst.machines:
-            jobs = [j for j in inst.jobs
-                    if i in inst.gamma[j] and inst.sizes[j] <= T and beta[job_row[j] - m] > 0]
+            jobs = [j for j in fits[i] if priced[pos[j]]]
             if not jobs:
                 value, conf = ZERO, ()
             else:
                 value, subset = knapsack_max_value(KnapsackQuery(
-                    tuple((inst.sizes[j], beta[job_row[j] - m]) for j in jobs), T
+                    tuple((inst.sizes[j], beta[pos[j]]) for j in jobs), T
                 ))
                 conf = tuple(sorted(jobs[t] for t in subset))
             if value + alpha[i - 1] > 0:
@@ -439,49 +450,115 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
                     pool[(i, conf)] = sum((inst.sizes[j] for j in conf), ZERO)
                 improving = True
         if not improving:
-            dual_z = {j: beta[job_row[j] - m] for j in inst.jobs}
+            dual_z = {j: beta[pos[j]] for j in inst.jobs}
             dual_y = {i: -alpha[i - 1] for i in inst.machines}
             return ConfigLPRun("infeasible", T, dual_z=dual_z, dual_y=dual_y,
-                               rounds=round_no)
+                               rounds=round_no,
+                               final=(tuple(keys[k] for k in basis), warm))
     return ConfigLPRun("unresolved", T, rounds=max_rounds)
 
 
 @dataclass
 class ConfigLPBound:
-    lower: object  # largest T certified infeasible (or the trivial bound)
+    """A bracket [lower, upper] around the configuration-LP optimum.
+
+    `lower_certified` says that `lower` was proved infeasible: by the
+    infeasibility ray of a column-generation run, or, when the solve's
+    seed-infeasible guess decided that probe, by the small/medium assignment
+    LP (a relaxation of the configuration LP) being infeasible at that guess.
+    """
+
+    lower: object  # largest T proved infeasible (or the trivial bound)
     upper: object  # smallest T with a feasible primal found
-    lower_certified: bool  # True when `lower` carries an infeasibility ray
+    lower_certified: bool
     feasible_weights: dict
-    probes: int
+    probes: int  # bisection steps, including those decided without a run
 
 
-def config_lp_lower_bound(inst: Instance, tolerance, *, max_rounds=500) -> ConfigLPBound:
-    """Bracket the configuration-LP optimum within a relative tolerance."""
+def _schedule_configurations(inst: Instance, assignment: dict):
+    """The per-machine job sets of an integral schedule, as configuration-LP
+    weights (machine, config) -> 1, and the schedule's makespan.
+
+    `assignment` maps every internal job id to a machine. Raises
+    CertificateError unless it covers every job with a permitted machine.
+    """
+    on_machine = {}
+    for j in inst.jobs:
+        i = assignment.get(j)
+        if i not in inst.gamma[j]:
+            raise CertificateError(f"job {j} is not on a permitted machine")
+        on_machine.setdefault(i, []).append(j)
+    weights, makespan = {}, ZERO
+    for i, jobs in sorted(on_machine.items()):
+        weights[(i, tuple(sorted(jobs)))] = Frac(1)
+        makespan = max(makespan, sum((inst.sizes[j] for j in jobs), ZERO))
+    return weights, makespan
+
+
+def config_lp_lower_bound(inst: Instance, tolerance, *, max_rounds=500,
+                          assignment: dict | None = None,
+                          infeasible_at=None) -> ConfigLPBound:
+    """Bracket the configuration-LP optimum within a relative tolerance.
+
+    Bisects [max size, total size] by column generation. Facts known from a
+    solve decide some midpoints without a run; the midpoints and outcomes
+    stay those of the plain bisection.
+
+    - `assignment` (internal job id -> machine), an integral schedule, makes
+      every T >= its makespan feasible: its per-machine job sets are a
+      solution, returned as `feasible_weights`.
+    - `infeasible_at`, a guess at which the small/medium assignment LP is
+      infeasible, makes every T <= it infeasible: that LP is a relaxation of
+      the configuration LP, which is monotone in T. A lower bound decided
+      this way is certified by that LP, not by a ray.
+
+    Each run resumes from the final master of the last infeasible run, all
+    of whose columns fit at the later, larger midpoints; one pool of priced
+    configurations is shared by all runs.
+    """
     if inst.num_jobs == 0:
         raise ValueError("instance has no jobs")
     tolerance = frac(tolerance)
     lo = inst.max_size()
     hi = inst.total_size()
-    pool = {}  # configurations priced by any probe, reused by the later ones
-    hi_run = config_lp_feasible_cg(inst, hi, max_rounds=max_rounds, pool=pool)
-    if hi_run.status != "feasible":
+    known = makespan = None
+    if assignment is not None:
+        known, makespan = _schedule_configurations(inst, assignment)
+    if known is not None and infeasible_at is not None and infeasible_at >= makespan:
+        raise CertificateError("a schedule's makespan cannot be infeasible")
+    pool = {}  # configurations priced by any run, reused by the later ones
+    resume = None
+
+    def probe(T):
+        nonlocal resume
+        if known is not None and T >= makespan:
+            return "feasible", known
+        if infeasible_at is not None and T <= infeasible_at:
+            return "infeasible", None
+        run = config_lp_feasible_cg(inst, T, max_rounds=max_rounds, pool=pool,
+                                    resume=resume)
+        if run.status == "infeasible":
+            resume = run.final
+        return run.status, run.weights
+
+    status, weights = probe(hi)
+    if status != "feasible":
         raise CertificateError("covering LP must be feasible at the total size")
-    weights = hi_run.weights
     probes = 1
     lo_certified = False
     if lo < hi:
-        lo_run = config_lp_feasible_cg(inst, lo, max_rounds=max_rounds, pool=pool)
+        status, lo_weights = probe(lo)
         probes += 1
-        if lo_run.status == "feasible":
-            return ConfigLPBound(lo, lo, False, lo_run.weights, probes)
-        lo_certified = lo_run.status == "infeasible"
+        if status == "feasible":
+            return ConfigLPBound(lo, lo, False, lo_weights, probes)
+        lo_certified = status == "infeasible"
     while hi > lo * (1 + tolerance):
         mid = (lo + hi) / 2
-        run = config_lp_feasible_cg(inst, mid, max_rounds=max_rounds, pool=pool)
+        status, mid_weights = probe(mid)
         probes += 1
-        if run.status == "feasible":
-            hi, weights = mid, run.weights
-        elif run.status == "infeasible":
+        if status == "feasible":
+            hi, weights = mid, mid_weights
+        elif status == "infeasible":
             lo, lo_certified = mid, True
         else:  # unresolved pricing: stop refining rather than overclaim
             break

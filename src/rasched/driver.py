@@ -180,6 +180,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
             "the probe at the total size cannot fail on a feasible instance"
         )
     best_guess, best_schedule = hi, first.schedule
+    seed_infeasible_at = None  # the largest guess whose seed LP is infeasible
 
     while hi > lo * (1 + tau):
         mid = (lo + hi) / 2
@@ -191,14 +192,32 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
             best_guess, best_schedule = mid, res.schedule
         elif res.outcome == "seed-infeasible":
             lo, lower_kind = mid, "seed-lp-infeasible"
+            seed_infeasible_at = mid
         else:
             certificates.append((mid, res.certificate))
             lo, lower_kind = mid, "stuck-certificate"
     counters["probes"] = len(probes)
 
+    placement, assignment = {}, {}
+    loads = {i: ZERO for i in inst.machines}
+    for j in inst.jobs:
+        i = best_schedule.machine_of(j)
+        if i is UNASSIGNED:
+            raise EngineInvariantError(f"job {j} left unassigned by a successful probe")
+        placement[j] = i
+        assignment[inst.name_of(j)] = i
+        loads[i] += inst.sizes[j]
+    makespan = max(loads.values())
+    scaled_cap = best_schedule.scaled.load_cap
+    if makespan > scaled_cap * best_guess:
+        raise EngineInvariantError("final makespan exceeds the probe guarantee")
+
     lower = lo
     if lp_bound:
-        bound = config_lp_lower_bound(inst, tau)
+        # the schedule and the seed-infeasible guess decide the bound's
+        # probes at or above the makespan and at or below that guess
+        bound = config_lp_lower_bound(inst, tau, assignment=placement,
+                                      infeasible_at=seed_infeasible_at)
         counters["lp_bound_probes"] = bound.probes
         if bound.lower > lower:
             lower, lower_kind = bound.lower, "config-lp"
@@ -206,20 +225,6 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         opt = exact_optimal_makespan(inst)
         if opt > lower:
             lower, lower_kind = opt, "oracle-optimum"
-
-    assignment = {}
-    makespan = ZERO
-    loads = {i: ZERO for i in inst.machines}
-    for j in inst.jobs:
-        i = best_schedule.machine_of(j)
-        if i is UNASSIGNED:
-            raise EngineInvariantError(f"job {j} left unassigned by a successful probe")
-        assignment[inst.name_of(j)] = i
-        loads[i] += inst.sizes[j]
-    makespan = max(loads.values())
-    scaled_cap = best_schedule.scaled.load_cap
-    if makespan > scaled_cap * best_guess:
-        raise EngineInvariantError("final makespan exceeds the probe guarantee")
 
     return SolveReport(
         instance=inst, epsilon=epsilon, tau=tau, assignment=assignment,

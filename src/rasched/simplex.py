@@ -58,6 +58,20 @@ def _raise_row_scales(scales, columns):
                 scales[r] = lcm(scales[r], int(den))
 
 
+class _WarmState(tuple):
+    """The warm-start state (A, X, D, row_scales). It also carries `columns`
+    and `costs`, each column and cost it was computed with paired with its
+    integer image, and `cost_scale`, so that a resume converts only the new
+    ones."""
+
+
+def _reused(cache, items):
+    """Per item, the cached image when the cache holds that very object at
+    that index, else None."""
+    return [cache[k][1] if k < len(cache) and cache[k][0] is item else None
+            for k, item in enumerate(items)]
+
+
 def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=200000,
                 warm=None):
     """Minimize costs.x subject to (sparse) columns assembled as Ax = rhs, x >= 0.
@@ -72,8 +86,11 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
     its `basis` as `initial_basis`, the solve resumes from that basis instead
     (rhs is then not read). Columns may have been appended since, but the
     basic ones must be unchanged; an appended column that raises a row's
-    denominator lcm rescales the kept state first. The state is opaque and
-    is copied, not mutated.
+    denominator lcm rescales the kept state first. The state keeps the
+    integer image of every column and cost, and only a column or cost that
+    is not the same object at the same index as before is converted again,
+    so columns must not be mutated in place. The state is opaque and is
+    copied, not mutated.
     """
     m = num_rows
     basis = list(initial_basis)
@@ -84,6 +101,9 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
             col = columns[k]
             if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
                 raise SimplexError("initial basis must be identity columns")
+        icols = [None] * len(columns)
+        icosts = [None] * len(costs)
+        cost_scale = 1
         scales = [int(v.denominator) for v in rhs]
         _raise_row_scales(scales, columns)
         D = prod(scales)  # |det| of the scaled identity basis
@@ -93,21 +113,33 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
         A0, X0, D, old_scales = warm
         A = [list(row) for row in A0]
         X = list(X0)
+        icols = _reused(warm.columns, columns)
+        icosts = _reused(warm.costs, costs)
+        cost_scale = warm.cost_scale
         scales = list(old_scales)
-        _raise_row_scales(scales, columns)
+        _raise_row_scales(scales, [col for col, img in zip(columns, icols) if img is None])
+        rescaled = {}
         for r in range(m):
             t = scales[r] // old_scales[r]
-            if t != 1:  # row r was multiplied by t: |det B| and X follow
+            if t != 1:  # row r was multiplied by t: |det B|, X and its images follow
+                rescaled[r] = t
                 D *= t
                 X = [x * t for x in X]
                 for row in A:
                     keep = row[r]
                     row[:] = [a * t for a in row]
                     row[r] = keep
-    cost_scale = lcm(*(int(c.denominator) for c in costs))
-    icosts = [_scaled(c, cost_scale) for c in costs]
+        if rescaled:
+            icols = [img and [(r, v * rescaled.get(r, 1)) for r, v in img] for img in icols]
+    fresh = [c for c, img in zip(costs, icosts) if img is None]
+    new_scale = lcm(cost_scale, *(int(c.denominator) for c in fresh))
+    if new_scale != cost_scale:
+        t = new_scale // cost_scale
+        icosts = [img and img * t for img in icosts]
+        cost_scale = new_scale
+    icosts = [_scaled(c, cost_scale) if img is None else img for c, img in zip(costs, icosts)]
     icols = [[(r, int(q.numerator) * (scales[r] // int(q.denominator))) for r, q in col]
-             for col in columns]
+             if img is None else img for col, img in zip(columns, icols)]
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True
@@ -140,8 +172,11 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
             values = {basis[r]: Frac(X[r], D) for r in range(m)}
             obj = Frac(sum(icosts[basis[r]] * X[r] for r in range(m)), D * cost_scale)
             duals = [Frac(Y[r] * scales[r], D * cost_scale) for r in range(m)]
-            return SimplexOutcome("optimal", obj, values, duals, basis,
-                                  (A, X, D, scales))
+            state = _WarmState((A, X, D, scales))
+            state.columns = list(zip(columns, icols))
+            state.costs = list(zip(costs, icosts))
+            state.cost_scale = cost_scale
+            return SimplexOutcome("optimal", obj, values, duals, basis, state)
 
         # direction times D: A a_entering
         d = [0] * m

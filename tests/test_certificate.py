@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rasched.rational import Frac, ZERO
@@ -230,6 +232,11 @@ class TestConfigLPBounds:
             best = knapsack_max_value(KnapsackQuery(tuple(items), T))[0] if items else ZERO
             assert best <= run.dual_y[i]
 
+    def test_job_larger_than_T_is_never_covered(self):
+        inst = make_instance(2, [(Frac(1), {1, 2}), (Frac(1, 4), {1})])
+        assert config_lp_feasible_cg(inst, Frac(3, 4)).status == "infeasible"
+        assert config_lp_feasible_cg(inst, Frac(1)).status == "feasible"
+
     @pytest.mark.parametrize("seed", range(6))
     def test_bracket_contains_enumeration_threshold(self, seed):
         inst = generate_instance(GenSpec(machines=2, jobs=5, seed=seed,
@@ -315,3 +322,118 @@ class TestPooledBisection:
         for run in runs:
             if run.status == "infeasible":
                 assert_ray_is_knapsack_checked(inst, run)
+
+
+def two_value_case(seed):
+    """Unit jobs and as many jobs of size 1/5, each permitted on two random
+    machines: the two-value regime, at 3 to 6 machines."""
+    rng = random.Random(seed)
+    machines = 3 + seed % 4
+    count = round(0.85 * machines)
+    sizes = [Frac(1)] * count + [Frac(1, 5)] * count
+    rng.shuffle(sizes)
+    return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
+                                    for p in sizes])
+
+
+DECIDED_CASES = ([(preset, seed) for preset in ("collision", "huge_heavy")
+                  for seed in range(22)]
+                 + [("two_value", seed) for seed in range(16)])
+
+
+def decided_case(kind, seed):
+    if kind == "two_value":
+        return two_value_case(seed)
+    return generate_instance(GenSpec(machines=2 + seed % 3, jobs=5 + seed % 7, preset=kind,
+                                     density=Frac(2, 3), seed=100 + seed))
+
+
+def assert_covering_weights(inst, weights, T):
+    """Configuration weights that fit in T, use each machine at most once in
+    total, and cover every job at least once."""
+    cover = {j: ZERO for j in inst.jobs}
+    used = {i: ZERO for i in inst.machines}
+    for (i, conf), wgt in weights.items():
+        assert wgt > 0
+        assert sum((inst.sizes[j] for j in conf), ZERO) <= T
+        used[i] += wgt
+        for j in conf:
+            assert i in inst.gamma[j]
+            cover[j] += wgt
+    assert all(v <= 1 for v in used.values())
+    assert all(v >= 1 for v in cover.values())
+
+
+def bound_with_runs(monkeypatch, call):
+    """Run `call()` and return its result with every column-generation run
+    that the config-LP bound made meanwhile."""
+    import rasched.certificate as cm
+    runs = []
+    original = cm.config_lp_feasible_cg
+
+    def recording(*args, **kwargs):
+        run = original(*args, **kwargs)
+        runs.append((run, kwargs.get("resume") is not None))
+        return run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cm, "config_lp_feasible_cg", recording)
+        return call(), runs
+
+
+class TestDecidedProbes:
+    """`driver.solve` passes its schedule and its largest seed-infeasible
+    guess to the config-LP bound, which decides the probes those facts
+    settle and resumes the others from the last infeasible master. The
+    bracket and the probe count must be those of a cold bisection."""
+
+    def test_driver_facts_keep_the_cold_bracket(self, monkeypatch):
+        import rasched.driver as dm
+        from rasched.driver import solve
+        totals = {"feasible": 0, "infeasible": 0, "resumed": 0}
+        for kind, seed in DECIDED_CASES:
+            inst = decided_case(kind, seed)
+            tau = Frac(1, 100)
+            facts = []
+
+            def recording_bound(*args, **kwargs):
+                facts.append((kwargs, config_lp_lower_bound(*args, **kwargs)))
+                return facts[-1][1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(dm, "config_lp_lower_bound", recording_bound)
+                report, runs = bound_with_runs(
+                    monkeypatch, lambda: solve(inst, tau=tau, lp_bound=True))
+            ((kwargs, bound),) = facts
+            cold, cold_runs = bound_with_runs(
+                monkeypatch, lambda: config_lp_lower_bound(inst, tau))
+            case = (kind, seed)
+            assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
+                cold.lower, cold.upper, cold.lower_certified, cold.probes), case
+            assert report.iterations["lp_bound_probes"] == cold.probes, case
+            assert_covering_weights(inst, bound.feasible_weights, bound.upper)
+
+            # the facts: the reported schedule and the seed-infeasible probes
+            placement = kwargs["assignment"]
+            assert {inst.name_of(j): i for j, i in placement.items()} == report.assignment
+            seed_infeasible = [g for g, out in report.probes if out == "seed-infeasible"]
+            assert kwargs["infeasible_at"] == max(seed_infeasible, default=None), case
+
+            cold_status = {run.T: run.status for run, _ in cold_runs}
+            assert len(cold_status) == cold.probes
+            run_at = {run.T: run for run, _ in runs}
+            for run, resumed in runs:  # a resumed run decides as a cold one
+                assert run.status == cold_status[run.T], case
+                if run.status == "infeasible":
+                    assert_ray_is_knapsack_checked(inst, run)
+                totals["resumed"] += resumed
+            for T, status in cold_status.items():
+                if T in run_at:
+                    continue
+                feasible = T >= report.makespan
+                assert feasible or T <= kwargs["infeasible_at"], case
+                truth = (exact_config_lp_feasible(inst, T) if inst.num_jobs <= 10
+                         else status == "feasible")
+                assert truth == feasible, (case, T)
+                totals["feasible" if feasible else "infeasible"] += 1
+        assert all(count >= 100 for count in totals.values()), totals

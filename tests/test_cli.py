@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -65,11 +66,29 @@ class TestSolve:
 
     def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
         inst = workdir / "big.ra"
-        inst.write_text("ra 1\nmachines 1\n"
-                        + "".join(f"job j{k} 1/1 : 1\n" for k in range(31)))
+        inst.write_text("ra 1\nmachines 2\n"
+                        + "".join(f"job j{k} 1/1 : 1 2\n" for k in range(31)))
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
         assert code == EXIT_LIMIT and out == ""
         assert err.startswith("limit exceeded: knapsack limited to 30 items")
+
+    def test_lp_bound_decided_by_the_solve_needs_no_knapsack(self, workdir, capsys):
+        # 31 unit jobs on one machine: the schedule (makespan 31) and the
+        # seed-infeasible guesses decide every probe of the config-LP bound,
+        # so the 30-item knapsack cap is never reached
+        inst = workdir / "big.ra"
+        inst.write_text("ra 1\nmachines 1\n"
+                        + "".join(f"job j{k} 1/1 : 1\n" for k in range(31)))
+        code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "ra-report 1"
+        assert "makespan 31/1 ~31.000000" in lines
+        assert "iterations lp_bound_probes 9" in lines
+        assert all(f"assign j{k} 1" in lines for k in range(31))
+        lower = next(ln for ln in lines if ln.startswith("lower-bound "))
+        bound = Fraction(lower.split()[1])
+        assert 31 / Fraction(101, 100) <= bound < 31
 
 
 class TestTraceCommand:
