@@ -53,9 +53,16 @@ def _run_one(args):
         for ev in run.events:
             if ev["layer"]:
                 max_layer = max(max_layer, ev["layer"])
+    # the bound gets the facts `solve --lp-bound` gives it: the schedule and
+    # the largest seed-infeasible guess decide some of its probes
+    placement = {inst.internal_of[orig]: report.assignment[name]
+                 for orig, name in enumerate(inst.names)}
+    infeasible_at = max((g for g, outcome in report.probes
+                         if outcome == "seed-infeasible"), default=None)
     start = time.perf_counter()
     try:
-        lp_lower = config_lp_lower_bound(inst, tau).lower
+        lp_lower = config_lp_lower_bound(inst, tau, assignment=placement,
+                                         infeasible_at=infeasible_at).lower
     except CapExceededError:
         lp_lower = None
     lp_seconds = time.perf_counter() - start

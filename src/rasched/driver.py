@@ -2,14 +2,17 @@
 
 Each probe either produces a schedule of makespan <= (1+R) * T or a certified
 reason the guess is too small (seed LP infeasible, or a stuck search whose
-dual certificate is verified on the spot). The bracket shrinks until
-high/low <= 1 + tau; the reported schedule comes from the lowest successful
-probe, and reports serialize byte-identically for identical inputs.
+dual certificate is verified on the spot). The bracket starts at
+[max job size, makespan of a polished restricted greedy schedule] and shrinks
+until high/low <= 1 + tau. The lowest successful probe's schedule is polished
+by the same move/swap descent, and the better of it and the polished greedy
+schedule is reported; reports serialize byte-identically for identical inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .rational import Frac, ZERO, frac, ratio_str, as_float
 from .model import (Instance, Schedule, scale_instance,
@@ -139,6 +142,89 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     return ProbeResult(guess, "success", schedule=schedule)
 
 
+def _integer_sizes(inst: Instance) -> list:
+    """Sizes times the lcm of their denominators: exact, and cheap to add
+    and compare. Index 0 is unused."""
+    scale = lcm(*(int(p.denominator) for p in inst.sizes[1:]))
+    return [0] + [int(p.numerator) * (scale // int(p.denominator))
+                  for p in inst.sizes[1:]]
+
+
+def _greedy(inst: Instance) -> dict:
+    """Restricted list scheduling: jobs by decreasing internal id (largest
+    first), each on its least-loaded permitted machine, ties to the smallest
+    machine id. Returns internal job id -> machine."""
+    sizes = _integer_sizes(inst)
+    loads = [0] * (inst.num_machines + 1)
+    placement = {}
+    for j in reversed(inst.jobs):
+        i = min(inst.gamma[j], key=lambda k: (loads[k], k))
+        placement[j] = i
+        loads[i] += sizes[j]
+    return placement
+
+
+def _polish(inst: Instance, placement: dict) -> dict:
+    """Move/swap descent on a complete schedule, in the original (unscaled)
+    sizes, brought to integers by `_integer_sizes`.
+
+    A step takes a job j off a maximum-load machine i and either moves it to
+    a permitted machine k, or swaps it with a smaller job on k that is
+    permitted on i, provided k ends strictly below the maximum. The first
+    step found is taken: machines by id, jobs on them by decreasing id,
+    targets by (load, id), and for a swap the smallest partner that
+    qualifies. Each step drops i below the maximum and keeps k below it, so
+    the makespan never rises and the sorted load vector falls
+    lexicographically, which ends the descent. Returns a new placement.
+    """
+    sizes, gamma = _integer_sizes(inst), inst.gamma
+    placement = dict(placement)
+    loads = [0] * (inst.num_machines + 1)
+    on = [set() for _ in range(inst.num_machines + 1)]
+    for j, i in placement.items():
+        loads[i] += sizes[j]
+        on[i].add(j)
+
+    def step(top):
+        for i in inst.machines:
+            if loads[i] != top:
+                continue
+            for j in sorted(on[i], reverse=True):
+                p = sizes[j]
+                for k in sorted(gamma[j] - {i}, key=lambda k: (loads[k], k)):
+                    if loads[k] + p < top:
+                        return i, j, k, None
+                    for j2 in sorted(on[k]):  # increasing id: nondecreasing size
+                        if sizes[j2] >= p:
+                            break
+                        if i in gamma[j2] and loads[k] + p - sizes[j2] < top:
+                            return i, j, k, j2
+        return None
+
+    while (found := step(max(loads[1:]))) is not None:
+        i, j, k, j2 = found
+        on[i].remove(j)
+        on[k].add(j)
+        placement[j] = k
+        delta = sizes[j]
+        if j2 is not None:
+            on[k].remove(j2)
+            on[i].add(j2)
+            placement[j2] = i
+            delta -= sizes[j2]
+        loads[i] -= delta
+        loads[k] += delta
+    return placement
+
+
+def _makespan(inst: Instance, placement: dict):
+    """The exact maximum machine load of a complete placement."""
+    loads = [ZERO] * (inst.num_machines + 1)
+    for j, i in placement.items():
+        loads[i] += inst.sizes[j]
+    return max(loads[1:])
+
+
 def _tree_snapshot(engine: InsertionEngine) -> list:
     out = []
     for b in engine.tree.blockers():
@@ -153,7 +239,13 @@ def _tree_snapshot(engine: InsertionEngine) -> list:
 def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
           audit: bool = False, log_events: bool = False,
           lp_bound: bool = False, use_oracle: bool = False) -> SolveReport:
-    """Binary search for a (1+R)-factor schedule with certified lower bounds."""
+    """Binary search for a (1+R)-factor schedule with certified lower bounds.
+
+    The bracket starts at [max job size, makespan of the polished greedy
+    schedule]; the probe at the top must succeed, since a schedule meets it.
+    The reported schedule is the polished schedule of the lowest successful
+    probe, or the polished greedy one if its makespan is strictly smaller.
+    """
     epsilon, tau = frac(epsilon), frac(tau)
     if not (0 < epsilon < Frac(1, 12)):
         raise ValueError("epsilon must lie strictly between 0 and 1/12")
@@ -170,14 +262,15 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
 
     lo = inst.max_size()
     lower_kind = "max-job-size"
-    hi = inst.total_size()
+    greedy = _polish(inst, _greedy(inst))
+    greedy_makespan = hi = _makespan(inst, greedy)
 
     first = _probe(inst, hi, epsilon, audit=audit, log_events=log_events,
                    run_logs=run_logs, counters=counters)
     probes.append((hi, first.outcome))
     if first.outcome != "success":
         raise EngineInvariantError(
-            "the probe at the total size cannot fail on a feasible instance"
+            "the probe at the greedy makespan cannot fail: a schedule meets it"
         )
     best_guess, best_schedule = hi, first.schedule
     seed_infeasible_at = None  # the largest guess whose seed LP is infeasible
@@ -198,19 +291,20 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
             lo, lower_kind = mid, "stuck-certificate"
     counters["probes"] = len(probes)
 
-    placement, assignment = {}, {}
-    loads = {i: ZERO for i in inst.machines}
+    placement = {}
     for j in inst.jobs:
         i = best_schedule.machine_of(j)
         if i is UNASSIGNED:
             raise EngineInvariantError(f"job {j} left unassigned by a successful probe")
         placement[j] = i
-        assignment[inst.name_of(j)] = i
-        loads[i] += inst.sizes[j]
-    makespan = max(loads.values())
-    scaled_cap = best_schedule.scaled.load_cap
-    if makespan > scaled_cap * best_guess:
+    if _makespan(inst, placement) > best_schedule.scaled.load_cap * best_guess:
         raise EngineInvariantError("final makespan exceeds the probe guarantee")
+    # polishing never raises the makespan, so the guarantee carries over
+    placement = _polish(inst, placement)
+    makespan = _makespan(inst, placement)
+    if greedy_makespan < makespan:
+        placement, makespan = greedy, greedy_makespan
+    assignment = {inst.name_of(j): placement[j] for j in inst.jobs}
 
     lower = lo
     if lp_bound:

@@ -317,10 +317,6 @@ class Schedule:
         return [j for j in self.scaled.base.jobs if self.assignment[j] is not UNASSIGNED]
 
 
-def machine_load(schedule: Schedule, i: int, system: str = PLAIN):
-    return schedule.load(i, system)
-
-
 def validate_partial_schedule(schedule: Schedule) -> list:
     """Return violation strings; empty iff the schedule is a valid partial one."""
     sc = schedule.scaled

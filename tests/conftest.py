@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 
 import pytest
 
@@ -26,3 +28,27 @@ def schedule_of(scaled, assignment):
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the body runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def two_value_instance(rng, machines):
+    """About 0.85*m unit jobs and as many of size 1/5, each on two machines:
+    the two-value regime."""
+    count = round(0.85 * machines)
+    sizes = [Frac(1)] * count + [Frac(1, 5)] * count
+    rng.shuffle(sizes)
+    return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
+                                    for p in sizes])

@@ -17,7 +17,7 @@ from rasched.certificate import (build_dual_certificate, verify_objective_negati
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import EPS, scaled_of, schedule_of
+from conftest import EPS, scaled_of, schedule_of, two_value_instance
 
 DELTA = 1 - EPS  # 23/24
 
@@ -327,13 +327,7 @@ class TestPooledBisection:
 def two_value_case(seed):
     """Unit jobs and as many jobs of size 1/5, each permitted on two random
     machines: the two-value regime, at 3 to 6 machines."""
-    rng = random.Random(seed)
-    machines = 3 + seed % 4
-    count = round(0.85 * machines)
-    sizes = [Frac(1)] * count + [Frac(1, 5)] * count
-    rng.shuffle(sizes)
-    return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
-                                    for p in sizes])
+    return two_value_instance(random.Random(seed), 3 + seed % 4)
 
 
 DECIDED_CASES = ([(preset, seed) for preset in ("collision", "huge_heavy")

@@ -103,9 +103,9 @@ class TestTraceCommand:
 class TestCheck:
     def test_check_round_trip(self, workdir, capsys):
         inst = workdir / "i.ra"
-        # three private unit jobs plus a roamer: some probe gets stuck
-        inst.write_text("ra 1\nmachines 3\njob a 1/1 : 1\njob b 1/1 : 2\n"
-                        "job c 1/1 : 3\njob d 59/60 : 1 2 3\n")
+        # four private unit jobs plus a roamer: some probe gets stuck
+        inst.write_text("ra 1\nmachines 4\njob a 1/1 : 1\njob b 1/1 : 2\n"
+                        "job c 1/1 : 3\njob e 1/1 : 4\njob d 59/60 : 1 2 3 4\n")
         code, out, _ = run_cli(capsys, "solve", str(inst))
         assert code == EXIT_OK and "certificate-at" in out
         lines = out.splitlines()
@@ -122,8 +122,8 @@ class TestCheck:
 
     def test_check_rejects_tampered_certificate(self, workdir, capsys):
         inst = workdir / "i.ra"
-        inst.write_text("ra 1\nmachines 3\njob a 1/1 : 1\njob b 1/1 : 2\n"
-                        "job c 1/1 : 3\njob d 59/60 : 1 2 3\n")
+        inst.write_text("ra 1\nmachines 4\njob a 1/1 : 1\njob b 1/1 : 2\n"
+                        "job c 1/1 : 3\njob e 1/1 : 4\njob d 59/60 : 1 2 3 4\n")
         code, out, _ = run_cli(capsys, "solve", str(inst))
         lines = out.splitlines()
         start = next(k for k, ln in enumerate(lines) if ln.startswith("certificate-at"))
@@ -165,8 +165,8 @@ class TestBench:
         corpus.mkdir()
         (corpus / "good.ra").write_text(
             "ra 1\nmachines 2\njob a 1/3 : 1\njob b 9/10 : 1 2\n")
-        (corpus / "wide.ra").write_text(  # 31 pricing items on machine 1
-            "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31)))
+        (corpus / "wide.ra").write_text(  # 31 pricing items on machines 1 and 2
+            "ra 1\nmachines 2\n" + "".join(f"job j{k} 1 : 1 2\n" for k in range(31)))
         rows = workdir / "rows.jsonl"
         code, out, _ = run_cli(capsys, "bench", str(corpus), "--jsonl", str(rows))
         assert code == EXIT_OK
@@ -177,15 +177,33 @@ class TestBench:
         recs = {r["instance"]: r for r in map(json.loads, rows.read_text().splitlines())}
         assert recs["wide.ra"]["lp_lower_bound"] is None
         assert recs["wide.ra"]["ratio_vs_lp"] is None
-        assert recs["wide.ra"]["makespan"] == "31/1"
+        assert recs["wide.ra"]["makespan"] == "16/1"
         assert recs["good.ra"]["ratio_vs_lp"] is not None
+
+    def test_bench_bound_gets_the_solve_facts(self, workdir, capsys):
+        # 31 unit jobs on one machine: the solve's schedule and seed-infeasible
+        # guess decide every probe of the bound, as under `solve --lp-bound`
+        text = "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31))
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "one.ra").write_text(text)
+        rows = workdir / "rows.jsonl"
+        code, out, _ = run_cli(capsys, "bench", str(corpus), "--jsonl", str(rows))
+        assert code == EXIT_OK
+        assert out.splitlines()[2].split()[7] != "refused"
+        (rec,) = map(json.loads, rows.read_text().splitlines())
+        code, out, _ = run_cli(capsys, "solve", str(corpus / "one.ra"), "--lp-bound")
+        assert code == EXIT_OK
+        lower = next(ln for ln in out.splitlines() if ln.startswith("lower-bound "))
+        assert rec["lp_lower_bound"] == lower.split()[1]
+        assert rec["ratio_vs_lp"] is not None
 
 
 def stuck_certificate_lines(workdir, capsys):
     """Solve an instance with a stuck probe; return its path and certificate lines."""
     inst = workdir / "i.ra"
-    inst.write_text("ra 1\nmachines 3\njob a 1/1 : 1\njob b 1/1 : 2\n"
-                    "job c 1/1 : 3\njob d 59/60 : 1 2 3\n")
+    inst.write_text("ra 1\nmachines 4\njob a 1/1 : 1\njob b 1/1 : 2\n"
+                    "job c 1/1 : 3\njob e 1/1 : 4\njob d 59/60 : 1 2 3 4\n")
     code, out, _ = run_cli(capsys, "solve", str(inst))
     assert code == EXIT_OK
     lines = out.splitlines()

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
 from rasched.rational import Frac
 from rasched.model import make_instance
-from rasched.driver import solve
+from rasched.driver import solve, _greedy, _polish, _makespan
 from rasched.generator import GenSpec, generate_instance
-from rasched.oracle import exact_optimal_makespan
+from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 from rasched.certificate import certificate_from_text, recheck_certificate
 
-from conftest import EPS
+from conftest import EPS, deadline, two_value_instance
 
 TAU = Frac(1, 100)
 
@@ -66,8 +68,8 @@ class TestSolve:
     def test_stuck_certificates_recheck_after_round_trip(self):
         from rasched.certificate import certificate_to_text
         inst = make_instance(
-            3, [(Frac(1), {1}), (Frac(1), {2}), (Frac(1), {3}),
-                (Frac(59, 60), {1, 2, 3})])
+            4, [(Frac(1), {1}), (Frac(1), {2}), (Frac(1), {3}), (Frac(1), {4}),
+                (Frac(59, 60), {1, 2, 3, 4})])
         rep = solve(inst, EPS, TAU)
         assert rep.certificates, "expected stuck probes on the pigeonhole instance"
         for guess, cert in rep.certificates:
@@ -102,3 +104,39 @@ class TestSolve:
         rep = solve(inst, EPS, TAU)
         assert rep.guess_final <= rep.lower_bound * (1 + TAU) or \
             rep.lower_bound_kind in ("config-lp", "oracle-optimum")
+
+
+def differential_cases():
+    """42 instances: every generator preset and two-value shapes, mostly
+    within the oracle's job cap, a few beyond it."""
+    cases = []
+    for preset, count in (("collision", 10), ("huge_heavy", 10),
+                          ("uniform", 8), ("small_only", 4)):
+        for seed in range(count):
+            jobs = 20 if seed == count - 1 else 6 + seed % 7
+            spec = GenSpec(machines=2 + seed % 3, jobs=jobs, preset=preset,
+                           density=Frac(1, 2), seed=100 + seed)
+            cases.append((f"{preset}-{seed}", generate_instance(spec)))
+    for seed in range(10):
+        machines = 14 if seed == 9 else 3 + seed % 5  # 24 jobs, else 6 to 12
+        cases.append((f"two_value-{seed}",
+                      two_value_instance(random.Random(200 + seed), machines)))
+    return cases
+
+
+DIFF_CASES = differential_cases()
+
+
+@pytest.mark.parametrize("name,inst", DIFF_CASES, ids=[c[0] for c in DIFF_CASES])
+def test_solve_brackets_from_the_polished_greedy(name, inst):
+    with deadline(60):
+        rep = solve(inst, EPS, TAU)
+        again = solve(inst, EPS, TAU).to_text()
+    greedy_makespan = _makespan(inst, _polish(inst, _greedy(inst)))
+    assert rep.probes[0] == (greedy_makespan, "success")
+    assert rep.makespan <= greedy_makespan
+    assert rep.makespan <= (1 + Frac(5, 6) + 2 * EPS) * rep.guess_final
+    assert rep.lower_bound <= rep.makespan
+    if inst.num_jobs <= MAKESPAN_JOB_CAP:
+        assert rep.lower_bound <= exact_optimal_makespan(inst)
+    assert rep.to_text() == again

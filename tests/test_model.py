@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rasched.rational import Frac, ratio_str, parse_ratio
-from rasched.model import (JobClass, classify_job, rounded_sizes, machine_load,
+from rasched.model import (JobClass, classify_job, rounded_sizes,
                            validate_partial_schedule, parse_instance,
                            serialize_instance, make_instance, scale_instance,
                            Schedule, InstanceFormatError)
@@ -53,15 +53,15 @@ class TestLoads:
         sc = scaled_of([(Frac(1, 3), {1})], 2)
         sched = Schedule(sc)
         for system in ("plain", "up", "down"):
-            assert machine_load(sched, 1, system) == 0
-            assert machine_load(sched, 2, system) == 0
+            assert sched.load(1, system) == 0
+            assert sched.load(2, system) == 0
 
     def test_mixed_loads_exact(self):
         sc = scaled_of([(Frac(1, 3), {1}), (Frac(9, 10), {1})], 1)
         sched = schedule_of(sc, {1: 1, 2: 1})
-        assert machine_load(sched, 1, "plain") == Frac(37, 30)
-        assert machine_load(sched, 1, "up") == Frac(4, 3)
-        assert machine_load(sched, 1, "down") == Frac(7, 6)
+        assert sched.load(1, "plain") == Frac(37, 30)
+        assert sched.load(1, "up") == Frac(4, 3)
+        assert sched.load(1, "down") == Frac(7, 6)
 
     def test_move_drops_load_by_exact_size(self):
         sc = scaled_of([(Frac(1, 3), {1, 2}), (Frac(9, 10), {1, 2})], 2)

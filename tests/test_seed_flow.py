@@ -13,7 +13,7 @@ from rasched.seed import (SeedInfeasible, solve_assignment_lp, seed_small_medium
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
-from conftest import EPS
+from conftest import EPS, two_value_instance
 
 CHAIN = 700
 
@@ -34,15 +34,6 @@ def lp_feasible(scaled):
     out = solve_equality_feasibility(n + m, columns, [ONE] * (n + m),
                                      artificial_rows=range(n))
     return out.feasible
-
-
-def two_value_instance(rng, machines):
-    """About 0.85*m unit jobs and as many of size 1/5, each on two machines."""
-    count = round(0.85 * machines)
-    sizes = [Frac(1)] * count + [Frac(1, 5)] * count
-    rng.shuffle(sizes)
-    return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
-                                    for p in sizes])
 
 
 def breakpoint_guesses(inst, rng, count=3):

@@ -16,8 +16,8 @@ def tiny_report(**kw):
 
 def collision_report():
     inst = make_instance(
-        3, [(Frac(1), {1}), (Frac(1), {2}), (Frac(1), {3}),
-            (Frac(59, 60), {1, 2, 3})])
+        4, [(Frac(1), {1}), (Frac(1), {2}), (Frac(1), {3}), (Frac(1), {4}),
+            (Frac(59, 60), {1, 2, 3, 4})])
     return inst, solve(inst, EPS, Frac(1, 100), log_events=True)
 
 
