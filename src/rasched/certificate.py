@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .rational import Frac, ZERO, frac, parse_ratio, ratio_str
-from .model import Instance, InstanceFormatError, ScaledInstance, scale_instance
+from .model import Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, scale_instance
 from .engine import BlockerType, StuckState, ALL_UNDESIRABLE
 from .oracle import KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
@@ -95,8 +95,13 @@ def build_dual_certificate(stuck: StuckState) -> DualCertificate:
 
     w, y = {}, {}
     sixth = Frac(1, 6)
+    active_on = {i: [] for i in sc.base.machines}
+    for j in active:
+        i = engine.schedule.machine_of(j)
+        if i is not UNASSIGNED:
+            active_on[i].append(j)
     for i in sc.base.machines:
-        base = sum((z[j] for j in engine.active_on(i)), ZERO)
+        base = sum((z[j] for j in active_on[i]), ZERO)
         if i in bs_layer:
             w[i] = base + delta ** bs_layer[i] * sixth
         elif i in s_layer:

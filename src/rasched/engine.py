@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rational import Frac, ZERO
 from .model import Schedule, UNASSIGNED, UP, JobClass, validate_partial_schedule
@@ -55,6 +56,7 @@ PRIORITY = {
 ALL_UNDESIRABLE = (BlockerType.S, BlockerType.MS, BlockerType.BS)
 
 
+@lru_cache(maxsize=64)
 def layer_cap(num_machines: int, epsilon) -> int:
     """Highest layer the search may use: ceil((2/epsilon) * ceil(ln m + 1))."""
     t = max(1, math.ceil(math.log(num_machines) + 1))
@@ -93,8 +95,9 @@ class BlockerTree:
 
     def __init__(self):
         self.layers = {}  # layer -> [list of Blocker] * 5
-        self.version = 0
+        self.version = 0  # bumped by every append and every deletion
         self._stamp = 0
+        self._index_memo = (None, None)
 
     def _bump(self):
         self.version += 1
@@ -103,8 +106,22 @@ class BlockerTree:
         self._stamp += 1
         return self._stamp
 
+    def _index(self):
+        """(occupied layers, live blockers in order, live blockers by machine,
+        live (job, machine) moves), rebuilt only when the version moves.
+        Callers must not mutate what it returns."""
+        if self._index_memo[0] != self.version:
+            occupied = sorted(k for k, subs in self.layers.items() if any(subs))
+            live = [b for k in occupied for sub in self.layers[k] for b in sub]
+            by_machine = {}
+            for b in live:
+                by_machine.setdefault(b.machine, []).append(b)
+            moves = {(b.job, b.machine) for b in live}
+            self._index_memo = (self.version, (occupied, live, by_machine, moves))
+        return self._index_memo[1]
+
     def occupied_layers(self):
-        return sorted(k for k, subs in self.layers.items() if any(subs))
+        return self._index()[0]
 
     def sublayer_list(self, layer: int, sub: int):
         subs = self.layers.get(layer)
@@ -117,14 +134,18 @@ class BlockerTree:
 
     def blockers(self):
         """All live blockers in (layer, sublayer, stamp) order."""
-        out = []
-        for k in self.occupied_layers():
-            for sub in self.layers[k]:
-                out.extend(sub)
-        return out
+        return self._index()[1]
+
+    def machines(self):
+        """The machines that live blockers target."""
+        return self._index()[2].keys()
+
+    def blockers_on(self, machine):
+        """The live blockers targeting `machine`, in `blockers()` order."""
+        return self._index()[2].get(machine, ())
 
     def contains_move(self, job, machine) -> bool:
-        return any(b.job == job and b.machine == machine for b in self.blockers())
+        return (job, machine) in self._index()[3]
 
     def _wipe(self, blockers) -> int:
         for b in blockers:
@@ -205,6 +226,9 @@ class InsertionEngine:
         self._moves_since_checkpoint = 0
         self._pending_move_sig = None
         self._blocked_memo = (None, None)
+        self._smalls = [j for j in scaled.base.jobs
+                        if scaled.job_class[j] is JobClass.SMALL]
+        self._rigid_smalls = [j for j in self._smalls if len(scaled.base.gamma[j]) <= 1]
 
     # ---------- derived sets ----------
 
@@ -217,28 +241,22 @@ class InsertionEngine:
         """
         if self._blocked_memo[0] == self.tree.version:
             return self._blocked_memo[1]
-        sched, sc = self.schedule, self.scaled
-        smalls = [j for j in sc.base.jobs if sc.is_small(j)]
+        assignment, gamma = self.schedule.assignment, self.scaled.base.gamma
 
-        def blocked(j, covered):
-            home = sched.machine_of(j)
-            return all(i in covered for i in sc.base.gamma[j] if i != home)
+        def blocked(smalls, covered):
+            # every permitted machine other than the job's own is covered
+            return frozenset(j for j in smalls
+                             if all(i in covered or i == assignment[j] for i in gamma[j]))
 
+        # with nothing covered, a job with two permitted machines is never blocked
+        rows = [(0, frozenset(), blocked(self._rigid_smalls, ()))]
         covered = set()
-        rows = [(0, frozenset(), frozenset(j for j in smalls if blocked(j, covered)))]
         for k in self.tree.occupied_layers():
-            adds = {
-                b.machine
-                for s in (1, 2, 3, 4, 5)
-                for b in self.tree.sublayer_list(k, s)
-                if b.btype in ALL_UNDESIRABLE
-            }
+            adds = {b.machine for sub in self.tree.layers[k] for b in sub
+                    if b.btype in ALL_UNDESIRABLE}
             if adds - covered:
                 covered |= adds
-                rows.append(
-                    (k, frozenset(covered),
-                     frozenset(j for j in smalls if blocked(j, covered)))
-                )
+                rows.append((k, frozenset(covered), blocked(self._smalls, covered)))
         self._blocked_memo = (self.tree.version, rows)
         return rows
 
@@ -293,8 +311,8 @@ class InsertionEngine:
         if i in self.covered_machines(prefix):
             return True
         cls = self.scaled.job_class[j]
-        for b in self.tree.blockers():
-            if b.machine != i or (prefix is not None and b.layer > prefix):
+        for b in self.tree.blockers_on(i):
+            if prefix is not None and b.layer > prefix:
                 continue
             if b.btype is BlockerType.BB and cls is JobClass.HUGE:
                 return True
@@ -313,8 +331,8 @@ class InsertionEngine:
         if home is UNASSIGNED:
             return None
         best = None
-        for b in self.tree.blockers():
-            if b.machine == home and self.marks_undesirable(b, j):
+        for b in self.tree.blockers_on(home):
+            if self.marks_undesirable(b, j):
                 if best is None or b.stamp < best.stamp:
                     best = b
         return best
@@ -332,9 +350,10 @@ class InsertionEngine:
     def active_jobs(self):
         """j_new, blocked small jobs, and jobs undesirable where they sit."""
         out = {self.j_new} | set(self.blocked_small_jobs())
-        for j in self.schedule.assigned_jobs():
-            if self.activator_of(j) is not None:
-                out.add(j)
+        for i in self.tree.machines():
+            for j in self.schedule.on_machine[i]:
+                if self.activator_of(j) is not None:
+                    out.add(j)
         return out
 
     def active_on(self, i):
@@ -344,6 +363,8 @@ class InsertionEngine:
 
     def _plain_minus_huge(self, i):
         sched = self.schedule
+        if not sched.huges[i]:
+            return sched.load(i)
         return sched.load(i) - sum((self.scaled.size[h] for h in sched.huges[i]), ZERO)
 
     def _sum_sizes(self, jobs):
@@ -407,9 +428,9 @@ class InsertionEngine:
         sched = self.schedule
         if sched.machine_of(j) == i:
             return False
-        if sched.load(i, UP) + self.scaled.size[j] > self.scaled.load_cap:
+        if self.scaled.is_huge(j) and sched.huges[i]:
             return False
-        return not (self.scaled.is_huge(j) and sched.huges[i])
+        return sched.load(i, UP) + self.scaled.size[j] <= self.scaled.load_cap
 
     def find_valid_move(self):
         """Live blocker with a valid move in the lowest (layer, sublayer),
@@ -429,10 +450,12 @@ class InsertionEngine:
         """
         sched = self.schedule
         heads = {self.j_new: 1}
-        for j in sched.assigned_jobs():
-            parent = self.activator_of(j)
-            if parent is not None and j != self.j_new:
-                heads[j] = self.head_layer_from(parent, j)
+        # only a job on a blocker's machine can have an activator
+        for i in self.tree.machines():
+            for j in sched.on_machine[i]:
+                parent = self.activator_of(j)
+                if parent is not None and j != self.j_new:
+                    heads[j] = self.head_layer_from(parent, j)
         by_layer = {}
         for j, k in heads.items():
             by_layer.setdefault(k, []).append(j)

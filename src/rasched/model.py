@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .rational import Frac, ZERO, frac, parse_ratio, ratio_str
+from .rational import Frac, ONE, ZERO, frac, parse_ratio, ratio_str
 
 HALF = Frac(1, 2)
 FIVE_SIXTHS = Frac(5, 6)
@@ -191,23 +191,21 @@ class ScaledInstance:
     epsilon: object  # rational in (0, 1/12)
     size: tuple  # scaled sizes, index 0 unused
     R: object = field(init=False)
+    load_cap: object = field(init=False)  # 1 + R, the per-machine load cap
     job_class: tuple = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.epsilon < Frac(1, 12)):
             raise ValueError("epsilon must lie strictly between 0 and 1/12")
         object.__setattr__(self, "R", FIVE_SIXTHS + 2 * self.epsilon)
+        object.__setattr__(self, "load_cap", 1 + self.R)
         object.__setattr__(
             self, "job_class",
             tuple([None] + [classify_job(p) for p in self.size[1:]]),
         )
 
-    @property
-    def load_cap(self):
-        return 1 + self.R
-
     def size_up(self, j):
-        return Frac(1) if self.job_class[j] is JobClass.HUGE else self.size[j]
+        return ONE if self.job_class[j] is JobClass.HUGE else self.size[j]
 
     def size_down(self, j):
         return FIVE_SIXTHS if self.job_class[j] is JobClass.HUGE else self.size[j]

@@ -310,7 +310,7 @@ def seed_small_medium(scaled: ScaledInstance) -> Schedule:
     schedule = round_forest(fa, scaled)
     sm = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
     assert all(schedule.machine_of(j) is not None for j in sm)
-    p_max = max((scaled.size[j] for j in sm), default=ZERO)
+    bound = 1 + max((scaled.size[j] for j in sm), default=ZERO)
     for i in scaled.base.machines:
-        assert schedule.load(i) <= 1 + p_max, "seed rounding bound violated"
+        assert schedule.load(i) <= bound, "seed rounding bound violated"
     return schedule

@@ -4,7 +4,7 @@ import pytest
 
 from rasched.rational import Frac
 from rasched.model import Schedule, scale_instance, validate_partial_schedule
-from rasched.engine import (BlockerType, Blocker, InsertionEngine,
+from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
                             StuckState, EngineInvariantError, insert_huge_job,
                             layer_cap, SUBLAYER, PRIORITY)
 from rasched.generator import GenSpec, generate_instance
@@ -381,3 +381,54 @@ class TestAuditSuite:
             if isinstance(result, StuckState):
                 break
         assert validate_partial_schedule(sched) == []
+
+
+class TestBlockerIndex:
+    """The per-version index must always equal a scan of the layers."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_index_tracks_appends_and_deletions(self, seed):
+        rng = random.Random(seed)
+        tree = BlockerTree()
+        for _ in range(80):
+            op = rng.random()
+            if op < 0.6:
+                tree.append(Blocker(rng.randint(1, 8), rng.randint(1, 4),
+                                    rng.choice(list(BlockerType)), rng.randint(1, 4),
+                                    tree.next_stamp(), None))
+            elif op < 0.8:
+                tree.delete_after_sublayer(rng.randint(1, 4), rng.randint(1, 5))
+            else:
+                tree.delete_sublayer(rng.randint(1, 4), rng.randint(1, 5))
+            live = [b for k in sorted(tree.layers) for sub in tree.layers[k] for b in sub]
+            assert tree.blockers() == live
+            assert all(b.alive for b in live)
+            assert tree.occupied_layers() == sorted({b.layer for b in live})
+            assert set(tree.machines()) == {b.machine for b in live}
+            for i in range(1, 5):
+                assert list(tree.blockers_on(i)) == [b for b in live if b.machine == i]
+                for j in range(1, 9):
+                    assert tree.contains_move(j, i) == any(
+                        b.job == j and b.machine == i for b in live)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_activators_match_a_full_scan(self, seed):
+        inst = generate_instance(GenSpec(
+            machines=3 + seed % 4, jobs=10 + seed % 7,
+            preset=("uniform", "huge_heavy", "collision")[seed % 3],
+            density=Frac(2, 3), seed=seed))
+        sc = scale_instance(inst, inst.max_size() * Frac(100 + seed, 100), EPS)
+        try:
+            sched = seed_small_medium(sc)
+        except SeedInfeasible:
+            return
+        for j_new in sorted(sc.huge_jobs(), reverse=True):
+            result, eng = insert_huge_job(sched, j_new)
+            for j in sched.assigned_jobs():
+                home = sched.machine_of(j)
+                marking = [b for b in eng.tree.blockers()
+                           if b.machine == home and eng.marks_undesirable(b, j)]
+                expected = min(marking, key=lambda b: b.stamp, default=None)
+                assert eng.activator_of(j) is expected
+            if isinstance(result, StuckState):
+                break
