@@ -2,7 +2,7 @@
 
 from .rational import Frac, frac, ratio_str, BACKEND
 from .model import (Instance, ScaledInstance, Schedule, JobClass,
-                    classify_job, rounded_sizes,
+                    classify_job,
                     validate_partial_schedule, parse_instance,
                     serialize_instance, make_instance, scale_instance)
 from .seed import seed_small_medium, SeedInfeasible

@@ -80,6 +80,8 @@ def _run_one(args):
 def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
           tau=frac("1/100"), err=None):
     """Run solve over every parseable instance in the corpus for each epsilon."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if err is None:
         err = sys.stderr
     tasks = []

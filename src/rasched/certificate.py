@@ -43,16 +43,6 @@ class DualCertificate:
     def y_total(self):
         return sum(self.y.values(), ZERO)
 
-    def scaled_copy(self, alpha) -> "DualCertificate":
-        alpha = frac(alpha)
-        return DualCertificate(
-            guess=self.guess, epsilon=self.epsilon, delta=self.delta, K=self.K,
-            num_machines=self.num_machines,
-            z={j: v * alpha for j, v in self.z.items()},
-            y={i: v * alpha for i, v in self.y.items()},
-            w={i: v * alpha for i, v in self.w.items()},
-        )
-
 
 def minimal_value_layer(engine, j) -> int:
     """Smallest layer at which the active job j qualifies: its head layer or

@@ -12,9 +12,8 @@ schedule is reported; reports serialize byte-identically for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
-from .rational import Frac, ZERO, frac, ratio_str, as_float
+from .rational import Frac, ZERO, frac, integer_image, ratio_str, as_float
 from .model import (Instance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .seed import SeedInfeasible, seed_small_medium
@@ -142,19 +141,11 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     return ProbeResult(guess, "success", schedule=schedule)
 
 
-def _integer_sizes(inst: Instance) -> list:
-    """Sizes times the lcm of their denominators: exact, and cheap to add
-    and compare. Index 0 is unused."""
-    scale = lcm(*(int(p.denominator) for p in inst.sizes[1:]))
-    return [0] + [int(p.numerator) * (scale // int(p.denominator))
-                  for p in inst.sizes[1:]]
-
-
 def _greedy(inst: Instance) -> dict:
     """Restricted list scheduling: jobs by decreasing internal id (largest
     first), each on its least-loaded permitted machine, ties to the smallest
     machine id. Returns internal job id -> machine."""
-    sizes = _integer_sizes(inst)
+    sizes = [0] + integer_image(inst.sizes[1:])[1]
     loads = [0] * (inst.num_machines + 1)
     placement = {}
     for j in reversed(inst.jobs):
@@ -166,7 +157,7 @@ def _greedy(inst: Instance) -> dict:
 
 def _polish(inst: Instance, placement: dict) -> dict:
     """Move/swap descent on a complete schedule, in the original (unscaled)
-    sizes, brought to integers by `_integer_sizes`.
+    sizes, brought to integers by `integer_image`.
 
     A step takes a job j off a maximum-load machine i and either moves it to
     a permitted machine k, or swaps it with a smaller job on k that is
@@ -177,7 +168,7 @@ def _polish(inst: Instance, placement: dict) -> dict:
     the makespan never rises and the sorted load vector falls
     lexicographically, which ends the descent. Returns a new placement.
     """
-    sizes, gamma = _integer_sizes(inst), inst.gamma
+    sizes, gamma = [0] + integer_image(inst.sizes[1:])[1], inst.gamma
     placement = dict(placement)
     loads = [0] * (inst.num_machines + 1)
     on = [set() for _ in range(inst.num_machines + 1)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rational import Frac, ZERO
-from .model import Schedule, UNASSIGNED, UP, JobClass, validate_partial_schedule
+from .model import Schedule, UNASSIGNED, JobClass, validate_partial_schedule
 
 
 class EngineInvariantError(RuntimeError):
@@ -430,7 +430,8 @@ class InsertionEngine:
             return False
         if self.scaled.is_huge(j) and sched.huges[i]:
             return False
-        return sched.load(i, UP) + self.scaled.size[j] <= self.scaled.load_cap
+        up_load = self._plain_minus_huge(i) + len(sched.huges[i])  # huge jobs count 1
+        return up_load + self.scaled.size[j] <= self.scaled.load_cap
 
     def find_valid_move(self):
         """Live blocker with a valid move in the lowest (layer, sublayer),
@@ -658,9 +659,8 @@ class InsertionEngine:
                 if len(sched.mediums[b.machine]) < 2:
                     out.append(f"{b}: machine has fewer than two medium jobs")
         for i in sc.base.machines:
-            for system in ("plain", "up", "down"):
-                if sched.load(i, system) != sched.load_from_scratch(i, system):
-                    out.append(f"machine {i} incremental {system} load drifted")
+            if sched.load(i) != sched.load_from_scratch(i):
+                out.append(f"machine {i} incremental load drifted")
         out.extend(validate_partial_schedule(sched))
         return out
 

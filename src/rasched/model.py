@@ -2,8 +2,9 @@
 
 Jobs are re-sorted at parse time so internal ids 1..n are nondecreasing in
 (size, original position); min/max over id sets are therefore deterministic.
-Schedules keep incremental per-machine loads in three size systems: plain,
-rounded-up (huge jobs count as 1) and rounded-down (huge jobs count as 5/6).
+Schedules keep one incremental plain load per machine. Rounded huge sizes
+are derived where they are read: the engine's validity test counts a huge job
+as 1, and the certificate rounds it down to 5/6 (`ScaledInstance.size_down`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .rational import Frac, ONE, ZERO, frac, parse_ratio, ratio_str
+from .rational import Frac, ZERO, frac, parse_ratio, ratio_str
 
 HALF = Frac(1, 2)
 FIVE_SIXTHS = Frac(5, 6)
@@ -38,13 +39,6 @@ def classify_job(p) -> JobClass:
     if p <= FIVE_SIXTHS:
         return JobClass.MEDIUM
     return JobClass.HUGE
-
-
-def rounded_sizes(p):
-    """Return (p_up, p_down): huge sizes round to (1, 5/6), others unchanged."""
-    if p > FIVE_SIXTHS:
-        return Frac(1), FIVE_SIXTHS
-    return p, p
 
 
 @dataclass(frozen=True)
@@ -204,9 +198,6 @@ class ScaledInstance:
             tuple([None] + [classify_job(p) for p in self.size[1:]]),
         )
 
-    def size_up(self, j):
-        return ONE if self.job_class[j] is JobClass.HUGE else self.size[j]
-
     def size_down(self, j):
         return FIVE_SIXTHS if self.job_class[j] is JobClass.HUGE else self.size[j]
 
@@ -237,8 +228,6 @@ def scale_instance(inst: Instance, guess, epsilon) -> ScaledInstance:
 
 UNASSIGNED = None
 
-PLAIN, UP, DOWN = "plain", "up", "down"
-
 
 class Schedule:
     """Total map job -> machine-or-unassigned with incremental load accounting."""
@@ -251,7 +240,7 @@ class Schedule:
         self.on_machine = [set() for _ in range(m + 1)]
         self.mediums = [set() for _ in range(m + 1)]
         self.huges = [set() for _ in range(m + 1)]
-        self._load = {PLAIN: [ZERO] * (m + 1), UP: [ZERO] * (m + 1), DOWN: [ZERO] * (m + 1)}
+        self._load = [ZERO] * (m + 1)
 
     def copy(self) -> "Schedule":
         dup = Schedule.__new__(Schedule)
@@ -260,7 +249,7 @@ class Schedule:
         dup.on_machine = [set(s) for s in self.on_machine]
         dup.mediums = [set(s) for s in self.mediums]
         dup.huges = [set(s) for s in self.huges]
-        dup._load = {k: list(v) for k, v in self._load.items()}
+        dup._load = list(self._load)
         return dup
 
     def machine_of(self, j: int):
@@ -277,9 +266,7 @@ class Schedule:
             self.mediums[i].add(j)
         elif cls is JobClass.HUGE:
             self.huges[i].add(j)
-        self._load[PLAIN][i] += sc.size[j]
-        self._load[UP][i] += sc.size_up(j)
-        self._load[DOWN][i] += sc.size_down(j)
+        self._load[i] += sc.size[j]
 
     def unassign(self, j: int):
         i = self.assignment[j]
@@ -289,23 +276,19 @@ class Schedule:
         self.on_machine[i].discard(j)
         self.mediums[i].discard(j)
         self.huges[i].discard(j)
-        self._load[PLAIN][i] -= sc.size[j]
-        self._load[UP][i] -= sc.size_up(j)
-        self._load[DOWN][i] -= sc.size_down(j)
+        self._load[i] -= sc.size[j]
 
     def move(self, j: int, i: int):
         if self.assignment[j] is not UNASSIGNED:
             self.unassign(j)
         self.assign(j, i)
 
-    def load(self, i: int, system: str = PLAIN):
-        return self._load[system][i]
+    def load(self, i: int):
+        return self._load[i]
 
-    def load_from_scratch(self, i: int, system: str = PLAIN):
+    def load_from_scratch(self, i: int):
         """Recompute the load by summation; used by audits and tests."""
-        sc = self.scaled
-        sel = {PLAIN: lambda j: sc.size[j], UP: sc.size_up, DOWN: sc.size_down}[system]
-        return sum((sel(j) for j in self.on_machine[i]), ZERO)
+        return sum((self.scaled.size[j] for j in self.on_machine[i]), ZERO)
 
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""
@@ -325,7 +308,7 @@ def validate_partial_schedule(schedule: Schedule) -> list:
         if i is not UNASSIGNED and i not in sc.base.gamma[j]:
             violations.append(f"job {j} assigned to machine {i} outside its permitted set")
     for i in sc.base.machines:
-        load = schedule.load(i, PLAIN)
+        load = schedule.load(i)
         if load > cap:
             violations.append(
                 f"machine {i} load {ratio_str(load)} exceeds cap {ratio_str(cap)}"

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from math import lcm
 
-from .rational import Frac, ZERO, frac
+from .rational import Frac, ZERO, frac, integer_image
 from .simplex import solve_equality_feasibility
 from .model import Instance
 
@@ -47,15 +46,11 @@ def knapsack_max_value(query: KnapsackQuery):
     """
     if len(query.items) > KNAPSACK_ITEM_CAP:
         raise CapExceededError(f"knapsack limited to {KNAPSACK_ITEM_CAP} items")
-    cap = frac(query.capacity)
-    weight_scale = lcm(cap.denominator, *(w.denominator for w, _ in query.items))
-    value_scale = lcm(*(v.denominator for _, v in query.items))
-    cap = int(cap.numerator) * int(weight_scale // cap.denominator)
-    usable = []
-    for idx, (w, v) in enumerate(query.items):
-        w = int(w.numerator) * int(weight_scale // w.denominator)
-        if w <= cap and v > 0:
-            usable.append((w, int(v.numerator) * int(value_scale // v.denominator), idx))
+    _, (cap, *weights) = integer_image([frac(query.capacity),
+                                        *(w for w, _ in query.items)])
+    value_scale, values = integer_image(v for _, v in query.items)
+    usable = [(w, v, idx) for idx, (w, v) in enumerate(zip(weights, values))
+              if w <= cap and v > 0]
     # value density v/w descending, then index, compared exactly
     usable.sort(key=cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0] or a[2] - b[2]))
     n = len(usable)

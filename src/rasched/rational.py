@@ -10,6 +10,7 @@ identical canonical serializations, so results never depend on the choice.
 from __future__ import annotations
 
 import os
+from math import lcm
 
 _choice = os.environ.get("RASCHED_RATIONAL", "auto").lower()
 
@@ -63,3 +64,11 @@ def ratio_str(q) -> str:
 
 def as_float(q) -> float:
     return q.numerator / q.denominator
+
+
+def integer_image(values):
+    """(scale, ints): scale is the lcm of the values' denominators, 1 when
+    there are none, and ints[k] = values[k] * scale exactly."""
+    values = list(values)
+    scale = lcm(*(int(v.denominator) for v in values))
+    return scale, [int(v.numerator) * (scale // int(v.denominator)) for v in values]

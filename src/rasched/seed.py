@@ -1,21 +1,22 @@
 """Initial schedule of all small and medium jobs.
 
 Decides the assignment LP at scaled threshold 1 as an exact max-flow on the
-network source -> job (capacity p_j) -> permitted machine (capacity p_j) ->
-sink (capacity 1): the LP is feasible exactly when the flow saturates every
-job, and x[j,i] = f[j,i] / p_j is then a solution. Cycles of the flow's
-support are cancelled until it is a forest, and the forest is rounded so that
-every machine receives at most one extra fractional job. The resulting plain
-load per machine is at most 1 + max small/medium size <= 11/6.
+network source -> job (capacity P_j) -> permitted machine (capacity P_j) ->
+sink (capacity L), where L is the common denominator of the sizes and
+P_j = L p_j: the LP is feasible exactly when the flow saturates every job,
+and x[j,i] = f[j,i] / P_j is then a solution. The flow stays integral from
+there on: cycles of its support are cancelled on the integers until it is a
+forest, and the forest is rounded so that every machine receives at most one
+extra fractional job. The x-values are only derived when read. The resulting
+plain load per machine is at most 1 + max small/medium size <= 11/6.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import lcm
 
-from .rational import Frac, ZERO
+from .rational import Frac, ZERO, integer_image
 from .simplex import SimplexError
 from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
 from .model import Schedule, ScaledInstance
@@ -36,8 +37,17 @@ class SeedInfeasible(Exception):
 
 @dataclass
 class FractionalAssignment:
-    entries: dict  # (job, machine) -> value in (0, 1]
-    jobs: list  # participating (small+medium) jobs
+    flow: dict  # (job, machine) -> positive integer flow f
+    supply: dict  # participating (small+medium) job -> its integer supply P_j
+
+    @property
+    def jobs(self):
+        return list(self.supply)
+
+    @property
+    def entries(self):
+        """(job, machine) -> x-value f / P_j in (0, 1]."""
+        return {(j, i): Frac(f, self.supply[j]) for (j, i), f in self.flow.items()}
 
     def job_sum(self, j):
         return sum((v for (jj, _), v in self.entries.items() if jj == j), ZERO)
@@ -133,11 +143,9 @@ def solve_assignment_lp(scaled: ScaledInstance) -> FractionalAssignment:
     """
     sm_jobs = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
     if not sm_jobs:
-        return FractionalAssignment({}, [])
+        return FractionalAssignment({}, {})
     n, m = len(sm_jobs), scaled.base.num_machines
-    scale = lcm(*(int(scaled.size[j].denominator) for j in sm_jobs))
-    supply = [int(scaled.size[j].numerator) * (scale // int(scaled.size[j].denominator))
-              for j in sm_jobs]
+    scale, supply = integer_image(scaled.size[j] for j in sm_jobs)
     source, sink = 0, n + m + 1  # jobs are nodes 1..n, machine i is node n + i
     net = _Network(n + m + 2)
     for k in range(n):
@@ -152,17 +160,20 @@ def solve_assignment_lp(scaled: ScaledInstance) -> FractionalAssignment:
 
     value, level = net.max_flow(source, sink)
     if value < sum(supply):
-        # Every machine the residual graph reaches from a reachable job is
-        # full, and only reachable jobs load it, so these jobs outweigh the
-        # machines they may use.
+        # The reachable machines are full, or the flow would augment, and only
+        # reachable jobs load them, or a reverse arc would reach the job. A
+        # reachable job reaches all its permitted machines: an arc it
+        # saturates carries its whole supply, so its source arc is saturated
+        # too and the job was reached back through that machine. Some
+        # reachable job is short of its supply, so these jobs J outweigh the
+        # full union of their permitted sets: p(J) > |Gamma(J)|.
         raise SeedInfeasible(j for k, j in enumerate(sm_jobs) if level[k + 1] >= 0)
-    entries = {}
+    flow = {}
     for k, i, e in job_arcs:
-        flow = supply[k] - net.cap[e]
-        if flow:
-            entries[(sm_jobs[k], i)] = Frac(flow, supply[k])
-    fa = FractionalAssignment(entries, sm_jobs)
-    eliminate_support_cycles(fa, scaled)
+        if f := supply[k] - net.cap[e]:
+            flow[(sm_jobs[k], i)] = f
+    fa = FractionalAssignment(flow, dict(zip(sm_jobs, supply)))
+    eliminate_support_cycles(fa)
     return fa
 
 
@@ -204,19 +215,29 @@ def _support_cycle(entries):
     return None
 
 
-def eliminate_support_cycles(fa: FractionalAssignment, scaled: ScaledInstance) -> int:
+def _inflow(flow, machines):
+    """Total flow into each of the given machines."""
+    total = dict.fromkeys(machines, 0)
+    for (_, i), f in flow.items():
+        if i in total:
+            total[i] += f
+    return total
+
+
+def eliminate_support_cycles(fa: FractionalAssignment) -> int:
     """Cancel support cycles with load-preserving alternating adjustments.
 
-    Around the even cycle j_0, m_0, j_1, m_1, ..., job j_k's two cycle entries
-    get +t_k / -t_k with t_k = p(j_0)/p(j_k), which keeps every job sum and
-    every machine load exactly unchanged; theta runs until an entry hits zero,
-    so every pass removes at least one entry. Max-flow supports generally
-    contain cycles, and rounding needs a forest. Returns the number of
-    cancelled cycles.
+    Around the even cycle j_0, m_0, j_1, m_1, ..., job j_k's flow to m_k
+    rises by delta and its flow to m_(k-1) falls by delta, which keeps every
+    job's supply and every machine's inflow exactly unchanged. delta is the
+    least flow on a falling arc, so every pass removes at least one entry.
+    Max-flow supports generally contain cycles, and rounding needs a forest.
+    Returns the number of cancelled cycles.
     """
+    flow = fa.flow
     cancelled = 0
     while True:
-        nodes = _support_cycle(fa.entries)
+        nodes = _support_cycle(flow)
         if nodes is None:
             return cancelled
         cancelled += 1
@@ -225,23 +246,20 @@ def eliminate_support_cycles(fa: FractionalAssignment, scaled: ScaledInstance) -
         q = len(nodes) // 2
         jobs_seq = [nodes[2 * k][1] for k in range(q)]
         machines_seq = [nodes[2 * k + 1][1] for k in range(q)]
-        deltas = {}
-        for k in range(q):
-            j = jobs_seq[k]
-            t_k = scaled.size[jobs_seq[0]] / scaled.size[j]
-            deltas[(j, machines_seq[k])] = t_k
-            deltas[(j, machines_seq[k - 1])] = -t_k
+        rising = [(jobs_seq[k], machines_seq[k]) for k in range(q)]
+        falling = [(jobs_seq[k], machines_seq[k - 1]) for k in range(q)]
 
-        before = {i: fa.machine_load(scaled, i) for i in machines_seq}
-        theta = min(fa.entries[e] / -d for e, d in deltas.items() if d < 0)
-        assert theta > 0
-        for e, d in deltas.items():
-            fa.entries[e] += d * theta
-            assert fa.entries[e] >= 0
-            if fa.entries[e] == 0:
-                del fa.entries[e]
-        for i in machines_seq:  # loads are preserved exactly by construction
-            assert fa.machine_load(scaled, i) == before[i]
+        before = _inflow(flow, machines_seq)
+        delta = min(flow[e] for e in falling)
+        assert delta > 0
+        for e in rising:
+            flow[e] += delta
+        for e in falling:
+            flow[e] -= delta
+            assert flow[e] >= 0
+            if flow[e] == 0:
+                del flow[e]
+        assert _inflow(flow, machines_seq) == before  # preserved by construction
 
 
 def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
@@ -250,11 +268,11 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     its lowest-id child machine, so machines gain at most one extra job."""
     schedule = Schedule(scaled)
     support = {j: [] for j in fa.jobs}
-    for (j, i) in fa.entries:
+    for (j, i) in fa.flow:
         support[j].append(i)
     fractional = set()
     for j in fa.jobs:
-        placed = [i for i in support[j] if fa.entries[(j, i)] == 1]
+        placed = [i for i in support[j] if fa.flow[(j, i)] == fa.supply[j]]
         if placed:
             schedule.assign(j, placed[0])
         elif not support[j]:

@@ -160,6 +160,16 @@ class TestBench:
         assert out.splitlines()[0].split()[6] == "lp_s"
         assert all(r["lp_seconds"] >= 0 for r in recs)
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_bench_rejects_fewer_than_one_repetition(self, workdir, capsys, reps):
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "good.ra").write_text("ra 1\nmachines 1\njob a 1/3 : 1\n")
+        code, out, err = run_cli(capsys, "bench", str(corpus), "--reps", reps)
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:") and "repetitions" in err
+        assert out == ""
+
     def test_bench_marks_an_over_cap_bound_refused(self, workdir, capsys):
         corpus = workdir / "corpus"
         corpus.mkdir()

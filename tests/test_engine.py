@@ -152,7 +152,9 @@ class TestSelectionAndValidity:
         # up-rounded load exactly cap - p_j: still valid (weak inequality)
         eng = engine_with([(Frac(5, 6), {2}), (Frac(11, 60), {2}), (Frac(9, 10), {1, 2})],
                           2, {1: 2, 2: 2}, 3)
-        assert eng.schedule.load(2, "up") + Frac(9, 10) == CAP
+        # no huge job on machine 2, so its up-rounded load is its plain load
+        assert not eng.schedule.huges[2]
+        assert eng.schedule.load(2) + Frac(9, 10) == CAP
         assert eng.move_is_valid(3, 2)
         # one grain over the cap: invalid
         eng2 = engine_with([(Frac(5, 6), {2}), (Frac(12, 60), {2}), (Frac(9, 10), {1, 2})],

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rasched.rational import Frac, ratio_str, parse_ratio
-from rasched.model import (JobClass, classify_job, rounded_sizes,
+from rasched.rational import Frac, integer_image, ratio_str, parse_ratio
+from rasched.model import (JobClass, classify_job,
                            validate_partial_schedule, parse_instance,
                            serialize_instance, make_instance, scale_instance,
                            Schedule, InstanceFormatError)
@@ -28,49 +28,58 @@ class TestClassify:
 
     @given(rationals)
     def test_agrees_with_rounding(self, p):
-        up, down = rounded_sizes(p)
-        assert (up != down) == (classify_job(p) is JobClass.HUGE)
-        assert down <= up
-        if classify_job(p) is not JobClass.HUGE:
-            assert down == p == up
-        else:
-            assert (up, down) == (Frac(1), Frac(5, 6))
+        sc = scaled_of([(p, {1})], 1)
+        down = sc.size_down(1)
+        assert (down != p) == (classify_job(p) is JobClass.HUGE) == sc.is_huge(1)
+        assert down <= p
+        if classify_job(p) is JobClass.HUGE:
+            assert down == Frac(5, 6)
+
+
+def rounded(p):
+    """(up, down) for one job of size p: the engine counts a huge job as 1,
+    the certificate reads `size_down`."""
+    sc = scaled_of([(p, {1})], 1)
+    return (Frac(1) if sc.is_huge(1) else sc.size[1]), sc.size_down(1)
 
 
 class TestRoundedSizes:
     def test_huge_rounds_both_ways(self):
-        assert rounded_sizes(Frac(9, 10)) == (Frac(1), Frac(5, 6))
+        assert rounded(Frac(9, 10)) == (Frac(1), Frac(5, 6))
 
     def test_small_identity(self):
-        assert rounded_sizes(Frac(1, 3)) == (Frac(1, 3), Frac(1, 3))
+        assert rounded(Frac(1, 3)) == (Frac(1, 3), Frac(1, 3))
 
     def test_boundary_is_not_huge(self):
-        assert rounded_sizes(Frac(5, 6)) == (Frac(5, 6), Frac(5, 6))
+        assert rounded(Frac(5, 6)) == (Frac(5, 6), Frac(5, 6))
 
 
 class TestLoads:
     def test_empty_machine_all_systems(self):
         sc = scaled_of([(Frac(1, 3), {1})], 2)
         sched = Schedule(sc)
-        for system in ("plain", "up", "down"):
-            assert sched.load(1, system) == 0
-            assert sched.load(2, system) == 0
+        assert sched.load(1) == 0 and not sched.huges[1]
+        assert sched.load(2) == 0 and not sched.huges[2]
 
     def test_mixed_loads_exact(self):
         sc = scaled_of([(Frac(1, 3), {1}), (Frac(9, 10), {1})], 1)
         sched = schedule_of(sc, {1: 1, 2: 1})
-        assert sched.load(1, "plain") == Frac(37, 30)
-        assert sched.load(1, "up") == Frac(4, 3)
-        assert sched.load(1, "down") == Frac(7, 6)
+        assert sched.load(1) == Frac(37, 30)
+        assert sched.huges[1] == {2}
+        # huge jobs rounded up to 1, as the engine's validity test counts them
+        huge = sum(sc.size[h] for h in sched.huges[1])
+        assert sched.load(1) - huge + len(sched.huges[1]) == Frac(4, 3)
+        # and down to 5/6, as the certificate counts them
+        assert sum(sc.size_down(j) for j in sched.on_machine[1]) == Frac(7, 6)
 
     def test_move_drops_load_by_exact_size(self):
         sc = scaled_of([(Frac(1, 3), {1, 2}), (Frac(9, 10), {1, 2})], 2)
         sched = schedule_of(sc, {1: 1, 2: 1})
-        before = {s: sched.load(1, s) for s in ("plain", "up", "down")}
+        before = sched.load(1)
         sched.move(2, 2)
-        assert before["plain"] - sched.load(1, "plain") == sc.size[2]
-        assert before["up"] - sched.load(1, "up") == sc.size_up(2)
-        assert before["down"] - sched.load(1, "down") == sc.size_down(2)
+        assert before - sched.load(1) == sc.size[2]
+        assert sched.load(2) == sc.size[2]
+        assert sched.huges[1] == set() and sched.huges[2] == {2}
 
     def test_incremental_matches_scratch_random_walk(self, rng):
         jobs = [(Frac(rng.randint(1, 60), 60), {1, 2, 3}) for _ in range(8)]
@@ -85,8 +94,7 @@ class TestLoads:
             else:
                 sched.move(j, rng.randint(1, 3))
         for i in (1, 2, 3):
-            for system in ("plain", "up", "down"):
-                assert sched.load(i, system) == sched.load_from_scratch(i, system)
+            assert sched.load(i) == sched.load_from_scratch(i)
 
 
 class TestValidate:
@@ -168,6 +176,10 @@ class TestParsing:
 
 
 class TestScaling:
+    def test_integer_image_scales_by_the_lcm(self):
+        assert integer_image([]) == (1, [])
+        assert integer_image([Frac(1, 4), Frac(5, 6), Frac(2)]) == (12, [3, 10, 24])
+
     def test_r_and_scaled_sizes_exact(self):
         inst = make_instance(2, [(Frac(3, 4), {1, 2})])
         sc = scale_instance(inst, Frac(3, 2), EPS)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rasched.rational import Frac, ZERO
+from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible,
                           solve_assignment_lp, eliminate_support_cycles,
@@ -10,7 +10,7 @@ from rasched.seed import (FractionalAssignment, SeedInfeasible,
 from rasched.generator import GenSpec, generate_instance
 from rasched.oracle import exact_config_lp_feasible
 
-from conftest import EPS, scaled_of
+from conftest import EPS, deadline, scaled_of
 
 
 class TestAssignmentLP:
@@ -59,13 +59,13 @@ class TestAssignmentLP:
 
 class TestCycleElimination:
     def test_hand_built_cycle_is_cancelled_load_preservingly(self):
-        # two jobs split across two machines in a 4-cycle
+        # two jobs split half and half across two machines in a 4-cycle; at
+        # scale 24 the supplies are 6 (job 1, size 1/4) and 8 (job 2, size 1/3)
         sc = scaled_of([(Frac(1, 3), {1, 2}), (Frac(1, 4), {1, 2})], 2)
-        fa = FractionalAssignment({(1, 1): Frac(1, 2), (1, 2): Frac(1, 2),
-                                   (2, 1): Frac(1, 2), (2, 2): Frac(1, 2)},
-                                  [1, 2])
+        fa = FractionalAssignment({(1, 1): 3, (1, 2): 3, (2, 1): 4, (2, 2): 4},
+                                  {1: 6, 2: 8})
         loads = {i: fa.machine_load(sc, i) for i in (1, 2)}
-        cancelled = eliminate_support_cycles(fa, sc)
+        cancelled = eliminate_support_cycles(fa)
         assert cancelled == 1
         assert _support_cycle(fa.entries) is None
         for j in (1, 2):
@@ -74,16 +74,86 @@ class TestCycleElimination:
             assert fa.machine_load(sc, i) == loads[i]
 
     def test_forest_input_is_untouched(self):
-        sc = scaled_of([(Frac(1, 3), {1, 2})], 2)
-        fa = FractionalAssignment({(1, 1): Frac(1, 2), (1, 2): Frac(1, 2)}, [1])
-        assert eliminate_support_cycles(fa, sc) == 0
+        fa = FractionalAssignment({(1, 1): 1, (1, 2): 1}, {1: 2})
+        assert eliminate_support_cycles(fa) == 0
         assert fa.entries == {(1, 1): Frac(1, 2), (1, 2): Frac(1, 2)}
+
+
+def rational_eliminate_support_cycles(entries, scaled, lengths):
+    """The rational cycle cancelling that the integer one replaced, kept as the
+    reference: x-values in `entries` move by +-t_k * theta with
+    t_k = p(j_0)/p(j_k). Appends each cancelled cycle's length to `lengths`."""
+    cancelled = 0
+    while True:
+        nodes = _support_cycle(entries)
+        if nodes is None:
+            return cancelled
+        cancelled += 1
+        lengths.append(len(nodes))
+        if nodes[0][0] == "m":
+            nodes = nodes[1:] + nodes[:1]
+        q = len(nodes) // 2
+        jobs_seq = [nodes[2 * k][1] for k in range(q)]
+        machines_seq = [nodes[2 * k + 1][1] for k in range(q)]
+        deltas = {}
+        for k in range(q):
+            j = jobs_seq[k]
+            t_k = scaled.size[jobs_seq[0]] / scaled.size[j]
+            deltas[(j, machines_seq[k])] = t_k
+            deltas[(j, machines_seq[k - 1])] = -t_k
+        theta = min(entries[e] / -d for e, d in deltas.items() if d < 0)
+        assert theta > 0
+        for e, d in deltas.items():
+            entries[e] += d * theta
+            assert entries[e] >= 0
+            if entries[e] == 0:
+                del entries[e]
+
+
+def random_support(rng):
+    """A supported flow on random sizes with mixed denominators. Jobs 1..k
+    form a planted cycle of length 2k >= 6 over machines 1..k; every job
+    also splits its supply onto up to two further random machines."""
+    machines = rng.randint(3, 7)
+    jobs = rng.randint(3, 9)
+    sizes = [Frac(rng.randint(1, 5 * d // 6), d)
+             for d in (rng.choice((2, 3, 5, 7, 12, 35)) for _ in range(jobs))]
+    sc = scaled_of([(p, set(range(1, machines + 1))) for p in sizes], machines)
+    _, supplies = integer_image(sc.size[j] for j in sc.base.jobs)
+    grain = rng.randint(4, 12)  # a finer common scale, so every split is integral
+    planted = rng.randint(3, min(jobs, machines))
+    flow, supply = {}, {}
+    for j in sc.base.jobs:
+        support = {j, j % planted + 1} if j <= planted else set()
+        support |= set(rng.sample(range(1, machines + 1), rng.randint(1, 2)))
+        support = sorted(support)
+        total = supplies[j - 1] * grain
+        cuts = sorted(rng.sample(range(1, total), len(support) - 1))
+        for i, lo, hi in zip(support, [0] + cuts, cuts + [total]):
+            flow[(j, i)] = hi - lo
+        supply[j] = total
+    return sc, FractionalAssignment(flow, supply)
+
+
+def test_integer_cancelling_matches_the_rational_reference():
+    rng = random.Random(7)
+    lengths = []
+    for _ in range(320):
+        sc, fa = random_support(rng)
+        entries = fa.entries
+        with deadline(20):  # a cycle cancelled by zero would repeat forever
+            cancelled = eliminate_support_cycles(fa)
+        assert cancelled > 0  # the planted cycle at least
+        assert rational_eliminate_support_cycles(entries, sc, lengths) == cancelled
+        assert list(fa.entries.items()) == list(entries.items())
+        assert _support_cycle(fa.flow) is None
+    assert sum(n >= 6 for n in lengths) >= 300
 
 
 class TestRounding:
     def test_integral_input_identity(self):
         sc = scaled_of([(Frac(1, 2), {1, 2}), (Frac(1, 3), {2})], 2)
-        fa = FractionalAssignment({(1, 2): Frac(1), (2, 2): Frac(1)}, [1, 2])
+        fa = FractionalAssignment({(1, 2): 2, (2, 2): 3}, {1: 2, 2: 3})  # scale 6
         sched = round_forest(fa, sc)
         assert sched.machine_of(1) == 2 and sched.machine_of(2) == 2
 
@@ -91,9 +161,8 @@ class TestRounding:
         # both machines carry integral load 1/2 plus the split job
         sc = scaled_of([(Frac(1, 2), {1}), (Frac(1, 2), {2}),
                         (Frac(1, 2), {1, 2})], 2)
-        fa = FractionalAssignment({(1, 1): Frac(1), (2, 2): Frac(1),
-                                   (3, 1): Frac(1, 2), (3, 2): Frac(1, 2)},
-                                  [1, 2, 3])
+        fa = FractionalAssignment({(1, 1): 2, (2, 2): 2, (3, 1): 1, (3, 2): 1},
+                                  {1: 2, 2: 2, 3: 2})  # scale 4
         sched = round_forest(fa, sc)
         landing = sched.machine_of(3)
         assert landing in (1, 2)
@@ -103,11 +172,11 @@ class TestRounding:
     def test_three_job_star_gives_center_at_most_one(self):
         sizes = [Frac(1, 3), Frac(2, 5), Frac(1, 2)]
         sc = scaled_of([(sizes[0], {1, 2}), (sizes[1], {1, 3}), (sizes[2], {1, 4})], 4)
-        fa = FractionalAssignment({
-            (1, 1): Frac(1, 2), (1, 2): Frac(1, 2),
-            (2, 1): Frac(1, 2), (2, 3): Frac(1, 2),
-            (3, 1): Frac(1, 2), (3, 4): Frac(1, 2),
-        }, [1, 2, 3])
+        fa = FractionalAssignment({  # every job half and half, at scale 60
+            (1, 1): 10, (1, 2): 10,
+            (2, 1): 12, (2, 3): 12,
+            (3, 1): 15, (3, 4): 15,
+        }, {1: 20, 2: 24, 3: 30})
         sched = round_forest(fa, sc)
         assert len(sched.on_machine[1]) <= 1
         assert all(sched.machine_of(j) is not None for j in (1, 2, 3))
@@ -115,8 +184,7 @@ class TestRounding:
     def test_deterministic_tie_break_lowest_child_machine(self):
         # rooted at the lowest machine (1); the job matches its lowest child
         sc = scaled_of([(Frac(1, 2), {1, 2, 3})], 3)
-        fa = FractionalAssignment({(1, 1): Frac(1, 3), (1, 2): Frac(1, 3),
-                                   (1, 3): Frac(1, 3)}, [1])
+        fa = FractionalAssignment({(1, 1): 1, (1, 2): 1, (1, 3): 1}, {1: 3})  # thirds
         assert round_forest(fa, sc).machine_of(1) == 2
 
 
