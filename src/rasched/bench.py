@@ -99,7 +99,10 @@ def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
         for eps in epsilons:
             tasks.append((path, text, str(eps), str(tau), repetitions))
 
-    if workers > 1 and len(tasks) > 1:
+    # the pool starts all its processes at the first submit, so ask for no
+    # more than there are tasks and CPUs to run them
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks))
     else:

@@ -204,16 +204,13 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
 
     for j, k in bigs:
         covered = engine.covered_machines(prefix=k)
+        blocked = engine.blocked_small_jobs(prefix=k)
         home = sched.machine_of(j)
         for i in sc.base.gamma[j]:
             if i == home or i in covered:
                 continue
-            active_prefix = {
-                jj for jj in sched.on_machine[i]
-                if jj in engine.blocked_small_jobs(prefix=k)
-                or any(b.machine == i and b.layer <= k and engine.marks_undesirable(b, jj)
-                       for b in engine.tree.blockers())
-            }
+            active_prefix = {jj for jj in sched.on_machine[i]
+                             if jj in blocked or engine.undesirable_on(jj, i, prefix=k)}
             z_all = sum((cert.z[jj] for jj in active_prefix), ZERO)
             items = [jj for jj in sorted(active_prefix)
                      if i in sc.base.gamma[jj] and cert.z[jj] > 0

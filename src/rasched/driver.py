@@ -43,7 +43,6 @@ class ProbeResult:
     outcome: str  # "success" | "seed-infeasible" | "stuck"
     schedule: Schedule | None = None
     certificate: DualCertificate | None = None
-    stuck_reason: str | None = None
 
 
 @dataclass
@@ -132,8 +131,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                        + check_big_job_value_bound(result, cert))
                 if bad:
                     raise EngineInvariantError("; ".join(bad))
-            return ProbeResult(guess, "stuck", certificate=cert,
-                               stuck_reason=result.reason)
+            return ProbeResult(guess, "stuck", certificate=cert)
         schedule = result
     bad = validate_partial_schedule(schedule)
     if bad:

@@ -6,6 +6,8 @@ layers of five sublayers each. Each loop iteration either performs the valid
 move in the lowest sublayer or adds the highest-priority potential move to
 the lowest possible layer; when neither is possible below the layer cap, the
 search is stuck and the final tree certifies that the guess was too small.
+Both edits change only the tail of the (layer, sublayer, stamp) order, so
+the tree is one stack of live blockers.
 
 Determinism: additions tie-break by (job id, machine id), valid moves by
 insertion stamp, so identical inputs replay identical event sequences.
@@ -17,6 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .rational import Frac, ZERO
 from .model import Schedule, UNASSIGNED, JobClass, validate_partial_schedule
@@ -91,97 +94,71 @@ class Blocker:
 
 
 class BlockerTree:
-    """Layers of five insertion-ordered sublayers; deletions are suffix wipes."""
+    """The live blockers as one stack in (layer, sublayer, stamp) order.
+
+    One list suffices because every change is at its tail: an addition
+    drops every blocker after its own sublayer and then goes last (its stamp
+    is the newest), and a move drops every blocker after its activator's
+    sublayer, then maybe that sublayer too. A popped blocker is therefore
+    also the last entry in its machine's list, so the per-machine lists and
+    the set of live moves follow each push and pop.
+    """
 
     def __init__(self):
-        self.layers = {}  # layer -> [list of Blocker] * 5
-        self.version = 0  # bumped by every append and every deletion
+        self._stack = []
+        self._by_machine = {}  # machine -> its live blockers, in stack order
+        self._moves = set()  # live (job, machine) moves
+        self.version = 0  # bumped by every push and every non-empty truncate
         self._stamp = 0
-        self._index_memo = (None, None)
-
-    def _bump(self):
-        self.version += 1
 
     def next_stamp(self) -> int:
         self._stamp += 1
         return self._stamp
 
-    def _index(self):
-        """(occupied layers, live blockers in order, live blockers by machine,
-        live (job, machine) moves), rebuilt only when the version moves.
-        Callers must not mutate what it returns."""
-        if self._index_memo[0] != self.version:
-            occupied = sorted(k for k, subs in self.layers.items() if any(subs))
-            live = [b for k in occupied for sub in self.layers[k] for b in sub]
-            by_machine = {}
-            for b in live:
-                by_machine.setdefault(b.machine, []).append(b)
-            moves = {(b.job, b.machine) for b in live}
-            self._index_memo = (self.version, (occupied, live, by_machine, moves))
-        return self._index_memo[1]
-
-    def occupied_layers(self):
-        return self._index()[0]
-
-    def sublayer_list(self, layer: int, sub: int):
-        subs = self.layers.get(layer)
-        return subs[sub - 1] if subs else []
-
-    def append(self, blocker: Blocker):
-        subs = self.layers.setdefault(blocker.layer, [[], [], [], [], []])
-        subs[blocker.sublayer - 1].append(blocker)
-        self._bump()
-
     def blockers(self):
-        """All live blockers in (layer, sublayer, stamp) order."""
-        return self._index()[1]
+        """All live blockers in (layer, sublayer, stamp) order; read-only."""
+        return self._stack
 
     def machines(self):
         """The machines that live blockers target."""
-        return self._index()[2].keys()
+        return self._by_machine.keys()
 
     def blockers_on(self, machine):
         """The live blockers targeting `machine`, in `blockers()` order."""
-        return self._index()[2].get(machine, ())
+        return self._by_machine.get(machine, ())
 
     def contains_move(self, job, machine) -> bool:
-        return (job, machine) in self._index()[3]
+        return (job, machine) in self._moves
 
-    def _wipe(self, blockers) -> int:
-        for b in blockers:
+    def push(self, blocker: Blocker) -> int:
+        """Drop the blockers after the new one's sublayer, then append it;
+        returns the number dropped."""
+        if self.contains_move(blocker.job, blocker.machine):
+            raise EngineInvariantError(f"{blocker} repeats a live move")
+        dropped = self.truncate(blocker.layer, blocker.sublayer)
+        self._stack.append(blocker)
+        self._by_machine.setdefault(blocker.machine, []).append(blocker)
+        self._moves.add((blocker.job, blocker.machine))
+        self.version += 1
+        return dropped
+
+    def truncate(self, layer: int, sub: int, *, inclusive: bool = False) -> int:
+        """Pop every blocker after sublayer (layer, sub), or from it on when
+        `inclusive`; returns the number popped."""
+        stop = (layer, sub) if inclusive else (layer, sub + 1)
+        popped = 0
+        while self._stack and (self._stack[-1].layer, self._stack[-1].sublayer) >= stop:
+            b = self._stack.pop()
             b.alive = False
-        return len(blockers)
-
-    def delete_after_sublayer(self, layer: int, sub: int) -> int:
-        """Remove every blocker in a sublayer strictly after (layer, sub)."""
-        removed = 0
-        for k, subs in self.layers.items():
-            for s in range(1, 6):
-                if (k, s) > (layer, sub) and subs[s - 1]:
-                    removed += self._wipe(subs[s - 1])
-                    subs[s - 1] = []
-        if removed:
-            self._bump()
-        return removed
-
-    def delete_sublayer(self, layer: int, sub: int) -> int:
-        subs = self.layers.get(layer)
-        if not subs or not subs[sub - 1]:
-            return 0
-        removed = self._wipe(subs[sub - 1])
-        subs[sub - 1] = []
-        self._bump()
-        return removed
-
-
-_MARKS = {
-    BlockerType.S: "all",
-    BlockerType.MS: "all",
-    BlockerType.BS: "all",
-    BlockerType.BB: "huge",
-    BlockerType.MM: "medium",
-    BlockerType.M: "medium-min",
-}
+            on_machine = self._by_machine[b.machine]
+            on_machine.pop()
+            if not on_machine:
+                del self._by_machine[b.machine]
+            self._moves.discard((b.job, b.machine))
+            popped += 1
+        if popped:
+            self.version += 1
+        return popped
 
 
 @dataclass
@@ -251,35 +228,31 @@ class InsertionEngine:
         # with nothing covered, a job with two permitted machines is never blocked
         rows = [(0, frozenset(), blocked(self._rigid_smalls, ()))]
         covered = set()
-        for k in self.tree.occupied_layers():
-            adds = {b.machine for sub in self.tree.layers[k] for b in sub
-                    if b.btype in ALL_UNDESIRABLE}
+        for k, layer in groupby(self.tree.blockers(), key=lambda b: b.layer):
+            adds = {b.machine for b in layer if b.btype in ALL_UNDESIRABLE}
             if adds - covered:
                 covered |= adds
                 rows.append((k, frozenset(covered), blocked(self._smalls, covered)))
         self._blocked_memo = (self.tree.version, rows)
         return rows
 
+    def _prefix_row(self, prefix):
+        """The table row of the blockers in layers <= prefix (all when None)."""
+        rows = self._blocked_small_table()
+        row = rows[0]
+        for r in rows[1:]:
+            if prefix is not None and r[0] > prefix:
+                break
+            row = r
+        return row
+
     def blocked_small_jobs(self, prefix=None):
         """Small jobs undesirable on every alternative machine (prefix <= k)."""
-        rows = self._blocked_small_table()
-        if prefix is None:
-            return rows[-1][2]
-        best = rows[0][2]
-        for layer, _cov, blocked in rows[1:]:
-            if layer <= prefix:
-                best = blocked
-        return best
+        return self._prefix_row(prefix)[2]
 
     def covered_machines(self, prefix=None):
-        rows = self._blocked_small_table()
-        if prefix is None:
-            return rows[-1][1]
-        best = rows[0][1]
-        for layer, cov, _ in rows[1:]:
-            if layer <= prefix:
-                best = cov
-        return best
+        """Machines carrying an all-jobs-undesirable blocker (prefix <= k)."""
+        return self._prefix_row(prefix)[1]
 
     def blocked_smalls_on(self, i, prefix=None):
         return {j for j in self.blocked_small_jobs(prefix) if self.schedule.machine_of(j) == i}
@@ -293,37 +266,23 @@ class InsertionEngine:
 
     def marks_undesirable(self, blocker: Blocker, j) -> bool:
         """Does this blocker make job j undesirable on the blocker's machine?"""
-        kind = _MARKS[blocker.btype]
-        if kind == "all":
+        btype = blocker.btype
+        if btype in ALL_UNDESIRABLE:
             return True
         cls = self.scaled.job_class[j]
-        if kind == "huge":
+        if btype is BlockerType.BB:
             return cls is JobClass.HUGE
-        if kind == "medium":
-            return cls is JobClass.MEDIUM
         if cls is not JobClass.MEDIUM:
             return False
-        mn = self.schedule.min_medium(blocker.machine)
+        if btype is BlockerType.MM:
+            return True
+        mn = self.schedule.min_medium(blocker.machine)  # M: up to the smallest medium
         return mn is not None and j <= mn
 
     def undesirable_on(self, j, i, prefix=None) -> bool:
         """Is job j undesirable on machine i w.r.t. the prefix's blockers?"""
-        if i in self.covered_machines(prefix):
-            return True
-        cls = self.scaled.job_class[j]
-        for b in self.tree.blockers_on(i):
-            if prefix is not None and b.layer > prefix:
-                continue
-            if b.btype is BlockerType.BB and cls is JobClass.HUGE:
-                return True
-            if cls is JobClass.MEDIUM:
-                if b.btype is BlockerType.MM:
-                    return True
-                if b.btype is BlockerType.M:
-                    mn = self.schedule.min_medium(i)
-                    if mn is not None and j <= mn:
-                        return True
-        return False
+        return any(self.marks_undesirable(b, j) for b in self.tree.blockers_on(i)
+                   if prefix is None or b.layer <= prefix)
 
     def activator_of(self, j):
         """Earliest-stamped live blocker for sigma(j) that marks j undesirable."""
@@ -370,6 +329,13 @@ class InsertionEngine:
     def _sum_sizes(self, jobs):
         return sum((self.scaled.size[j] for j in jobs), ZERO)
 
+    def _small_and_min_medium(self, i, layer):
+        """Size of the small jobs on i blocked within layers <= layer, and
+        size of i's smallest medium job (0 without one)."""
+        s_sum = self._sum_sizes(self.blocked_smalls_on(i, prefix=layer))
+        mn = self.schedule.min_medium(i)
+        return s_sum, (self.scaled.size[mn] if mn is not None else ZERO)
+
     def classify_potential_move(self, j, i, k):
         """Blocker type the move (j, i) would get in layer k, or None.
 
@@ -391,13 +357,9 @@ class InsertionEngine:
             return BlockerType.BB if a <= cap else BlockerType.MS
         if a <= cap:
             return BlockerType.BB
-        s_set = self.blocked_smalls_on(i, prefix=k)
-        s_sum = self._sum_sizes(s_set)
-        mediums = self.schedule.mediums[i]
-        if s_sum + self._sum_sizes(mediums) + p_j <= cap:
+        s_sum, min_sum = self._small_and_min_medium(i, k)
+        if s_sum + self._sum_sizes(self.schedule.mediums[i]) + p_j <= cap:
             return BlockerType.BS
-        mn = self.schedule.min_medium(i)
-        min_sum = sc.size[mn] if mn is not None else ZERO
         if s_sum + min_sum + p_j <= cap:
             return BlockerType.MM
         if s_sum + p_j <= cap:
@@ -414,9 +376,7 @@ class InsertionEngine:
             return True
         if b.btype in (BlockerType.MS, BlockerType.BS):
             return self._plain_minus_huge(b.machine) + p_j > cap
-        s_sum = self._sum_sizes(self.blocked_smalls_on(b.machine, prefix=b.layer))
-        mn = self.schedule.min_medium(b.machine)
-        min_sum = sc.size[mn] if mn is not None else ZERO
+        s_sum, min_sum = self._small_and_min_medium(b.machine, b.layer)
         if b.btype is BlockerType.M:
             return s_sum + min_sum + p_j > cap
         mediums_sum = self._sum_sizes(self.schedule.mediums[b.machine])
@@ -436,11 +396,9 @@ class InsertionEngine:
     def find_valid_move(self):
         """Live blocker with a valid move in the lowest (layer, sublayer),
         ties within a sublayer by insertion stamp."""
-        for k in self.tree.occupied_layers():
-            for s in (1, 2, 3, 4, 5):
-                for b in self.tree.sublayer_list(k, s):
-                    if self.move_is_valid(b.job, b.machine):
-                        return b
+        for b in self.tree.blockers():
+            if self.move_is_valid(b.job, b.machine):
+                return b
         return None
 
     def select_addition(self):
@@ -482,8 +440,7 @@ class InsertionEngine:
         if j != self.j_new and parent is None:
             raise EngineInvariantError(f"no activator for job {j} at add time")
         b = Blocker(j, i, btype, layer, self.tree.next_stamp(), parent)
-        self.tree.append(b)
-        removed = self.tree.delete_after_sublayer(layer, b.sublayer)
+        removed = self.tree.push(b)
         self.adds += 1
         sig = self.signature_vector()
         self._checkpoint(sig, "add")
@@ -501,7 +458,7 @@ class InsertionEngine:
         parent = b.parent
         if parent is None or not parent.alive:
             raise EngineInvariantError("executed blocker lost its activator")
-        removed = self.tree.delete_after_sublayer(parent.layer, parent.sublayer)
+        removed = self.tree.truncate(parent.layer, parent.sublayer)
         # The run-end checkpoint measures the potential here, before the
         # starred-condition prune of the activator's own sublayer; pruning
         # first would make the measured potential non-monotone.
@@ -509,7 +466,7 @@ class InsertionEngine:
         self._pending_move_sig = sig
         self._moves_since_checkpoint += 1
         if not self.starred_conditions_hold(parent):
-            extra = self.tree.delete_sublayer(parent.layer, parent.sublayer)
+            extra = self.tree.truncate(parent.layer, parent.sublayer, inclusive=True)
             if extra:
                 self._log("delete", parent, None, extra)
             removed += extra
@@ -520,30 +477,25 @@ class InsertionEngine:
 
     def signature_vector(self):
         """Per-layer 5-tuples of sublayer potentials, layers 1..last occupied."""
-        occupied = self.tree.occupied_layers()
-        if not occupied:
+        live = self.tree.blockers()
+        if not live:
             return ()
         n = self.scaled.base.num_jobs
         sched = self.schedule
-        out = []
-        for k in range(1, occupied[-1] + 1):
-            comp = [0, 0, 0, 0, 0]
-            for s in (1, 2, 3, 4, 5):
-                for b in self.tree.sublayer_list(k, s):
-                    i = b.machine
-                    if b.btype is BlockerType.BB:
-                        comp[0] += n - len(sched.huges[i])
-                    elif b.btype in (BlockerType.MS, BlockerType.BS):
-                        comp[1] += n - len(sched.on_machine[i])
-                    elif b.btype is BlockerType.S:
-                        comp[2] += n - len(sched.on_machine[i])
-                    elif b.btype is BlockerType.M:
-                        mn = sched.min_medium(i)
-                        comp[3] += mn if mn is not None else 0
-                    else:
-                        comp[4] += n - len(sched.mediums[i])
-            out.append(tuple(comp))
-        return tuple(out)
+        out = [[0, 0, 0, 0, 0] for _ in range(live[-1].layer)]
+        for b in live:
+            i = b.machine
+            if b.btype is BlockerType.BB:
+                term = n - len(sched.huges[i])
+            elif b.btype is BlockerType.M:
+                mn = sched.min_medium(i)
+                term = mn if mn is not None else 0
+            elif b.btype is BlockerType.MM:
+                term = n - len(sched.mediums[i])
+            else:  # BS, MS and S
+                term = n - len(sched.on_machine[i])
+            out[b.layer - 1][b.sublayer - 1] += term
+        return tuple(map(tuple, out))
 
     @staticmethod
     def signature_lt(a, b) -> bool:
@@ -648,9 +600,7 @@ class InsertionEngine:
                 if self._plain_minus_huge(b.machine) + p_j <= cap:
                     out.append(f"{b}: overload condition no longer holds")
             elif b.btype is BlockerType.M:
-                s_sum = self._sum_sizes(self.blocked_smalls_on(b.machine, prefix=b.layer))
-                mn = sched.min_medium(b.machine)
-                min_sum = sc.size[mn] if mn is not None else ZERO
+                s_sum, min_sum = self._small_and_min_medium(b.machine, b.layer)
                 if s_sum + min_sum + p_j <= cap:
                     out.append(f"{b}: min-medium condition no longer holds")
                 if not sched.mediums[b.machine]:

@@ -31,18 +31,23 @@ def emit_jsonl(run_logs, inst: Instance) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a DOT double-quoted string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def emit_dot(run_logs, inst: Instance) -> str:
     """One digraph per final tree snapshot; activation edges parent -> child."""
     out = []
     for run_no, run in enumerate(run_logs, start=1):
         out.append(f"digraph run{run_no} {{")
-        out.append(f'  label="insert {inst.name_of(run.j_new)} at T={ratio_str(run.guess)}'
-                   f' ({run.outcome})";')
+        label = f"insert {inst.name_of(run.j_new)} at T={ratio_str(run.guess)} ({run.outcome})"
+        out.append(f"  label={_dot_string(label)};")
         out.append('  root [shape=point];')
         for b in run.snapshot:
             label = (f"{inst.name_of(b['job'])}@m{b['machine']} {b['type']}"
                      f" L{b['layer']}.{b['sublayer']}")
-            out.append(f'  b{b["stamp"]} [label="{label}"];')
+            out.append(f'  b{b["stamp"]} [label={_dot_string(label)}];')
         for b in run.snapshot:
             parent = "root" if b["parent_stamp"] is None else f"b{b['parent_stamp']}"
             out.append(f'  {parent} -> b{b["stamp"]};')

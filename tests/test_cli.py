@@ -170,6 +170,38 @@ class TestBench:
         assert err.startswith("input error:") and "repetitions" in err
         assert out == ""
 
+    @pytest.mark.parametrize("workers, files, cpus, expected",
+                             [(64, 2, 8, 2), (8, 5, 3, 3), (4, 3, None, 1)])
+    def test_bench_pool_size_is_capped(self, workdir, capsys, monkeypatch,
+                                       workers, files, cpus, expected):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process; starts nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("rasched.bench.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("rasched.bench.os.cpu_count", lambda: cpus)
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        for k in range(files):
+            (corpus / f"i{k}.ra").write_text(f"ra 1\nmachines 1\njob a{k} 1/3 : 1\n")
+        code, out, _ = run_cli(capsys, "bench", str(corpus), "--workers", str(workers))
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 2 + files
+        assert sizes == ([expected] if expected > 1 else [])
+
     def test_bench_marks_an_over_cap_bound_refused(self, workdir, capsys):
         corpus = workdir / "corpus"
         corpus.mkdir()

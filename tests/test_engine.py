@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,16 +9,17 @@ from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
                             StuckState, EngineInvariantError, insert_huge_job,
                             layer_cap, SUBLAYER, PRIORITY)
+from rasched.driver import solve
 from rasched.generator import GenSpec, generate_instance
 from rasched.seed import seed_small_medium, SeedInfeasible
 
-from conftest import EPS, CAP, scaled_of, schedule_of
+from conftest import EPS, CAP, scaled_of, schedule_of, two_value_instance
 
 
 def plant(engine, job, machine, btype, layer, parent=None):
-    """Append a blocker directly; unit-test scaffolding for derived-set ops."""
+    """Push a blocker directly; unit-test scaffolding for derived-set ops."""
     b = Blocker(job, machine, btype, layer, engine.tree.next_stamp(), parent)
-    engine.tree.append(b)
+    engine.tree.push(b)
     return b
 
 
@@ -385,33 +388,91 @@ class TestAuditSuite:
         assert validate_partial_schedule(sched) == []
 
 
+class LayeredTree:
+    """Reference model: five insertion-ordered lists per layer, with the
+    suffix wipes the engine performs spelled out sublayer by sublayer."""
+
+    def __init__(self):
+        self.layers = {}
+
+    def append(self, b):
+        self.layers.setdefault(b.layer, [[], [], [], [], []])[b.sublayer - 1].append(b)
+
+    def delete_after_sublayer(self, layer, sub):
+        removed = 0
+        for k, subs in self.layers.items():
+            for s in range(1, 6):
+                if (k, s) > (layer, sub):
+                    removed += len(subs[s - 1])
+                    subs[s - 1] = []
+        return removed
+
+    def delete_sublayer(self, layer, sub):
+        subs = self.layers.get(layer)
+        if not subs:
+            return 0
+        removed = len(subs[sub - 1])
+        subs[sub - 1] = []
+        return removed
+
+    def live(self):
+        return [b for k in sorted(self.layers) for sub in self.layers[k] for b in sub]
+
+
 class TestBlockerIndex:
-    """The per-version index must always equal a scan of the layers."""
+    """The stack must always equal a scan of the layered reference tree."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_index_tracks_appends_and_deletions(self, seed):
         rng = random.Random(seed)
-        tree = BlockerTree()
-        for _ in range(80):
+        tree, model = BlockerTree(), LayeredTree()
+        dropped = set()
+        for _ in range(120):
             op = rng.random()
+            version = tree.version
             if op < 0.6:
-                tree.append(Blocker(rng.randint(1, 8), rng.randint(1, 4),
-                                    rng.choice(list(BlockerType)), rng.randint(1, 4),
-                                    tree.next_stamp(), None))
-            elif op < 0.8:
-                tree.delete_after_sublayer(rng.randint(1, 4), rng.randint(1, 5))
+                live_moves = {(b.job, b.machine) for b in model.live()}
+                job, machine = rng.randint(1, 8), rng.randint(1, 4)
+                if (job, machine) in live_moves:
+                    continue  # the engine never repeats a live move
+                b = Blocker(job, machine, rng.choice(list(BlockerType)),
+                            rng.randint(1, 4), tree.next_stamp(), None)
+                before = model.live()
+                model.append(b)
+                removed = model.delete_after_sublayer(b.layer, b.sublayer)
+                assert tree.push(b) == removed
+                changed = True
             else:
-                tree.delete_sublayer(rng.randint(1, 4), rng.randint(1, 5))
-            live = [b for k in sorted(tree.layers) for sub in tree.layers[k] for b in sub]
+                layer, sub = rng.randint(1, 4), rng.randint(1, 5)
+                inclusive = op >= 0.85
+                before = model.live()
+                removed = model.delete_after_sublayer(layer, sub)
+                if inclusive:
+                    removed += model.delete_sublayer(layer, sub)
+                assert tree.truncate(layer, sub, inclusive=inclusive) == removed
+                changed = removed > 0
+            live = model.live()
+            dropped |= set(before) - set(live)
+            assert (tree.version != version) == changed
             assert tree.blockers() == live
             assert all(b.alive for b in live)
-            assert tree.occupied_layers() == sorted({b.layer for b in live})
+            assert not any(b.alive for b in dropped)
             assert set(tree.machines()) == {b.machine for b in live}
             for i in range(1, 5):
                 assert list(tree.blockers_on(i)) == [b for b in live if b.machine == i]
                 for j in range(1, 9):
                     assert tree.contains_move(j, i) == any(
                         b.job == j and b.machine == i for b in live)
+
+    def test_push_rejects_a_live_move(self):
+        tree = BlockerTree()
+        tree.push(Blocker(1, 2, BlockerType.S, 1, tree.next_stamp(), None))
+        with pytest.raises(EngineInvariantError):
+            tree.push(Blocker(1, 2, BlockerType.BB, 1, tree.next_stamp(), None))
+        # once the move is popped it may come back
+        assert tree.truncate(1, 3, inclusive=True) == 1
+        tree.push(Blocker(1, 2, BlockerType.BB, 1, tree.next_stamp(), None))
+        assert tree.contains_move(1, 2)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_activators_match_a_full_scan(self, seed):
@@ -434,3 +495,31 @@ class TestBlockerIndex:
                 assert eng.activator_of(j) is expected
             if isinstance(result, StuckState):
                 break
+
+
+#: computed with the layered tree (five lists per layer) before the stack
+PINNED_TRACE_DIGEST = "c94e4a91745ed318b3bb4a959653022938675ad2e95120c4121f52c62860897d"
+
+
+def trace_digest():
+    """sha256 over the report text, every engine event and every final tree
+    snapshot of 24 two-value and 24 collision/huge_heavy solves; every
+    fourth solve runs with the audit on."""
+    h = hashlib.sha256()
+    instances = [two_value_instance(random.Random(300 + k), 10 + k % 13) for k in range(24)]
+    instances += [generate_instance(GenSpec(
+        machines=3 + k % 4, jobs=8 + k % 7, preset=("collision", "huge_heavy")[k % 2],
+        density=Frac(1 + k % 3, 4), seed=k)) for k in range(24)]
+    for k, inst in enumerate(instances):
+        rep = solve(inst, EPS, Frac(1, 100), log_events=True, audit=k % 4 == 0)
+        h.update(rep.to_text().encode())
+        for run in rep.run_logs:
+            h.update(json.dumps([str(run.guess), run.j_new, run.outcome, run.events,
+                                 run.snapshot], sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_traces_match_the_pinned_digest():
+    """Reports, event logs and tree snapshots are those of the layered tree
+    that the stack replaced."""
+    assert trace_digest() == PINNED_TRACE_DIGEST

@@ -2,7 +2,7 @@ import json
 import re
 
 from rasched.rational import Frac
-from rasched.model import make_instance
+from rasched.model import make_instance, parse_instance
 from rasched.driver import solve
 from rasched.traceio import emit_jsonl, emit_dot
 
@@ -23,6 +23,7 @@ def collision_report():
 
 DOT_NODE = re.compile(r'^\s*(\w+)\s*(\[[^\]]*\])?;$')
 DOT_EDGE = re.compile(r'^\s*(\w+)\s*->\s*(\w+);$')
+DOT_LABEL = re.compile(r'^\s*(?:label=|\w+ \[label=)"((?:[^"\\]|\\.)*)"\]?;$')
 
 
 def check_dot_grammar(text):
@@ -114,6 +115,24 @@ class TestDot:
         text = emit_dot(rep.run_logs, inst)
         graphs = check_dot_grammar(text)
         assert graphs == len(rep.run_logs) >= 1
+
+    def test_labels_escape_quotes_and_backslashes(self):
+        names = ['x"y', "a\\b", 'c"\\', "d", "e"]
+        inst = parse_instance(
+            "ra 1\nmachines 4\n"
+            + "".join(f"job {name} 1 : {i}\n" for i, name in enumerate(names[1:], start=1))
+            + f"job {names[0]} 59/60 : 1 2 3 4\n")
+        rep = solve(inst, EPS, Frac(1, 100), log_events=True)
+        text = emit_dot(rep.run_logs, inst)
+        labels = [ln for ln in text.splitlines() if "label=" in ln]
+        assert labels
+        seen = ""
+        for ln in labels:
+            m = DOT_LABEL.match(ln)
+            assert m, f"label is not one quoted string: {ln!r}"
+            seen += re.sub(r'\\(.)', r"\1", m.group(1))
+        assert 'insert x"y at' in seen
+        assert "a\\b@m" in seen and 'c"\\@m' in seen
 
     def test_stuck_snapshot_keeps_blockers(self):
         inst, rep = collision_report()
