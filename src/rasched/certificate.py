@@ -16,6 +16,9 @@ from .engine import BlockerType, StuckState, ALL_UNDESIRABLE
 from .oracle import KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
 
+#: column-generation rounds per covering-LP run before it is "unresolved"
+_MAX_CG_ROUNDS = 500
+
 
 class CertificateError(RuntimeError):
     """A certificate that was required to verify did not."""
@@ -342,8 +345,7 @@ class ConfigLPRun:
     final: tuple | None = None  # (basis keys, simplex warm state) when infeasible
 
 
-def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
-                          pool: dict | None = None,
+def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
                           resume: tuple | None = None) -> ConfigLPRun:
     """Column generation on the covering LP at makespan T.
 
@@ -363,6 +365,9 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
     by configuration key or slack key, and the simplex state. A later run at
     T' >= T that shares the same pool may pass it as `resume` and start from
     that basis: each of its columns fits in T' and is in the master again.
+
+    The master is an integer LP (0/+-1 coefficients, 0/1 costs, rhs of
+    ones). A run still pricing after `_MAX_CG_ROUNDS` rounds is "unresolved".
     """
     T = frac(T)
     m, n = inst.num_machines, inst.num_jobs
@@ -372,12 +377,11 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
     # each machine's permitted jobs that fit in T, in job order
     fits = {i: [j for j in inst.jobs if i in inst.gamma[j] and inst.sizes[j] <= T]
             for i in inst.machines}
-    one = Frac(1)
 
     columns, keys = [], []
 
     def add_config(i, conf):
-        columns.append([(i - 1, one)] + [(m + pos[j], one) for j in sorted(conf)])
+        columns.append([(i - 1, 1)] + [(m + pos[j], 1) for j in sorted(conf)])
         keys.append((i, tuple(sorted(conf))))
 
     generated = set()
@@ -393,23 +397,23 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
     # slack columns, keyed (None, t): machine slacks u_i, then per job the
     # cover shortfall s_j (cost 1), then the surplus e_j
     for r in range(m + n):
-        columns.append([(r, one)])
+        columns.append([(r, 1)])
     for idx in range(n):
-        columns.append([(m + idx, -one)])
+        columns.append([(m + idx, -1)])
     keys += [(None, t) for t in range(m + 2 * n)]
 
-    rhs = [one] * (m + n)
-    costs = [ZERO] * len(columns)
+    rhs = [1] * (m + n)
+    costs = [0] * len(columns)
     for idx in range(n):
-        costs[slack_first + m + idx] = one
+        costs[slack_first + m + idx] = 1
     if resume is None:
         basis, warm = list(range(slack_first, slack_first + m + n)), None
     else:
         index = {key: k for k, key in enumerate(keys)}
         basis_keys, warm = resume
         basis = [index[key] for key in basis_keys]
-    for round_no in range(1, max_rounds + 1):
-        costs += [ZERO] * (len(columns) - len(costs))
+    for round_no in range(1, _MAX_CG_ROUNDS + 1):
+        costs += [0] * (len(columns) - len(costs))
         out = simplex_min(m + n, columns, costs, rhs, basis, warm=warm)
         if out.status != "optimal":
             raise CertificateError("covering master cannot be unbounded")
@@ -447,7 +451,7 @@ def config_lp_feasible_cg(inst: Instance, T, *, max_rounds: int = 500,
             return ConfigLPRun("infeasible", T, dual_z=dual_z, dual_y=dual_y,
                                rounds=round_no,
                                final=(tuple(keys[k] for k in basis), warm))
-    return ConfigLPRun("unresolved", T, rounds=max_rounds)
+    return ConfigLPRun("unresolved", T, rounds=_MAX_CG_ROUNDS)
 
 
 @dataclass
@@ -487,8 +491,7 @@ def _schedule_configurations(inst: Instance, assignment: dict):
     return weights, makespan
 
 
-def config_lp_lower_bound(inst: Instance, tolerance, *, max_rounds=500,
-                          assignment: dict | None = None,
+def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None = None,
                           infeasible_at=None) -> ConfigLPBound:
     """Bracket the configuration-LP optimum within a relative tolerance.
 
@@ -527,8 +530,7 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, max_rounds=500,
             return "feasible", known
         if infeasible_at is not None and T <= infeasible_at:
             return "infeasible", None
-        run = config_lp_feasible_cg(inst, T, max_rounds=max_rounds, pool=pool,
-                                    resume=resume)
+        run = config_lp_feasible_cg(inst, T, pool=pool, resume=resume)
         if run.status == "infeasible":
             resume = run.final
         return run.status, run.weights

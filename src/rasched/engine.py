@@ -172,10 +172,6 @@ class StuckState:
     def schedule(self):
         return self.engine.schedule
 
-    @property
-    def tree(self):
-        return self.engine.tree
-
 
 class InsertionEngine:
     def __init__(self, schedule: Schedule, j_new: int, *, audit: bool = False,

@@ -204,9 +204,6 @@ class ScaledInstance:
     def is_small(self, j) -> bool:
         return self.job_class[j] is JobClass.SMALL
 
-    def is_medium(self, j) -> bool:
-        return self.job_class[j] is JobClass.MEDIUM
-
     def is_huge(self, j) -> bool:
         return self.job_class[j] is JobClass.HUGE
 
@@ -241,16 +238,6 @@ class Schedule:
         self.mediums = [set() for _ in range(m + 1)]
         self.huges = [set() for _ in range(m + 1)]
         self._load = [ZERO] * (m + 1)
-
-    def copy(self) -> "Schedule":
-        dup = Schedule.__new__(Schedule)
-        dup.scaled = self.scaled
-        dup.assignment = list(self.assignment)
-        dup.on_machine = [set(s) for s in self.on_machine]
-        dup.mediums = [set(s) for s in self.mediums]
-        dup.huges = [set(s) for s in self.huges]
-        dup._load = list(self._load)
-        return dup
 
     def machine_of(self, j: int):
         return self.assignment[j]

@@ -182,16 +182,15 @@ def exact_config_lp_feasible(inst: Instance, T, *, configs="maximal") -> bool:
     job_row = {j: m + idx for idx, j in enumerate(inst.jobs)}
 
     columns = []
-    one = Frac(1)
     for i in inst.machines:
         for conf in enumerate_configurations(inst, i, T, maximal_only=(configs == "maximal")):
-            col = [(i - 1, one)] + [(job_row[j], one) for j in sorted(conf)]
+            col = [(i - 1, 1)] + [(job_row[j], 1) for j in sorted(conf)]
             columns.append(col)
     for i in inst.machines:  # machine slack
-        columns.append([(i - 1, one)])
+        columns.append([(i - 1, 1)])
     for j in inst.jobs:  # cover surplus
-        columns.append([(job_row[j], -one)])
+        columns.append([(job_row[j], -1)])
 
-    rhs = [one] * (m + n)
+    rhs = [1] * (m + n)
     out = solve_equality_feasibility(m + n, columns, rhs, artificial_rows=range(m, m + n))
     return out.feasible

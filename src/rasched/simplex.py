@@ -1,4 +1,4 @@
-"""Exact rational simplex over sparse columns, run on integers.
+"""Exact simplex over sparse integer columns, run fraction-free.
 
 Revised simplex with a dense basis inverse; every LP in this package is
 formulated as min c.x s.t. Ax = b, x >= 0 with b >= 0 and an initial basis of
@@ -9,25 +9,27 @@ config-LP column generation re-optimizes its master between pricing rounds.
 Dantzig pricing with a permanent switch to Bland's rule after a degenerate
 streak guarantees termination; all arithmetic is exact.
 
-The arithmetic is fraction-free (Edmonds 1967; Bareiss 1968). Each row is
-scaled by the lcm of its denominators, rhs included, and the costs by one
-common lcm; neither changes a reduced cost's sign order or a ratio. The solver
-then keeps B^-1 = A / D with an integer matrix A and D = |det B| > 0, the basic
-values as X = D x_B and the duals as Y = D c_B B^-1, all plain ints. Every
-reduced cost and every ratio carries the same positive scale, so the pivot
+The data are plain ints. Every LP here is a configuration covering LP (the
+column-generation master of `certificate.config_lp_feasible_cg` and the
+enumerated master of `oracle.exact_config_lp_feasible`): its coefficients
+are 0/+-1, its costs 0/1 and its rhs all ones. The arithmetic is
+fraction-free (Edmonds 1967; Bareiss 1968): the solver keeps B^-1 = A / D
+with an integer matrix A and D = |det B| > 0, the basic values as
+X = D x_B and the duals as Y = D c_B B^-1, all plain ints. Every reduced
+cost and every ratio carries the same positive scale D, so the pivot
 sequence is the one a rational implementation would take, and each update
 divides exactly by the old D (Cramer's rule). The duals are kept up to date
-across pivots instead of being recomputed.
+across pivots instead of being recomputed. Only the outputs are rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm, prod
 
 from .rational import Frac, ZERO
 
 _DEGENERATE_STREAK = 40
+_MAX_PIVOTS = 200000
 
 
 class SimplexError(RuntimeError):
@@ -41,56 +43,23 @@ class SimplexOutcome:
     values: dict  # column index -> value, basic columns only (nonbasic are 0)
     duals: list  # y per row (1 entry per constraint), from c_B B^-1
     basis: list  # column index per basis position
-    warm: tuple | None = None  # opaque solver state (optimal only), for warm starts
+    warm: tuple | None = None  # (A, X, D) of an optimal outcome, for warm starts
 
 
-def _scaled(q, scale):
-    """The integer q * scale, for a `scale` that q's denominator divides."""
-    return int(q.numerator) * (scale // int(q.denominator))
-
-
-def _raise_row_scales(scales, columns):
-    """Raise each row's scale to a multiple of its coefficients' denominators."""
-    for col in columns:
-        for r, coeff in col:
-            den = coeff.denominator
-            if den != 1 and scales[r] % den:
-                scales[r] = lcm(scales[r], int(den))
-
-
-class _WarmState(tuple):
-    """The warm-start state (A, X, D, row_scales). It also carries `columns`
-    and `costs`, each column and cost it was computed with paired with its
-    integer image, and `cost_scale`, so that a resume converts only the new
-    ones."""
-
-
-def _reused(cache, items):
-    """Per item, the cached image when the cache holds that very object at
-    that index, else None."""
-    return [cache[k][1] if k < len(cache) and cache[k][0] is item else None
-            for k, item in enumerate(items)]
-
-
-def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=200000,
-                warm=None):
+def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
     """Minimize costs.x subject to (sparse) columns assembled as Ax = rhs, x >= 0.
 
     `columns[k]` is a list of (row, coeff) pairs; `initial_basis` must name
     columns that form an identity: column initial_basis[r] has the single
-    entry (r, 1). All rhs entries must be nonnegative. Coefficients, costs
-    and rhs are exact rationals (or ints); the solve runs on their row-scaled
-    and cost-scaled integer images and maps the results back.
+    entry (r, 1). Coefficients, costs and rhs are ints, and all rhs entries
+    must be nonnegative. The outcome's objective, values and duals are exact
+    rationals.
 
     With `warm=out.warm`, taken from an earlier optimal outcome together with
     its `basis` as `initial_basis`, the solve resumes from that basis instead
-    (rhs is then not read). Columns may have been appended since, but the
-    basic ones must be unchanged; an appended column that raises a row's
-    denominator lcm rescales the kept state first. The state keeps the
-    integer image of every column and cost, and only a column or cost that
-    is not the same object at the same index as before is converted again,
-    so columns must not be mutated in place. The state is opaque and is
-    copied, not mutated.
+    (rhs is then not read). Columns and costs may have been appended since,
+    but the basic columns must be unchanged. The state (A, X, D) is copied,
+    not mutated.
     """
     m = num_rows
     basis = list(initial_basis)
@@ -101,45 +70,13 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
             col = columns[k]
             if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
                 raise SimplexError("initial basis must be identity columns")
-        icols = [None] * len(columns)
-        icosts = [None] * len(costs)
-        cost_scale = 1
-        scales = [int(v.denominator) for v in rhs]
-        _raise_row_scales(scales, columns)
-        D = prod(scales)  # |det| of the scaled identity basis
-        A = [[D // scales[a] if a == b else 0 for b in range(m)] for a in range(m)]
-        X = [_scaled(v, D) for v in rhs]
+        D = 1
+        A = [[int(a == b) for b in range(m)] for a in range(m)]
+        X = list(rhs)
     else:
-        A0, X0, D, old_scales = warm
+        A0, X0, D = warm
         A = [list(row) for row in A0]
         X = list(X0)
-        icols = _reused(warm.columns, columns)
-        icosts = _reused(warm.costs, costs)
-        cost_scale = warm.cost_scale
-        scales = list(old_scales)
-        _raise_row_scales(scales, [col for col, img in zip(columns, icols) if img is None])
-        rescaled = {}
-        for r in range(m):
-            t = scales[r] // old_scales[r]
-            if t != 1:  # row r was multiplied by t: |det B|, X and its images follow
-                rescaled[r] = t
-                D *= t
-                X = [x * t for x in X]
-                for row in A:
-                    keep = row[r]
-                    row[:] = [a * t for a in row]
-                    row[r] = keep
-        if rescaled:
-            icols = [img and [(r, v * rescaled.get(r, 1)) for r, v in img] for img in icols]
-    fresh = [c for c, img in zip(costs, icosts) if img is None]
-    new_scale = lcm(cost_scale, *(int(c.denominator) for c in fresh))
-    if new_scale != cost_scale:
-        t = new_scale // cost_scale
-        icosts = [img and img * t for img in icosts]
-        cost_scale = new_scale
-    icosts = [_scaled(c, cost_scale) if img is None else img for c, img in zip(costs, icosts)]
-    icols = [[(r, int(q.numerator) * (scales[r] // int(q.denominator))) for r, q in col]
-             if img is None else img for col, img in zip(columns, icols)]
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True
@@ -148,16 +85,16 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
     degenerate_streak = 0
     Y = [0] * m  # D * c_B B^-1
     for r in range(m):
-        cb = icosts[basis[r]]
+        cb = costs[basis[r]]
         if cb:
             Y = [y + cb * a for y, a in zip(Y, A[r])]
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         entering = -1
         best = 0  # the entering column's reduced cost, times D
-        for k, col in enumerate(icols):
+        for k, col in enumerate(columns):
             if in_basis[k]:
                 continue
-            c = icosts[k]
+            c = costs[k]
             red = D * c if c else 0
             for r, coeff in col:
                 red -= Y[r] if coeff == 1 else Y[r] * coeff
@@ -170,17 +107,13 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, max_pivots=2000
                     entering = k
         if entering < 0:
             values = {basis[r]: Frac(X[r], D) for r in range(m)}
-            obj = Frac(sum(icosts[basis[r]] * X[r] for r in range(m)), D * cost_scale)
-            duals = [Frac(Y[r] * scales[r], D * cost_scale) for r in range(m)]
-            state = _WarmState((A, X, D, scales))
-            state.columns = list(zip(columns, icols))
-            state.costs = list(zip(costs, icosts))
-            state.cost_scale = cost_scale
-            return SimplexOutcome("optimal", obj, values, duals, basis, state)
+            obj = Frac(sum(costs[basis[r]] * X[r] for r in range(m)), D)
+            duals = [Frac(y, D) for y in Y]
+            return SimplexOutcome("optimal", obj, values, duals, basis, (A, X, D))
 
         # direction times D: A a_entering
         d = [0] * m
-        for r, coeff in icols[entering]:
+        for r, coeff in columns[entering]:
             for s in range(m):
                 a = A[s][r]
                 if a:
@@ -252,7 +185,7 @@ def solve_equality_feasibility(num_rows, columns, rhs, *, artificial_rows=None):
     artificial_rows = set(artificial_rows)
 
     cols = list(columns)
-    costs = [ZERO] * n_real
+    costs = [0] * n_real
     basis = [None] * m
     for k, col in enumerate(columns):
         if len(col) == 1 and col[0][1] == 1:
@@ -262,8 +195,8 @@ def solve_equality_feasibility(num_rows, columns, rhs, *, artificial_rows=None):
     for r in range(m):
         if basis[r] is None:
             basis[r] = len(cols)
-            cols.append([(r, Frac(1))])
-            costs.append(Frac(1))
+            cols.append([(r, 1)])
+            costs.append(1)
     out = simplex_min(m, cols, costs, rhs, basis)
     if out.status != "optimal":
         raise SimplexError("artificial phase cannot be unbounded")

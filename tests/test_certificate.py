@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -258,6 +259,24 @@ class TestConfigLPBounds:
         run = config_lp_feasible_cg(sc.base, sc.guess)
         assert run.status == "infeasible"
 
+    def test_unresolved_run_stops_the_bisection_uncertified(self, monkeypatch):
+        import rasched.certificate as cm
+        # one machine: at the max size 1/2 only single jobs fit, so the first
+        # master is already optimal; at the midpoint 4/5 two-job
+        # configurations fit and have to be priced in a second round
+        inst = make_instance(1, [(Frac(1, 2), {1}), (Frac(3, 10), {1}), (Frac(3, 10), {1})])
+        everything = {j: 1 for j in inst.jobs}
+        assert config_lp_feasible_cg(inst, Frac(4, 5)).rounds > 1
+        assert config_lp_lower_bound(inst, Frac(1, 100), assignment=everything).lower > Frac(4, 5)
+        monkeypatch.setattr(cm, "_MAX_CG_ROUNDS", 1)
+        run = config_lp_feasible_cg(inst, Frac(4, 5))
+        assert (run.status, run.rounds) == ("unresolved", 1)
+        # the schedule decides hi = 11/10, lo = 1/2 is proved in one round,
+        # and the unresolved midpoint ends the refinement without a claim
+        bound = config_lp_lower_bound(inst, Frac(1, 100), assignment=everything)
+        assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
+            Frac(1, 2), Frac(11, 10), True, 3)
+
 
 def cold_bisection(inst, tolerance):
     """The bracket search without a shared pool: every probe starts cold."""
@@ -436,3 +455,79 @@ class TestDecidedProbes:
                 assert truth == feasible, (case, T)
                 totals["feasible" if feasible else "infeasible"] += 1
         assert all(count >= 100 for count in totals.values()), totals
+
+
+def integral_only(original, calls):
+    """`original` (a simplex_min), asserting first that every coefficient,
+    cost and rhs entry it is given is a plain int."""
+    def checked(num_rows, columns, costs, rhs, initial_basis, **kwargs):
+        assert all(type(v) is int for col in columns for _, v in col)
+        assert all(type(v) is int for v in costs)
+        assert all(type(v) is int for v in rhs)
+        calls.append(len(columns))
+        return original(num_rows, columns, costs, rhs, initial_basis, **kwargs)
+    return checked
+
+
+def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
+    import rasched.certificate as cm
+    import rasched.simplex as sm
+    from rasched.driver import solve
+    master, enumerated = [], []
+    monkeypatch.setattr(cm, "simplex_min", integral_only(cm.simplex_min, master))
+    monkeypatch.setattr(sm, "simplex_min", integral_only(sm.simplex_min, enumerated))
+    for kind, seed in DECIDED_CASES:
+        solve(decided_case(kind, seed), lp_bound=True)
+    for kind, seed in DECIDED_CASES[::4]:
+        inst = decided_case(kind, seed)
+        for T in (inst.max_size(), inst.total_size() / 2):
+            exact_config_lp_feasible(inst, T)
+    assert len(master) >= 200 and len(enumerated) >= 20
+
+
+def lp_bound_instance(rng, machines, jobs, huge):
+    """The benchmark's lp_bound shape: `huge` sizes in 51/60..1 and the rest
+    in 1/60..50/60, each job permitted on exactly three machines."""
+    nums = [rng.randint(51, 60) for _ in range(huge)]
+    nums += [rng.randint(1, 50) for _ in range(jobs - huge)]
+    rng.shuffle(nums)
+    return make_instance(machines, [(Frac(x, 60), set(rng.sample(range(1, machines + 1), 3)))
+                                    for x in nums])
+
+
+#: computed before the simplex took integer LPs only, when it still scaled
+#: rational rows and costs
+PINNED_LP_DIGEST = "9761e16419fd09dff8f88db1943499a6329b5c684827798b1eb7681a4e722d64"
+
+
+def lp_path_digest(monkeypatch):
+    """sha256 over the report text, the ConfigLPBound fields and each
+    column-generation run's T, status and rounds, of 24 lp_bound-shaped
+    `solve(..., lp_bound=True)` runs."""
+    import rasched.driver as dm
+    from rasched.driver import solve
+    h = hashlib.sha256()
+    for k in range(24):
+        inst = lp_bound_instance(random.Random(900 + k), 4 + k % 3, 8 + k % 5, 3 + k % 4)
+        bounds = []
+
+        def recording_bound(*args, **kwargs):
+            bounds.append(config_lp_lower_bound(*args, **kwargs))
+            return bounds[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dm, "config_lp_lower_bound", recording_bound)
+            report, runs = bound_with_runs(monkeypatch,
+                                           lambda: solve(inst, lp_bound=True))
+        (bound,) = bounds
+        h.update(report.to_text().encode())
+        h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
+                       bound.probes, [(str(run.T), run.status, run.rounds)
+                                      for run, _ in runs])).encode())
+    return h.hexdigest()
+
+
+def test_lp_path_matches_the_pinned_digest(monkeypatch):
+    """Reports, bounds and column-generation rounds are those of the
+    simplex that scaled rational LPs to integers."""
+    assert lp_path_digest(monkeypatch) == PINNED_LP_DIGEST

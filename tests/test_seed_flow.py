@@ -6,7 +6,7 @@ import random
 import pytest
 
 from rasched import driver
-from rasched.rational import Frac, ONE
+from rasched.rational import Frac, integer_image
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
 from rasched.seed import (SeedInfeasible, solve_assignment_lp, seed_small_medium,
                           _support_cycle)
@@ -19,19 +19,21 @@ CHAIN = 700
 
 
 def lp_feasible(scaled):
-    """The assignment LP as rows and columns, decided by the exact simplex:
-    sum_i x[j,i] = 1 per small/medium job, sum_j p_j x[j,i] + slack = 1 per
-    machine."""
+    """The assignment LP as integer rows and columns, decided by the exact
+    simplex: sum_i x[j,i] = 1 per small/medium job, and per machine
+    sum_j L p_j x[j,i] + slack = L, with L the lcm of the sizes'
+    denominators."""
     sm_jobs = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
     if not sm_jobs:
         return True
     n, m = len(sm_jobs), scaled.base.num_machines
+    L, sizes = integer_image(scaled.size[j] for j in sm_jobs)
     columns = []
     for row, j in enumerate(sm_jobs):
         for i in sorted(scaled.base.gamma[j]):
-            columns.append([(row, ONE), (n + i - 1, scaled.size[j])])
-    columns += [[(n + i, ONE)] for i in range(m)]
-    out = solve_equality_feasibility(n + m, columns, [ONE] * (n + m),
+            columns.append([(row, 1), (n + i - 1, sizes[row])])
+    columns += [[(n + i, 1)] for i in range(m)]
+    out = solve_equality_feasibility(n + m, columns, [1] * n + [L] * m,
                                      artificial_rows=range(n))
     return out.feasible
 

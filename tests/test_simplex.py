@@ -5,7 +5,7 @@ import random
 import pytest
 
 from rasched import simplex
-from rasched.rational import Frac, ZERO
+from rasched.rational import Frac, ZERO, integer_image
 from rasched.simplex import (simplex_min, solve_equality_feasibility,
                              SimplexError)
 
@@ -22,46 +22,57 @@ def check_farkas(columns, rhs, y):
         assert sum((y[r] * coeff for r, coeff in col), ZERO) <= 0
 
 
+# Beale's cycling example, min c.x over three rows whose last three columns
+# are slacks. The rational original has the rows (1/4, -8, -1, 9) and
+# (1/2, -12, -1/2, 3) and the costs (-3/4, 150, -1/50, 6). Here those rows are
+# multiplied by 4 and 2, their slacks rescaled to stay unit columns, and the
+# costs multiplied by 100, so the x-values are unchanged and an objective is
+# 100 times the original one.
+BEALE_ROWS = [[1, -32, -4, 36, 1, 0, 0],
+              [1, -24, -1, 6, 0, 1, 0],
+              [0, 0, 1, 0, 0, 0, 1]]
+BEALE_COSTS = [-75, 15000, -2, 600, 0, 0, 0]
+BEALE_COST_SCALE = 100
+
+
 class TestSimplexMin:
     def test_minimizes_simple_lp(self):
         # min x0 + 2 x1 s.t. x0 + x1 + s = 4, x0 - x1 + a = 1 handled via
         # feasibility helper below; here: min -x0 s.t. x0 + s = 3
-        cols = [[(0, Frac(1))], [(0, Frac(1))]]
-        out = simplex_min(1, cols, [Frac(-1), ZERO], [Frac(3)], [1])
+        cols = [[(0, 1)], [(0, 1)]]
+        out = simplex_min(1, cols, [-1, 0], [3], [1])
         assert out.status == "optimal" and out.objective == -3
         assert out.values[0] == 3
 
     def test_detects_unbounded(self):
         # min -x0 with x0 - s = 0: x0 can grow forever
-        cols = [[(0, Frac(1))], [(0, Frac(-1))], [(0, Frac(1))]]
-        out = simplex_min(1, cols, [Frac(-1), ZERO, ZERO], [ZERO], [2])
+        cols = [[(0, 1)], [(0, -1)], [(0, 1)]]
+        out = simplex_min(1, cols, [-1, 0, 0], [0], [2])
         assert out.status == "unbounded"
 
     def test_duals_complementary_on_optimum(self):
         # min -x0 - x1 s.t. x0 + slack1 = 2; x1 + slack2 = 3
-        cols = dense_to_columns([[Frac(1), ZERO, Frac(1), ZERO],
-                                 [ZERO, Frac(1), ZERO, Frac(1)]])
-        out = simplex_min(2, cols, [Frac(-1), Frac(-1), ZERO, ZERO],
-                          [Frac(2), Frac(3)], [2, 3])
+        cols = dense_to_columns([[1, 0, 1, 0],
+                                 [0, 1, 0, 1]])
+        out = simplex_min(2, cols, [-1, -1, 0, 0], [2, 3], [2, 3])
         assert out.objective == -5
         assert out.duals == [Frac(-1), Frac(-1)]  # c_B B^-1 per row
 
     def test_rejects_negative_rhs(self):
         with pytest.raises(SimplexError):
-            simplex_min(1, [[(0, Frac(1))]], [ZERO], [Frac(-1)], [0])
+            simplex_min(1, [[(0, 1)]], [0], [-1], [0])
 
     def test_rejects_non_identity_basis(self):
         with pytest.raises(SimplexError):
-            simplex_min(1, [[(0, Frac(2))]], [ZERO], [Frac(1)], [0])
+            simplex_min(1, [[(0, 2)]], [0], [1], [0])
 
 
 class TestFeasibility:
     def test_feasible_system_returns_point(self):
         # x0 + x1 = 1; x0 + 2 x1 <= 3 (slack provided as a real column)
-        cols = dense_to_columns([[Frac(1), Frac(1), ZERO],
-                                 [Frac(1), Frac(2), Frac(1)]])
-        out = solve_equality_feasibility(2, cols, [Frac(1), Frac(3)],
-                                         artificial_rows=[0])
+        cols = dense_to_columns([[1, 1, 0],
+                                 [1, 2, 1]])
+        out = solve_equality_feasibility(2, cols, [1, 3], artificial_rows=[0])
         assert out.feasible
         total = [ZERO, ZERO]
         for k, v in out.values.items():
@@ -72,8 +83,8 @@ class TestFeasibility:
 
     def test_infeasible_system_yields_verified_farkas(self):
         # x0 = 2 with x0 <= 1
-        cols = dense_to_columns([[Frac(1), ZERO], [Frac(1), Frac(1)]])
-        rhs = [Frac(2), Frac(1)]
+        cols = dense_to_columns([[1, 0], [1, 1]])
+        rhs = [2, 1]
         out = solve_equality_feasibility(2, cols, rhs, artificial_rows=[0])
         assert not out.feasible
         check_farkas(cols, rhs, out.farkas)
@@ -85,10 +96,9 @@ class TestFeasibility:
         n = rng.randint(2, 8)
         cols = []
         for _ in range(n):
-            col = [(r, Frac(rng.randint(-4, 6)))
-                   for r in range(m) if rng.random() < 0.7]
+            col = [(r, rng.randint(-4, 6)) for r in range(m) if rng.random() < 0.7]
             cols.append([(r, c) for r, c in col if c != 0])
-        rhs = [Frac(rng.randint(0, 8)) for _ in range(m)]
+        rhs = [rng.randint(0, 8) for _ in range(m)]
         out = solve_equality_feasibility(m, cols, rhs)
         if out.feasible:
             total = [ZERO] * m
@@ -102,23 +112,20 @@ class TestFeasibility:
 
     def test_degenerate_cycling_guard(self):
         # classic degenerate LP; Bland fallback must terminate
-        rows = [[Frac(1, 4), Frac(-8), Frac(-1), Frac(9), Frac(1), ZERO, ZERO],
-                [Frac(1, 2), Frac(-12), Frac(-1, 2), Frac(3), ZERO, Frac(1), ZERO],
-                [ZERO, ZERO, Frac(1), ZERO, ZERO, ZERO, Frac(1)]]
-        cols = dense_to_columns(rows)
-        costs = [Frac(-3, 4), Frac(150), Frac(-1, 50), Frac(6), ZERO, ZERO, ZERO]
-        out = simplex_min(3, cols, costs, [ZERO, ZERO, Frac(1)], [4, 5, 6])
-        assert out.status == "optimal" and out.objective == Frac(-77, 100)
+        cols = dense_to_columns(BEALE_ROWS)
+        out = simplex_min(3, cols, BEALE_COSTS, [0, 0, 1], [4, 5, 6])
+        assert out.status == "optimal"
+        assert out.objective / BEALE_COST_SCALE == Frac(-77, 100)
         assert out.values[0] == 1 and out.values[2] == 1
 
 
 def basis_duals_from_scratch(columns, costs, basis):
     """c_B B^-1 by Gauss-Jordan on B^T y = c_B, independent of the solver."""
     m = len(basis)
-    aug = [[ZERO] * m + [costs[basis[r]]] for r in range(m)]
+    aug = [[ZERO] * m + [Frac(costs[basis[r]])] for r in range(m)]
     for r, k in enumerate(basis):  # row r of B^T is column basis[r]
         for row, coeff in columns[k]:
-            aug[r][row] = coeff
+            aug[r][row] = Frac(coeff)
     for c in range(m):
         p = next(r for r in range(c, m) if aug[r][c] != 0)
         aug[c], aug[p] = aug[p], aug[c]
@@ -151,10 +158,10 @@ def assert_consistent_optimum(m, columns, costs, rhs, out):
 class TestWarmStart:
     def test_appended_improving_column_resumes_to_cold_optimum(self):
         # max x0 + x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6 (slacks are columns 2, 3)
-        cols = dense_to_columns([[Frac(1), Frac(2), Frac(1), ZERO],
-                                 [Frac(3), Frac(1), ZERO, Frac(1)]])
-        costs = [Frac(-1), Frac(-1), ZERO, ZERO]
-        rhs = [Frac(4), Frac(6)]
+        cols = dense_to_columns([[1, 2, 1, 0],
+                                 [3, 1, 0, 1]])
+        costs = [-1, -1, 0, 0]
+        rhs = [4, 6]
         first = simplex_min(2, cols[:1] + cols[2:], costs[:1] + costs[2:], rhs, [1, 2])
         assert first.objective == -2
         # re-index: column 1 of the small LP is column 2 of the full one, etc.
@@ -168,12 +175,11 @@ class TestWarmStart:
         assert_consistent_optimum(2, cols, costs, rhs, warm)
 
     def test_warm_arguments_are_not_mutated(self):
-        cols = [[(0, Frac(1))], [(0, Frac(1))], [(0, Frac(2))]]
-        costs = [ZERO, Frac(-1), Frac(-3)]
-        first = simplex_min(1, cols[:2], costs[:2], [Frac(4)], [0])
+        cols = [[(0, 1)], [(0, 1)], [(0, 2)]]
+        costs = [0, -1, -3]
+        first = simplex_min(1, cols[:2], costs[:2], [4], [0])
         state = copy.deepcopy(first.warm)
-        again = simplex_min(1, cols, costs, [Frac(4)], first.basis,
-                            warm=first.warm)
+        again = simplex_min(1, cols, costs, [4], first.basis, warm=first.warm)
         assert again.objective == -6
         assert first.warm == state
 
@@ -182,49 +188,50 @@ class TestWarmStart:
         rng = random.Random(seed)
         m = rng.randint(2, 5)
         # rows are <= constraints with nonnegative coefficients: bounded LPs
-        cols = [[(r, Frac(1))] for r in range(m)]  # slacks, the cold basis
+        cols = [[(r, 1)] for r in range(m)]  # slacks, the cold basis
         costs = [ZERO] * m
         for _ in range(rng.randint(1, 6)):
-            col = [(r, Frac(rng.randint(1, 5))) for r in range(m) if rng.random() < 0.6]
-            cols.append(col or [(rng.randrange(m), Frac(1))])
+            col = [(r, rng.randint(1, 5)) for r in range(m) if rng.random() < 0.6]
+            cols.append(col or [(rng.randrange(m), 1)])
             costs.append(Frac(rng.randint(-6, 2)))
-        rhs = [Frac(rng.randint(0, 9)) for _ in range(m)]
-        out = simplex_min(m, cols, costs, rhs, list(range(m)))
-        assert_consistent_optimum(m, cols, costs, rhs, out)
+        rhs = [rng.randint(0, 9) for _ in range(m)]
+        # the priced costs below are rational; the solver sees them times the
+        # lcm of their denominators, which the warm state (A, X, D) ignores
+        scale, icosts = integer_image(costs)
+        out = simplex_min(m, cols, icosts, rhs, list(range(m)))
+        assert_consistent_optimum(m, cols, icosts, rhs, out)
         for _ in range(3):  # three rounds of column generation
             added = 0
             for _ in range(rng.randint(1, 3)):
-                col = [(r, Frac(rng.randint(1, 4))) for r in range(m) if rng.random() < 0.6]
-                col = col or [(rng.randrange(m), Frac(2))]
+                col = [(r, rng.randint(1, 4)) for r in range(m) if rng.random() < 0.6]
+                col = col or [(rng.randrange(m), 2)]
                 # price the column to reduced cost -1 or -1/3 under the current duals
                 drop = Frac(1) if added == 0 else Frac(1, 3)
                 cols.append(col)
-                costs.append(sum((out.duals[r] * c for r, c in col), ZERO) - drop)
+                costs.append(sum((out.duals[r] * c for r, c in col), ZERO) / scale - drop)
                 added += 1
-            out = simplex_min(m, cols, costs, rhs, out.basis, warm=out.warm)
-            assert_consistent_optimum(m, cols, costs, rhs, out)
-            cold = simplex_min(m, cols, costs, rhs, list(range(m)))
+            scale, icosts = integer_image(costs)
+            out = simplex_min(m, cols, icosts, rhs, out.basis, warm=out.warm)
+            assert_consistent_optimum(m, cols, icosts, rhs, out)
+            cold = simplex_min(m, cols, icosts, rhs, list(range(m)))
             assert out.objective == cold.objective
 
     def test_degenerate_lp_in_bland_mode_keeps_exact_duals(self, monkeypatch):
         # Beale's cycling example; a streak of one switches to Bland's rule at
         # the first degenerate pivot, so the later dual updates run in Bland mode
         monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 1)
-        rows = [[Frac(1, 4), Frac(-8), Frac(-1), Frac(9), Frac(1), ZERO, ZERO],
-                [Frac(1, 2), Frac(-12), Frac(-1, 2), Frac(3), ZERO, Frac(1), ZERO],
-                [ZERO, ZERO, Frac(1), ZERO, ZERO, ZERO, Frac(1)]]
         order = [1, 3, 4, 5, 6, 0, 2]  # x0 and x2 are the appended columns
-        cols = [dense_to_columns(rows)[k] for k in order]
-        all_costs = [Frac(-3, 4), Frac(150), Frac(-1, 50), Frac(6), ZERO, ZERO, ZERO]
-        costs = [all_costs[k] for k in order]
-        rhs = [ZERO, ZERO, Frac(1)]
+        cols = [dense_to_columns(BEALE_ROWS)[k] for k in order]
+        costs = [BEALE_COSTS[k] for k in order]
+        rhs = [0, 0, 1]
         first = simplex_min(3, cols[:5], costs[:5], rhs, [2, 3, 4])
         assert first.objective == 0
         assert all(reduced_cost(cols[k], costs[k], first.duals) < 0 for k in (5, 6))
         # the resumed basis is degenerate (x_b = 0, 0, 1): the first pivot is too
         warm = simplex_min(3, cols, costs, rhs, first.basis, warm=first.warm)
         cold = simplex_min(3, cols, costs, rhs, [2, 3, 4])
-        assert warm.objective == cold.objective == Frac(-77, 100)
+        assert warm.objective == cold.objective
+        assert warm.objective / BEALE_COST_SCALE == Frac(-77, 100)
         assert_consistent_optimum(3, cols, costs, rhs, warm)
 
 
@@ -341,24 +348,20 @@ def assert_same_outcome(got, want):
     assert got.duals == want.duals
 
 
-def random_rational(rng, dens, lo, hi):
-    den = rng.choice(dens)
-    return Frac(rng.randint(lo * den, hi * den), den)
-
-
-def random_column(rng, m, dens):
+def random_column(rng, m):
+    """Integer coefficients in -2..6, so that pivots above 1 make D > 1."""
     col = []
     for r in range(m):
         if rng.random() < 0.6:
-            v = random_rational(rng, dens, -1, 5)
+            v = rng.randint(-2, 6)
             if v:
                 col.append((r, v))
-    return col or [(rng.randrange(m), Frac(1, rng.choice(dens)))]
+    return col or [(rng.randrange(m), rng.randint(1, 4))]
 
 
 def determinant(rows):
     """|det| by Gaussian elimination over the rationals."""
-    rows = [list(row) for row in rows]
+    rows = [[Frac(v) for v in row] for row in rows]
     n = len(rows)
     det = Frac(1)
     for c in range(n):
@@ -373,40 +376,35 @@ def determinant(rows):
     return abs(det)
 
 
-def assert_adjugate_invariant(m, columns, rhs, out):
-    """The warm state is A = D B^-1 for the row-scaled basis B, D = |det B|,
-    with X = D x_B, recomputed from scratch by Gauss-Jordan."""
-    A, X, D, scales = out.warm
-    for r in range(m):
-        dens = [rhs[r].denominator] + [c.denominator for col in columns
-                                       for row, c in col if row == r]
-        assert scales[r] % math.lcm(*dens) == 0
-    scaled = [[(r, c * scales[r]) for r, c in col] for col in columns]
+def assert_adjugate_invariant(m, columns, out):
+    """The warm state is A = D B^-1 for the basis B, D = |det B|, with
+    X = D x_B, recomputed from scratch by Gauss-Jordan."""
+    A, X, D = out.warm
+    assert all(type(v) is int for v in [D, *X, *(a for row in A for a in row)])
     basis_matrix = [[ZERO] * m for _ in range(m)]
     for q, k in enumerate(out.basis):
-        for r, c in scaled[k]:
+        for r, c in columns[k]:
             basis_matrix[r][q] = c
     assert D == determinant(basis_matrix) > 0
     for q, k in enumerate(out.basis):
         unit = [ZERO] * len(columns)
         unit[k] = Frac(1)
-        binv_row = basis_duals_from_scratch(scaled, unit, out.basis)
+        binv_row = basis_duals_from_scratch(columns, unit, out.basis)
         assert A[q] == [D * v for v in binv_row]
         assert X[q] == D * out.values[k]
 
 
 def differential_run(seed):
-    """A random LP solved cold, then resumed warm over three rounds of new
-    columns with new row denominators, by both solvers; yields each pair."""
+    """A random integer LP solved cold, then resumed warm over three rounds
+    of new columns, by both solvers; yields each pair."""
     rng = random.Random(seed)
     m = rng.randint(1, 5)
-    cols = [[(r, Frac(1))] for r in range(m)]
-    costs = [ZERO] * m
+    cols = [[(r, 1)] for r in range(m)]
+    costs = [0] * m
     for _ in range(rng.randint(1, 7)):
-        cols.append(random_column(rng, m, [1, 2, 3, 4, 6]))
-        costs.append(random_rational(rng, [1, 2, 5], -4, 3))
-    rhs = [ZERO if rng.random() < 0.3 else random_rational(rng, [1, 2, 3], 0, 6)
-           for _ in range(m)]
+        cols.append(random_column(rng, m))
+        costs.append(rng.randint(-4, 3))
+    rhs = [0 if rng.random() < 0.3 else rng.randint(0, 6) for _ in range(m)]
     got = simplex_min(m, cols, costs, rhs, list(range(m)))
     want, ref_warm = reference_simplex_min(m, cols, costs, rhs, list(range(m)))
     yield cols, costs, rhs, got, want
@@ -414,13 +412,13 @@ def differential_run(seed):
         if want.status != "optimal":
             return
         for _ in range(rng.randint(1, 3)):
-            col = random_column(rng, m, [1, 5, 7, 9, 11])
+            col = random_column(rng, m)
             cols.append(col)
             if rng.random() < 0.7:  # priced to a negative reduced cost
-                drop = random_rational(rng, [1, 3, 7], 0, 2) or Frac(1, 7)
-                costs.append(sum((want.duals[r] * c for r, c in col), ZERO) - drop)
+                price = sum((want.duals[r] * c for r, c in col), ZERO)
+                costs.append(math.ceil(price) - rng.randint(1, 3))
             else:
-                costs.append(random_rational(rng, [1, 13], -3, 3))
+                costs.append(rng.randint(-3, 3))
         got = simplex_min(m, cols, costs, rhs, got.basis, warm=got.warm)
         want, ref_warm = reference_simplex_min(m, cols, costs, rhs, want.basis,
                                                warm=ref_warm)
@@ -443,46 +441,31 @@ class TestIntegerKernelMatchesRational:
 
     def test_adjugate_invariant_after_every_warm_round(self):
         checked = 0
+        dets = set()
         for seed in range(250):
             for cols, _, rhs, got, _ in differential_run(seed):
                 if got.status == "optimal":
-                    assert_adjugate_invariant(len(rhs), cols, rhs, got)
+                    assert_adjugate_invariant(len(rhs), cols, got)
+                    dets.add(got.warm[2])
                     checked += 1
         assert checked >= 400
-
-    def test_new_row_denominator_rescales_the_warm_state(self):
-        cols = [[(0, Frac(1))], [(1, Frac(1))], [(0, Frac(1)), (1, Frac(2))]]
-        costs = [ZERO, ZERO, Frac(-1)]
-        rhs = [Frac(4), Frac(6)]
-        first = simplex_min(2, cols, costs, rhs, [0, 1])
-        assert first.warm[3] == [1, 1]
-        cols.append([(0, Frac(1, 3)), (1, Frac(2, 7))])
-        costs.append(Frac(-2))
-        again = simplex_min(2, cols, costs, rhs, first.basis, warm=first.warm)
-        assert again.warm[3] == [3, 7]
-        cold, _ = reference_simplex_min(2, cols, costs, rhs, [0, 1])
-        assert_same_outcome(again, cold)
-        assert_adjugate_invariant(2, cols, rhs, again)
+        assert max(dets) > 1
 
     def test_beale_in_bland_mode_matches(self, monkeypatch):
         monkeypatch.setattr(simplex, "_DEGENERATE_STREAK", 1)
-        rows = [[Frac(1, 4), Frac(-8), Frac(-1), Frac(9), Frac(1), ZERO, ZERO],
-                [Frac(1, 2), Frac(-12), Frac(-1, 2), Frac(3), ZERO, Frac(1), ZERO],
-                [ZERO, ZERO, Frac(1), ZERO, ZERO, ZERO, Frac(1)]]
         order = [1, 3, 4, 5, 6, 0, 2]
-        cols = [dense_to_columns(rows)[k] for k in order]
-        all_costs = [Frac(-3, 4), Frac(150), Frac(-1, 50), Frac(6), ZERO, ZERO, ZERO]
-        costs = [all_costs[k] for k in order]
-        rhs = [ZERO, ZERO, Frac(1)]
+        cols = [dense_to_columns(BEALE_ROWS)[k] for k in order]
+        costs = [BEALE_COSTS[k] for k in order]
+        rhs = [0, 0, 1]
         first = simplex_min(3, cols[:5], costs[:5], rhs, [2, 3, 4])
         ref_first, ref_warm = reference_simplex_min(3, cols[:5], costs[:5], rhs, [2, 3, 4])
         assert_same_outcome(first, ref_first)
         warm = simplex_min(3, cols, costs, rhs, first.basis, warm=first.warm)
         ref, _ = reference_simplex_min(3, cols, costs, rhs, ref_first.basis, warm=ref_warm)
         assert_same_outcome(warm, ref)
-        assert warm.objective == Frac(-77, 100)
-        assert_adjugate_invariant(3, cols, rhs, warm)
-        cold_cols = dense_to_columns(rows)
-        got = simplex_min(3, cold_cols, all_costs, rhs, [4, 5, 6])
-        want, _ = reference_simplex_min(3, cold_cols, all_costs, rhs, [4, 5, 6])
+        assert warm.objective / BEALE_COST_SCALE == Frac(-77, 100)
+        assert_adjugate_invariant(3, cols, warm)
+        cold_cols = dense_to_columns(BEALE_ROWS)
+        got = simplex_min(3, cold_cols, BEALE_COSTS, rhs, [4, 5, 6])
+        want, _ = reference_simplex_min(3, cold_cols, BEALE_COSTS, rhs, [4, 5, 6])
         assert_same_outcome(got, want)
