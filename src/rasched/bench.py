@@ -82,6 +82,8 @@ def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
     """Run solve over every parseable instance in the corpus for each epsilon."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if err is None:
         err = sys.stderr
     tasks = []

@@ -2,7 +2,10 @@
 
 Each probe either produces a schedule of makespan <= (1+R) * T or a certified
 reason the guess is too small (seed LP infeasible, or a stuck search whose
-dual certificate is verified on the spot). The bracket starts at
+dual certificate is verified on the spot). A solve lays the seed's flow
+network once and keeps the Hall violators of its failed seed flows: later
+probes lie above every failed guess, so a violator usually still proves
+them infeasible without a flow. The bracket starts at
 [max job size, makespan of a polished restricted greedy schedule] and shrinks
 until high/low <= 1 + tau. The lowest successful probe's schedule is polished
 by the same move/swap descent, and the better of it and the polished greedy
@@ -13,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rational import Frac, ZERO, frac, integer_image, ratio_str, as_float
+from .rational import Frac, ZERO, frac, ratio_str, as_float
 from .model import (Instance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
-from .seed import SeedInfeasible, seed_small_medium
+from .flow import AssignmentNetwork
+from .seed import SeedInfeasible, seed_small_medium, solve_assignment_lp
 from .engine import InsertionEngine, StuckState, EngineInvariantError
 from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
@@ -88,12 +92,23 @@ class SolveReport:
 
 
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
-           counters) -> ProbeResult:
+           counters, violators, network) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] = counters.get("seed_lps", 0) + 1
     try:
-        schedule = seed_small_medium(scaled)
-    except SeedInfeasible:
+        schedule = seed_small_medium(scaled, violators, network)
+    except SeedInfeasible as exc:
+        if not exc.reused:
+            violators.append(exc.jobs)
+        elif audit:
+            try:
+                solve_assignment_lp(scaled, network)
+            except SeedInfeasible:
+                pass
+            else:
+                raise EngineInvariantError(
+                    f"a reused Hall violator refuted the feasible guess {ratio_str(guess)}"
+                )
         return ProbeResult(guess, "seed-infeasible")
     huge = sorted(scaled.huge_jobs(), reverse=True)  # decreasing size, det. ties
     for j_new in huge:
@@ -143,7 +158,7 @@ def _greedy(inst: Instance) -> dict:
     """Restricted list scheduling: jobs by decreasing internal id (largest
     first), each on its least-loaded permitted machine, ties to the smallest
     machine id. Returns internal job id -> machine."""
-    sizes = [0] + integer_image(inst.sizes[1:])[1]
+    sizes = inst.integer_image[1]
     loads = [0] * (inst.num_machines + 1)
     placement = {}
     for j in reversed(inst.jobs):
@@ -155,7 +170,7 @@ def _greedy(inst: Instance) -> dict:
 
 def _polish(inst: Instance, placement: dict) -> dict:
     """Move/swap descent on a complete schedule, in the original (unscaled)
-    sizes, brought to integers by `integer_image`.
+    sizes, brought to integers by `Instance.integer_image`.
 
     A step takes a job j off a maximum-load machine i and either moves it to
     a permitted machine k, or swaps it with a smaller job on k that is
@@ -166,7 +181,7 @@ def _polish(inst: Instance, placement: dict) -> dict:
     the makespan never rises and the sorted load vector falls
     lexicographically, which ends the descent. Returns a new placement.
     """
-    sizes, gamma = [0] + integer_image(inst.sizes[1:])[1], inst.gamma
+    sizes, gamma = inst.integer_image[1], inst.gamma
     placement = dict(placement)
     loads = [0] * (inst.num_machines + 1)
     on = [set() for _ in range(inst.num_machines + 1)]
@@ -248,6 +263,8 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     run_logs: list = []
     probes: list = []
     certificates: list = []
+    violators: list = []  # Hall violators of this solve's failed seed flows
+    network = AssignmentNetwork(inst)
 
     lo = inst.max_size()
     lower_kind = "max-job-size"
@@ -255,7 +272,8 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     greedy_makespan = hi = _makespan(inst, greedy)
 
     first = _probe(inst, hi, epsilon, audit=audit, log_events=log_events,
-                   run_logs=run_logs, counters=counters)
+                   run_logs=run_logs, counters=counters,
+                   violators=violators, network=network)
     probes.append((hi, first.outcome))
     if first.outcome != "success":
         raise EngineInvariantError(
@@ -267,7 +285,8 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     while hi > lo * (1 + tau):
         mid = (lo + hi) / 2
         res = _probe(inst, mid, epsilon, audit=audit, log_events=log_events,
-                     run_logs=run_logs, counters=counters)
+                     run_logs=run_logs, counters=counters,
+                     violators=violators, network=network)
         probes.append((mid, res.outcome))
         if res.outcome == "success":
             hi = mid

@@ -1,0 +1,127 @@
+"""Exact integer max-flow (Dinic) and the assignment network of an instance.
+
+`Network` is a residual graph with integer capacities. `AssignmentNetwork`
+lays the arcs source -> job -> permitted machine -> sink of one instance
+once; each flow it runs only resets their capacities, so every guess of a
+solve shares one graph.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+
+class Network:
+    """Residual graph with integer capacities; arc e and its reverse e ^ 1."""
+
+    def __init__(self, nodes):
+        self.out = [[] for _ in range(nodes)]  # arc ids leaving each node
+        self.head = []
+        self.cap = []
+
+    def arc(self, u, v, cap):
+        self.out[u].append(len(self.head))
+        self.head.append(v)
+        self.cap.append(cap)
+        self.out[v].append(len(self.head))
+        self.head.append(u)
+        self.cap.append(0)
+
+    def levels(self, source):
+        """BFS distance from the source over arcs with residual capacity;
+        -1 marks nodes the source cannot reach."""
+        level = [-1] * len(self.out)
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            for e in self.out[u]:
+                v = self.head[e]
+                if level[v] < 0 and self.cap[e] > 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level
+
+    def push_path(self, source, sink, level, cursor):
+        """Augment along one source-sink path of the level graph and return
+        the amount pushed, 0 once the phase's flow is blocking. Iterative
+        depth-first search; cursor[u] skips arcs already found useless."""
+        head, cap, out = self.head, self.cap, self.out
+        path = []
+        u = source
+        while u != sink:
+            arcs = out[u]
+            while cursor[u] < len(arcs):
+                e = arcs[cursor[u]]
+                if cap[e] > 0 and level[head[e]] == level[u] + 1:
+                    break
+                cursor[u] += 1
+            else:
+                if not path:
+                    return 0
+                u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
+                cursor[u] += 1
+                continue
+            path.append(e)
+            u = head[e]
+        delta = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= delta
+            cap[e ^ 1] += delta
+        return delta
+
+    def max_flow(self, source, sink):
+        """Dinic's algorithm; returns the flow value and the final levels."""
+        total = 0
+        while True:
+            level = self.levels(source)
+            if level[sink] < 0:
+                return total, level
+            cursor = [0] * len(self.out)
+            while pushed := self.push_path(source, sink, level, cursor):
+                total += pushed
+
+
+class AssignmentNetwork:
+    """The arcs source -> job -> permitted machine -> sink of an instance.
+
+    Job j is node j and machine i is node n + i. The source arcs come first,
+    by job, then each job's machine arcs by machine id, then the sink arcs
+    by machine. A job without supply keeps only arcs of capacity 0, which no
+    search follows, so the flow over the other jobs takes the same paths as
+    on a network laid for them alone.
+    """
+
+    def __init__(self, inst):
+        n, m = inst.num_jobs, inst.num_machines
+        self.source, self.sink = 0, n + m + 1
+        self.net = Network(n + m + 2)
+        # per arc, the index of its capacity in `max_flow`'s value list:
+        # job j's arcs read j, sink arcs read n + 1, reverse arcs read 0
+        self._owner = []
+        self.job_arcs = []  # (job, machine, arc id)
+        for j in inst.jobs:
+            self._lay(self.source, j, j)
+        for j in inst.jobs:
+            for i in sorted(inst.gamma[j]):
+                self.job_arcs.append((j, i, len(self._owner)))
+                self._lay(j, n + i, j)
+        for i in inst.machines:
+            self._lay(n + i, self.sink, n + 1)
+
+    def _lay(self, u, v, owner):
+        self.net.arc(u, v, 0)
+        self._owner += (owner, 0)
+
+    def max_flow(self, supply, capacity):
+        """Max flow with job j supplying supply[j] (supply[0] is unused) on
+        its source arc and on each machine arc, and every machine absorbing
+        `capacity`. Returns the flow value and the final levels."""
+        values = [0, *supply[1:], capacity]
+        self.net.cap = [values[o] for o in self._owner]
+        return self.net.max_flow(self.source, self.sink)
+
+    def job_flow(self, supply):
+        """(job, machine) -> the positive flow on that arc after `max_flow`."""
+        cap = self.net.cap
+        return {(j, i): f for j, i, e in self.job_arcs if (f := supply[j] - cap[e])}

@@ -2,17 +2,22 @@
 
 Jobs are re-sorted at parse time so internal ids 1..n are nondecreasing in
 (size, original position); min/max over id sets are therefore deterministic.
-Schedules keep one incremental plain load per machine. Rounded huge sizes
-are derived where they are read: the engine's validity test counts a huge job
-as 1, and the certificate rounds it down to 5/6 (`ScaledInstance.size_down`).
+An instance keeps one integer image of its sizes, p_j = q_j / L, so that
+a guess T = a/b classifies every job by integer comparisons; the rational
+scaled sizes are only built when first read. Schedules keep one incremental
+plain load per machine. Rounded huge sizes are derived where they are read:
+the engine's validity test counts a huge job as 1, and the certificate
+rounds it down to 5/6 (`ScaledInstance.size_down`).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .rational import Frac, ZERO, frac, parse_ratio, ratio_str
+from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 
 HALF = Frac(1, 2)
 FIVE_SIXTHS = Frac(5, 6)
@@ -76,6 +81,13 @@ class Instance:
 
     def max_size(self):
         return max(self.sizes[1:])
+
+    @cached_property
+    def integer_image(self):
+        """(L, q): L is the lcm of the sizes' denominators and q[j] = L p_j,
+        a tuple indexed by job with q[0] = 0, nondecreasing like the sizes."""
+        scale, ints = integer_image(self.sizes[1:])
+        return scale, (0, *ints)
 
 
 def make_instance(num_machines: int, jobs: list, names: list | None = None) -> Instance:
@@ -178,14 +190,21 @@ def serialize_instance(inst: Instance) -> str:
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    """An instance with sizes divided by the guess T; carries epsilon and R."""
+    """An instance with sizes divided by the guess T; carries epsilon and R.
+
+    With T = a/b and the base's integer image (L, q), job j's scaled size is
+    b q_j / (L a): it is small iff 2 b q_j <= L a and huge iff
+    6 b q_j > 5 L a. Since q is nondecreasing in the job id, the small jobs
+    are the ids below `small_end` and the huge ones those from `huge_start`.
+    """
 
     base: Instance
     guess: object  # positive rational T
     epsilon: object  # rational in (0, 1/12)
-    size: tuple  # scaled sizes, index 0 unused
     R: object = field(init=False)
     load_cap: object = field(init=False)  # 1 + R, the per-machine load cap
+    small_end: int = field(init=False)  # the first job id that is not small
+    huge_start: int = field(init=False)  # the first huge job id
     job_class: tuple = field(init=False)
 
     def __post_init__(self):
@@ -193,34 +212,54 @@ class ScaledInstance:
             raise ValueError("epsilon must lie strictly between 0 and 1/12")
         object.__setattr__(self, "R", FIVE_SIXTHS + 2 * self.epsilon)
         object.__setattr__(self, "load_cap", 1 + self.R)
-        object.__setattr__(
-            self, "job_class",
-            tuple([None] + [classify_job(p) for p in self.size[1:]]),
-        )
+        q = self.base.integer_image[1]
+        unit, b = self.unit, int(self.guess.denominator)
+        small_end = bisect_right(q, unit // (2 * b), 1)
+        huge_start = bisect_right(q, 5 * unit // (6 * b), 1)
+        object.__setattr__(self, "small_end", small_end)
+        object.__setattr__(self, "huge_start", huge_start)
+        object.__setattr__(self, "job_class", (
+            (None,) + (JobClass.SMALL,) * (small_end - 1)
+            + (JobClass.MEDIUM,) * (huge_start - small_end)
+            + (JobClass.HUGE,) * (len(q) - huge_start)
+        ))
+
+    @property
+    def unit(self) -> int:
+        """L a: scaled size 1 over the common denominator L a, on which job
+        j weighs b q_j (`int_size`)."""
+        return self.base.integer_image[0] * int(self.guess.numerator)
+
+    def int_size(self, j) -> int:
+        """b q_j, the scaled size of job j times `unit`."""
+        return int(self.guess.denominator) * self.base.integer_image[1][j]
+
+    @cached_property
+    def size(self):
+        """Scaled sizes p_j / T, index 0 unused."""
+        return tuple([None] + [self.base.sizes[j] / self.guess for j in self.base.jobs])
 
     def size_down(self, j):
         return FIVE_SIXTHS if self.job_class[j] is JobClass.HUGE else self.size[j]
 
     def is_small(self, j) -> bool:
-        return self.job_class[j] is JobClass.SMALL
+        return j < self.small_end
 
     def is_huge(self, j) -> bool:
-        return self.job_class[j] is JobClass.HUGE
+        return j >= self.huge_start
 
     def small_jobs(self):
-        return [j for j in self.base.jobs if self.is_small(j)]
+        return list(range(1, self.small_end))
 
     def huge_jobs(self):
-        return [j for j in self.base.jobs if self.is_huge(j)]
+        return list(range(self.huge_start, len(self.job_class)))
 
 
 def scale_instance(inst: Instance, guess, epsilon) -> ScaledInstance:
     """Divide all sizes by the guess T exactly; the base is never mutated."""
     if guess <= 0:
         raise ValueError("guess must be positive")
-    guess = frac(guess)
-    sizes = tuple([None] + [inst.sizes[j] / guess for j in inst.jobs])
-    return ScaledInstance(base=inst, guess=guess, epsilon=frac(epsilon), size=sizes)
+    return ScaledInstance(base=inst, guess=frac(guess), epsilon=frac(epsilon))
 
 
 UNASSIGNED = None

@@ -2,13 +2,19 @@
 
 Decides the assignment LP at scaled threshold 1 as an exact max-flow on the
 network source -> job (capacity P_j) -> permitted machine (capacity P_j) ->
-sink (capacity L), where L is the common denominator of the sizes and
-P_j = L p_j: the LP is feasible exactly when the flow saturates every job,
-and x[j,i] = f[j,i] / P_j is then a solution. The flow stays integral from
-there on: cycles of its support are cancelled on the integers until it is a
-forest, and the forest is rounded so that every machine receives at most one
-extra fractional job. The x-values are only derived when read. The resulting
-plain load per machine is at most 1 + max small/medium size <= 11/6.
+sink (capacity U). With the guess T = a/b and the instance's integer image
+p_j = q_j / L, U = L a and P_j = b q_j, so P_j / U is job j's scaled size:
+the LP is feasible exactly when the flow saturates every job, and
+x[j,i] = f[j,i] / P_j is then a solution. The network's arcs are laid once
+per solve (`flow.AssignmentNetwork`) and each guess only resets their
+capacities. A failed flow yields a Hall violator J, small/medium jobs with
+p(J) > T |Gamma(J)|; the solve hands its violators back to later guesses,
+which are decided without a flow while one of them still proves them
+infeasible. The flow stays integral from there on: cycles of its support are
+cancelled on the integers until it is a forest, and the forest is rounded so
+that every machine receives at most one extra fractional job. The x-values
+are only derived when read. The resulting plain load per machine is at most
+1 + max small/medium size <= 11/6.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .rational import Frac, ZERO, integer_image
+from .flow import AssignmentNetwork
+from .rational import Frac, ZERO
 from .simplex import SimplexError
 from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
 from .model import Schedule, ScaledInstance
@@ -26,13 +33,15 @@ class SeedInfeasible(Exception):
     """The assignment LP has no solution at this guess (so neither has the
     configuration LP): the guess is below the optimum.
 
-    `jobs` is a Hall violator when the flow found one: small/medium jobs J
-    with p(J) > |union of their permitted sets| at scaled threshold 1.
+    `jobs` is a Hall violator: small/medium jobs J with p(J) > |union of
+    their permitted sets| at scaled threshold 1. `reused` tells that J came
+    from the solve's earlier violators and no flow ran at this guess.
     """
 
-    def __init__(self, jobs=()):
+    def __init__(self, jobs=(), reused=False):
         super().__init__("assignment LP infeasible")
         self.jobs = tuple(jobs)
+        self.reused = reused
 
 
 @dataclass
@@ -59,106 +68,28 @@ class FractionalAssignment:
         )
 
 
-class _Network:
-    """Residual graph with integer capacities; arc e and its reverse e ^ 1."""
-
-    def __init__(self, nodes):
-        self.out = [[] for _ in range(nodes)]  # arc ids leaving each node
-        self.head = []
-        self.cap = []
-
-    def arc(self, u, v, cap):
-        self.out[u].append(len(self.head))
-        self.head.append(v)
-        self.cap.append(cap)
-        self.out[v].append(len(self.head))
-        self.head.append(u)
-        self.cap.append(0)
-
-    def levels(self, source):
-        """BFS distance from the source over arcs with residual capacity;
-        -1 marks nodes the source cannot reach."""
-        level = [-1] * len(self.out)
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in self.out[u]:
-                v = self.head[e]
-                if level[v] < 0 and self.cap[e] > 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def push_path(self, source, sink, level, cursor):
-        """Augment along one source-sink path of the level graph and return
-        the amount pushed, 0 once the phase's flow is blocking. Iterative
-        depth-first search; cursor[u] skips arcs already found useless."""
-        head, cap, out = self.head, self.cap, self.out
-        path = []
-        u = source
-        while u != sink:
-            arcs = out[u]
-            while cursor[u] < len(arcs):
-                e = arcs[cursor[u]]
-                if cap[e] > 0 and level[head[e]] == level[u] + 1:
-                    break
-                cursor[u] += 1
-            else:
-                if not path:
-                    return 0
-                u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
-                cursor[u] += 1
-                continue
-            path.append(e)
-            u = head[e]
-        delta = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= delta
-            cap[e ^ 1] += delta
-        return delta
-
-    def max_flow(self, source, sink):
-        """Dinic's algorithm; returns the flow value and the final levels."""
-        total = 0
-        while True:
-            level = self.levels(source)
-            if level[sink] < 0:
-                return total, level
-            cursor = [0] * len(self.out)
-            while pushed := self.push_path(source, sink, level, cursor):
-                total += pushed
-
-
-def solve_assignment_lp(scaled: ScaledInstance) -> FractionalAssignment:
+def solve_assignment_lp(scaled: ScaledInstance,
+                        network: AssignmentNetwork | None = None) -> FractionalAssignment:
     """Forest-supported solution of the small/medium assignment LP.
 
     Constraints: sum_i x[j,i] = 1 per job, sum_j p_j x[j,i] <= 1 per machine.
-    Solved as an exact max-flow with every capacity scaled by the common
-    denominator L of the sizes, so that the flow is integral: job j supplies
-    P_j = L p_j and every machine absorbs L. The support then goes through
-    `eliminate_support_cycles`, so it has at most jobs + machines entries.
-    Raises SeedInfeasible, carrying the Hall violator read off the residual
-    graph, when the flow cannot saturate every job.
+    Solved as an exact max-flow on integer capacities: job j supplies
+    P_j = b q_j and every machine absorbs U = L a (see the module docstring).
+    `network` is the instance's arc template, laid here when not given. The
+    support then goes through `eliminate_support_cycles`, so it has at most
+    jobs + machines entries. Raises SeedInfeasible, carrying the Hall
+    violator read off the residual graph, when the flow cannot saturate
+    every job.
     """
-    sm_jobs = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
+    sm_jobs = range(1, scaled.huge_start)
     if not sm_jobs:
         return FractionalAssignment({}, {})
-    n, m = len(sm_jobs), scaled.base.num_machines
-    scale, supply = integer_image(scaled.size[j] for j in sm_jobs)
-    source, sink = 0, n + m + 1  # jobs are nodes 1..n, machine i is node n + i
-    net = _Network(n + m + 2)
-    for k in range(n):
-        net.arc(source, k + 1, supply[k])
-    job_arcs = []
-    for k, j in enumerate(sm_jobs):
-        for i in sorted(scaled.base.gamma[j]):
-            job_arcs.append((k, i, len(net.head)))
-            net.arc(k + 1, n + i, supply[k])
-    for i in scaled.base.machines:
-        net.arc(n + i, sink, scale)
-
-    value, level = net.max_flow(source, sink)
+    if network is None:
+        network = AssignmentNetwork(scaled.base)
+    supply = [0] * len(scaled.job_class)
+    for j in sm_jobs:
+        supply[j] = scaled.int_size(j)
+    value, level = network.max_flow(supply, scaled.unit)
     if value < sum(supply):
         # The reachable machines are full, or the flow would augment, and only
         # reachable jobs load them, or a reverse arc would reach the job. A
@@ -167,14 +98,21 @@ def solve_assignment_lp(scaled: ScaledInstance) -> FractionalAssignment:
         # too and the job was reached back through that machine. Some
         # reachable job is short of its supply, so these jobs J outweigh the
         # full union of their permitted sets: p(J) > |Gamma(J)|.
-        raise SeedInfeasible(j for k, j in enumerate(sm_jobs) if level[k + 1] >= 0)
-    flow = {}
-    for k, i, e in job_arcs:
-        if f := supply[k] - net.cap[e]:
-            flow[(sm_jobs[k], i)] = f
-    fa = FractionalAssignment(flow, dict(zip(sm_jobs, supply)))
+        raise SeedInfeasible(j for j in sm_jobs if level[j] >= 0)
+    fa = FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
     eliminate_support_cycles(fa)
     return fa
+
+
+def still_violates(scaled: ScaledInstance, jobs) -> bool:
+    """Whether the Hall violator `jobs`, found at an earlier guess, proves
+    this guess infeasible too: every job of it is small or medium here, and
+    b sum_J q_j > L a |Gamma(J)|, i.e. p(J) > T |Gamma(J)|."""
+    if any(scaled.is_huge(j) for j in jobs):
+        return False
+    gamma = scaled.base.gamma
+    machines = set().union(*(gamma[j] for j in jobs))
+    return sum(scaled.int_size(j) for j in jobs) > scaled.unit * len(machines)
 
 
 def _support_cycle(entries):
@@ -318,15 +256,22 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     return schedule
 
 
-def seed_small_medium(scaled: ScaledInstance) -> Schedule:
+def seed_small_medium(scaled: ScaledInstance, violators=(),
+                      network: AssignmentNetwork | None = None) -> Schedule:
     """Assign every small and medium job with plain load <= 1 + max sm size.
 
     Raises SeedInfeasible when the assignment LP (a relaxation of the
-    configuration LP) has no solution, i.e. the guess is too small.
+    configuration LP) has no solution, i.e. the guess is too small: with the
+    first of `violators` (Hall violators from earlier guesses of the solve)
+    that still proves it, without a flow, and otherwise when the flow on
+    `network` fails.
     """
-    fa = solve_assignment_lp(scaled)
+    for jobs in violators:
+        if still_violates(scaled, jobs):
+            raise SeedInfeasible(jobs, reused=True)
+    fa = solve_assignment_lp(scaled, network)
     schedule = round_forest(fa, scaled)
-    sm = [j for j in scaled.base.jobs if not scaled.is_huge(j)]
+    sm = range(1, scaled.huge_start)
     assert all(schedule.machine_of(j) is not None for j in sm)
     bound = 1 + max((scaled.size[j] for j in sm), default=ZERO)
     for i in scaled.base.machines:

@@ -170,6 +170,16 @@ class TestBench:
         assert err.startswith("input error:") and "repetitions" in err
         assert out == ""
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bench_rejects_fewer_than_one_worker(self, workdir, capsys, workers):
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "good.ra").write_text("ra 1\nmachines 1\njob a 1/3 : 1\n")
+        code, out, err = run_cli(capsys, "bench", str(corpus), "--workers", workers)
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:") and "workers" in err
+        assert out == ""
+
     @pytest.mark.parametrize("workers, files, cpus, expected",
                              [(64, 2, 8, 2), (8, 5, 3, 3), (4, 3, None, 1)])
     def test_bench_pool_size_is_capped(self, workdir, capsys, monkeypatch,

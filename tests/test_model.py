@@ -180,6 +180,26 @@ class TestScaling:
         assert integer_image([]) == (1, [])
         assert integer_image([Frac(1, 4), Frac(5, 6), Frac(2)]) == (12, [3, 10, 24])
 
+    def test_instance_keeps_one_integer_image(self):
+        inst = make_instance(2, [(Frac(5, 6), {1}), (Frac(1, 4), {2}), (Frac(2), {1, 2})])
+        assert inst.integer_image == (12, (0, 3, 10, 24))
+        assert inst.integer_image is inst.integer_image
+
+    @given(st.lists(rationals, min_size=1, max_size=8), rationals)
+    def test_integer_classes_match_the_rational_ones(self, sizes, guess):
+        inst = make_instance(1, [(p, {1}) for p in sizes])
+        # the guesses at which some job sits exactly on a class boundary
+        for T in (guess, 2 * inst.sizes[1], Frac(6, 5) * inst.sizes[-1]):
+            sc = scale_instance(inst, T, EPS)
+            for j in inst.jobs:
+                p = inst.sizes[j] / T
+                assert sc.job_class[j] is classify_job(p)
+                assert sc.is_small(j) == (p <= Frac(1, 2))
+                assert sc.is_huge(j) == (p > Frac(5, 6))
+                assert Frac(sc.int_size(j), sc.unit) == p == sc.size[j]
+            assert sc.small_jobs() == [j for j in inst.jobs if sc.is_small(j)]
+            assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]
+
     def test_r_and_scaled_sizes_exact(self):
         inst = make_instance(2, [(Frac(3, 4), {1, 2})])
         sc = scale_instance(inst, Frac(3, 2), EPS)

@@ -1,15 +1,18 @@
 """The max-flow seed: agreement with the LP it replaces, Hall violators on
-infeasibility, and supports too long for recursive graph searches."""
+infeasibility and their reuse across a solve's guesses, the shared flow
+network, and supports too long for recursive graph searches."""
 
 import random
 
 import pytest
 
-from rasched import driver
+from rasched import driver, seed
+from rasched.engine import EngineInvariantError
+from rasched.flow import AssignmentNetwork
 from rasched.rational import Frac, integer_image
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
 from rasched.seed import (SeedInfeasible, solve_assignment_lp, seed_small_medium,
-                          _support_cycle)
+                          still_violates, _support_cycle)
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
@@ -90,9 +93,9 @@ def test_flow_decides_exactly_like_the_lp():
 def test_hall_violator_on_every_infeasible_probe(monkeypatch):
     violators = []
 
-    def recording_seed(scaled):
+    def recording_seed(scaled, *args):
         try:
-            return seed_small_medium(scaled)
+            return seed_small_medium(scaled, *args)
         except SeedInfeasible as exc:
             violators.append((scaled, exc.jobs))
             raise
@@ -112,6 +115,138 @@ def test_hall_violator_on_every_infeasible_probe(monkeypatch):
         assert jobs and all(not sc.is_huge(j) for j in jobs)
         machines = set().union(*(sc.base.gamma[j] for j in jobs))
         assert sum(sc.size[j] for j in jobs) > len(machines)
+
+
+def test_a_shared_network_flows_like_a_fresh_one():
+    """One network per instance, reused over all its guesses in order, gives
+    the entries and violators of a network laid for each guess alone."""
+    networks = {}
+    for name, inst, guess in differential_cases():
+        sc = scale_instance(inst, guess, EPS)
+        shared = networks.setdefault(id(inst), AssignmentNetwork(inst))
+        outcomes = []
+        for network in (shared, None):
+            try:
+                outcomes.append(solve_assignment_lp(sc, network).entries)
+            except SeedInfeasible as exc:
+                outcomes.append(exc.jobs)
+        assert outcomes[0] == outcomes[1], (name, guess)
+
+
+def solve_cases():
+    """Over 200 small gen-preset and two-value instances."""
+    rng = random.Random(11)
+    cases = []
+    for k in range(180):
+        cases.append(generate_instance(GenSpec(machines=2 + k % 4, jobs=4 + k % 9,
+                                               preset=PRESETS[k % len(PRESETS)],
+                                               density=(Frac(1, 3), Frac(1, 2),
+                                                        Frac(2, 3))[k % 3], seed=k)))
+    cases += [two_value_instance(rng, 4 + k % 5) for k in range(30)]
+    return cases
+
+
+def solve_record(inst):
+    rep = driver.solve(inst, EPS, log_events=True)
+    return rep.to_text(), [(run.guess, run.j_new, run.outcome, run.events, run.snapshot)
+                           for run in rep.run_logs]
+
+
+def test_reused_violators_decide_like_the_flow(monkeypatch):
+    cases = solve_cases()
+    assert len(cases) >= 200
+    reused = []
+
+    def counting_seed(scaled, *args):
+        try:
+            return seed_small_medium(scaled, *args)
+        except SeedInfeasible as exc:
+            reused.append(exc.reused)
+            raise
+
+    monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
+    with_reuse = [solve_record(inst) for inst in cases]
+    assert sum(reused) >= 100 and not all(reused)
+
+    def flow_every_probe(scaled, violators, network):
+        return seed_small_medium(scaled, [], network)
+
+    monkeypatch.setattr(driver, "seed_small_medium", flow_every_probe)
+    for inst, record in zip(cases, with_reuse):
+        assert solve_record(inst) == record
+
+
+def test_a_violator_with_a_job_now_huge_is_not_reused():
+    # at T = 4 the jobs weigh 1/2 + 3/4 > 1 on the one machine; at T = 7/2
+    # the larger weighs 6/7, huge, and the seed drops it, though the two
+    # still weigh more than the machine holds
+    inst = make_instance(1, [(Frac(3), {1}), (Frac(2), {1})])
+    with pytest.raises(SeedInfeasible) as info:
+        solve_assignment_lp(scale_instance(inst, 4, EPS))
+    jobs = info.value.jobs
+    assert jobs == (1, 2)
+    sc = scale_instance(inst, Frac(7, 2), EPS)
+    assert sc.is_huge(2) and not sc.is_huge(1)
+    assert sum(sc.size[j] for j in jobs) > 1
+    assert not still_violates(sc, jobs)
+    sched = seed_small_medium(sc, [jobs])
+    assert sched.machine_of(1) == 1 and sched.machine_of(2) is None
+
+
+def test_a_violator_at_hall_equality_is_not_reused():
+    inst = make_instance(1, [(Frac(3), {1}), (Frac(3), {1})])
+    with pytest.raises(SeedInfeasible) as info:
+        solve_assignment_lp(scale_instance(inst, 5, EPS))
+    jobs = info.value.jobs
+    # at T = 6 the jobs fill the machine exactly: the LP is feasible
+    sched = seed_small_medium(scale_instance(inst, 6, EPS), [jobs])
+    assert {sched.machine_of(1), sched.machine_of(2)} == {1}
+    # just below, the stored violator decides the guess without a flow
+    with pytest.raises(SeedInfeasible) as info:
+        seed_small_medium(scale_instance(inst, Frac(11, 2), EPS), [(2,), jobs])
+    assert info.value.reused and info.value.jobs == jobs
+
+
+def bisection_instance():
+    """An instance whose bisection runs a successful seed after a failed
+    flow, so a stored violator meets a feasible guess."""
+    inst = generate_instance(GenSpec(machines=3, jobs=9, preset="uniform",
+                                     density=Frac(1, 2), seed=1))
+    outcomes = [outcome for _, outcome in driver.solve(inst, EPS).probes]
+    first_failure = outcomes.index("seed-infeasible")
+    assert "success" in outcomes[first_failure:]
+    return inst
+
+
+def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
+    inst = bisection_instance()
+    flows, reused = [], []
+
+    def counting_flow(scaled, network=None):
+        flows.append(scaled.guess)
+        return solve_assignment_lp(scaled, network)
+
+    def counting_seed(scaled, *args):
+        try:
+            return seed_small_medium(scaled, *args)
+        except SeedInfeasible as exc:
+            if exc.reused:
+                reused.append(scaled.guess)
+            raise
+
+    monkeypatch.setattr(driver, "solve_assignment_lp", counting_flow)
+    monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
+    audited = driver.solve(inst, EPS, audit=True)
+    assert reused and flows == reused
+    assert audited.to_text() == driver.solve(inst, EPS).to_text()
+
+
+def test_audit_refutes_a_violator_reused_at_a_feasible_guess(monkeypatch):
+    inst = bisection_instance()
+    monkeypatch.setattr(seed, "still_violates", lambda scaled, jobs: True)
+    driver.solve(inst, EPS)  # unaudited, the false proof goes unnoticed
+    with pytest.raises(EngineInvariantError, match="reused Hall violator"):
+        driver.solve(inst, EPS, audit=True)
 
 
 def test_hall_violator_of_a_hand_built_instance():
