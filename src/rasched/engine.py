@@ -9,6 +9,9 @@ search is stuck and the final tree certifies that the guess was too small.
 Both edits change only the tail of the (layer, sublayer, stamp) order, so
 the tree is one stack of live blockers.
 
+Every load condition sums integer sizes over the probe's unit and compares
+the sum with the integer cap (`ScaledInstance.int_cap`).
+
 Determinism: additions tie-break by (job id, machine id), valid moves by
 insertion stamp, so identical inputs replay identical event sequences.
 """
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
-from .rational import Frac, ZERO
 from .model import Schedule, UNASSIGNED, JobClass, validate_partial_schedule
 
 
@@ -65,8 +67,7 @@ def layer_cap(num_machines: int, epsilon) -> int:
     t = max(1, math.ceil(math.log(num_machines) + 1))
     while math.exp(t - 1) < num_machines:  # float guard at the boundary
         t += 1
-    product = Frac(2) * t / epsilon
-    return int(-((-product.numerator) // product.denominator))
+    return -(-2 * t * epsilon.denominator // epsilon.numerator)
 
 
 class Blocker:
@@ -318,19 +319,17 @@ class InsertionEngine:
 
     def _plain_minus_huge(self, i):
         sched = self.schedule
-        if not sched.huges[i]:
-            return sched.load(i)
-        return sched.load(i) - sum((self.scaled.size[h] for h in sched.huges[i]), ZERO)
+        return sched.int_load(i) - self._sum_sizes(sched.huges[i])
 
     def _sum_sizes(self, jobs):
-        return sum((self.scaled.size[j] for j in jobs), ZERO)
+        return sum(self.scaled.int_size(j) for j in jobs)
 
     def _small_and_min_medium(self, i, layer):
         """Size of the small jobs on i blocked within layers <= layer, and
-        size of i's smallest medium job (0 without one)."""
+        size of i's smallest medium job (0 without one), over the unit."""
         s_sum = self._sum_sizes(self.blocked_smalls_on(i, prefix=layer))
         mn = self.schedule.min_medium(i)
-        return s_sum, (self.scaled.size[mn] if mn is not None else ZERO)
+        return s_sum, (self.scaled.int_size(mn) if mn is not None else 0)
 
     def classify_potential_move(self, j, i, k):
         """Blocker type the move (j, i) would get in layer k, or None.
@@ -343,8 +342,8 @@ class InsertionEngine:
         if self.undesirable_on(j, i, prefix=k):
             return None
         sc = self.scaled
-        cap = sc.load_cap
-        p_j = sc.size[j]
+        cap = sc.int_cap
+        p_j = sc.int_size(j)
         cls = sc.job_class[j]
         if cls is JobClass.SMALL:
             return BlockerType.S
@@ -366,8 +365,8 @@ class InsertionEngine:
         """Re-check the conditions marked for re-evaluation on the blocker's
         type against the current schedule (using the blocker's own layer)."""
         sc = self.scaled
-        cap = sc.load_cap
-        p_j = sc.size[b.job]
+        cap = sc.int_cap
+        p_j = sc.int_size(b.job)
         if b.btype in (BlockerType.BB, BlockerType.S):
             return True
         if b.btype in (BlockerType.MS, BlockerType.BS):
@@ -381,13 +380,13 @@ class InsertionEngine:
     # ---------- the loop pieces ----------
 
     def move_is_valid(self, j, i) -> bool:
-        sched = self.schedule
+        sched, sc = self.schedule, self.scaled
         if sched.machine_of(j) == i:
             return False
-        if self.scaled.is_huge(j) and sched.huges[i]:
+        if sc.is_huge(j) and sched.huges[i]:
             return False
-        up_load = self._plain_minus_huge(i) + len(sched.huges[i])  # huge jobs count 1
-        return up_load + self.scaled.size[j] <= self.scaled.load_cap
+        up_load = self._plain_minus_huge(i) + len(sched.huges[i]) * sc.unit  # a huge job counts 1
+        return up_load + sc.int_size(j) <= sc.int_cap
 
     def find_valid_move(self):
         """Live blocker with a valid move in the lowest (layer, sublayer),
@@ -558,7 +557,7 @@ class InsertionEngine:
     def check_invariants(self):
         """Loop-top invariant suite; returns a list of violation strings."""
         sc, sched, tree = self.scaled, self.schedule, self.tree
-        cap = sc.load_cap
+        cap = sc.int_cap
         out = []
         live = tree.blockers()
         seen_moves = set()
@@ -588,7 +587,7 @@ class InsertionEngine:
                 out.append(f"job {b.job} has blockers in layers {prev} and {b.layer}")
             layer_of_job[b.job] = b.layer
 
-            p_j = sc.size[b.job]
+            p_j = sc.int_size(b.job)
             if b.btype is BlockerType.BB:
                 if self._plain_minus_huge(b.machine) + p_j > cap:
                     out.append(f"{b}: huge-target load condition broke")
@@ -605,7 +604,7 @@ class InsertionEngine:
                 if len(sched.mediums[b.machine]) < 2:
                     out.append(f"{b}: machine has fewer than two medium jobs")
         for i in sc.base.machines:
-            if sched.load(i) != sched.load_from_scratch(i):
+            if sched.int_load(i) != self._sum_sizes(sched.on_machine[i]):
                 out.append(f"machine {i} incremental load drifted")
         out.extend(validate_partial_schedule(sched))
         return out

@@ -2,11 +2,14 @@
 
 Jobs are re-sorted at parse time so internal ids 1..n are nondecreasing in
 (size, original position); min/max over id sets are therefore deterministic.
-An instance keeps one integer image of its sizes, p_j = q_j / L, so that
-a guess T = a/b classifies every job by integer comparisons; the rational
-scaled sizes are only built when first read. Schedules keep one incremental
-plain load per machine. Rounded huge sizes are derived where they are read:
-the engine's validity test counts a huge job as 1, and the certificate
+An instance keeps one integer image of its sizes, p_j = q_j / L. A guess
+T = a/b turns it into integer scaled sizes b q_j over the unit L a, and the
+seed and the search decide by integer comparisons on them: the job classes,
+and machine loads against the cap floor((1 + R) L a). Schedules keep one
+integer plain load per machine. Rationals are built only for output: the
+scaled sizes (`ScaledInstance.size`) when first read and a load
+(`Schedule.load`) when read, for certificates, messages and tests. The
+engine's validity test counts a huge job as the unit, and the certificate
 rounds it down to 5/6 (`ScaledInstance.size_down`).
 """
 
@@ -196,6 +199,8 @@ class ScaledInstance:
     b q_j / (L a): it is small iff 2 b q_j <= L a and huge iff
     6 b q_j > 5 L a. Since q is nondecreasing in the job id, the small jobs
     are the ids below `small_end` and the huge ones those from `huge_start`.
+    An integer load over L a is at most `int_cap` exactly when the scaled
+    load is at most 1 + R.
     """
 
     base: Instance
@@ -203,6 +208,7 @@ class ScaledInstance:
     epsilon: object  # rational in (0, 1/12)
     R: object = field(init=False)
     load_cap: object = field(init=False)  # 1 + R, the per-machine load cap
+    int_cap: int = field(init=False)  # floor((1 + R) L a)
     small_end: int = field(init=False)  # the first job id that is not small
     huge_start: int = field(init=False)  # the first huge job id
     job_class: tuple = field(init=False)
@@ -214,6 +220,8 @@ class ScaledInstance:
         object.__setattr__(self, "load_cap", 1 + self.R)
         q = self.base.integer_image[1]
         unit, b = self.unit, int(self.guess.denominator)
+        object.__setattr__(self, "int_cap",
+                           self.load_cap.numerator * unit // self.load_cap.denominator)
         small_end = bisect_right(q, unit // (2 * b), 1)
         huge_start = bisect_right(q, 5 * unit // (6 * b), 1)
         object.__setattr__(self, "small_end", small_end)
@@ -266,7 +274,10 @@ UNASSIGNED = None
 
 
 class Schedule:
-    """Total map job -> machine-or-unassigned with incremental load accounting."""
+    """Total map job -> machine-or-unassigned with incremental load accounting.
+
+    Loads are integers over `scaled.unit` (`int_load`); `load` reads one as
+    the scaled rational."""
 
     def __init__(self, scaled: ScaledInstance):
         self.scaled = scaled
@@ -276,7 +287,7 @@ class Schedule:
         self.on_machine = [set() for _ in range(m + 1)]
         self.mediums = [set() for _ in range(m + 1)]
         self.huges = [set() for _ in range(m + 1)]
-        self._load = [ZERO] * (m + 1)
+        self._load = [0] * (m + 1)
 
     def machine_of(self, j: int):
         return self.assignment[j]
@@ -292,7 +303,7 @@ class Schedule:
             self.mediums[i].add(j)
         elif cls is JobClass.HUGE:
             self.huges[i].add(j)
-        self._load[i] += sc.size[j]
+        self._load[i] += sc.int_size(j)
 
     def unassign(self, j: int):
         i = self.assignment[j]
@@ -302,19 +313,24 @@ class Schedule:
         self.on_machine[i].discard(j)
         self.mediums[i].discard(j)
         self.huges[i].discard(j)
-        self._load[i] -= sc.size[j]
+        self._load[i] -= sc.int_size(j)
 
     def move(self, j: int, i: int):
         if self.assignment[j] is not UNASSIGNED:
             self.unassign(j)
         self.assign(j, i)
 
-    def load(self, i: int):
+    def int_load(self, i: int) -> int:
+        """The plain load of machine i times `scaled.unit`."""
         return self._load[i]
 
+    def load(self, i: int):
+        return Frac(self._load[i], self.scaled.unit)
+
     def load_from_scratch(self, i: int):
-        """Recompute the load by summation; used by audits and tests."""
-        return sum((self.scaled.size[j] for j in self.on_machine[i]), ZERO)
+        """Recompute the load by summation; used by tests."""
+        sc = self.scaled
+        return Frac(sum(sc.int_size(j) for j in self.on_machine[i]), sc.unit)
 
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""
@@ -327,18 +343,15 @@ class Schedule:
 def validate_partial_schedule(schedule: Schedule) -> list:
     """Return violation strings; empty iff the schedule is a valid partial one."""
     sc = schedule.scaled
-    cap = sc.load_cap
     violations = []
     for j in sc.base.jobs:
         i = schedule.assignment[j]
         if i is not UNASSIGNED and i not in sc.base.gamma[j]:
             violations.append(f"job {j} assigned to machine {i} outside its permitted set")
     for i in sc.base.machines:
-        load = schedule.load(i)
-        if load > cap:
-            violations.append(
-                f"machine {i} load {ratio_str(load)} exceeds cap {ratio_str(cap)}"
-            )
+        if schedule.int_load(i) > sc.int_cap:
+            violations.append(f"machine {i} load {ratio_str(schedule.load(i))}"
+                              f" exceeds cap {ratio_str(sc.load_cap)}")
         if len(schedule.huges[i]) > 1:
             violations.append(f"machine {i} carries {len(schedule.huges[i])} huge jobs")
     return violations

@@ -1,39 +1,20 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic, `fractions.Fraction`, for what is read out.
 
-All sizes, loads and thresholds in this package are exact rationals. The
-backend is gmpy2.mpq (GMP, compiled) when importable and fractions.Fraction
-(pure Python) otherwise; set RASCHED_RATIONAL=fraction|gmpy2 to force one.
-Both backends are arbitrary-precision and produce identical comparisons and
-identical canonical serializations, so results never depend on the choice.
+Input sizes, the bisection's guesses and bounds, certificates, reports and
+traces are exact rationals. A probe's seed and search decide on integers
+instead: the instance keeps one integer image of its sizes, and the guess
+scales it to integer sizes and loads over a common unit (`rasched.model`),
+so a successful probe builds no rational size or load.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction as Frac
 from math import lcm
 
-_choice = os.environ.get("RASCHED_RATIONAL", "auto").lower()
-
-if _choice in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Frac  # type: ignore
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-        from fractions import Fraction as Frac  # type: ignore
-
-        BACKEND = "fraction"
-elif _choice == "fraction":
-    from fractions import Fraction as Frac  # type: ignore
-
-    BACKEND = "fraction"
-else:
-    raise ValueError(f"unsupported RASCHED_RATIONAL value: {_choice!r}")
+BACKEND = "fraction"  # printed by `bench` and the benchmark records
 
 ZERO = Frac(0)
-ONE = Frac(1)
 
 
 def frac(numerator, denominator=None):

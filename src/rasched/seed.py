@@ -12,9 +12,10 @@ p(J) > T |Gamma(J)|; the solve hands its violators back to later guesses,
 which are decided without a flow while one of them still proves them
 infeasible. The flow stays integral from there on: cycles of its support are
 cancelled on the integers until it is a forest, and the forest is rounded so
-that every machine receives at most one extra fractional job. The x-values
-are only derived when read. The resulting plain load per machine is at most
-1 + max small/medium size <= 11/6.
+that every machine receives at most one extra fractional job. The resulting
+plain load per machine is at most U + max P_j, i.e. 1 + max small/medium
+size <= 11/6 at scale. No decision here reads a rational: the x-values and
+scaled loads are only built when something reads them.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def seed_small_medium(scaled: ScaledInstance, violators=(),
     schedule = round_forest(fa, scaled)
     sm = range(1, scaled.huge_start)
     assert all(schedule.machine_of(j) is not None for j in sm)
-    bound = 1 + max((scaled.size[j] for j in sm), default=ZERO)
+    bound = scaled.unit + max((scaled.int_size(j) for j in sm), default=0)
     for i in scaled.base.machines:
-        assert schedule.load(i) <= bound, "seed rounding bound violated"
+        assert schedule.int_load(i) <= bound, "seed rounding bound violated"
     return schedule

@@ -1,8 +1,15 @@
+import fractions
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rasched
+from rasched import rational
 from rasched.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT
 
 
@@ -47,6 +54,24 @@ class TestSolve:
         records = [json.loads(ln) for ln in trace.read_text().splitlines()]
         assert records and records[0]["event"] == "add"
         assert dot.read_text().startswith("digraph")
+
+    def test_stale_backend_variable_is_ignored(self, workdir):
+        # the rational type is fixed; a leftover RASCHED_RATIONAL selects nothing
+        assert rational.BACKEND == "fraction" and rational.Frac is fractions.Fraction
+        inst = workdir / "i.ra"
+        inst.write_text("ra 1\nmachines 2\njob a 1/3 : 1\njob b 9/10 : 1 2\n")
+        src = str(Path(rasched.__file__).resolve().parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "RASCHED_RATIONAL"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def run(**extra):
+            return subprocess.run([sys.executable, "-m", "rasched", "solve", str(inst)],
+                                  env={**env, **extra}, capture_output=True, text=True,
+                                  timeout=60)
+        plain, stale = run(), run(RASCHED_RATIONAL="bogus")
+        assert plain.returncode == stale.returncode == EXIT_OK
+        assert stale.stdout == plain.stdout and stale.stdout.startswith("ra-report 1\n")
+        assert stale.stderr == ""
 
     def test_solve_missing_file_is_input_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "solve", str(workdir / "absent.ra"))

@@ -4,7 +4,8 @@ import pytest
 
 from rasched.rational import Frac
 from rasched.model import make_instance
-from rasched.driver import solve, _greedy, _polish, _makespan
+from rasched.driver import solve, _greedy, _polish, _makespan, _probe
+from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
 from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 from rasched.certificate import certificate_from_text, recheck_certificate
@@ -104,6 +105,24 @@ class TestSolve:
         rep = solve(inst, EPS, TAU)
         assert rep.guess_final <= rep.lower_bound * (1 + TAU) or \
             rep.lower_bound_kind in ("config-lp", "oracle-optimum")
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_successful_probe_builds_no_rational_size(audit):
+    # the seed, the engine's load conditions, the audit and the final
+    # validation all decide on integer sizes over the unit
+    inst = two_value_instance(random.Random(0), 8)
+    moved = 0
+    for guess, outcome in solve(inst, EPS, TAU).probes:
+        if outcome != "success":
+            continue
+        counters = {}
+        res = _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
+                     counters=counters, violators=[], network=AssignmentNetwork(inst))
+        assert res.outcome == "success" and res.certificate is None
+        assert "size" not in res.schedule.scaled.__dict__
+        moved += counters.get("engine_moves", 0)
+    assert moved > 0
 
 
 def differential_cases():

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rasched.rational import Frac, integer_image, ratio_str, parse_ratio
 from rasched.model import (JobClass, classify_job,
@@ -186,6 +188,8 @@ class TestScaling:
         assert inst.integer_image is inst.integer_image
 
     @given(st.lists(rationals, min_size=1, max_size=8), rationals)
+    @example([Frac(1)], Frac(12))  # the cap (1 + R) unit = 23 is an integer
+    @example([Frac(1)], Frac(1))  # the cap (1 + R) unit = 23/12 is not
     def test_integer_classes_match_the_rational_ones(self, sizes, guess):
         inst = make_instance(1, [(p, {1}) for p in sizes])
         # the guesses at which some job sits exactly on a class boundary
@@ -199,6 +203,10 @@ class TestScaling:
                 assert Frac(sc.int_size(j), sc.unit) == p == sc.size[j]
             assert sc.small_jobs() == [j for j in inst.jobs if sc.is_small(j)]
             assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]
+            # integer loads one grain below, at and above (1 + R) unit
+            exact = sc.load_cap * sc.unit
+            for load in range(math.floor(exact) - 1, math.ceil(exact) + 2):
+                assert (load <= sc.int_cap) == (Frac(load, sc.unit) <= sc.load_cap)
 
     def test_r_and_scaled_sizes_exact(self):
         inst = make_instance(2, [(Frac(3, 4), {1, 2})])
