@@ -5,11 +5,15 @@ reason the guess is too small (seed LP infeasible, or a stuck search whose
 dual certificate is verified on the spot). A solve lays the seed's flow
 network once and keeps the Hall violators of its failed seed flows: later
 probes lie above every failed guess, so a violator usually still proves
-them infeasible without a flow. The bracket starts at
-[max job size, makespan of a polished restricted greedy schedule] and shrinks
-until high/low <= 1 + tau. The lowest successful probe's schedule is polished
-by the same move/swap descent, and the better of it and the polished greedy
-schedule is reported; reports serialize byte-identically for identical inputs.
+them infeasible without a flow. A probe without huge jobs is decided by the
+seed flow alone, and its schedule is rounded and validated only when read:
+a solve rounds one such schedule, the lowest successful probe's, unless it
+audits, which rounds and validates every successful probe at once. The
+bracket starts at [max job size, makespan of a polished restricted greedy
+schedule] and shrinks until high/low <= 1 + tau. The lowest successful
+probe's schedule is polished by the same move/swap descent, and the better
+of it and the polished greedy schedule is reported; reports serialize
+byte-identically for identical inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .rational import Frac, ZERO, frac, ratio_str, as_float
 from .model import (Instance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .flow import AssignmentNetwork
-from .seed import SeedInfeasible, seed_small_medium, solve_assignment_lp
+from .seed import SeedInfeasible, seed_small_medium, solve_assignment_lp, round_seed
 from .engine import InsertionEngine, StuckState, EngineInvariantError
 from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
@@ -41,12 +45,32 @@ class RunLog:
     snapshot: list  # blocker dicts of the final tree
 
 
-@dataclass
 class ProbeResult:
-    guess: object
-    outcome: str  # "success" | "seed-infeasible" | "stuck"
-    schedule: Schedule | None = None
-    certificate: DualCertificate | None = None
+    """One probe's outcome: "success", "seed-infeasible" or "stuck".
+
+    A success without huge jobs may keep only its decided seed, `seed` =
+    (LP solution, scaled instance); `schedule` rounds and validates it on
+    first read.
+    """
+
+    def __init__(self, guess, outcome, *, schedule: Schedule | None = None,
+                 certificate: DualCertificate | None = None, seed=None):
+        self.guess, self.outcome, self.certificate = guess, outcome, certificate
+        self._schedule, self._seed = schedule, seed
+
+    @property
+    def schedule(self) -> Schedule | None:
+        if self._seed is not None:
+            self._schedule = _validated(round_seed(*self._seed))
+            self._seed = None
+        return self._schedule
+
+
+def _validated(schedule: Schedule) -> Schedule:
+    bad = validate_partial_schedule(schedule)
+    if bad:
+        raise EngineInvariantError("; ".join(bad))
+    return schedule
 
 
 @dataclass
@@ -96,7 +120,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] = counters.get("seed_lps", 0) + 1
     try:
-        schedule = seed_small_medium(scaled, violators, network)
+        fa = seed_small_medium(scaled, violators, network)
     except SeedInfeasible as exc:
         if not exc.reused:
             violators.append(exc.jobs)
@@ -111,6 +135,9 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                 )
         return ProbeResult(guess, "seed-infeasible")
     huge = sorted(scaled.huge_jobs(), reverse=True)  # decreasing size, det. ties
+    if not huge and not audit:
+        return ProbeResult(guess, "success", seed=(fa, scaled))
+    schedule = round_seed(fa, scaled)
     for j_new in huge:
         engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
         result = engine.run()
@@ -148,10 +175,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                     raise EngineInvariantError("; ".join(bad))
             return ProbeResult(guess, "stuck", certificate=cert)
         schedule = result
-    bad = validate_partial_schedule(schedule)
-    if bad:
-        raise EngineInvariantError("; ".join(bad))
-    return ProbeResult(guess, "success", schedule=schedule)
+    return ProbeResult(guess, "success", schedule=_validated(schedule))
 
 
 def _greedy(inst: Instance) -> dict:
@@ -223,10 +247,11 @@ def _polish(inst: Instance, placement: dict) -> dict:
 
 def _makespan(inst: Instance, placement: dict):
     """The exact maximum machine load of a complete placement."""
-    loads = [ZERO] * (inst.num_machines + 1)
+    scale, sizes = inst.integer_image
+    loads = [0] * (inst.num_machines + 1)
     for j, i in placement.items():
-        loads[i] += inst.sizes[j]
-    return max(loads[1:])
+        loads[i] += sizes[j]
+    return Frac(max(loads[1:]), scale)
 
 
 def _tree_snapshot(engine: InsertionEngine) -> list:
@@ -279,7 +304,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         raise EngineInvariantError(
             "the probe at the greedy makespan cannot fail: a schedule meets it"
         )
-    best_guess, best_schedule = hi, first.schedule
+    best = first
     seed_infeasible_at = None  # the largest guess whose seed LP is infeasible
 
     while hi > lo * (1 + tau):
@@ -289,8 +314,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
                      violators=violators, network=network)
         probes.append((mid, res.outcome))
         if res.outcome == "success":
-            hi = mid
-            best_guess, best_schedule = mid, res.schedule
+            hi, best = mid, res
         elif res.outcome == "seed-infeasible":
             lo, lower_kind = mid, "seed-lp-infeasible"
             seed_infeasible_at = mid
@@ -299,6 +323,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
             lo, lower_kind = mid, "stuck-certificate"
     counters["probes"] = len(probes)
 
+    best_guess, best_schedule = best.guess, best.schedule
     placement = {}
     for j in inst.jobs:
         i = best_schedule.machine_of(j)

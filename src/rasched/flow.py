@@ -3,7 +3,11 @@
 `Network` is a residual graph with integer capacities. `AssignmentNetwork`
 lays the arcs source -> job -> permitted machine -> sink of one instance
 once; each flow it runs only resets their capacities, so every guess of a
-solve shares one graph.
+solve shares one graph. Its flow is Dinic's with the first phase pushed in
+closed form: that phase's level graph is the layered network itself, so its
+blocking flow is a greedy fill that needs no path search. The flow decides a
+guess on its own (`rasched.seed`); it is rounded into a schedule only where
+one is read.
 """
 
 from __future__ import annotations
@@ -106,8 +110,15 @@ class AssignmentNetwork:
             for i in sorted(inst.gamma[j]):
                 self.job_arcs.append((j, i, len(self._owner)))
                 self._lay(j, n + i, j)
+        sink_arc = {}
         for i in inst.machines:
+            sink_arc[i] = len(self._owner)
             self._lay(n + i, self.sink, n + 1)
+        # per job, its source arc and (machine arc, that machine's sink arc)
+        # in machine id order
+        self._fans = [(2 * (j - 1), []) for j in inst.jobs]
+        for j, i, e in self.job_arcs:
+            self._fans[j - 1][1].append((e, sink_arc[i]))
 
     def _lay(self, u, v, owner):
         self.net.arc(u, v, 0)
@@ -118,8 +129,38 @@ class AssignmentNetwork:
         its source arc and on each machine arc, and every machine absorbing
         `capacity`. Returns the flow value and the final levels."""
         values = [0, *supply[1:], capacity]
-        self.net.cap = [values[o] for o in self._owner]
-        return self.net.max_flow(self.source, self.sink)
+        cap = self.net.cap = [values[o] for o in self._owner]
+        first = self._first_phase(cap)
+        value, level = self.net.max_flow(self.source, self.sink)
+        return first + value, level
+
+    def _first_phase(self, cap):
+        """Push Dinic's first blocking flow on `cap` and return its value.
+
+        Every job with supply is at level 1 and every machine it may use at
+        level 2, so the first level graph is source -> job -> machine ->
+        sink, and Dinic's path search takes jobs in id order, each onto its
+        machines in id order, until the job is spent or the machine is full.
+        A machine arc carries the job's whole supply, so each push is the
+        job's remaining supply or the machine's remaining room.
+        """
+        total = 0
+        for source_arc, fan in self._fans:
+            left = supply = cap[source_arc]
+            for e, sink_arc in fan:
+                if not left:
+                    break
+                push = min(left, cap[sink_arc])
+                if push:
+                    cap[e] -= push
+                    cap[e ^ 1] += push
+                    cap[sink_arc] -= push
+                    cap[sink_arc ^ 1] += push
+                    left -= push
+            cap[source_arc] = left
+            cap[source_arc ^ 1] += supply - left
+            total += supply - left
+        return total
 
     def job_flow(self, supply):
         """(job, machine) -> the positive flow on that arc after `max_flow`."""

@@ -27,15 +27,17 @@ def frac(numerator, denominator=None):
 
 
 def parse_ratio(text: str):
-    """Parse 'n' or 'n/d' into an exact rational."""
+    """Parse 'n' or 'n/d' into an exact rational; anything else raises a
+    ValueError that quotes the text."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        d = int(den)
-        if d == 0:
-            raise ValueError(f"zero denominator in ratio {text!r}")
-        return Frac(int(num), d)
-    return Frac(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r} (expected n or n/d)") from None
+    if d == 0:
+        raise ValueError(f"zero denominator in ratio {text!r}")
+    return Frac(n, d)
 
 
 def ratio_str(q) -> str:

@@ -10,12 +10,16 @@ per solve (`flow.AssignmentNetwork`) and each guess only resets their
 capacities. A failed flow yields a Hall violator J, small/medium jobs with
 p(J) > T |Gamma(J)|; the solve hands its violators back to later guesses,
 which are decided without a flow while one of them still proves them
-infeasible. The flow stays integral from there on: cycles of its support are
-cancelled on the integers until it is a forest, and the forest is rounded so
-that every machine receives at most one extra fractional job. The resulting
-plain load per machine is at most U + max P_j, i.e. 1 + max small/medium
-size <= 11/6 at scale. No decision here reads a rational: the x-values and
-scaled loads are only built when something reads them.
+infeasible.
+
+The flow alone decides a guess (`seed_small_medium`). Only a schedule that
+is read gets rounded (`round_seed`): cycles of the flow's support are
+cancelled on the integers until it is a forest, and the forest is rounded
+so that every machine receives at most one extra fractional job. The
+resulting plain load per machine is at most U + max P_j, i.e.
+1 + max small/medium size <= 11/6 at scale. No decision here reads a
+rational: the x-values and scaled loads are only built when something reads
+them.
 """
 
 from __future__ import annotations
@@ -71,16 +75,15 @@ class FractionalAssignment:
 
 def solve_assignment_lp(scaled: ScaledInstance,
                         network: AssignmentNetwork | None = None) -> FractionalAssignment:
-    """Forest-supported solution of the small/medium assignment LP.
+    """A solution of the small/medium assignment LP, or its Hall violator.
 
     Constraints: sum_i x[j,i] = 1 per job, sum_j p_j x[j,i] <= 1 per machine.
     Solved as an exact max-flow on integer capacities: job j supplies
     P_j = b q_j and every machine absorbs U = L a (see the module docstring).
-    `network` is the instance's arc template, laid here when not given. The
-    support then goes through `eliminate_support_cycles`, so it has at most
-    jobs + machines entries. Raises SeedInfeasible, carrying the Hall
-    violator read off the residual graph, when the flow cannot saturate
-    every job.
+    `network` is the instance's arc template, laid here when not given; the
+    flow is copied out of it, since the next guess resets it. Raises
+    SeedInfeasible, carrying the Hall violator read off the residual graph,
+    when the flow cannot saturate every job.
     """
     sm_jobs = range(1, scaled.huge_start)
     if not sm_jobs:
@@ -100,9 +103,7 @@ def solve_assignment_lp(scaled: ScaledInstance,
         # reachable job is short of its supply, so these jobs J outweigh the
         # full union of their permitted sets: p(J) > |Gamma(J)|.
         raise SeedInfeasible(j for j in sm_jobs if level[j] >= 0)
-    fa = FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
-    eliminate_support_cycles(fa)
-    return fa
+    return FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
 
 
 def still_violates(scaled: ScaledInstance, jobs) -> bool:
@@ -258,8 +259,9 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
 
 
 def seed_small_medium(scaled: ScaledInstance, violators=(),
-                      network: AssignmentNetwork | None = None) -> Schedule:
-    """Assign every small and medium job with plain load <= 1 + max sm size.
+                      network: AssignmentNetwork | None = None) -> FractionalAssignment:
+    """Decide whether the small and medium jobs fit the guess, and return
+    the decided LP solution; `round_seed` turns it into a schedule.
 
     Raises SeedInfeasible when the assignment LP (a relaxation of the
     configuration LP) has no solution, i.e. the guess is too small: with the
@@ -270,7 +272,14 @@ def seed_small_medium(scaled: ScaledInstance, violators=(),
     for jobs in violators:
         if still_violates(scaled, jobs):
             raise SeedInfeasible(jobs, reused=True)
-    fa = solve_assignment_lp(scaled, network)
+    return solve_assignment_lp(scaled, network)
+
+
+def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
+    """Assign every small and medium job of a decided LP solution, with
+    plain load <= 1 + max small/medium size on every machine. Cancels the
+    support cycles of `fa` in place, then rounds the forest."""
+    eliminate_support_cycles(fa)
     schedule = round_forest(fa, scaled)
     sm = range(1, scaled.huge_start)
     assert all(schedule.machine_of(j) is not None for j in sm)

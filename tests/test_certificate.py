@@ -7,7 +7,7 @@ import pytest
 from rasched.rational import Frac, ZERO
 from rasched.model import parse_instance, make_instance, scale_instance
 from rasched.engine import BlockerType, StuckState, insert_huge_job
-from rasched.seed import seed_small_medium
+from rasched.seed import seed_small_medium, round_seed
 from rasched.certificate import (build_dual_certificate, verify_objective_negative,
                                  verify_dual_feasibility, verify_certificate,
                                  check_bs_s_machine_counts,
@@ -51,7 +51,7 @@ def three_smalls_stuck():
 def rich_stuck():
     inst = parse_instance(RICH_TEXT)
     sc = scale_instance(inst, RICH_GUESS, EPS)
-    sched = seed_small_medium(sc)
+    sched = round_seed(seed_small_medium(sc), sc)
     for j in sorted(sc.huge_jobs(), reverse=True):
         result, _ = insert_huge_job(sched, j, audit=True)
         if isinstance(result, StuckState):

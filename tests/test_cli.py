@@ -89,6 +89,14 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", str(inst), "--epsilon", "1/2")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("option, value", [("--epsilon", "0.05"), ("--tol", "abc")])
+    def test_malformed_rational_option_names_the_text(self, workdir, capsys, option, value):
+        inst = workdir / "i.ra"
+        inst.write_text("ra 1\nmachines 1\njob a 1/2 : 1\n")
+        code, out, err = run_cli(capsys, "solve", str(inst), option, value)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"input error: bad rational '{value}' (expected n or n/d)\n"
+
     def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
         inst = workdir / "big.ra"
         inst.write_text("ra 1\nmachines 2\n"

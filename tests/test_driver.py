@@ -3,7 +3,8 @@ import random
 import pytest
 
 from rasched.rational import Frac
-from rasched.model import make_instance
+from rasched import seed
+from rasched.model import make_instance, scale_instance
 from rasched.driver import solve, _greedy, _polish, _makespan, _probe
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
@@ -123,6 +124,29 @@ def test_successful_probe_builds_no_rational_size(audit):
         assert "size" not in res.schedule.scaled.__dict__
         moved += counters.get("engine_moves", 0)
     assert moved > 0
+
+
+def test_a_huge_free_solve_rounds_only_the_schedule_it_reads(monkeypatch):
+    # seven unit jobs on three machines: the bisection tries guesses from 2
+    # to 3, where no job is huge, and the LP holds from 7/3 on, below the
+    # optimum 3, so several probes succeed
+    inst = make_instance(3, [(Frac(1), {1, 2, 3})] * 7)
+    rounded = []
+    round_forest = seed.round_forest
+
+    def counting_round(fa, scaled):
+        rounded.append(scaled.guess)
+        return round_forest(fa, scaled)
+
+    monkeypatch.setattr(seed, "round_forest", counting_round)
+    plain = solve(inst, EPS, TAU)
+    assert not any(scale_instance(inst, g, EPS).huge_jobs() for g, _ in plain.probes)
+    assert rounded == [plain.guess_final]
+    rounded.clear()
+    audited = solve(inst, EPS, TAU, audit=True)
+    successes = [g for g, outcome in audited.probes if outcome == "success"]
+    assert len(successes) > 1 and rounded == successes
+    assert audited.to_text() == plain.to_text()
 
 
 def differential_cases():

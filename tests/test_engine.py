@@ -11,7 +11,7 @@ from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
                             layer_cap, SUBLAYER, PRIORITY)
 from rasched.driver import solve
 from rasched.generator import GenSpec, generate_instance
-from rasched.seed import seed_small_medium, SeedInfeasible
+from rasched.seed import seed_small_medium, round_seed, SeedInfeasible
 
 from conftest import EPS, CAP, scaled_of, schedule_of, two_value_instance
 
@@ -277,7 +277,7 @@ class TestRunScenarios:
         for _ in range(2):
             sc = scale_instance(inst, guess, EPS)
             try:
-                sched = seed_small_medium(sc)
+                sched = round_seed(seed_small_medium(sc), sc)
             except SeedInfeasible:
                 pytest.skip("seed infeasible at this guess")
             events = []
@@ -378,7 +378,7 @@ class TestAuditSuite:
         guess = inst.max_size() * Frac(rng.randint(100, 125), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
-            sched = seed_small_medium(sc)
+            sched = round_seed(seed_small_medium(sc), sc)
         except SeedInfeasible:
             return
         for j in sorted(sc.huge_jobs(), reverse=True):
@@ -482,7 +482,7 @@ class TestBlockerIndex:
             density=Frac(2, 3), seed=seed))
         sc = scale_instance(inst, inst.max_size() * Frac(100 + seed, 100), EPS)
         try:
-            sched = seed_small_medium(sc)
+            sched = round_seed(seed_small_medium(sc), sc)
         except SeedInfeasible:
             return
         for j_new in sorted(sc.huge_jobs(), reverse=True):

@@ -6,7 +6,8 @@ from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible,
                           solve_assignment_lp, eliminate_support_cycles,
-                          round_forest, seed_small_medium, _support_cycle)
+                          round_forest, seed_small_medium, round_seed,
+                          _support_cycle)
 from rasched.generator import GenSpec, generate_instance
 from rasched.oracle import exact_config_lp_feasible
 
@@ -53,6 +54,7 @@ class TestAssignmentLP:
             inst = generate_instance(GenSpec(machines=4, jobs=9, seed=seed))
             sc = scale_instance(inst, inst.total_size(), EPS)
             fa = solve_assignment_lp(sc)
+            eliminate_support_cycles(fa)
             assert _support_cycle(fa.entries) is None
             assert len(fa.entries) <= len(fa.jobs) + sc.base.num_machines
 
@@ -191,13 +193,13 @@ class TestRounding:
 class TestSeedPipeline:
     def test_only_huge_jobs_yields_empty_schedule(self):
         sc = scaled_of([(Frac(9, 10), {1}), (Frac(19, 20), {1})], 1)
-        sched = seed_small_medium(sc)
+        sched = round_seed(seed_small_medium(sc), sc)
         assert sched.assigned_jobs() == []
         assert validate_partial_schedule(sched) == []
 
     def test_single_small_job_lands_in_gamma(self):
         sc = scaled_of([(Frac(1, 3), {2})], 3)
-        sched = seed_small_medium(sc)
+        sched = round_seed(seed_small_medium(sc), sc)
         assert sched.machine_of(1) == 2
 
     @pytest.mark.parametrize("seed", range(20))
@@ -210,7 +212,7 @@ class TestSeedPipeline:
         guess = inst.max_size() * Frac(rng.randint(100, 160), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
-            sched = seed_small_medium(sc)
+            sched = round_seed(seed_small_medium(sc), sc)
         except SeedInfeasible:
             assert not exact_config_lp_feasible(inst, guess)
             return

@@ -8,11 +8,12 @@ import pytest
 
 from rasched import driver, seed
 from rasched.engine import EngineInvariantError
-from rasched.flow import AssignmentNetwork
+from rasched.flow import AssignmentNetwork, Network
 from rasched.rational import Frac, integer_image
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
 from rasched.seed import (SeedInfeasible, solve_assignment_lp, seed_small_medium,
-                          still_violates, _support_cycle)
+                          round_seed, still_violates, eliminate_support_cycles,
+                          _support_cycle)
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
@@ -86,8 +87,62 @@ def test_flow_decides_exactly_like_the_lp():
             assert fa.machine_load(sc, i) <= 1
         for (j, i), v in fa.entries.items():
             assert 0 < v <= 1 and i in sc.base.gamma[j]
+        eliminate_support_cycles(fa)
         assert _support_cycle(fa.entries) is None
     assert outcomes == {True, False}
+
+
+def plain_dinic(inst, supply, capacity):
+    """The assignment network with its arcs in `AssignmentNetwork`'s order,
+    flowed by `Network.max_flow` from the first phase on. Returns the flow
+    value, the (job, machine) flows and the final levels."""
+    n, m = inst.num_jobs, inst.num_machines
+    net, arcs = Network(n + m + 2), []
+    for j in inst.jobs:
+        net.arc(0, j, supply[j])
+    for j in inst.jobs:
+        for i in sorted(inst.gamma[j]):
+            arcs.append((j, i, len(net.head)))
+            net.arc(j, n + i, supply[j])
+    for i in inst.machines:
+        net.arc(n + i, n + m + 1, capacity)
+    value, level = net.max_flow(0, n + m + 1)
+    return value, {(j, i): f for j, i, e in arcs if (f := supply[j] - net.cap[e])}, level
+
+
+def hand_networks():
+    """(name, instance, supply, capacity); the jobs are equal in size, so
+    internal ids follow the list."""
+    unit = Frac(1)
+    fan = make_instance(2, [(unit, {1, 2}), (unit, {1}), (unit, {2})])
+    chain = make_instance(2, [(unit, {1}), (unit, {1, 2}), (unit, {2})])
+    return [
+        # job 3 is huge: it keeps arcs of capacity 0
+        ("a job without supply", fan, [0, 4, 3, 0], 4),
+        # job 1 fills machine 1 and goes on to machine 2; job 2 then needs
+        # a later phase, which finds machine 2 full
+        ("a machine full partway through a job", fan, [0, 5, 2, 1], 3),
+        # job 2 splits 2 : 1 and every job is saturated in the first phase
+        ("a first phase that saturates", chain, [0, 2, 3, 1], 4),
+    ]
+
+
+def test_closed_form_first_phase_flows_like_dinic():
+    cases = hand_networks()
+    for name, inst, guess in differential_cases():
+        sc = scale_instance(inst, guess, EPS)
+        supply = [0] * (inst.num_jobs + 1)
+        for j in range(1, sc.huge_start):
+            supply[j] = sc.int_size(j)
+        cases.append((name, inst, supply, sc.unit))
+    saturated = 0
+    for name, inst, supply, capacity in cases:
+        network = AssignmentNetwork(inst)
+        value, level = network.max_flow(supply, capacity)
+        expected = plain_dinic(inst, supply, capacity)
+        assert (value, network.job_flow(supply), level) == expected, name
+        saturated += value == sum(supply)
+    assert 0 < saturated < len(cases)
 
 
 def test_hall_violator_on_every_infeasible_probe(monkeypatch):
@@ -189,7 +244,7 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     assert sc.is_huge(2) and not sc.is_huge(1)
     assert sum(sc.size[j] for j in jobs) > 1
     assert not still_violates(sc, jobs)
-    sched = seed_small_medium(sc, [jobs])
+    sched = round_seed(seed_small_medium(sc, [jobs]), sc)
     assert sched.machine_of(1) == 1 and sched.machine_of(2) is None
 
 
@@ -199,7 +254,8 @@ def test_a_violator_at_hall_equality_is_not_reused():
         solve_assignment_lp(scale_instance(inst, 5, EPS))
     jobs = info.value.jobs
     # at T = 6 the jobs fill the machine exactly: the LP is feasible
-    sched = seed_small_medium(scale_instance(inst, 6, EPS), [jobs])
+    sc = scale_instance(inst, 6, EPS)
+    sched = round_seed(seed_small_medium(sc, [jobs]), sc)
     assert {sched.machine_of(1), sched.machine_of(2)} == {1}
     # just below, the stored violator decides the guess without a flow
     with pytest.raises(SeedInfeasible) as info:
@@ -283,7 +339,7 @@ class TestLongChains:
         for k in range(1, CHAIN):
             assert entries[(inst.internal_of[k - 1], k + 1)] == 1
         assert entries[(inst.internal_of[CHAIN - 1], 1)] == 1
-        assert validate_partial_schedule(seed_small_medium(sc)) == []
+        assert validate_partial_schedule(round_seed(seed_small_medium(sc), sc)) == []
 
     def test_seed_rounds_the_fractional_chain_a_partial_shift_leaves(self):
         # pushing 1/2 through the chain splits every chain job 2/5 : 3/5
@@ -292,7 +348,7 @@ class TestLongChains:
         for k in range(1, CHAIN):
             j = inst.internal_of[k - 1]
             assert (entries[(j, k)], entries[(j, k + 1)]) == (Frac(2, 5), Frac(3, 5))
-        sched = seed_small_medium(sc)
+        sched = round_seed(seed_small_medium(sc), sc)
         assert validate_partial_schedule(sched) == []
         for k in range(1, CHAIN):
             assert sched.machine_of(inst.internal_of[k - 1]) == k + 1
