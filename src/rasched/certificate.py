@@ -4,13 +4,19 @@ A stuck search state yields an exact dual assignment (z per job, y per
 machine) whose objective gap and per-machine knapsack feasibility are
 machine-checkable: together they certify that no fractional schedule of
 makespan 1 (scaled) exists, i.e. the probed guess is below the optimum.
+
+The knapsacks behind the checks and the config-LP pricing run on integers:
+verification weighs jobs by their scaled sizes over the probe's unit and
+values them by one integer image of z; the column generation prices the
+master's integer duals against the instance's integer sizes. Rationals are
+built for what is printed or returned: transcripts, rays and weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rational import Frac, ZERO, frac, parse_ratio, ratio_str
+from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 from .model import Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, scale_instance
 from .engine import BlockerType, StuckState, ALL_UNDESIRABLE
 from .oracle import KnapsackQuery, knapsack_max_value
@@ -119,18 +125,31 @@ def verify_objective_negative(cert: DualCertificate) -> bool:
     return ok
 
 
+def _z_image(cert: DualCertificate):
+    """(scale, z_int): one integer image of the certificate's z, by job."""
+    scale, ints = integer_image(cert.z.values())
+    return scale, dict(zip(cert.z, ints))
+
+
 def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
     """For every machine, maximize z over permitted configurations of size <= 1
-    by exact knapsack and compare with y. Returns (ok, witnesses)."""
+    by exact knapsack and compare with y. Returns (ok, witnesses).
+
+    The knapsacks run on integers: the weights are the scaled sizes over
+    `scaled.unit`, against the capacity `unit`, and the values one integer
+    image of z, whose scale brings each best value back to a rational."""
     witnesses = []
     ok = True
+    z_scale, z_int = _z_image(cert)
+    unit = scaled.unit
     for i in scaled.base.machines:
         jobs = [j for j in scaled.base.jobs
-                if i in scaled.base.gamma[j] and cert.z[j] > 0 and scaled.size[j] <= 1]
+                if i in scaled.base.gamma[j] and z_int[j] > 0 and scaled.int_size(j) <= unit]
         if jobs:
-            value, subset = knapsack_max_value(
-                KnapsackQuery(tuple((scaled.size[j], cert.z[j]) for j in jobs), Frac(1))
+            best, subset = knapsack_max_value(
+                KnapsackQuery(tuple((scaled.int_size(j), z_int[j]) for j in jobs), unit)
             )
+            value = Frac(best, z_scale)
             config = tuple(jobs[t] for t in subset)
         else:
             value, config = ZERO, ()
@@ -195,11 +214,13 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
     sched = engine.schedule
     violations = []
 
+    unit = sc.unit
+    z_scale, z_int = _z_image(cert)
     bigs = []
-    if sc.size[engine.j_new] <= 1:
+    if sc.int_size(engine.j_new) <= unit:
         bigs.append((engine.j_new, 1))
     for j in sched.assigned_jobs():
-        if sc.is_small(j) or sc.size[j] > 1:
+        if sc.is_small(j) or sc.int_size(j) > unit:
             continue
         parent = engine.activator_of(j)
         if parent is not None:
@@ -209,6 +230,7 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
         covered = engine.covered_machines(prefix=k)
         blocked = engine.blocked_small_jobs(prefix=k)
         home = sched.machine_of(j)
+        room = unit - sc.int_size(j)
         for i in sc.base.gamma[j]:
             if i == home or i in covered:
                 continue
@@ -216,13 +238,12 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
                              if jj in blocked or engine.undesirable_on(jj, i, prefix=k)}
             z_all = sum((cert.z[jj] for jj in active_prefix), ZERO)
             items = [jj for jj in sorted(active_prefix)
-                     if i in sc.base.gamma[jj] and cert.z[jj] > 0
-                     and sc.size[jj] <= 1 - sc.size[j]]
+                     if i in sc.base.gamma[jj] and z_int[jj] > 0
+                     and sc.int_size(jj) <= room]
             if items:
-                overlap, _ = knapsack_max_value(KnapsackQuery(
-                    tuple((sc.size[jj], cert.z[jj]) for jj in items),
-                    1 - sc.size[j],
-                ))
+                best, _ = knapsack_max_value(KnapsackQuery(
+                    tuple((sc.int_size(jj), z_int[jj]) for jj in items), room))
+                overlap = Frac(best, z_scale)
             else:
                 overlap = ZERO
             if cert.z[j] > z_all - overlap:
@@ -357,7 +378,8 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
 
     The master is warm-started: priced columns are appended, so the previous
     optimal basis stays primal feasible and each round's simplex resumes from
-    it. `pool`, a dict (machine, config) -> size shared across calls, seeds
+    it. `pool`, a dict (machine, config) -> the configuration's integer size
+    `sum q_j` over the instance's `integer_image`, shared across calls, seeds
     the master with every pooled configuration that fits in T and receives
     the configurations priced here; without it the run starts cold.
 
@@ -366,16 +388,26 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
     T' >= T that shares the same pool may pass it as `resume` and start from
     that basis: each of its columns fits in T' and is in the master again.
 
+    The run decides on integers from the master to the pricing and back.
     The master is an integer LP (0/+-1 coefficients, 0/1 costs, rhs of
-    ones). A run still pricing after `_MAX_CG_ROUNDS` rounds is "unresolved".
+    ones), whose outcome holds its duals as integers `Y` over a scale
+    `D > 0`. With T = a/b and sizes q_j/L, a machine's pricing knapsack
+    weighs job j as `b q_j` against the capacity `L a` and values it at its
+    `Y_j`, and a configuration prices in when its value plus the machine's
+    `Y_i` is positive: every comparison is the rational one times `L b` or
+    `D`. Only the returned weights and ray are rationals. A run still
+    pricing after `_MAX_CG_ROUNDS` rounds is "unresolved".
     """
     T = frac(T)
     m, n = inst.num_machines, inst.num_jobs
     if n == 0:
         return ConfigLPRun("feasible", T, weights={})
     pos = {j: idx for idx, j in enumerate(inst.jobs)}
+    # T = a/b and p_j = q_j/L: p_j <= T iff b q_j <= L a
+    L, q = inst.integer_image
+    b, cap = T.denominator, L * T.numerator
     # each machine's permitted jobs that fit in T, in job order
-    fits = {i: [j for j in inst.jobs if i in inst.gamma[j] and inst.sizes[j] <= T]
+    fits = {i: [j for j in inst.jobs if i in inst.gamma[j] and b * q[j] <= cap]
             for i in inst.machines}
 
     columns, keys = [], []
@@ -390,7 +422,7 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
             generated.add((i, (j,)))
             add_config(i, (j,))
     for key in sorted(pool or ()):
-        if pool[key] <= T and key not in generated:
+        if b * pool[key] <= cap and key not in generated:
             generated.add(key)
             add_config(*key)
     slack_first = len(columns)
@@ -418,23 +450,22 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
         if out.status != "optimal":
             raise CertificateError("covering master cannot be unbounded")
         basis, warm = out.basis, out.warm
-        if out.objective == 0:
+        if out.objective_num == 0:
             weights = {}
             for k, v in out.values.items():
                 if keys[k][0] is not None and v > 0:
                     weights[keys[k]] = v
             return ConfigLPRun("feasible", T, weights=weights, rounds=round_no)
-        alpha = out.duals[:m]
-        beta = out.duals[m:]
-        priced = [b > 0 for b in beta]
+        # the duals times D > 0: machine rows, then job rows
+        alpha, beta = out.Y[:m], out.Y[m:]
         improving = False
         for i in inst.machines:
-            jobs = [j for j in fits[i] if priced[pos[j]]]
+            jobs = [j for j in fits[i] if beta[pos[j]] > 0]
             if not jobs:
-                value, conf = ZERO, ()
+                value, conf = 0, ()
             else:
                 value, subset = knapsack_max_value(KnapsackQuery(
-                    tuple((inst.sizes[j], beta[pos[j]]) for j in jobs), T
+                    tuple((b * q[j], beta[pos[j]]) for j in jobs), cap
                 ))
                 conf = tuple(sorted(jobs[t] for t in subset))
             if value + alpha[i - 1] > 0:
@@ -443,11 +474,12 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
                 generated.add((i, conf))
                 add_config(i, conf)
                 if pool is not None:
-                    pool[(i, conf)] = sum((inst.sizes[j] for j in conf), ZERO)
+                    pool[(i, conf)] = sum(q[j] for j in conf)
                 improving = True
         if not improving:
-            dual_z = {j: beta[pos[j]] for j in inst.jobs}
-            dual_y = {i: -alpha[i - 1] for i in inst.machines}
+            duals = out.duals
+            dual_z = {j: duals[m + pos[j]] for j in inst.jobs}
+            dual_y = {i: -duals[i - 1] for i in inst.machines}
             return ConfigLPRun("infeasible", T, dual_z=dual_z, dual_y=dual_y,
                                rounds=round_no,
                                final=(tuple(keys[k] for k in basis), warm))

@@ -200,8 +200,7 @@ class InsertionEngine:
         self._moves_since_checkpoint = 0
         self._pending_move_sig = None
         self._blocked_memo = (None, None)
-        self._smalls = [j for j in scaled.base.jobs
-                        if scaled.job_class[j] is JobClass.SMALL]
+        self._smalls = range(1, scaled.small_end)  # ids are sorted by size
         self._rigid_smalls = [j for j in self._smalls if len(scaled.base.gamma[j]) <= 1]
 
     # ---------- derived sets ----------

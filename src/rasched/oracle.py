@@ -2,7 +2,9 @@
 
 Everything here is exact; there are no tolerance parameters. The size caps
 are hard errors, not silent truncations, because a degraded oracle is worse
-than none.
+than none. The knapsack is also the config-LP's pricing and verification
+kernel; it takes integer data only, which its callers build from integer
+sizes and integer duals.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .rational import Frac, ZERO, frac, integer_image
+from .rational import ZERO, frac
 from .simplex import solve_equality_feasibility
 from .model import Instance
 
@@ -25,31 +27,37 @@ class CapExceededError(Exception):
 
 @dataclass(frozen=True)
 class KnapsackQuery:
-    items: tuple  # (weight, value) pairs, weights positive, values nonnegative
-    capacity: object
+    items: tuple  # (weight, value) pairs of ints, weights positive, values nonnegative
+    capacity: int
 
     def __post_init__(self):
-        if any(w <= 0 for w, _ in self.items):
-            raise ValueError("weights must be positive")
-        if any(v < 0 for _, v in self.items):
-            raise ValueError("values must be nonnegative")
+        if type(self.capacity) is not int:
+            raise TypeError("knapsack capacity must be an int")
+        for w, v in self.items:
+            if type(w) is not int or type(v) is not int:
+                raise TypeError("knapsack weights and values must be ints")
+            if w <= 0:
+                raise ValueError("weights must be positive")
+            if v < 0:
+                raise ValueError("values must be nonnegative")
 
 
 def knapsack_max_value(query: KnapsackQuery):
     """Exact maximum-value subset under the weight cap, with an argmax set.
 
     Branch and bound in value-density order with the fractional relaxation as
-    the upper bound. Deterministic: the first optimum found in take-before-skip
-    order is kept and reported as sorted original indices. The search runs on
-    integers: weights and capacity are scaled by their common denominator and
-    values by theirs, which leaves every comparison as it is on the rationals.
+    the upper bound, all on the query's integers. Deterministic: the first
+    optimum found in take-before-skip order is kept. Returns the best value
+    and its items as sorted original indices. Scaling the weights and the
+    capacity by one positive factor, or the values by another, leaves every
+    comparison, and so the search and its answer, as it is; a caller with
+    rational data passes such an integer image and reads the value back over
+    its value scale.
     """
     if len(query.items) > KNAPSACK_ITEM_CAP:
         raise CapExceededError(f"knapsack limited to {KNAPSACK_ITEM_CAP} items")
-    _, (cap, *weights) = integer_image([frac(query.capacity),
-                                        *(w for w, _ in query.items)])
-    value_scale, values = integer_image(v for _, v in query.items)
-    usable = [(w, v, idx) for idx, (w, v) in enumerate(zip(weights, values))
+    cap = query.capacity
+    usable = [(w, v, idx) for idx, (w, v) in enumerate(query.items)
               if w <= cap and v > 0]
     # value density v/w descending, then index, compared exactly
     usable.sort(key=cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0] or a[2] - b[2]))
@@ -93,7 +101,7 @@ def knapsack_max_value(query: KnapsackQuery):
         descend(k + 1, room, value)
 
     descend(0, cap, 0)
-    return Frac(best_value, value_scale), best_set
+    return best_value, best_set
 
 
 def exact_optimal_makespan(inst: Instance, *, job_cap: int = MAKESPAN_JOB_CAP):

@@ -19,12 +19,15 @@ X = D x_B and the duals as Y = D c_B B^-1, all plain ints. Every reduced
 cost and every ratio carries the same positive scale D, so the pivot
 sequence is the one a rational implementation would take, and each update
 divides exactly by the old D (Cramer's rule). The duals are kept up to date
-across pivots instead of being recomputed. Only the outputs are rationals.
+across pivots instead of being recomputed. An outcome hands out this integer
+state (Y, D and the objective times D), which is what the column generation
+prices on; its rational objective, values and duals are built when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rational import Frac, ZERO
 
@@ -38,12 +41,39 @@ class SimplexError(RuntimeError):
 
 @dataclass
 class SimplexOutcome:
+    """An optimal or unbounded outcome, in the solver's integer state.
+
+    An optimal outcome carries `Y` = D c_B B^-1 (one int per row), the scale
+    D = |det B| and `objective_num` = D c.x; the rational `objective`,
+    `values` and `duals` are built from them only when read.
+    """
+
     status: str  # "optimal" | "unbounded"
-    objective: object
-    values: dict  # column index -> value, basic columns only (nonbasic are 0)
-    duals: list  # y per row (1 entry per constraint), from c_B B^-1
     basis: list  # column index per basis position
     warm: tuple | None = None  # (A, X, D) of an optimal outcome, for warm starts
+    Y: list | None = None  # the duals times D
+    objective_num: int | None = None  # the objective times D
+
+    @property
+    def D(self) -> int:
+        return self.warm[2]
+
+    @cached_property
+    def objective(self):
+        return None if self.warm is None else Frac(self.objective_num, self.D)
+
+    @cached_property
+    def values(self) -> dict:
+        """column index -> value, basic columns only (nonbasic are 0)"""
+        if self.warm is None:
+            return {}
+        X, D = self.warm[1], self.D
+        return {k: Frac(x, D) for k, x in zip(self.basis, X)}
+
+    @cached_property
+    def duals(self) -> list:
+        """y per row, from c_B B^-1"""
+        return [] if self.Y is None else [Frac(y, self.D) for y in self.Y]
 
 
 def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
@@ -52,8 +82,8 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
     `columns[k]` is a list of (row, coeff) pairs; `initial_basis` must name
     columns that form an identity: column initial_basis[r] has the single
     entry (r, 1). Coefficients, costs and rhs are ints, and all rhs entries
-    must be nonnegative. The outcome's objective, values and duals are exact
-    rationals.
+    must be nonnegative. The outcome holds the integer duals `Y` over the
+    scale `D`; its objective, values and duals are exact rationals.
 
     With `warm=out.warm`, taken from an earlier optimal outcome together with
     its `basis` as `initial_basis`, the solve resumes from that basis instead
@@ -106,10 +136,8 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
                     best = red
                     entering = k
         if entering < 0:
-            values = {basis[r]: Frac(X[r], D) for r in range(m)}
-            obj = Frac(sum(costs[basis[r]] * X[r] for r in range(m)), D)
-            duals = [Frac(y, D) for y in Y]
-            return SimplexOutcome("optimal", obj, values, duals, basis, (A, X, D))
+            obj = sum(costs[basis[r]] * X[r] for r in range(m))
+            return SimplexOutcome("optimal", basis, (A, X, D), Y, obj)
 
         # direction times D: A a_entering
         d = [0] * m
@@ -130,7 +158,7 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
                 if lhs < rhs_ or (lhs == rhs_ and basis[r] < basis[leaving]):
                     leaving = r
         if leaving < 0:
-            return SimplexOutcome("unbounded", None, {}, [], basis)
+            return SimplexOutcome("unbounded", basis)
 
         if X[leaving] == 0:
             degenerate_streak += 1

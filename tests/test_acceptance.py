@@ -206,15 +206,15 @@ def test_criterion_7_oracle_self_consistency():
     knap_bad = 0
     for _ in range(200):
         n = rng.randint(1, 15)
-        items = tuple((Frac(rng.randint(1, 40), 40), Frac(rng.randint(0, 30), 11))
-                      for _ in range(n))
-        cap = Frac(rng.randint(1, 60), 40)
+        # the integer image of weights k/40 against a capacity k/40, values k/11
+        items = tuple((rng.randint(1, 40), rng.randint(0, 30)) for _ in range(n))
+        cap = rng.randint(1, 60)
         value, subset = knapsack_max_value(KnapsackQuery(items, cap))
-        best = ZERO
+        best = 0
         for r in range(n + 1):
             for combo in itertools.combinations(range(n), r):
-                if sum((items[t][0] for t in combo), ZERO) <= cap:
-                    best = max(best, sum((items[t][1] for t in combo), ZERO))
+                if sum(items[t][0] for t in combo) <= cap:
+                    best = max(best, sum(items[t][1] for t in combo))
         if value != best:
             knap_bad += 1
     mk_bad = 0

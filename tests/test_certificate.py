@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rasched.rational import Frac, ZERO
+from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
 from rasched.engine import BlockerType, StuckState, insert_huge_job
 from rasched.seed import seed_small_medium, round_seed
@@ -226,17 +226,10 @@ class TestConfigLPBounds:
         assert all(cover[j] >= 1 for j in inst.jobs)
 
     def test_infeasible_run_produces_knapsack_checked_ray(self):
-        from rasched.oracle import KnapsackQuery, knapsack_max_value
         inst = make_instance(2, [(Frac(1, 2), {1}), (Frac(1, 2), {2}), (Frac(1), {1, 2})])
-        T = Frac(13, 10)
-        run = config_lp_feasible_cg(inst, T)
+        run = config_lp_feasible_cg(inst, Frac(13, 10))
         assert run.status == "infeasible"
-        assert sum(run.dual_z.values(), ZERO) > sum(run.dual_y.values(), ZERO)
-        for i in inst.machines:
-            items = [(inst.sizes[j], run.dual_z[j]) for j in inst.jobs
-                     if i in inst.gamma[j] and inst.sizes[j] <= T and run.dual_z[j] > 0]
-            best = knapsack_max_value(KnapsackQuery(tuple(items), T))[0] if items else ZERO
-            assert best <= run.dual_y[i]
+        assert_ray_is_knapsack_checked(inst, run)
 
     def test_job_larger_than_T_is_never_covered(self):
         inst = make_instance(2, [(Frac(1), {1, 2}), (Frac(1, 4), {1})])
@@ -303,14 +296,19 @@ def cold_bisection(inst, tolerance):
 
 
 def assert_ray_is_knapsack_checked(inst, run):
+    """sum z > sum y, and on every machine no configuration that fits in T
+    has z(C) > y_i: integer knapsacks on the weights b q_j against L a
+    (T = a/b, p_j = q_j/L) and one integer image of z."""
     from rasched.oracle import KnapsackQuery, knapsack_max_value
-    T = run.T
     assert sum(run.dual_z.values(), ZERO) > sum(run.dual_y.values(), ZERO)
+    L, q = inst.integer_image
+    b, cap = run.T.denominator, L * run.T.numerator
+    z_scale, z = integer_image(run.dual_z[j] for j in inst.jobs)
     for i in inst.machines:
-        items = [(inst.sizes[j], run.dual_z[j]) for j in inst.jobs
-                 if i in inst.gamma[j] and inst.sizes[j] <= T and run.dual_z[j] > 0]
-        best = knapsack_max_value(KnapsackQuery(tuple(items), T))[0] if items else ZERO
-        assert best <= run.dual_y[i]
+        items = [(b * q[j], z[j - 1]) for j in inst.jobs
+                 if i in inst.gamma[j] and b * q[j] <= cap and z[j - 1] > 0]
+        best = knapsack_max_value(KnapsackQuery(tuple(items), cap))[0] if items else 0
+        assert Frac(best, z_scale) <= run.dual_y[i]
 
 
 POOLED_CASES = [(preset, seed) for preset in ("collision", "huge_heavy") for seed in range(22)]
@@ -531,3 +529,94 @@ def test_lp_path_matches_the_pinned_digest(monkeypatch):
     """Reports, bounds and column-generation rounds are those of the
     simplex that scaled rational LPs to integers."""
     assert lp_path_digest(monkeypatch) == PINNED_LP_DIGEST
+
+
+def two_value_16(seed):
+    """The benchmark's two-value shape at 16 machines; seeds 0, 7, 8 and 14
+    of range(24) reach stuck probes (two certificates each)."""
+    return two_value_instance(random.Random(seed), 16)
+
+
+def aggressive_stuck_states(seeds):
+    """Audited insertions on seeded schedules at guesses just above the
+    largest size (the acceptance campaign's construction); the first stuck
+    state of each seed that gets stuck."""
+    from rasched.engine import InsertionEngine
+    from rasched.seed import SeedInfeasible
+    for seed in seeds:
+        rng = random.Random(900_000 + seed)
+        m = 2 + seed % 3
+        inst = generate_instance(GenSpec(
+            machines=m, jobs=m + 2 + seed % 6,
+            preset=("uniform", "huge_heavy", "collision")[seed % 3],
+            density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
+        sc = scale_instance(inst, inst.max_size() * Frac(rng.randint(100, 125), 100), EPS)
+        try:
+            schedule = round_seed(seed_small_medium(sc), sc)
+        except SeedInfeasible:
+            continue
+        for j in sorted(sc.huge_jobs(), reverse=True):
+            result = InsertionEngine(schedule, j, audit=True).run()
+            if isinstance(result, StuckState):
+                yield result
+                break
+
+
+def test_every_knapsack_query_is_integral(monkeypatch):
+    """Pricing and both verification knapsacks (the certificate check and
+    the audited big-job bound) hand the kernel ints only."""
+    import sys
+    from collections import Counter
+    import rasched.certificate as cm
+    from rasched.driver import solve
+    callers = Counter()
+    original = cm.knapsack_max_value
+
+    def checked(query):
+        assert type(query.capacity) is int
+        assert all(type(w) is int and type(v) is int for w, v in query.items)
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return original(query)
+
+    monkeypatch.setattr(cm, "knapsack_max_value", checked)
+    for kind, seed in DECIDED_CASES:
+        solve(decided_case(kind, seed), lp_bound=True)
+    for seed in range(24):
+        solve(two_value_16(seed), audit=True)
+    # the big-job bound prices a machine only when an active job there fits
+    # beside the big job, which no audited solve above reaches
+    for stuck in aggressive_stuck_states(range(400)):
+        assert check_big_job_value_bound(stuck, build_dual_certificate(stuck)) == []
+    assert callers["config_lp_feasible_cg"] >= 1000, callers
+    assert callers["verify_dual_feasibility"] >= 50, callers
+    assert callers["check_big_job_value_bound"] >= 2, callers
+
+
+#: computed when the verification knapsacks still took the rational scaled
+#: sizes and z
+PINNED_TRANSCRIPT_DIGEST = "86cd86f3f5591d4b12177bb0880056eac3e77bb77ee5fb033b9ed15d71a73089"
+
+
+def transcript_digest():
+    """(certificates, sha256) over the guess and text (z, y and verification
+    transcript) of every stuck certificate of unaudited solves of the
+    DECIDED_CASES and of 24 two-value instances at 16 machines."""
+    from rasched.driver import solve
+    from rasched.rational import ratio_str
+    h = hashlib.sha256()
+    count = 0
+    cases = [decided_case(kind, seed) for kind, seed in DECIDED_CASES]
+    cases += [two_value_16(seed) for seed in range(24)]
+    for inst in cases:
+        for guess, cert in solve(inst).certificates:
+            count += 1
+            h.update(f"certificate-at {ratio_str(guess)}\n".encode())
+            h.update(certificate_to_text(cert, inst).encode())
+    return count, h.hexdigest()
+
+
+def test_verification_transcripts_match_the_pinned_digest():
+    """Certificates and their transcripts are those of the rational checks."""
+    count, digest = transcript_digest()
+    assert count == 10
+    assert digest == PINNED_TRANSCRIPT_DIGEST

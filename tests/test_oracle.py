@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rasched.rational import Frac, ZERO
+from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import make_instance
 from rasched.oracle import (KnapsackQuery, knapsack_max_value,
                             exact_optimal_makespan, exact_config_lp_feasible,
@@ -38,25 +38,41 @@ def brute_makespan(inst):
     return best
 
 
+def integer_query(items, capacity, weight_factor=1, value_factor=1):
+    """The integer image of rational (weight, value) items and a capacity:
+    weights and capacity times the lcm of their denominators and
+    `weight_factor`, values times the lcm of theirs and `value_factor`.
+    Returns the query and the value scale."""
+    _, (cap, *weights) = integer_image([Frac(capacity), *(w for w, _ in items)])
+    scale, values = integer_image(v for _, v in items)
+    weights = [w * weight_factor for w in weights]
+    values = [v * value_factor for v in values]
+    return KnapsackQuery(tuple(zip(weights, values)), cap * weight_factor), scale * value_factor
+
+
 class TestKnapsack:
     def test_degenerate_capacity_zero(self):
-        q = KnapsackQuery(((Frac(1, 2), Frac(3)),), Frac(0))
-        assert knapsack_max_value(q) == (ZERO, ())
+        assert knapsack_max_value(KnapsackQuery(((1, 3),), 0)) == (0, ())
 
     def test_three_halves(self):
-        q = KnapsackQuery(((Frac(1, 2), Frac(3)), (Frac(1, 2), Frac(4)),
-                           (Frac(1, 2), Frac(5))), Frac(1))
+        q = KnapsackQuery(((1, 3), (1, 4), (1, 5)), 2)
         value, subset = knapsack_max_value(q)
         assert value == 9 and subset == (1, 2)
 
     def test_single_item_too_heavy(self):
-        q = KnapsackQuery(((Frac(3), Frac(10)),), Frac(2))
-        assert knapsack_max_value(q) == (ZERO, ())
+        assert knapsack_max_value(KnapsackQuery(((3, 10),), 2)) == (0, ())
 
     def test_cap_enforced(self):
-        items = tuple((Frac(1), Frac(1)) for _ in range(31))
+        items = tuple((1, 1) for _ in range(31))
         with pytest.raises(CapExceededError):
-            knapsack_max_value(KnapsackQuery(items, Frac(1)))
+            knapsack_max_value(KnapsackQuery(items, 1))
+
+    @pytest.mark.parametrize("items,capacity", [
+        (((Frac(1, 2), 1),), 1), (((1, Frac(1, 2)),), 1), (((1, 1),), Frac(1)),
+        (((1.0, 1),), 1), (((1, 1),), True)])
+    def test_rational_or_float_data_is_refused(self, items, capacity):
+        with pytest.raises(TypeError):
+            KnapsackQuery(items, capacity)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_enumeration(self, seed):
@@ -65,17 +81,19 @@ class TestKnapsack:
         items = tuple((Frac(rng.randint(1, 30), 30), Frac(rng.randint(0, 20), 7))
                       for _ in range(n))
         cap = Frac(rng.randint(1, 45), 30)
-        value, subset = knapsack_max_value(KnapsackQuery(items, cap))
+        query, scale = integer_query(items, cap)
+        best, subset = knapsack_max_value(query)
+        value = Frac(best, scale)
         assert value == brute_knapsack(items, cap)
         assert sum((items[k][0] for k in subset), ZERO) <= cap
         assert sum((items[k][1] for k in subset), ZERO) == value
 
 
-def reference_knapsack_max_value(query):
+def reference_knapsack_max_value(items, capacity):
     """The Fraction branch and bound the integer kernel replaced."""
-    cap = Frac(query.capacity)
+    cap = Frac(capacity)
     usable = [
-        (w, v, idx) for idx, (w, v) in enumerate(query.items) if w <= cap and v > 0
+        (w, v, idx) for idx, (w, v) in enumerate(items) if w <= cap and v > 0
     ]
     usable.sort(key=lambda t: (-(t[1] / t[0]), t[2]))
     n = len(usable)
@@ -120,8 +138,9 @@ def reference_knapsack_max_value(query):
     return best_value, best_set
 
 
-def random_knapsack_query(rng):
-    """Mixed denominators, repeated densities, zero values, heavy items."""
+def random_rational_knapsack(rng):
+    """(items, capacity): mixed denominators, repeated densities, zero values,
+    heavy items."""
     dens = rng.sample([1, 2, 3, 4, 5, 6, 7, 9, 10, 12], 3)
     n = rng.randint(0, 14)
     items = []
@@ -140,24 +159,33 @@ def random_knapsack_query(rng):
     if rng.random() < 0.5 and items:  # at least one item heavier than the cap
         items[rng.randrange(len(items))] = (cap + Frac(1, rng.choice(dens)),
                                              Frac(rng.randint(1, 50)))
-    return KnapsackQuery(tuple(items), cap)
+    return tuple(items), cap
 
 
 class TestKnapsackMatchesRational:
+    """The integer search on an integer image, scaled further by positive
+    factors as callers do, returns the Fraction search's subset and its
+    value times the value scale."""
+
     def test_random_queries_return_identical_value_and_subset(self):
         ties = 0
         for seed in range(600):
-            q = random_knapsack_query(random.Random(seed))
-            got = knapsack_max_value(q)
-            assert got == reference_knapsack_max_value(q)
-            densities = [v / w for w, v in q.items if v > 0 and w <= q.capacity]
+            rng = random.Random(seed)
+            items, cap = random_rational_knapsack(rng)
+            query, scale = integer_query(items, cap, rng.randint(1, 7), rng.randint(1, 7))
+            ref_value, ref_subset = reference_knapsack_max_value(items, cap)
+            assert knapsack_max_value(query) == (ref_value * scale, ref_subset)
+            densities = [v / w for w, v in items if v > 0 and w <= cap]
             ties += len(densities) != len(set(densities))
         assert ties >= 50
 
     def test_equal_densities_keep_the_index_order(self):
-        q = KnapsackQuery(((Frac(1, 2), Frac(1)), (Frac(1, 3), Frac(2, 3)),
-                           (Frac(1, 2), Frac(1)), (Frac(1, 6), Frac(1, 3))), Frac(1))
-        assert knapsack_max_value(q) == reference_knapsack_max_value(q) == (2, (0, 1, 3))
+        items = ((Frac(1, 2), Frac(1)), (Frac(1, 3), Frac(2, 3)),
+                 (Frac(1, 2), Frac(1)), (Frac(1, 6), Frac(1, 3)))
+        query, scale = integer_query(items, 1)
+        assert query == KnapsackQuery(((3, 3), (2, 2), (3, 3), (1, 1)), 6) and scale == 3
+        assert knapsack_max_value(query) == (6, (0, 1, 3))
+        assert reference_knapsack_max_value(items, 1) == (2, (0, 1, 3))
 
 
 class TestMakespan:

@@ -1,6 +1,7 @@
 import copy
 import math
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -237,6 +238,10 @@ class TestWarmStart:
 
 # ---------- differential check against the rational revised simplex ----------
 
+#: the reference's outcome, with the rational fields an integer outcome builds
+RationalOutcome = namedtuple("RationalOutcome", "status objective values duals basis")
+
+
 def reference_simplex_min(num_rows, columns, costs, rhs, initial_basis, *,
                           max_pivots=200000, warm=None):
     """The Fraction revised simplex with a dense B^-1, as the integer solver
@@ -292,7 +297,7 @@ def reference_simplex_min(num_rows, columns, costs, rhs, initial_basis, *,
         if entering < 0:
             values = {basis[r]: x_b[r] for r in range(m)}
             obj = sum((costs[basis[r]] * x_b[r] for r in range(m)), ZERO)
-            return simplex.SimplexOutcome("optimal", obj, values, y, basis), (binv, x_b)
+            return RationalOutcome("optimal", obj, values, y, basis), (binv, x_b)
 
         d = [ZERO] * m
         for r, coeff in columns[entering]:
@@ -309,7 +314,7 @@ def reference_simplex_min(num_rows, columns, costs, rhs, initial_basis, *,
                     theta = ratio
                     leaving = r
         if leaving < 0:
-            return simplex.SimplexOutcome("unbounded", None, {}, [], basis), None
+            return RationalOutcome("unbounded", None, {}, [], basis), None
 
         if theta == 0:
             degenerate_streak += 1
