@@ -14,7 +14,9 @@ built for what is printed or returned: transcripts, rays and weights.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 from .model import Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, scale_instance
@@ -357,13 +359,77 @@ def recheck_certificate(cert: DualCertificate, inst: Instance) -> bool:
 
 @dataclass
 class ConfigLPRun:
+    """One column-generation run at T.
+
+    An infeasible run keeps its final master's integer duals `Y` over the
+    scale `D`; its ray (`dual_z` per job, `dual_y` per machine) is built from
+    them when first read, and is None for any other status.
+    """
+
     status: str  # "feasible" | "infeasible" | "unresolved"
     T: object
     weights: dict | None = None  # (machine, config tuple) -> weight when feasible
-    dual_z: dict | None = None  # infeasibility ray otherwise
-    dual_y: dict | None = None
     rounds: int = 0
     final: tuple | None = None  # (basis keys, simplex warm state) when infeasible
+    master_duals: tuple | None = field(default=None, repr=False)  # (m, Y, D) when infeasible
+
+    @cached_property
+    def dual_z(self) -> dict | None:
+        if self.master_duals is None:
+            return None
+        m, Y, D = self.master_duals
+        return {j: Frac(Y[m - 1 + j], D) for j in range(1, len(Y) - m + 1)}
+
+    @cached_property
+    def dual_y(self) -> dict | None:
+        if self.master_duals is None:
+            return None
+        m, Y, D = self.master_duals
+        return {i: -Frac(Y[i - 1], D) for i in range(1, m + 1)}
+
+
+class ConfigPool(dict):
+    """The configurations shared by the runs of one bound, with their columns.
+
+    As a dict it maps (machine, config) to the configuration's integer size
+    `sum q_j` over the instance's `integer_image`; it starts with the given
+    `configurations`, (machine, sorted job tuple) keys. It also lists each
+    machine's permitted jobs once, in id order, and builds each
+    configuration's master column once, when a run first uses it.
+    """
+
+    def __init__(self, inst: Instance, configurations=()):
+        super().__init__()
+        m, n = inst.num_machines, inst.num_jobs
+        q = inst.integer_image[1]
+        self.num_machines = m
+        self.permitted = {i: [] for i in inst.machines}
+        for j in inst.jobs:
+            for i in inst.gamma[j]:
+                self.permitted[i].append(j)
+        self.permitted_q = {i: [q[j] for j in jobs] for i, jobs in self.permitted.items()}
+        for i, conf in configurations:
+            self[(i, conf)] = sum(q[j] for j in conf)
+        self.columns = {}
+        # slack columns, keyed (None, t): machine slacks u_i, then per job the
+        # cover shortfall s_j (cost 1), then the surplus e_j
+        self.slack_keys = [(None, t) for t in range(m + 2 * n)]
+        self.slack_columns = ([[(r, 1)] for r in range(m + n)]
+                              + [[(m + idx, -1)] for idx in range(n)])
+
+    def fitting(self, i, limit) -> list:
+        """Machine i's permitted jobs with q_j <= limit, in id order: sizes
+        never decrease with the id, so they are a prefix of its list."""
+        return self.permitted[i][:bisect_right(self.permitted_q[i], limit)]
+
+    def column(self, key) -> list:
+        """The master column of configuration key = (machine, sorted jobs)."""
+        col = self.columns.get(key)
+        if col is None:
+            i, conf = key
+            m = self.num_machines
+            col = self.columns[key] = [(i - 1, 1)] + [(m - 1 + j, 1) for j in conf]
+        return col
 
 
 def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
@@ -381,7 +447,10 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
     it. `pool`, a dict (machine, config) -> the configuration's integer size
     `sum q_j` over the instance's `integer_image`, shared across calls, seeds
     the master with every pooled configuration that fits in T and receives
-    the configurations priced here; without it the run starts cold.
+    the configurations priced here; without it the run starts cold. A
+    `ConfigPool` also keeps the columns it has built for the later runs.
+    The master's columns are the single jobs (by machine, then job), the
+    pooled configurations in key order, the slacks, then the priced ones.
 
     An infeasible run returns its final master as `final`: the basis, named
     by configuration key or slack key, and the simplex state. A later run at
@@ -402,37 +471,21 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
     m, n = inst.num_machines, inst.num_jobs
     if n == 0:
         return ConfigLPRun("feasible", T, weights={})
-    pos = {j: idx for idx, j in enumerate(inst.jobs)}
+    table = pool if isinstance(pool, ConfigPool) else ConfigPool(inst)
     # T = a/b and p_j = q_j/L: p_j <= T iff b q_j <= L a
     L, q = inst.integer_image
     b, cap = T.denominator, L * T.numerator
-    # each machine's permitted jobs that fit in T, in job order
-    fits = {i: [j for j in inst.jobs if i in inst.gamma[j] and b * q[j] <= cap]
-            for i in inst.machines}
+    fits = {i: table.fitting(i, cap // b) for i in inst.machines}
 
-    columns, keys = [], []
-
-    def add_config(i, conf):
-        columns.append([(i - 1, 1)] + [(m + pos[j], 1) for j in sorted(conf)])
-        keys.append((i, tuple(sorted(conf))))
-
-    generated = set()
-    for i in inst.machines:
-        for j in fits[i]:
-            generated.add((i, (j,)))
-            add_config(i, (j,))
+    keys = [(i, (j,)) for i in inst.machines for j in fits[i]]
+    generated = set(keys)
     for key in sorted(pool or ()):
         if b * pool[key] <= cap and key not in generated:
             generated.add(key)
-            add_config(*key)
-    slack_first = len(columns)
-    # slack columns, keyed (None, t): machine slacks u_i, then per job the
-    # cover shortfall s_j (cost 1), then the surplus e_j
-    for r in range(m + n):
-        columns.append([(r, 1)])
-    for idx in range(n):
-        columns.append([(m + idx, -1)])
-    keys += [(None, t) for t in range(m + 2 * n)]
+            keys.append(key)
+    slack_first = len(keys)
+    keys += table.slack_keys
+    columns = [table.column(key) for key in keys[:slack_first]] + table.slack_columns
 
     rhs = [1] * (m + n)
     costs = [0] * len(columns)
@@ -457,32 +510,31 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
                     weights[keys[k]] = v
             return ConfigLPRun("feasible", T, weights=weights, rounds=round_no)
         # the duals times D > 0: machine rows, then job rows
-        alpha, beta = out.Y[:m], out.Y[m:]
+        Y = out.Y
         improving = False
         for i in inst.machines:
-            jobs = [j for j in fits[i] if beta[pos[j]] > 0]
+            jobs = [j for j in fits[i] if Y[m - 1 + j] > 0]
             if not jobs:
                 value, conf = 0, ()
             else:
                 value, subset = knapsack_max_value(KnapsackQuery(
-                    tuple((b * q[j], beta[pos[j]]) for j in jobs), cap
+                    tuple((b * q[j], Y[m - 1 + j]) for j in jobs), cap
                 ))
-                conf = tuple(sorted(jobs[t] for t in subset))
-            if value + alpha[i - 1] > 0:
-                if (i, conf) in generated:
+                conf = tuple(jobs[t] for t in subset)
+            if value + Y[i - 1] > 0:
+                key = (i, conf)
+                if key in generated:
                     raise CertificateError("pricing regenerated an existing column")
-                generated.add((i, conf))
-                add_config(i, conf)
+                generated.add(key)
+                keys.append(key)
+                columns.append(table.column(key))
                 if pool is not None:
-                    pool[(i, conf)] = sum(q[j] for j in conf)
+                    pool[key] = sum(q[j] for j in conf)
                 improving = True
         if not improving:
-            duals = out.duals
-            dual_z = {j: duals[m + pos[j]] for j in inst.jobs}
-            dual_y = {i: -duals[i - 1] for i in inst.machines}
-            return ConfigLPRun("infeasible", T, dual_z=dual_z, dual_y=dual_y,
-                               rounds=round_no,
-                               final=(tuple(keys[k] for k in basis), warm))
+            return ConfigLPRun("infeasible", T, rounds=round_no,
+                               final=(tuple(keys[k] for k in basis), warm),
+                               master_duals=(m, Y, out.D))
     return ConfigLPRun("unresolved", T, rounds=_MAX_CG_ROUNDS)
 
 
@@ -540,8 +592,11 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
       this way is certified by that LP, not by a ray.
 
     Each run resumes from the final master of the last infeasible run, all
-    of whose columns fit at the later, larger midpoints; one pool of priced
-    configurations is shared by all runs.
+    of whose columns fit at the later, larger midpoints. All runs share one
+    `ConfigPool`, which builds each column once. It starts with the job
+    set of each machine under `assignment`, so a run begins with those that
+    fit in its T, and it collects every priced configuration. Outcomes are
+    exact, so the pool changes how many rounds a run takes, not its status.
     """
     if inst.num_jobs == 0:
         raise ValueError("instance has no jobs")
@@ -553,7 +608,9 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
         known, makespan = _schedule_configurations(inst, assignment)
     if known is not None and infeasible_at is not None and infeasible_at >= makespan:
         raise CertificateError("a schedule's makespan cannot be infeasible")
-    pool = {}  # configurations priced by any run, reused by the later ones
+    # the schedule's configurations and those priced by any run, each in the
+    # master of every later run at a T it fits in
+    pool = ConfigPool(inst, known or ())
     resume = None
 
     def probe(T):

@@ -447,7 +447,8 @@ class InsertionEngine:
         self.schedule.move(j, target)
         self.moves += 1
         if j == self.j_new:
-            self._log("move", b, self.signature_vector(), 0)
+            if self.events is not None:  # the signature is only logged here
+                self._log("move", b, self.signature_vector(), 0)
             return True
         parent = b.parent
         if parent is None or not parent.alive:

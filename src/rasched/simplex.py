@@ -22,6 +22,12 @@ divides exactly by the old D (Cramer's rule). The duals are kept up to date
 across pivots instead of being recomputed. An outcome hands out this integer
 state (Y, D and the objective times D), which is what the column generation
 prices on; its rational objective, values and duals are built when read.
+
+Most pivots of a covering LP keep the scale (the new |det B| equals D).
+There the division is exact term by term, (a D - d_r b) / D = a - d_r b / D,
+so the update touches only the positions where the pivot row is nonzero.
+A warm start shares the rows of the state it resumes from and copies a row
+the first time it writes it, so that state is never changed.
 """
 
 from __future__ import annotations
@@ -88,8 +94,12 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
     With `warm=out.warm`, taken from an earlier optimal outcome together with
     its `basis` as `initial_basis`, the solve resumes from that basis instead
     (rhs is then not read). Columns and costs may have been appended since,
-    but the basic columns must be unchanged. The state (A, X, D) is copied,
-    not mutated.
+    but the basic columns must be unchanged. The state (A, X, D) is never
+    mutated: a row of A is copied when this call first writes it, and the
+    outcome shares the rows it never wrote. A pivot that keeps the scale D
+    changes A and Y only in the columns where the pivot row of A is
+    nonzero, and A and X only in the rows where the entering direction is;
+    any other pivot rescales every row.
     """
     m = num_rows
     basis = list(initial_basis)
@@ -103,10 +113,13 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
         D = 1
         A = [[int(a == b) for b in range(m)] for a in range(m)]
         X = list(rhs)
+        owned = [True] * m
     else:
+        # the warm rows are shared until this call first writes one
         A0, X0, D = warm
-        A = [list(row) for row in A0]
+        A = list(A0)
         X = list(X0)
+        owned = [False] * m
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True
@@ -174,19 +187,37 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
         # fraction-free update; row `leaving` of A and X keeps its values
         lrow = A[leaving]
         xl = X[leaving]
-        for r in range(m):
-            if r == leaving:
-                continue
-            dr = d[r]
-            if dr:
-                A[r] = [(a * p - dr * b) // D for a, b in zip(A[r], lrow)]
-                X[r] = (X[r] * p - dr * xl) // D
-            elif p != D:
-                A[r] = [a * p // D for a in A[r]]
-                X[r] = X[r] * p // D
-        # c_B B^-1 changes by the entering reduced cost times the new pivot row
-        Y = [(p * y + best * b) // D for y, b in zip(Y, lrow)]
-        D = p
+        if p == D:
+            # (a D - d_r b) / D is exact, so a - d_r b // D is too: only the
+            # pivot row's nonzeros move, in rows owned by this call
+            nz = [(s, b) for s, b in enumerate(lrow) if b]
+            for r in range(m):
+                dr = d[r]
+                if dr and r != leaving:
+                    row = A[r]
+                    if not owned[r]:
+                        row = A[r] = list(row)
+                        owned[r] = True
+                    for s, b in nz:
+                        row[s] -= dr * b // D
+                    X[r] -= dr * xl // D
+            # c_B B^-1 changes by the entering reduced cost times the pivot row
+            for s, b in nz:
+                Y[s] += best * b // D
+        else:
+            for r in range(m):
+                if r == leaving:
+                    continue
+                dr = d[r]
+                if dr:
+                    A[r] = [(a * p - dr * b) // D for a, b in zip(A[r], lrow)]
+                    X[r] = (X[r] * p - dr * xl) // D
+                else:
+                    A[r] = [a * p // D for a in A[r]]
+                    X[r] = X[r] * p // D
+                owned[r] = True
+            Y = [(p * y + best * b) // D for y, b in zip(Y, lrow)]
+            D = p
     raise SimplexError("pivot limit exceeded")
 
 

@@ -455,6 +455,119 @@ class TestDecidedProbes:
         assert all(count >= 100 for count in totals.values()), totals
 
 
+TAU = Frac(1, 100)
+
+
+def solve_facts(monkeypatch, inst):
+    """The keyword facts (`assignment`, `infeasible_at`) that
+    `solve(..., lp_bound=True)` hands the config-LP bound."""
+    import rasched.driver as dm
+    from rasched.driver import solve
+    facts = []
+
+    def recording_bound(*args, **kwargs):
+        facts.append(kwargs)
+        return config_lp_lower_bound(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dm, "config_lp_lower_bound", recording_bound)
+        solve(inst, tau=TAU, lp_bound=True)
+    (kwargs,) = facts
+    return kwargs
+
+
+def ray_from_basis(inst, run):
+    """An infeasible run's ray recomputed from its final basis: the duals
+    c_B B^-1, with cost 1 on the job shortfall slacks (keys (None, t) for
+    m <= t < m + n), read off the warm state A = D B^-1."""
+    m, n = inst.num_machines, inst.num_jobs
+    basis_keys, (A, _, D) = run.final
+    y = [ZERO] * (m + n)
+    for r, key in enumerate(basis_keys):
+        if key[0] is None and m <= key[1] < m + n:
+            y = [acc + Frac(a, D) for acc, a in zip(y, A[r])]
+    return {j: y[m - 1 + j] for j in inst.jobs}, {i: -y[i - 1] for i in inst.machines}
+
+
+class TestSeededPool:
+    """The bound's pool starts with the schedule's configurations, which
+    shortens runs without changing any outcome."""
+
+    def test_pool_starts_with_the_schedule_configurations(self, monkeypatch):
+        import rasched.certificate as cm
+        original = cm.config_lp_feasible_cg
+        seeded = 0
+        for kind, seed in DECIDED_CASES:
+            inst = decided_case(kind, seed)
+            facts = solve_facts(monkeypatch, inst)
+            pools = []
+
+            def recording(*args, **kwargs):
+                pools.append(dict(kwargs["pool"]))  # as the run finds it
+                return original(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "config_lp_feasible_cg", recording)
+                config_lp_lower_bound(inst, TAU, **facts)
+            q = inst.integer_image[1]
+            on = {}
+            for j, i in sorted(facts["assignment"].items()):
+                on.setdefault(i, []).append(j)
+            schedule = {(i, tuple(jobs)): sum(q[j] for j in jobs) for i, jobs in on.items()}
+            if pools:
+                assert pools[0] == schedule, (kind, seed)
+                assert all(pool.items() >= schedule.items() for pool in pools)
+                seeded += 1
+        assert seeded >= 40
+
+    def test_seeding_keeps_every_outcome_and_cuts_rounds(self, monkeypatch):
+        import rasched.certificate as cm
+
+        class EmptyStart(cm.ConfigPool):
+            def __init__(self, inst, configurations=()):
+                super().__init__(inst)
+
+        rounds = {"seeded": 0, "empty": 0}
+        for kind, seed in DECIDED_CASES:
+            inst = decided_case(kind, seed)
+            facts = solve_facts(monkeypatch, inst)
+            bound, runs = bound_with_runs(
+                monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "ConfigPool", EmptyStart)
+                empty, empty_runs = bound_with_runs(
+                    monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
+            case = (kind, seed)
+            assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
+                empty.lower, empty.upper, empty.lower_certified, empty.probes), case
+            assert ([(run.T, run.status) for run, _ in runs]
+                    == [(run.T, run.status) for run, _ in empty_runs]), case
+            for run, _ in runs:
+                if run.status == "infeasible":
+                    assert_ray_is_knapsack_checked(inst, run)
+            rounds["seeded"] += sum(run.rounds for run, _ in runs)
+            rounds["empty"] += sum(run.rounds for run, _ in empty_runs)
+        assert rounds["seeded"] < rounds["empty"], rounds
+
+    def test_ray_is_built_when_read_from_the_final_master(self, monkeypatch):
+        rays = 0
+        for kind, seed in DECIDED_CASES:
+            inst = decided_case(kind, seed)
+            facts = solve_facts(monkeypatch, inst)
+            _, runs = bound_with_runs(
+                monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
+            for run, _ in runs:
+                if run.status != "infeasible":
+                    assert run.dual_z is None and run.dual_y is None
+                    continue
+                assert "dual_z" not in vars(run) and "dual_y" not in vars(run)
+                dual_z, dual_y = ray_from_basis(inst, run)
+                assert (run.dual_z, run.dual_y) == (dual_z, dual_y), (kind, seed)
+                assert_ray_is_knapsack_checked(inst, run)
+                rays += 1
+        assert rays >= 50
+
+
 def integral_only(original, calls):
     """`original` (a simplex_min), asserting first that every coefficient,
     cost and rhs entry it is given is a plain int."""
@@ -493,20 +606,30 @@ def lp_bound_instance(rng, machines, jobs, huge):
                                     for x in nums])
 
 
-#: computed before the simplex took integer LPs only, when it still scaled
-#: rational rows and costs
-PINNED_LP_DIGEST = "9761e16419fd09dff8f88db1943499a6329b5c684827798b1eb7681a4e722d64"
+#: computed before the config-LP bound seeded its pool with the schedule:
+#: reports, bounds and each run's outcome; the rounds are pinned apart
+PINNED_LP_DIGEST = "f475570c474ff550dd128ad9b4ff4ca7f4f9c7bbf6e5272aca43d237105ac4c2"
+#: each run's rounds, computed once the pool started with the schedule's
+#: configurations, and their total (287 before)
+PINNED_LP_ROUNDS_DIGEST = "447663f4f27430851095779eb203bb3f4428e37afb390abd42e6777af4ec6ab1"
+PINNED_LP_ROUNDS_TOTAL = 262
+#: computed before the bound kept one column table and the simplex updated
+#: only the pivot row's nonzeros at a scale-keeping pivot: each run of the
+#: bound without a schedule, whose pool starts empty
+PINNED_UNSEEDED_LP_DIGEST = "bf55c84b213ac94b3af5c3ac4b5da85d763772bcd27ed191f629357f22a080e7"
 
 
-def lp_path_digest(monkeypatch):
-    """sha256 over the report text, the ConfigLPBound fields and each
-    column-generation run's T, status and rounds, of 24 lp_bound-shaped
-    `solve(..., lp_bound=True)` runs."""
+def lp_path_instance(k):
+    return lp_bound_instance(random.Random(900 + k), 4 + k % 3, 8 + k % 5, 3 + k % 4)
+
+
+def lp_path_solves(monkeypatch):
+    """(report, bound, runs) of 24 lp_bound-shaped `solve(..., lp_bound=True)`
+    runs: the bound the solve computed and its column-generation runs."""
     import rasched.driver as dm
     from rasched.driver import solve
-    h = hashlib.sha256()
     for k in range(24):
-        inst = lp_bound_instance(random.Random(900 + k), 4 + k % 3, 8 + k % 5, 3 + k % 4)
+        inst = lp_path_instance(k)
         bounds = []
 
         def recording_bound(*args, **kwargs):
@@ -518,17 +641,43 @@ def lp_path_digest(monkeypatch):
             report, runs = bound_with_runs(monkeypatch,
                                            lambda: solve(inst, lp_bound=True))
         (bound,) = bounds
-        h.update(report.to_text().encode())
-        h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
-                       bound.probes, [(str(run.T), run.status, run.rounds)
-                                      for run, _ in runs])).encode())
-    return h.hexdigest()
+        yield report, bound, [run for run, _ in runs]
 
 
 def test_lp_path_matches_the_pinned_digest(monkeypatch):
-    """Reports, bounds and column-generation rounds are those of the
-    simplex that scaled rational LPs to integers."""
-    assert lp_path_digest(monkeypatch) == PINNED_LP_DIGEST
+    """Reports, bounds and the status of every column-generation run are
+    those of the simplex that scaled rational LPs to integers."""
+    h = hashlib.sha256()
+    for report, bound, runs in lp_path_solves(monkeypatch):
+        h.update(report.to_text().encode())
+        h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
+                       bound.probes, [(str(run.T), run.status) for run in runs])).encode())
+    assert h.hexdigest() == PINNED_LP_DIGEST
+
+
+def test_lp_path_rounds_match_the_pinned_digest(monkeypatch):
+    """Each run's rounds once the pool starts with the schedule's
+    configurations: fewer in total than the 287 of an empty start."""
+    h = hashlib.sha256()
+    total = 0
+    for _, _, runs in lp_path_solves(monkeypatch):
+        h.update(repr([run.rounds for run in runs]).encode())
+        total += sum(run.rounds for run in runs)
+    assert (h.hexdigest(), total) == (PINNED_LP_ROUNDS_DIGEST, PINNED_LP_ROUNDS_TOTAL)
+
+
+def test_unseeded_lp_runs_match_the_pinned_digest(monkeypatch):
+    """Without a schedule every run pivots as when each run built its own
+    columns and every pivot rewrote all rows: same T, status and rounds."""
+    h = hashlib.sha256()
+    for k in range(24):
+        inst = lp_path_instance(k)
+        bound, runs = bound_with_runs(
+            monkeypatch, lambda: config_lp_lower_bound(inst, Frac(1, 100)))
+        h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
+                       bound.probes, [(str(run.T), run.status, run.rounds)
+                                      for run, _ in runs])).encode())
+    assert h.hexdigest() == PINNED_UNSEEDED_LP_DIGEST
 
 
 def two_value_16(seed):

@@ -523,3 +523,25 @@ def test_traces_match_the_pinned_digest():
     """Reports, event logs and tree snapshots are those of the layered tree
     that the stack replaced."""
     assert trace_digest() == PINNED_TRACE_DIGEST
+
+
+def test_final_move_signature_is_computed_only_for_the_log(monkeypatch):
+    """The inserted job's own move ends its run, and its signature only goes
+    to the event log: without events, that signature is not computed."""
+    calls = []
+    original = InsertionEngine.signature_vector
+
+    def counting(self):
+        calls.append(None)
+        return original(self)
+
+    monkeypatch.setattr(InsertionEngine, "signature_vector", counting)
+    inst = two_value_instance(random.Random(305), 16)
+    quiet = solve(inst, EPS, Frac(1, 100))
+    quiet_calls = len(calls)
+    logged = solve(inst, EPS, Frac(1, 100), log_events=True)
+    final_moves = sum(1 for run in logged.run_logs for ev in run.events
+                      if ev["event"] == "move" and ev["job"] == run.j_new)
+    assert quiet.to_text() == logged.to_text()
+    assert final_moves >= 10
+    assert len(calls) - quiet_calls == quiet_calls + final_moves

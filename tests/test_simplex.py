@@ -243,9 +243,11 @@ RationalOutcome = namedtuple("RationalOutcome", "status objective values duals b
 
 
 def reference_simplex_min(num_rows, columns, costs, rhs, initial_basis, *,
-                          max_pivots=200000, warm=None):
+                          max_pivots=200000, warm=None, pivots=None):
     """The Fraction revised simplex with a dense B^-1, as the integer solver
-    replaced it; warm is (binv, x_b). Returns (outcome, (binv, x_b))."""
+    replaced it; warm is (binv, x_b). Returns (outcome, (binv, x_b)). Each
+    pivot element is appended to `pivots` when given: a pivot of 1 is one
+    the integer solver takes at p == D, keeping its scale."""
     m = num_rows
     basis = list(initial_basis)
     if warm is None:
@@ -324,6 +326,8 @@ def reference_simplex_min(num_rows, columns, costs, rhs, initial_basis, *,
             degenerate_streak = 0
 
         piv = d[leaving]
+        if pivots is not None:
+            pivots.append(piv)
         in_basis[basis[leaving]] = False
         in_basis[entering] = True
         basis[leaving] = entering
@@ -353,12 +357,13 @@ def assert_same_outcome(got, want):
     assert got.duals == want.duals
 
 
-def random_column(rng, m):
-    """Integer coefficients in -2..6, so that pivots above 1 make D > 1."""
+def random_column(rng, m, low=-2, high=6):
+    """Integer coefficients in low..high; the default -2..6 makes pivots
+    above 1, hence D > 1, and 0..1 mostly keeps D, as covering LPs do."""
     col = []
     for r in range(m):
         if rng.random() < 0.6:
-            v = rng.randint(-2, 6)
+            v = rng.randint(low, high)
             if v:
                 col.append((r, v))
     return col or [(rng.randrange(m), rng.randint(1, 4))]
@@ -399,25 +404,27 @@ def assert_adjugate_invariant(m, columns, out):
         assert X[q] == D * out.values[k]
 
 
-def differential_run(seed):
-    """A random integer LP solved cold, then resumed warm over three rounds
-    of new columns, by both solvers; yields each pair."""
+def differential_run(seed, pivots=None, coeffs=(-2, 6)):
+    """A random integer LP with coefficients in `coeffs`, solved cold, then
+    resumed warm over three rounds of new columns, by both solvers; yields
+    each pair. The reference's pivot elements go to `pivots` when given."""
     rng = random.Random(seed)
     m = rng.randint(1, 5)
     cols = [[(r, 1)] for r in range(m)]
     costs = [0] * m
     for _ in range(rng.randint(1, 7)):
-        cols.append(random_column(rng, m))
+        cols.append(random_column(rng, m, *coeffs))
         costs.append(rng.randint(-4, 3))
     rhs = [0 if rng.random() < 0.3 else rng.randint(0, 6) for _ in range(m)]
     got = simplex_min(m, cols, costs, rhs, list(range(m)))
-    want, ref_warm = reference_simplex_min(m, cols, costs, rhs, list(range(m)))
+    want, ref_warm = reference_simplex_min(m, cols, costs, rhs, list(range(m)),
+                                           pivots=pivots)
     yield cols, costs, rhs, got, want
     for _ in range(3):
         if want.status != "optimal":
             return
         for _ in range(rng.randint(1, 3)):
-            col = random_column(rng, m)
+            col = random_column(rng, m, *coeffs)
             cols.append(col)
             if rng.random() < 0.7:  # priced to a negative reduced cost
                 price = sum((want.duals[r] * c for r, c in col), ZERO)
@@ -426,7 +433,7 @@ def differential_run(seed):
                 costs.append(rng.randint(-3, 3))
         got = simplex_min(m, cols, costs, rhs, got.basis, warm=got.warm)
         want, ref_warm = reference_simplex_min(m, cols, costs, rhs, want.basis,
-                                               warm=ref_warm)
+                                               warm=ref_warm, pivots=pivots)
         yield cols, costs, rhs, got, want
 
 
@@ -443,6 +450,34 @@ class TestIntegerKernelMatchesRational:
                 warm_rounds += step > 0
         assert statuses == {"optimal", "unbounded"}
         assert warm_rounds >= 300
+
+    @pytest.mark.parametrize("coeffs,least", [((-2, 6), 100), ((0, 1), 500)])
+    def test_scale_keeping_pivots_are_taken_often(self, coeffs, least):
+        """A pivot element of 1 keeps the scale D, and the solver then
+        updates only the pivot row's nonzeros; other pivots rescale every
+        row. Both kinds are common in the differential cases."""
+        pivots = []
+        for seed in range(250):
+            for _, _, _, got, want in differential_run(seed, pivots, coeffs):
+                assert_same_outcome(got, want)
+        unit = sum(1 for piv in pivots if piv == 1)
+        assert unit >= least and len(pivots) - unit >= 50, (unit, len(pivots))
+
+    @pytest.mark.parametrize("coeffs", [(-2, 6), (0, 1)])
+    def test_warm_state_is_never_written(self, coeffs):
+        """A warm start shares the rows of the state it is given and copies
+        a row only when it first changes it: every outcome's (A, X, D) is as
+        it was after the later, warm-started calls."""
+        resumed = 0
+        for seed in range(250):
+            kept = []  # (outcome, a deep copy of its warm state)
+            for step, (_, _, _, got, _) in enumerate(differential_run(seed, None, coeffs)):
+                resumed += step > 0 and got.status == "optimal"
+                if got.warm is not None:
+                    kept.append((got, copy.deepcopy(got.warm)))
+            for out, state in kept:
+                assert out.warm == state, seed
+        assert resumed >= 300
 
     def test_adjugate_invariant_after_every_warm_round(self):
         checked = 0
