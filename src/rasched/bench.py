@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import rational
-from .rational import frac, ratio_str, as_float
+from .rational import frac, ratio_str
 from .model import parse_instance, InstanceFormatError
 from .driver import solve
 from .certificate import config_lp_lower_bound
@@ -109,7 +109,7 @@ def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
             rows = list(pool.map(_run_one, tasks))
     else:
         rows = [_run_one(t) for t in tasks]
-    rows.sort(key=lambda r: (r.instance, as_float(r.epsilon)))
+    rows.sort(key=lambda r: (r.instance, float(r.epsilon)))
     return rows
 
 
@@ -119,7 +119,7 @@ def rows_to_text(rows) -> str:
               f"[{rational.BACKEND}]")
     lines = [header, "-" * len(header)]
     for r in rows:
-        ratio = "refused" if r.ratio is None else f"{as_float(r.ratio):.6f}"
+        ratio = "refused" if r.ratio is None else f"{float(r.ratio):.6f}"
         lines.append(
             f"{r.instance:24} {ratio_str(r.epsilon):>8} {r.layer_limit:>5} "
             f"{r.engine_iterations:>7} {r.max_layer:>5} {r.wall_seconds:>9.4f} "

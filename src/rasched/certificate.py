@@ -370,7 +370,6 @@ class ConfigLPRun:
     T: object
     weights: dict | None = None  # (machine, config tuple) -> weight when feasible
     rounds: int = 0
-    final: tuple | None = None  # (basis keys, simplex warm state) when infeasible
     master_duals: tuple | None = field(default=None, repr=False)  # (m, Y, D) when infeasible
 
     @cached_property
@@ -389,13 +388,17 @@ class ConfigLPRun:
 
 
 class ConfigPool(dict):
-    """The configurations shared by the runs of one bound, with their columns.
+    """What the runs of one bound share: configurations, columns and the
+    last infeasible run's final master.
 
     As a dict it maps (machine, config) to the configuration's integer size
     `sum q_j` over the instance's `integer_image`; it starts with the given
-    `configurations`, (machine, sorted job tuple) keys. It also lists each
-    machine's permitted jobs once, in id order, and builds each
-    configuration's master column once, when a run first uses it.
+    `configurations`, (machine, sorted job tuple) keys, and every run adds
+    the configurations it prices. It lists each machine's permitted jobs
+    once, in id order, builds each configuration's master column once, when
+    a run first uses it, and holds the slack columns with their costs.
+    `final` is (T, basis keys, simplex warm state) of the last infeasible
+    run, or None.
     """
 
     def __init__(self, inst: Instance, configurations=()):
@@ -416,6 +419,8 @@ class ConfigPool(dict):
         self.slack_keys = [(None, t) for t in range(m + 2 * n)]
         self.slack_columns = ([[(r, 1)] for r in range(m + n)]
                               + [[(m + idx, -1)] for idx in range(n)])
+        self.slack_costs = [0] * m + [1] * n + [0] * n
+        self.final = None
 
     def fitting(self, i, limit) -> list:
         """Machine i's permitted jobs with q_j <= limit, in id order: sizes
@@ -432,8 +437,7 @@ class ConfigPool(dict):
         return col
 
 
-def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
-                          resume: tuple | None = None) -> ConfigLPRun:
+def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) -> ConfigLPRun:
     """Column generation on the covering LP at makespan T.
 
     The restricted master minimizes uncovered job mass; pricing is an exact
@@ -444,18 +448,14 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
 
     The master is warm-started: priced columns are appended, so the previous
     optimal basis stays primal feasible and each round's simplex resumes from
-    it. `pool`, a dict (machine, config) -> the configuration's integer size
-    `sum q_j` over the instance's `integer_image`, shared across calls, seeds
-    the master with every pooled configuration that fits in T and receives
-    the configurations priced here; without it the run starts cold. A
-    `ConfigPool` also keeps the columns it has built for the later runs.
-    The master's columns are the single jobs (by machine, then job), the
-    pooled configurations in key order, the slacks, then the priced ones.
-
-    An infeasible run returns its final master as `final`: the basis, named
-    by configuration key or slack key, and the simplex state. A later run at
-    T' >= T that shares the same pool may pass it as `resume` and start from
-    that basis: each of its columns fits in T' and is in the master again.
+    it. `pool`, shared across the runs of one bound (None: a fresh one),
+    seeds the master with every pooled configuration that fits in T and
+    receives the configurations priced here. The master's columns are the
+    single jobs (by machine, then job), the pooled configurations in key
+    order, the slacks, then the priced ones. An infeasible run leaves its
+    final master in `pool.final`; a later run at T' >= that run's T starts
+    from its basis, each of whose columns fits in T' and is in the master
+    again, and a run at a smaller T starts from the slack basis.
 
     The run decides on integers from the master to the pricing and back.
     The master is an integer LP (0/+-1 coefficients, 0/1 costs, rhs of
@@ -471,32 +471,31 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
     m, n = inst.num_machines, inst.num_jobs
     if n == 0:
         return ConfigLPRun("feasible", T, weights={})
-    table = pool if isinstance(pool, ConfigPool) else ConfigPool(inst)
+    if pool is None:
+        pool = ConfigPool(inst)
     # T = a/b and p_j = q_j/L: p_j <= T iff b q_j <= L a
     L, q = inst.integer_image
     b, cap = T.denominator, L * T.numerator
-    fits = {i: table.fitting(i, cap // b) for i in inst.machines}
+    fits = {i: pool.fitting(i, cap // b) for i in inst.machines}
 
     keys = [(i, (j,)) for i in inst.machines for j in fits[i]]
     generated = set(keys)
-    for key in sorted(pool or ()):
+    for key in sorted(pool):
         if b * pool[key] <= cap and key not in generated:
             generated.add(key)
             keys.append(key)
     slack_first = len(keys)
-    keys += table.slack_keys
-    columns = [table.column(key) for key in keys[:slack_first]] + table.slack_columns
+    keys += pool.slack_keys
+    columns = [pool.column(key) for key in keys[:slack_first]] + pool.slack_columns
+    costs = [0] * slack_first + pool.slack_costs
 
     rhs = [1] * (m + n)
-    costs = [0] * len(columns)
-    for idx in range(n):
-        costs[slack_first + m + idx] = 1
-    if resume is None:
-        basis, warm = list(range(slack_first, slack_first + m + n)), None
-    else:
+    if pool.final is not None and pool.final[0] <= T:
         index = {key: k for k, key in enumerate(keys)}
-        basis_keys, warm = resume
+        _, basis_keys, warm = pool.final
         basis = [index[key] for key in basis_keys]
+    else:
+        basis, warm = list(range(slack_first, slack_first + m + n)), None
     for round_no in range(1, _MAX_CG_ROUNDS + 1):
         costs += [0] * (len(columns) - len(costs))
         out = simplex_min(m + n, columns, costs, rhs, basis, warm=warm)
@@ -527,13 +526,12 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None,
                     raise CertificateError("pricing regenerated an existing column")
                 generated.add(key)
                 keys.append(key)
-                columns.append(table.column(key))
-                if pool is not None:
-                    pool[key] = sum(q[j] for j in conf)
+                columns.append(pool.column(key))
+                pool[key] = sum(q[j] for j in conf)
                 improving = True
         if not improving:
+            pool.final = (T, tuple(keys[k] for k in basis), warm)
             return ConfigLPRun("infeasible", T, rounds=round_no,
-                               final=(tuple(keys[k] for k in basis), warm),
                                master_duals=(m, Y, out.D))
     return ConfigLPRun("unresolved", T, rounds=_MAX_CG_ROUNDS)
 
@@ -591,16 +589,20 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
       the configuration LP, which is monotone in T. A lower bound decided
       this way is certified by that LP, not by a ray.
 
-    Each run resumes from the final master of the last infeasible run, all
-    of whose columns fit at the later, larger midpoints. All runs share one
-    `ConfigPool`, which builds each column once. It starts with the job
-    set of each machine under `assignment`, so a run begins with those that
-    fit in its T, and it collects every priced configuration. Outcomes are
+    All runs share one `ConfigPool`, which builds each column once. It
+    starts with the job set of each machine under `assignment`, so a run
+    begins with those that fit in its T, and it collects every priced
+    configuration. Each run resumes from the pool's final master of the last
+    infeasible run, which lies below every later midpoint. Outcomes are
     exact, so the pool changes how many rounds a run takes, not its status.
+    Raises ValueError unless `tolerance` is positive: the bracket would
+    never close.
     """
     if inst.num_jobs == 0:
         raise ValueError("instance has no jobs")
     tolerance = frac(tolerance)
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
     lo = inst.max_size()
     hi = inst.total_size()
     known = makespan = None
@@ -611,17 +613,13 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
     # the schedule's configurations and those priced by any run, each in the
     # master of every later run at a T it fits in
     pool = ConfigPool(inst, known or ())
-    resume = None
 
     def probe(T):
-        nonlocal resume
         if known is not None and T >= makespan:
             return "feasible", known
         if infeasible_at is not None and T <= infeasible_at:
             return "infeasible", None
-        run = config_lp_feasible_cg(inst, T, pool=pool, resume=resume)
-        if run.status == "infeasible":
-            resume = run.final
+        run = config_lp_feasible_cg(inst, T, pool=pool)
         return run.status, run.weights
 
     status, weights = probe(hi)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rational import Frac, ZERO, frac, ratio_str, as_float
+from .rational import Frac, ZERO, frac, ratio_str
 from .model import (Instance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .flow import AssignmentNetwork
@@ -97,10 +97,10 @@ class SolveReport:
             f"jobs {inst.num_jobs}",
             f"epsilon {ratio_str(self.epsilon)}",
             f"tau {ratio_str(self.tau)}",
-            f"makespan {ratio_str(self.makespan)} ~{as_float(self.makespan):.6f}",
+            f"makespan {ratio_str(self.makespan)} ~{float(self.makespan):.6f}",
             f"guess-final {ratio_str(self.guess_final)}",
             f"lower-bound {ratio_str(self.lower_bound)} kind={self.lower_bound_kind}",
-            f"ratio-bound {ratio_str(self.ratio_bound)} ~{as_float(self.ratio_bound):.6f}",
+            f"ratio-bound {ratio_str(self.ratio_bound)} ~{float(self.ratio_bound):.6f}",
         ]
         for phase in sorted(self.iterations):
             lines.append(f"iterations {phase} {self.iterations[phase]}")

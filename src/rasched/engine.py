@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 
-from .model import Schedule, UNASSIGNED, JobClass, validate_partial_schedule
+from .model import Schedule, UNASSIGNED, validate_partial_schedule
 
 
 class EngineInvariantError(RuntimeError):
@@ -265,10 +265,10 @@ class InsertionEngine:
         btype = blocker.btype
         if btype in ALL_UNDESIRABLE:
             return True
-        cls = self.scaled.job_class[j]
+        sc = self.scaled
         if btype is BlockerType.BB:
-            return cls is JobClass.HUGE
-        if cls is not JobClass.MEDIUM:
+            return j >= sc.huge_start
+        if not sc.small_end <= j < sc.huge_start:  # not medium
             return False
         if btype is BlockerType.MM:
             return True
@@ -343,11 +343,10 @@ class InsertionEngine:
         sc = self.scaled
         cap = sc.int_cap
         p_j = sc.int_size(j)
-        cls = sc.job_class[j]
-        if cls is JobClass.SMALL:
+        if j < sc.small_end:
             return BlockerType.S
         a = self._plain_minus_huge(i) + p_j
-        if cls is JobClass.MEDIUM:
+        if j < sc.huge_start:  # medium
             return BlockerType.BB if a <= cap else BlockerType.MS
         if a <= cap:
             return BlockerType.BB

@@ -211,7 +211,6 @@ class ScaledInstance:
     int_cap: int = field(init=False)  # floor((1 + R) L a)
     small_end: int = field(init=False)  # the first job id that is not small
     huge_start: int = field(init=False)  # the first huge job id
-    job_class: tuple = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.epsilon < Frac(1, 12)):
@@ -222,15 +221,8 @@ class ScaledInstance:
         unit, b = self.unit, int(self.guess.denominator)
         object.__setattr__(self, "int_cap",
                            self.load_cap.numerator * unit // self.load_cap.denominator)
-        small_end = bisect_right(q, unit // (2 * b), 1)
-        huge_start = bisect_right(q, 5 * unit // (6 * b), 1)
-        object.__setattr__(self, "small_end", small_end)
-        object.__setattr__(self, "huge_start", huge_start)
-        object.__setattr__(self, "job_class", (
-            (None,) + (JobClass.SMALL,) * (small_end - 1)
-            + (JobClass.MEDIUM,) * (huge_start - small_end)
-            + (JobClass.HUGE,) * (len(q) - huge_start)
-        ))
+        object.__setattr__(self, "small_end", bisect_right(q, unit // (2 * b), 1))
+        object.__setattr__(self, "huge_start", bisect_right(q, 5 * unit // (6 * b), 1))
 
     @property
     def unit(self) -> int:
@@ -248,7 +240,7 @@ class ScaledInstance:
         return tuple([None] + [self.base.sizes[j] / self.guess for j in self.base.jobs])
 
     def size_down(self, j):
-        return FIVE_SIXTHS if self.job_class[j] is JobClass.HUGE else self.size[j]
+        return FIVE_SIXTHS if j >= self.huge_start else self.size[j]
 
     def is_small(self, j) -> bool:
         return j < self.small_end
@@ -260,7 +252,7 @@ class ScaledInstance:
         return list(range(1, self.small_end))
 
     def huge_jobs(self):
-        return list(range(self.huge_start, len(self.job_class)))
+        return list(range(self.huge_start, self.base.num_jobs + 1))
 
 
 def scale_instance(inst: Instance, guess, epsilon) -> ScaledInstance:
@@ -298,11 +290,10 @@ class Schedule:
         sc = self.scaled
         self.assignment[j] = i
         self.on_machine[i].add(j)
-        cls = sc.job_class[j]
-        if cls is JobClass.MEDIUM:
-            self.mediums[i].add(j)
-        elif cls is JobClass.HUGE:
+        if j >= sc.huge_start:
             self.huges[i].add(j)
+        elif j >= sc.small_end:
+            self.mediums[i].add(j)
         self._load[i] += sc.int_size(j)
 
     def unassign(self, j: int):

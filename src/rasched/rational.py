@@ -45,10 +45,6 @@ def ratio_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def as_float(q) -> float:
-    return q.numerator / q.denominator
-
-
 def integer_image(values):
     """(scale, ints): scale is the lcm of the values' denominators, 1 when
     there are none, and ints[k] = values[k] * scale exactly."""

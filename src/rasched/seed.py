@@ -90,7 +90,7 @@ def solve_assignment_lp(scaled: ScaledInstance,
         return FractionalAssignment({}, {})
     if network is None:
         network = AssignmentNetwork(scaled.base)
-    supply = [0] * len(scaled.job_class)
+    supply = [0] * (scaled.base.num_jobs + 1)
     for j in sm_jobs:
         supply[j] = scaled.int_size(j)
     value, level = network.max_flow(supply, scaled.unit)

@@ -5,7 +5,9 @@ formulated as min c.x s.t. Ax = b, x >= 0 with b >= 0 and an initial basis of
 identity columns (unit slacks or artificials), so a single phase suffices.
 A solve can also resume warm from the optimal basis of an earlier call: after
 columns are appended, that basis is still primal feasible, which is how the
-config-LP column generation re-optimizes its master between pricing rounds.
+config-LP column generation re-optimizes its master between pricing rounds
+and resumes a run from an earlier run's final master. A cold start is the
+warm start from the identity basis.
 Dantzig pricing with a permanent switch to Bland's rule after a degenerate
 streak guarantees termination; all arithmetic is exact.
 
@@ -26,8 +28,9 @@ prices on; its rational objective, values and duals are built when read.
 Most pivots of a covering LP keep the scale (the new |det B| equals D).
 There the division is exact term by term, (a D - d_r b) / D = a - d_r b / D,
 so the update touches only the positions where the pivot row is nonzero.
-A warm start shares the rows of the state it resumes from and copies a row
-the first time it writes it, so that state is never changed.
+A start shares the rows of the state it resumes from and copies a row the
+first time it writes it, so that state is never changed: the column
+generation keeps one run's final master to resume later runs from.
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
     With `warm=out.warm`, taken from an earlier optimal outcome together with
     its `basis` as `initial_basis`, the solve resumes from that basis instead
     (rhs is then not read). Columns and costs may have been appended since,
-    but the basic columns must be unchanged. The state (A, X, D) is never
+    but the basic columns must be unchanged. A cold start is the warm start
+    from the identity state (I, rhs, 1). The state (A, X, D) is never
     mutated: a row of A is copied when this call first writes it, and the
     outcome shares the rows it never wrote. A pivot that keeps the scale D
     changes A and Y only in the columns where the pivot row of A is
@@ -110,16 +114,12 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
             col = columns[k]
             if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
                 raise SimplexError("initial basis must be identity columns")
-        D = 1
-        A = [[int(a == b) for b in range(m)] for a in range(m)]
-        X = list(rhs)
-        owned = [True] * m
-    else:
-        # the warm rows are shared until this call first writes one
-        A0, X0, D = warm
-        A = list(A0)
-        X = list(X0)
-        owned = [False] * m
+        warm = [[int(a == b) for b in range(m)] for a in range(m)], rhs, 1
+    # the warm rows are shared until this call first writes one
+    A0, X0, D = warm
+    A = list(A0)
+    X = list(X0)
+    owned = [False] * m
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True

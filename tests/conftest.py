@@ -52,3 +52,13 @@ def two_value_instance(rng, machines):
     rng.shuffle(sizes)
     return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
                                     for p in sizes])
+
+
+def lp_bound_instance(rng, machines, jobs, huge):
+    """The benchmark's lp_bound shape: `huge` sizes in 51/60..1 and the rest
+    in 1/60..50/60, each job permitted on exactly three machines."""
+    nums = [rng.randint(51, 60) for _ in range(huge)]
+    nums += [rng.randint(1, 50) for _ in range(jobs - huge)]
+    rng.shuffle(nums)
+    return make_instance(machines, [(Frac(x, 60), set(rng.sample(range(1, machines + 1), 3)))
+                                    for x in nums])

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from rasched.rational import Frac, ZERO, as_float
+from rasched.rational import Frac, ZERO
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.driver import solve
 from rasched.engine import InsertionEngine, StuckState
@@ -70,8 +70,8 @@ def test_criterion_1_approximation_ratio(campaign):
             failures.append((k, ratio))
     verdict(
         "1 approximation-ratio", not failures and campaign["elapsed"] < 300,
-        f"{CAMPAIGN_SIZE} instances, worst ratio {as_float(worst):.5f} "
-        f"<= limit {as_float(RATIO_LIMIT):.5f}, campaign {campaign['elapsed']:.1f}s",
+        f"{CAMPAIGN_SIZE} instances, worst ratio {float(worst):.5f} "
+        f"<= limit {float(RATIO_LIMIT):.5f}, campaign {campaign['elapsed']:.1f}s",
     )
 
 

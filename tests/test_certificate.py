@@ -15,11 +15,13 @@ from rasched.certificate import (build_dual_certificate, verify_objective_negati
                                  check_big_job_value_bound,
                                  certificate_to_text, certificate_from_text,
                                  recheck_certificate, config_lp_feasible_cg,
-                                 config_lp_lower_bound, CertificateFormatError)
+                                 config_lp_lower_bound, ConfigPool,
+                                 CertificateFormatError)
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import EPS, scaled_of, schedule_of, two_value_instance
+from conftest import (EPS, deadline, lp_bound_instance, scaled_of, schedule_of,
+                      two_value_instance)
 
 DELTA = 1 - EPS  # 23/24
 
@@ -382,14 +384,17 @@ def assert_covering_weights(inst, weights, T):
 
 def bound_with_runs(monkeypatch, call):
     """Run `call()` and return its result with every column-generation run
-    that the config-LP bound made meanwhile."""
+    that the config-LP bound made meanwhile, as (run, resumed, final): did
+    it start from the pool's final master, and the one it left there when
+    infeasible."""
     import rasched.certificate as cm
     runs = []
     original = cm.config_lp_feasible_cg
 
-    def recording(*args, **kwargs):
-        run = original(*args, **kwargs)
-        runs.append((run, kwargs.get("resume") is not None))
+    def recording(inst, T, *, pool):
+        resumed = pool.final is not None and pool.final[0] <= T
+        run = original(inst, T, pool=pool)
+        runs.append((run, resumed, pool.final if run.status == "infeasible" else None))
         return run
 
     with monkeypatch.context() as patch:
@@ -435,10 +440,10 @@ class TestDecidedProbes:
             seed_infeasible = [g for g, out in report.probes if out == "seed-infeasible"]
             assert kwargs["infeasible_at"] == max(seed_infeasible, default=None), case
 
-            cold_status = {run.T: run.status for run, _ in cold_runs}
+            cold_status = {run.T: run.status for run, *_ in cold_runs}
             assert len(cold_status) == cold.probes
-            run_at = {run.T: run for run, _ in runs}
-            for run, resumed in runs:  # a resumed run decides as a cold one
+            run_at = {run.T: run for run, *_ in runs}
+            for run, resumed, _ in runs:  # a resumed run decides as a cold one
                 assert run.status == cold_status[run.T], case
                 if run.status == "infeasible":
                     assert_ray_is_knapsack_checked(inst, run)
@@ -476,12 +481,12 @@ def solve_facts(monkeypatch, inst):
     return kwargs
 
 
-def ray_from_basis(inst, run):
-    """An infeasible run's ray recomputed from its final basis: the duals
-    c_B B^-1, with cost 1 on the job shortfall slacks (keys (None, t) for
-    m <= t < m + n), read off the warm state A = D B^-1."""
+def ray_from_basis(inst, final):
+    """An infeasible run's ray recomputed from the final master it left in
+    the pool: the duals c_B B^-1, with cost 1 on the job shortfall slacks
+    (keys (None, t) for m <= t < m + n), read off the warm state A = D B^-1."""
     m, n = inst.num_machines, inst.num_jobs
-    basis_keys, (A, _, D) = run.final
+    _, basis_keys, (A, _, D) = final
     y = [ZERO] * (m + n)
     for r, key in enumerate(basis_keys):
         if key[0] is None and m <= key[1] < m + n:
@@ -540,13 +545,13 @@ class TestSeededPool:
             case = (kind, seed)
             assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
                 empty.lower, empty.upper, empty.lower_certified, empty.probes), case
-            assert ([(run.T, run.status) for run, _ in runs]
-                    == [(run.T, run.status) for run, _ in empty_runs]), case
-            for run, _ in runs:
+            assert ([(run.T, run.status) for run, *_ in runs]
+                    == [(run.T, run.status) for run, *_ in empty_runs]), case
+            for run, *_ in runs:
                 if run.status == "infeasible":
                     assert_ray_is_knapsack_checked(inst, run)
-            rounds["seeded"] += sum(run.rounds for run, _ in runs)
-            rounds["empty"] += sum(run.rounds for run, _ in empty_runs)
+            rounds["seeded"] += sum(run.rounds for run, *_ in runs)
+            rounds["empty"] += sum(run.rounds for run, *_ in empty_runs)
         assert rounds["seeded"] < rounds["empty"], rounds
 
     def test_ray_is_built_when_read_from_the_final_master(self, monkeypatch):
@@ -556,12 +561,12 @@ class TestSeededPool:
             facts = solve_facts(monkeypatch, inst)
             _, runs = bound_with_runs(
                 monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
-            for run, _ in runs:
+            for run, _, final in runs:
                 if run.status != "infeasible":
                     assert run.dual_z is None and run.dual_y is None
                     continue
                 assert "dual_z" not in vars(run) and "dual_y" not in vars(run)
-                dual_z, dual_y = ray_from_basis(inst, run)
+                dual_z, dual_y = ray_from_basis(inst, final)
                 assert (run.dual_z, run.dual_y) == (dual_z, dual_y), (kind, seed)
                 assert_ray_is_knapsack_checked(inst, run)
                 rays += 1
@@ -594,16 +599,6 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
         for T in (inst.max_size(), inst.total_size() / 2):
             exact_config_lp_feasible(inst, T)
     assert len(master) >= 200 and len(enumerated) >= 20
-
-
-def lp_bound_instance(rng, machines, jobs, huge):
-    """The benchmark's lp_bound shape: `huge` sizes in 51/60..1 and the rest
-    in 1/60..50/60, each job permitted on exactly three machines."""
-    nums = [rng.randint(51, 60) for _ in range(huge)]
-    nums += [rng.randint(1, 50) for _ in range(jobs - huge)]
-    rng.shuffle(nums)
-    return make_instance(machines, [(Frac(x, 60), set(rng.sample(range(1, machines + 1), 3)))
-                                    for x in nums])
 
 
 #: computed before the config-LP bound seeded its pool with the schedule:
@@ -641,7 +636,7 @@ def lp_path_solves(monkeypatch):
             report, runs = bound_with_runs(monkeypatch,
                                            lambda: solve(inst, lp_bound=True))
         (bound,) = bounds
-        yield report, bound, [run for run, _ in runs]
+        yield report, bound, [run for run, *_ in runs]
 
 
 def test_lp_path_matches_the_pinned_digest(monkeypatch):
@@ -676,8 +671,70 @@ def test_unseeded_lp_runs_match_the_pinned_digest(monkeypatch):
             monkeypatch, lambda: config_lp_lower_bound(inst, Frac(1, 100)))
         h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
                        bound.probes, [(str(run.T), run.status, run.rounds)
-                                      for run, _ in runs])).encode())
+                                      for run, *_ in runs])).encode())
     assert h.hexdigest() == PINNED_UNSEEDED_LP_DIGEST
+
+
+class TestPoolResume:
+    """A run resumes from the pool's final master only when that master's T
+    is at most its own, so that every basic column is in its master again;
+    otherwise it starts from the slack basis. Either way it decides as a
+    cold run does."""
+
+    @staticmethod
+    def first_warm(monkeypatch, run):
+        """`run()` and the warm state its first simplex call started from."""
+        import rasched.certificate as cm
+        warms = []
+        original = cm.simplex_min
+
+        def recording(*args, warm=None, **kwargs):
+            warms.append(warm)
+            return original(*args, warm=warm, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cm, "simplex_min", recording)
+            return run(), warms[0]
+
+    def test_only_a_final_master_at_or_below_T_is_resumed(self, monkeypatch):
+        checked = 0
+        for k in range(24):
+            inst = lp_path_instance(k)
+            bound = config_lp_lower_bound(inst, TAU)
+            T0 = bound.lower
+            if not bound.lower_certified:
+                continue
+
+            def infeasible_pool():
+                pool = ConfigPool(inst)
+                assert config_lp_feasible_cg(inst, T0, pool=pool).status == "infeasible"
+                return pool
+
+            _, basis_keys, _ = infeasible_pool().final
+            widest = max(sum((inst.sizes[j] for j in conf), ZERO)
+                         for i, conf in basis_keys if i is not None)
+            if widest <= inst.max_size():
+                continue
+            # a configuration of the final basis does not fit below `widest`
+            low = (inst.max_size() + widest) / 2
+            for T, resumes in ((low, False), (T0, True), (bound.upper, True)):
+                pool = infeasible_pool()
+                final = pool.final
+                run, warm = self.first_warm(
+                    monkeypatch, lambda: config_lp_feasible_cg(inst, T, pool=pool))
+                assert warm is (final[2] if resumes else None), (k, T)
+                assert run.status == config_lp_feasible_cg(inst, T).status, (k, T)
+                if run.status != "infeasible":
+                    assert pool.final is final
+            checked += 1
+        assert checked >= 10
+
+
+@pytest.mark.parametrize("tolerance", [0, -1])
+def test_bound_refuses_a_tolerance_that_never_closes_the_bracket(tolerance):
+    inst = lp_path_instance(0)
+    with deadline(5), pytest.raises(ValueError, match="tolerance must be positive"):
+        config_lp_lower_bound(inst, tolerance)
 
 
 def two_value_16(seed):

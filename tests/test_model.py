@@ -197,9 +197,8 @@ class TestScaling:
             sc = scale_instance(inst, T, EPS)
             for j in inst.jobs:
                 p = inst.sizes[j] / T
-                assert sc.job_class[j] is classify_job(p)
-                assert sc.is_small(j) == (p <= Frac(1, 2))
-                assert sc.is_huge(j) == (p > Frac(5, 6))
+                assert sc.is_small(j) == (classify_job(p) is JobClass.SMALL) == (p <= Frac(1, 2))
+                assert sc.is_huge(j) == (classify_job(p) is JobClass.HUGE) == (p > Frac(5, 6))
                 assert Frac(sc.int_size(j), sc.unit) == p == sc.size[j]
             assert sc.small_jobs() == [j for j in inst.jobs if sc.is_small(j)]
             assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]

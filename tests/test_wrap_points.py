@@ -1,8 +1,12 @@
-"""The benchmark's traced runs wrap rasched functions by name; a rename under
+"""The benchmark's traced runs wrap rasched functions by name and read
+counts off their arguments and results; a rename or a signature change under
 src/ must fail here rather than only when a traced benchmark run starts."""
 
 import importlib.util
+import random
 from pathlib import Path
+
+from conftest import lp_bound_instance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -22,3 +26,20 @@ def test_every_wrap_point_resolves_to_a_callable():
         # Tracer.installed() reads the attribute from the owner's own namespace
         assert attr in vars(owner), f"{module}: {path} is gone"
         assert callable(vars(owner)[attr]), f"{module}: {path} is not callable"
+
+
+def test_traced_lp_bound_solve_reports_the_same_and_counts_the_runs():
+    """The hooks read the arguments and results of the calls they wrap; a
+    signature or field change there must fail here too, not only in a
+    traced benchmark run."""
+    from rasched.driver import solve
+    tracing = load_tracing()
+    inst = lp_bound_instance(random.Random(101), 5, 10, 6)
+    untraced = solve(inst, lp_bound=True).to_text()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = solve(inst, lp_bound=True).to_text()
+    assert traced == untraced
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["certificate.cg_calls"] > 0
+    assert metrics["certificate.cg_rounds"] > 0
