@@ -146,10 +146,10 @@ def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
     unit = scaled.unit
     for i in scaled.base.machines:
         jobs = [j for j in scaled.base.jobs
-                if i in scaled.base.gamma[j] and z_int[j] > 0 and scaled.int_size(j) <= unit]
+                if i in scaled.base.gamma[j] and z_int[j] > 0 and scaled.int_sizes[j] <= unit]
         if jobs:
             best, subset = knapsack_max_value(
-                KnapsackQuery(tuple((scaled.int_size(j), z_int[j]) for j in jobs), unit)
+                KnapsackQuery(tuple((scaled.int_sizes[j], z_int[j]) for j in jobs), unit)
             )
             value = Frac(best, z_scale)
             config = tuple(jobs[t] for t in subset)
@@ -219,10 +219,10 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
     unit = sc.unit
     z_scale, z_int = _z_image(cert)
     bigs = []
-    if sc.int_size(engine.j_new) <= unit:
+    if sc.int_sizes[engine.j_new] <= unit:
         bigs.append((engine.j_new, 1))
     for j in sched.assigned_jobs():
-        if sc.is_small(j) or sc.int_size(j) > unit:
+        if sc.is_small(j) or sc.int_sizes[j] > unit:
             continue
         parent = engine.activator_of(j)
         if parent is not None:
@@ -232,7 +232,7 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
         covered = engine.covered_machines(prefix=k)
         blocked = engine.blocked_small_jobs(prefix=k)
         home = sched.machine_of(j)
-        room = unit - sc.int_size(j)
+        room = unit - sc.int_sizes[j]
         for i in sc.base.gamma[j]:
             if i == home or i in covered:
                 continue
@@ -241,10 +241,10 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
             z_all = sum((cert.z[jj] for jj in active_prefix), ZERO)
             items = [jj for jj in sorted(active_prefix)
                      if i in sc.base.gamma[jj] and z_int[jj] > 0
-                     and sc.int_size(jj) <= room]
+                     and sc.int_sizes[jj] <= room]
             if items:
                 best, _ = knapsack_max_value(KnapsackQuery(
-                    tuple((sc.int_size(jj), z_int[jj]) for jj in items), room))
+                    tuple((sc.int_sizes[jj], z_int[jj]) for jj in items), room))
                 overlap = Frac(best, z_scale)
             else:
                 overlap = ZERO

@@ -13,7 +13,10 @@ bracket starts at [max job size, makespan of a polished restricted greedy
 schedule] and shrinks until high/low <= 1 + tau. The lowest successful
 probe's schedule is polished by the same move/swap descent, and the better
 of it and the polished greedy schedule is reported; reports serialize
-byte-identically for identical inputs.
+byte-identically for identical inputs. Both ends of the bracket are
+multiples of 1/L, L the scale of the instance's integer image, so the
+bisection runs on integer numerators over the common denominator L 2^k and
+builds one rational per probe, its guess.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
         fa = seed_small_medium(scaled, violators, network)
     except SeedInfeasible as exc:
         if not exc.reused:
-            violators.append(exc.jobs)
+            violators.append(exc.violator)
         elif audit:
             try:
                 solve_assignment_lp(scaled, network)
@@ -245,13 +248,18 @@ def _polish(inst: Instance, placement: dict) -> dict:
     return placement
 
 
-def _makespan(inst: Instance, placement: dict):
-    """The exact maximum machine load of a complete placement."""
-    scale, sizes = inst.integer_image
+def _max_load(inst: Instance, placement: dict) -> int:
+    """The maximum machine load of a complete placement, times L."""
+    sizes = inst.integer_image[1]
     loads = [0] * (inst.num_machines + 1)
     for j, i in placement.items():
         loads[i] += sizes[j]
-    return Frac(max(loads[1:]), scale)
+    return max(loads[1:])
+
+
+def _makespan(inst: Instance, placement: dict):
+    """The exact maximum machine load of a complete placement."""
+    return Frac(_max_load(inst, placement), inst.integer_image[0])
 
 
 def _tree_snapshot(engine: InsertionEngine) -> list:
@@ -291,10 +299,13 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     violators: list = []  # Hall violators of this solve's failed seed flows
     network = AssignmentNetwork(inst)
 
-    lo = inst.max_size()
-    lower_kind = "max-job-size"
+    # the bracket [lo, hi] on integers: lo = lo_n / den and hi = hi_n / den
+    scale, sizes = inst.integer_image
     greedy = _polish(inst, _greedy(inst))
-    greedy_makespan = hi = _makespan(inst, greedy)
+    lo_n, hi_n, den = max(sizes), _max_load(inst, greedy), scale
+    lo, lower_kind = Frac(lo_n, den), "max-job-size"
+    greedy_makespan = hi = Frac(hi_n, den)
+    tau_num, tau_den = tau.numerator, tau.denominator
 
     first = _probe(inst, hi, epsilon, audit=audit, log_events=log_events,
                    run_logs=run_logs, counters=counters,
@@ -307,20 +318,22 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     best = first
     seed_infeasible_at = None  # the largest guess whose seed LP is infeasible
 
-    while hi > lo * (1 + tau):
-        mid = (lo + hi) / 2
+    while hi_n * tau_den > lo_n * (tau_den + tau_num):  # hi > lo (1 + tau)
+        lo_n, hi_n, den = 2 * lo_n, 2 * hi_n, 2 * den
+        mid_n = (lo_n + hi_n) // 2
+        mid = Frac(mid_n, den)
         res = _probe(inst, mid, epsilon, audit=audit, log_events=log_events,
                      run_logs=run_logs, counters=counters,
                      violators=violators, network=network)
         probes.append((mid, res.outcome))
         if res.outcome == "success":
-            hi, best = mid, res
+            hi_n, best = mid_n, res
         elif res.outcome == "seed-infeasible":
-            lo, lower_kind = mid, "seed-lp-infeasible"
+            lo_n, lo, lower_kind = mid_n, mid, "seed-lp-infeasible"
             seed_infeasible_at = mid
         else:
             certificates.append((mid, res.certificate))
-            lo, lower_kind = mid, "stuck-certificate"
+            lo_n, lo, lower_kind = mid_n, mid, "stuck-certificate"
     counters["probes"] = len(probes)
 
     best_guess, best_schedule = best.guess, best.schedule

@@ -321,14 +321,15 @@ class InsertionEngine:
         return sched.int_load(i) - self._sum_sizes(sched.huges[i])
 
     def _sum_sizes(self, jobs):
-        return sum(self.scaled.int_size(j) for j in jobs)
+        sizes = self.scaled.int_sizes
+        return sum(sizes[j] for j in jobs)
 
     def _small_and_min_medium(self, i, layer):
         """Size of the small jobs on i blocked within layers <= layer, and
         size of i's smallest medium job (0 without one), over the unit."""
         s_sum = self._sum_sizes(self.blocked_smalls_on(i, prefix=layer))
         mn = self.schedule.min_medium(i)
-        return s_sum, (self.scaled.int_size(mn) if mn is not None else 0)
+        return s_sum, (self.scaled.int_sizes[mn] if mn is not None else 0)
 
     def classify_potential_move(self, j, i, k):
         """Blocker type the move (j, i) would get in layer k, or None.
@@ -342,7 +343,7 @@ class InsertionEngine:
             return None
         sc = self.scaled
         cap = sc.int_cap
-        p_j = sc.int_size(j)
+        p_j = sc.int_sizes[j]
         if j < sc.small_end:
             return BlockerType.S
         a = self._plain_minus_huge(i) + p_j
@@ -364,7 +365,7 @@ class InsertionEngine:
         type against the current schedule (using the blocker's own layer)."""
         sc = self.scaled
         cap = sc.int_cap
-        p_j = sc.int_size(b.job)
+        p_j = sc.int_sizes[b.job]
         if b.btype in (BlockerType.BB, BlockerType.S):
             return True
         if b.btype in (BlockerType.MS, BlockerType.BS):
@@ -384,7 +385,7 @@ class InsertionEngine:
         if sc.is_huge(j) and sched.huges[i]:
             return False
         up_load = self._plain_minus_huge(i) + len(sched.huges[i]) * sc.unit  # a huge job counts 1
-        return up_load + sc.int_size(j) <= sc.int_cap
+        return up_load + sc.int_sizes[j] <= sc.int_cap
 
     def find_valid_move(self):
         """Live blocker with a valid move in the lowest (layer, sublayer),
@@ -586,7 +587,7 @@ class InsertionEngine:
                 out.append(f"job {b.job} has blockers in layers {prev} and {b.layer}")
             layer_of_job[b.job] = b.layer
 
-            p_j = sc.int_size(b.job)
+            p_j = sc.int_sizes[b.job]
             if b.btype is BlockerType.BB:
                 if self._plain_minus_huge(b.machine) + p_j > cap:
                     out.append(f"{b}: huge-target load condition broke")

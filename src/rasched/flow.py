@@ -2,12 +2,13 @@
 
 `Network` is a residual graph with integer capacities. `AssignmentNetwork`
 lays the arcs source -> job -> permitted machine -> sink of one instance
-once; each flow it runs only resets their capacities, so every guess of a
-solve shares one graph. Its flow is Dinic's with the first phase pushed in
-closed form: that phase's level graph is the layered network itself, so its
-blocking flow is a greedy fill that needs no path search. The flow decides a
-guess on its own (`rasched.seed`); it is rounded into a schedule only where
-one is read.
+once, in bulk: every arc id follows from the instance in closed form, so the
+arc lists are filled by slices and one pass over the job arcs. Each flow it
+runs only resets their capacities, so every guess of a solve shares one
+graph. Its flow is Dinic's with the first phase pushed in closed form: that
+phase's level graph is the layered network itself, so its blocking flow is
+a greedy fill that needs no path search. The flow decides a guess on its
+own (`rasched.seed`); it is rounded into a schedule only where one is read.
 """
 
 from __future__ import annotations
@@ -34,15 +35,17 @@ class Network:
     def levels(self, source):
         """BFS distance from the source over arcs with residual capacity;
         -1 marks nodes the source cannot reach."""
-        level = [-1] * len(self.out)
+        out, head, cap = self.out, self.head, self.cap
+        level = [-1] * len(out)
         level[source] = 0
         queue = deque([source])
         while queue:
             u = queue.popleft()
-            for e in self.out[u]:
-                v = self.head[e]
-                if level[v] < 0 and self.cap[e] > 0:
-                    level[v] = level[u] + 1
+            nxt = level[u] + 1
+            for e in out[u]:
+                v = head[e]
+                if level[v] < 0 and cap[e] > 0:
+                    level[v] = nxt
                     queue.append(v)
         return level
 
@@ -54,18 +57,21 @@ class Network:
         path = []
         u = source
         while u != sink:
-            arcs = out[u]
-            while cursor[u] < len(arcs):
-                e = arcs[cursor[u]]
-                if cap[e] > 0 and level[head[e]] == level[u] + 1:
+            arcs, k, want = out[u], cursor[u], level[u] + 1
+            end = len(arcs)
+            while k < end:
+                e = arcs[k]
+                if cap[e] > 0 and level[head[e]] == want:
                     break
-                cursor[u] += 1
+                k += 1
             else:
+                cursor[u] = k
                 if not path:
                     return 0
                 u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
                 cursor[u] += 1
                 continue
+            cursor[u] = k
             path.append(e)
             u = head[e]
         delta = min(cap[e] for e in path)
@@ -99,30 +105,44 @@ class AssignmentNetwork:
     def __init__(self, inst):
         n, m = inst.num_jobs, inst.num_machines
         self.source, self.sink = 0, n + m + 1
-        self.net = Network(n + m + 2)
-        # per arc, the index of its capacity in `max_flow`'s value list:
-        # job j's arcs read j, sink arcs read n + 1, reverse arcs read 0
-        self._owner = []
+        jobs = inst.jobs
+        # arc ids: job j's source arc 2 (j - 1), the job arcs from 2 n on,
+        # machine i's sink arc sink_arc + 2 i; each reverse arc is id + 1
+        first = 2 * n
+        sink_arc = first + 2 * sum(map(len, inst.gamma)) - 2
+        out = [list(range(0, first, 2))]
+        out += [[2 * j - 1] for j in jobs]
+        out += [[] for _ in inst.machines]
+        out.append(list(range(sink_arc + 3, sink_arc + 2 * m + 3, 2)))
         self.job_arcs = []  # (job, machine, arc id)
-        for j in inst.jobs:
-            self._lay(self.source, j, j)
-        for j in inst.jobs:
-            for i in sorted(inst.gamma[j]):
-                self.job_arcs.append((j, i, len(self._owner)))
-                self._lay(j, n + i, j)
-        sink_arc = {}
-        for i in inst.machines:
-            sink_arc[i] = len(self._owner)
-            self._lay(n + i, self.sink, n + 1)
         # per job, its source arc and (machine arc, that machine's sink arc)
         # in machine id order
-        self._fans = [(2 * (j - 1), []) for j in inst.jobs]
-        for j, i, e in self.job_arcs:
-            self._fans[j - 1][1].append((e, sink_arc[i]))
-
-    def _lay(self, u, v, owner):
-        self.net.arc(u, v, 0)
-        self._owner += (owner, 0)
+        self._fans = []
+        e = first
+        for j in jobs:
+            fan = []
+            self._fans.append((2 * (j - 1), fan))
+            for i in sorted(inst.gamma[j]):
+                out[j].append(e)
+                out[n + i].append(e + 1)
+                self.job_arcs.append((j, i, e))
+                fan.append((e, sink_arc + 2 * i))
+                e += 2
+        for i in inst.machines:
+            out[n + i].append(sink_arc + 2 * i)
+        head = [0] * (e + 2 * m)
+        head[0:first:2] = jobs
+        head[first:e:2] = [n + i for _, i, _ in self.job_arcs]
+        head[first + 1:e:2] = [j for j, _, _ in self.job_arcs]
+        head[e::2] = [self.sink] * m
+        head[e + 1::2] = range(n + 1, n + m + 1)
+        # per arc, the index of its capacity in `max_flow`'s value list:
+        # job j's arcs read j, sink arcs read n + 1, reverse arcs read 0
+        self._owner = [0] * len(head)
+        self._owner[0:e:2] = [*jobs, *(j for j, _, _ in self.job_arcs)]
+        self._owner[e::2] = [n + 1] * m
+        self.net = Network(0)
+        self.net.head, self.net.cap, self.net.out = head, [0] * len(head), out
 
     def max_flow(self, supply, capacity):
         """Max flow with job j supplying supply[j] (supply[0] is unused) on
@@ -150,7 +170,8 @@ class AssignmentNetwork:
             for e, sink_arc in fan:
                 if not left:
                     break
-                push = min(left, cap[sink_arc])
+                room = cap[sink_arc]
+                push = left if left < room else room
                 if push:
                     cap[e] -= push
                     cap[e ^ 1] += push

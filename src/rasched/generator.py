@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .rational import Frac, frac
-from .model import Instance, make_instance
+from .model import MAX_MACHINES, Instance, make_instance
 
 PRESETS = ("uniform", "huge_heavy", "small_only", "collision")
 
@@ -25,6 +25,8 @@ class GenSpec:
     def __post_init__(self):
         if self.machines < 1 or self.jobs < 1:
             raise ValueError("need at least one machine and one job")
+        if self.machines > MAX_MACHINES or self.jobs > MAX_MACHINES:
+            raise ValueError(f"at most {MAX_MACHINES} machines and jobs")
         object.__setattr__(self, "density", frac(self.density))
         if not (0 < self.density <= 1):
             raise ValueError("density must lie in (0, 1]")

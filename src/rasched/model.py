@@ -3,14 +3,17 @@
 Jobs are re-sorted at parse time so internal ids 1..n are nondecreasing in
 (size, original position); min/max over id sets are therefore deterministic.
 An instance keeps one integer image of its sizes, p_j = q_j / L. A guess
-T = a/b turns it into integer scaled sizes b q_j over the unit L a, and the
-seed and the search decide by integer comparisons on them: the job classes,
-and machine loads against the cap floor((1 + R) L a). Schedules keep one
-integer plain load per machine. Rationals are built only for output: the
-scaled sizes (`ScaledInstance.size`) when first read and a load
-(`Schedule.load`) when read, for certificates, messages and tests. The
-engine's validity test counts a huge job as the unit, and the certificate
-rounds it down to 5/6 (`ScaledInstance.size_down`).
+T = a/b turns it into integer scaled sizes b q_j over the unit L a, built
+once per guess as one table (`ScaledInstance.int_sizes`), and the seed and
+the search decide by integer comparisons on them: the job classes, and
+machine loads against the cap floor((1 + R) L a). R and 1 + R depend on
+epsilon alone and are computed once per epsilon. Schedules keep one integer
+plain load per machine. Rationals are built only for output: the scaled
+sizes (`ScaledInstance.size`) when first read and a load (`Schedule.load`)
+when read, for certificates, messages and tests. The engine's validity test
+counts a huge job as the unit, and the certificate rounds it down to 5/6
+(`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
+machines, so no header makes a solve build unbounded per-machine lists.
 """
 
 from __future__ import annotations
@@ -18,12 +21,17 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 
 HALF = Frac(1, 2)
 FIVE_SIXTHS = Frac(5, 6)
+
+#: the most machines an instance may have; `parse_instance` rejects a larger
+#: `machines` header and `GenSpec` larger counts, since a solve builds lists
+#: of that length
+MAX_MACHINES = 100_000
 
 
 class InstanceFormatError(ValueError):
@@ -149,6 +157,8 @@ def parse_instance(text: str) -> Instance:
         raise InstanceFormatError(lineno, f"bad machine count {mtoks[1]!r}") from None
     if num_machines < 1:
         raise InstanceFormatError(lineno, "machine count must be >= 1")
+    if num_machines > MAX_MACHINES:
+        raise InstanceFormatError(lineno, f"machine count must be <= {MAX_MACHINES}")
 
     jobs, names, seen = [], [], set()
     for lineno, toks in entries[2:]:
@@ -191,16 +201,26 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
+@lru_cache(maxsize=64)
+def _epsilon_constants(num: int, den: int):
+    """(R, 1 + R) for epsilon = num/den, after its range check."""
+    epsilon = Frac(num, den)
+    if not (0 < epsilon < Frac(1, 12)):
+        raise ValueError("epsilon must lie strictly between 0 and 1/12")
+    R = FIVE_SIXTHS + 2 * epsilon
+    return R, 1 + R
+
+
 @dataclass(frozen=True)
 class ScaledInstance:
     """An instance with sizes divided by the guess T; carries epsilon and R.
 
     With T = a/b and the base's integer image (L, q), job j's scaled size is
-    b q_j / (L a): it is small iff 2 b q_j <= L a and huge iff
-    6 b q_j > 5 L a. Since q is nondecreasing in the job id, the small jobs
-    are the ids below `small_end` and the huge ones those from `huge_start`.
-    An integer load over L a is at most `int_cap` exactly when the scaled
-    load is at most 1 + R.
+    b q_j / (L a), and `int_sizes[j]` = b q_j: it is small iff
+    2 b q_j <= L a and huge iff 6 b q_j > 5 L a. Since q is nondecreasing in
+    the job id, the small jobs are the ids below `small_end` and the huge
+    ones those from `huge_start`. An integer load over L a is at most
+    `int_cap` exactly when the scaled load is at most 1 + R.
     """
 
     base: Instance
@@ -208,31 +228,23 @@ class ScaledInstance:
     epsilon: object  # rational in (0, 1/12)
     R: object = field(init=False)
     load_cap: object = field(init=False)  # 1 + R, the per-machine load cap
+    unit: int = field(init=False)  # L a: scaled size 1 over the common denominator
+    int_sizes: tuple = field(init=False)  # b q_j by job, int_sizes[0] = 0
     int_cap: int = field(init=False)  # floor((1 + R) L a)
     small_end: int = field(init=False)  # the first job id that is not small
     huge_start: int = field(init=False)  # the first huge job id
 
     def __post_init__(self):
-        if not (0 < self.epsilon < Frac(1, 12)):
-            raise ValueError("epsilon must lie strictly between 0 and 1/12")
-        object.__setattr__(self, "R", FIVE_SIXTHS + 2 * self.epsilon)
-        object.__setattr__(self, "load_cap", 1 + self.R)
-        q = self.base.integer_image[1]
-        unit, b = self.unit, int(self.guess.denominator)
-        object.__setattr__(self, "int_cap",
-                           self.load_cap.numerator * unit // self.load_cap.denominator)
-        object.__setattr__(self, "small_end", bisect_right(q, unit // (2 * b), 1))
-        object.__setattr__(self, "huge_start", bisect_right(q, 5 * unit // (6 * b), 1))
-
-    @property
-    def unit(self) -> int:
-        """L a: scaled size 1 over the common denominator L a, on which job
-        j weighs b q_j (`int_size`)."""
-        return self.base.integer_image[0] * int(self.guess.numerator)
-
-    def int_size(self, j) -> int:
-        """b q_j, the scaled size of job j times `unit`."""
-        return int(self.guess.denominator) * self.base.integer_image[1][j]
+        R, load_cap = _epsilon_constants(self.epsilon.numerator, self.epsilon.denominator)
+        scale, q = self.base.integer_image
+        b = self.guess.denominator
+        unit = scale * self.guess.numerator
+        # the derived fields, set in one step past the frozen __setattr__
+        self.__dict__.update(
+            R=R, load_cap=load_cap, unit=unit, int_sizes=tuple([b * x for x in q]),
+            int_cap=load_cap.numerator * unit // load_cap.denominator,
+            small_end=bisect_right(q, unit // (2 * b), 1),
+            huge_start=bisect_right(q, 5 * unit // (6 * b), 1))
 
     @cached_property
     def size(self):
@@ -257,9 +269,13 @@ class ScaledInstance:
 
 def scale_instance(inst: Instance, guess, epsilon) -> ScaledInstance:
     """Divide all sizes by the guess T exactly; the base is never mutated."""
+    if not isinstance(guess, Frac):
+        guess = frac(guess)
     if guess <= 0:
         raise ValueError("guess must be positive")
-    return ScaledInstance(base=inst, guess=frac(guess), epsilon=frac(epsilon))
+    if not isinstance(epsilon, Frac):
+        epsilon = frac(epsilon)
+    return ScaledInstance(base=inst, guess=guess, epsilon=epsilon)
 
 
 UNASSIGNED = None
@@ -294,7 +310,7 @@ class Schedule:
             self.huges[i].add(j)
         elif j >= sc.small_end:
             self.mediums[i].add(j)
-        self._load[i] += sc.int_size(j)
+        self._load[i] += sc.int_sizes[j]
 
     def unassign(self, j: int):
         i = self.assignment[j]
@@ -304,7 +320,7 @@ class Schedule:
         self.on_machine[i].discard(j)
         self.mediums[i].discard(j)
         self.huges[i].discard(j)
-        self._load[i] -= sc.int_size(j)
+        self._load[i] -= sc.int_sizes[j]
 
     def move(self, j: int, i: int):
         if self.assignment[j] is not UNASSIGNED:
@@ -321,7 +337,7 @@ class Schedule:
     def load_from_scratch(self, i: int):
         """Recompute the load by summation; used by tests."""
         sc = self.scaled
-        return Frac(sum(sc.int_size(j) for j in self.on_machine[i]), sc.unit)
+        return Frac(sum(sc.int_sizes[j] for j in self.on_machine[i]), sc.unit)
 
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""

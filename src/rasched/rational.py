@@ -1,10 +1,12 @@
 """Exact rational arithmetic, `fractions.Fraction`, for what is read out.
 
 Input sizes, the bisection's guesses and bounds, certificates, reports and
-traces are exact rationals. A probe's seed and search decide on integers
-instead: the instance keeps one integer image of its sizes, and the guess
-scales it to integer sizes and loads over a common unit (`rasched.model`),
-so a successful probe builds no rational size or load.
+traces are exact rationals. The bisection and a probe's seed and search
+decide on integers instead: the instance keeps one integer image of its
+sizes, the bracket is kept as integer numerators over a common denominator
+(`rasched.driver`), and the guess scales the image to integer sizes and
+loads over a common unit (`rasched.model`), so a successful probe builds no
+rational size or load.
 """
 
 from __future__ import annotations

@@ -8,45 +8,77 @@ the LP is feasible exactly when the flow saturates every job, and
 x[j,i] = f[j,i] / P_j is then a solution. The network's arcs are laid once
 per solve (`flow.AssignmentNetwork`) and each guess only resets their
 capacities. A failed flow yields a Hall violator J, small/medium jobs with
-p(J) > T |Gamma(J)|; the solve hands its violators back to later guesses,
-which are decided without a flow while one of them still proves them
-infeasible.
+p(J) > T |Gamma(J)|. It is kept as a `HallViolator`: its largest job id,
+sum_J q_j and |Gamma(J)|, none of which depend on the guess. The solve hands
+its violators back to later guesses, which are decided without a flow while
+one of them still proves them infeasible, by two integer comparisons.
 
 The flow alone decides a guess (`seed_small_medium`). Only a schedule that
 is read gets rounded (`round_seed`): cycles of the flow's support are
 cancelled on the integers until it is a forest, and the forest is rounded
-so that every machine receives at most one extra fractional job. The
-resulting plain load per machine is at most U + max P_j, i.e.
-1 + max small/medium size <= 11/6 at scale. No decision here reads a
-rational: the x-values and scaled loads are only built when something reads
-them.
+so that every machine receives at most one extra fractional job. The support
+graph is built once per rounding and loses an edge when its flow reaches 0;
+each cycle is found by a fresh depth-first search over it, so the cycles,
+and with them the rounding, are those of a graph rebuilt for every cycle
+(one search forest for all cycles would find others). The resulting
+plain load per machine is at most U + max P_j, i.e. 1 + max small/medium
+size <= 11/6 at scale. No decision here reads a rational: the x-values and
+scaled loads are only built when something reads them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .flow import AssignmentNetwork
 from .rational import Frac, ZERO
 from .simplex import SimplexError
 from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
-from .model import Schedule, ScaledInstance
+from .model import Instance, Schedule, ScaledInstance
+
+
+class HallViolator(NamedTuple):
+    """A Hall violator J, kept by what decides later guesses: its largest
+    job id `top`, its volume sum_J q_j and its width |Gamma(J)|."""
+
+    top: int
+    volume: int
+    width: int
+    jobs: tuple
+
+    @classmethod
+    def of(cls, inst: Instance, jobs):
+        jobs = tuple(jobs)
+        q = inst.integer_image[1]
+        return cls(max(jobs), sum(q[j] for j in jobs),
+                   len(set().union(*(inst.gamma[j] for j in jobs))), jobs)
+
+    def proves(self, scaled: ScaledInstance) -> bool:
+        """`still_violates` on the summary: no job of J is huge at this
+        guess, and b sum_J q_j > L a |Gamma(J)|."""
+        return (self.top < scaled.huge_start
+                and scaled.guess.denominator * self.volume > scaled.unit * self.width)
 
 
 class SeedInfeasible(Exception):
     """The assignment LP has no solution at this guess (so neither has the
     configuration LP): the guess is below the optimum.
 
-    `jobs` is a Hall violator: small/medium jobs J with p(J) > |union of
-    their permitted sets| at scaled threshold 1. `reused` tells that J came
+    `violator` is a Hall violator: small/medium jobs J with p(J) > |union of
+    their permitted sets| at scaled threshold 1. `reused` tells that it came
     from the solve's earlier violators and no flow ran at this guess.
     """
 
-    def __init__(self, jobs=(), reused=False):
+    def __init__(self, violator: HallViolator, reused=False):
         super().__init__("assignment LP infeasible")
-        self.jobs = tuple(jobs)
+        self.violator = violator
         self.reused = reused
+
+    @property
+    def jobs(self) -> tuple:
+        return self.violator.jobs
 
 
 @dataclass
@@ -90,9 +122,8 @@ def solve_assignment_lp(scaled: ScaledInstance,
         return FractionalAssignment({}, {})
     if network is None:
         network = AssignmentNetwork(scaled.base)
-    supply = [0] * (scaled.base.num_jobs + 1)
-    for j in sm_jobs:
-        supply[j] = scaled.int_size(j)
+    sizes, end = scaled.int_sizes, scaled.huge_start
+    supply = list(sizes[:end]) + [0] * (len(sizes) - end)
     value, level = network.max_flow(supply, scaled.unit)
     if value < sum(supply):
         # The reachable machines are full, or the flow would augment, and only
@@ -102,35 +133,31 @@ def solve_assignment_lp(scaled: ScaledInstance,
         # too and the job was reached back through that machine. Some
         # reachable job is short of its supply, so these jobs J outweigh the
         # full union of their permitted sets: p(J) > |Gamma(J)|.
-        raise SeedInfeasible(j for j in sm_jobs if level[j] >= 0)
+        raise SeedInfeasible(HallViolator.of(scaled.base, (j for j in sm_jobs if level[j] >= 0)))
     return FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
 
 
 def still_violates(scaled: ScaledInstance, jobs) -> bool:
     """Whether the Hall violator `jobs`, found at an earlier guess, proves
     this guess infeasible too: every job of it is small or medium here, and
-    b sum_J q_j > L a |Gamma(J)|, i.e. p(J) > T |Gamma(J)|."""
+    b sum_J q_j > L a |Gamma(J)|, i.e. p(J) > T |Gamma(J)|. The reference
+    that `HallViolator.proves` decides without the sums."""
     if any(scaled.is_huge(j) for j in jobs):
         return False
     gamma = scaled.base.gamma
     machines = set().union(*(gamma[j] for j in jobs))
-    return sum(scaled.int_size(j) for j in jobs) > scaled.unit * len(machines)
+    return sum(scaled.int_sizes[j] for j in jobs) > scaled.unit * len(machines)
 
 
-def _support_cycle(entries):
-    """Return one cycle of the bipartite support graph as an alternating node
-    list [("j", job), ("m", machine), ...], or None when it is a forest.
+def _support_cycle(adj, order):
+    """Return one cycle of the support graph `adj` (node -> neighbours in
+    increasing order) as an alternating node list, or None when it is a
+    forest.
 
-    Depth-first search from each unvisited node in sorted order, neighbours
-    in sorted order; iterative, so long supports cannot exhaust the stack."""
-    adj = {}
-    for (j, i) in entries:
-        adj.setdefault(("j", j), []).append(("m", i))
-        adj.setdefault(("m", i), []).append(("j", j))
-    for node in adj:
-        adj[node].sort()
+    Depth-first search from each unvisited node of `order`, neighbours in
+    order; iterative, so long supports cannot exhaust the stack."""
     visited = set()
-    for start in sorted(adj):
+    for start in order:
         if start in visited:
             continue
         visited.add(start)
@@ -172,20 +199,32 @@ def eliminate_support_cycles(fa: FractionalAssignment) -> int:
     job's supply and every machine's inflow exactly unchanged. delta is the
     least flow on a falling arc, so every pass removes at least one entry.
     Max-flow supports generally contain cycles, and rounding needs a forest.
-    Returns the number of cancelled cycles.
+    The support graph is built once; an edge leaves it when its flow reaches
+    0, and each cycle is found by a fresh search over what is left. Returns
+    the number of cancelled cycles.
     """
     flow = fa.flow
+    # job j is node j and machine i node offset + i, after every job, so
+    # node order is jobs by id, then machines by id
+    offset = max((j for j, _ in flow), default=0)
+    adj = {}
+    for j, i in flow:
+        adj.setdefault(j, []).append(offset + i)
+        adj.setdefault(offset + i, []).append(j)
+    for neighbours in adj.values():
+        neighbours.sort()
+    order = sorted(adj)
     cancelled = 0
     while True:
-        nodes = _support_cycle(flow)
+        nodes = _support_cycle(adj, order)
         if nodes is None:
             return cancelled
         cancelled += 1
-        if nodes[0][0] == "m":
+        if nodes[0] > offset:
             nodes = nodes[1:] + nodes[:1]
-        q = len(nodes) // 2
-        jobs_seq = [nodes[2 * k][1] for k in range(q)]
-        machines_seq = [nodes[2 * k + 1][1] for k in range(q)]
+        jobs_seq = nodes[0::2]
+        machines_seq = [v - offset for v in nodes[1::2]]
+        q = len(jobs_seq)
         rising = [(jobs_seq[k], machines_seq[k]) for k in range(q)]
         falling = [(jobs_seq[k], machines_seq[k - 1]) for k in range(q)]
 
@@ -194,11 +233,13 @@ def eliminate_support_cycles(fa: FractionalAssignment) -> int:
         assert delta > 0
         for e in rising:
             flow[e] += delta
-        for e in falling:
-            flow[e] -= delta
-            assert flow[e] >= 0
-            if flow[e] == 0:
-                del flow[e]
+        for j, i in falling:
+            flow[j, i] -= delta
+            assert flow[j, i] >= 0
+            if flow[j, i] == 0:
+                del flow[j, i]
+                adj[j].remove(offset + i)
+                adj[offset + i].remove(j)
         assert _inflow(flow, machines_seq) == before  # preserved by construction
 
 
@@ -269,9 +310,9 @@ def seed_small_medium(scaled: ScaledInstance, violators=(),
     that still proves it, without a flow, and otherwise when the flow on
     `network` fails.
     """
-    for jobs in violators:
-        if still_violates(scaled, jobs):
-            raise SeedInfeasible(jobs, reused=True)
+    for violator in violators:
+        if violator.proves(scaled):
+            raise SeedInfeasible(violator, reused=True)
     return solve_assignment_lp(scaled, network)
 
 
@@ -283,7 +324,7 @@ def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     schedule = round_forest(fa, scaled)
     sm = range(1, scaled.huge_start)
     assert all(schedule.machine_of(j) is not None for j in sm)
-    bound = scaled.unit + max((scaled.int_size(j) for j in sm), default=0)
+    bound = scaled.unit + max(scaled.int_sizes[1:scaled.huge_start], default=0)
     for i in scaled.base.machines:
         assert schedule.int_load(i) <= bound, "seed rounding bound violated"
     return schedule

@@ -4,6 +4,7 @@ import signal
 
 import pytest
 
+from rasched import seed
 from rasched.rational import Frac
 from rasched.model import Schedule, make_instance, scale_instance
 
@@ -62,3 +63,81 @@ def lp_bound_instance(rng, machines, jobs, huge):
     rng.shuffle(nums)
     return make_instance(machines, [(Frac(x, 60), set(rng.sample(range(1, machines + 1), 3)))
                                     for x in nums])
+
+
+def reference_support_cycle(entries):
+    """One cycle of the bipartite support graph of `entries` (keyed by
+    (job, machine)) as an alternating node list [("j", job), ("m", machine),
+    ...], or None when it is a forest: the graph is built anew from the keys
+    on every call. Depth-first search from each unvisited node in sorted
+    order, neighbours in sorted order; iterative."""
+    adj = {}
+    for (j, i) in entries:
+        adj.setdefault(("j", j), []).append(("m", i))
+        adj.setdefault(("m", i), []).append(("j", j))
+    for node in adj:
+        adj[node].sort()
+    visited = set()
+    for start in sorted(adj):
+        if start in visited:
+            continue
+        visited.add(start)
+        path, depth = [start], {start: 0}
+        stack = [(None, iter(adj[start]))]
+        while stack:
+            parent, neighbours = stack[-1]
+            for nxt in neighbours:
+                if nxt == parent:
+                    continue
+                if nxt in depth:
+                    return path[depth[nxt]:]
+                if nxt not in visited:
+                    visited.add(nxt)
+                    depth[nxt] = len(path)
+                    stack.append((path[-1], iter(adj[nxt])))
+                    path.append(nxt)
+                    break
+            else:
+                stack.pop()
+                del depth[path.pop()]
+    return None
+
+
+def reference_eliminate_support_cycles(flow, cycles):
+    """The integer cycle cancelling with the support graph rebuilt for every
+    cycle (`reference_support_cycle`), kept as the reference for
+    `seed.eliminate_support_cycles`: cancels in place on the (job, machine)
+    -> flow dict, appends each cycle's node list to `cycles` and returns
+    their number."""
+    while (nodes := reference_support_cycle(flow)) is not None:
+        cycles.append(nodes)
+        if nodes[0][0] == "m":
+            nodes = nodes[1:] + nodes[:1]
+        jobs_seq = [v for _, v in nodes[0::2]]
+        machines_seq = [v for _, v in nodes[1::2]]
+        rising = list(zip(jobs_seq, machines_seq))
+        falling = [(j, machines_seq[k - 1]) for k, j in enumerate(jobs_seq)]
+        delta = min(flow[e] for e in falling)
+        for e in rising:
+            flow[e] += delta
+        for e in falling:
+            flow[e] -= delta
+            if flow[e] == 0:
+                del flow[e]
+    return len(cycles)
+
+
+def record_cycles(monkeypatch):
+    """Record every cycle `seed.eliminate_support_cycles` cancels, as the
+    node list its search returns."""
+    cycles = []
+    find = seed._support_cycle
+
+    def recording(adj, order):
+        nodes = find(adj, order)
+        if nodes is not None:
+            cycles.append(nodes)
+        return nodes
+
+    monkeypatch.setattr(seed, "_support_cycle", recording)
+    return cycles

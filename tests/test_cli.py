@@ -1,6 +1,9 @@
+import contextlib
 import fractions
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +14,9 @@ import pytest
 import rasched
 from rasched import rational
 from rasched.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT
+from rasched.model import serialize_instance
+
+from conftest import two_value_instance
 
 
 @pytest.fixture
@@ -22,6 +28,49 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def interrupted_after(seconds):
+    """Interrupt the body after `seconds` with KeyboardInterrupt, which no
+    handler of the CLI catches (a TimeoutError would be an OSError, which
+    it reports as an input error), and fail the test."""
+    def expire(signum, frame):
+        raise KeyboardInterrupt
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except KeyboardInterrupt:
+        pytest.fail(f"still running after {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestHugeCounts:
+    """A machine or job count beyond MAX_MACHINES is an input error, found
+    before any per-machine list is built."""
+
+    def test_a_huge_machines_header_is_an_input_error_at_once(self, workdir, capsys):
+        text = serialize_instance(two_value_instance(random.Random(0), 16))
+        lines = text.splitlines()
+        assert len(lines) == 2 + 28 and lines[1] == "machines 16"
+        lines[1] = "machines 99999999999999999999"
+        path = workdir / "huge.ra"
+        path.write_text("\n".join(lines) + "\n")
+        with interrupted_after(1):
+            code, out, err = run_cli(capsys, "solve", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "input error: line 2: machine count must be <= 100000\n"
+
+    @pytest.mark.parametrize("option", ["--machines", "--jobs"])
+    def test_gen_refuses_a_huge_count_at_once(self, workdir, capsys, option):
+        argv = {"--machines": "3", "--jobs": "6", option: "99999999999999999999"}
+        with interrupted_after(1):
+            code, out, err = run_cli(capsys, "gen", *(w for kv in argv.items() for w in kv))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "input error: at most 100000 machines and jobs\n"
 
 
 class TestGen:

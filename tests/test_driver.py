@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from rasched.rational import Frac
+from rasched.rational import Frac, ratio_str
 from rasched import seed
 from rasched.model import make_instance, scale_instance
 from rasched.driver import solve, _greedy, _polish, _makespan, _probe
 from rasched.flow import AssignmentNetwork
-from rasched.generator import GenSpec, generate_instance
+from rasched.generator import GenSpec, PRESETS, generate_instance
 from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 from rasched.certificate import certificate_from_text, recheck_certificate
 
@@ -106,6 +106,45 @@ class TestSolve:
         rep = solve(inst, EPS, TAU)
         assert rep.guess_final <= rep.lower_bound * (1 + TAU) or \
             rep.lower_bound_kind in ("config-lp", "oracle-optimum")
+
+
+def rational_bisection(inst, probes, tau):
+    """The guesses of the bracket [max size, polished greedy makespan]
+    bisected on rationals, as the reference for the integer bisection:
+    each midpoint (lo + hi) / 2 replaces hi after a success and lo after a
+    failure, read off `probes`, until hi <= lo (1 + tau). Returns the
+    guesses and the final lo."""
+    lo, hi = inst.max_size(), _makespan(inst, _polish(inst, _greedy(inst)))
+    guesses = [hi]
+    for _, outcome in probes[1:]:
+        assert hi > lo * (1 + tau)
+        mid = (lo + hi) / 2
+        guesses.append(mid)
+        if outcome == "success":
+            hi = mid
+        else:
+            lo = mid
+    assert not hi > lo * (1 + tau)
+    return guesses, lo
+
+
+@pytest.mark.parametrize("tau", [Frac(1, 100), Frac(1, 3), Frac(7, 10)])
+def test_integer_bisection_guesses_match_the_rational_loop(tau):
+    rng = random.Random(17)
+    cases = [generate_instance(GenSpec(machines=2 + k % 4, jobs=3 + k % 10,
+                                       preset=PRESETS[k % len(PRESETS)],
+                                       density=(Frac(1, 3), Frac(1, 2))[k % 2], seed=k))
+             for k in range(60)]
+    cases += [two_value_instance(rng, 4 + k % 5) for k in range(12)]
+    lengths = []
+    for inst in cases:
+        rep = solve(inst, EPS, tau)
+        guesses, lo = rational_bisection(inst, rep.probes, tau)
+        assert [g for g, _ in rep.probes] == guesses
+        assert [ratio_str(g) for g, _ in rep.probes] == [ratio_str(g) for g in guesses]
+        assert rep.lower_bound == lo
+        lengths.append(len(guesses))
+    assert min(lengths) == 1 and max(lengths) >= (7 if tau == Frac(1, 100) else 3)
 
 
 @pytest.mark.parametrize("audit", [False, True])

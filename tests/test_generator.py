@@ -2,7 +2,7 @@ import pytest
 
 from rasched.rational import Frac
 from rasched.generator import GenSpec, generate_instance
-from rasched.model import serialize_instance, parse_instance
+from rasched.model import MAX_MACHINES, serialize_instance, parse_instance
 
 
 class TestGenerator:
@@ -10,6 +10,13 @@ class TestGenerator:
         spec = GenSpec(machines=3, jobs=12, preset="huge_heavy", seed=99)
         assert serialize_instance(generate_instance(spec)) == \
             serialize_instance(generate_instance(spec))
+
+    @pytest.mark.parametrize("field", ["machines", "jobs"])
+    def test_counts_are_capped(self, field):
+        counts = {"machines": 3, "jobs": 6}
+        assert GenSpec(**{**counts, field: MAX_MACHINES}).jobs >= 6
+        with pytest.raises(ValueError, match=f"at most {MAX_MACHINES} machines and jobs"):
+            GenSpec(**{**counts, field: MAX_MACHINES + 1})
 
     def test_different_seeds_differ(self):
         a = generate_instance(GenSpec(machines=3, jobs=12, seed=1))

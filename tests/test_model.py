@@ -7,7 +7,7 @@ from rasched.rational import Frac, integer_image, ratio_str, parse_ratio
 from rasched.model import (JobClass, classify_job,
                            validate_partial_schedule, parse_instance,
                            serialize_instance, make_instance, scale_instance,
-                           Schedule, InstanceFormatError)
+                           Schedule, InstanceFormatError, MAX_MACHINES)
 from rasched.generator import GenSpec, generate_instance
 
 from conftest import EPS, CAP, scaled_of, schedule_of
@@ -160,6 +160,14 @@ class TestParsing:
             parse_instance("ra 1\nmachines 2\njob a 1/2 : 3\n")
         assert "out of range" in str(err.value)
 
+    def test_machine_count_is_capped(self):
+        job = "job a 1/2 : 1\n"
+        inst = parse_instance(f"ra 1\nmachines {MAX_MACHINES}\n{job}")
+        assert inst.num_machines == MAX_MACHINES
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(f"ra 1\nmachines {MAX_MACHINES + 1}\n{job}")
+        assert str(err.value) == f"line 2: machine count must be <= {MAX_MACHINES}"
+
     def test_duplicate_name_rejected(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("ra 1\nmachines 1\njob a 1/2 : 1\njob a 1/3 : 1\n")
@@ -199,7 +207,7 @@ class TestScaling:
                 p = inst.sizes[j] / T
                 assert sc.is_small(j) == (classify_job(p) is JobClass.SMALL) == (p <= Frac(1, 2))
                 assert sc.is_huge(j) == (classify_job(p) is JobClass.HUGE) == (p > Frac(5, 6))
-                assert Frac(sc.int_size(j), sc.unit) == p == sc.size[j]
+                assert Frac(sc.int_sizes[j], sc.unit) == p == sc.size[j]
             assert sc.small_jobs() == [j for j in inst.jobs if sc.is_small(j)]
             assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]
             # integer loads one grain below, at and above (1 + R) unit

@@ -6,12 +6,12 @@ from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible,
                           solve_assignment_lp, eliminate_support_cycles,
-                          round_forest, seed_small_medium, round_seed,
-                          _support_cycle)
+                          round_forest, seed_small_medium, round_seed)
 from rasched.generator import GenSpec, generate_instance
 from rasched.oracle import exact_config_lp_feasible
 
-from conftest import EPS, deadline, scaled_of
+from conftest import (EPS, deadline, record_cycles, reference_eliminate_support_cycles,
+                      reference_support_cycle, scaled_of)
 
 
 class TestAssignmentLP:
@@ -55,7 +55,7 @@ class TestAssignmentLP:
             sc = scale_instance(inst, inst.total_size(), EPS)
             fa = solve_assignment_lp(sc)
             eliminate_support_cycles(fa)
-            assert _support_cycle(fa.entries) is None
+            assert reference_support_cycle(fa.entries) is None
             assert len(fa.entries) <= len(fa.jobs) + sc.base.num_machines
 
 
@@ -69,7 +69,7 @@ class TestCycleElimination:
         loads = {i: fa.machine_load(sc, i) for i in (1, 2)}
         cancelled = eliminate_support_cycles(fa)
         assert cancelled == 1
-        assert _support_cycle(fa.entries) is None
+        assert reference_support_cycle(fa.entries) is None
         for j in (1, 2):
             assert fa.job_sum(j) == 1
         for i in (1, 2):
@@ -87,7 +87,7 @@ def rational_eliminate_support_cycles(entries, scaled, lengths):
     t_k = p(j_0)/p(j_k). Appends each cancelled cycle's length to `lengths`."""
     cancelled = 0
     while True:
-        nodes = _support_cycle(entries)
+        nodes = reference_support_cycle(entries)
         if nodes is None:
             return cancelled
         cancelled += 1
@@ -148,8 +148,57 @@ def test_integer_cancelling_matches_the_rational_reference():
         assert cancelled > 0  # the planted cycle at least
         assert rational_eliminate_support_cycles(entries, sc, lengths) == cancelled
         assert list(fa.entries.items()) == list(entries.items())
-        assert _support_cycle(fa.flow) is None
+        assert reference_support_cycle(fa.flow) is None
     assert sum(n >= 6 for n in lengths) >= 300
+
+
+def max_flow_supports():
+    """The decided LP solutions of 60 generated instances at a guess a
+    tenth above the average machine load, where one exists."""
+    out = []
+    for k in range(60):
+        inst = generate_instance(GenSpec(machines=3 + k % 4, jobs=8 + k % 9,
+                                         density=(Frac(1, 2), Frac(2, 3))[k % 2], seed=k))
+        guess = max(inst.max_size(), inst.total_size() / inst.num_machines) * Frac(11, 10)
+        try:
+            out.append(solve_assignment_lp(scale_instance(inst, guess, EPS)))
+        except SeedInfeasible:
+            pass
+    return out
+
+
+def long_chains(length=700):
+    """A path of `length` jobs, each split over machines k and k + 1, and
+    the same path closed into one cycle of 2 (length + 1) nodes."""
+    path = {e: 1 for k in range(1, length + 1) for e in ((k, k), (k, k + 1))}
+    cycle = {**path, (length + 1, length + 1): 1, (length + 1, 1): 1}
+    return [FractionalAssignment(path, dict.fromkeys(range(1, length + 1), 2)),
+            FractionalAssignment(cycle, dict.fromkeys(range(1, length + 2), 2))]
+
+
+def test_adjacency_once_cancelling_matches_the_rebuilding_reference(monkeypatch):
+    """The support graph built once per rounding cancels the same cycles in
+    the same order, to the same flow, as the graph rebuilt for each cycle."""
+    rng = random.Random(13)
+    cases = [random_support(rng)[1] for _ in range(200)]
+    cases += max_flow_supports() + long_chains()
+    # the same flows with their entries in random order, so neither search
+    # may rely on the order it reads them in
+    cases += [FractionalAssignment(dict(rng.sample(list(fa.flow.items()), len(fa.flow))),
+                                   fa.supply) for fa in cases[:100]]
+    cycles = record_cycles(monkeypatch)
+    total = 0
+    for fa in cases:
+        offset = max(j for j, _ in fa.flow)  # machine i is node offset + i
+        flow, expected = dict(fa.flow), []
+        count = reference_eliminate_support_cycles(flow, expected)
+        cycles.clear()
+        assert eliminate_support_cycles(fa) == count
+        assert list(fa.flow.items()) == list(flow.items())
+        assert [[("j", v) if v <= offset else ("m", v - offset) for v in nodes]
+                for nodes in cycles] == expected
+        total += count
+    assert len(cases) >= 340 and total >= 900
 
 
 class TestRounding:

@@ -11,13 +11,13 @@ from rasched.engine import EngineInvariantError
 from rasched.flow import AssignmentNetwork, Network
 from rasched.rational import Frac, integer_image
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
-from rasched.seed import (SeedInfeasible, solve_assignment_lp, seed_small_medium,
+from rasched.seed import (FractionalAssignment, SeedInfeasible, solve_assignment_lp, seed_small_medium,
                           round_seed, still_violates, eliminate_support_cycles,
-                          _support_cycle)
+                          HallViolator)
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
-from conftest import EPS, two_value_instance
+from conftest import EPS, record_cycles, reference_support_cycle, two_value_instance
 
 CHAIN = 700
 
@@ -88,7 +88,7 @@ def test_flow_decides_exactly_like_the_lp():
         for (j, i), v in fa.entries.items():
             assert 0 < v <= 1 and i in sc.base.gamma[j]
         eliminate_support_cycles(fa)
-        assert _support_cycle(fa.entries) is None
+        assert reference_support_cycle(fa.entries) is None
     assert outcomes == {True, False}
 
 
@@ -127,13 +127,33 @@ def hand_networks():
     ]
 
 
+def test_bulk_laid_network_matches_arc_by_arc_laying():
+    """`AssignmentNetwork` fills its arc lists in bulk; they equal those of
+    `Network.arc` called once per arc in the documented order, and each
+    arc reads its capacity from the value its owner names."""
+    for name, inst, _ in differential_cases():
+        n, m = inst.num_jobs, inst.num_machines
+        values = [0, *range(10, 10 + n), 7]  # job j supplies 9 + j, machines absorb 7
+        plain = Network(n + m + 2)
+        for j in inst.jobs:
+            plain.arc(0, j, values[j])
+        for j in inst.jobs:
+            for i in sorted(inst.gamma[j]):
+                plain.arc(j, n + i, values[j])
+        for i in inst.machines:
+            plain.arc(n + i, n + m + 1, values[n + 1])
+        bulk = AssignmentNetwork(inst)
+        assert (bulk.net.head, bulk.net.out) == (plain.head, plain.out), name
+        assert [values[o] for o in bulk._owner] == plain.cap, name
+
+
 def test_closed_form_first_phase_flows_like_dinic():
     cases = hand_networks()
     for name, inst, guess in differential_cases():
         sc = scale_instance(inst, guess, EPS)
         supply = [0] * (inst.num_jobs + 1)
         for j in range(1, sc.huge_start):
-            supply[j] = sc.int_size(j)
+            supply[j] = sc.int_sizes[j]
         cases.append((name, inst, supply, sc.unit))
     saturated = 0
     for name, inst, supply, capacity in cases:
@@ -143,6 +163,18 @@ def test_closed_form_first_phase_flows_like_dinic():
         assert (value, network.job_flow(supply), level) == expected, name
         saturated += value == sum(supply)
     assert 0 < saturated < len(cases)
+
+
+def violator_sweep():
+    """40 small gen-preset and two-value instances."""
+    rng = random.Random(3)
+    for k in range(40):
+        if k % 5 == 4:
+            yield two_value_instance(rng, 5)
+        else:
+            yield generate_instance(GenSpec(machines=2 + k % 3, jobs=4 + k % 7,
+                                            preset=PRESETS[k % len(PRESETS)],
+                                            density=Frac(1, 2), seed=k))
 
 
 def test_hall_violator_on_every_infeasible_probe(monkeypatch):
@@ -156,20 +188,49 @@ def test_hall_violator_on_every_infeasible_probe(monkeypatch):
             raise
 
     monkeypatch.setattr(driver, "seed_small_medium", recording_seed)
-    rng = random.Random(3)
-    for k in range(40):
-        if k % 5 == 4:
-            inst = two_value_instance(rng, 5)
-        else:
-            inst = generate_instance(GenSpec(machines=2 + k % 3, jobs=4 + k % 7,
-                                             preset=PRESETS[k % len(PRESETS)],
-                                             density=Frac(1, 2), seed=k))
+    for inst in violator_sweep():
         driver.solve(inst, EPS)
     assert len(violators) >= 40
     for sc, jobs in violators:
         assert jobs and all(not sc.is_huge(j) for j in jobs)
         machines = set().union(*(sc.base.gamma[j] for j in jobs))
         assert sum(sc.size[j] for j in jobs) > len(machines)
+
+
+def test_violator_summaries_decide_like_still_violates(monkeypatch):
+    """Every violator of the sweep, summarised once, against every probe of
+    its solve and the guesses around the one where its largest job turns
+    huge: the summary's fields are the sums over its jobs, and it proves a
+    guess exactly when the reference re-summing test does."""
+    probes, found = [], []
+
+    def recording_seed(scaled, *args):
+        probes.append(scaled)
+        try:
+            return seed_small_medium(scaled, *args)
+        except SeedInfeasible as exc:
+            if not exc.reused:
+                found.append(exc.violator)
+            raise
+
+    monkeypatch.setattr(driver, "seed_small_medium", recording_seed)
+    decisions = []
+    for inst in violator_sweep():
+        probes.clear()
+        found.clear()
+        driver.solve(inst, EPS)
+        q = inst.integer_image[1]
+        for v in found:
+            assert v.top == max(v.jobs)
+            assert v.volume == sum(q[j] for j in v.jobs)
+            assert v.width == len(set().union(*(inst.gamma[j] for j in v.jobs)))
+            turn = Frac(6, 5) * inst.sizes[v.top]
+            around = [scale_instance(inst, turn * r, EPS)
+                      for r in (Frac(99, 100), 1, Frac(101, 100))]
+            for sc in probes + around:
+                decisions.append(v.proves(sc))
+                assert decisions[-1] == still_violates(sc, v.jobs), (v, sc.guess)
+    assert len(decisions) >= 200 and 0 < sum(decisions) < len(decisions)
 
 
 def test_a_shared_network_flows_like_a_fresh_one():
@@ -244,7 +305,8 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     assert sc.is_huge(2) and not sc.is_huge(1)
     assert sum(sc.size[j] for j in jobs) > 1
     assert not still_violates(sc, jobs)
-    sched = round_seed(seed_small_medium(sc, [jobs]), sc)
+    assert not info.value.violator.proves(sc)
+    sched = round_seed(seed_small_medium(sc, [info.value.violator]), sc)
     assert sched.machine_of(1) == 1 and sched.machine_of(2) is None
 
 
@@ -252,15 +314,16 @@ def test_a_violator_at_hall_equality_is_not_reused():
     inst = make_instance(1, [(Frac(3), {1}), (Frac(3), {1})])
     with pytest.raises(SeedInfeasible) as info:
         solve_assignment_lp(scale_instance(inst, 5, EPS))
-    jobs = info.value.jobs
+    violator = info.value.violator
     # at T = 6 the jobs fill the machine exactly: the LP is feasible
     sc = scale_instance(inst, 6, EPS)
-    sched = round_seed(seed_small_medium(sc, [jobs]), sc)
+    sched = round_seed(seed_small_medium(sc, [violator]), sc)
     assert {sched.machine_of(1), sched.machine_of(2)} == {1}
     # just below, the stored violator decides the guess without a flow
     with pytest.raises(SeedInfeasible) as info:
-        seed_small_medium(scale_instance(inst, Frac(11, 2), EPS), [(2,), jobs])
-    assert info.value.reused and info.value.jobs == jobs
+        seed_small_medium(scale_instance(inst, Frac(11, 2), EPS),
+                          [HallViolator.of(inst, (2,)), violator])
+    assert info.value.reused and info.value.violator == violator
 
 
 def bisection_instance():
@@ -299,7 +362,7 @@ def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
 
 def test_audit_refutes_a_violator_reused_at_a_feasible_guess(monkeypatch):
     inst = bisection_instance()
-    monkeypatch.setattr(seed, "still_violates", lambda scaled, jobs: True)
+    monkeypatch.setattr(seed.HallViolator, "proves", lambda self, scaled: True)
     driver.solve(inst, EPS)  # unaudited, the false proof goes unnoticed
     with pytest.raises(EngineInvariantError, match="reused Hall violator"):
         driver.solve(inst, EPS, audit=True)
@@ -316,12 +379,15 @@ def test_hall_violator_of_a_hand_built_instance():
 
 
 class TestLongChains:
-    def test_support_cycle_on_a_long_path_and_a_long_cycle(self):
-        entries = {e: Frac(1, 2) for k in range(1, CHAIN + 1) for e in ((k, k), (k, k + 1))}
-        assert _support_cycle(entries) is None
-        entries[(CHAIN + 1, CHAIN + 1)] = Frac(1, 2)
-        entries[(CHAIN + 1, 1)] = Frac(1, 2)
-        assert len(_support_cycle(entries)) == 2 * (CHAIN + 1)
+    def test_support_cycle_on_a_long_path_and_a_long_cycle(self, monkeypatch):
+        cycles = record_cycles(monkeypatch)
+        flow = {e: 1 for k in range(1, CHAIN + 1) for e in ((k, k), (k, k + 1))}
+        path = FractionalAssignment(dict(flow), dict.fromkeys(range(1, CHAIN + 1), 2))
+        assert eliminate_support_cycles(path) == 0 and path.flow == flow
+        flow[(CHAIN + 1, CHAIN + 1)] = flow[(CHAIN + 1, 1)] = 1
+        cycle = FractionalAssignment(flow, dict.fromkeys(range(1, CHAIN + 2), 2))
+        assert eliminate_support_cycles(cycle) == 1
+        assert [len(nodes) for nodes in cycles] == [2 * (CHAIN + 1)]
 
     @staticmethod
     def pinned_chain(last_size):

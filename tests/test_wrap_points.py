@@ -43,3 +43,22 @@ def test_traced_lp_bound_solve_reports_the_same_and_counts_the_runs():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["certificate.cg_calls"] > 0
     assert metrics["certificate.cg_rounds"] > 0
+
+
+def test_traced_uniform_solves_report_the_same_and_attribute_the_probes():
+    """The per-layer attribution of the common shape: tracing changes no
+    report, every probe is one `model.scale` span, and the cycles that the
+    read schedules' roundings cancel are counted."""
+    from rasched.driver import solve
+    from rasched.generator import GenSpec, generate_instance
+    tracing = load_tracing()
+    insts = [generate_instance(GenSpec(machines=6, jobs=24, preset="uniform", seed=k))
+             for k in range(8)]
+    untraced = [solve(inst).to_text() for inst in insts]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        reports = [solve(inst) for inst in insts]
+    assert [rep.to_text() for rep in reports] == untraced
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["seed.cycles_cancelled"] > 0
+    assert metrics["driver.probes"] == sum(rep.iterations["probes"] for rep in reports)
