@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from . import rational
 from .rational import frac, ratio_str
 from .model import parse_instance, InstanceFormatError
-from .driver import solve
-from .certificate import config_lp_lower_bound
+from .driver import solve, lp_bound_of
 from .engine import layer_cap
 from .oracle import CapExceededError
 
@@ -36,41 +35,30 @@ def _run_one(args):
     path, text, eps_str, tau_str, reps = args
     inst = parse_instance(text)
     eps, tau = frac(eps_str), frac(tau_str)
-    iters = None
-    best_elapsed = None
-    report = None
+    times, counts = [], set()
     for _ in range(reps):
         start = time.perf_counter()
-        report = solve(inst, eps, tau, log_events=True)
-        elapsed = time.perf_counter() - start
-        got = report.iterations.get("engine_iterations", 0)
-        if iters is not None and got != iters:
-            raise RuntimeError(f"nondeterministic iteration count on {path}")
-        iters = got
-        best_elapsed = elapsed if best_elapsed is None else min(best_elapsed, elapsed)
-    max_layer = 0
-    for run in report.run_logs:
-        for ev in run.events:
-            if ev["layer"]:
-                max_layer = max(max_layer, ev["layer"])
-    # the bound gets the facts `solve --lp-bound` gives it: the schedule and
-    # the largest seed-infeasible guess decide some of its probes
-    placement = {inst.internal_of[orig]: report.assignment[name]
-                 for orig, name in enumerate(inst.names)}
-    infeasible_at = max((g for g, outcome in report.probes
-                         if outcome == "seed-infeasible"), default=None)
+        report = solve(inst, eps, tau)
+        times.append(time.perf_counter() - start)
+        counts.add(report.iterations.get("engine_iterations", 0))
+    # the event log only feeds max_layer: one more solve, untimed, keeps it
+    logged = solve(inst, eps, tau, log_events=True)
+    counts.add(logged.iterations.get("engine_iterations", 0))
+    if len(counts) != 1:
+        raise RuntimeError(f"nondeterministic iteration count on {path}")
+    max_layer = max((ev["layer"] for run in logged.run_logs for ev in run.events
+                     if ev["layer"]), default=0)
     start = time.perf_counter()
     try:
-        lp_lower = config_lp_lower_bound(inst, tau, assignment=placement,
-                                         infeasible_at=infeasible_at).lower
+        lp_lower = lp_bound_of(inst, tau, report.placement, report.probes).lower
     except CapExceededError:
         lp_lower = None
     lp_seconds = time.perf_counter() - start
     row = BenchRow(
         instance=os.path.basename(path), epsilon=eps,
         layer_limit=layer_cap(inst.num_machines, eps),
-        engine_iterations=iters, max_layer=max_layer,
-        wall_seconds=best_elapsed, lp_seconds=lp_seconds, makespan=report.makespan,
+        engine_iterations=counts.pop(), max_layer=max_layer,
+        wall_seconds=min(times), lp_seconds=lp_seconds, makespan=report.makespan,
         lp_lower=lp_lower,
         ratio=None if lp_lower is None else report.makespan / lp_lower,
     )

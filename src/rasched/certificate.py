@@ -55,22 +55,14 @@ class DualCertificate:
         return sum(self.y.values(), ZERO)
 
 
-def minimal_value_layer(engine, j) -> int:
-    """Smallest layer at which the active job j qualifies: its head layer or
-    the first prefix that blocks it (small jobs); 1 for the inserted job."""
-    if j == engine.j_new:
-        return 1
-    options = []
-    parent = engine.activator_of(j)
-    if parent is not None:
-        options.append(engine.head_layer_from(parent, j))
-    if engine.scaled.is_small(j) and j in engine.blocked_small_jobs():
-        blocked_at = engine.min_blocked_layer(j)
-        if blocked_at is not None:
-            options.append(blocked_at)
-    if not options:
-        raise CertificateError(f"job {j} is not active")
-    return min(options)
+def _active_on(engine, active):
+    """Machine -> the active jobs assigned to it, for every machine."""
+    on = {i: [] for i in engine.scaled.base.machines}
+    for j in active:
+        i = engine.schedule.machine_of(j)
+        if i is not UNASSIGNED:
+            on[i].append(j)
+    return on
 
 
 def build_dual_certificate(stuck: StuckState) -> DualCertificate:
@@ -79,11 +71,10 @@ def build_dual_certificate(stuck: StuckState) -> DualCertificate:
     sc = engine.scaled
     delta = 1 - sc.epsilon
     K = engine.K
-    active = engine.active_jobs()
+    layers = engine.value_layers()
 
     z = {j: ZERO for j in sc.base.jobs}
-    for j in active:
-        k = minimal_value_layer(engine, j)
+    for j, k in layers.items():
         z[j] = delta ** k * sc.size_down(j)
 
     # Unique layer per machine among the all-undesirable blockers.
@@ -96,11 +87,7 @@ def build_dual_certificate(stuck: StuckState) -> DualCertificate:
 
     w, y = {}, {}
     sixth = Frac(1, 6)
-    active_on = {i: [] for i in sc.base.machines}
-    for j in active:
-        i = engine.schedule.machine_of(j)
-        if i is not UNASSIGNED:
-            active_on[i].append(j)
+    active_on = _active_on(engine, layers)
     for i in sc.base.machines:
         base = sum((z[j] for j in active_on[i]), ZERO)
         if i in bs_layer:
@@ -192,11 +179,12 @@ def check_covered_machine_margin(stuck: StuckState, cert: DualCertificate):
     sc = engine.scaled
     delta = cert.delta
     violations = []
+    active_on = _active_on(engine, engine.active_jobs())
     for b in engine.tree.blockers():
         if b.btype not in ALL_UNDESIRABLE:
             continue
         i, k = b.machine, b.layer
-        active_i = engine.active_on(i)
+        active_i = active_on[i]
         z_active = sum((cert.z[j] for j in active_i), ZERO)
         p_down = sum((sc.size_down(j) for j in active_i), ZERO)
         bound = z_active + delta ** k * (1 - delta * p_down)
@@ -218,16 +206,8 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
 
     unit = sc.unit
     z_scale, z_int = _z_image(cert)
-    bigs = []
-    if sc.int_sizes[engine.j_new] <= unit:
-        bigs.append((engine.j_new, 1))
-    for j in sched.assigned_jobs():
-        if sc.is_small(j) or sc.int_sizes[j] > unit:
-            continue
-        parent = engine.activator_of(j)
-        if parent is not None:
-            bigs.append((j, engine.head_layer_from(parent, j)))
-
+    bigs = [(j, k) for j, k in engine.heads().items()
+            if not sc.is_small(j) and sc.int_sizes[j] <= unit]
     for j, k in bigs:
         covered = engine.covered_machines(prefix=k)
         blocked = engine.blocked_small_jobs(prefix=k)

@@ -1,10 +1,12 @@
 """Command-line interface: solve, gen, bench, trace, check.
 
-Exit codes: 0 success, 2 input error, 3 internal invariant violation,
-4 limit exceeded: a valid input beyond an exact routine's cap, such as a
-machine with more than 30 pricing items for the config-LP bound
-(`--lp-bound`) or more jobs than an oracle enumerates. `bench` does not exit
-on a bound over the cap; it prints that row's ratio as `refused`.
+Exit codes: 0 success, 1 certificate does not verify (`check`), 2 input
+error, 3 internal invariant violation, 4 limit exceeded: a valid input
+beyond an exact routine's cap, such as a machine with more than 30 pricing
+items for the config-LP bound (`--lp-bound`). `solve --oracle` runs the
+exhaustive oracle only up to 12 jobs (`oracle.MAKESPAN_JOB_CAP`) and above
+that reports the bound it has, with exit 0. `bench` does not exit on a bound
+over the cap; it prints that row's ratio as `refused`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .engine import EngineInvariantError
 from .simplex import SimplexError
 from .oracle import CapExceededError
 
-EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT = 0, 2, 3, 4
+EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT = 0, 1, 2, 3, 4
 
 
 def _add_common(p):
@@ -36,7 +38,7 @@ def _add_common(p):
     p.add_argument("--lp-bound", action="store_true",
                    help="tighten the lower bound by column generation")
     p.add_argument("--oracle", action="store_true",
-                   help="tighten the lower bound by exhaustive search (tiny instances)")
+                   help="tighten the lower bound by exhaustive search (skipped above 12 jobs)")
 
 
 def build_parser():
@@ -109,7 +111,7 @@ def main(argv=None) -> int:
                       f"{ratio_str(cert.guess)} is below the optimum")
                 return EXIT_OK
             print("certificate FAILED verification", file=sys.stderr)
-            return EXIT_INTERNAL
+            return EXIT_REJECTED
 
         # solve / trace
         with open(args.instance, "r", encoding="utf-8") as fh:

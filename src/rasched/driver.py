@@ -21,6 +21,7 @@ builds one rational per probe, its guess.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .rational import Frac, ZERO, frac, ratio_str
@@ -33,7 +34,7 @@ from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
                           check_covered_machine_margin, check_big_job_value_bound,
                           certificate_to_text, config_lp_lower_bound,
-                          CertificateError)
+                          ConfigLPBound, CertificateError)
 from .oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 
 
@@ -91,6 +92,7 @@ class SolveReport:
     probes: list  # (guess, outcome) in probe order
     certificates: list  # (guess, DualCertificate)
     run_logs: list = field(default_factory=list)
+    placement: dict = field(default_factory=dict)  # internal job id -> machine
 
     def to_text(self) -> str:
         inst = self.instance
@@ -121,7 +123,7 @@ class SolveReport:
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
            counters, violators, network) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
-    counters["seed_lps"] = counters.get("seed_lps", 0) + 1
+    counters["seed_lps"] += 1
     try:
         fa = seed_small_medium(scaled, violators, network)
     except SeedInfeasible as exc:
@@ -144,15 +146,11 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     for j_new in huge:
         engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
         result = engine.run()
-        counters["engine_iterations"] = counters.get("engine_iterations", 0) + engine.iterations
-        counters["engine_moves"] = counters.get("engine_moves", 0) + engine.moves
-        counters["engine_adds"] = counters.get("engine_adds", 0) + engine.adds
-        counters["signature_checkpoints"] = (
-            counters.get("signature_checkpoints", 0) + len(engine.checkpoints)
-        )
-        counters["signature_dips"] = (
-            counters.get("signature_dips", 0) + len(engine.signature_dips)
-        )
+        counters["engine_iterations"] += engine.iterations
+        counters["engine_moves"] += engine.moves
+        counters["engine_adds"] += engine.adds
+        counters["signature_checkpoints"] += len(engine.checkpoints)
+        counters["signature_dips"] += len(engine.signature_dips)
         if log_events:
             run_logs.append(RunLog(
                 guess=guess, j_new=j_new,
@@ -161,14 +159,14 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                 snapshot=_tree_snapshot(engine),
             ))
         if isinstance(result, StuckState):
-            counters["stuck_events"] = counters.get("stuck_events", 0) + 1
+            counters["stuck_events"] += 1
             cert = build_dual_certificate(result)
             if not verify_certificate(cert, scaled):
                 raise CertificateError(
                     f"stuck-state certificate failed to verify at guess {ratio_str(guess)}"
                 )
             ok_counts, _ = check_bs_s_machine_counts(result)
-            counters["bs_s_checks"] = counters.get("bs_s_checks", 0) + 1
+            counters["bs_s_checks"] += 1
             if not ok_counts:
                 raise EngineInvariantError("per-layer BS/S machine count balance broke")
             if audit:
@@ -273,6 +271,17 @@ def _tree_snapshot(engine: InsertionEngine) -> list:
     return out
 
 
+def lp_bound_of(inst: Instance, tau, placement: dict, probes) -> ConfigLPBound:
+    """The config-LP bound, given what a solve decided: its schedule
+    `placement` (internal job id -> machine) decides the bound's probes at
+    or above its makespan, and the largest seed-infeasible guess of
+    `probes`, (guess, outcome) pairs, those at or below that guess."""
+    infeasible_at = max((guess for guess, outcome in probes
+                         if outcome == "seed-infeasible"), default=None)
+    return config_lp_lower_bound(inst, tau, assignment=placement,
+                                 infeasible_at=infeasible_at)
+
+
 def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
           audit: bool = False, log_events: bool = False,
           lp_bound: bool = False, use_oracle: bool = False) -> SolveReport:
@@ -292,48 +301,45 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         return SolveReport(inst, epsilon, tau, {}, ZERO, ZERO, ZERO,
                            "empty-instance", Frac(1), {}, [], [])
 
-    counters: dict = {}
+    counters = Counter()
     run_logs: list = []
     probes: list = []
     certificates: list = []
     violators: list = []  # Hall violators of this solve's failed seed flows
     network = AssignmentNetwork(inst)
 
+    def probe(guess) -> ProbeResult:
+        res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,
+                     run_logs=run_logs, counters=counters,
+                     violators=violators, network=network)
+        probes.append((guess, res.outcome))
+        return res
+
     # the bracket [lo, hi] on integers: lo = lo_n / den and hi = hi_n / den
     scale, sizes = inst.integer_image
     greedy = _polish(inst, _greedy(inst))
     lo_n, hi_n, den = max(sizes), _max_load(inst, greedy), scale
-    lo, lower_kind = Frac(lo_n, den), "max-job-size"
-    greedy_makespan = hi = Frac(hi_n, den)
+    lower_kind = "max-job-size"
+    greedy_makespan = Frac(hi_n, den)
     tau_num, tau_den = tau.numerator, tau.denominator
 
-    first = _probe(inst, hi, epsilon, audit=audit, log_events=log_events,
-                   run_logs=run_logs, counters=counters,
-                   violators=violators, network=network)
-    probes.append((hi, first.outcome))
-    if first.outcome != "success":
+    best = probe(greedy_makespan)
+    if best.outcome != "success":
         raise EngineInvariantError(
             "the probe at the greedy makespan cannot fail: a schedule meets it"
         )
-    best = first
-    seed_infeasible_at = None  # the largest guess whose seed LP is infeasible
 
     while hi_n * tau_den > lo_n * (tau_den + tau_num):  # hi > lo (1 + tau)
         lo_n, hi_n, den = 2 * lo_n, 2 * hi_n, 2 * den
         mid_n = (lo_n + hi_n) // 2
-        mid = Frac(mid_n, den)
-        res = _probe(inst, mid, epsilon, audit=audit, log_events=log_events,
-                     run_logs=run_logs, counters=counters,
-                     violators=violators, network=network)
-        probes.append((mid, res.outcome))
+        res = probe(Frac(mid_n, den))
         if res.outcome == "success":
             hi_n, best = mid_n, res
         elif res.outcome == "seed-infeasible":
-            lo_n, lo, lower_kind = mid_n, mid, "seed-lp-infeasible"
-            seed_infeasible_at = mid
+            lo_n, lower_kind = mid_n, "seed-lp-infeasible"
         else:
-            certificates.append((mid, res.certificate))
-            lo_n, lo, lower_kind = mid_n, mid, "stuck-certificate"
+            certificates.append((res.guess, res.certificate))
+            lo_n, lower_kind = mid_n, "stuck-certificate"
     counters["probes"] = len(probes)
 
     best_guess, best_schedule = best.guess, best.schedule
@@ -352,12 +358,9 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         placement, makespan = greedy, greedy_makespan
     assignment = {inst.name_of(j): placement[j] for j in inst.jobs}
 
-    lower = lo
+    lower = Frac(lo_n, den)
     if lp_bound:
-        # the schedule and the seed-infeasible guess decide the bound's
-        # probes at or above the makespan and at or below that guess
-        bound = config_lp_lower_bound(inst, tau, assignment=placement,
-                                      infeasible_at=seed_infeasible_at)
+        bound = lp_bound_of(inst, tau, placement, probes)
         counters["lp_bound_probes"] = bound.probes
         if bound.lower > lower:
             lower, lower_kind = bound.lower, "config-lp"
@@ -370,6 +373,6 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         instance=inst, epsilon=epsilon, tau=tau, assignment=assignment,
         makespan=makespan, guess_final=best_guess, lower_bound=lower,
         lower_bound_kind=lower_kind, ratio_bound=makespan / lower,
-        iterations=counters, probes=probes, certificates=certificates,
-        run_logs=run_logs,
+        iterations=dict(counters), probes=probes, certificates=certificates,
+        run_logs=run_logs, placement=placement,
     )

@@ -253,13 +253,6 @@ class InsertionEngine:
     def blocked_smalls_on(self, i, prefix=None):
         return {j for j in self.blocked_small_jobs(prefix) if self.schedule.machine_of(j) == i}
 
-    def min_blocked_layer(self, j):
-        """Smallest layer whose prefix blocks small job j, or None."""
-        for layer, _cov, blocked in self._blocked_small_table():
-            if j in blocked:
-                return max(1, layer)
-        return None
-
     def marks_undesirable(self, blocker: Blocker, j) -> bool:
         """Does this blocker make job j undesirable on the blocker's machine?"""
         btype = blocker.btype
@@ -302,14 +295,33 @@ class InsertionEngine:
             return parent.layer
         return parent.layer + 1
 
-    def active_jobs(self):
-        """j_new, blocked small jobs, and jobs undesirable where they sit."""
-        out = {self.j_new} | set(self.blocked_small_jobs())
+    def heads(self):
+        """Job -> head layer, the layer its blockers would go to: 1 for
+        j_new, and the child layer of the activator for every job that is
+        undesirable where it sits."""
+        heads = {self.j_new: 1}
+        # only a job on a blocker's machine can have an activator
         for i in self.tree.machines():
             for j in self.schedule.on_machine[i]:
-                if self.activator_of(j) is not None:
-                    out.add(j)
-        return out
+                parent = self.activator_of(j)
+                if parent is not None and j != self.j_new:
+                    heads[j] = self.head_layer_from(parent, j)
+        return heads
+
+    def value_layers(self):
+        """Active job -> the smallest layer at which it qualifies: its head
+        layer, or for a blocked small job the first prefix that blocks it
+        (at least 1), whichever is smaller."""
+        layers = self.heads()
+        for k, _covered, blocked in self._blocked_small_table():
+            k = max(1, k)
+            for j in blocked:
+                layers[j] = min(layers.get(j, k), k)
+        return layers
+
+    def active_jobs(self):
+        """j_new, blocked small jobs, and jobs undesirable where they sit."""
+        return set(self.value_layers())
 
     def active_on(self, i):
         return {j for j in self.active_jobs() if self.schedule.machine_of(j) == i}
@@ -402,15 +414,8 @@ class InsertionEngine:
         "no-potential-move" when the search is stuck.
         """
         sched = self.schedule
-        heads = {self.j_new: 1}
-        # only a job on a blocker's machine can have an activator
-        for i in self.tree.machines():
-            for j in sched.on_machine[i]:
-                parent = self.activator_of(j)
-                if parent is not None and j != self.j_new:
-                    heads[j] = self.head_layer_from(parent, j)
         by_layer = {}
-        for j, k in heads.items():
+        for j, k in self.heads().items():
             by_layer.setdefault(k, []).append(j)
         for k in sorted(by_layer):
             candidates = []

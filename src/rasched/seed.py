@@ -28,15 +28,13 @@ scaled loads are only built when something reads them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .flow import AssignmentNetwork
 from .rational import Frac, ZERO
-from .simplex import SimplexError
 from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
-from .model import Instance, Schedule, ScaledInstance
+from .model import Instance, Schedule, ScaledInstance, UNASSIGNED
 
 
 class HallViolator(NamedTuple):
@@ -246,56 +244,36 @@ def eliminate_support_cycles(fa: FractionalAssignment) -> int:
 def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     """Round a forest-supported assignment: integral jobs stay, each tree is
     rooted at its lowest machine, and every remaining fractional job goes to
-    its lowest-id child machine, so machines gain at most one extra job."""
+    its lowest-id child machine, so machines gain at most one extra job.
+
+    A fractional job has two or more support machines, so it always has a
+    child; in a tree, a job's parent is the machine it is first reached
+    from, whatever the order of the walk."""
     schedule = Schedule(scaled)
     support = {j: [] for j in fa.jobs}
-    for (j, i) in fa.flow:
+    for j, i in sorted(fa.flow):
         support[j].append(i)
-    fractional = set()
-    for j in fa.jobs:
-        placed = [i for i in support[j] if fa.flow[(j, i)] == fa.supply[j]]
-        if placed:
-            schedule.assign(j, placed[0])
-        elif not support[j]:
-            raise SimplexError(f"job {j} lost all assignment mass")
+    jobs_on = {}  # machine -> its fractional jobs
+    for j, machines in support.items():
+        if len(machines) == 1:
+            schedule.assign(j, machines[0])
         else:
-            fractional.add(j)
-
-    if not fractional:
-        return schedule
-
-    adj_j = {j: sorted(support[j]) for j in fractional}
-    adj_m = {}
-    for j, machines in adj_j.items():
-        for i in machines:
-            adj_m.setdefault(i, []).append(j)
-
-    visited_m, visited_j = set(), set()
-    for root in sorted(adj_m):
-        if root in visited_m:
+            for i in machines:
+                jobs_on.setdefault(i, []).append(j)
+    reached = set()
+    for root in sorted(jobs_on):
+        if root in reached:
             continue
-        queue = deque([("m", root, None)])  # oriented away from the machine root
-        while queue:
-            kind, node, parent = queue.popleft()
-            if kind == "m":
-                if node in visited_m:
-                    continue
-                visited_m.add(node)
-                for j in sorted(adj_m[node]):
-                    if j != parent:
-                        queue.append(("j", j, node))
-            else:
-                if node in visited_j:
-                    continue
-                visited_j.add(node)
-                children = [i for i in adj_j[node] if i != parent]
-                # A fractional job has two or more support machines, so in a
-                # forest it always has a child; the parent is a fallback only.
-                if not children:
-                    children = [parent]
-                schedule.assign(node, children[0])
-                for i in children:
-                    queue.append(("m", i, node))
+        reached.add(root)
+        stack = [root]
+        while stack:
+            parent = stack.pop()
+            for j in jobs_on[parent]:
+                if schedule.machine_of(j) is UNASSIGNED:
+                    children = [i for i in support[j] if i != parent]
+                    schedule.assign(j, children[0])
+                    reached.update(children)
+                    stack.extend(children)
     return schedule
 
 

@@ -6,15 +6,19 @@ import random
 import signal
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rasched
-from rasched import rational
-from rasched.cli import main, EXIT_OK, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT
-from rasched.model import serialize_instance
+from rasched import bench as bench_module, rational
+from rasched.cli import main, EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_LIMIT
+from rasched.driver import solve
+from rasched.generator import GenSpec, generate_instance
+from rasched.model import parse_instance, serialize_instance
+from rasched.oracle import MAKESPAN_JOB_CAP
 
 from conftest import two_value_instance
 
@@ -172,6 +176,18 @@ class TestSolve:
         bound = Fraction(lower.split()[1])
         assert 31 / Fraction(101, 100) <= bound < 31
 
+    def test_oracle_above_its_job_cap_is_skipped(self, workdir, capsys):
+        # the makespan oracle enumerates at most MAKESPAN_JOB_CAP jobs; above
+        # that `--oracle` leaves the report as it is and the exit code 0
+        inst = workdir / "i.ra"
+        inst.write_text(serialize_instance(generate_instance(GenSpec(
+            machines=3, jobs=MAKESPAN_JOB_CAP + 1, seed=1))))
+        code, plain, _ = run_cli(capsys, "solve", str(inst))
+        assert code == EXIT_OK
+        code, out, err = run_cli(capsys, "solve", str(inst), "--oracle")
+        assert code == EXIT_OK and err == ""
+        assert out == plain and "kind=oracle-optimum" not in out
+
 
 class TestTraceCommand:
     def test_trace_emits_jsonl_stream(self, workdir, capsys):
@@ -219,7 +235,7 @@ class TestCheck:
         cert_path = workdir / "c.cert"
         cert_path.write_text(text.replace(guess, "guess 3/1"))
         code, _, err = run_cli(capsys, "check", str(inst), str(cert_path))
-        assert code == EXIT_INTERNAL and "FAILED" in err
+        assert code == EXIT_REJECTED and "FAILED" in err
 
 
 class TestBench:
@@ -314,6 +330,29 @@ class TestBench:
         assert recs["wide.ra"]["makespan"] == "16/1"
         assert recs["good.ra"]["ratio_vs_lp"] is not None
 
+    def test_bench_times_unlogged_solves(self, workdir, monkeypatch):
+        # the event log only feeds max_layer: the timed solves run without
+        # it and one more solve, untimed, logs the events
+        logged_flags = []
+
+        def recording_solve(*args, log_events=False, **kwargs):
+            logged_flags.append(log_events)
+            return solve(*args, log_events=log_events, **kwargs)
+
+        text = serialize_instance(two_value_instance(random.Random(0), 16))
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "tv.ra").write_text(text)
+        logged = solve(parse_instance(text), Fraction(1, 24), Fraction(1, 100),
+                       log_events=True)
+        max_layer = max(ev["layer"] for run in logged.run_logs for ev in run.events
+                        if ev["layer"])
+        monkeypatch.setattr(bench_module, "solve", recording_solve)
+        (row,) = bench_module.bench(str(corpus), [Fraction(1, 24)], repetitions=3)
+        assert logged_flags == [False, False, False, True]
+        assert row.max_layer == max_layer > 0
+        assert row.engine_iterations == logged.iterations["engine_iterations"]
+
     def test_bench_bound_gets_the_solve_facts(self, workdir, capsys):
         # 31 unit jobs on one machine: the solve's schedule and seed-infeasible
         # guess decide every probe of the bound, as under `solve --lp-bound`
@@ -331,6 +370,67 @@ class TestBench:
         lower = next(ln for ln in out.splitlines() if ln.startswith("lower-bound "))
         assert rec["lp_lower_bound"] == lower.split()[1]
         assert rec["ratio_vs_lp"] is not None
+
+
+def mutated(rng, text):
+    """`text` after one random edit: two tokens of one column swapped
+    between lines, the text cut at a random character, a line duplicated,
+    or a token appended to a line."""
+    rows = [ln.split() for ln in text.splitlines()]
+    edit = rng.randrange(4)
+    if edit == 0:
+        c = rng.randrange(max(map(len, rows)))
+        r1, r2 = rng.sample([r for r, row in enumerate(rows) if len(row) > c], 2)
+        rows[r1][c], rows[r2][c] = rows[r2][c], rows[r1][c]
+    elif edit == 1:
+        return text[:rng.randrange(len(text))]
+    elif edit == 2:
+        rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+    else:
+        token = rng.choice([rng.choice(rng.choice(rows) or ["x"]),
+                            "0", "-1", "1/0", "3/2", "x", ":", "99999", "1e9"])
+        rng.choice(rows).append(token)
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+class TestMutationFuzz:
+    """Mutated inputs end in a documented exit code and never in a
+    traceback: a 28-job two-value instance goes through `solve`, plain and
+    with `--audit`, `--lp-bound` or `--oracle`, and one of its stuck
+    certificates through `check`. Exit 3, an internal invariant violation,
+    is a bug here."""
+
+    CASES = 200
+    COMMANDS = ((), ("--audit",), ("--lp-bound",), ("--oracle",), "check")
+
+    def test_mutated_inputs_exit_with_a_documented_code(self, workdir, capsys):
+        inst_text = serialize_instance(two_value_instance(random.Random(0), 16))
+        inst = workdir / "i.ra"
+        inst.write_text(inst_text)
+        code, out, _ = run_cli(capsys, "solve", str(inst))
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        start = next(k for k, ln in enumerate(lines) if ln.startswith("certificate-at"))
+        cert_text = "".join(ln[2:] + "\n" for ln in lines[start + 1:]
+                            if ln.startswith("  "))
+        rng = random.Random(2024)
+        codes = Counter()
+        for case in range(self.CASES):
+            command = self.COMMANDS[case % len(self.COMMANDS)]
+            path = workdir / f"case{case}"
+            if command == "check":
+                path.write_text(mutated(rng, cert_text))
+                argv = ["check", str(inst), str(path)]
+            else:
+                path.write_text(mutated(rng, inst_text))
+                argv = ["solve", str(path), *command]
+            with interrupted_after(2):
+                code, _, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_LIMIT), (argv, err)
+            assert "Traceback" not in err, (argv, err)
+            codes[code] += 1
+        # some mutations get past the parsers
+        assert codes[EXIT_OK] and codes[EXIT_INPUT], codes
 
 
 def stuck_certificate_lines(workdir, capsys):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_successful_probe_builds_no_rational_size(audit):
     for guess, outcome in solve(inst, EPS, TAU).probes:
         if outcome != "success":
             continue
-        counters = {}
+        counters = Counter()
         res = _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
                      counters=counters, violators=[], network=AssignmentNetwork(inst))
         assert res.outcome == "success" and res.certificate is None

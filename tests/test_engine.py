@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,9 @@ from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
                             StuckState, EngineInvariantError, insert_huge_job,
                             layer_cap, SUBLAYER, PRIORITY)
+from rasched import driver
 from rasched.driver import solve
+from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
 from rasched.seed import seed_small_medium, round_seed, SeedInfeasible
 
@@ -53,7 +56,7 @@ class TestBlockedAndActive:
         # small with no alternative machine is blocked under the empty tree
         eng = engine_with([(Frac(1, 3), {1}), (Frac(9, 10), {1, 2})], 2, {1: 1}, 2)
         assert eng.blocked_small_jobs() == {1}
-        assert eng.min_blocked_layer(1) == 1
+        assert eng.value_layers()[1] == 1
 
     def test_small_with_covered_alternative(self):
         eng = engine_with([(Frac(1, 3), {1, 2}), (Frac(1, 3), {2}),
@@ -66,6 +69,19 @@ class TestBlockedAndActive:
     def test_big_jobs_never_blocked(self):
         eng = engine_with([(Frac(3, 5), {1}), (Frac(9, 10), {1})], 1, {1: 1}, 2)
         assert eng.blocked_small_jobs() == set()
+
+    def test_blocked_small_value_layer_below_its_head(self):
+        # machine 2 is covered in layer 1 and machine 1 in layer 2: jobs 1
+        # and 3 on machine 1 head to layer 3 under their S activator, but
+        # the layer-1 prefix already blocks them
+        eng = engine_with([(Frac(1, 3), {1, 2})] * 3 + [(Frac(9, 10), {1, 2})],
+                          2, {1: 1, 2: 2, 3: 1}, 4)
+        plant(eng, 3, 2, BlockerType.S, 1)
+        plant(eng, 2, 1, BlockerType.S, 2)
+        assert eng.heads() == {4: 1, 1: 3, 3: 3, 2: 2}
+        assert eng.value_layers() == {4: 1, 1: 1, 3: 1, 2: 2}
+        assert all(eng.value_layers()[j] == reference_value_layer(eng, j)
+                   for j in range(1, 5))
 
     def test_huge_on_bb_machine_is_active(self):
         eng = engine_with([(Frac(9, 10), {1, 2}), (Frac(19, 20), {1, 2})],
@@ -501,16 +517,21 @@ class TestBlockerIndex:
 PINNED_TRACE_DIGEST = "c94e4a91745ed318b3bb4a959653022938675ad2e95120c4121f52c62860897d"
 
 
-def trace_digest():
-    """sha256 over the report text, every engine event and every final tree
-    snapshot of 24 two-value and 24 collision/huge_heavy solves; every
-    fourth solve runs with the audit on."""
-    h = hashlib.sha256()
+def digest_instances():
+    """24 two-value and 24 collision/huge_heavy instances."""
     instances = [two_value_instance(random.Random(300 + k), 10 + k % 13) for k in range(24)]
     instances += [generate_instance(GenSpec(
         machines=3 + k % 4, jobs=8 + k % 7, preset=("collision", "huge_heavy")[k % 2],
         density=Frac(1 + k % 3, 4), seed=k)) for k in range(24)]
-    for k, inst in enumerate(instances):
+    return instances
+
+
+def trace_digest():
+    """sha256 over the report text, every engine event and every final tree
+    snapshot of the `digest_instances` solves; every fourth solve runs with
+    the audit on."""
+    h = hashlib.sha256()
+    for k, inst in enumerate(digest_instances()):
         rep = solve(inst, EPS, Frac(1, 100), log_events=True, audit=k % 4 == 0)
         h.update(rep.to_text().encode())
         for run in rep.run_logs:
@@ -523,6 +544,52 @@ def test_traces_match_the_pinned_digest():
     """Reports, event logs and tree snapshots are those of the layered tree
     that the stack replaced."""
     assert trace_digest() == PINNED_TRACE_DIGEST
+
+
+def reference_value_layer(engine, j):
+    """The per-job value layer that `InsertionEngine.value_layers` replaced,
+    kept as its reference: 1 for the inserted job, else the smaller of the
+    head layer under j's activator and, for a blocked small job, the first
+    prefix of the blocked-small table that blocks it (at least 1)."""
+    if j == engine.j_new:
+        return 1
+    options = []
+    parent = engine.activator_of(j)
+    if parent is not None:
+        options.append(engine.head_layer_from(parent, j))
+    if engine.scaled.is_small(j) and j in engine.blocked_small_jobs():
+        options.append(next(max(1, layer) for layer, _, blocked
+                            in engine._blocked_small_table() if j in blocked))
+    assert options, f"job {j} is not active"
+    return min(options)
+
+
+def test_value_layers_match_the_per_job_reference(monkeypatch):
+    """On every stuck state of probes at twelve guesses from the largest
+    size up, on each digest instance, `value_layers` gives every active job
+    the layer of the per-job derivation."""
+    stuck_states = []
+    build = driver.build_dual_certificate
+
+    def recording(stuck):
+        engine = stuck.engine
+        layers = engine.value_layers()
+        assert layers == {j: reference_value_layer(engine, j) for j in layers}
+        assert set(layers) == engine.active_jobs()
+        stuck_states.append(stuck)
+        return build(stuck)
+
+    monkeypatch.setattr(driver, "build_dual_certificate", recording)
+    for inst in digest_instances():
+        network = AssignmentNetwork(inst)
+        for k in range(12):
+            driver._probe(inst, inst.max_size() * Frac(20 + k, 20), EPS, audit=False,
+                          log_events=False, run_logs=[], counters=Counter(),
+                          violators=[], network=network)
+    engines = [stuck.engine for stuck in stuck_states]
+    assert len(engines) >= 90
+    # blocked small jobs without an activator get their value layer from the table
+    assert sum(len(e.blocked_small_jobs() - set(e.heads())) for e in engines) >= 10
 
 
 def test_final_move_signature_is_computed_only_for_the_log(monkeypatch):

@@ -1,9 +1,10 @@
 import random
+from collections import deque
 
 import pytest
 
 from rasched.rational import Frac, ZERO, integer_image
-from rasched.model import scale_instance, validate_partial_schedule
+from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible,
                           solve_assignment_lp, eliminate_support_cycles,
                           round_forest, seed_small_medium, round_seed)
@@ -153,15 +154,16 @@ def test_integer_cancelling_matches_the_rational_reference():
 
 
 def max_flow_supports():
-    """The decided LP solutions of 60 generated instances at a guess a
-    tenth above the average machine load, where one exists."""
+    """(scaled instance, decided LP solution) of 60 generated instances at a
+    guess a tenth above the average machine load, where one exists."""
     out = []
     for k in range(60):
         inst = generate_instance(GenSpec(machines=3 + k % 4, jobs=8 + k % 9,
                                          density=(Frac(1, 2), Frac(2, 3))[k % 2], seed=k))
         guess = max(inst.max_size(), inst.total_size() / inst.num_machines) * Frac(11, 10)
+        sc = scale_instance(inst, guess, EPS)
         try:
-            out.append(solve_assignment_lp(scale_instance(inst, guess, EPS)))
+            out.append((sc, solve_assignment_lp(sc)))
         except SeedInfeasible:
             pass
     return out
@@ -181,7 +183,7 @@ def test_adjacency_once_cancelling_matches_the_rebuilding_reference(monkeypatch)
     the same order, to the same flow, as the graph rebuilt for each cycle."""
     rng = random.Random(13)
     cases = [random_support(rng)[1] for _ in range(200)]
-    cases += max_flow_supports() + long_chains()
+    cases += [fa for _, fa in max_flow_supports()] + long_chains()
     # the same flows with their entries in random order, so neither search
     # may rely on the order it reads them in
     cases += [FractionalAssignment(dict(rng.sample(list(fa.flow.items()), len(fa.flow))),
@@ -199,6 +201,71 @@ def test_adjacency_once_cancelling_matches_the_rebuilding_reference(monkeypatch)
                 for nodes in cycles] == expected
         total += count
     assert len(cases) >= 340 and total >= 900
+
+
+def reference_round_forest(fa, scaled):
+    """The tagged breadth-first rounding that `seed.round_forest` replaced,
+    kept as its reference: a queue of ("m"/"j", node, parent) entries from
+    each tree's lowest machine, with visited sets for machines and jobs,
+    and every fractional job on its lowest machine other than its parent."""
+    schedule = Schedule(scaled)
+    support = {j: [] for j in fa.jobs}
+    for (j, i) in fa.flow:
+        support[j].append(i)
+    fractional = set()
+    for j in fa.jobs:
+        placed = [i for i in support[j] if fa.flow[(j, i)] == fa.supply[j]]
+        if placed:
+            schedule.assign(j, placed[0])
+        else:
+            fractional.add(j)
+    adj_j = {j: sorted(support[j]) for j in fractional}
+    adj_m = {}
+    for j, machines in adj_j.items():
+        for i in machines:
+            adj_m.setdefault(i, []).append(j)
+    visited_m, visited_j = set(), set()
+    for root in sorted(adj_m):
+        if root in visited_m:
+            continue
+        queue = deque([("m", root, None)])
+        while queue:
+            kind, node, parent = queue.popleft()
+            if kind == "m":
+                if node in visited_m:
+                    continue
+                visited_m.add(node)
+                for j in sorted(adj_m[node]):
+                    if j != parent:
+                        queue.append(("j", j, node))
+            else:
+                if node in visited_j:
+                    continue
+                visited_j.add(node)
+                children = [i for i in adj_j[node] if i != parent]
+                schedule.assign(node, children[0])
+                for i in children:
+                    queue.append(("m", i, node))
+    return schedule
+
+
+def test_forest_walk_rounds_like_the_tagged_breadth_first_reference():
+    """After cycle cancelling, the walk from each tree's lowest machine
+    assigns every job where the breadth-first reference does: on the random
+    supports, the decided LP solutions and the long path and cycle."""
+    rng = random.Random(17)
+    cases = [random_support(rng) for _ in range(200)] + max_flow_supports()
+    chain = scaled_of([(Frac(1, 2), {k, k % 701 + 1}) for k in range(1, 702)], 701)
+    cases += [(chain, fa) for fa in long_chains()]
+    fractional = 0
+    for sc, fa in cases:
+        eliminate_support_cycles(fa)
+        expected = reference_round_forest(fa, sc)
+        got = round_forest(fa, sc)
+        assert got.assignment == expected.assignment
+        assert got.on_machine == expected.on_machine
+        fractional += sum(1 for j in fa.jobs if fa.flow.get((j, got.machine_of(j))) != fa.supply[j])
+    assert fractional >= 1000
 
 
 class TestRounding:
