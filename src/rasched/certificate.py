@@ -5,16 +5,15 @@ machine) whose objective gap and per-machine knapsack feasibility are
 machine-checkable: together they certify that no fractional schedule of
 makespan 1 (scaled) exists, i.e. the probed guess is below the optimum.
 
-The knapsacks behind the checks and the config-LP pricing run on integers:
-verification weighs jobs by their scaled sizes over the probe's unit and
-values them by one integer image of z; the column generation prices the
-master's integer duals against the instance's integer sizes. Rationals are
-built for what is printed or returned: transcripts, rays and weights.
+The checks and the config-LP pricing ask each machine for its best
+configuration (`best_configuration`) on integers: verification weighs jobs by
+their scaled sizes over the probe's unit and values them by one integer image
+of z; the column generation prices the master's integer duals against the
+instance's integer sizes. Rationals are built for what is printed or returned.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -45,7 +44,6 @@ class DualCertificate:
     num_machines: int
     z: dict  # internal job id -> nonnegative rational (0 for inactive jobs)
     y: dict  # machine id -> rational
-    w: dict  # machine id -> rational
     transcript: list = field(default_factory=list)
 
     def z_total(self):
@@ -66,7 +64,8 @@ def _active_on(engine, active):
 
 
 def build_dual_certificate(stuck: StuckState) -> DualCertificate:
-    """Populate (z, y, w) from the final tree per the stuck-state construction."""
+    """Populate (z, y) from the final tree per the stuck-state construction;
+    y_i = delta^K + w_i, where w_i is kept only here."""
     engine = stuck.engine
     sc = engine.scaled
     delta = 1 - sc.epsilon
@@ -85,21 +84,19 @@ def build_dual_certificate(stuck: StuckState) -> DualCertificate:
         elif b.btype is BlockerType.S:
             s_layer[b.machine] = b.layer
 
-    w, y = {}, {}
+    y = {}
     sixth = Frac(1, 6)
     active_on = _active_on(engine, layers)
     for i in sc.base.machines:
-        base = sum((z[j] for j in active_on[i]), ZERO)
+        w = sum((z[j] for j in active_on[i]), ZERO)
         if i in bs_layer:
-            w[i] = base + delta ** bs_layer[i] * sixth
+            w += delta ** bs_layer[i] * sixth
         elif i in s_layer:
-            w[i] = base - delta ** s_layer[i] * sixth
-        else:
-            w[i] = base
-        y[i] = delta ** K + w[i]
+            w -= delta ** s_layer[i] * sixth
+        y[i] = delta ** K + w
     return DualCertificate(
         guess=sc.guess, epsilon=sc.epsilon, delta=delta, K=K,
-        num_machines=sc.base.num_machines, z=z, y=y, w=w,
+        num_machines=sc.base.num_machines, z=z, y=y,
     )
 
 
@@ -120,6 +117,18 @@ def _z_image(cert: DualCertificate):
     return scale, dict(zip(cert.z, ints))
 
 
+def best_configuration(jobs, sizes, values, room):
+    """(value, config): a subset of `jobs` (ids in increasing order) of the
+    largest total `values` whose `sizes` sum to at most `room`, all ints and
+    indexed by id. The jobs of positive value that fit go to the knapsack."""
+    items = [j for j in jobs if values[j] > 0 and sizes[j] <= room]
+    if not items:
+        return 0, ()
+    best, subset = knapsack_max_value(
+        KnapsackQuery(tuple((sizes[j], values[j]) for j in items), room))
+    return best, tuple(items[t] for t in subset)
+
+
 def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
     """For every machine, maximize z over permitted configurations of size <= 1
     by exact knapsack and compare with y. Returns (ok, witnesses).
@@ -130,18 +139,10 @@ def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
     witnesses = []
     ok = True
     z_scale, z_int = _z_image(cert)
-    unit = scaled.unit
+    permitted_on = scaled.base.permitted_on
     for i in scaled.base.machines:
-        jobs = [j for j in scaled.base.jobs
-                if i in scaled.base.gamma[j] and z_int[j] > 0 and scaled.int_sizes[j] <= unit]
-        if jobs:
-            best, subset = knapsack_max_value(
-                KnapsackQuery(tuple((scaled.int_sizes[j], z_int[j]) for j in jobs), unit)
-            )
-            value = Frac(best, z_scale)
-            config = tuple(jobs[t] for t in subset)
-        else:
-            value, config = ZERO, ()
+        best, config = best_configuration(permitted_on[i], scaled.int_sizes, z_int, scaled.unit)
+        value = Frac(best, z_scale)
         passed = value <= cert.y[i]
         cert.transcript.append(
             f"machine {i} max-config z={ratio_str(value)} y={ratio_str(cert.y[i])} "
@@ -174,7 +175,7 @@ def check_bs_s_machine_counts(stuck: StuckState):
 
 def check_covered_machine_margin(stuck: StuckState, cert: DualCertificate):
     """Audit: on every machine carrying an all-undesirable blocker at layer k,
-    w >= z(active_i) + delta^k * (1 - delta * p_down(active_i))."""
+    w_i = y_i - delta^K >= z(active_i) + delta^k * (1 - delta * p_down(active_i))."""
     engine = stuck.engine
     sc = engine.scaled
     delta = cert.delta
@@ -188,9 +189,10 @@ def check_covered_machine_margin(stuck: StuckState, cert: DualCertificate):
         z_active = sum((cert.z[j] for j in active_i), ZERO)
         p_down = sum((sc.size_down(j) for j in active_i), ZERO)
         bound = z_active + delta ** k * (1 - delta * p_down)
-        if cert.w[i] < bound:
+        w = cert.y[i] - delta ** cert.K
+        if w < bound:
             violations.append(
-                f"machine {i} layer {k}: w={ratio_str(cert.w[i])} < bound={ratio_str(bound)}"
+                f"machine {i} layer {k}: w={ratio_str(w)} < bound={ratio_str(bound)}"
             )
     return violations
 
@@ -219,15 +221,10 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
             active_prefix = {jj for jj in sched.on_machine[i]
                              if jj in blocked or engine.undesirable_on(jj, i, prefix=k)}
             z_all = sum((cert.z[jj] for jj in active_prefix), ZERO)
-            items = [jj for jj in sorted(active_prefix)
-                     if i in sc.base.gamma[jj] and z_int[jj] > 0
-                     and sc.int_sizes[jj] <= room]
-            if items:
-                best, _ = knapsack_max_value(KnapsackQuery(
-                    tuple((sc.int_sizes[jj], z_int[jj]) for jj in items), room))
-                overlap = Frac(best, z_scale)
-            else:
-                overlap = ZERO
+            best, _ = best_configuration(
+                sorted(jj for jj in active_prefix if i in sc.base.gamma[jj]),
+                sc.int_sizes, z_int, room)
+            overlap = Frac(best, z_scale)
             if cert.z[j] > z_all - overlap:
                 violations.append(
                     f"job {j} head {k} machine {i}: z_j={ratio_str(cert.z[j])} "
@@ -264,7 +261,8 @@ _HEADER_FIELDS = {"guess": parse_ratio, "epsilon": parse_ratio, "delta": parse_r
 def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
     """Parse `certificate_to_text` output against its instance.
 
-    Raises CertificateFormatError on an unknown line or job name, a bad or
+    Raises CertificateFormatError on a first line (past blanks and comments)
+    other than 'ra-certificate 1', an unknown line or job name, a bad or
     repeated entry, a missing header field, or a y row that is missing or
     names no machine of the instance. Jobs without a z row get z = 0.
     """
@@ -279,7 +277,10 @@ def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
         if not line or line.startswith("#"):
             continue
         kind, *args = line.split()
-        if kind == "ra-certificate":
+        if not where:
+            if [kind, *args] != ["ra-certificate", "1"]:
+                raise CertificateFormatError(lineno, "expected header 'ra-certificate 1'")
+            where[kind, 1] = lineno
             continue
         if kind not in _HEADER_FIELDS and kind not in ("z", "y"):
             raise CertificateFormatError(lineno, f"unknown certificate line {line!r}")
@@ -305,6 +306,8 @@ def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
         table[key] = value
 
     last = max(len(lines), 1)
+    if not where:
+        raise CertificateFormatError(last, "expected header 'ra-certificate 1'")
     for name in _HEADER_FIELDS:
         if name not in fields:
             raise CertificateFormatError(last, f"missing '{name}' line")
@@ -325,7 +328,7 @@ def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
         z.setdefault(j, ZERO)
     return DualCertificate(
         guess=fields["guess"], epsilon=fields["epsilon"], delta=fields["delta"],
-        K=fields["K"], num_machines=fields["machines"], z=z, y=y, w={},
+        K=fields["K"], num_machines=fields["machines"], z=z, y=y,
     )
 
 
@@ -374,11 +377,10 @@ class ConfigPool(dict):
     As a dict it maps (machine, config) to the configuration's integer size
     `sum q_j` over the instance's `integer_image`; it starts with the given
     `configurations`, (machine, sorted job tuple) keys, and every run adds
-    the configurations it prices. It lists each machine's permitted jobs
-    once, in id order, builds each configuration's master column once, when
-    a run first uses it, and holds the slack columns with their costs.
-    `final` is (T, basis keys, simplex warm state) of the last infeasible
-    run, or None.
+    the configurations it prices. It builds each configuration's master
+    column once, when a run first uses it, and holds the slack columns with
+    their costs. `final` is (T, basis keys, simplex warm state) of the last
+    infeasible run, or None.
     """
 
     def __init__(self, inst: Instance, configurations=()):
@@ -386,11 +388,6 @@ class ConfigPool(dict):
         m, n = inst.num_machines, inst.num_jobs
         q = inst.integer_image[1]
         self.num_machines = m
-        self.permitted = {i: [] for i in inst.machines}
-        for j in inst.jobs:
-            for i in inst.gamma[j]:
-                self.permitted[i].append(j)
-        self.permitted_q = {i: [q[j] for j in jobs] for i, jobs in self.permitted.items()}
         for i, conf in configurations:
             self[(i, conf)] = sum(q[j] for j in conf)
         self.columns = {}
@@ -401,11 +398,6 @@ class ConfigPool(dict):
                               + [[(m + idx, -1)] for idx in range(n)])
         self.slack_costs = [0] * m + [1] * n + [0] * n
         self.final = None
-
-    def fitting(self, i, limit) -> list:
-        """Machine i's permitted jobs with q_j <= limit, in id order: sizes
-        never decrease with the id, so they are a prefix of its list."""
-        return self.permitted[i][:bisect_right(self.permitted_q[i], limit)]
 
     def column(self, key) -> list:
         """The master column of configuration key = (machine, sorted jobs)."""
@@ -456,9 +448,9 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) 
     # T = a/b and p_j = q_j/L: p_j <= T iff b q_j <= L a
     L, q = inst.integer_image
     b, cap = T.denominator, L * T.numerator
-    fits = {i: pool.fitting(i, cap // b) for i in inst.machines}
+    sizes = [b * x for x in q]
 
-    keys = [(i, (j,)) for i in inst.machines for j in fits[i]]
+    keys = [(i, (j,)) for i in inst.machines for j in inst.permitted_on[i] if sizes[j] <= cap]
     generated = set(keys)
     for key in sorted(pool):
         if b * pool[key] <= cap and key not in generated:
@@ -490,16 +482,10 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) 
             return ConfigLPRun("feasible", T, weights=weights, rounds=round_no)
         # the duals times D > 0: machine rows, then job rows
         Y = out.Y
+        values = Y[m - 1:]  # job j's dual at index j
         improving = False
         for i in inst.machines:
-            jobs = [j for j in fits[i] if Y[m - 1 + j] > 0]
-            if not jobs:
-                value, conf = 0, ()
-            else:
-                value, subset = knapsack_max_value(KnapsackQuery(
-                    tuple((b * q[j], Y[m - 1 + j]) for j in jobs), cap
-                ))
-                conf = tuple(jobs[t] for t in subset)
+            value, conf = best_configuration(inst.permitted_on[i], sizes, values, cap)
             if value + Y[i - 1] > 0:
                 key = (i, conf)
                 if key in generated:

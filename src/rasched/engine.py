@@ -323,9 +323,6 @@ class InsertionEngine:
         """j_new, blocked small jobs, and jobs undesirable where they sit."""
         return set(self.value_layers())
 
-    def active_on(self, i):
-        return {j for j in self.active_jobs() if self.schedule.machine_of(j) == i}
-
     # ---------- move classification ----------
 
     def _plain_minus_huge(self, i):

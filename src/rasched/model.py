@@ -100,6 +100,16 @@ class Instance:
         scale, ints = integer_image(self.sizes[1:])
         return scale, (0, *ints)
 
+    @cached_property
+    def permitted_on(self):
+        """The ids of the jobs permitted on each machine, in increasing
+        order, as a tuple indexed by machine (index 0 is empty)."""
+        on = [[] for _ in range(self.num_machines + 1)]
+        for j in self.jobs:
+            for i in self.gamma[j]:
+                on[i].append(j)
+        return tuple(map(tuple, on))
+
 
 def make_instance(num_machines: int, jobs: list, names: list | None = None) -> Instance:
     """Build an Instance from (size, permitted-set) pairs in original order."""

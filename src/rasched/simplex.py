@@ -28,9 +28,9 @@ prices on; its rational objective, values and duals are built when read.
 Most pivots of a covering LP keep the scale (the new |det B| equals D).
 There the division is exact term by term, (a D - d_r b) / D = a - d_r b / D,
 so the update touches only the positions where the pivot row is nonzero.
-A start shares the rows of the state it resumes from and copies a row the
-first time it writes it, so that state is never changed: the column
-generation keeps one run's final master to resume later runs from.
+A start copies the rows of the state it resumes from, so that state is never
+changed: the column generation keeps one run's final master to resume later
+runs from.
 """
 
 from __future__ import annotations
@@ -99,9 +99,8 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
     (rhs is then not read). Columns and costs may have been appended since,
     but the basic columns must be unchanged. A cold start is the warm start
     from the identity state (I, rhs, 1). The state (A, X, D) is never
-    mutated: a row of A is copied when this call first writes it, and the
-    outcome shares the rows it never wrote. A pivot that keeps the scale D
-    changes A and Y only in the columns where the pivot row of A is
+    mutated: this call works on a copy of its rows. A pivot that keeps the
+    scale D changes A and Y only in the columns where the pivot row of A is
     nonzero, and A and X only in the rows where the entering direction is;
     any other pivot rescales every row.
     """
@@ -115,11 +114,9 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
             if len(col) != 1 or col[0][0] != r or col[0][1] != 1:
                 raise SimplexError("initial basis must be identity columns")
         warm = [[int(a == b) for b in range(m)] for a in range(m)], rhs, 1
-    # the warm rows are shared until this call first writes one
     A0, X0, D = warm
-    A = list(A0)
+    A = [list(row) for row in A0]
     X = list(X0)
-    owned = [False] * m
     in_basis = [False] * len(columns)
     for k in basis:
         in_basis[k] = True
@@ -189,15 +186,12 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
         xl = X[leaving]
         if p == D:
             # (a D - d_r b) / D is exact, so a - d_r b // D is too: only the
-            # pivot row's nonzeros move, in rows owned by this call
+            # pivot row's nonzeros move
             nz = [(s, b) for s, b in enumerate(lrow) if b]
             for r in range(m):
                 dr = d[r]
                 if dr and r != leaving:
                     row = A[r]
-                    if not owned[r]:
-                        row = A[r] = list(row)
-                        owned[r] = True
                     for s, b in nz:
                         row[s] -= dr * b // D
                     X[r] -= dr * xl // D
@@ -215,7 +209,6 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
                 else:
                     A[r] = [a * p // D for a in A[r]]
                     X[r] = X[r] * p // D
-                owned[r] = True
             Y = [(p * y + best * b) // D for y, b in zip(Y, lrow)]
             D = p
     raise SimplexError("pivot limit exceeded")

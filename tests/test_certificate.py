@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
-from rasched.engine import BlockerType, StuckState, insert_huge_job
+from rasched.engine import ALL_UNDESIRABLE, BlockerType, StuckState, insert_huge_job
 from rasched.seed import seed_small_medium, round_seed
-from rasched.certificate import (build_dual_certificate, verify_objective_negative,
+from rasched.certificate import (_active_on, best_configuration,
+                                 build_dual_certificate, verify_objective_negative,
                                  verify_dual_feasibility, verify_certificate,
                                  check_bs_s_machine_counts,
                                  check_covered_machine_margin,
@@ -69,8 +71,7 @@ class TestBuild:
         assert cert.z[4] == DELTA * Frac(5, 6) == Frac(115, 144)
         for j in (1, 2, 3):  # trivially blocked smalls at layer 1
             assert cert.z[j] == DELTA * Frac(7, 20) == Frac(161, 480)
-        assert cert.w[1] == sum((cert.z[j] for j in (1, 2, 3)), ZERO)
-        assert cert.y[1] == DELTA ** 48 + cert.w[1]
+        assert cert.y[1] - DELTA ** 48 == sum((cert.z[j] for j in (1, 2, 3)), ZERO)
 
     def test_inactive_job_gets_zero(self):
         stuck, sc = rich_stuck()
@@ -85,17 +86,19 @@ class TestBuild:
         types = {b.btype for b in eng.tree.blockers()}
         assert {BlockerType.BB, BlockerType.BS, BlockerType.S} <= types
         cert = build_dual_certificate(stuck)
+        w = {i: cert.y[i] - DELTA ** cert.K for i in sc.base.machines}
+        active_on = _active_on(eng, eng.active_jobs())
         for b in eng.tree.blockers():
-            base = sum((cert.z[j] for j in eng.active_on(b.machine)), ZERO)
+            base = sum((cert.z[j] for j in active_on[b.machine]), ZERO)
             if b.btype is BlockerType.BS:
-                assert cert.w[b.machine] == base + DELTA ** b.layer / 6
+                assert w[b.machine] == base + DELTA ** b.layer / 6
             elif b.btype is BlockerType.S:
-                assert cert.w[b.machine] == base - DELTA ** b.layer / 6
+                assert w[b.machine] == base - DELTA ** b.layer / 6
         plain = [i for i in sc.base.machines
                  if all(b.machine != i or b.btype not in (BlockerType.BS, BlockerType.S)
                         for b in eng.tree.blockers())]
         for i in plain:
-            assert cert.w[i] == sum((cert.z[j] for j in eng.active_on(i)), ZERO)
+            assert w[i] == sum((cert.z[j] for j in active_on[i]), ZERO)
 
 
 class TestVerify:
@@ -119,8 +122,7 @@ class TestVerify:
             scaled_cert = dataclasses.replace(
                 cert, transcript=[],
                 z={j: v * alpha for j, v in cert.z.items()},
-                y={i: v * alpha for i, v in cert.y.items()},
-                w={i: v * alpha for i, v in cert.w.items()})
+                y={i: v * alpha for i, v in cert.y.items()})
             assert verify_objective_negative(scaled_cert)
             assert verify_dual_feasibility(scaled_cert, sc)[0]
 
@@ -169,6 +171,19 @@ class TestSerialization:
         again = certificate_from_text(tampered, inst)
         assert not recheck_certificate(again, inst)
 
+    def test_margin_audit_reads_a_round_trip_like_the_built_certificate(self):
+        """The covered-machine margin reads only what the text keeps."""
+        states = [rich_stuck()[0]] + [
+            stuck for stuck in aggressive_stuck_states(range(400))
+            if any(b.btype in ALL_UNDESIRABLE for b in stuck.engine.tree.blockers())]
+        assert len(states) > 1
+        for stuck in states:
+            cert = build_dual_certificate(stuck)
+            inst = stuck.engine.scaled.base
+            again = certificate_from_text(certificate_to_text(cert, inst), inst)
+            assert (check_covered_machine_margin(stuck, again)
+                    == check_covered_machine_margin(stuck, cert))
+
 
 class TestCertificateFormat:
     @pytest.mark.parametrize("edit,line,message", [
@@ -182,6 +197,10 @@ class TestCertificateFormat:
         (lambda t: t.replace("epsilon 1/24", "epsilon 1/0"), 3, "bad number"),
         (lambda t: t + "y 2 0/1\n", None, "no machine 2 in the instance"),
         (lambda t: t + "y 1 0/1\n", None, "repeated 'y 1' line"),
+        (lambda t: t.replace("ra-certificate 1\n", ""), 1, "expected header 'ra-certificate 1'"),
+        (lambda t: t.replace("ra-certificate 1", "ra-certificate 2"), 1,
+         "expected header 'ra-certificate 1'"),
+        (lambda t: t + "ra-certificate 1\n", None, "unknown certificate line"),
     ])
     def test_malformed_text_names_its_line(self, edit, line, message):
         stuck, sc = three_smalls_stuck()
@@ -193,6 +212,30 @@ class TestCertificateFormat:
         expected = line if line is not None else len(bad.splitlines())
         assert info.value.line == expected
         assert str(info.value).startswith(f"line {expected}: {message}")
+
+
+class TestBestConfiguration:
+    def test_matches_the_best_subset(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            jobs = sorted(rng.sample(range(1, 16), rng.randint(0, 12)))
+            sizes = [rng.randint(1, 12) for _ in range(16)]
+            values = [rng.randint(0, 9) for _ in range(16)]
+            room = rng.randint(0, 30)
+            value, config = best_configuration(jobs, sizes, values, room)
+            assert value == max(
+                sum(values[j] for j in subset)
+                for r in range(len(jobs) + 1) for subset in itertools.combinations(jobs, r)
+                if sum(sizes[j] for j in subset) <= room)
+            assert list(config) == sorted(set(config)) and set(config) <= set(jobs)
+            assert all(values[j] > 0 for j in config)
+            assert sum(sizes[j] for j in config) <= room
+            assert sum(values[j] for j in config) == value
+
+    def test_nothing_that_fits_gives_the_empty_configuration(self):
+        sizes, values = (0, 5, 1, 7), (0, 4, 0, 2)
+        assert best_configuration((1, 2, 3), sizes, values, 4) == (0, ())
+        assert best_configuration((), sizes, values, 9) == (0, ())
 
 
 class TestConfigLPBounds:
@@ -781,7 +824,8 @@ def test_every_knapsack_query_is_integral(monkeypatch):
     def checked(query):
         assert type(query.capacity) is int
         assert all(type(w) is int and type(v) is int for w, v in query.items)
-        callers[sys._getframe(1).f_code.co_name] += 1
+        # every query comes through best_configuration: count its caller
+        callers[sys._getframe(2).f_code.co_name] += 1
         return original(query)
 
     monkeypatch.setattr(cm, "knapsack_max_value", checked)

@@ -15,6 +15,18 @@ from conftest import EPS, CAP, scaled_of, schedule_of
 rationals = st.builds(Frac, st.integers(1, 240), st.integers(1, 120))
 
 
+class TestPermittedOn:
+    @pytest.mark.parametrize("preset", ["uniform", "huge_heavy", "collision", "small_only"])
+    def test_lists_each_machines_jobs_in_id_order(self, preset):
+        for seed in range(8):
+            inst = generate_instance(GenSpec(machines=2 + seed % 4, jobs=4 + 2 * seed,
+                                             preset=preset, seed=seed))
+            on = inst.permitted_on
+            assert len(on) == inst.num_machines + 1 and on[0] == ()
+            for i in inst.machines:
+                assert on[i] == tuple(j for j in inst.jobs if i in inst.gamma[j])
+
+
 class TestClassify:
     def test_half_is_small(self):
         assert classify_job(Frac(1, 2)) is JobClass.SMALL
