@@ -3,24 +3,29 @@
 Each probe either produces a schedule of makespan <= (1+R) * T or a certified
 reason the guess is too small (seed LP infeasible, or a stuck search whose
 dual certificate is verified on the spot). A solve lays the seed's flow
-network once and keeps the Hall violators of its failed seed flows: later
-probes lie above every failed guess, so a violator usually still proves
-them infeasible without a flow. A probe without huge jobs is decided by the
-seed flow alone, and its schedule is rounded and validated only when read:
-a solve rounds one such schedule, the lowest successful probe's, unless it
-audits, which rounds and validates every successful probe at once. The
-bracket starts at [max job size, makespan of a polished restricted greedy
-schedule] and shrinks until high/low <= 1 + tau. The lowest successful
-probe's schedule is polished by the same move/swap descent, and the better
-of it and the polished greedy schedule is reported; reports serialize
-byte-identically for identical inputs. Both ends of the bracket are
-multiples of 1/L, L the scale of the instance's integer image, so the
-bisection runs on integer numerators over the common denominator L 2^k and
-builds one rational per probe, its guess.
+network once and finds on it the densest job set J* (`seed.max_density`),
+whose density lambda* decides most probes' seed LP without a flow: a probe
+at or above lambda* is feasible, and J* proves most below it infeasible.
+The solve also keeps the Hall violators of the seed flows that still fail,
+for the probes neither decides. A probe without huge jobs needs no more than
+that decision, and its seed flow runs, and its schedule is rounded and
+validated, only when read: a solve reads one such schedule, the lowest
+successful probe's. A probe with huge jobs runs its flow at once, to round
+a schedule for the engine. Under audit every successful probe does, and
+every probe the solve decided without a flow runs its own flow, which must
+agree. The bracket starts at [max job size, makespan of a polished
+restricted greedy schedule] and shrinks until high/low <= 1 + tau. The
+lowest successful probe's schedule is polished by the same move/swap
+descent, and the better of it and the polished greedy schedule is reported;
+reports serialize byte-identically for identical inputs. Both ends of the
+bracket are multiples of 1/L, L the scale of the instance's integer image,
+so the bisection runs on integer numerators over the common denominator
+L 2^k and builds one rational per probe, its guess.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,7 +33,8 @@ from .rational import Frac, ZERO, frac, ratio_str
 from .model import (Instance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .flow import AssignmentNetwork
-from .seed import SeedInfeasible, seed_small_medium, solve_assignment_lp, round_seed
+from .seed import (SeedInfeasible, seed_small_medium, solve_assignment_lp, round_seed,
+                   max_density, decided_solution)
 from .engine import InsertionEngine, StuckState, EngineInvariantError
 from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
@@ -53,8 +59,9 @@ class ProbeResult:
     """One probe's outcome: "success", "seed-infeasible" or "stuck".
 
     A success without huge jobs may keep only its decided seed, `seed` =
-    (LP solution, scaled instance); `schedule` rounds and validates it on
-    first read.
+    (LP solution or None, scaled instance, network); `schedule` runs the
+    flow that `seed_small_medium` left out, rounds and validates on first
+    read.
     """
 
     def __init__(self, guess, outcome, *, schedule: Schedule | None = None,
@@ -65,7 +72,8 @@ class ProbeResult:
     @property
     def schedule(self) -> Schedule | None:
         if self._seed is not None:
-            self._schedule = _validated(round_seed(*self._seed))
+            fa, scaled, network = self._seed
+            self._schedule = _validated(round_seed(decided_solution(fa, scaled, network), scaled))
             self._seed = None
         return self._schedule
 
@@ -121,11 +129,11 @@ class SolveReport:
 
 
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
-           counters, violators, network) -> ProbeResult:
+           counters, violators, network, densest=None) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] += 1
     try:
-        fa = seed_small_medium(scaled, violators, network)
+        fa = seed_small_medium(scaled, violators, network, densest)
     except SeedInfeasible as exc:
         if not exc.reused:
             violators.append(exc.violator)
@@ -139,10 +147,15 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                     f"a reused Hall violator refuted the feasible guess {ratio_str(guess)}"
                 )
         return ProbeResult(guess, "seed-infeasible")
+    # no Hall violator of the solve may prove a guess the density decided feasible
+    if audit and fa is None and any(v.proves(scaled) for v in (densest, *violators)):
+        raise EngineInvariantError(
+            f"a reused Hall violator refuted the feasible guess {ratio_str(guess)}"
+        )
     huge = sorted(scaled.huge_jobs(), reverse=True)  # decreasing size, det. ties
     if not huge and not audit:
-        return ProbeResult(guess, "success", seed=(fa, scaled))
-    schedule = round_seed(fa, scaled)
+        return ProbeResult(guess, "success", seed=(fa, scaled, network))
+    schedule = round_seed(decided_solution(fa, scaled, network), scaled)
     for j_new in huge:
         engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
         result = engine.run()
@@ -204,41 +217,46 @@ def _polish(inst: Instance, placement: dict) -> dict:
     targets by (load, id), and for a swap the smallest partner that
     qualifies. Each step drops i below the maximum and keeps k below it, so
     the makespan never rises and the sorted load vector falls
-    lexicographically, which ends the descent. Returns a new placement.
+    lexicographically, which ends the descent. Each machine's jobs are kept
+    in increasing id order across steps. Returns a new placement.
     """
     sizes, gamma = inst.integer_image[1], inst.gamma
     placement = dict(placement)
     loads = [0] * (inst.num_machines + 1)
-    on = [set() for _ in range(inst.num_machines + 1)]
+    on = [[] for _ in range(inst.num_machines + 1)]  # jobs by increasing id
     for j, i in placement.items():
         loads[i] += sizes[j]
-        on[i].add(j)
+        on[i].append(j)
+    for jobs in on:
+        jobs.sort()
 
     def step(top):
         for i in inst.machines:
             if loads[i] != top:
                 continue
-            for j in sorted(on[i], reverse=True):
+            for j in reversed(on[i]):
                 p = sizes[j]
                 for k in sorted(gamma[j] - {i}, key=lambda k: (loads[k], k)):
-                    if loads[k] + p < top:
+                    # k ends below the top once it sheds a partner larger than this
+                    over = loads[k] + p - top
+                    if over < 0:
                         return i, j, k, None
-                    for j2 in sorted(on[k]):  # increasing id: nondecreasing size
+                    for j2 in on[k]:  # increasing id: nondecreasing size
                         if sizes[j2] >= p:
                             break
-                        if i in gamma[j2] and loads[k] + p - sizes[j2] < top:
+                        if sizes[j2] > over and i in gamma[j2]:
                             return i, j, k, j2
         return None
 
     while (found := step(max(loads[1:]))) is not None:
         i, j, k, j2 = found
         on[i].remove(j)
-        on[k].add(j)
+        insort(on[k], j)
         placement[j] = k
         delta = sizes[j]
         if j2 is not None:
             on[k].remove(j2)
-            on[i].add(j2)
+            insort(on[i], j2)
             placement[j2] = i
             delta -= sizes[j2]
         loads[i] -= delta
@@ -307,11 +325,12 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     certificates: list = []
     violators: list = []  # Hall violators of this solve's failed seed flows
     network = AssignmentNetwork(inst)
+    densest = max_density(inst, network)
 
     def probe(guess) -> ProbeResult:
         res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,
                      run_logs=run_logs, counters=counters,
-                     violators=violators, network=network)
+                     violators=violators, network=network, densest=densest)
         probes.append((guess, res.outcome))
         return res
 

@@ -7,8 +7,9 @@ arc lists are filled by slices and one pass over the job arcs. Each flow it
 runs only resets their capacities, so every guess of a solve shares one
 graph. Its flow is Dinic's with the first phase pushed in closed form: that
 phase's level graph is the layered network itself, so its blocking flow is
-a greedy fill that needs no path search. The flow decides a guess on its
-own (`rasched.seed`); it is rounded into a schedule only where one is read.
+a greedy fill that needs no path search. A solve runs it for the densest
+job set (with every job's supply), for the guesses that set leaves
+undecided, and for each schedule that is read (`rasched.seed`).
 """
 
 from __future__ import annotations

@@ -9,21 +9,30 @@ x[j,i] = f[j,i] / P_j is then a solution. The network's arcs are laid once
 per solve (`flow.AssignmentNetwork`) and each guess only resets their
 capacities. A failed flow yields a Hall violator J, small/medium jobs with
 p(J) > T |Gamma(J)|. It is kept as a `HallViolator`: its largest job id,
-sum_J q_j and |Gamma(J)|, none of which depend on the guess. The solve hands
-its violators back to later guesses, which are decided without a flow while
-one of them still proves them infeasible, by two integer comparisons.
+sum_J q_j and |Gamma(J)|, none of which depend on the guess.
 
-The flow alone decides a guess (`seed_small_medium`). Only a schedule that
-is read gets rounded (`round_seed`): cycles of the flow's support are
-cancelled on the integers until it is a forest, and the forest is rounded
-so that every machine receives at most one extra fractional job. The support
-graph is built once per rounding and loses an edge when its flow reaches 0;
-each cycle is found by a fresh depth-first search over it, so the cycles,
-and with them the rounding, are those of a graph rebuilt for every cycle
-(one search forest for all cycles would find others). The resulting
-plain load per machine is at most U + max P_j, i.e. 1 + max small/medium
-size <= 11/6 at scale. No decision here reads a rational: the x-values and
-scaled loads are only built when something reads them.
+By Hall's condition the LP over all jobs is feasible at T exactly when
+T >= lambda* = max_J p(J)/|Gamma(J)| (Lenstra-Shmoys-Tardos). A solve finds
+lambda* and a set J* of that density once (`max_density`, Dinkelbach
+iteration on the parametric flow, Gallo-Grigoriadis-Tarjan) and decides
+each guess from it by integer comparisons (`seed_small_medium`): T >=
+lambda* is feasible, since a guess's small and medium jobs are some of all
+jobs, and below it J* proves the guess infeasible unless one of its jobs is
+huge there. Only the remaining guesses try the violators of the solve's
+earlier failed flows, then their own flow. A guess decided feasible runs
+its flow only when its schedule is read (`decided_solution`).
+
+Only a schedule that is read gets rounded (`round_seed`): cycles of the
+flow's support are cancelled on the integers until it is a forest, and the
+forest is rounded so that every machine receives at most one extra
+fractional job. The support graph is built once per rounding and loses an
+edge when its flow reaches 0; each cycle is found by a fresh depth-first
+search over it, so the cycles, and with them the rounding, are those of a
+graph rebuilt for every cycle (one search forest for all cycles would find
+others). The resulting plain load per machine is at most U + max P_j, i.e.
+1 + max small/medium size <= 11/6 at scale. No decision here reads a
+rational: the x-values and scaled loads are only built when something reads
+them.
 """
 
 from __future__ import annotations
@@ -31,8 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .engine import EngineInvariantError
 from .flow import AssignmentNetwork
-from .rational import Frac, ZERO
+from .rational import Frac, ZERO, ratio_str
 from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
 from .model import Instance, Schedule, ScaledInstance, UNASSIGNED
 
@@ -277,21 +287,73 @@ def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     return schedule
 
 
+def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
+    """A densest job set J*: p(J*)/|Gamma(J*)| = lambda* = max_J p(J)/|Gamma(J)|.
+
+    Dinkelbach iteration on the parametric flow: at T = a/b, the density of
+    the current set, every job (huge ones too) supplies b q_j on `network`
+    and every machine absorbs L a. A failed flow leaves its source-reachable
+    jobs J', which outweigh their permitted machines as in
+    `solve_assignment_lp`, so p(J') > T |Gamma(J')|: T moves to their
+    density and the flow runs again. The first flow that saturates shows
+    T >= lambda*, and T is the density of a set, so T = lambda*. Starts at
+    the whole job set, the set returned when the first flow saturates.
+    """
+    scale, q = inst.integer_image
+    jobs = inst.jobs
+    while True:
+        densest = HallViolator.of(inst, jobs)
+        guess = Frac(densest.volume, scale * densest.width)
+        supply = [guess.denominator * x for x in q]
+        value, level = network.max_flow(supply, scale * guess.numerator)
+        if value == sum(supply):
+            return densest
+        jobs = [j for j in inst.jobs if level[j] >= 0]
+
+
 def seed_small_medium(scaled: ScaledInstance, violators=(),
-                      network: AssignmentNetwork | None = None) -> FractionalAssignment:
+                      network: AssignmentNetwork | None = None,
+                      densest: HallViolator | None = None) -> FractionalAssignment | None:
     """Decide whether the small and medium jobs fit the guess, and return
     the decided LP solution; `round_seed` turns it into a schedule.
 
+    `densest` is the solve's `max_density` set J*, whose density is
+    lambda*. A guess T >= lambda* is feasible, since its small and medium
+    jobs are some of all jobs: that returns None without a flow, and
+    `decided_solution` runs the flow when the schedule is read.
+
     Raises SeedInfeasible when the assignment LP (a relaxation of the
-    configuration LP) has no solution, i.e. the guess is too small: with the
-    first of `violators` (Hall violators from earlier guesses of the solve)
-    that still proves it, without a flow, and otherwise when the flow on
-    `network` fails.
+    configuration LP) has no solution, i.e. the guess is too small: with J*
+    or the first of `violators` (Hall violators of earlier failed flows of
+    the solve) that proves it, without a flow, and otherwise when the flow
+    on `network` fails.
     """
+    if densest is not None:
+        if scaled.guess.denominator * densest.volume <= scaled.unit * densest.width:
+            return None
+        if densest.proves(scaled):
+            raise SeedInfeasible(densest, reused=True)
     for violator in violators:
         if violator.proves(scaled):
             raise SeedInfeasible(violator, reused=True)
     return solve_assignment_lp(scaled, network)
+
+
+def decided_solution(fa: FractionalAssignment | None, scaled: ScaledInstance,
+                     network: AssignmentNetwork) -> FractionalAssignment:
+    """The LP solution of a guess `seed_small_medium` decided feasible:
+    `fa`, or when the densest set decided it without a flow (`fa` None),
+    the flow on `network` that the guess would have run, since every flow
+    resets the network's capacities. Raises EngineInvariantError when that
+    flow does not saturate."""
+    if fa is not None:
+        return fa
+    try:
+        return solve_assignment_lp(scaled, network)
+    except SeedInfeasible:
+        raise EngineInvariantError(
+            f"the densest set decided the infeasible guess {ratio_str(scaled.guess)}"
+        ) from None
 
 
 def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:

@@ -1,12 +1,16 @@
 import contextlib
+import functools
+import importlib.util
 import random
 import signal
+import sys
+from pathlib import Path
 
 import pytest
 
 from rasched import seed
 from rasched.rational import Frac
-from rasched.model import Schedule, make_instance, scale_instance
+from rasched.model import Schedule, make_instance, parse_instance, scale_instance
 
 EPS = Frac(1, 24)  # load cap 1 + R = 23/12 throughout the fixed-epsilon tests
 CAP = Frac(23, 12)
@@ -53,6 +57,24 @@ def two_value_instance(rng, machines):
     rng.shuffle(sizes)
     return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
                                     for p in sizes])
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_pool(workload, seed, count=None):
+    """The first `count` (default: all) instances of a benchmark workload's
+    pool for `seed`, parsed from their text as the benchmark parses them."""
+    workloads = _benchmark_workloads()
+    return [parse_instance(g.text)
+            for g in workloads.generate(workloads.WORKLOADS[workload], seed, count)]
 
 
 def lp_bound_instance(rng, machines, jobs, huge):

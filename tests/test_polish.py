@@ -7,9 +7,10 @@ import pytest
 from rasched.rational import Frac, ZERO
 from rasched.model import make_instance
 from rasched.generator import GenSpec, generate_instance, PRESETS
+from rasched import driver
 from rasched.driver import _greedy, _polish, _makespan
 
-from conftest import deadline, two_value_instance
+from conftest import benchmark_pool, deadline, two_value_instance
 
 
 def polish_cases():
@@ -114,3 +115,68 @@ def test_polish_swaps_when_no_move_helps():
     assert polished == {j5: 2, j3: 1, j4: 1, j2: 2}
     assert _makespan(inst, polished) == Frac(15, 2)
     assert improving_steps(inst, polished) == []
+
+
+def reference_polish(inst, placement):
+    """The descent with every scan re-sorting each machine's jobs, kept as
+    the reference for `_polish`, which keeps them sorted across steps."""
+    sizes, gamma = inst.integer_image[1], inst.gamma
+    placement = dict(placement)
+    loads = [0] * (inst.num_machines + 1)
+    on = [set() for _ in range(inst.num_machines + 1)]
+    for j, i in placement.items():
+        loads[i] += sizes[j]
+        on[i].add(j)
+
+    def step(top):
+        for i in inst.machines:
+            if loads[i] != top:
+                continue
+            for j in sorted(on[i], reverse=True):
+                p = sizes[j]
+                for k in sorted(gamma[j] - {i}, key=lambda k: (loads[k], k)):
+                    if loads[k] + p < top:
+                        return i, j, k, None
+                    for j2 in sorted(on[k]):  # increasing id: nondecreasing size
+                        if sizes[j2] >= p:
+                            break
+                        if i in gamma[j2] and loads[k] + p - sizes[j2] < top:
+                            return i, j, k, j2
+        return None
+
+    while (found := step(max(loads[1:]))) is not None:
+        i, j, k, j2 = found
+        on[i].remove(j)
+        on[k].add(j)
+        placement[j] = k
+        delta = sizes[j]
+        if j2 is not None:
+            on[k].remove(j2)
+            on[i].add(j2)
+            placement[j2] = i
+            delta -= sizes[j2]
+        loads[i] -= delta
+        loads[k] += delta
+    return placement
+
+
+@pytest.mark.parametrize("seed", [9, 1, 101])
+def test_sorted_lists_polish_like_the_resorting_reference(monkeypatch, seed):
+    """Every placement the solves of the benchmark pools polish, the greedy
+    one and the best probe's, ends where the reference ends it."""
+    polish_inputs = []
+
+    def recording_polish(inst, placement):
+        polish_inputs.append((inst, dict(placement)))
+        return _polish(inst, placement)
+
+    monkeypatch.setattr(driver, "_polish", recording_polish)
+    for workload in ("uniform", "two_value", "lp_bound"):
+        for inst in benchmark_pool(workload, seed):
+            driver.solve(inst)
+    moved = 0
+    for inst, start in polish_inputs:
+        polished = _polish(inst, start)
+        assert polished == reference_polish(inst, start)
+        moved += polished != start
+    assert len(polish_inputs) == 2 * (120 + 120 + 48) and moved > 100

@@ -9,15 +9,16 @@ import pytest
 from rasched import driver, seed
 from rasched.engine import EngineInvariantError
 from rasched.flow import AssignmentNetwork, Network
-from rasched.rational import Frac, integer_image
+from rasched.rational import Frac, integer_image, ratio_str
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible, solve_assignment_lp, seed_small_medium,
                           round_seed, still_violates, eliminate_support_cycles,
-                          HallViolator)
+                          HallViolator, max_density)
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
-from conftest import EPS, record_cycles, reference_support_cycle, two_value_instance
+from conftest import (EPS, benchmark_pool, record_cycles, reference_support_cycle,
+                      two_value_instance)
 
 CHAIN = 700
 
@@ -198,11 +199,16 @@ def test_hall_violator_on_every_infeasible_probe(monkeypatch):
 
 
 def test_violator_summaries_decide_like_still_violates(monkeypatch):
-    """Every violator of the sweep, summarised once, against every probe of
-    its solve and the guesses around the one where its largest job turns
+    """Every violator of the sweep, the densest set of each solve and those
+    of the probe flows that still fail, summarised once, against every probe
+    of its solve and the guesses around the one where its largest job turns
     huge: the summary's fields are the sums over its jobs, and it proves a
     guess exactly when the reference re-summing test does."""
     probes, found = [], []
+
+    def recording_density(inst, network):
+        found.append(seed.max_density(inst, network))
+        return found[-1]
 
     def recording_seed(scaled, *args):
         probes.append(scaled)
@@ -213,6 +219,7 @@ def test_violator_summaries_decide_like_still_violates(monkeypatch):
                 found.append(exc.violator)
             raise
 
+    monkeypatch.setattr(driver, "max_density", recording_density)
     monkeypatch.setattr(driver, "seed_small_medium", recording_seed)
     decisions = []
     for inst in violator_sweep():
@@ -269,22 +276,26 @@ def solve_record(inst):
 
 
 def test_reused_violators_decide_like_the_flow(monkeypatch):
+    """Solves whose probes the densest set and the stored violators decide
+    report what solves that run every probe's flow report."""
     cases = solve_cases()
     assert len(cases) >= 200
-    reused = []
+    reused, without_flow = [], []
 
     def counting_seed(scaled, *args):
         try:
-            return seed_small_medium(scaled, *args)
+            fa = seed_small_medium(scaled, *args)
         except SeedInfeasible as exc:
             reused.append(exc.reused)
             raise
+        without_flow.append(fa is None)
+        return fa
 
     monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
     with_reuse = [solve_record(inst) for inst in cases]
-    assert sum(reused) >= 100 and not all(reused)
+    assert sum(reused) >= 100 and sum(without_flow) >= 100 and not all(without_flow)
 
-    def flow_every_probe(scaled, violators, network):
+    def flow_every_probe(scaled, violators, network, densest):
         return seed_small_medium(scaled, [], network)
 
     monkeypatch.setattr(driver, "seed_small_medium", flow_every_probe)
@@ -366,6 +377,95 @@ def test_audit_refutes_a_violator_reused_at_a_feasible_guess(monkeypatch):
     driver.solve(inst, EPS)  # unaudited, the false proof goes unnoticed
     with pytest.raises(EngineInvariantError, match="reused Hall violator"):
         driver.solve(inst, EPS, audit=True)
+
+
+def brute_force_density(inst):
+    """max p(J)/|Gamma(J)| over every nonempty job set J, one set per bit
+    mask, each built from the mask without its lowest bit."""
+    scale, q = inst.integer_image
+    n = inst.num_jobs
+    volume, machines = [0] * (1 << n), [0] * (1 << n)
+    best = Frac(0)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        j = low.bit_length()
+        volume[mask] = volume[mask ^ low] + q[j]
+        machines[mask] = machines[mask ^ low] | sum(1 << i for i in inst.gamma[j])
+        best = max(best, Frac(volume[mask], machines[mask].bit_count()))
+    return best / scale
+
+
+def test_max_density_matches_every_job_subset():
+    """lambda* is the largest density of any job set, and J* attains it."""
+    rng = random.Random(13)
+    cases = [generate_instance(GenSpec(machines=1 + k % 4, jobs=1 + k % 10,
+                                       preset=PRESETS[k % len(PRESETS)],
+                                       density=(Frac(1, 3), Frac(1, 2), Frac(2, 3))[k % 3],
+                                       seed=k))
+             for k in range(180)]
+    cases += [two_value_instance(rng, 2 + k % 5) for k in range(30)]  # 2 to 10 jobs
+    proper = 0
+    for inst in cases:
+        assert inst.num_jobs <= 10
+        densest = max_density(inst, AssignmentNetwork(inst))
+        assert densest == HallViolator.of(inst, densest.jobs)
+        lam = Frac(densest.volume, inst.integer_image[0] * densest.width)
+        assert lam == brute_force_density(inst), inst
+        proper += len(densest.jobs) < inst.num_jobs
+    assert len(cases) >= 200 and proper >= 20
+
+
+def test_density_decided_probes_get_their_own_flows_outcome(monkeypatch):
+    """On the three benchmark shapes, every probe the densest set decides,
+    feasible without a flow or infeasible by J*, is decided as a flow on a
+    fresh network decides it."""
+    decided = []
+
+    def recording_seed(scaled, violators, network, densest):
+        try:
+            fa = seed_small_medium(scaled, violators, network, densest)
+        except SeedInfeasible as exc:
+            if exc.violator is densest:
+                decided.append((scaled, False))
+            raise
+        if fa is None:
+            decided.append((scaled, True))
+        return fa
+
+    monkeypatch.setattr(driver, "seed_small_medium", recording_seed)
+    for workload in ("uniform", "two_value", "lp_bound"):
+        for inst in benchmark_pool(workload, 9, 24):
+            driver.solve(inst)
+    for scaled, feasible in decided:
+        try:
+            solve_assignment_lp(scaled)
+        except SeedInfeasible:
+            assert not feasible, scaled.guess
+        else:
+            assert feasible, scaled.guess
+    outcomes = [feasible for _, feasible in decided]
+    assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
+
+
+def test_audit_refutes_a_density_one_step_low(monkeypatch):
+    """With lambda* lowered by the final bracket's width, the highest
+    seed-infeasible probe lies above it: the audit's own flow at that
+    probe fails and refutes the density. Unaudited, the same flow runs when
+    that probe's schedule is read, and fails the same way."""
+    inst = bisection_instance()
+    report = driver.solve(inst, EPS)
+    assert report.lower_bound_kind == "seed-lp-infeasible"
+    scale = inst.integer_image[0]
+    densest = max_density(inst, AssignmentNetwork(inst))
+    low = (Frac(densest.volume, scale * densest.width)
+           - (report.guess_final - report.lower_bound))
+    assert low <= report.lower_bound
+    monkeypatch.setattr(driver, "max_density", lambda inst, network: HallViolator(
+        densest.top, low.numerator * scale, low.denominator, densest.jobs))
+    for audit in (True, False):
+        with pytest.raises(EngineInvariantError, match="densest set decided the infeasible guess "
+                           + ratio_str(report.lower_bound)):
+            driver.solve(inst, EPS, audit=audit)
 
 
 def test_hall_violator_of_a_hand_built_instance():

@@ -6,7 +6,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from conftest import lp_bound_instance
+from conftest import benchmark_pool, lp_bound_instance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -62,3 +62,20 @@ def test_traced_uniform_solves_report_the_same_and_attribute_the_probes():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["seed.cycles_cancelled"] > 0
     assert metrics["driver.probes"] == sum(rep.iterations["probes"] for rep in reports)
+
+
+def test_traced_two_value_solves_count_one_seed_call_per_probe():
+    """Probes decided by the densest set still make one `seed.seed` span
+    each, and those that raise SeedInfeasible are the reports'
+    seed-infeasible probes."""
+    from rasched.driver import solve
+    tracing = load_tracing()
+    insts = benchmark_pool("two_value", 101, 12)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        reports = [solve(inst) for inst in insts]
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["seed.calls"] == metrics["driver.probes"] > 0
+    infeasible = sum(outcome == "seed-infeasible"
+                     for rep in reports for _, outcome in rep.probes)
+    assert metrics["driver.probes_seed_infeasible"] == infeasible > 0
