@@ -1,8 +1,7 @@
 """Restricted-assignment makespan scheduling with certified lower bounds."""
 
 from .rational import Frac, frac, ratio_str, BACKEND
-from .model import (Instance, ScaledInstance, Schedule, JobClass,
-                    classify_job,
+from .model import (Instance, ScaledInstance, Schedule,
                     validate_partial_schedule, parse_instance,
                     serialize_instance, make_instance, scale_instance)
 from .seed import seed_small_medium, round_seed, SeedInfeasible

@@ -32,7 +32,9 @@ def _add_common(p):
     p.add_argument("--epsilon", default="1/24", help="approximation slack (rational), default 1/24")
     p.add_argument("--tol", default="1/100", help="binary-search stop ratio (rational), default 1/100")
     p.add_argument("--audit", action="store_true",
-                   help="check engine invariants every iteration")
+                   help="check engine invariants every iteration, run the seed flow behind "
+                        "every guess the densest job set decides, and validate the seed "
+                        "of every successful probe")
     p.add_argument("--trace", metavar="PATH", help="write JSONL event trace")
     p.add_argument("--dot", metavar="PATH", help="write DOT snapshots of final trees")
     p.add_argument("--lp-bound", action="store_true",

@@ -6,14 +6,13 @@ dual certificate is verified on the spot). A solve lays the seed's flow
 network once and finds on it the densest job set J* (`seed.max_density`),
 whose density lambda* decides most probes' seed LP without a flow: a probe
 at or above lambda* is feasible, and J* proves most below it infeasible.
-The solve also keeps the Hall violators of the seed flows that still fail,
-for the probes neither decides. A probe without huge jobs needs no more than
-that decision, and its seed flow runs, and its schedule is rounded and
-validated, only when read: a solve reads one such schedule, the lowest
-successful probe's. A probe with huge jobs runs its flow at once, to round
-a schedule for the engine. Under audit every successful probe does, and
-every probe the solve decided without a flow runs its own flow, which must
-agree. The bracket starts at [max job size, makespan of a polished
+Every other probe runs its own seed flow. A probe without huge jobs needs
+no more than that decision, and its seed flow runs, and its schedule is
+rounded and validated, only when read: a solve reads one such schedule, the
+lowest successful probe's. A probe with huge jobs runs its flow at once, to
+round a schedule for the engine. Under audit every successful probe does,
+and every probe the solve decided without a flow runs its own flow, which
+must agree. The bracket starts at [max job size, makespan of a polished
 restricted greedy schedule] and shrinks until high/low <= 1 + tau. The
 lowest successful probe's schedule is polished by the same move/swap
 descent, and the better of it and the polished greedy schedule is reported;
@@ -129,29 +128,22 @@ class SolveReport:
 
 
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
-           counters, violators, network, densest=None) -> ProbeResult:
+           counters, network, densest=None) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] += 1
     try:
-        fa = seed_small_medium(scaled, violators, network, densest)
+        fa = seed_small_medium(scaled, network, densest)
     except SeedInfeasible as exc:
-        if not exc.reused:
-            violators.append(exc.violator)
-        elif audit:
+        if audit and exc.violator is densest:
             try:
                 solve_assignment_lp(scaled, network)
             except SeedInfeasible:
                 pass
             else:
                 raise EngineInvariantError(
-                    f"a reused Hall violator refuted the feasible guess {ratio_str(guess)}"
+                    f"the densest set refuted the feasible guess {ratio_str(guess)}"
                 )
         return ProbeResult(guess, "seed-infeasible")
-    # no Hall violator of the solve may prove a guess the density decided feasible
-    if audit and fa is None and any(v.proves(scaled) for v in (densest, *violators)):
-        raise EngineInvariantError(
-            f"a reused Hall violator refuted the feasible guess {ratio_str(guess)}"
-        )
     huge = sorted(scaled.huge_jobs(), reverse=True)  # decreasing size, det. ties
     if not huge and not audit:
         return ProbeResult(guess, "success", seed=(fa, scaled, network))
@@ -323,14 +315,13 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     run_logs: list = []
     probes: list = []
     certificates: list = []
-    violators: list = []  # Hall violators of this solve's failed seed flows
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
 
     def probe(guess) -> ProbeResult:
         res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,
-                     run_logs=run_logs, counters=counters,
-                     violators=violators, network=network, densest=densest)
+                     run_logs=run_logs, counters=counters, network=network,
+                     densest=densest)
         probes.append((guess, res.outcome))
         return res
 

@@ -18,14 +18,12 @@ machines, so no header makes a solve build unbounded per-machine lists.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 
-HALF = Frac(1, 2)
 FIVE_SIXTHS = Frac(5, 6)
 
 #: the most machines an instance may have; `parse_instance` rejects a larger
@@ -40,21 +38,6 @@ class InstanceFormatError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class JobClass(enum.Enum):
-    SMALL = "small"
-    MEDIUM = "medium"
-    HUGE = "huge"
-
-
-def classify_job(p) -> JobClass:
-    """Small: p <= 1/2; medium: 1/2 < p <= 5/6; huge: p > 5/6 (scaled sizes)."""
-    if p <= HALF:
-        return JobClass.SMALL
-    if p <= FIVE_SIXTHS:
-        return JobClass.MEDIUM
-    return JobClass.HUGE
 
 
 @dataclass(frozen=True)
@@ -270,9 +253,6 @@ class ScaledInstance:
     def is_huge(self, j) -> bool:
         return j >= self.huge_start
 
-    def small_jobs(self):
-        return list(range(1, self.small_end))
-
     def huge_jobs(self):
         return list(range(self.huge_start, self.base.num_jobs + 1))
 
@@ -344,17 +324,9 @@ class Schedule:
     def load(self, i: int):
         return Frac(self._load[i], self.scaled.unit)
 
-    def load_from_scratch(self, i: int):
-        """Recompute the load by summation; used by tests."""
-        sc = self.scaled
-        return Frac(sum(sc.int_sizes[j] for j in self.on_machine[i]), sc.unit)
-
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""
         return min(self.mediums[i]) if self.mediums[i] else None
-
-    def assigned_jobs(self):
-        return [j for j in self.scaled.base.jobs if self.assignment[j] is not UNASSIGNED]
 
 
 def validate_partial_schedule(schedule: Schedule) -> list:

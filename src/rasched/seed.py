@@ -18,9 +18,8 @@ iteration on the parametric flow, Gallo-Grigoriadis-Tarjan) and decides
 each guess from it by integer comparisons (`seed_small_medium`): T >=
 lambda* is feasible, since a guess's small and medium jobs are some of all
 jobs, and below it J* proves the guess infeasible unless one of its jobs is
-huge there. Only the remaining guesses try the violators of the solve's
-earlier failed flows, then their own flow. A guess decided feasible runs
-its flow only when its schedule is read (`decided_solution`).
+huge there. Only the remaining guesses run their own flow. A guess decided
+feasible runs its flow only when its schedule is read (`decided_solution`).
 
 Only a schedule that is read gets rounded (`round_seed`): cycles of the
 flow's support are cancelled on the integers until it is a forest, and the
@@ -31,8 +30,7 @@ search over it, so the cycles, and with them the rounding, are those of a
 graph rebuilt for every cycle (one search forest for all cycles would find
 others). The resulting plain load per machine is at most U + max P_j, i.e.
 1 + max small/medium size <= 11/6 at scale. No decision here reads a
-rational: the x-values and scaled loads are only built when something reads
-them.
+rational: neither the x-values nor the scaled loads are ever built.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import NamedTuple
 
 from .engine import EngineInvariantError
 from .flow import AssignmentNetwork
-from .rational import Frac, ZERO, ratio_str
+from .rational import Frac, ratio_str
 from .simplex import solve_equality_feasibility  # noqa: F401  (wrap point in perfbench/tracing.py)
 from .model import Instance, Schedule, ScaledInstance, UNASSIGNED
 
@@ -64,8 +62,8 @@ class HallViolator(NamedTuple):
                    len(set().union(*(inst.gamma[j] for j in jobs))), jobs)
 
     def proves(self, scaled: ScaledInstance) -> bool:
-        """`still_violates` on the summary: no job of J is huge at this
-        guess, and b sum_J q_j > L a |Gamma(J)|."""
+        """Whether J proves this guess infeasible: no job of J is huge at
+        this guess, and b sum_J q_j > L a |Gamma(J)|, i.e. p(J) > T |Gamma(J)|."""
         return (self.top < scaled.huge_start
                 and scaled.guess.denominator * self.volume > scaled.unit * self.width)
 
@@ -75,14 +73,12 @@ class SeedInfeasible(Exception):
     configuration LP): the guess is below the optimum.
 
     `violator` is a Hall violator: small/medium jobs J with p(J) > |union of
-    their permitted sets| at scaled threshold 1. `reused` tells that it came
-    from the solve's earlier violators and no flow ran at this guess.
+    their permitted sets| at scaled threshold 1.
     """
 
-    def __init__(self, violator: HallViolator, reused=False):
+    def __init__(self, violator: HallViolator):
         super().__init__("assignment LP infeasible")
         self.violator = violator
-        self.reused = reused
 
     @property
     def jobs(self) -> tuple:
@@ -97,20 +93,6 @@ class FractionalAssignment:
     @property
     def jobs(self):
         return list(self.supply)
-
-    @property
-    def entries(self):
-        """(job, machine) -> x-value f / P_j in (0, 1]."""
-        return {(j, i): Frac(f, self.supply[j]) for (j, i), f in self.flow.items()}
-
-    def job_sum(self, j):
-        return sum((v for (jj, _), v in self.entries.items() if jj == j), ZERO)
-
-    def machine_load(self, scaled, i):
-        return sum(
-            (scaled.size[j] * v for (j, ii), v in self.entries.items() if ii == i),
-            ZERO,
-        )
 
 
 def solve_assignment_lp(scaled: ScaledInstance,
@@ -143,18 +125,6 @@ def solve_assignment_lp(scaled: ScaledInstance,
         # full union of their permitted sets: p(J) > |Gamma(J)|.
         raise SeedInfeasible(HallViolator.of(scaled.base, (j for j in sm_jobs if level[j] >= 0)))
     return FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
-
-
-def still_violates(scaled: ScaledInstance, jobs) -> bool:
-    """Whether the Hall violator `jobs`, found at an earlier guess, proves
-    this guess infeasible too: every job of it is small or medium here, and
-    b sum_J q_j > L a |Gamma(J)|, i.e. p(J) > T |Gamma(J)|. The reference
-    that `HallViolator.proves` decides without the sums."""
-    if any(scaled.is_huge(j) for j in jobs):
-        return False
-    gamma = scaled.base.gamma
-    machines = set().union(*(gamma[j] for j in jobs))
-    return sum(scaled.int_sizes[j] for j in jobs) > scaled.unit * len(machines)
 
 
 def _support_cycle(adj, order):
@@ -311,8 +281,7 @@ def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
         jobs = [j for j in inst.jobs if level[j] >= 0]
 
 
-def seed_small_medium(scaled: ScaledInstance, violators=(),
-                      network: AssignmentNetwork | None = None,
+def seed_small_medium(scaled: ScaledInstance, network: AssignmentNetwork | None = None,
                       densest: HallViolator | None = None) -> FractionalAssignment | None:
     """Decide whether the small and medium jobs fit the guess, and return
     the decided LP solution; `round_seed` turns it into a schedule.
@@ -324,18 +293,14 @@ def seed_small_medium(scaled: ScaledInstance, violators=(),
 
     Raises SeedInfeasible when the assignment LP (a relaxation of the
     configuration LP) has no solution, i.e. the guess is too small: with J*
-    or the first of `violators` (Hall violators of earlier failed flows of
-    the solve) that proves it, without a flow, and otherwise when the flow
-    on `network` fails.
+    when it proves the guess, without a flow, and otherwise with the Hall
+    violator of the flow on `network` when that flow fails.
     """
     if densest is not None:
         if scaled.guess.denominator * densest.volume <= scaled.unit * densest.width:
             return None
         if densest.proves(scaled):
-            raise SeedInfeasible(densest, reused=True)
-    for violator in violators:
-        if violator.proves(scaled):
-            raise SeedInfeasible(violator, reused=True)
+            raise SeedInfeasible(densest)
     return solve_assignment_lp(scaled, network)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import functools
 import importlib.util
 import random
@@ -10,7 +11,7 @@ import pytest
 
 from rasched import seed
 from rasched.rational import Frac
-from rasched.model import Schedule, make_instance, parse_instance, scale_instance
+from rasched.model import UNASSIGNED, Schedule, make_instance, parse_instance, scale_instance
 
 EPS = Frac(1, 24)  # load cap 1 + R = 23/12 throughout the fixed-epsilon tests
 CAP = Frac(23, 12)
@@ -28,6 +29,64 @@ def schedule_of(scaled, assignment):
     for j, i in assignment.items():
         sched.assign(j, i)
     return sched
+
+
+class JobClass(enum.Enum):
+    SMALL = "small"
+    MEDIUM = "medium"
+    HUGE = "huge"
+
+
+def classify_job(p) -> JobClass:
+    """Small: p <= 1/2; medium: 1/2 < p <= 5/6; huge: p > 5/6 (scaled
+    sizes). The reference for `ScaledInstance.is_small` and `is_huge`."""
+    if p <= Frac(1, 2):
+        return JobClass.SMALL
+    if p <= Frac(5, 6):
+        return JobClass.MEDIUM
+    return JobClass.HUGE
+
+
+def small_jobs(scaled):
+    return list(range(1, scaled.small_end))
+
+
+def load_from_scratch(schedule, i):
+    """Machine i's load by summation, the reference for `Schedule.load`."""
+    sc = schedule.scaled
+    return Frac(sum(sc.int_sizes[j] for j in schedule.on_machine[i]), sc.unit)
+
+
+def assigned_jobs(schedule):
+    return [j for j in schedule.scaled.base.jobs
+            if schedule.machine_of(j) is not UNASSIGNED]
+
+
+def entries_of(fa):
+    """(job, machine) -> x-value f / P_j in (0, 1] of a seed LP solution,
+    built anew on every call."""
+    return {(j, i): Frac(f, fa.supply[j]) for (j, i), f in fa.flow.items()}
+
+
+def job_sum(fa, j):
+    return sum((v for (jj, _), v in entries_of(fa).items() if jj == j), Frac(0))
+
+
+def machine_load(fa, scaled, i):
+    return sum((scaled.size[j] * v for (j, ii), v in entries_of(fa).items() if ii == i),
+               Frac(0))
+
+
+def still_violates(scaled, jobs) -> bool:
+    """Whether the Hall violator `jobs` proves this guess infeasible: every
+    job of it is small or medium here, and b sum_J q_j > L a |Gamma(J)|,
+    i.e. p(J) > T |Gamma(J)|. The reference that `HallViolator.proves`
+    decides without the sums."""
+    if any(scaled.is_huge(j) for j in jobs):
+        return False
+    gamma = scaled.base.gamma
+    machines = set().union(*(gamma[j] for j in jobs))
+    return sum(scaled.int_sizes[j] for j in jobs) > scaled.unit * len(machines)
 
 
 @pytest.fixture

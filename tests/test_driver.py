@@ -159,7 +159,7 @@ def test_successful_probe_builds_no_rational_size(audit):
             continue
         counters = Counter()
         res = _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
-                     counters=counters, violators=[], network=AssignmentNetwork(inst))
+                     counters=counters, network=AssignmentNetwork(inst))
         assert res.outcome == "success" and res.certificate is None
         assert "size" not in res.schedule.scaled.__dict__
         moved += counters.get("engine_moves", 0)

@@ -16,7 +16,7 @@ from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
 from rasched.seed import seed_small_medium, round_seed, SeedInfeasible
 
-from conftest import EPS, CAP, scaled_of, schedule_of, two_value_instance
+from conftest import EPS, CAP, assigned_jobs, scaled_of, schedule_of, two_value_instance
 
 
 def plant(engine, job, machine, btype, layer, parent=None):
@@ -503,7 +503,7 @@ class TestBlockerIndex:
             return
         for j_new in sorted(sc.huge_jobs(), reverse=True):
             result, eng = insert_huge_job(sched, j_new)
-            for j in sched.assigned_jobs():
+            for j in assigned_jobs(sched):
                 home = sched.machine_of(j)
                 marking = [b for b in eng.tree.blockers()
                            if b.machine == home and eng.marks_undesirable(b, j)]
@@ -585,7 +585,7 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
         for k in range(12):
             driver._probe(inst, inst.max_size() * Frac(20 + k, 20), EPS, audit=False,
                           log_events=False, run_logs=[], counters=Counter(),
-                          violators=[], network=network)
+                          network=network)
     engines = [stuck.engine for stuck in stuck_states]
     assert len(engines) >= 90
     # blocked small jobs without an activator get their value layer from the table

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rasched.rational import Frac, integer_image, ratio_str, parse_ratio
-from rasched.model import (JobClass, classify_job,
-                           validate_partial_schedule, parse_instance,
+from rasched.model import (validate_partial_schedule, parse_instance,
                            serialize_instance, make_instance, scale_instance,
                            Schedule, InstanceFormatError, MAX_MACHINES)
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import EPS, CAP, scaled_of, schedule_of
+from conftest import (EPS, CAP, JobClass, classify_job, load_from_scratch, scaled_of,
+                      schedule_of, small_jobs)
 
 rationals = st.builds(Frac, st.integers(1, 240), st.integers(1, 120))
 
@@ -108,7 +108,7 @@ class TestLoads:
             else:
                 sched.move(j, rng.randint(1, 3))
         for i in (1, 2, 3):
-            assert sched.load(i) == sched.load_from_scratch(i)
+            assert sched.load(i) == load_from_scratch(sched, i)
 
 
 class TestValidate:
@@ -220,7 +220,7 @@ class TestScaling:
                 assert sc.is_small(j) == (classify_job(p) is JobClass.SMALL) == (p <= Frac(1, 2))
                 assert sc.is_huge(j) == (classify_job(p) is JobClass.HUGE) == (p > Frac(5, 6))
                 assert Frac(sc.int_sizes[j], sc.unit) == p == sc.size[j]
-            assert sc.small_jobs() == [j for j in inst.jobs if sc.is_small(j)]
+            assert small_jobs(sc) == [j for j in inst.jobs if sc.is_small(j)]
             assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]
             # integer loads one grain below, at and above (1 + R) unit
             exact = sc.load_cap * sc.unit

@@ -12,7 +12,7 @@ from rasched.seed import solve_assignment_lp
 from rasched.model import scale_instance
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import EPS
+from conftest import EPS, job_sum
 
 
 def brute_knapsack(items, capacity):
@@ -237,7 +237,7 @@ class TestConfigLP:
         # job is medium at that scale and may split across both machines)
         sc = scale_instance(inst, Frac(13, 10), EPS)
         fa = solve_assignment_lp(sc)
-        assert fa.job_sum(3) == 1
+        assert job_sum(fa, 3) == 1
         assert not exact_config_lp_feasible(inst, Frac(13, 10))
 
     def test_integral_optimum_is_lp_feasible(self):

@@ -11,7 +11,8 @@ from rasched.seed import (FractionalAssignment, SeedInfeasible,
 from rasched.generator import GenSpec, generate_instance
 from rasched.oracle import exact_config_lp_feasible
 
-from conftest import (EPS, deadline, record_cycles, reference_eliminate_support_cycles,
+from conftest import (EPS, assigned_jobs, deadline, entries_of, job_sum, machine_load,
+                      record_cycles, reference_eliminate_support_cycles,
                       reference_support_cycle, scaled_of)
 
 
@@ -19,7 +20,7 @@ class TestAssignmentLP:
     def test_forced_assignment(self):
         sc = scaled_of([(Frac(1, 2), {1})], 1)
         fa = solve_assignment_lp(sc)
-        assert fa.entries == {(1, 1): 1}
+        assert entries_of(fa) == {(1, 1): 1}
 
     def test_two_two_thirds_on_one_machine_infeasible(self):
         sc = scaled_of([(Frac(2, 3), {1}), (Frac(2, 3), {1})], 1)
@@ -44,10 +45,10 @@ class TestAssignmentLP:
             assert not exact_config_lp_feasible(inst, guess)
             return
         for j in fa.jobs:
-            assert fa.job_sum(j) == 1
+            assert job_sum(fa, j) == 1
         for i in sc.base.machines:
-            assert fa.machine_load(sc, i) <= 1
-        for (j, i), v in fa.entries.items():
+            assert machine_load(fa, sc, i) <= 1
+        for (j, i), v in entries_of(fa).items():
             assert 0 < v <= 1 and i in sc.base.gamma[j]
 
     def test_support_is_forest(self):
@@ -56,8 +57,8 @@ class TestAssignmentLP:
             sc = scale_instance(inst, inst.total_size(), EPS)
             fa = solve_assignment_lp(sc)
             eliminate_support_cycles(fa)
-            assert reference_support_cycle(fa.entries) is None
-            assert len(fa.entries) <= len(fa.jobs) + sc.base.num_machines
+            assert reference_support_cycle(entries_of(fa)) is None
+            assert len(entries_of(fa)) <= len(fa.jobs) + sc.base.num_machines
 
 
 class TestCycleElimination:
@@ -67,19 +68,19 @@ class TestCycleElimination:
         sc = scaled_of([(Frac(1, 3), {1, 2}), (Frac(1, 4), {1, 2})], 2)
         fa = FractionalAssignment({(1, 1): 3, (1, 2): 3, (2, 1): 4, (2, 2): 4},
                                   {1: 6, 2: 8})
-        loads = {i: fa.machine_load(sc, i) for i in (1, 2)}
+        loads = {i: machine_load(fa, sc, i) for i in (1, 2)}
         cancelled = eliminate_support_cycles(fa)
         assert cancelled == 1
-        assert reference_support_cycle(fa.entries) is None
+        assert reference_support_cycle(entries_of(fa)) is None
         for j in (1, 2):
-            assert fa.job_sum(j) == 1
+            assert job_sum(fa, j) == 1
         for i in (1, 2):
-            assert fa.machine_load(sc, i) == loads[i]
+            assert machine_load(fa, sc, i) == loads[i]
 
     def test_forest_input_is_untouched(self):
         fa = FractionalAssignment({(1, 1): 1, (1, 2): 1}, {1: 2})
         assert eliminate_support_cycles(fa) == 0
-        assert fa.entries == {(1, 1): Frac(1, 2), (1, 2): Frac(1, 2)}
+        assert entries_of(fa) == {(1, 1): Frac(1, 2), (1, 2): Frac(1, 2)}
 
 
 def rational_eliminate_support_cycles(entries, scaled, lengths):
@@ -143,12 +144,12 @@ def test_integer_cancelling_matches_the_rational_reference():
     lengths = []
     for _ in range(320):
         sc, fa = random_support(rng)
-        entries = fa.entries
+        entries = entries_of(fa)
         with deadline(20):  # a cycle cancelled by zero would repeat forever
             cancelled = eliminate_support_cycles(fa)
         assert cancelled > 0  # the planted cycle at least
         assert rational_eliminate_support_cycles(entries, sc, lengths) == cancelled
-        assert list(fa.entries.items()) == list(entries.items())
+        assert list(entries_of(fa).items()) == list(entries.items())
         assert reference_support_cycle(fa.flow) is None
     assert sum(n >= 6 for n in lengths) >= 300
 
@@ -284,7 +285,7 @@ class TestRounding:
         sched = round_forest(fa, sc)
         landing = sched.machine_of(3)
         assert landing in (1, 2)
-        assert sched.load(landing) <= fa.machine_load(sc, landing) + sc.size[3] / 2
+        assert sched.load(landing) <= machine_load(fa, sc, landing) + sc.size[3] / 2
         assert sched.load(landing) <= 1 + sc.size[3]
 
     def test_three_job_star_gives_center_at_most_one(self):
@@ -310,7 +311,7 @@ class TestSeedPipeline:
     def test_only_huge_jobs_yields_empty_schedule(self):
         sc = scaled_of([(Frac(9, 10), {1}), (Frac(19, 20), {1})], 1)
         sched = round_seed(seed_small_medium(sc), sc)
-        assert sched.assigned_jobs() == []
+        assert assigned_jobs(sched) == []
         assert validate_partial_schedule(sched) == []
 
     def test_single_small_job_lands_in_gamma(self):

@@ -1,6 +1,6 @@
 """The max-flow seed: agreement with the LP it replaces, Hall violators on
-infeasibility and their reuse across a solve's guesses, the shared flow
-network, and supports too long for recursive graph searches."""
+infeasibility, the densest job set that decides a solve's guesses, the
+shared flow network, and supports too long for recursive graph searches."""
 
 import random
 
@@ -12,13 +12,13 @@ from rasched.flow import AssignmentNetwork, Network
 from rasched.rational import Frac, integer_image, ratio_str
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible, solve_assignment_lp, seed_small_medium,
-                          round_seed, still_violates, eliminate_support_cycles,
+                          round_seed, eliminate_support_cycles,
                           HallViolator, max_density)
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
-from conftest import (EPS, benchmark_pool, record_cycles, reference_support_cycle,
-                      two_value_instance)
+from conftest import (EPS, benchmark_pool, entries_of, job_sum, machine_load, record_cycles,
+                      reference_support_cycle, still_violates, two_value_instance)
 
 CHAIN = 700
 
@@ -83,13 +83,13 @@ def test_flow_decides_exactly_like_the_lp():
         if fa is None:
             continue
         for j in fa.jobs:
-            assert fa.job_sum(j) == 1
+            assert job_sum(fa, j) == 1
         for i in sc.base.machines:
-            assert fa.machine_load(sc, i) <= 1
-        for (j, i), v in fa.entries.items():
+            assert machine_load(fa, sc, i) <= 1
+        for (j, i), v in entries_of(fa).items():
             assert 0 < v <= 1 and i in sc.base.gamma[j]
         eliminate_support_cycles(fa)
-        assert reference_support_cycle(fa.entries) is None
+        assert reference_support_cycle(entries_of(fa)) is None
     assert outcomes == {True, False}
 
 
@@ -200,8 +200,8 @@ def test_hall_violator_on_every_infeasible_probe(monkeypatch):
 
 def test_violator_summaries_decide_like_still_violates(monkeypatch):
     """Every violator of the sweep, the densest set of each solve and those
-    of the probe flows that still fail, summarised once, against every probe
-    of its solve and the guesses around the one where its largest job turns
+    of the probe flows that fail, summarised once, against every probe of
+    its solve and the guesses around the one where its largest job turns
     huge: the summary's fields are the sums over its jobs, and it proves a
     guess exactly when the reference re-summing test does."""
     probes, found = [], []
@@ -210,12 +210,12 @@ def test_violator_summaries_decide_like_still_violates(monkeypatch):
         found.append(seed.max_density(inst, network))
         return found[-1]
 
-    def recording_seed(scaled, *args):
+    def recording_seed(scaled, network, densest):
         probes.append(scaled)
         try:
-            return seed_small_medium(scaled, *args)
+            return seed_small_medium(scaled, network, densest)
         except SeedInfeasible as exc:
-            if not exc.reused:
+            if exc.violator is not densest:
                 found.append(exc.violator)
             raise
 
@@ -250,7 +250,7 @@ def test_a_shared_network_flows_like_a_fresh_one():
         outcomes = []
         for network in (shared, None):
             try:
-                outcomes.append(solve_assignment_lp(sc, network).entries)
+                outcomes.append(entries_of(solve_assignment_lp(sc, network)))
             except SeedInfeasible as exc:
                 outcomes.append(exc.jobs)
         assert outcomes[0] == outcomes[1], (name, guess)
@@ -276,17 +276,17 @@ def solve_record(inst):
 
 
 def test_reused_violators_decide_like_the_flow(monkeypatch):
-    """Solves whose probes the densest set and the stored violators decide
-    report what solves that run every probe's flow report."""
+    """Solves whose probes the densest set decides report what solves that
+    run every probe's flow report."""
     cases = solve_cases()
     assert len(cases) >= 200
     reused, without_flow = [], []
 
-    def counting_seed(scaled, *args):
+    def counting_seed(scaled, network, densest):
         try:
-            fa = seed_small_medium(scaled, *args)
+            fa = seed_small_medium(scaled, network, densest)
         except SeedInfeasible as exc:
-            reused.append(exc.reused)
+            reused.append(exc.violator is densest)
             raise
         without_flow.append(fa is None)
         return fa
@@ -295,8 +295,8 @@ def test_reused_violators_decide_like_the_flow(monkeypatch):
     with_reuse = [solve_record(inst) for inst in cases]
     assert sum(reused) >= 100 and sum(without_flow) >= 100 and not all(without_flow)
 
-    def flow_every_probe(scaled, violators, network, densest):
-        return seed_small_medium(scaled, [], network)
+    def flow_every_probe(scaled, network, densest):
+        return seed_small_medium(scaled, network)
 
     monkeypatch.setattr(driver, "seed_small_medium", flow_every_probe)
     for inst, record in zip(cases, with_reuse):
@@ -310,36 +310,48 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     inst = make_instance(1, [(Frac(3), {1}), (Frac(2), {1})])
     with pytest.raises(SeedInfeasible) as info:
         solve_assignment_lp(scale_instance(inst, 4, EPS))
-    jobs = info.value.jobs
-    assert jobs == (1, 2)
+    violator = info.value.violator
+    assert violator.jobs == (1, 2)
+    # the flow's violator is the instance's densest set
+    assert violator == max_density(inst, AssignmentNetwork(inst))
     sc = scale_instance(inst, Frac(7, 2), EPS)
     assert sc.is_huge(2) and not sc.is_huge(1)
-    assert sum(sc.size[j] for j in jobs) > 1
-    assert not still_violates(sc, jobs)
-    assert not info.value.violator.proves(sc)
-    sched = round_seed(seed_small_medium(sc, [info.value.violator]), sc)
+    assert sum(sc.size[j] for j in violator.jobs) > 1
+    assert not still_violates(sc, violator.jobs)
+    assert not violator.proves(sc)
+    sched = round_seed(seed_small_medium(sc, densest=violator), sc)
     assert sched.machine_of(1) == 1 and sched.machine_of(2) is None
 
 
-def test_a_violator_at_hall_equality_is_not_reused():
+def test_a_violator_at_hall_equality_is_not_reused(monkeypatch):
     inst = make_instance(1, [(Frac(3), {1}), (Frac(3), {1})])
     with pytest.raises(SeedInfeasible) as info:
         solve_assignment_lp(scale_instance(inst, 5, EPS))
     violator = info.value.violator
+    assert violator == max_density(inst, AssignmentNetwork(inst))
     # at T = 6 the jobs fill the machine exactly: the LP is feasible
     sc = scale_instance(inst, 6, EPS)
-    sched = round_seed(seed_small_medium(sc, [violator]), sc)
+    assert not violator.proves(sc) and not still_violates(sc, violator.jobs)
+    sched = round_seed(seed_small_medium(sc), sc)
     assert {sched.machine_of(1), sched.machine_of(2)} == {1}
-    # just below, the stored violator decides the guess without a flow
+    # just below, the violator decides the guess without a flow, and a
+    # single job of it does not
+    sc = scale_instance(inst, Frac(11, 2), EPS)
+    single = HallViolator.of(inst, (2,))
+    assert violator.proves(sc) and not single.proves(sc)
+
+    def no_flow(scaled, network=None):
+        raise AssertionError(f"a flow ran at {scaled.guess}")
+
+    monkeypatch.setattr(seed, "solve_assignment_lp", no_flow)
     with pytest.raises(SeedInfeasible) as info:
-        seed_small_medium(scale_instance(inst, Frac(11, 2), EPS),
-                          [HallViolator.of(inst, (2,)), violator])
-    assert info.value.reused and info.value.violator == violator
+        seed_small_medium(sc, densest=violator)
+    assert info.value.violator is violator
 
 
 def bisection_instance():
-    """An instance whose bisection runs a successful seed after a failed
-    flow, so a stored violator meets a feasible guess."""
+    """An instance whose bisection runs a successful probe after a
+    seed-infeasible one, which the densest set decides."""
     inst = generate_instance(GenSpec(machines=3, jobs=9, preset="uniform",
                                      density=Frac(1, 2), seed=1))
     outcomes = [outcome for _, outcome in driver.solve(inst, EPS).probes]
@@ -348,7 +360,91 @@ def bisection_instance():
     return inst
 
 
+def hall_fork_instance():
+    """J* = {1, 1/5} on machine 1 has density 6/5, and its unit job is huge
+    below 6/5, so J* refutes no guess; the two jobs of 59/100 on machine 2
+    refute every guess below 59/50 through the flow alone."""
+    return make_instance(2, [(Frac(1), {1}), (Frac(1, 5), {1}),
+                             (Frac(59, 100), {2}), (Frac(59, 100), {2})])
+
+
+HALL_FORK_REPORT = """\
+ra-report 1
+machines 2
+jobs 4
+epsilon 1/24
+tau 1/100
+makespan 6/5 ~1.200000
+guess-final 189/160
+lower-bound 47/40 kind=seed-lp-infeasible
+ratio-bound 48/47 ~1.021277
+iterations engine_adds 2
+iterations engine_iterations 4
+iterations engine_moves 2
+iterations probes 6
+iterations seed_lps 6
+iterations signature_checkpoints 2
+iterations signature_dips 0
+probe 6/5 success
+probe 11/10 seed-infeasible
+probe 23/20 seed-infeasible
+probe 47/40 seed-infeasible
+probe 19/16 success
+probe 189/160 success
+assign j1 1
+assign j2 1
+assign j3 2
+assign j4 2
+"""
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_every_probe_the_densest_set_leaves_runs_its_own_flow(monkeypatch, audit):
+    """A seed-infeasible probe that J* does not refute is decided by its own
+    flow, even where the violator of an earlier failed flow would refute it
+    too, and the report is the one those violators gave."""
+    inst = hall_fork_instance()
+    densest = max_density(inst, AssignmentNetwork(inst))
+    assert Frac(densest.volume, inst.integer_image[0] * densest.width) == Frac(6, 5)
+    failed = []
+
+    def recording_flow(scaled, network=None):
+        try:
+            return solve_assignment_lp(scaled, network)
+        except SeedInfeasible:
+            failed.append(scaled.guess)
+            raise
+
+    monkeypatch.setattr(seed, "solve_assignment_lp", recording_flow)
+    report = driver.solve(inst, EPS, audit=audit)
+    assert report.to_text() == HALL_FORK_REPORT
+    left = [guess for guess, outcome in report.probes if outcome == "seed-infeasible"
+            and not densest.proves(scale_instance(inst, guess, EPS))]
+    assert failed == left == [Frac(11, 10), Frac(23, 20), Frac(47, 40)]
+
+
+def test_seed_flow_counts_on_two_benchmark_pools(monkeypatch):
+    """The seed flows a solve runs, counted over the first twelve instances
+    of two benchmark pools: a change that adds flows shows here without a
+    timed run."""
+    flows = []
+
+    def counting_flow(scaled, network=None):
+        flows.append(scaled.guess)
+        return solve_assignment_lp(scaled, network)
+
+    monkeypatch.setattr(seed, "solve_assignment_lp", counting_flow)
+    counts = {}
+    for workload in ("two_value", "lp_bound"):
+        flows.clear()
+        for inst in benchmark_pool(workload, 101, 12):
+            driver.solve(inst)
+        counts[workload] = len(flows)
+    assert counts == {"two_value": 28, "lp_bound": 12}
+
+
 def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
+    """Under audit, every probe the densest set refutes runs its own flow."""
     inst = bisection_instance()
     flows, reused = [], []
 
@@ -356,11 +452,11 @@ def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
         flows.append(scaled.guess)
         return solve_assignment_lp(scaled, network)
 
-    def counting_seed(scaled, *args):
+    def counting_seed(scaled, network, densest):
         try:
-            return seed_small_medium(scaled, *args)
+            return seed_small_medium(scaled, network, densest)
         except SeedInfeasible as exc:
-            if exc.reused:
+            if exc.violator is densest:
                 reused.append(scaled.guess)
             raise
 
@@ -372,10 +468,14 @@ def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
 
 
 def test_audit_refutes_a_violator_reused_at_a_feasible_guess(monkeypatch):
-    inst = bisection_instance()
+    """With a `proves` that always holds, the densest set refutes the
+    feasible probe 19/16 below its density; the audit's own flow there
+    saturates and refutes the densest set."""
+    inst = hall_fork_instance()
     monkeypatch.setattr(seed.HallViolator, "proves", lambda self, scaled: True)
     driver.solve(inst, EPS)  # unaudited, the false proof goes unnoticed
-    with pytest.raises(EngineInvariantError, match="reused Hall violator"):
+    with pytest.raises(EngineInvariantError,
+                       match="densest set refuted the feasible guess 19/16"):
         driver.solve(inst, EPS, audit=True)
 
 
@@ -421,9 +521,9 @@ def test_density_decided_probes_get_their_own_flows_outcome(monkeypatch):
     fresh network decides it."""
     decided = []
 
-    def recording_seed(scaled, violators, network, densest):
+    def recording_seed(scaled, network, densest):
         try:
-            fa = seed_small_medium(scaled, violators, network, densest)
+            fa = seed_small_medium(scaled, network, densest)
         except SeedInfeasible as exc:
             if exc.violator is densest:
                 decided.append((scaled, False))
@@ -501,7 +601,7 @@ class TestLongChains:
 
     def test_flow_shifts_the_whole_chain_along_one_path(self):
         inst, sc = self.pinned_chain(Frac(5, 6))
-        entries = solve_assignment_lp(sc).entries  # built anew on every read
+        entries = entries_of(solve_assignment_lp(sc))
         for k in range(1, CHAIN):
             assert entries[(inst.internal_of[k - 1], k + 1)] == 1
         assert entries[(inst.internal_of[CHAIN - 1], 1)] == 1
@@ -510,7 +610,7 @@ class TestLongChains:
     def test_seed_rounds_the_fractional_chain_a_partial_shift_leaves(self):
         # pushing 1/2 through the chain splits every chain job 2/5 : 3/5
         inst, sc = self.pinned_chain(Frac(1, 2))
-        entries = solve_assignment_lp(sc).entries  # built anew on every read
+        entries = entries_of(solve_assignment_lp(sc))
         for k in range(1, CHAIN):
             j = inst.internal_of[k - 1]
             assert (entries[(j, k)], entries[(j, k + 1)]) == (Frac(2, 5), Frac(3, 5))
