@@ -13,6 +13,8 @@ from . import rational
 from .rational import frac, ratio_str
 from .model import parse_instance, InstanceFormatError
 from .driver import solve, lp_bound_of
+from .flow import AssignmentNetwork
+from .seed import hall_bound, max_density
 from .engine import layer_cap
 from .oracle import CapExceededError
 
@@ -50,7 +52,9 @@ def _run_one(args):
                      if ev["layer"]), default=0)
     start = time.perf_counter()
     try:
-        lp_lower = lp_bound_of(inst, tau, report.placement, report.probes).lower
+        network = AssignmentNetwork(inst)
+        hall = hall_bound(inst, network, max_density(inst, network))
+        lp_lower = lp_bound_of(inst, tau, report.placement, hall).lower
     except CapExceededError:
         lp_lower = None
     lp_seconds = time.perf_counter() - start

@@ -507,9 +507,10 @@ class ConfigLPBound:
     """A bracket [lower, upper] around the configuration-LP optimum.
 
     `lower_certified` says that `lower` was proved infeasible: by the
-    infeasibility ray of a column-generation run, or, when the solve's
-    seed-infeasible guess decided that probe, by the small/medium assignment
-    LP (a relaxation of the configuration LP) being infeasible at that guess.
+    infeasibility ray of a column-generation run, or, when the solve's Hall
+    bound H decided that probe, by `lower` < H: a job set J whose volume or
+    whose c = ceil(|J|/|Gamma(J)|) smallest sizes exceed `lower`
+    (`seed.hall_bound`).
     """
 
     lower: object  # largest T proved infeasible (or the trivial bound)
@@ -540,7 +541,7 @@ def _schedule_configurations(inst: Instance, assignment: dict):
 
 
 def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None = None,
-                          infeasible_at=None) -> ConfigLPBound:
+                          infeasible_below=None) -> ConfigLPBound:
     """Bracket the configuration-LP optimum within a relative tolerance.
 
     Bisects [max size, total size] by column generation. Facts known from a
@@ -550,10 +551,11 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
     - `assignment` (internal job id -> machine), an integral schedule, makes
       every T >= its makespan feasible: its per-machine job sets are a
       solution, returned as `feasible_weights`.
-    - `infeasible_at`, a guess at which the small/medium assignment LP is
-      infeasible, makes every T <= it infeasible: that LP is a relaxation of
-      the configuration LP, which is monotone in T. A lower bound decided
-      this way is certified by that LP, not by a ray.
+    - `infeasible_below`, a Hall bound H (`seed.hall_bound`), makes every
+      T < H infeasible: some job set J has p(J) > T |Gamma(J)|, or its
+      c = ceil(|J|/|Gamma(J)|) smallest sizes sum to more than T while some
+      configuration of positive weight would hold c jobs of J. A lower bound
+      decided this way is certified by that set, not by a ray.
 
     All runs share one `ConfigPool`, which builds each column once. It
     starts with the job set of each machine under `assignment`, so a run
@@ -574,7 +576,7 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
     known = makespan = None
     if assignment is not None:
         known, makespan = _schedule_configurations(inst, assignment)
-    if known is not None and infeasible_at is not None and infeasible_at >= makespan:
+    if known is not None and infeasible_below is not None and infeasible_below > makespan:
         raise CertificateError("a schedule's makespan cannot be infeasible")
     # the schedule's configurations and those priced by any run, each in the
     # master of every later run at a T it fits in
@@ -583,7 +585,7 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
     def probe(T):
         if known is not None and T >= makespan:
             return "feasible", known
-        if infeasible_at is not None and T <= infeasible_at:
+        if infeasible_below is not None and T < infeasible_below:
             return "infeasible", None
         run = config_lp_feasible_cg(inst, T, pool=pool)
         return run.status, run.weights

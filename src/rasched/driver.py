@@ -19,7 +19,10 @@ descent, and the better of it and the polished greedy schedule is reported;
 reports serialize byte-identically for identical inputs. Both ends of the
 bracket are multiples of 1/L, L the scale of the instance's integer image,
 so the bisection runs on integer numerators over the common denominator
-L 2^k and builds one rational per probe, its guess.
+L 2^k and builds one rational per probe, its guess. Under `lp_bound` the
+solve raises lambda* to the Hall bound H on the same network
+(`seed.hall_bound`), and the config-LP bound decides every probe below H
+without a run.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .rational import Frac, ZERO, frac, ratio_str
 from .model import (Instance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .flow import AssignmentNetwork
-from .seed import (SeedInfeasible, seed_small_medium, solve_assignment_lp, round_seed,
-                   max_density, decided_solution)
+from . import seed
+from .seed import (SeedInfeasible, seed_small_medium, round_seed, max_density,
+                   hall_bound, decided_solution)
 from .engine import InsertionEngine, StuckState, EngineInvariantError
 from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
@@ -136,7 +140,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     except SeedInfeasible as exc:
         if audit and exc.violator is densest:
             try:
-                solve_assignment_lp(scaled, network)
+                seed.solve_assignment_lp(scaled, network)
             except SeedInfeasible:
                 pass
             else:
@@ -281,15 +285,13 @@ def _tree_snapshot(engine: InsertionEngine) -> list:
     return out
 
 
-def lp_bound_of(inst: Instance, tau, placement: dict, probes) -> ConfigLPBound:
-    """The config-LP bound, given what a solve decided: its schedule
+def lp_bound_of(inst: Instance, tau, placement: dict, hall) -> ConfigLPBound:
+    """The config-LP bound, given what a solve knows: its schedule
     `placement` (internal job id -> machine) decides the bound's probes at
-    or above its makespan, and the largest seed-infeasible guess of
-    `probes`, (guess, outcome) pairs, those at or below that guess."""
-    infeasible_at = max((guess for guess, outcome in probes
-                         if outcome == "seed-infeasible"), default=None)
+    or above its makespan, and the Hall bound `hall` (`seed.hall_bound`)
+    those below it."""
     return config_lp_lower_bound(inst, tau, assignment=placement,
-                                 infeasible_at=infeasible_at)
+                                 infeasible_below=hall)
 
 
 def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
@@ -370,7 +372,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
 
     lower = Frac(lo_n, den)
     if lp_bound:
-        bound = lp_bound_of(inst, tau, placement, probes)
+        bound = lp_bound_of(inst, tau, placement, hall_bound(inst, network, densest))
         counters["lp_bound_probes"] = bound.probes
         if bound.lower > lower:
             lower, lower_kind = bound.lower, "config-lp"

@@ -9,7 +9,8 @@ graph. Its flow is Dinic's with the first phase pushed in closed form: that
 phase's level graph is the layered network itself, so its blocking flow is
 a greedy fill that needs no path search. A solve runs it for the densest
 job set (with every job's supply), for the guesses that set leaves
-undecided, and for each schedule that is read (`rasched.seed`).
+undecided, for each schedule that is read and, under `--lp-bound`, for the
+Hall bound's unit supplies (`rasched.seed`).
 """
 
 from __future__ import annotations

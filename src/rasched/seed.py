@@ -20,6 +20,9 @@ lambda* is feasible, since a guess's small and medium jobs are some of all
 jobs, and below it J* proves the guess infeasible unless one of its jobs is
 huge there. Only the remaining guesses run their own flow. A guess decided
 feasible runs its flow only when its schedule is read (`decided_solution`).
+`hall_bound` raises lambda* to the Hall bound that decides the config-LP
+bound's low probes, by flows with a unit supply per job: their violators
+are job sets of which some machine must take several.
 
 Only a schedule that is read gets rounded (`round_seed`): cycles of the
 flow's support are cancelled on the integers until it is a forest, and the
@@ -35,6 +38,7 @@ rational: neither the x-values nor the scaled loads are ever built.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -279,6 +283,54 @@ def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
         if value == sum(supply):
             return densest
         jobs = [j for j in inst.jobs if level[j] >= 0]
+
+
+def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator) -> Frac:
+    """A lower bound H on the configuration-LP optimum, and so on the
+    optimum: the largest bound(J) = max(p(J)/|Gamma(J)|, sum of the
+    c = ceil(|J|/|Gamma(J)|) smallest sizes in J) that the search finds.
+
+    Some configuration of positive weight holds c jobs of J, which is the
+    cardinality half. The search starts at lambda*, the density of J* (the
+    volume half at its largest), and for k = 1, 2, ... takes the jobs of
+    size s with (k+1) s > best, a suffix of the ids. Each of them supplies 1
+    on `network` and every machine absorbs k. A failed flow leaves its
+    source-reachable jobs J, which outweigh their permitted machines as in
+    `solve_assignment_lp`: |J| > k |Gamma(J)|, so c > k and the c smallest
+    sizes in J sum to more than best. best rises to that sum and the flow
+    runs again at the same k. No flow runs when the jobs number at most k
+    times the least |Gamma(j)| among them, since then none of their subsets
+    can outnumber k times its machines.
+    """
+    scale, q = inst.integer_image
+    n = inst.num_jobs
+    least_width = [0] * (n + 2)  # least |Gamma(j)| over the ids from j on
+    least_width[n + 1] = inst.num_machines
+    for j in reversed(inst.jobs):
+        least_width[j] = min(len(inst.gamma[j]), least_width[j + 1])
+    best = Frac(densest.volume, scale * densest.width)
+    k = 1
+    while k < n:
+        # (k+1) s > best = a/b for s = q_j/L: q_j > L a / ((k+1) b)
+        start = bisect_right(q, scale * best.numerator // ((k + 1) * best.denominator), 1)
+        count = n + 1 - start
+        if count <= k * least_width[start]:
+            k += 1
+            continue
+        supply = [0] * start + [1] * count
+        value, level = network.max_flow(supply, k)
+        if value == count:
+            k += 1
+            continue
+        jobs = [j for j in range(start, n + 1) if level[j] >= 0]  # by size
+        violator = HallViolator.of(inst, jobs)
+        c = -(-len(jobs) // violator.width)
+        cardinality = Frac(sum(q[j] for j in jobs[:c]), scale)
+        if cardinality > best:
+            best = cardinality
+        else:
+            k += 1
+    return best
 
 
 def seed_small_medium(scaled: ScaledInstance, network: AssignmentNetwork | None = None,

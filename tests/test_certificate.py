@@ -8,7 +8,8 @@ import pytest
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
 from rasched.engine import ALL_UNDESIRABLE, BlockerType, StuckState, insert_huge_job
-from rasched.seed import seed_small_medium, round_seed
+from rasched.flow import AssignmentNetwork
+from rasched.seed import seed_small_medium, round_seed, hall_bound, max_density
 from rasched.certificate import (_active_on, best_configuration,
                                  build_dual_certificate, verify_objective_negative,
                                  verify_dual_feasibility, verify_certificate,
@@ -446,16 +447,23 @@ def bound_with_runs(monkeypatch, call):
 
 
 class TestDecidedProbes:
-    """`driver.solve` passes its schedule and its largest seed-infeasible
-    guess to the config-LP bound, which decides the probes those facts
-    settle and resumes the others from the last infeasible master. The
-    bracket and the probe count must be those of a cold bisection."""
+    """`driver.solve` passes its schedule and its Hall bound to the config-LP
+    bound, which decides the probes those facts settle and resumes the
+    others from the last infeasible master. The bracket and the probe count
+    must be those of a cold bisection."""
+
+    #: the Hall bound leaves 90 of the 161 runs DECIDED_CASES made, 56 of
+    #: them resumed, so more seeds of the same shapes keep 100 in view
+    CASES = (DECIDED_CASES
+             + [(preset, seed) for preset in ("collision", "huge_heavy")
+                for seed in range(22, 66)]
+             + [("two_value", seed) for seed in range(16, 32)])
 
     def test_driver_facts_keep_the_cold_bracket(self, monkeypatch):
         import rasched.driver as dm
         from rasched.driver import solve
         totals = {"feasible": 0, "infeasible": 0, "resumed": 0}
-        for kind, seed in DECIDED_CASES:
+        for kind, seed in self.CASES:
             inst = decided_case(kind, seed)
             tau = Frac(1, 100)
             facts = []
@@ -477,11 +485,12 @@ class TestDecidedProbes:
             assert report.iterations["lp_bound_probes"] == cold.probes, case
             assert_covering_weights(inst, bound.feasible_weights, bound.upper)
 
-            # the facts: the reported schedule and the seed-infeasible probes
+            # the facts: the reported schedule and the Hall bound
             placement = kwargs["assignment"]
             assert {inst.name_of(j): i for j, i in placement.items()} == report.assignment
-            seed_infeasible = [g for g, out in report.probes if out == "seed-infeasible"]
-            assert kwargs["infeasible_at"] == max(seed_infeasible, default=None), case
+            network = AssignmentNetwork(inst)
+            hall = hall_bound(inst, network, max_density(inst, network))
+            assert kwargs["infeasible_below"] == hall, case
 
             cold_status = {run.T: run.status for run, *_ in cold_runs}
             assert len(cold_status) == cold.probes
@@ -495,7 +504,7 @@ class TestDecidedProbes:
                 if T in run_at:
                     continue
                 feasible = T >= report.makespan
-                assert feasible or T <= kwargs["infeasible_at"], case
+                assert feasible or T < hall, case
                 truth = (exact_config_lp_feasible(inst, T) if inst.num_jobs <= 10
                          else status == "feasible")
                 assert truth == feasible, (case, T)
@@ -507,7 +516,7 @@ TAU = Frac(1, 100)
 
 
 def solve_facts(monkeypatch, inst):
-    """The keyword facts (`assignment`, `infeasible_at`) that
+    """The keyword facts (`assignment`, `infeasible_below`) that
     `solve(..., lp_bound=True)` hands the config-LP bound."""
     import rasched.driver as dm
     from rasched.driver import solve
@@ -542,30 +551,33 @@ class TestSeededPool:
     shortens runs without changing any outcome."""
 
     def test_pool_starts_with_the_schedule_configurations(self, monkeypatch):
+        """With the solve's facts, and with its schedule alone, whose bound
+        runs the probes below the Hall bound too."""
         import rasched.certificate as cm
         original = cm.config_lp_feasible_cg
         seeded = 0
         for kind, seed in DECIDED_CASES:
             inst = decided_case(kind, seed)
             facts = solve_facts(monkeypatch, inst)
-            pools = []
-
-            def recording(*args, **kwargs):
-                pools.append(dict(kwargs["pool"]))  # as the run finds it
-                return original(*args, **kwargs)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(cm, "config_lp_feasible_cg", recording)
-                config_lp_lower_bound(inst, TAU, **facts)
             q = inst.integer_image[1]
             on = {}
             for j, i in sorted(facts["assignment"].items()):
                 on.setdefault(i, []).append(j)
             schedule = {(i, tuple(jobs)): sum(q[j] for j in jobs) for i, jobs in on.items()}
-            if pools:
-                assert pools[0] == schedule, (kind, seed)
-                assert all(pool.items() >= schedule.items() for pool in pools)
-                seeded += 1
+            for given in (facts, {"assignment": facts["assignment"]}):
+                pools = []
+
+                def recording(*args, **kwargs):
+                    pools.append(dict(kwargs["pool"]))  # as the run finds it
+                    return original(*args, **kwargs)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(cm, "config_lp_feasible_cg", recording)
+                    config_lp_lower_bound(inst, TAU, **given)
+                if pools:
+                    assert pools[0] == schedule, (kind, seed)
+                    assert all(pool.items() >= schedule.items() for pool in pools)
+                    seeded += 1
         assert seeded >= 40
 
     def test_seeding_keeps_every_outcome_and_cuts_rounds(self, monkeypatch):
@@ -636,7 +648,11 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
     monkeypatch.setattr(cm, "simplex_min", integral_only(cm.simplex_min, master))
     monkeypatch.setattr(sm, "simplex_min", integral_only(sm.simplex_min, enumerated))
     for kind, seed in DECIDED_CASES:
-        solve(decided_case(kind, seed), lp_bound=True)
+        inst = decided_case(kind, seed)
+        solve(inst, lp_bound=True)
+        # the Hall bound decides most of the solve's probes: the cold bound
+        # runs them all
+        config_lp_lower_bound(inst, TAU)
     for kind, seed in DECIDED_CASES[::4]:
         inst = decided_case(kind, seed)
         for T in (inst.max_size(), inst.total_size() / 2):
@@ -644,13 +660,17 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
     assert len(master) >= 200 and len(enumerated) >= 20
 
 
-#: computed before the config-LP bound seeded its pool with the schedule:
-#: reports, bounds and each run's outcome; the rounds are pinned apart
-PINNED_LP_DIGEST = "f475570c474ff550dd128ad9b4ff4ca7f4f9c7bbf6e5272aca43d237105ac4c2"
-#: each run's rounds, computed once the pool started with the schedule's
-#: configurations, and their total (287 before)
-PINNED_LP_ROUNDS_DIGEST = "447663f4f27430851095779eb203bb3f4428e37afb390abd42e6777af4ec6ab1"
-PINNED_LP_ROUNDS_TOTAL = 262
+#: computed before the Hall bound decided the bound's probes below it:
+#: reports and bounds (lower, upper, certified, probes)
+PINNED_LP_DIGEST = "358621596927624ed6f1d8ed863d6e540e1c064be01e3573cb309b4cc884ab3b"
+#: each run's T and status, computed once the Hall bound decided the probes
+#: below it (91 runs before, 46 since)
+PINNED_LP_RUNS_DIGEST = "adae015cf2ccfa767669326411328fd91a61f442718e8460ca458c455b9e6ca5"
+#: each run's rounds, computed once the Hall bound decided the probes below
+#: it, and their total (287 with an empty pool, 262 once the pool started
+#: with the schedule's configurations)
+PINNED_LP_ROUNDS_DIGEST = "fa2f678ad6793ba0613ea35e89a63c0670a0ce0150f57e60954002147adc44ee"
+PINNED_LP_ROUNDS_TOTAL = 166
 #: computed before the bound kept one column table and the simplex updated
 #: only the pivot row's nonzeros at a scale-keeping pivot: each run of the
 #: bound without a schedule, whose pool starts empty
@@ -683,19 +703,28 @@ def lp_path_solves(monkeypatch):
 
 
 def test_lp_path_matches_the_pinned_digest(monkeypatch):
-    """Reports, bounds and the status of every column-generation run are
-    those of the simplex that scaled rational LPs to integers."""
+    """Reports and bounds are those of the bisection that ran every probe
+    below the Hall bound."""
     h = hashlib.sha256()
-    for report, bound, runs in lp_path_solves(monkeypatch):
+    for report, bound, _ in lp_path_solves(monkeypatch):
         h.update(report.to_text().encode())
         h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
-                       bound.probes, [(str(run.T), run.status) for run in runs])).encode())
+                       bound.probes)).encode())
     assert h.hexdigest() == PINNED_LP_DIGEST
+
+
+def test_lp_path_runs_match_the_pinned_digest(monkeypatch):
+    """The T and status of every column-generation run the solves' bounds
+    make, none of them below the Hall bound."""
+    h = hashlib.sha256()
+    for _, _, runs in lp_path_solves(monkeypatch):
+        h.update(repr([(str(run.T), run.status) for run in runs]).encode())
+    assert h.hexdigest() == PINNED_LP_RUNS_DIGEST
 
 
 def test_lp_path_rounds_match_the_pinned_digest(monkeypatch):
     """Each run's rounds once the pool starts with the schedule's
-    configurations: fewer in total than the 287 of an empty start."""
+    configurations and the Hall bound decides the probes below it."""
     h = hashlib.sha256()
     total = 0
     for _, _, runs in lp_path_solves(monkeypatch):
@@ -830,7 +859,11 @@ def test_every_knapsack_query_is_integral(monkeypatch):
 
     monkeypatch.setattr(cm, "knapsack_max_value", checked)
     for kind, seed in DECIDED_CASES:
-        solve(decided_case(kind, seed), lp_bound=True)
+        inst = decided_case(kind, seed)
+        solve(inst, lp_bound=True)
+        # the Hall bound decides most of the solve's probes: the cold bound
+        # prices them all
+        config_lp_lower_bound(inst, TAU)
     for seed in range(24):
         solve(two_value_16(seed), audit=True)
     # the big-job bound prices a machine only when an active job there fits

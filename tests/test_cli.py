@@ -23,6 +23,15 @@ from rasched.oracle import MAKESPAN_JOB_CAP
 from conftest import two_value_instance
 
 
+#: 31 unit jobs on 2 machines, each permitted on both
+WIDE_TEXT = "ra 1\nmachines 2\n" + "".join(f"job j{k} 1 : 1 2\n" for k in range(31))
+#: 31 jobs on 2 machines, each permitted on both: 9 of size 1/2, 8 of 1 and
+#: 14 of 3/2, whose config-LP bound prices 31 items at or above its Hall bound
+OVER_CAP_TEXT = "ra 1\nmachines 2\n" + "".join(
+    f"job j{k} {size} : 1 2\n"
+    for k, size in enumerate(["1/2"] * 9 + ["1"] * 8 + ["3/2"] * 14))
+
+
 @pytest.fixture
 def workdir(tmp_path, monkeypatch, capsys):
     return tmp_path
@@ -151,17 +160,30 @@ class TestSolve:
         assert err == f"input error: bad rational '{value}' (expected n or n/d)\n"
 
     def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
+        # 31 pricing items on machines 1 and 2, and a probe at or above the
+        # Hall bound that needs a run
         inst = workdir / "big.ra"
-        inst.write_text("ra 1\nmachines 2\n"
-                        + "".join(f"job j{k} 1/1 : 1 2\n" for k in range(31)))
+        inst.write_text(OVER_CAP_TEXT)
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
         assert code == EXIT_LIMIT and out == ""
         assert err.startswith("limit exceeded: knapsack limited to 30 items")
 
+    def test_lp_bound_decided_below_the_hall_bound_needs_no_knapsack(self, workdir, capsys):
+        # 31 unit jobs on 2 machines: 31 pricing items per machine, but the
+        # Hall bound 16 (16 jobs on one machine) decides every probe below
+        # it and the schedule (makespan 16) every probe from there on
+        inst = workdir / "wide.ra"
+        inst.write_text(WIDE_TEXT)
+        code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert "makespan 16/1 ~16.000000" in lines
+        assert "lower-bound 2033/128 kind=config-lp" in lines
+
     def test_lp_bound_decided_by_the_solve_needs_no_knapsack(self, workdir, capsys):
         # 31 unit jobs on one machine: the schedule (makespan 31) and the
-        # seed-infeasible guesses decide every probe of the config-LP bound,
-        # so the 30-item knapsack cap is never reached
+        # Hall bound (31) decide every probe of the config-LP bound, so the
+        # 30-item knapsack cap is never reached
         inst = workdir / "big.ra"
         inst.write_text("ra 1\nmachines 1\n"
                         + "".join(f"job j{k} 1/1 : 1\n" for k in range(31)))
@@ -315,8 +337,7 @@ class TestBench:
         corpus.mkdir()
         (corpus / "good.ra").write_text(
             "ra 1\nmachines 2\njob a 1/3 : 1\njob b 9/10 : 1 2\n")
-        (corpus / "wide.ra").write_text(  # 31 pricing items on machines 1 and 2
-            "ra 1\nmachines 2\n" + "".join(f"job j{k} 1 : 1 2\n" for k in range(31)))
+        (corpus / "wide.ra").write_text(OVER_CAP_TEXT)
         rows = workdir / "rows.jsonl"
         code, out, _ = run_cli(capsys, "bench", str(corpus), "--jsonl", str(rows))
         assert code == EXIT_OK
@@ -327,7 +348,7 @@ class TestBench:
         recs = {r["instance"]: r for r in map(json.loads, rows.read_text().splitlines())}
         assert recs["wide.ra"]["lp_lower_bound"] is None
         assert recs["wide.ra"]["ratio_vs_lp"] is None
-        assert recs["wide.ra"]["makespan"] == "16/1"
+        assert recs["wide.ra"]["makespan"] == "17/1"
         assert recs["good.ra"]["ratio_vs_lp"] is not None
 
     def test_bench_times_unlogged_solves(self, workdir, monkeypatch):
@@ -354,8 +375,8 @@ class TestBench:
         assert row.engine_iterations == logged.iterations["engine_iterations"]
 
     def test_bench_bound_gets_the_solve_facts(self, workdir, capsys):
-        # 31 unit jobs on one machine: the solve's schedule and seed-infeasible
-        # guess decide every probe of the bound, as under `solve --lp-bound`
+        # 31 unit jobs on one machine: the solve's schedule and Hall bound
+        # decide every probe of the bound, as under `solve --lp-bound`
         text = "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31))
         corpus = workdir / "corpus"
         corpus.mkdir()

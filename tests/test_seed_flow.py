@@ -460,11 +460,60 @@ def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
                 reused.append(scaled.guess)
             raise
 
-    monkeypatch.setattr(driver, "solve_assignment_lp", counting_flow)
+    monkeypatch.setattr(seed, "solve_assignment_lp", counting_flow)
     monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
     audited = driver.solve(inst, EPS, audit=True)
-    assert reused and flows == reused
+    # the refuted guesses' one flow each; the flows at other guesses are
+    # those of the probes the densest set left and of the schedules read
+    assert reused and [guess for guess in flows if guess in reused] == reused
     assert audited.to_text() == driver.solve(inst, EPS).to_text()
+
+
+def test_audited_solves_run_every_seed_flow_through_the_seed_module(monkeypatch):
+    """Every flow of an audited solve but the density's is a call of
+    `rasched.seed.solve_assignment_lp`, the name a traced run wraps, the
+    audit's flow behind each guess the densest set refutes included."""
+    inside = []
+    counts = {"seed": 0, "other": 0, "audited": 0}
+    network_flow, seed_flow, density = (AssignmentNetwork.max_flow,
+                                        seed.solve_assignment_lp, driver.max_density)
+
+    def counting_network_flow(self, supply, capacity):
+        if not inside:
+            counts["other"] += 1
+        return network_flow(self, supply, capacity)
+
+    def counting_seed_flow(scaled, network=None):
+        counts["seed"] += 1
+        inside.append(True)
+        try:
+            return seed_flow(scaled, network)
+        finally:
+            inside.pop()
+
+    def uncounted_density(inst, network):
+        inside.append(True)
+        try:
+            return density(inst, network)
+        finally:
+            inside.pop()
+
+    def counting_seed(scaled, network, densest):
+        try:
+            return seed_small_medium(scaled, network, densest)
+        except SeedInfeasible as exc:
+            counts["audited"] += exc.violator is densest
+            raise
+
+    monkeypatch.setattr(AssignmentNetwork, "max_flow", counting_network_flow)
+    monkeypatch.setattr(seed, "solve_assignment_lp", counting_seed_flow)
+    monkeypatch.setattr(driver, "max_density", uncounted_density)
+    monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
+    for workload in ("two_value", "lp_bound"):
+        for inst in benchmark_pool(workload, 101, 12):
+            driver.solve(inst, audit=True)
+    assert counts["other"] == 0, counts
+    assert counts["seed"] > counts["audited"] > 0, counts
 
 
 def test_audit_refutes_a_violator_reused_at_a_feasible_guess(monkeypatch):

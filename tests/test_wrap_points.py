@@ -34,7 +34,8 @@ def test_traced_lp_bound_solve_reports_the_same_and_counts_the_runs():
     traced benchmark run."""
     from rasched.driver import solve
     tracing = load_tracing()
-    inst = lp_bound_instance(random.Random(101), 5, 10, 6)
+    # a bound that still runs column generation above its Hall bound
+    inst = lp_bound_instance(random.Random(105), 5, 10, 6)
     untraced = solve(inst, lp_bound=True).to_text()
     tracer = tracing.Tracer()
     with tracer.installed():
