@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from . import rational
 from .rational import frac, ratio_str
 from .model import parse_instance, InstanceFormatError
-from .driver import solve, lp_bound_of
+from .driver import solve
+from .certificate import config_lp_lower_bound
 from .flow import AssignmentNetwork
 from .seed import hall_bound, max_density
 from .engine import layer_cap
@@ -54,7 +55,8 @@ def _run_one(args):
     try:
         network = AssignmentNetwork(inst)
         hall = hall_bound(inst, network, max_density(inst, network))
-        lp_lower = lp_bound_of(inst, tau, report.placement, hall).lower
+        lp_lower = config_lp_lower_bound(inst, tau, assignment=report.placement,
+                                         infeasible_below=hall).lower
     except CapExceededError:
         lp_lower = None
     lp_seconds = time.perf_counter() - start

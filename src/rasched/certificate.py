@@ -370,46 +370,7 @@ class ConfigLPRun:
         return {i: -Frac(Y[i - 1], D) for i in range(1, m + 1)}
 
 
-class ConfigPool(dict):
-    """What the runs of one bound share: configurations, columns and the
-    last infeasible run's final master.
-
-    As a dict it maps (machine, config) to the configuration's integer size
-    `sum q_j` over the instance's `integer_image`; it starts with the given
-    `configurations`, (machine, sorted job tuple) keys, and every run adds
-    the configurations it prices. It builds each configuration's master
-    column once, when a run first uses it, and holds the slack columns with
-    their costs. `final` is (T, basis keys, simplex warm state) of the last
-    infeasible run, or None.
-    """
-
-    def __init__(self, inst: Instance, configurations=()):
-        super().__init__()
-        m, n = inst.num_machines, inst.num_jobs
-        q = inst.integer_image[1]
-        self.num_machines = m
-        for i, conf in configurations:
-            self[(i, conf)] = sum(q[j] for j in conf)
-        self.columns = {}
-        # slack columns, keyed (None, t): machine slacks u_i, then per job the
-        # cover shortfall s_j (cost 1), then the surplus e_j
-        self.slack_keys = [(None, t) for t in range(m + 2 * n)]
-        self.slack_columns = ([[(r, 1)] for r in range(m + n)]
-                              + [[(m + idx, -1)] for idx in range(n)])
-        self.slack_costs = [0] * m + [1] * n + [0] * n
-        self.final = None
-
-    def column(self, key) -> list:
-        """The master column of configuration key = (machine, sorted jobs)."""
-        col = self.columns.get(key)
-        if col is None:
-            i, conf = key
-            m = self.num_machines
-            col = self.columns[key] = [(i - 1, 1)] + [(m - 1 + j, 1) for j in conf]
-        return col
-
-
-def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) -> ConfigLPRun:
+def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> ConfigLPRun:
     """Column generation on the covering LP at makespan T.
 
     The restricted master minimizes uncovered job mass; pricing is an exact
@@ -418,16 +379,14 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) 
     ray (z per job, y per machine) with z(C) <= y_i for every configuration,
     verified by the pricing knapsacks themselves.
 
-    The master is warm-started: priced columns are appended, so the previous
-    optimal basis stays primal feasible and each round's simplex resumes from
-    it. `pool`, shared across the runs of one bound (None: a fresh one),
-    seeds the master with every pooled configuration that fits in T and
-    receives the configurations priced here. The master's columns are the
-    single jobs (by machine, then job), the pooled configurations in key
-    order, the slacks, then the priced ones. An infeasible run leaves its
-    final master in `pool.final`; a later run at T' >= that run's T starts
-    from its basis, each of whose columns fits in T' and is in the master
-    again, and a run at a smaller T starts from the slack basis.
+    `pool`, shared across the runs of one bound (None: a fresh one), maps
+    (machine, sorted job tuple) to the configuration's integer size `sum q_j`
+    over the instance's `integer_image`. The master's columns are the single
+    jobs (by machine, then job), the pooled configurations that fit in T in
+    key order, the slacks, then the configurations priced here, which go
+    into the pool too. A run starts from the slack basis; priced columns are
+    appended, so the previous optimal basis stays primal feasible and each
+    round's simplex resumes from it.
 
     The run decides on integers from the master to the pricing and back.
     The master is an integer LP (0/+-1 coefficients, 0/1 costs, rhs of
@@ -444,7 +403,7 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) 
     if n == 0:
         return ConfigLPRun("feasible", T, weights={})
     if pool is None:
-        pool = ConfigPool(inst)
+        pool = {}
     # T = a/b and p_j = q_j/L: p_j <= T iff b q_j <= L a
     L, q = inst.integer_image
     b, cap = T.denominator, L * T.numerator
@@ -452,22 +411,18 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) 
 
     keys = [(i, (j,)) for i in inst.machines for j in inst.permitted_on[i] if sizes[j] <= cap]
     generated = set(keys)
-    for key in sorted(pool):
-        if b * pool[key] <= cap and key not in generated:
-            generated.add(key)
-            keys.append(key)
+    keys += [key for key in sorted(pool) if b * pool[key] <= cap and key not in generated]
+    generated.update(keys)
+    columns = [[(i - 1, 1)] + [(m - 1 + j, 1) for j in conf] for i, conf in keys]
     slack_first = len(keys)
-    keys += pool.slack_keys
-    columns = [pool.column(key) for key in keys[:slack_first]] + pool.slack_columns
-    costs = [0] * slack_first + pool.slack_costs
+    # slacks, keyed (None, t): machine slacks u_i, then per job the cover
+    # shortfall s_j (cost 1), then the surplus e_j
+    keys += [(None, t) for t in range(m + 2 * n)]
+    columns += [[(r, 1)] for r in range(m + n)] + [[(m + idx, -1)] for idx in range(n)]
+    costs = [0] * (slack_first + m) + [1] * n + [0] * n
 
     rhs = [1] * (m + n)
-    if pool.final is not None and pool.final[0] <= T:
-        index = {key: k for k, key in enumerate(keys)}
-        _, basis_keys, warm = pool.final
-        basis = [index[key] for key in basis_keys]
-    else:
-        basis, warm = list(range(slack_first, slack_first + m + n)), None
+    basis, warm = list(range(slack_first, slack_first + m + n)), None
     for round_no in range(1, _MAX_CG_ROUNDS + 1):
         costs += [0] * (len(columns) - len(costs))
         out = simplex_min(m + n, columns, costs, rhs, basis, warm=warm)
@@ -492,11 +447,10 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: ConfigPool | None = None) 
                     raise CertificateError("pricing regenerated an existing column")
                 generated.add(key)
                 keys.append(key)
-                columns.append(pool.column(key))
+                columns.append([(i - 1, 1)] + [(m - 1 + j, 1) for j in conf])
                 pool[key] = sum(q[j] for j in conf)
                 improving = True
         if not improving:
-            pool.final = (T, tuple(keys[k] for k in basis), warm)
             return ConfigLPRun("infeasible", T, rounds=round_no,
                                master_duals=(m, Y, out.D))
     return ConfigLPRun("unresolved", T, rounds=_MAX_CG_ROUNDS)
@@ -557,12 +511,11 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
       configuration of positive weight would hold c jobs of J. A lower bound
       decided this way is certified by that set, not by a ray.
 
-    All runs share one `ConfigPool`, which builds each column once. It
+    All runs share one pool of configurations (`config_lp_feasible_cg`). It
     starts with the job set of each machine under `assignment`, so a run
     begins with those that fit in its T, and it collects every priced
-    configuration. Each run resumes from the pool's final master of the last
-    infeasible run, which lies below every later midpoint. Outcomes are
-    exact, so the pool changes how many rounds a run takes, not its status.
+    configuration. Outcomes are exact, so the pool changes how many rounds a
+    run takes, not its status.
     Raises ValueError unless `tolerance` is positive: the bracket would
     never close.
     """
@@ -580,7 +533,8 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
         raise CertificateError("a schedule's makespan cannot be infeasible")
     # the schedule's configurations and those priced by any run, each in the
     # master of every later run at a T it fits in
-    pool = ConfigPool(inst, known or ())
+    q = inst.integer_image[1]
+    pool = {key: sum(q[j] for j in key[1]) for key in known or ()}
 
     def probe(T):
         if known is not None and T >= makespan:

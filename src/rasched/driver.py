@@ -43,7 +43,7 @@ from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
                           check_covered_machine_margin, check_big_job_value_bound,
                           certificate_to_text, config_lp_lower_bound,
-                          ConfigLPBound, CertificateError)
+                          CertificateError)
 from .oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 
 
@@ -285,15 +285,6 @@ def _tree_snapshot(engine: InsertionEngine) -> list:
     return out
 
 
-def lp_bound_of(inst: Instance, tau, placement: dict, hall) -> ConfigLPBound:
-    """The config-LP bound, given what a solve knows: its schedule
-    `placement` (internal job id -> machine) decides the bound's probes at
-    or above its makespan, and the Hall bound `hall` (`seed.hall_bound`)
-    those below it."""
-    return config_lp_lower_bound(inst, tau, assignment=placement,
-                                 infeasible_below=hall)
-
-
 def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
           audit: bool = False, log_events: bool = False,
           lp_bound: bool = False, use_oracle: bool = False) -> SolveReport:
@@ -372,7 +363,8 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
 
     lower = Frac(lo_n, den)
     if lp_bound:
-        bound = lp_bound_of(inst, tau, placement, hall_bound(inst, network, densest))
+        bound = config_lp_lower_bound(inst, tau, assignment=placement,
+                                      infeasible_below=hall_bound(inst, network, densest))
         counters["lp_bound_probes"] = bound.probes
         if bound.lower > lower:
             lower, lower_kind = bound.lower, "config-lp"

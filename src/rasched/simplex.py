@@ -5,9 +5,8 @@ formulated as min c.x s.t. Ax = b, x >= 0 with b >= 0 and an initial basis of
 identity columns (unit slacks or artificials), so a single phase suffices.
 A solve can also resume warm from the optimal basis of an earlier call: after
 columns are appended, that basis is still primal feasible, which is how the
-config-LP column generation re-optimizes its master between pricing rounds
-and resumes a run from an earlier run's final master. A cold start is the
-warm start from the identity basis.
+config-LP column generation re-optimizes its master between pricing rounds.
+A cold start is the warm start from the identity basis.
 Dantzig pricing with a permanent switch to Bland's rule after a degenerate
 streak guarantees termination; all arithmetic is exact.
 
@@ -29,8 +28,7 @@ Most pivots of a covering LP keep the scale (the new |det B| equals D).
 There the division is exact term by term, (a D - d_r b) / D = a - d_r b / D,
 so the update touches only the positions where the pivot row is nonzero.
 A start copies the rows of the state it resumes from, so that state is never
-changed: the column generation keeps one run's final master to resume later
-runs from.
+changed: an outcome builds its values from that state when they are read.
 """
 
 from __future__ import annotations
@@ -99,7 +97,8 @@ def simplex_min(num_rows, columns, costs, rhs, initial_basis, *, warm=None):
     (rhs is then not read). Columns and costs may have been appended since,
     but the basic columns must be unchanged. A cold start is the warm start
     from the identity state (I, rhs, 1). The state (A, X, D) is never
-    mutated: this call works on a copy of its rows. A pivot that keeps the
+    mutated, because the outcome it came from reads it when its values are
+    read: this call works on a copy of its rows. A pivot that keeps the
     scale D changes A and Y only in the columns where the pivot row of A is
     nonzero, and A and X only in the rows where the entering direction is;
     any other pivot rescales every row.

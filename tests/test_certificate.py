@@ -18,7 +18,7 @@ from rasched.certificate import (_active_on, best_configuration,
                                  check_big_job_value_bound,
                                  certificate_to_text, certificate_from_text,
                                  recheck_certificate, config_lp_feasible_cg,
-                                 config_lp_lower_bound, ConfigPool,
+                                 config_lp_lower_bound,
                                  CertificateFormatError)
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
@@ -428,18 +428,14 @@ def assert_covering_weights(inst, weights, T):
 
 def bound_with_runs(monkeypatch, call):
     """Run `call()` and return its result with every column-generation run
-    that the config-LP bound made meanwhile, as (run, resumed, final): did
-    it start from the pool's final master, and the one it left there when
-    infeasible."""
+    that the config-LP bound made meanwhile."""
     import rasched.certificate as cm
     runs = []
     original = cm.config_lp_feasible_cg
 
     def recording(inst, T, *, pool):
-        resumed = pool.final is not None and pool.final[0] <= T
-        run = original(inst, T, pool=pool)
-        runs.append((run, resumed, pool.final if run.status == "infeasible" else None))
-        return run
+        runs.append(original(inst, T, pool=pool))
+        return runs[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(cm, "config_lp_feasible_cg", recording)
@@ -448,12 +444,10 @@ def bound_with_runs(monkeypatch, call):
 
 class TestDecidedProbes:
     """`driver.solve` passes its schedule and its Hall bound to the config-LP
-    bound, which decides the probes those facts settle and resumes the
-    others from the last infeasible master. The bracket and the probe count
-    must be those of a cold bisection."""
+    bound, which decides the probes those facts settle and runs the others
+    on its pool. The bracket and the probe count must be those of a cold
+    bisection."""
 
-    #: the Hall bound leaves 90 of the 161 runs DECIDED_CASES made, 56 of
-    #: them resumed, so more seeds of the same shapes keep 100 in view
     CASES = (DECIDED_CASES
              + [(preset, seed) for preset in ("collision", "huge_heavy")
                 for seed in range(22, 66)]
@@ -462,7 +456,7 @@ class TestDecidedProbes:
     def test_driver_facts_keep_the_cold_bracket(self, monkeypatch):
         import rasched.driver as dm
         from rasched.driver import solve
-        totals = {"feasible": 0, "infeasible": 0, "resumed": 0}
+        totals = {"feasible": 0, "infeasible": 0}
         for kind, seed in self.CASES:
             inst = decided_case(kind, seed)
             tau = Frac(1, 100)
@@ -492,14 +486,13 @@ class TestDecidedProbes:
             hall = hall_bound(inst, network, max_density(inst, network))
             assert kwargs["infeasible_below"] == hall, case
 
-            cold_status = {run.T: run.status for run, *_ in cold_runs}
+            cold_status = {run.T: run.status for run in cold_runs}
             assert len(cold_status) == cold.probes
-            run_at = {run.T: run for run, *_ in runs}
-            for run, resumed, _ in runs:  # a resumed run decides as a cold one
+            run_at = {run.T: run for run in runs}
+            for run in runs:  # a run on the seeded pool decides as a cold one
                 assert run.status == cold_status[run.T], case
                 if run.status == "infeasible":
                     assert_ray_is_knapsack_checked(inst, run)
-                totals["resumed"] += resumed
             for T, status in cold_status.items():
                 if T in run_at:
                     continue
@@ -533,17 +526,31 @@ def solve_facts(monkeypatch, inst):
     return kwargs
 
 
-def ray_from_basis(inst, final):
-    """An infeasible run's ray recomputed from the final master it left in
-    the pool: the duals c_B B^-1, with cost 1 on the job shortfall slacks
-    (keys (None, t) for m <= t < m + n), read off the warm state A = D B^-1."""
+def ray_from_master(inst, costs, out):
+    """An infeasible run's ray recomputed from its final master's simplex
+    outcome: the duals c_B B^-1, read off the warm state A = D B^-1 with the
+    master's costs (1 on the job shortfall slacks only)."""
     m, n = inst.num_machines, inst.num_jobs
-    _, basis_keys, (A, _, D) = final
+    A, _, D = out.warm
     y = [ZERO] * (m + n)
-    for r, key in enumerate(basis_keys):
-        if key[0] is None and m <= key[1] < m + n:
-            y = [acc + Frac(a, D) for acc, a in zip(y, A[r])]
+    for r, k in enumerate(out.basis):
+        if costs[k]:
+            y = [acc + Frac(costs[k] * a, D) for acc, a in zip(y, A[r])]
     return {j: y[m - 1 + j] for j in inst.jobs}, {i: -y[i - 1] for i in inst.machines}
+
+
+def empty_start(original):
+    """`original` (a config_lp_feasible_cg) with each bound's pool emptied
+    before its first run, so that it starts without the schedule's
+    configurations and still collects the priced ones."""
+    started = []
+
+    def run(inst, T, *, pool):
+        if not any(pool is seen for seen in started):
+            started.append(pool)
+            pool.clear()
+        return original(inst, T, pool=pool)
+    return run
 
 
 class TestSeededPool:
@@ -582,11 +589,6 @@ class TestSeededPool:
 
     def test_seeding_keeps_every_outcome_and_cuts_rounds(self, monkeypatch):
         import rasched.certificate as cm
-
-        class EmptyStart(cm.ConfigPool):
-            def __init__(self, inst, configurations=()):
-                super().__init__(inst)
-
         rounds = {"seeded": 0, "empty": 0}
         for kind, seed in DECIDED_CASES:
             inst = decided_case(kind, seed)
@@ -594,35 +596,54 @@ class TestSeededPool:
             bound, runs = bound_with_runs(
                 monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
             with monkeypatch.context() as patch:
-                patch.setattr(cm, "ConfigPool", EmptyStart)
+                patch.setattr(cm, "config_lp_feasible_cg",
+                              empty_start(cm.config_lp_feasible_cg))
                 empty, empty_runs = bound_with_runs(
                     monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
             case = (kind, seed)
             assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
                 empty.lower, empty.upper, empty.lower_certified, empty.probes), case
-            assert ([(run.T, run.status) for run, *_ in runs]
-                    == [(run.T, run.status) for run, *_ in empty_runs]), case
-            for run, *_ in runs:
+            assert ([(run.T, run.status) for run in runs]
+                    == [(run.T, run.status) for run in empty_runs]), case
+            for run in runs:
                 if run.status == "infeasible":
                     assert_ray_is_knapsack_checked(inst, run)
-            rounds["seeded"] += sum(run.rounds for run, *_ in runs)
-            rounds["empty"] += sum(run.rounds for run, *_ in empty_runs)
+            rounds["seeded"] += sum(run.rounds for run in runs)
+            rounds["empty"] += sum(run.rounds for run in empty_runs)
         assert rounds["seeded"] < rounds["empty"], rounds
 
     def test_ray_is_built_when_read_from_the_final_master(self, monkeypatch):
+        """An infeasible run keeps its final master's integer duals, and
+        its ray is built from them when read: the duals c_B B^-1 of that
+        master, which the pricing knapsacks check."""
+        import rasched.certificate as cm
+        original = cm.simplex_min
         rays = 0
         for kind, seed in DECIDED_CASES:
             inst = decided_case(kind, seed)
             facts = solve_facts(monkeypatch, inst)
-            _, runs = bound_with_runs(
-                monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
-            for run, _, final in runs:
+            masters = []  # (costs, outcome) of every master solve, in order
+
+            def recording(num_rows, columns, costs, *args, **kwargs):
+                masters.append((list(costs), original(num_rows, columns, costs,
+                                                      *args, **kwargs)))
+                return masters[-1][1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "simplex_min", recording)
+                _, runs = bound_with_runs(
+                    monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
+            # one master solve per round: a run's last one is its final master
+            assert len(masters) == sum(run.rounds for run in runs), (kind, seed)
+            for run, end in zip(runs, itertools.accumulate(run.rounds for run in runs)):
                 if run.status != "infeasible":
                     assert run.dual_z is None and run.dual_y is None
                     continue
+                costs, out = masters[end - 1]
+                assert run.master_duals == (inst.num_machines, out.Y, out.D), (kind, seed)
                 assert "dual_z" not in vars(run) and "dual_y" not in vars(run)
-                dual_z, dual_y = ray_from_basis(inst, final)
-                assert (run.dual_z, run.dual_y) == (dual_z, dual_y), (kind, seed)
+                assert (run.dual_z, run.dual_y) == ray_from_master(inst, costs, out), (
+                    kind, seed)
                 assert_ray_is_knapsack_checked(inst, run)
                 rays += 1
         assert rays >= 50
@@ -666,15 +687,15 @@ PINNED_LP_DIGEST = "358621596927624ed6f1d8ed863d6e540e1c064be01e3573cb309b4cc884
 #: each run's T and status, computed once the Hall bound decided the probes
 #: below it (91 runs before, 46 since)
 PINNED_LP_RUNS_DIGEST = "adae015cf2ccfa767669326411328fd91a61f442718e8460ca458c455b9e6ca5"
-#: each run's rounds, computed once the Hall bound decided the probes below
-#: it, and their total (287 with an empty pool, 262 once the pool started
-#: with the schedule's configurations)
-PINNED_LP_ROUNDS_DIGEST = "fa2f678ad6793ba0613ea35e89a63c0670a0ce0150f57e60954002147adc44ee"
-PINNED_LP_ROUNDS_TOTAL = 166
-#: computed before the bound kept one column table and the simplex updated
-#: only the pivot row's nonzeros at a scale-keeping pivot: each run of the
-#: bound without a schedule, whose pool starts empty
-PINNED_UNSEEDED_LP_DIGEST = "bf55c84b213ac94b3af5c3ac4b5da85d763772bcd27ed191f629357f22a080e7"
+#: each run's rounds, computed once every run started from the slack basis,
+#: and their total (166 while a run resumed from the last infeasible run's
+#: final master)
+PINNED_LP_ROUNDS_DIGEST = "2241e979c432a8ece00ce0228a8ba3ae6ae276e56c058e137c84b9d65cdd34f4"
+PINNED_LP_ROUNDS_TOTAL = 168
+#: each run of the bound without a schedule, whose pool starts empty,
+#: computed once every run started from the slack basis: 585 rounds (595
+#: while a run resumed from the last infeasible run's final master)
+PINNED_UNSEEDED_LP_DIGEST = "02e0f316d2e50f215383abc8cd0eb6cb4615d9f4e264420b79312502311ae2b3"
 
 
 def lp_path_instance(k):
@@ -699,7 +720,7 @@ def lp_path_solves(monkeypatch):
             report, runs = bound_with_runs(monkeypatch,
                                            lambda: solve(inst, lp_bound=True))
         (bound,) = bounds
-        yield report, bound, [run for run, *_ in runs]
+        yield report, bound, runs
 
 
 def test_lp_path_matches_the_pinned_digest(monkeypatch):
@@ -724,7 +745,8 @@ def test_lp_path_runs_match_the_pinned_digest(monkeypatch):
 
 def test_lp_path_rounds_match_the_pinned_digest(monkeypatch):
     """Each run's rounds once the pool starts with the schedule's
-    configurations and the Hall bound decides the probes below it."""
+    configurations, the Hall bound decides the probes below it and every
+    run starts from the slack basis."""
     h = hashlib.sha256()
     total = 0
     for _, _, runs in lp_path_solves(monkeypatch):
@@ -734,8 +756,8 @@ def test_lp_path_rounds_match_the_pinned_digest(monkeypatch):
 
 
 def test_unseeded_lp_runs_match_the_pinned_digest(monkeypatch):
-    """Without a schedule every run pivots as when each run built its own
-    columns and every pivot rewrote all rows: same T, status and rounds."""
+    """Without a schedule: each run's T, status and rounds, every run from
+    the slack basis over the configurations the earlier runs priced."""
     h = hashlib.sha256()
     for k in range(24):
         inst = lp_path_instance(k)
@@ -743,63 +765,49 @@ def test_unseeded_lp_runs_match_the_pinned_digest(monkeypatch):
             monkeypatch, lambda: config_lp_lower_bound(inst, Frac(1, 100)))
         h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
                        bound.probes, [(str(run.T), run.status, run.rounds)
-                                      for run, *_ in runs])).encode())
+                                      for run in runs])).encode())
     assert h.hexdigest() == PINNED_UNSEEDED_LP_DIGEST
 
 
-class TestPoolResume:
-    """A run resumes from the pool's final master only when that master's T
-    is at most its own, so that every basic column is in its master again;
-    otherwise it starts from the slack basis. Either way it decides as a
-    cold run does."""
+def test_every_run_starts_from_the_slack_basis(monkeypatch):
+    """After an infeasible run at T0 on a shared pool, a run at T >= T0 on
+    that pool hands its first master solve no warm state, decides as a run
+    on a fresh pool does, and leaves every configuration it priced in the
+    pool."""
+    import rasched.certificate as cm
+    original = cm.simplex_min
+    checked = priced = 0
+    for k in range(24):
+        inst = lp_path_instance(k)
+        bound = config_lp_lower_bound(inst, TAU)
+        T0 = bound.lower
+        if not bound.lower_certified:
+            continue
+        m, q = inst.num_machines, inst.integer_image[1]
+        for T in (T0, (T0 + bound.upper) / 2, bound.upper):
+            pool = {}
+            assert config_lp_feasible_cg(inst, T0, pool=pool).status == "infeasible"
+            before = dict(pool)
+            masters = []  # (columns, column count, warm) of every master solve
 
-    @staticmethod
-    def first_warm(monkeypatch, run):
-        """`run()` and the warm state its first simplex call started from."""
-        import rasched.certificate as cm
-        warms = []
-        original = cm.simplex_min
+            def recording(num_rows, columns, *args, warm=None, **kwargs):
+                masters.append((columns, len(columns), warm))
+                return original(num_rows, columns, *args, warm=warm, **kwargs)
 
-        def recording(*args, warm=None, **kwargs):
-            warms.append(warm)
-            return original(*args, warm=warm, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(cm, "simplex_min", recording)
-            return run(), warms[0]
-
-    def test_only_a_final_master_at_or_below_T_is_resumed(self, monkeypatch):
-        checked = 0
-        for k in range(24):
-            inst = lp_path_instance(k)
-            bound = config_lp_lower_bound(inst, TAU)
-            T0 = bound.lower
-            if not bound.lower_certified:
-                continue
-
-            def infeasible_pool():
-                pool = ConfigPool(inst)
-                assert config_lp_feasible_cg(inst, T0, pool=pool).status == "infeasible"
-                return pool
-
-            _, basis_keys, _ = infeasible_pool().final
-            widest = max(sum((inst.sizes[j] for j in conf), ZERO)
-                         for i, conf in basis_keys if i is not None)
-            if widest <= inst.max_size():
-                continue
-            # a configuration of the final basis does not fit below `widest`
-            low = (inst.max_size() + widest) / 2
-            for T, resumes in ((low, False), (T0, True), (bound.upper, True)):
-                pool = infeasible_pool()
-                final = pool.final
-                run, warm = self.first_warm(
-                    monkeypatch, lambda: config_lp_feasible_cg(inst, T, pool=pool))
-                assert warm is (final[2] if resumes else None), (k, T)
-                assert run.status == config_lp_feasible_cg(inst, T).status, (k, T)
-                if run.status != "infeasible":
-                    assert pool.final is final
-            checked += 1
-        assert checked >= 10
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "simplex_min", recording)
+                run = config_lp_feasible_cg(inst, T, pool=pool)
+            columns, first_count, warm = masters[0]
+            assert warm is None, (k, T)
+            assert run.status == config_lp_feasible_cg(inst, T).status, (k, T)
+            assert pool.items() >= before.items()
+            # the columns appended after the first master solve are the priced ones
+            for (machine_row, _), *jobs in columns[first_count:]:
+                conf = tuple(row - m + 1 for row, _ in jobs)
+                assert pool[(machine_row + 1, conf)] == sum(q[j] for j in conf), (k, T)
+                priced += 1
+        checked += 1
+    assert checked >= 10 and priced >= 20, (checked, priced)
 
 
 @pytest.mark.parametrize("tolerance", [0, -1])

@@ -83,7 +83,8 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
     seed-101 lp_bound pool, one of which the knapsack cap refuses: a change
     that adds runs or flows shows here without a timed run. Before the Hall
     bound decided the probes below it, the runs and rounds were 34 and 91,
-    and the network flows 24."""
+    and the network flows 24; while a run resumed from the last infeasible
+    run's final master, the rounds were 24."""
     counts = {"runs": 0, "rounds": 0, "seed flows": 0, "network flows": 0, "refused": 0}
     run_cg, seed_flow, network_flow = (cm.config_lp_feasible_cg, seed.solve_assignment_lp,
                                        AssignmentNetwork.max_flow)
@@ -110,5 +111,5 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
             driver.solve(inst, lp_bound=True)
         except CapExceededError:
             counts["refused"] += 1
-    assert counts == {"runs": 5, "rounds": 24, "seed flows": 12, "network flows": 59,
+    assert counts == {"runs": 5, "rounds": 25, "seed flows": 12, "network flows": 59,
                       "refused": 1}
