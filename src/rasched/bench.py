@@ -72,14 +72,12 @@ def _run_one(args):
 
 
 def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
-          tau=frac("1/100"), err=None):
+          tau=frac("1/100")):
     """Run solve over every parseable instance in the corpus for each epsilon."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if err is None:
-        err = sys.stderr
     tasks = []
     for name in sorted(os.listdir(corpus_dir)):
         path = os.path.join(corpus_dir, name)
@@ -90,7 +88,7 @@ def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
                 text = fh.read()
             parse_instance(text)
         except (OSError, UnicodeDecodeError, InstanceFormatError) as exc:
-            print(f"warning: skipping {name}: {exc}", file=err)
+            print(f"warning: skipping {name}: {exc}", file=sys.stderr)
             continue
         for eps in epsilons:
             tasks.append((path, text, str(eps), str(tau), repetitions))

@@ -460,18 +460,17 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
 class ConfigLPBound:
     """A bracket [lower, upper] around the configuration-LP optimum.
 
-    `lower_certified` says that `lower` was proved infeasible: by the
-    infeasibility ray of a column-generation run, or, when the solve's Hall
-    bound H decided that probe, by `lower` < H: a job set J whose volume or
-    whose c = ceil(|J|/|Gamma(J)|) smallest sizes exceed `lower`
-    (`seed.hall_bound`).
+    `lower_certified` says that the infeasibility ray of a column-generation
+    run proved `lower` infeasible. Otherwise `lower` is the bracket's floor,
+    the largest size or the solve's Hall bound H (`seed.hall_bound`), below
+    which the LP is infeasible.
     """
 
-    lower: object  # largest T proved infeasible (or the trivial bound)
+    lower: object  # largest T proved infeasible, or the bracket's floor
     upper: object  # smallest T with a feasible primal found
     lower_certified: bool
     feasible_weights: dict
-    probes: int  # bisection steps, including those decided without a run
+    probes: int  # column-generation runs
 
 
 def _schedule_configurations(inst: Instance, assignment: dict):
@@ -494,28 +493,26 @@ def _schedule_configurations(inst: Instance, assignment: dict):
     return weights, makespan
 
 
-def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None = None,
-                          infeasible_below=None) -> ConfigLPBound:
+def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict,
+                          infeasible_below) -> ConfigLPBound:
     """Bracket the configuration-LP optimum within a relative tolerance.
 
-    Bisects [max size, total size] by column generation. Facts known from a
-    solve decide some midpoints without a run; the midpoints and outcomes
-    stay those of the plain bisection.
+    Bisects [max(largest size, H), makespan] by column generation, one run
+    per midpoint, from two facts of a solve:
 
-    - `assignment` (internal job id -> machine), an integral schedule, makes
-      every T >= its makespan feasible: its per-machine job sets are a
-      solution, returned as `feasible_weights`.
     - `infeasible_below`, a Hall bound H (`seed.hall_bound`), makes every
       T < H infeasible: some job set J has p(J) > T |Gamma(J)|, or its
       c = ceil(|J|/|Gamma(J)|) smallest sizes sum to more than T while some
-      configuration of positive weight would hold c jobs of J. A lower bound
-      decided this way is certified by that set, not by a ray.
+      configuration of positive weight would hold c jobs of J.
+    - `assignment` (internal job id -> machine), an integral schedule, makes
+      its makespan feasible: its per-machine job sets are a solution,
+      returned as `feasible_weights` until a run finds a lower one.
 
     All runs share one pool of configurations (`config_lp_feasible_cg`). It
     starts with the job set of each machine under `assignment`, so a run
     begins with those that fit in its T, and it collects every priced
     configuration. Outcomes are exact, so the pool changes how many rounds a
-    run takes, not its status.
+    run takes, not its status. An unresolved run stops the bisection.
     Raises ValueError unless `tolerance` is positive: the bracket would
     never close.
     """
@@ -524,45 +521,21 @@ def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict | None 
     tolerance = frac(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    lo = inst.max_size()
-    hi = inst.total_size()
-    known = makespan = None
-    if assignment is not None:
-        known, makespan = _schedule_configurations(inst, assignment)
-    if known is not None and infeasible_below is not None and infeasible_below > makespan:
+    weights, hi = _schedule_configurations(inst, assignment)
+    if infeasible_below > hi:
         raise CertificateError("a schedule's makespan cannot be infeasible")
-    # the schedule's configurations and those priced by any run, each in the
-    # master of every later run at a T it fits in
+    lo = max(inst.max_size(), infeasible_below)
     q = inst.integer_image[1]
-    pool = {key: sum(q[j] for j in key[1]) for key in known or ()}
-
-    def probe(T):
-        if known is not None and T >= makespan:
-            return "feasible", known
-        if infeasible_below is not None and T < infeasible_below:
-            return "infeasible", None
-        run = config_lp_feasible_cg(inst, T, pool=pool)
-        return run.status, run.weights
-
-    status, weights = probe(hi)
-    if status != "feasible":
-        raise CertificateError("covering LP must be feasible at the total size")
-    probes = 1
-    lo_certified = False
-    if lo < hi:
-        status, lo_weights = probe(lo)
-        probes += 1
-        if status == "feasible":
-            return ConfigLPBound(lo, lo, False, lo_weights, probes)
-        lo_certified = status == "infeasible"
+    pool = {key: sum(q[j] for j in key[1]) for key in weights}
+    lo_certified, runs = False, 0
     while hi > lo * (1 + tolerance):
         mid = (lo + hi) / 2
-        status, mid_weights = probe(mid)
-        probes += 1
-        if status == "feasible":
-            hi, weights = mid, mid_weights
-        elif status == "infeasible":
+        run = config_lp_feasible_cg(inst, mid, pool=pool)
+        runs += 1
+        if run.status == "feasible":
+            hi, weights = mid, run.weights
+        elif run.status == "infeasible":
             lo, lo_certified = mid, True
         else:  # unresolved pricing: stop refining rather than overclaim
             break
-    return ConfigLPBound(lo, hi, lo_certified, weights, probes)
+    return ConfigLPBound(lo, hi, lo_certified, weights, runs)

@@ -10,7 +10,8 @@ phase's level graph is the layered network itself, so its blocking flow is
 a greedy fill that needs no path search. A solve runs it for the densest
 job set (with every job's supply), for the guesses that set leaves
 undecided, for each schedule that is read and, under `--lp-bound`, for the
-Hall bound's unit supplies (`rasched.seed`).
+unit supplies of the Hall bound, the floor of the config-LP bound's
+bisection (`rasched.seed`).
 """
 
 from __future__ import annotations

@@ -104,11 +104,11 @@ def knapsack_max_value(query: KnapsackQuery):
     return best_value, best_set
 
 
-def exact_optimal_makespan(inst: Instance, *, job_cap: int = MAKESPAN_JOB_CAP):
+def exact_optimal_makespan(inst: Instance):
     """Minimum over all permitted total assignments of the max machine load."""
     n = inst.num_jobs
-    if n > job_cap:
-        raise CapExceededError(f"makespan oracle limited to {job_cap} jobs")
+    if n > MAKESPAN_JOB_CAP:
+        raise CapExceededError(f"makespan oracle limited to {MAKESPAN_JOB_CAP} jobs")
     if n == 0:
         return ZERO
     order = sorted(inst.jobs, key=lambda j: (-inst.sizes[j], j))

@@ -20,8 +20,8 @@ lambda* is feasible, since a guess's small and medium jobs are some of all
 jobs, and below it J* proves the guess infeasible unless one of its jobs is
 huge there. Only the remaining guesses run their own flow. A guess decided
 feasible runs its flow only when its schedule is read (`decided_solution`).
-`hall_bound` raises lambda* to the Hall bound that decides the config-LP
-bound's low probes, by flows with a unit supply per job: their violators
+`hall_bound` raises lambda* to the Hall bound, the floor of the config-LP
+bound's bisection, by flows with a unit supply per job: their violators
 are job sets of which some machine must take several.
 
 Only a schedule that is read gets rounded (`round_seed`): cycles of the

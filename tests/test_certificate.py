@@ -239,10 +239,27 @@ class TestBestConfiguration:
         assert best_configuration((), sizes, values, 9) == (0, ())
 
 
+TAU = Frac(1, 100)
+
+
+def solve_facts(inst):
+    """The keyword facts that `solve(..., lp_bound=True)` hands the config-LP
+    bound: its reported schedule and the Hall bound on the instance's
+    network."""
+    from rasched.driver import solve
+    network = AssignmentNetwork(inst)
+    return {"assignment": solve(inst, tau=TAU).placement,
+            "infeasible_below": hall_bound(inst, network, max_density(inst, network))}
+
+
+def solved_bound(inst, tolerance):
+    return config_lp_lower_bound(inst, tolerance, **solve_facts(inst))
+
+
 class TestConfigLPBounds:
     def test_single_machine_exact_total(self):
         inst = make_instance(1, [(Frac(3, 4), {1}), (Frac(1), {1})])
-        bound = config_lp_lower_bound(inst, Frac(1, 100))
+        bound = solved_bound(inst, Frac(1, 100))
         assert bound.lower <= Frac(7, 4) <= bound.upper
         assert bound.upper <= bound.lower * Frac(101, 100)
         assert exact_config_lp_feasible(inst, bound.upper)
@@ -251,9 +268,10 @@ class TestConfigLPBounds:
 
     def test_perfect_split_found_at_trivial_bound(self):
         inst = make_instance(2, [(Frac(1), {1, 2}), (Frac(1), {1, 2})])
-        bound = config_lp_lower_bound(inst, Frac(1, 100))
+        bound = solved_bound(inst, Frac(1, 100))
         assert bound.lower == bound.upper == 1
-        assert not bound.lower_certified  # the trivial bound is already tight
+        assert not bound.lower_certified  # the bracket's floor is already tight
+        assert bound.probes == 0
 
     def test_feasible_run_produces_covering_weights(self):
         inst = make_instance(2, [(Frac(1, 2), {1}), (Frac(1, 2), {2}), (Frac(1), {1, 2})])
@@ -286,7 +304,7 @@ class TestConfigLPBounds:
     def test_bracket_contains_enumeration_threshold(self, seed):
         inst = generate_instance(GenSpec(machines=2, jobs=5, seed=seed,
                                          preset="collision"))
-        bound = config_lp_lower_bound(inst, Frac(1, 50))
+        bound = solved_bound(inst, Frac(1, 50))
         assert exact_config_lp_feasible(inst, bound.upper)
         if bound.lower_certified:
             assert not exact_config_lp_feasible(inst, bound.lower)
@@ -300,45 +318,46 @@ class TestConfigLPBounds:
 
     def test_unresolved_run_stops_the_bisection_uncertified(self, monkeypatch):
         import rasched.certificate as cm
-        # one machine: at the max size 1/2 only single jobs fit, so the first
-        # master is already optimal; at the midpoint 4/5 two-job
-        # configurations fit and have to be priced in a second round
-        inst = make_instance(1, [(Frac(1, 2), {1}), (Frac(3, 10), {1}), (Frac(3, 10), {1})])
-        everything = {j: 1 for j in inst.jobs}
-        assert config_lp_feasible_cg(inst, Frac(4, 5)).rounds > 1
-        assert config_lp_lower_bound(inst, Frac(1, 100), assignment=everything).lower > Frac(4, 5)
+        # two machines and a schedule with every job on machine 1 (makespan
+        # 11/10): the Hall bound is 3/5 (two of the three jobs share a
+        # machine), and at the first midpoint 17/20 the pool holds no
+        # configuration that fits, so a two-job one has to be priced in a
+        # second round
+        inst = make_instance(2, [(Frac(1, 2), {1, 2}), (Frac(3, 10), {1, 2}),
+                                 (Frac(3, 10), {1, 2})])
+        network = AssignmentNetwork(inst)
+        facts = {"assignment": {j: 1 for j in inst.jobs},
+                 "infeasible_below": hall_bound(inst, network, max_density(inst, network))}
+        assert facts["infeasible_below"] == Frac(3, 5)
+        assert config_lp_feasible_cg(inst, Frac(17, 20)).rounds > 1
+        assert config_lp_lower_bound(inst, Frac(1, 100), **facts).upper < Frac(17, 20)
         monkeypatch.setattr(cm, "_MAX_CG_ROUNDS", 1)
-        run = config_lp_feasible_cg(inst, Frac(4, 5))
+        run = config_lp_feasible_cg(inst, Frac(17, 20))
         assert (run.status, run.rounds) == ("unresolved", 1)
-        # the schedule decides hi = 11/10, lo = 1/2 is proved in one round,
-        # and the unresolved midpoint ends the refinement without a claim
-        bound = config_lp_lower_bound(inst, Frac(1, 100), assignment=everything)
+        # the unresolved midpoint ends the refinement without a claim
+        bound = config_lp_lower_bound(inst, Frac(1, 100), **facts)
         assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
-            Frac(1, 2), Frac(11, 10), True, 3)
+            Frac(3, 5), Frac(11, 10), False, 1)
 
 
-def cold_bisection(inst, tolerance):
-    """The bracket search without a shared pool: every probe starts cold."""
-    lo, hi = inst.max_size(), inst.total_size()
-    assert config_lp_feasible_cg(inst, hi).status == "feasible"
-    probes, lo_certified = 1, False
-    if lo < hi:
-        run = config_lp_feasible_cg(inst, lo)
-        probes += 1
-        if run.status == "feasible":
-            return lo, lo, False, probes
-        lo_certified = run.status == "infeasible"
+def fresh_bisection(inst, tolerance, assignment, infeasible_below):
+    """The bound's bisection with a fresh pool per run: (lower, upper,
+    certified, [(T, status) of every run])."""
+    lo = max(inst.max_size(), infeasible_below)
+    hi = max(sum((inst.sizes[j] for j, i in assignment.items() if i == machine), ZERO)
+             for machine in inst.machines)
+    runs, lo_certified = [], False
     while hi > lo * (1 + tolerance):
         mid = (lo + hi) / 2
         run = config_lp_feasible_cg(inst, mid)
-        probes += 1
+        runs.append((mid, run.status))
         if run.status == "feasible":
             hi = mid
         elif run.status == "infeasible":
             lo, lo_certified = mid, True
         else:
             break
-    return lo, hi, lo_certified, probes
+    return lo, hi, lo_certified, runs
 
 
 def assert_ray_is_knapsack_checked(inst, run):
@@ -363,12 +382,15 @@ POOLED_CASES = [(preset, seed) for preset in ("collision", "huge_heavy") for see
 class TestPooledBisection:
     @pytest.mark.parametrize("preset,seed", POOLED_CASES)
     def test_pool_matches_cold_bisection(self, preset, seed, monkeypatch):
+        """The bisection on the shared pool makes the runs, outcomes and
+        bracket of the same bisection with a fresh pool per run."""
         import rasched.certificate as cm
         machines = 2 + seed % 3
         inst = generate_instance(GenSpec(machines=machines, jobs=5 + seed % 7,
                                          preset=preset, density=Frac(2, 3), seed=seed))
         tol = Frac(1, 50)
-        expected = cold_bisection(inst, tol)
+        facts = solve_facts(inst)
+        *expected, fresh_runs = fresh_bisection(inst, tol, **facts)
 
         runs = []
         original = cm.config_lp_feasible_cg
@@ -380,9 +402,10 @@ class TestPooledBisection:
             return run
 
         monkeypatch.setattr(cm, "config_lp_feasible_cg", recording)
-        bound = config_lp_lower_bound(inst, tol)
-        got = (bound.lower, bound.upper, bound.lower_certified, bound.probes)
-        assert got == expected
+        bound = config_lp_lower_bound(inst, tol, **facts)
+        got = (bound.lower, bound.upper, bound.lower_certified)
+        assert list(got) == expected
+        assert [(run.T, run.status) for run in runs] == fresh_runs
         assert len(runs) == bound.probes
         assert exact_config_lp_feasible(inst, bound.upper)
         if bound.lower_certified:
@@ -443,23 +466,20 @@ def bound_with_runs(monkeypatch, call):
 
 
 class TestDecidedProbes:
-    """`driver.solve` passes its schedule and its Hall bound to the config-LP
-    bound, which decides the probes those facts settle and runs the others
-    on its pool. The bracket and the probe count must be those of a cold
-    bisection."""
+    """`driver.solve` hands the config-LP bound its schedule and its Hall
+    bound, and the bound bisects between them on its pool."""
 
     CASES = (DECIDED_CASES
              + [(preset, seed) for preset in ("collision", "huge_heavy")
                 for seed in range(22, 66)]
              + [("two_value", seed) for seed in range(16, 32)])
 
-    def test_driver_facts_keep_the_cold_bracket(self, monkeypatch):
+    def test_driver_hands_the_bound_its_schedule_and_hall_bound(self, monkeypatch):
         import rasched.driver as dm
         from rasched.driver import solve
-        totals = {"feasible": 0, "infeasible": 0}
+        statuses = {"feasible": 0, "infeasible": 0}
         for kind, seed in self.CASES:
             inst = decided_case(kind, seed)
-            tau = Frac(1, 100)
             facts = []
 
             def recording_bound(*args, **kwargs):
@@ -469,61 +489,23 @@ class TestDecidedProbes:
             with monkeypatch.context() as patch:
                 patch.setattr(dm, "config_lp_lower_bound", recording_bound)
                 report, runs = bound_with_runs(
-                    monkeypatch, lambda: solve(inst, tau=tau, lp_bound=True))
+                    monkeypatch, lambda: solve(inst, tau=TAU, lp_bound=True))
             ((kwargs, bound),) = facts
-            cold, cold_runs = bound_with_runs(
-                monkeypatch, lambda: config_lp_lower_bound(inst, tau))
             case = (kind, seed)
-            assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
-                cold.lower, cold.upper, cold.lower_certified, cold.probes), case
-            assert report.iterations["lp_bound_probes"] == cold.probes, case
-            assert_covering_weights(inst, bound.feasible_weights, bound.upper)
-
             # the facts: the reported schedule and the Hall bound
-            placement = kwargs["assignment"]
+            assert kwargs == solve_facts(inst), case
+            placement, hall = kwargs["assignment"], kwargs["infeasible_below"]
             assert {inst.name_of(j): i for j, i in placement.items()} == report.assignment
-            network = AssignmentNetwork(inst)
-            hall = hall_bound(inst, network, max_density(inst, network))
-            assert kwargs["infeasible_below"] == hall, case
-
-            cold_status = {run.T: run.status for run in cold_runs}
-            assert len(cold_status) == cold.probes
-            run_at = {run.T: run for run in runs}
-            for run in runs:  # a run on the seeded pool decides as a cold one
-                assert run.status == cold_status[run.T], case
+            assert report.iterations["lp_bound_probes"] == bound.probes == len(runs), case
+            assert max(inst.max_size(), hall) <= bound.lower <= report.lower_bound, case
+            assert bound.upper <= report.makespan, case
+            assert_covering_weights(inst, bound.feasible_weights, bound.upper)
+            for run in runs:
+                assert hall < run.T < report.makespan, case
                 if run.status == "infeasible":
                     assert_ray_is_knapsack_checked(inst, run)
-            for T, status in cold_status.items():
-                if T in run_at:
-                    continue
-                feasible = T >= report.makespan
-                assert feasible or T < hall, case
-                truth = (exact_config_lp_feasible(inst, T) if inst.num_jobs <= 10
-                         else status == "feasible")
-                assert truth == feasible, (case, T)
-                totals["feasible" if feasible else "infeasible"] += 1
-        assert all(count >= 100 for count in totals.values()), totals
-
-
-TAU = Frac(1, 100)
-
-
-def solve_facts(monkeypatch, inst):
-    """The keyword facts (`assignment`, `infeasible_below`) that
-    `solve(..., lp_bound=True)` hands the config-LP bound."""
-    import rasched.driver as dm
-    from rasched.driver import solve
-    facts = []
-
-    def recording_bound(*args, **kwargs):
-        facts.append(kwargs)
-        return config_lp_lower_bound(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(dm, "config_lp_lower_bound", recording_bound)
-        solve(inst, tau=TAU, lp_bound=True)
-    (kwargs,) = facts
-    return kwargs
+                statuses[run.status] += 1
+        assert all(count >= 10 for count in statuses.values()), statuses
 
 
 def ray_from_master(inst, costs, out):
@@ -558,33 +540,30 @@ class TestSeededPool:
     shortens runs without changing any outcome."""
 
     def test_pool_starts_with_the_schedule_configurations(self, monkeypatch):
-        """With the solve's facts, and with its schedule alone, whose bound
-        runs the probes below the Hall bound too."""
         import rasched.certificate as cm
         original = cm.config_lp_feasible_cg
         seeded = 0
-        for kind, seed in DECIDED_CASES:
+        for kind, seed in TestDecidedProbes.CASES:
             inst = decided_case(kind, seed)
-            facts = solve_facts(monkeypatch, inst)
+            facts = solve_facts(inst)
             q = inst.integer_image[1]
             on = {}
             for j, i in sorted(facts["assignment"].items()):
                 on.setdefault(i, []).append(j)
             schedule = {(i, tuple(jobs)): sum(q[j] for j in jobs) for i, jobs in on.items()}
-            for given in (facts, {"assignment": facts["assignment"]}):
-                pools = []
+            pools = []
 
-                def recording(*args, **kwargs):
-                    pools.append(dict(kwargs["pool"]))  # as the run finds it
-                    return original(*args, **kwargs)
+            def recording(*args, **kwargs):
+                pools.append(dict(kwargs["pool"]))  # as the run finds it
+                return original(*args, **kwargs)
 
-                with monkeypatch.context() as patch:
-                    patch.setattr(cm, "config_lp_feasible_cg", recording)
-                    config_lp_lower_bound(inst, TAU, **given)
-                if pools:
-                    assert pools[0] == schedule, (kind, seed)
-                    assert all(pool.items() >= schedule.items() for pool in pools)
-                    seeded += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(cm, "config_lp_feasible_cg", recording)
+                config_lp_lower_bound(inst, TAU, **facts)
+            if pools:
+                assert pools[0] == schedule, (kind, seed)
+                assert all(pool.items() >= schedule.items() for pool in pools)
+                seeded += 1
         assert seeded >= 40
 
     def test_seeding_keeps_every_outcome_and_cuts_rounds(self, monkeypatch):
@@ -592,7 +571,7 @@ class TestSeededPool:
         rounds = {"seeded": 0, "empty": 0}
         for kind, seed in DECIDED_CASES:
             inst = decided_case(kind, seed)
-            facts = solve_facts(monkeypatch, inst)
+            facts = solve_facts(inst)
             bound, runs = bound_with_runs(
                 monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
             with monkeypatch.context() as patch:
@@ -621,7 +600,7 @@ class TestSeededPool:
         rays = 0
         for kind, seed in DECIDED_CASES:
             inst = decided_case(kind, seed)
-            facts = solve_facts(monkeypatch, inst)
+            facts = solve_facts(inst)
             masters = []  # (costs, outcome) of every master solve, in order
 
             def recording(num_rows, columns, costs, *args, **kwargs):
@@ -671,9 +650,8 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
     for kind, seed in DECIDED_CASES:
         inst = decided_case(kind, seed)
         solve(inst, lp_bound=True)
-        # the Hall bound decides most of the solve's probes: the cold bound
-        # runs them all
-        config_lp_lower_bound(inst, TAU)
+        # the same bisection on fresh pools: each run prices from scratch
+        fresh_bisection(inst, TAU, **solve_facts(inst))
     for kind, seed in DECIDED_CASES[::4]:
         inst = decided_case(kind, seed)
         for T in (inst.max_size(), inst.total_size() / 2):
@@ -681,21 +659,17 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
     assert len(master) >= 200 and len(enumerated) >= 20
 
 
-#: computed before the Hall bound decided the bound's probes below it:
-#: reports and bounds (lower, upper, certified, probes)
-PINNED_LP_DIGEST = "358621596927624ed6f1d8ed863d6e540e1c064be01e3573cb309b4cc884ab3b"
-#: each run's T and status, computed once the Hall bound decided the probes
-#: below it (91 runs before, 46 since)
-PINNED_LP_RUNS_DIGEST = "adae015cf2ccfa767669326411328fd91a61f442718e8460ca458c455b9e6ca5"
-#: each run's rounds, computed once every run started from the slack basis,
-#: and their total (166 while a run resumed from the last infeasible run's
-#: final master)
-PINNED_LP_ROUNDS_DIGEST = "2241e979c432a8ece00ce0228a8ba3ae6ae276e56c058e137c84b9d65cdd34f4"
-PINNED_LP_ROUNDS_TOTAL = 168
-#: each run of the bound without a schedule, whose pool starts empty,
-#: computed once every run started from the slack basis: 585 rounds (595
-#: while a run resumed from the last infeasible run's final master)
-PINNED_UNSEEDED_LP_DIGEST = "02e0f316d2e50f215383abc8cd0eb6cb4615d9f4e264420b79312502311ae2b3"
+#: computed once the bound bisected between the Hall bound and the schedule's
+#: makespan: reports and bounds (lower, upper, certified, probes)
+PINNED_LP_DIGEST = "271206d7c7307963e7fda051fdbff18b86b3e377ccb2978a3fc7d010c81e38f6"
+#: each run's T and status, computed on that bracket (40 runs; 46 while the
+#: bound replayed the midpoints of [max size, total size], 91 before the
+#: Hall bound decided the probes below it)
+PINNED_LP_RUNS_DIGEST = "99b8e16422a788898e2991651538e81c4eb7c2dad3052445c5080a8e9ea7cd52"
+#: each run's rounds on that bracket, every run from the slack basis, and
+#: their total (168 on the replayed bracket)
+PINNED_LP_ROUNDS_DIGEST = "3a7e284ae080ad579dd3d21a533e21d45ea00582b07ea2c0f62a85931d2574b3"
+PINNED_LP_ROUNDS_TOTAL = 142
 
 
 def lp_path_instance(k):
@@ -724,8 +698,8 @@ def lp_path_solves(monkeypatch):
 
 
 def test_lp_path_matches_the_pinned_digest(monkeypatch):
-    """Reports and bounds are those of the bisection that ran every probe
-    below the Hall bound."""
+    """Reports and bounds are those of the bisection between the Hall bound
+    and the schedule's makespan."""
     h = hashlib.sha256()
     for report, bound, _ in lp_path_solves(monkeypatch):
         h.update(report.to_text().encode())
@@ -736,7 +710,7 @@ def test_lp_path_matches_the_pinned_digest(monkeypatch):
 
 def test_lp_path_runs_match_the_pinned_digest(monkeypatch):
     """The T and status of every column-generation run the solves' bounds
-    make, none of them below the Hall bound."""
+    make, each a midpoint above the Hall bound."""
     h = hashlib.sha256()
     for _, _, runs in lp_path_solves(monkeypatch):
         h.update(repr([(str(run.T), run.status) for run in runs]).encode())
@@ -745,28 +719,14 @@ def test_lp_path_runs_match_the_pinned_digest(monkeypatch):
 
 def test_lp_path_rounds_match_the_pinned_digest(monkeypatch):
     """Each run's rounds once the pool starts with the schedule's
-    configurations, the Hall bound decides the probes below it and every
-    run starts from the slack basis."""
+    configurations, the bracket with the Hall bound and every run starts
+    from the slack basis."""
     h = hashlib.sha256()
     total = 0
     for _, _, runs in lp_path_solves(monkeypatch):
         h.update(repr([run.rounds for run in runs]).encode())
         total += sum(run.rounds for run in runs)
     assert (h.hexdigest(), total) == (PINNED_LP_ROUNDS_DIGEST, PINNED_LP_ROUNDS_TOTAL)
-
-
-def test_unseeded_lp_runs_match_the_pinned_digest(monkeypatch):
-    """Without a schedule: each run's T, status and rounds, every run from
-    the slack basis over the configurations the earlier runs priced."""
-    h = hashlib.sha256()
-    for k in range(24):
-        inst = lp_path_instance(k)
-        bound, runs = bound_with_runs(
-            monkeypatch, lambda: config_lp_lower_bound(inst, Frac(1, 100)))
-        h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
-                       bound.probes, [(str(run.T), run.status, run.rounds)
-                                      for run in runs])).encode())
-    assert h.hexdigest() == PINNED_UNSEEDED_LP_DIGEST
 
 
 def test_every_run_starts_from_the_slack_basis(monkeypatch):
@@ -779,7 +739,7 @@ def test_every_run_starts_from_the_slack_basis(monkeypatch):
     checked = priced = 0
     for k in range(24):
         inst = lp_path_instance(k)
-        bound = config_lp_lower_bound(inst, TAU)
+        bound = solved_bound(inst, TAU)
         T0 = bound.lower
         if not bound.lower_certified:
             continue
@@ -813,8 +773,9 @@ def test_every_run_starts_from_the_slack_basis(monkeypatch):
 @pytest.mark.parametrize("tolerance", [0, -1])
 def test_bound_refuses_a_tolerance_that_never_closes_the_bracket(tolerance):
     inst = lp_path_instance(0)
+    facts = solve_facts(inst)
     with deadline(5), pytest.raises(ValueError, match="tolerance must be positive"):
-        config_lp_lower_bound(inst, tolerance)
+        config_lp_lower_bound(inst, tolerance, **facts)
 
 
 def two_value_16(seed):
@@ -869,9 +830,8 @@ def test_every_knapsack_query_is_integral(monkeypatch):
     for kind, seed in DECIDED_CASES:
         inst = decided_case(kind, seed)
         solve(inst, lp_bound=True)
-        # the Hall bound decides most of the solve's probes: the cold bound
-        # prices them all
-        config_lp_lower_bound(inst, TAU)
+        # the same bisection on fresh pools: each run prices from scratch
+        fresh_bisection(inst, TAU, **solve_facts(inst))
     for seed in range(24):
         solve(two_value_16(seed), audit=True)
     # the big-job bound prices a machine only when an active job there fits

@@ -26,7 +26,8 @@ from conftest import two_value_instance
 #: 31 unit jobs on 2 machines, each permitted on both
 WIDE_TEXT = "ra 1\nmachines 2\n" + "".join(f"job j{k} 1 : 1 2\n" for k in range(31))
 #: 31 jobs on 2 machines, each permitted on both: 9 of size 1/2, 8 of 1 and
-#: 14 of 3/2, whose config-LP bound prices 31 items at or above its Hall bound
+#: 14 of 3/2, whose config-LP bound prices 31 items at a midpoint between
+#: its Hall bound and the schedule's makespan
 OVER_CAP_TEXT = "ra 1\nmachines 2\n" + "".join(
     f"job j{k} {size} : 1 2\n"
     for k, size in enumerate(["1/2"] * 9 + ["1"] * 8 + ["3/2"] * 14))
@@ -160,8 +161,8 @@ class TestSolve:
         assert err == f"input error: bad rational '{value}' (expected n or n/d)\n"
 
     def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
-        # 31 pricing items on machines 1 and 2, and a probe at or above the
-        # Hall bound that needs a run
+        # 31 pricing items on machines 1 and 2, and a midpoint between the
+        # Hall bound and the makespan that needs a run
         inst = workdir / "big.ra"
         inst.write_text(OVER_CAP_TEXT)
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
@@ -170,20 +171,22 @@ class TestSolve:
 
     def test_lp_bound_decided_below_the_hall_bound_needs_no_knapsack(self, workdir, capsys):
         # 31 unit jobs on 2 machines: 31 pricing items per machine, but the
-        # Hall bound 16 (16 jobs on one machine) decides every probe below
-        # it and the schedule (makespan 16) every probe from there on
+        # Hall bound 16 (16 jobs on one machine) is the schedule's makespan,
+        # so the bracket starts closed and the bound prints it
         inst = workdir / "wide.ra"
         inst.write_text(WIDE_TEXT)
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
         assert code == EXIT_OK and err == ""
         lines = out.splitlines()
         assert "makespan 16/1 ~16.000000" in lines
-        assert "lower-bound 2033/128 kind=config-lp" in lines
+        assert "lower-bound 16/1 kind=config-lp" in lines
+        assert "ratio-bound 1/1 ~1.000000" in lines
+        assert "iterations lp_bound_probes 0" in lines
 
     def test_lp_bound_decided_by_the_solve_needs_no_knapsack(self, workdir, capsys):
-        # 31 unit jobs on one machine: the schedule (makespan 31) and the
-        # Hall bound (31) decide every probe of the config-LP bound, so the
-        # 30-item knapsack cap is never reached
+        # 31 unit jobs on one machine: the Hall bound (31) is the schedule's
+        # makespan, so the config-LP bound makes no run and the 30-item
+        # knapsack cap is never reached
         inst = workdir / "big.ra"
         inst.write_text("ra 1\nmachines 1\n"
                         + "".join(f"job j{k} 1/1 : 1\n" for k in range(31)))
@@ -192,11 +195,9 @@ class TestSolve:
         lines = out.splitlines()
         assert lines[0] == "ra-report 1"
         assert "makespan 31/1 ~31.000000" in lines
-        assert "iterations lp_bound_probes 9" in lines
+        assert "iterations lp_bound_probes 0" in lines
         assert all(f"assign j{k} 1" in lines for k in range(31))
-        lower = next(ln for ln in lines if ln.startswith("lower-bound "))
-        bound = Fraction(lower.split()[1])
-        assert 31 / Fraction(101, 100) <= bound < 31
+        assert "lower-bound 31/1 kind=config-lp" in lines
 
     def test_oracle_above_its_job_cap_is_skipped(self, workdir, capsys):
         # the makespan oracle enumerates at most MAKESPAN_JOB_CAP jobs; above
@@ -376,7 +377,7 @@ class TestBench:
 
     def test_bench_bound_gets_the_solve_facts(self, workdir, capsys):
         # 31 unit jobs on one machine: the solve's schedule and Hall bound
-        # decide every probe of the bound, as under `solve --lp-bound`
+        # close the bound's bracket, as under `solve --lp-bound`
         text = "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31))
         corpus = workdir / "corpus"
         corpus.mkdir()

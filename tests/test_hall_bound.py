@@ -1,5 +1,5 @@
 """The Hall bound: its value against every job subset and the optimum, the
-config-LP probes it decides, and the runs it saves on a benchmark pool."""
+config-LP bracket it floors, and the runs of that bound on a benchmark pool."""
 
 import math
 
@@ -14,7 +14,7 @@ from rasched.rational import Frac
 from rasched.seed import hall_bound, max_density
 
 from conftest import benchmark_pool
-from test_acceptance import CAMPAIGN_SIZE, campaign_instance
+from test_acceptance import CAMPAIGN_SIZE, TAU, campaign_instance
 
 
 def hall_and_density(inst):
@@ -67,25 +67,68 @@ def test_hall_bound_counts_jobs_per_machine():
     assert not exact_config_lp_feasible(inst, Frac(199, 100))
 
 
-def test_a_probe_at_the_hall_bound_runs():
-    """The fact decides only T < H: at T = H = max size the configuration
-    LP is feasible, and the bound closes there."""
+def test_a_bracket_closed_at_the_hall_bound_needs_no_run():
+    """H = max size = the schedule's makespan: the configuration LP is
+    feasible at H, and the bound closes there without a run."""
     inst = make_instance(2, [(Frac(1), {1}), (Frac(1), {2})])
     hall, _ = hall_and_density(inst)
     assert hall == inst.max_size() == 1
-    bound = config_lp_lower_bound(inst, Frac(1, 100), infeasible_below=hall)
-    assert (bound.lower, bound.upper, bound.lower_certified) == (1, 1, False)
+    assert exact_config_lp_feasible(inst, hall)
+    bound = config_lp_lower_bound(inst, Frac(1, 100), assignment={1: 1, 2: 2},
+                                  infeasible_below=hall)
+    assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (1, 1, False, 0)
+
+
+def test_the_printed_bound_lies_between_the_hall_bound_and_the_optimum(monkeypatch):
+    """On every campaign instance (at most 10 jobs) under `lp_bound`, the
+    printed lower bound lies in [max(p_max, H), OPT], and the bound's
+    bracket [lower, upper] lies below the makespan and closes within the
+    tolerance unless a run came back unresolved."""
+    bounds, statuses = [], []
+    bound_of, run_cg = driver.config_lp_lower_bound, cm.config_lp_feasible_cg
+
+    def recording_bound(*args, **kwargs):
+        bounds.append(bound_of(*args, **kwargs))
+        return bounds[-1]
+
+    def recording_cg(*args, **kwargs):
+        run = run_cg(*args, **kwargs)
+        statuses.append(run.status)
+        return run
+
+    monkeypatch.setattr(driver, "config_lp_lower_bound", recording_bound)
+    monkeypatch.setattr(cm, "config_lp_feasible_cg", recording_cg)
+    runs = 0
+    for k in range(CAMPAIGN_SIZE):
+        inst = campaign_instance(k)
+        assert inst.num_jobs <= 12
+        hall, _ = hall_and_density(inst)
+        bounds.clear()
+        statuses.clear()
+        report = driver.solve(inst, tau=TAU, lp_bound=True)
+        (bound,) = bounds
+        assert max(inst.max_size(), hall) <= report.lower_bound, k
+        assert report.lower_bound <= exact_optimal_makespan(inst), k
+        assert bound.upper <= report.makespan, k
+        assert (bound.upper <= bound.lower * (1 + TAU)
+                or statuses[-1:] == ["unresolved"]), k
+        runs += len(statuses)
+    assert runs >= 100, runs
 
 
 def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
-    """The column-generation runs and rounds, seed flows and network flows
-    of `solve(..., lp_bound=True)` over the first twelve instances of the
-    seed-101 lp_bound pool, one of which the knapsack cap refuses: a change
-    that adds runs or flows shows here without a timed run. Before the Hall
-    bound decided the probes below it, the runs and rounds were 34 and 91,
-    and the network flows 24; while a run resumed from the last infeasible
-    run's final master, the rounds were 24."""
-    counts = {"runs": 0, "rounds": 0, "seed flows": 0, "network flows": 0, "refused": 0}
+    """The column-generation runs and rounds, seed flows, network flows and
+    knapsack-cap refusals of `solve(..., lp_bound=True)` over the seed-101
+    lp_bound pool (48 instances), and the reports that print a lower bound
+    below the Hall bound, which must be none: a change that adds runs or
+    flows shows here without a timed run. While the bound replayed the
+    midpoints of [max size, total size], the runs and rounds were 28 and
+    106, one instance was refused, and 41 of the 47 reports printed below
+    the Hall bound."""
+    pool = benchmark_pool("lp_bound", 101)
+    halls = [hall_and_density(inst)[0] for inst in pool]
+    counts = {"runs": 0, "rounds": 0, "seed flows": 0, "network flows": 0, "refused": 0,
+              "below hall": 0}
     run_cg, seed_flow, network_flow = (cm.config_lp_feasible_cg, seed.solve_assignment_lp,
                                        AssignmentNetwork.max_flow)
 
@@ -106,10 +149,12 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
     monkeypatch.setattr(cm, "config_lp_feasible_cg", counting_cg)
     monkeypatch.setattr(seed, "solve_assignment_lp", counting_seed_flow)
     monkeypatch.setattr(AssignmentNetwork, "max_flow", counting_network_flow)
-    for inst in benchmark_pool("lp_bound", 101, 12):
+    for inst, hall in zip(pool, halls):
         try:
-            driver.solve(inst, lp_bound=True)
+            report = driver.solve(inst, lp_bound=True)
         except CapExceededError:
             counts["refused"] += 1
-    assert counts == {"runs": 5, "rounds": 25, "seed flows": 12, "network flows": 59,
-                      "refused": 1}
+        else:
+            counts["below hall"] += report.lower_bound < hall
+    assert counts == {"runs": 20, "rounds": 86, "seed flows": 68, "network flows": 259,
+                      "refused": 0, "below hall": 0}
