@@ -52,21 +52,24 @@ def _run_one(args):
     max_layer = max((ev["layer"] for run in logged.run_logs for ev in run.events
                      if ev["layer"]), default=0)
     start = time.perf_counter()
-    try:
-        network = AssignmentNetwork(inst)
-        hall = hall_bound(inst, network, max_density(inst, network))
-        lp_lower = config_lp_lower_bound(inst, tau, assignment=report.placement,
-                                         infeasible_below=hall).lower
-    except CapExceededError:
-        lp_lower = None
+    if not inst.num_jobs:  # the values of solve's empty-instance report
+        lp_lower, ratio = report.lower_bound, report.ratio_bound
+    else:
+        try:
+            network = AssignmentNetwork(inst)
+            hall = hall_bound(inst, network, max_density(inst, network))
+            lp_lower = config_lp_lower_bound(inst, tau, assignment=report.placement,
+                                             infeasible_below=hall).lower
+            ratio = report.makespan / lp_lower
+        except CapExceededError:
+            lp_lower = ratio = None
     lp_seconds = time.perf_counter() - start
     row = BenchRow(
         instance=os.path.basename(path), epsilon=eps,
         layer_limit=layer_cap(inst.num_machines, eps),
         engine_iterations=counts.pop(), max_layer=max_layer,
         wall_seconds=min(times), lp_seconds=lp_seconds, makespan=report.makespan,
-        lp_lower=lp_lower,
-        ratio=None if lp_lower is None else report.makespan / lp_lower,
+        lp_lower=lp_lower, ratio=ratio,
     )
     return row
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 from .model import Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, scale_instance
-from .engine import BlockerType, StuckState, ALL_UNDESIRABLE
+from .engine import BlockerType, StuckState
 from .oracle import KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
 
@@ -182,7 +182,7 @@ def check_covered_machine_margin(stuck: StuckState, cert: DualCertificate):
     violations = []
     active_on = _active_on(engine, engine.active_jobs())
     for b in engine.tree.blockers():
-        if b.btype not in ALL_UNDESIRABLE:
+        if not b.btype.all_undesirable:
             continue
         i, k = b.machine, b.layer
         active_i = active_on[i]

@@ -278,7 +278,7 @@ def _tree_snapshot(engine: InsertionEngine) -> list:
     out = []
     for b in engine.tree.blockers():
         out.append({
-            "job": b.job, "machine": b.machine, "type": b.btype.value,
+            "job": b.job, "machine": b.machine, "type": b.btype.code,
             "layer": b.layer, "sublayer": b.sublayer, "stamp": b.stamp,
             "parent_stamp": b.parent.stamp if b.parent else None,
         })

@@ -32,33 +32,23 @@ class EngineInvariantError(RuntimeError):
 
 
 class BlockerType(enum.Enum):
-    BB = "bb"  # huge or medium mover; huge jobs undesirable on the target
-    BS = "bs"  # huge mover; all jobs undesirable
-    MS = "ms"  # medium mover; all jobs undesirable
-    S = "s"  # small mover; all jobs undesirable
-    M = "m"  # huge mover; mediums up to the smallest medium undesirable
-    MM = "mm"  # huge mover; all mediums undesirable
+    """What a blocker makes undesirable on its target machine. Each type
+    carries its trace code, its sublayer, its priority among potential
+    moves (the highest is added first) and whether it makes every job
+    undesirable there."""
 
+    BB = "bb", 1, 5, False  # huge or medium mover; huge jobs undesirable on the target
+    BS = "bs", 2, 3, True  # huge mover; all jobs undesirable
+    MS = "ms", 2, 3, True  # medium mover; all jobs undesirable
+    S = "s", 3, 4, True  # small mover; all jobs undesirable
+    M = "m", 4, 2, False  # huge mover; mediums up to the smallest medium undesirable
+    MM = "mm", 5, 1, False  # huge mover; all mediums undesirable
 
-SUBLAYER = {
-    BlockerType.BB: 1,
-    BlockerType.BS: 2,
-    BlockerType.MS: 2,
-    BlockerType.S: 3,
-    BlockerType.M: 4,
-    BlockerType.MM: 5,
-}
-
-PRIORITY = {
-    BlockerType.BB: 5,
-    BlockerType.S: 4,
-    BlockerType.MS: 3,
-    BlockerType.BS: 3,
-    BlockerType.M: 2,
-    BlockerType.MM: 1,
-}
-
-ALL_UNDESIRABLE = (BlockerType.S, BlockerType.MS, BlockerType.BS)
+    def __init__(self, code, sublayer, priority, all_undesirable):
+        self.code = code
+        self.sublayer = sublayer
+        self.priority = priority
+        self.all_undesirable = all_undesirable
 
 
 @lru_cache(maxsize=64)
@@ -71,26 +61,23 @@ def layer_cap(num_machines: int, epsilon) -> int:
 
 
 class Blocker:
-    __slots__ = ("job", "machine", "btype", "layer", "stamp", "parent", "alive")
+    __slots__ = ("job", "machine", "btype", "sublayer", "layer", "stamp", "parent", "alive")
 
     def __init__(self, job, machine, btype, layer, stamp, parent):
         self.job = job
         self.machine = machine
         self.btype = btype
+        self.sublayer = btype.sublayer
         self.layer = layer
         self.stamp = stamp
         self.parent = parent  # Blocker or None for children of the root
         self.alive = True
 
-    @property
-    def sublayer(self) -> int:
-        return SUBLAYER[self.btype]
-
     def position(self):
         return (self.layer, self.sublayer, self.stamp)
 
     def __repr__(self):
-        return (f"Blocker(j{self.job}->m{self.machine} {self.btype.value}"
+        return (f"Blocker(j{self.job}->m{self.machine} {self.btype.code}"
                 f" L{self.layer}.{self.sublayer} #{self.stamp})")
 
 
@@ -225,7 +212,7 @@ class InsertionEngine:
         rows = [(0, frozenset(), blocked(self._rigid_smalls, ()))]
         covered = set()
         for k, layer in groupby(self.tree.blockers(), key=lambda b: b.layer):
-            adds = {b.machine for b in layer if b.btype in ALL_UNDESIRABLE}
+            adds = {b.machine for b in layer if b.btype.all_undesirable}
             if adds - covered:
                 covered |= adds
                 rows.append((k, frozenset(covered), blocked(self._smalls, covered)))
@@ -256,7 +243,7 @@ class InsertionEngine:
     def marks_undesirable(self, blocker: Blocker, j) -> bool:
         """Does this blocker make job j undesirable on the blocker's machine?"""
         btype = blocker.btype
-        if btype in ALL_UNDESIRABLE:
+        if btype.all_undesirable:
             return True
         sc = self.scaled
         if btype is BlockerType.BB:
@@ -423,7 +410,7 @@ class InsertionEngine:
                         continue
                     btype = self.classify_potential_move(j, i, k)
                     if btype is not None:
-                        candidates.append((-PRIORITY[btype], j, i, btype))
+                        candidates.append((-btype.priority, j, i, btype))
             if candidates:
                 if k > self.K:
                     return "layer-overflow"
@@ -545,11 +532,11 @@ class InsertionEngine:
         self.events.append({
             "iteration": self.iterations,
             "event": event,
-            "job": b.job if b else None,
-            "machine": b.machine if b else None,
-            "type": b.btype.value if b else None,
-            "layer": b.layer if b else None,
-            "sublayer": b.sublayer if b else None,
+            "job": b.job,
+            "machine": b.machine,
+            "type": b.btype.code,
+            "layer": b.layer,
+            "sublayer": b.sublayer,
             "signature": [list(c) for c in sig] if sig is not None else None,
             "removed": removed,
         })
@@ -570,7 +557,7 @@ class InsertionEngine:
             if key in seen_moves:
                 out.append(f"duplicate move {key} in tree")
             seen_moves.add(key)
-            if b.btype in ALL_UNDESIRABLE:
+            if b.btype.all_undesirable:
                 if b.machine in sma_machines:
                     out.append(f"machine {b.machine} in two all-undesirable blockers")
                 sma_machines.add(b.machine)

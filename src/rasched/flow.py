@@ -1,17 +1,20 @@
-"""Exact integer max-flow (Dinic) and the assignment network of an instance.
+"""Exact integer max-flow (Dinic) on the assignment network of an instance.
 
-`Network` is a residual graph with integer capacities. `AssignmentNetwork`
-lays the arcs source -> job -> permitted machine -> sink of one instance
-once, in bulk: every arc id follows from the instance in closed form, so the
-arc lists are filled by slices and one pass over the job arcs. Each flow it
-runs only resets their capacities, so every guess of a solve shares one
-graph. Its flow is Dinic's with the first phase pushed in closed form: that
-phase's level graph is the layered network itself, so its blocking flow is
-a greedy fill that needs no path search. A solve runs it for the densest
-job set (with every job's supply), for the guesses that set leaves
-undecided, for each schedule that is read and, under `--lp-bound`, for the
-unit supplies of the Hall bound, the floor of the config-LP bound's
-bisection (`rasched.seed`).
+`AssignmentNetwork` lays the arcs source -> job -> permitted machine -> sink
+of one instance once, in bulk: every arc id follows from the instance in
+closed form, so the arc lists are filled by slices and one pass over the job
+arcs. Each flow it runs only resets their capacities, so every guess of a
+solve shares one graph. Its flow is Dinic's with the first phase pushed in
+closed form: that phase's level graph is the layered network itself, so its
+blocking flow is a greedy fill that needs no path search.
+
+Every flow answers one question, Hall's (`violator`): the jobs the source
+still reaches after a maximum flow, none exactly when every supply is sent,
+and otherwise a job set that outweighs the machines it may use. A solve asks
+it for the densest job set (with every job's supply), for the guesses that
+set leaves undecided, for each schedule that is read and, under
+`--lp-bound`, for the unit supplies of the Hall bound, the floor of the
+config-LP bound's bisection (`rasched.seed`).
 """
 
 from __future__ import annotations
@@ -19,84 +22,9 @@ from __future__ import annotations
 from collections import deque
 
 
-class Network:
-    """Residual graph with integer capacities; arc e and its reverse e ^ 1."""
-
-    def __init__(self, nodes):
-        self.out = [[] for _ in range(nodes)]  # arc ids leaving each node
-        self.head = []
-        self.cap = []
-
-    def arc(self, u, v, cap):
-        self.out[u].append(len(self.head))
-        self.head.append(v)
-        self.cap.append(cap)
-        self.out[v].append(len(self.head))
-        self.head.append(u)
-        self.cap.append(0)
-
-    def levels(self, source):
-        """BFS distance from the source over arcs with residual capacity;
-        -1 marks nodes the source cannot reach."""
-        out, head, cap = self.out, self.head, self.cap
-        level = [-1] * len(out)
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            nxt = level[u] + 1
-            for e in out[u]:
-                v = head[e]
-                if level[v] < 0 and cap[e] > 0:
-                    level[v] = nxt
-                    queue.append(v)
-        return level
-
-    def push_path(self, source, sink, level, cursor):
-        """Augment along one source-sink path of the level graph and return
-        the amount pushed, 0 once the phase's flow is blocking. Iterative
-        depth-first search; cursor[u] skips arcs already found useless."""
-        head, cap, out = self.head, self.cap, self.out
-        path = []
-        u = source
-        while u != sink:
-            arcs, k, want = out[u], cursor[u], level[u] + 1
-            end = len(arcs)
-            while k < end:
-                e = arcs[k]
-                if cap[e] > 0 and level[head[e]] == want:
-                    break
-                k += 1
-            else:
-                cursor[u] = k
-                if not path:
-                    return 0
-                u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
-                cursor[u] += 1
-                continue
-            cursor[u] = k
-            path.append(e)
-            u = head[e]
-        delta = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= delta
-            cap[e ^ 1] += delta
-        return delta
-
-    def max_flow(self, source, sink):
-        """Dinic's algorithm; returns the flow value and the final levels."""
-        total = 0
-        while True:
-            level = self.levels(source)
-            if level[sink] < 0:
-                return total, level
-            cursor = [0] * len(self.out)
-            while pushed := self.push_path(source, sink, level, cursor):
-                total += pushed
-
-
 class AssignmentNetwork:
-    """The arcs source -> job -> permitted machine -> sink of an instance.
+    """The arcs source -> job -> permitted machine -> sink of an instance, as
+    a residual graph with integer capacities: arc e and its reverse e ^ 1.
 
     Job j is node j and machine i is node n + i. The source arcs come first,
     by job, then each job's machine arcs by machine id, then the sink arcs
@@ -108,12 +36,12 @@ class AssignmentNetwork:
     def __init__(self, inst):
         n, m = inst.num_jobs, inst.num_machines
         self.source, self.sink = 0, n + m + 1
-        jobs = inst.jobs
+        self._jobs = jobs = inst.jobs
         # arc ids: job j's source arc 2 (j - 1), the job arcs from 2 n on,
         # machine i's sink arc sink_arc + 2 i; each reverse arc is id + 1
         first = 2 * n
         sink_arc = first + 2 * sum(map(len, inst.gamma)) - 2
-        out = [list(range(0, first, 2))]
+        out = [list(range(0, first, 2))]  # arc ids leaving each node
         out += [[2 * j - 1] for j in jobs]
         out += [[] for _ in inst.machines]
         out.append(list(range(sink_arc + 3, sink_arc + 2 * m + 3, 2)))
@@ -139,26 +67,41 @@ class AssignmentNetwork:
         head[first + 1:e:2] = [j for j, _, _ in self.job_arcs]
         head[e::2] = [self.sink] * m
         head[e + 1::2] = range(n + 1, n + m + 1)
-        # per arc, the index of its capacity in `max_flow`'s value list:
+        # per arc, the index of its capacity in `violator`'s value list:
         # job j's arcs read j, sink arcs read n + 1, reverse arcs read 0
         self._owner = [0] * len(head)
         self._owner[0:e:2] = [*jobs, *(j for j, _, _ in self.job_arcs)]
         self._owner[e::2] = [n + 1] * m
-        self.net = Network(0)
-        self.net.head, self.net.cap, self.net.out = head, [0] * len(head), out
+        self.head, self.cap, self.out = head, [0] * len(head), out
 
-    def max_flow(self, supply, capacity):
-        """Max flow with job j supplying supply[j] (supply[0] is unused) on
-        its source arc and on each machine arc, and every machine absorbing
-        `capacity`. Returns the flow value and the final levels."""
+    def violator(self, supply, capacity):
+        """Run a max flow with job j supplying supply[j] (supply[0] is
+        unused) on its source arc and on each machine arc, and every machine
+        absorbing `capacity`; return the jobs the source still reaches, in
+        id order.
+
+        The list is empty exactly when every supply is sent: the source
+        reaches a job just when its source arc has room. Otherwise it is a
+        Hall violator J, whose supply exceeds `capacity` |Gamma(J)|. The
+        reachable machines are full, or the flow would augment, and only
+        reachable jobs load them, or a reverse arc would reach the job. A
+        reachable job reaches all its permitted machines: an arc it
+        saturates carries its whole supply, so its source arc is saturated
+        too and the job was reached back through that machine. Some
+        reachable job is short of its supply, so the jobs of J send
+        `capacity` |Gamma(J)| in all, less than their supply.
+        """
         values = [0, *supply[1:], capacity]
-        cap = self.net.cap = [values[o] for o in self._owner]
-        first = self._first_phase(cap)
-        value, level = self.net.max_flow(self.source, self.sink)
-        return first + value, level
+        self.cap = [values[o] for o in self._owner]
+        self._first_phase()
+        while (level := self._levels())[self.sink] >= 0:
+            cursor = [0] * len(self.out)
+            while self._push_path(level, cursor):
+                pass
+        return [j for j in self._jobs if level[j] >= 0]
 
-    def _first_phase(self, cap):
-        """Push Dinic's first blocking flow on `cap` and return its value.
+    def _first_phase(self):
+        """Push Dinic's first blocking flow.
 
         Every job with supply is at level 1 and every machine it may use at
         level 2, so the first level graph is source -> job -> machine ->
@@ -167,7 +110,7 @@ class AssignmentNetwork:
         A machine arc carries the job's whole supply, so each push is the
         job's remaining supply or the machine's remaining room.
         """
-        total = 0
+        cap = self.cap
         for source_arc, fan in self._fans:
             left = supply = cap[source_arc]
             for e, sink_arc in fan:
@@ -183,10 +126,56 @@ class AssignmentNetwork:
                     left -= push
             cap[source_arc] = left
             cap[source_arc ^ 1] += supply - left
-            total += supply - left
-        return total
+
+    def _levels(self):
+        """BFS distance from the source over arcs with residual capacity;
+        -1 marks nodes the source cannot reach."""
+        out, head, cap = self.out, self.head, self.cap
+        level = [-1] * len(out)
+        level[self.source] = 0
+        queue = deque([self.source])
+        while queue:
+            u = queue.popleft()
+            nxt = level[u] + 1
+            for e in out[u]:
+                v = head[e]
+                if level[v] < 0 and cap[e] > 0:
+                    level[v] = nxt
+                    queue.append(v)
+        return level
+
+    def _push_path(self, level, cursor):
+        """Augment along one source-sink path of the level graph and return
+        the amount pushed, 0 once the phase's flow is blocking. Iterative
+        depth-first search; cursor[u] skips arcs already found useless."""
+        head, cap, out, sink = self.head, self.cap, self.out, self.sink
+        path = []
+        u = self.source
+        while u != sink:
+            arcs, k, want = out[u], cursor[u], level[u] + 1
+            end = len(arcs)
+            while k < end:
+                e = arcs[k]
+                if cap[e] > 0 and level[head[e]] == want:
+                    break
+                k += 1
+            else:
+                cursor[u] = k
+                if not path:
+                    return 0
+                u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
+                cursor[u] += 1
+                continue
+            cursor[u] = k
+            path.append(e)
+            u = head[e]
+        delta = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= delta
+            cap[e ^ 1] += delta
+        return delta
 
     def job_flow(self, supply):
-        """(job, machine) -> the positive flow on that arc after `max_flow`."""
-        cap = self.net.cap
+        """(job, machine) -> the positive flow on that arc after `violator`."""
+        cap = self.cap
         return {(j, i): f for j, i, e in self.job_arcs if (f := supply[j] - cap[e])}

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
+from .rational import Frac, frac, integer_image, parse_ratio, ratio_str
 
 FIVE_SIXTHS = Frac(5, 6)
 
@@ -69,9 +69,6 @@ class Instance:
 
     def name_of(self, j: int) -> str:
         return self.names[self.orig_of[j]]
-
-    def total_size(self):
-        return sum(self.sizes[1:], ZERO)
 
     def max_size(self):
         return max(self.sizes[1:])

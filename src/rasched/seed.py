@@ -7,9 +7,11 @@ p_j = q_j / L, U = L a and P_j = b q_j, so P_j / U is job j's scaled size:
 the LP is feasible exactly when the flow saturates every job, and
 x[j,i] = f[j,i] / P_j is then a solution. The network's arcs are laid once
 per solve (`flow.AssignmentNetwork`) and each guess only resets their
-capacities. A failed flow yields a Hall violator J, small/medium jobs with
-p(J) > T |Gamma(J)|. It is kept as a `HallViolator`: its largest job id,
-sum_J q_j and |Gamma(J)|, none of which depend on the guess.
+capacities. Every flow here is a call of the network's Hall query
+(`AssignmentNetwork.violator`): a failed flow yields a Hall violator J,
+small/medium jobs with p(J) > T |Gamma(J)|. It is kept as a `HallViolator`:
+its largest job id, sum_J q_j and |Gamma(J)|, none of which depend on the
+guess.
 
 By Hall's condition the LP over all jobs is feasible at T exactly when
 T >= lambda* = max_J p(J)/|Gamma(J)| (Lenstra-Shmoys-Tardos). A solve finds
@@ -108,8 +110,8 @@ def solve_assignment_lp(scaled: ScaledInstance,
     P_j = b q_j and every machine absorbs U = L a (see the module docstring).
     `network` is the instance's arc template, laid here when not given; the
     flow is copied out of it, since the next guess resets it. Raises
-    SeedInfeasible, carrying the Hall violator read off the residual graph,
-    when the flow cannot saturate every job.
+    SeedInfeasible, carrying the Hall violator of the network's query
+    (`AssignmentNetwork.violator`), when the flow cannot saturate every job.
     """
     sm_jobs = range(1, scaled.huge_start)
     if not sm_jobs:
@@ -118,16 +120,8 @@ def solve_assignment_lp(scaled: ScaledInstance,
         network = AssignmentNetwork(scaled.base)
     sizes, end = scaled.int_sizes, scaled.huge_start
     supply = list(sizes[:end]) + [0] * (len(sizes) - end)
-    value, level = network.max_flow(supply, scaled.unit)
-    if value < sum(supply):
-        # The reachable machines are full, or the flow would augment, and only
-        # reachable jobs load them, or a reverse arc would reach the job. A
-        # reachable job reaches all its permitted machines: an arc it
-        # saturates carries its whole supply, so its source arc is saturated
-        # too and the job was reached back through that machine. Some
-        # reachable job is short of its supply, so these jobs J outweigh the
-        # full union of their permitted sets: p(J) > |Gamma(J)|.
-        raise SeedInfeasible(HallViolator.of(scaled.base, (j for j in sm_jobs if level[j] >= 0)))
+    if jobs := network.violator(supply, scaled.unit):
+        raise SeedInfeasible(HallViolator.of(scaled.base, jobs))
     return FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
 
 
@@ -266,9 +260,8 @@ def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
 
     Dinkelbach iteration on the parametric flow: at T = a/b, the density of
     the current set, every job (huge ones too) supplies b q_j on `network`
-    and every machine absorbs L a. A failed flow leaves its source-reachable
-    jobs J', which outweigh their permitted machines as in
-    `solve_assignment_lp`, so p(J') > T |Gamma(J')|: T moves to their
+    and every machine absorbs L a. A failed flow's Hall violator J'
+    (`AssignmentNetwork.violator`) has p(J') > T |Gamma(J')|: T moves to its
     density and the flow runs again. The first flow that saturates shows
     T >= lambda*, and T is the density of a set, so T = lambda*. Starts at
     the whole job set, the set returned when the first flow saturates.
@@ -279,10 +272,9 @@ def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
         densest = HallViolator.of(inst, jobs)
         guess = Frac(densest.volume, scale * densest.width)
         supply = [guess.denominator * x for x in q]
-        value, level = network.max_flow(supply, scale * guess.numerator)
-        if value == sum(supply):
+        jobs = network.violator(supply, scale * guess.numerator)
+        if not jobs:
             return densest
-        jobs = [j for j in inst.jobs if level[j] >= 0]
 
 
 def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator) -> Frac:
@@ -294,13 +286,13 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
     cardinality half. The search starts at lambda*, the density of J* (the
     volume half at its largest), and for k = 1, 2, ... takes the jobs of
     size s with (k+1) s > best, a suffix of the ids. Each of them supplies 1
-    on `network` and every machine absorbs k. A failed flow leaves its
-    source-reachable jobs J, which outweigh their permitted machines as in
-    `solve_assignment_lp`: |J| > k |Gamma(J)|, so c > k and the c smallest
-    sizes in J sum to more than best. best rises to that sum and the flow
-    runs again at the same k. No flow runs when the jobs number at most k
-    times the least |Gamma(j)| among them, since then none of their subsets
-    can outnumber k times its machines.
+    on `network` and every machine absorbs k. A failed flow's Hall violator
+    J (`AssignmentNetwork.violator`) has |J| > k |Gamma(J)|, so c >= k + 1,
+    and each of its jobs has (k+1) s > best, so its c smallest sizes sum to
+    more than best: best always rises to that sum, and the flow runs again
+    at the same k. No flow runs when the jobs number at most k times the
+    least |Gamma(j)| among them, since then none of their subsets can
+    outnumber k times its machines.
     """
     scale, q = inst.integer_image
     n = inst.num_jobs
@@ -317,19 +309,12 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
         if count <= k * least_width[start]:
             k += 1
             continue
-        supply = [0] * start + [1] * count
-        value, level = network.max_flow(supply, k)
-        if value == count:
+        jobs = network.violator([0] * start + [1] * count, k)  # by size
+        if not jobs:
             k += 1
             continue
-        jobs = [j for j in range(start, n + 1) if level[j] >= 0]  # by size
-        violator = HallViolator.of(inst, jobs)
-        c = -(-len(jobs) // violator.width)
-        cardinality = Frac(sum(q[j] for j in jobs[:c]), scale)
-        if cardinality > best:
-            best = cardinality
-        else:
-            k += 1
+        c = -(-len(jobs) // HallViolator.of(inst, jobs).width)
+        best = Frac(sum(q[j] for j in jobs[:c]), scale)
     return best
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import random
 import signal
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -222,3 +223,81 @@ def record_cycles(monkeypatch):
 
     monkeypatch.setattr(seed, "_support_cycle", recording)
     return cycles
+
+
+class ReferenceNetwork:
+    """The reference for `flow.AssignmentNetwork`: a generic residual graph
+    with integer capacities, laid one arc at a time (arc e and its reverse
+    e ^ 1), and Dinic's algorithm from the first phase on."""
+
+    def __init__(self, nodes):
+        self.out = [[] for _ in range(nodes)]  # arc ids leaving each node
+        self.head = []
+        self.cap = []
+
+    def arc(self, u, v, cap):
+        self.out[u].append(len(self.head))
+        self.head.append(v)
+        self.cap.append(cap)
+        self.out[v].append(len(self.head))
+        self.head.append(u)
+        self.cap.append(0)
+
+    def levels(self, source):
+        """BFS distance from the source over arcs with residual capacity;
+        -1 marks nodes the source cannot reach."""
+        out, head, cap = self.out, self.head, self.cap
+        level = [-1] * len(out)
+        level[source] = 0
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            nxt = level[u] + 1
+            for e in out[u]:
+                v = head[e]
+                if level[v] < 0 and cap[e] > 0:
+                    level[v] = nxt
+                    queue.append(v)
+        return level
+
+    def push_path(self, source, sink, level, cursor):
+        """Augment along one source-sink path of the level graph and return
+        the amount pushed, 0 once the phase's flow is blocking. Iterative
+        depth-first search; cursor[u] skips arcs already found useless."""
+        head, cap, out = self.head, self.cap, self.out
+        path = []
+        u = source
+        while u != sink:
+            arcs, k, want = out[u], cursor[u], level[u] + 1
+            end = len(arcs)
+            while k < end:
+                e = arcs[k]
+                if cap[e] > 0 and level[head[e]] == want:
+                    break
+                k += 1
+            else:
+                cursor[u] = k
+                if not path:
+                    return 0
+                u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
+                cursor[u] += 1
+                continue
+            cursor[u] = k
+            path.append(e)
+            u = head[e]
+        delta = min(cap[e] for e in path)
+        for e in path:
+            cap[e] -= delta
+            cap[e ^ 1] += delta
+        return delta
+
+    def max_flow(self, source, sink):
+        """Dinic's algorithm; returns the flow value and the final levels."""
+        total = 0
+        while True:
+            level = self.levels(source)
+            if level[sink] < 0:
+                return total, level
+            cursor = [0] * len(self.out)
+            while pushed := self.push_path(source, sink, level, cursor):
+                total += pushed

@@ -7,7 +7,7 @@ import pytest
 
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
-from rasched.engine import ALL_UNDESIRABLE, BlockerType, StuckState, insert_huge_job
+from rasched.engine import BlockerType, StuckState, insert_huge_job
 from rasched.flow import AssignmentNetwork
 from rasched.seed import seed_small_medium, round_seed, hall_bound, max_density
 from rasched.certificate import (_active_on, best_configuration,
@@ -176,7 +176,7 @@ class TestSerialization:
         """The covered-machine margin reads only what the text keeps."""
         states = [rich_stuck()[0]] + [
             stuck for stuck in aggressive_stuck_states(range(400))
-            if any(b.btype in ALL_UNDESIRABLE for b in stuck.engine.tree.blockers())]
+            if any(b.btype.all_undesirable for b in stuck.engine.tree.blockers())]
         assert len(states) > 1
         for stuck in states:
             cert = build_dual_certificate(stuck)
@@ -654,7 +654,7 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
         fresh_bisection(inst, TAU, **solve_facts(inst))
     for kind, seed in DECIDED_CASES[::4]:
         inst = decided_case(kind, seed)
-        for T in (inst.max_size(), inst.total_size() / 2):
+        for T in (inst.max_size(), sum(inst.sizes[1:]) / 2):
             exact_config_lp_feasible(inst, T)
     assert len(master) >= 200 and len(enumerated) >= 20
 

@@ -352,6 +352,25 @@ class TestBench:
         assert recs["wide.ra"]["makespan"] == "17/1"
         assert recs["good.ra"]["ratio_vs_lp"] is not None
 
+    def test_bench_gives_a_job_less_instance_the_row_solve_reports(self, workdir, capsys):
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "empty.ra").write_text("ra 1\nmachines 1\n")
+        (corpus / "good.ra").write_text(
+            "ra 1\nmachines 2\njob a 1/3 : 1\njob b 9/10 : 1 2\n")
+        rows = workdir / "rows.jsonl"
+        code, out, err = run_cli(capsys, "bench", str(corpus), "--jsonl", str(rows))
+        assert code == EXIT_OK, err
+        lines = {ln.split()[0]: ln.split() for ln in out.splitlines()[2:]}
+        assert set(lines) == {"empty.ra", "good.ra"}
+        assert lines["empty.ra"][7] == "1.000000"
+        recs = {r["instance"]: r for r in map(json.loads, rows.read_text().splitlines())}
+        assert (recs["empty.ra"]["lp_lower_bound"], recs["empty.ra"]["ratio_vs_lp"]) \
+            == ("0/1", "1/1")
+        code, out, _ = run_cli(capsys, "solve", str(corpus / "empty.ra"))
+        assert code == EXIT_OK
+        assert "lower-bound 0/1 kind=empty-instance" in out and "ratio-bound 1/1" in out
+
     def test_bench_times_unlogged_solves(self, workdir, monkeypatch):
         # the event log only feeds max_layer: the timed solves run without
         # it and one more solve, untimed, logs the events
@@ -418,12 +437,14 @@ def mutated(rng, text):
 class TestMutationFuzz:
     """Mutated inputs end in a documented exit code and never in a
     traceback: a 28-job two-value instance goes through `solve`, plain and
-    with `--audit`, `--lp-bound` or `--oracle`, and one of its stuck
-    certificates through `check`. Exit 3, an internal invariant violation,
-    is a bug here."""
+    with `--audit`, `--lp-bound` or `--oracle`, through `trace`, and as the
+    one file of a `bench` corpus, and one of its stuck certificates through
+    `check`. Exit 3, an internal invariant violation, is a bug here. `bench`
+    skips a file it cannot parse and marks an over-cap bound `refused`, so
+    it exits 0 on every case."""
 
-    CASES = 200
-    COMMANDS = ((), ("--audit",), ("--lp-bound",), ("--oracle",), "check")
+    CASES = 280
+    COMMANDS = ((), ("--audit",), ("--lp-bound",), ("--oracle",), "check", "trace", "bench")
 
     def test_mutated_inputs_exit_with_a_documented_code(self, workdir, capsys):
         inst_text = serialize_instance(two_value_instance(random.Random(0), 16))
@@ -443,12 +464,20 @@ class TestMutationFuzz:
             if command == "check":
                 path.write_text(mutated(rng, cert_text))
                 argv = ["check", str(inst), str(path)]
+            elif command == "trace":
+                path.write_text(mutated(rng, inst_text))
+                argv = ["trace", str(path)]
+            elif command == "bench":
+                path.mkdir()
+                (path / "i.ra").write_text(mutated(rng, inst_text))
+                argv = ["bench", str(path)]
             else:
                 path.write_text(mutated(rng, inst_text))
                 argv = ["solve", str(path), *command]
             with interrupted_after(2):
                 code, _, err = run_cli(capsys, *argv)
             assert code in (EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_LIMIT), (argv, err)
+            assert code == EXIT_OK or command != "bench", (argv, err)
             assert "Traceback" not in err, (argv, err)
             codes[code] += 1
         # some mutations get past the parsers

@@ -9,7 +9,7 @@ from rasched.rational import Frac
 from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
                             StuckState, EngineInvariantError, insert_huge_job,
-                            layer_cap, SUBLAYER, PRIORITY)
+                            layer_cap)
 from rasched import driver
 from rasched.driver import solve
 from rasched.flow import AssignmentNetwork
@@ -37,12 +37,15 @@ class TestLayerCap:
         assert layer_cap(10, Frac(1, 48)) == 2 * layer_cap(10, Frac(1, 24))
 
     def test_sublayers_and_priorities(self):
-        assert [SUBLAYER[t] for t in (BlockerType.BB, BlockerType.BS, BlockerType.MS,
-                                      BlockerType.S, BlockerType.M, BlockerType.MM)] \
+        assert [t.sublayer for t in (BlockerType.BB, BlockerType.BS, BlockerType.MS,
+                                     BlockerType.S, BlockerType.M, BlockerType.MM)] \
             == [1, 2, 2, 3, 4, 5]
-        assert [PRIORITY[t] for t in (BlockerType.BB, BlockerType.S, BlockerType.MS,
-                                      BlockerType.BS, BlockerType.M, BlockerType.MM)] \
+        assert [t.priority for t in (BlockerType.BB, BlockerType.S, BlockerType.MS,
+                                     BlockerType.BS, BlockerType.M, BlockerType.MM)] \
             == [5, 4, 3, 3, 2, 1]
+        assert [t for t in BlockerType if t.all_undesirable] \
+            == [BlockerType.BS, BlockerType.MS, BlockerType.S]
+        assert [t.code for t in BlockerType] == ["bb", "bs", "ms", "s", "m", "mm"]
 
 
 def engine_with(jobs, machines, assignment, j_new, **kw):

@@ -249,8 +249,8 @@ class TestConfigLP:
     def test_maximal_equals_all_enumeration(self, seed):
         inst = generate_instance(GenSpec(machines=2, jobs=6, seed=seed,
                                          preset="huge_heavy"))
-        for T in (inst.max_size(), (inst.max_size() + inst.total_size()) / 2,
-                  inst.total_size()):
+        for T in (inst.max_size(), (inst.max_size() + sum(inst.sizes[1:])) / 2,
+                  sum(inst.sizes[1:])):
             assert (exact_config_lp_feasible(inst, T, configs="maximal")
                     == exact_config_lp_feasible(inst, T, configs="all"))
 
@@ -258,7 +258,7 @@ class TestConfigLP:
     def test_feasibility_monotone_in_threshold(self, seed):
         inst = generate_instance(GenSpec(machines=3, jobs=6, seed=seed,
                                          preset="collision"))
-        lo, hi = inst.max_size(), inst.total_size()
+        lo, hi = inst.max_size(), sum(inst.sizes[1:])
         grid = [lo + (hi - lo) * Frac(k, 6) for k in range(7)]
         flags = [exact_config_lp_feasible(inst, T) for T in grid]
         assert flags == sorted(flags)  # False... then True...

@@ -36,7 +36,7 @@ class TestAssignmentLP:
     def test_feasible_solutions_satisfy_both_row_families(self, seed):
         inst = generate_instance(GenSpec(machines=3, jobs=6, seed=seed,
                                          density=Frac(2, 3)))
-        guess = inst.total_size() / 2
+        guess = sum(inst.sizes[1:]) / 2
         sc = scale_instance(inst, guess, EPS)
         try:
             fa = solve_assignment_lp(sc)
@@ -54,7 +54,7 @@ class TestAssignmentLP:
     def test_support_is_forest(self):
         for seed in range(8):
             inst = generate_instance(GenSpec(machines=4, jobs=9, seed=seed))
-            sc = scale_instance(inst, inst.total_size(), EPS)
+            sc = scale_instance(inst, sum(inst.sizes[1:]), EPS)
             fa = solve_assignment_lp(sc)
             eliminate_support_cycles(fa)
             assert reference_support_cycle(entries_of(fa)) is None
@@ -161,7 +161,7 @@ def max_flow_supports():
     for k in range(60):
         inst = generate_instance(GenSpec(machines=3 + k % 4, jobs=8 + k % 9,
                                          density=(Frac(1, 2), Frac(2, 3))[k % 2], seed=k))
-        guess = max(inst.max_size(), inst.total_size() / inst.num_machines) * Frac(11, 10)
+        guess = max(inst.max_size(), sum(inst.sizes[1:]) / inst.num_machines) * Frac(11, 10)
         sc = scale_instance(inst, guess, EPS)
         try:
             out.append((sc, solve_assignment_lp(sc)))

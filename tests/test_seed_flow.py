@@ -8,7 +8,7 @@ import pytest
 
 from rasched import driver, seed
 from rasched.engine import EngineInvariantError
-from rasched.flow import AssignmentNetwork, Network
+from rasched.flow import AssignmentNetwork
 from rasched.rational import Frac, integer_image, ratio_str
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible, solve_assignment_lp, seed_small_medium,
@@ -17,8 +17,8 @@ from rasched.seed import (FractionalAssignment, SeedInfeasible, solve_assignment
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
-from conftest import (EPS, benchmark_pool, entries_of, job_sum, machine_load, record_cycles,
-                      reference_support_cycle, still_violates, two_value_instance)
+from conftest import (EPS, ReferenceNetwork, benchmark_pool, entries_of, job_sum, machine_load,
+                      record_cycles, reference_support_cycle, still_violates, two_value_instance)
 
 CHAIN = 700
 
@@ -95,10 +95,11 @@ def test_flow_decides_exactly_like_the_lp():
 
 def plain_dinic(inst, supply, capacity):
     """The assignment network with its arcs in `AssignmentNetwork`'s order,
-    flowed by `Network.max_flow` from the first phase on. Returns the flow
-    value, the (job, machine) flows and the final levels."""
+    flowed by `ReferenceNetwork.max_flow` from the first phase on. Returns
+    the flow value, the (job, machine) flows and the jobs the source still
+    reaches, in id order."""
     n, m = inst.num_jobs, inst.num_machines
-    net, arcs = Network(n + m + 2), []
+    net, arcs = ReferenceNetwork(n + m + 2), []
     for j in inst.jobs:
         net.arc(0, j, supply[j])
     for j in inst.jobs:
@@ -108,7 +109,8 @@ def plain_dinic(inst, supply, capacity):
     for i in inst.machines:
         net.arc(n + i, n + m + 1, capacity)
     value, level = net.max_flow(0, n + m + 1)
-    return value, {(j, i): f for j, i, e in arcs if (f := supply[j] - net.cap[e])}, level
+    return (value, {(j, i): f for j, i, e in arcs if (f := supply[j] - net.cap[e])},
+            [j for j in inst.jobs if level[j] >= 0])
 
 
 def hand_networks():
@@ -130,12 +132,12 @@ def hand_networks():
 
 def test_bulk_laid_network_matches_arc_by_arc_laying():
     """`AssignmentNetwork` fills its arc lists in bulk; they equal those of
-    `Network.arc` called once per arc in the documented order, and each
-    arc reads its capacity from the value its owner names."""
+    `ReferenceNetwork.arc` called once per arc in the documented order, and
+    each arc reads its capacity from the value its owner names."""
     for name, inst, _ in differential_cases():
         n, m = inst.num_jobs, inst.num_machines
         values = [0, *range(10, 10 + n), 7]  # job j supplies 9 + j, machines absorb 7
-        plain = Network(n + m + 2)
+        plain = ReferenceNetwork(n + m + 2)
         for j in inst.jobs:
             plain.arc(0, j, values[j])
         for j in inst.jobs:
@@ -144,11 +146,13 @@ def test_bulk_laid_network_matches_arc_by_arc_laying():
         for i in inst.machines:
             plain.arc(n + i, n + m + 1, values[n + 1])
         bulk = AssignmentNetwork(inst)
-        assert (bulk.net.head, bulk.net.out) == (plain.head, plain.out), name
+        assert (bulk.head, bulk.out) == (plain.head, plain.out), name
         assert [values[o] for o in bulk._owner] == plain.cap, name
 
 
-def test_closed_form_first_phase_flows_like_dinic():
+def flow_cases():
+    """The hand networks, then every differential case with its seed
+    supplies: (name, instance, supply, capacity)."""
     cases = hand_networks()
     for name, inst, guess in differential_cases():
         sc = scale_instance(inst, guess, EPS)
@@ -156,14 +160,35 @@ def test_closed_form_first_phase_flows_like_dinic():
         for j in range(1, sc.huge_start):
             supply[j] = sc.int_sizes[j]
         cases.append((name, inst, supply, sc.unit))
-    saturated = 0
+    return cases
+
+
+def test_closed_form_first_phase_flows_like_dinic():
+    """The query's jobs, its flow and the flow's value are those of the
+    reference Dinic run from the first phase on."""
+    cases, saturated = flow_cases(), 0
     for name, inst, supply, capacity in cases:
         network = AssignmentNetwork(inst)
-        value, level = network.max_flow(supply, capacity)
-        expected = plain_dinic(inst, supply, capacity)
-        assert (value, network.job_flow(supply), level) == expected, name
-        saturated += value == sum(supply)
+        jobs = network.violator(supply, capacity)
+        flow = network.job_flow(supply)
+        assert (sum(flow.values()), flow, jobs) == plain_dinic(inst, supply, capacity), name
+        saturated += not jobs
     assert 0 < saturated < len(cases)
+
+
+def test_violator_is_empty_exactly_when_the_flow_saturates():
+    """The query returns no job exactly when the reference flow sends every
+    supply, and otherwise jobs J whose supply exceeds capacity |Gamma(J)|."""
+    outcomes = set()
+    for name, inst, supply, capacity in flow_cases():
+        jobs = AssignmentNetwork(inst).violator(supply, capacity)
+        value, _, _ = plain_dinic(inst, supply, capacity)
+        assert (not jobs) == (value == sum(supply)), name
+        if jobs:
+            machines = set().union(*(inst.gamma[j] for j in jobs))
+            assert sum(supply[j] for j in jobs) > capacity * len(machines), name
+        outcomes.add(not jobs)
+    assert outcomes == {True, False}
 
 
 def violator_sweep():
@@ -475,7 +500,7 @@ def test_audited_solves_run_every_seed_flow_through_the_seed_module(monkeypatch)
     audit's flow behind each guess the densest set refutes included."""
     inside = []
     counts = {"seed": 0, "other": 0, "audited": 0}
-    network_flow, seed_flow, density = (AssignmentNetwork.max_flow,
+    network_flow, seed_flow, density = (AssignmentNetwork.violator,
                                         seed.solve_assignment_lp, driver.max_density)
 
     def counting_network_flow(self, supply, capacity):
@@ -505,7 +530,7 @@ def test_audited_solves_run_every_seed_flow_through_the_seed_module(monkeypatch)
             counts["audited"] += exc.violator is densest
             raise
 
-    monkeypatch.setattr(AssignmentNetwork, "max_flow", counting_network_flow)
+    monkeypatch.setattr(AssignmentNetwork, "violator", counting_network_flow)
     monkeypatch.setattr(seed, "solve_assignment_lp", counting_seed_flow)
     monkeypatch.setattr(driver, "max_density", uncounted_density)
     monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
