@@ -1,4 +1,12 @@
-"""Benchmark harness over a corpus of instance files."""
+"""Benchmark harness over a corpus of instance files.
+
+Each row times the plain solves of one instance at one epsilon, reads the
+deepest layer off one more, logged solve, and takes its config-LP bound and
+ratio from one timed `solve(..., lp_bound=True)`: the `lower-bound` and
+`ratio-bound` that `rasched solve --lp-bound` prints, or none where that
+bound refuses the instance (over a cap). Every solve of a row must count
+the same engine iterations.
+"""
 
 from __future__ import annotations
 
@@ -13,9 +21,6 @@ from . import rational
 from .rational import frac, ratio_str
 from .model import parse_instance, InstanceFormatError
 from .driver import solve
-from .certificate import config_lp_lower_bound
-from .flow import AssignmentNetwork
-from .seed import hall_bound, max_density
 from .engine import layer_cap
 from .oracle import CapExceededError
 
@@ -28,16 +33,14 @@ class BenchRow:
     engine_iterations: int
     max_layer: int
     wall_seconds: float  # best solve time over the repetitions
-    lp_seconds: float  # the config-LP bound, computed once after the solves
+    lp_seconds: float  # one solve with the config-LP bound, after the timed solves
     makespan: object
     lp_lower: object  # None when the bound refused the instance (over a cap)
     ratio: object
 
 
 def _run_one(args):
-    path, text, eps_str, tau_str, reps = args
-    inst = parse_instance(text)
-    eps, tau = frac(eps_str), frac(tau_str)
+    name, inst, eps, tau, reps = args
     times, counts = [], set()
     for _ in range(reps):
         start = time.perf_counter()
@@ -47,31 +50,25 @@ def _run_one(args):
     # the event log only feeds max_layer: one more solve, untimed, keeps it
     logged = solve(inst, eps, tau, log_events=True)
     counts.add(logged.iterations.get("engine_iterations", 0))
-    if len(counts) != 1:
-        raise RuntimeError(f"nondeterministic iteration count on {path}")
     max_layer = max((ev["layer"] for run in logged.run_logs for ev in run.events
                      if ev["layer"]), default=0)
     start = time.perf_counter()
-    if not inst.num_jobs:  # the values of solve's empty-instance report
-        lp_lower, ratio = report.lower_bound, report.ratio_bound
-    else:
-        try:
-            network = AssignmentNetwork(inst)
-            hall = hall_bound(inst, network, max_density(inst, network))
-            lp_lower = config_lp_lower_bound(inst, tau, assignment=report.placement,
-                                             infeasible_below=hall).lower
-            ratio = report.makespan / lp_lower
-        except CapExceededError:
-            lp_lower = ratio = None
+    try:
+        bounded = solve(inst, eps, tau, lp_bound=True)
+        counts.add(bounded.iterations.get("engine_iterations", 0))
+        lp_lower, ratio = bounded.lower_bound, bounded.ratio_bound
+    except CapExceededError:
+        lp_lower = ratio = None
     lp_seconds = time.perf_counter() - start
-    row = BenchRow(
-        instance=os.path.basename(path), epsilon=eps,
+    if len(counts) != 1:
+        raise RuntimeError(f"nondeterministic iteration count on {name}")
+    return BenchRow(
+        instance=name, epsilon=eps,
         layer_limit=layer_cap(inst.num_machines, eps),
         engine_iterations=counts.pop(), max_layer=max_layer,
         wall_seconds=min(times), lp_seconds=lp_seconds, makespan=report.makespan,
         lp_lower=lp_lower, ratio=ratio,
     )
-    return row
 
 
 def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
@@ -88,13 +85,11 @@ def bench(corpus_dir: str, epsilons, repetitions: int = 1, workers: int = 1,
             continue
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            parse_instance(text)
+                inst = parse_instance(fh.read())
         except (OSError, UnicodeDecodeError, InstanceFormatError) as exc:
             print(f"warning: skipping {name}: {exc}", file=sys.stderr)
             continue
-        for eps in epsilons:
-            tasks.append((path, text, str(eps), str(tau), repetitions))
+        tasks.extend((name, inst, frac(eps), frac(tau), repetitions) for eps in epsilons)
 
     # the pool starts all its processes at the first submit, so ask for no
     # more than there are tasks and CPUs to run them

@@ -6,23 +6,23 @@ dual certificate is verified on the spot). A solve lays the seed's flow
 network once and finds on it the densest job set J* (`seed.max_density`),
 whose density lambda* decides most probes' seed LP without a flow: a probe
 at or above lambda* is feasible, and J* proves most below it infeasible.
-Every other probe runs its own seed flow. A probe without huge jobs needs
-no more than that decision, and its seed flow runs, and its schedule is
-rounded and validated, only when read: a solve reads one such schedule, the
-lowest successful probe's. A probe with huge jobs runs its flow at once, to
-round a schedule for the engine. Under audit every successful probe does,
-and every probe the solve decided without a flow runs its own flow, which
-must agree. The bracket starts at [max job size, makespan of a polished
-restricted greedy schedule] and shrinks until high/low <= 1 + tau. The
-lowest successful probe's schedule is polished by the same move/swap
-descent, and the better of it and the polished greedy schedule is reported;
-reports serialize byte-identically for identical inputs. Both ends of the
-bracket are multiples of 1/L, L the scale of the instance's integer image,
-so the bisection runs on integer numerators over the common denominator
-L 2^k and builds one rational per probe, its guess. Under `lp_bound` the
-solve raises lambda* to the Hall bound H on the same network
-(`seed.hall_bound`), and the config-LP bound bisects between H and the
-reported schedule's makespan, so it never prints below H.
+Every other probe runs its own seed flow. A successful probe without huge
+jobs keeps only its scaled guess, since the densest set decided it without
+a flow; a solve reads one such schedule, the lowest successful probe's,
+through `seed.decided_seed`, which runs that flow and rounds it. A probe
+with huge jobs rounds its seed at once, for the engine. Under audit every
+successful probe does, and every probe the solve decided without a flow
+runs its own flow, which must agree. The bracket starts at [max job size,
+makespan of a polished restricted greedy schedule] and shrinks until
+high/low <= 1 + tau. The lowest successful probe's schedule is polished by
+the same move/swap descent, and the better of it and the polished greedy
+schedule is reported; reports serialize byte-identically for identical
+inputs. Both ends of the bracket are multiples of 1/L, L the scale of the
+instance's integer image, so the bisection runs on integer numerators over
+the common denominator L 2^k and builds one rational per probe, its guess.
+Under `lp_bound` the solve raises lambda* to the Hall bound H on the same
+network (`seed.hall_bound`), and the config-LP bound bisects between H and
+the reported schedule's makespan, so it never prints below H.
 """
 
 from __future__ import annotations
@@ -32,12 +32,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .rational import Frac, ZERO, frac, ratio_str
-from .model import (Instance, Schedule, scale_instance,
+from .model import (Instance, ScaledInstance, Schedule, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .flow import AssignmentNetwork
 from . import seed
-from .seed import (SeedInfeasible, seed_small_medium, round_seed, max_density,
-                   hall_bound, decided_solution)
+from .seed import (SeedInfeasible, seed_small_medium, decided_seed, max_density,
+                   hall_bound)
 from .engine import InsertionEngine, StuckState, EngineInvariantError
 from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
@@ -58,27 +58,19 @@ class RunLog:
     snapshot: list  # blocker dicts of the final tree
 
 
+@dataclass
 class ProbeResult:
     """One probe's outcome: "success", "seed-infeasible" or "stuck".
 
-    A success without huge jobs may keep only its decided seed, `seed` =
-    (LP solution or None, scaled instance, network); `schedule` runs the
-    flow that `seed_small_medium` left out, rounds and validates on first
-    read.
+    A success without huge jobs outside audit holds no schedule, only its
+    `scaled` guess: the solve reads its seed through `seed.decided_seed`.
     """
 
-    def __init__(self, guess, outcome, *, schedule: Schedule | None = None,
-                 certificate: DualCertificate | None = None, seed=None):
-        self.guess, self.outcome, self.certificate = guess, outcome, certificate
-        self._schedule, self._seed = schedule, seed
-
-    @property
-    def schedule(self) -> Schedule | None:
-        if self._seed is not None:
-            fa, scaled, network = self._seed
-            self._schedule = _validated(round_seed(decided_solution(fa, scaled, network), scaled))
-            self._seed = None
-        return self._schedule
+    guess: object
+    outcome: str
+    schedule: Schedule | None = None
+    certificate: DualCertificate | None = None
+    scaled: ScaledInstance | None = None
 
 
 def _validated(schedule: Schedule) -> Schedule:
@@ -132,7 +124,7 @@ class SolveReport:
 
 
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
-           counters, network, densest=None) -> ProbeResult:
+           counters, network, densest) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] += 1
     try:
@@ -150,8 +142,10 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
         return ProbeResult(guess, "seed-infeasible")
     huge = sorted(scaled.huge_jobs(), reverse=True)  # decreasing size, det. ties
     if not huge and not audit:
-        return ProbeResult(guess, "success", seed=(fa, scaled, network))
-    schedule = round_seed(decided_solution(fa, scaled, network), scaled)
+        # below lambda* the densest set refutes a guess without huge jobs,
+        # so this one was decided without a flow: fa is None
+        return ProbeResult(guess, "success", scaled=scaled)
+    schedule = decided_seed(fa, scaled, network)
     for j_new in huge:
         engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
         result = engine.run()
@@ -346,6 +340,8 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     counters["probes"] = len(probes)
 
     best_guess, best_schedule = best.guess, best.schedule
+    if best_schedule is None:
+        best_schedule = _validated(decided_seed(None, best.scaled, network))
     placement = {}
     for j in inst.jobs:
         i = best_schedule.machine_of(j)

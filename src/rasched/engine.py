@@ -26,6 +26,8 @@ from itertools import groupby
 
 from .model import Schedule, UNASSIGNED, validate_partial_schedule
 
+WATCHDOG = 10 ** 6  # iterations after which a run is taken to be a bug
+
 
 class EngineInvariantError(RuntimeError):
     """An internal invariant failed; indicates a bug, never an input error."""
@@ -163,7 +165,7 @@ class StuckState:
 
 class InsertionEngine:
     def __init__(self, schedule: Schedule, j_new: int, *, audit: bool = False,
-                 log_events: bool = False, watchdog: int = 10 ** 6):
+                 log_events: bool = False):
         scaled = schedule.scaled
         if not scaled.is_huge(j_new):
             raise ValueError("only huge jobs are inserted by the search")
@@ -175,7 +177,6 @@ class InsertionEngine:
         self.K = layer_cap(scaled.base.num_machines, scaled.epsilon)
         self.tree = BlockerTree()
         self.audit = audit
-        self.watchdog = watchdog
         self.iterations = 0
         self.moves = 0
         self.adds = 0
@@ -604,7 +605,7 @@ class InsertionEngine:
         """Insert the job, or return the StuckState that certifies failure."""
         while True:
             self.iterations += 1
-            if self.iterations > self.watchdog:
+            if self.iterations > WATCHDOG:
                 raise EngineInvariantError("iteration watchdog exceeded")
             if self.audit:
                 violations = self.check_invariants()
@@ -620,12 +621,3 @@ class InsertionEngine:
             if isinstance(selection, str):
                 return StuckState(engine=self, reason=selection)
             self.add_blocker(*selection)
-
-
-def insert_huge_job(schedule: Schedule, j_new: int, *, audit=False,
-                    log_events=False, watchdog=10 ** 6):
-    """One-shot wrapper around InsertionEngine.run()."""
-    engine = InsertionEngine(schedule, j_new, audit=audit,
-                             log_events=log_events, watchdog=watchdog)
-    result = engine.run()
-    return result, engine

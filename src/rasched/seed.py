@@ -21,10 +21,10 @@ each guess from it by integer comparisons (`seed_small_medium`): T >=
 lambda* is feasible, since a guess's small and medium jobs are some of all
 jobs, and below it J* proves the guess infeasible unless one of its jobs is
 huge there. Only the remaining guesses run their own flow. A guess decided
-feasible runs its flow only when its schedule is read (`decided_solution`).
-`hall_bound` raises lambda* to the Hall bound, the floor of the config-LP
-bound's bisection, by flows with a unit supply per job: their violators
-are job sets of which some machine must take several.
+feasible without a flow runs it only when its schedule is read
+(`decided_seed`). `hall_bound` raises lambda* to the Hall bound, the floor
+of the config-LP bound's bisection, by flows with a unit supply per job:
+their violators are job sets of which some machine must take several.
 
 Only a schedule that is read gets rounded (`round_seed`): cycles of the
 flow's support are cancelled on the integers until it is a forest, and the
@@ -318,44 +318,25 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
     return best
 
 
-def seed_small_medium(scaled: ScaledInstance, network: AssignmentNetwork | None = None,
-                      densest: HallViolator | None = None) -> FractionalAssignment | None:
+def seed_small_medium(scaled: ScaledInstance, network: AssignmentNetwork,
+                      densest: HallViolator) -> FractionalAssignment | None:
     """Decide whether the small and medium jobs fit the guess, and return
-    the decided LP solution; `round_seed` turns it into a schedule.
+    the decided LP solution; `decided_seed` turns it into a schedule.
 
     `densest` is the solve's `max_density` set J*, whose density is
     lambda*. A guess T >= lambda* is feasible, since its small and medium
-    jobs are some of all jobs: that returns None without a flow, and
-    `decided_solution` runs the flow when the schedule is read.
+    jobs are some of all jobs: that returns None without a flow.
 
     Raises SeedInfeasible when the assignment LP (a relaxation of the
     configuration LP) has no solution, i.e. the guess is too small: with J*
     when it proves the guess, without a flow, and otherwise with the Hall
     violator of the flow on `network` when that flow fails.
     """
-    if densest is not None:
-        if scaled.guess.denominator * densest.volume <= scaled.unit * densest.width:
-            return None
-        if densest.proves(scaled):
-            raise SeedInfeasible(densest)
+    if scaled.guess.denominator * densest.volume <= scaled.unit * densest.width:
+        return None
+    if densest.proves(scaled):
+        raise SeedInfeasible(densest)
     return solve_assignment_lp(scaled, network)
-
-
-def decided_solution(fa: FractionalAssignment | None, scaled: ScaledInstance,
-                     network: AssignmentNetwork) -> FractionalAssignment:
-    """The LP solution of a guess `seed_small_medium` decided feasible:
-    `fa`, or when the densest set decided it without a flow (`fa` None),
-    the flow on `network` that the guess would have run, since every flow
-    resets the network's capacities. Raises EngineInvariantError when that
-    flow does not saturate."""
-    if fa is not None:
-        return fa
-    try:
-        return solve_assignment_lp(scaled, network)
-    except SeedInfeasible:
-        raise EngineInvariantError(
-            f"the densest set decided the infeasible guess {ratio_str(scaled.guess)}"
-        ) from None
 
 
 def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
@@ -370,3 +351,20 @@ def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     for i in scaled.base.machines:
         assert schedule.int_load(i) <= bound, "seed rounding bound violated"
     return schedule
+
+
+def decided_seed(fa: FractionalAssignment | None, scaled: ScaledInstance,
+                 network: AssignmentNetwork) -> Schedule:
+    """The rounded seed of a guess `seed_small_medium` decided feasible: of
+    `fa`, or, when the densest set decided it without a flow (`fa` None),
+    of the flow on `network` that the guess left out, since every flow
+    resets the network's capacities. Raises EngineInvariantError when that
+    flow does not saturate."""
+    if fa is None:
+        try:
+            fa = solve_assignment_lp(scaled, network)
+        except SeedInfeasible:
+            raise EngineInvariantError(
+                f"the densest set decided the infeasible guess {ratio_str(scaled.guess)}"
+            ) from None
+    return round_seed(fa, scaled)

@@ -9,24 +9,14 @@ from .rational import ratio_str
 
 
 def emit_jsonl(run_logs, inst: Instance) -> str:
-    """One JSON record per engine event, jobs referenced by original name."""
+    """One JSON record per engine event (`InsertionEngine._log`), with its
+    run number, guess and inserted job; jobs referenced by original name."""
     lines = []
     for run_no, run in enumerate(run_logs, start=1):
+        head = {"run": run_no, "guess": ratio_str(run.guess),
+                "inserting": inst.name_of(run.j_new)}
         for ev in run.events:
-            rec = {
-                "run": run_no,
-                "guess": ratio_str(run.guess),
-                "inserting": inst.name_of(run.j_new),
-                "iteration": ev["iteration"],
-                "event": ev["event"],
-                "job": inst.name_of(ev["job"]) if ev["job"] is not None else None,
-                "machine": ev["machine"],
-                "type": ev["type"],
-                "layer": ev["layer"],
-                "sublayer": ev["sublayer"],
-                "signature": ev["signature"],
-                "removed": ev["removed"],
-            }
+            rec = {**ev, **head, "job": inst.name_of(ev["job"])}
             lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")
 

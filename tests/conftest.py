@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rasched import seed
+from rasched.engine import InsertionEngine
 from rasched.rational import Frac
 from rasched.model import UNASSIGNED, Schedule, make_instance, parse_instance, scale_instance
 
@@ -23,6 +24,12 @@ def scaled_of(jobs, machines, *, guess=1, eps=EPS):
     inst = make_instance(machines, [(Frac(s) if not hasattr(s, "numerator") else s, set(g))
                                     for s, g in jobs])
     return scale_instance(inst, guess, eps)
+
+
+def insert_huge_job(schedule, j_new, **flags):
+    """Run one insertion; returns its result and its engine."""
+    engine = InsertionEngine(schedule, j_new, **flags)
+    return engine.run(), engine
 
 
 def schedule_of(scaled, assignment):

@@ -17,7 +17,7 @@ from rasched.rational import Frac, ZERO
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.driver import solve
 from rasched.engine import InsertionEngine, StuckState
-from rasched.seed import seed_small_medium, round_seed, SeedInfeasible
+from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
 from rasched.certificate import (verify_objective_negative,
                                  verify_dual_feasibility, check_bs_s_machine_counts)
 from rasched.oracle import (exact_optimal_makespan, exact_config_lp_feasible,
@@ -115,7 +115,7 @@ def _randomized_engine_runs(target_iterations):
         guess = inst.max_size() * Frac(rng.randint(100, 125), 100)
         scaled = scale_instance(inst, guess, EPSILON)
         try:
-            schedule = round_seed(seed_small_medium(scaled), scaled)
+            schedule = round_seed(solve_assignment_lp(scaled), scaled)
         except SeedInfeasible:
             continue
         for j in sorted(scaled.huge_jobs(), reverse=True):
@@ -186,7 +186,7 @@ def test_criterion_6_seed_bound(campaign):
         guess = inst.max_size() * Frac(rng.randint(100, 240), 100)
         scaled = scale_instance(inst, guess, EPSILON)
         try:
-            schedule = round_seed(seed_small_medium(scaled), scaled)
+            schedule = round_seed(solve_assignment_lp(scaled), scaled)
         except SeedInfeasible:
             continue
         checked += 1

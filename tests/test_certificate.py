@@ -7,9 +7,9 @@ import pytest
 
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
-from rasched.engine import BlockerType, StuckState, insert_huge_job
+from rasched.engine import BlockerType, StuckState
 from rasched.flow import AssignmentNetwork
-from rasched.seed import seed_small_medium, round_seed, hall_bound, max_density
+from rasched.seed import solve_assignment_lp, round_seed, hall_bound, max_density
 from rasched.certificate import (_active_on, best_configuration,
                                  build_dual_certificate, verify_objective_negative,
                                  verify_dual_feasibility, verify_certificate,
@@ -23,8 +23,8 @@ from rasched.certificate import (_active_on, best_configuration,
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import (EPS, deadline, lp_bound_instance, scaled_of, schedule_of,
-                      two_value_instance)
+from conftest import (EPS, deadline, insert_huge_job, lp_bound_instance, scaled_of,
+                      schedule_of, two_value_instance)
 
 DELTA = 1 - EPS  # 23/24
 
@@ -56,7 +56,7 @@ def three_smalls_stuck():
 def rich_stuck():
     inst = parse_instance(RICH_TEXT)
     sc = scale_instance(inst, RICH_GUESS, EPS)
-    sched = round_seed(seed_small_medium(sc), sc)
+    sched = round_seed(solve_assignment_lp(sc), sc)
     for j in sorted(sc.huge_jobs(), reverse=True):
         result, _ = insert_huge_job(sched, j, audit=True)
         if isinstance(result, StuckState):
@@ -799,7 +799,7 @@ def aggressive_stuck_states(seeds):
             density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
         sc = scale_instance(inst, inst.max_size() * Frac(rng.randint(100, 125), 100), EPS)
         try:
-            schedule = round_seed(seed_small_medium(sc), sc)
+            schedule = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:
             continue
         for j in sorted(sc.huge_jobs(), reverse=True):

@@ -373,12 +373,13 @@ class TestBench:
 
     def test_bench_times_unlogged_solves(self, workdir, monkeypatch):
         # the event log only feeds max_layer: the timed solves run without
-        # it and one more solve, untimed, logs the events
-        logged_flags = []
+        # it, one more solve, untimed, logs the events, and one with the
+        # config-LP bound gives the bound
+        flags = []
 
-        def recording_solve(*args, log_events=False, **kwargs):
-            logged_flags.append(log_events)
-            return solve(*args, log_events=log_events, **kwargs)
+        def recording_solve(*args, log_events=False, lp_bound=False, **kwargs):
+            flags.append((log_events, lp_bound))
+            return solve(*args, log_events=log_events, lp_bound=lp_bound, **kwargs)
 
         text = serialize_instance(two_value_instance(random.Random(0), 16))
         corpus = workdir / "corpus"
@@ -390,27 +391,39 @@ class TestBench:
                         if ev["layer"])
         monkeypatch.setattr(bench_module, "solve", recording_solve)
         (row,) = bench_module.bench(str(corpus), [Fraction(1, 24)], repetitions=3)
-        assert logged_flags == [False, False, False, True]
+        assert flags == [(False, False)] * 3 + [(True, False), (False, True)]
         assert row.max_layer == max_layer > 0
         assert row.engine_iterations == logged.iterations["engine_iterations"]
 
     def test_bench_bound_gets_the_solve_facts(self, workdir, capsys):
-        # 31 unit jobs on one machine: the solve's schedule and Hall bound
-        # close the bound's bracket, as under `solve --lp-bound`
-        text = "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31))
+        # each row's bound and ratio are the `lower-bound` and `ratio-bound`
+        # that `solve --lp-bound` prints, or `refused` where it exits 4: 31
+        # unit jobs on one machine, a job-less file and an over-cap file
         corpus = workdir / "corpus"
         corpus.mkdir()
-        (corpus / "one.ra").write_text(text)
+        (corpus / "one.ra").write_text(
+            "ra 1\nmachines 1\n" + "".join(f"job j{k} 1 : 1\n" for k in range(31)))
+        (corpus / "empty.ra").write_text("ra 1\nmachines 1\n")
+        (corpus / "wide.ra").write_text(OVER_CAP_TEXT)
         rows = workdir / "rows.jsonl"
         code, out, _ = run_cli(capsys, "bench", str(corpus), "--jsonl", str(rows))
         assert code == EXIT_OK
-        assert out.splitlines()[2].split()[7] != "refused"
-        (rec,) = map(json.loads, rows.read_text().splitlines())
-        code, out, _ = run_cli(capsys, "solve", str(corpus / "one.ra"), "--lp-bound")
-        assert code == EXIT_OK
-        lower = next(ln for ln in out.splitlines() if ln.startswith("lower-bound "))
-        assert rec["lp_lower_bound"] == lower.split()[1]
-        assert rec["ratio_vs_lp"] is not None
+        printed = {ln.split()[0]: ln.split()[7] for ln in out.splitlines()[2:]}
+        recs = {r["instance"]: r for r in map(json.loads, rows.read_text().splitlines())}
+        assert set(printed) == set(recs) == {"one.ra", "empty.ra", "wide.ra"}
+        codes = {}
+        for name, rec in recs.items():
+            codes[name], out, _ = run_cli(capsys, "solve", str(corpus / name), "--lp-bound")
+            if codes[name] == EXIT_LIMIT:
+                assert rec["lp_lower_bound"] is None and rec["ratio_vs_lp"] is None
+                assert printed[name] == "refused"
+                continue
+            facts = dict(ln.split()[:2] for ln in out.splitlines()
+                         if ln.startswith(("lower-bound ", "ratio-bound ")))
+            assert rec["lp_lower_bound"] == facts["lower-bound"], name
+            assert rec["ratio_vs_lp"] == facts["ratio-bound"], name
+            assert printed[name] == f"{float(Fraction(facts['ratio-bound'])):.6f}"
+        assert codes == {"one.ra": EXIT_OK, "empty.ra": EXIT_OK, "wide.ra": EXIT_LIMIT}
 
 
 def mutated(rng, text):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from rasched.rational import Frac, ratio_str
-from rasched import seed
+from rasched import driver, seed
 from rasched.model import make_instance, scale_instance
 from rasched.driver import solve, _greedy, _polish, _makespan, _probe
 from rasched.flow import AssignmentNetwork
@@ -158,10 +158,16 @@ def test_successful_probe_builds_no_rational_size(audit):
         if outcome != "success":
             continue
         counters = Counter()
+        network = AssignmentNetwork(inst)
         res = _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
-                     counters=counters, network=AssignmentNetwork(inst))
+                     counters=counters, network=network,
+                     densest=seed.max_density(inst, network))
         assert res.outcome == "success" and res.certificate is None
-        assert "size" not in res.schedule.scaled.__dict__
+        schedule = res.schedule
+        if schedule is None:  # a huge-free success outside audit: read its seed
+            assert not audit and not res.scaled.huge_jobs()
+            schedule = seed.decided_seed(None, res.scaled, network)
+        assert "size" not in schedule.scaled.__dict__
         moved += counters.get("engine_moves", 0)
     assert moved > 0
 
@@ -171,17 +177,31 @@ def test_a_huge_free_solve_rounds_only_the_schedule_it_reads(monkeypatch):
     # to 3, where no job is huge, and the LP holds from 7/3 on, below the
     # optimum 3, so several probes succeed
     inst = make_instance(3, [(Frac(1), {1, 2, 3})] * 7)
-    rounded = []
-    round_forest = seed.round_forest
+    rounded, flows, successes = [], [], []
+    round_forest, solve_lp, probe = seed.round_forest, seed.solve_assignment_lp, driver._probe
 
     def counting_round(fa, scaled):
         rounded.append(scaled.guess)
         return round_forest(fa, scaled)
 
+    def counting_lp(scaled, network=None):
+        flows.append(scaled.guess)
+        return solve_lp(scaled, network)
+
+    def recording_probe(*args, **kwargs):
+        res = probe(*args, **kwargs)
+        if res.outcome == "success":
+            successes.append(res)
+        return res
+
     monkeypatch.setattr(seed, "round_forest", counting_round)
+    monkeypatch.setattr(seed, "solve_assignment_lp", counting_lp)
+    monkeypatch.setattr(driver, "_probe", recording_probe)
     plain = solve(inst, EPS, TAU)
     assert not any(scale_instance(inst, g, EPS).huge_jobs() for g, _ in plain.probes)
-    assert rounded == [plain.guess_final]
+    # each success holds only its scaled guess; the read runs its one flow
+    assert len(successes) > 1 and all(res.schedule is None for res in successes)
+    assert rounded == flows == [plain.guess_final]
     rounded.clear()
     audited = solve(inst, EPS, TAU, audit=True)
     successes = [g for g, outcome in audited.probes if outcome == "success"]

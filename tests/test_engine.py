@@ -8,15 +8,16 @@ import pytest
 from rasched.rational import Frac
 from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
-                            StuckState, EngineInvariantError, insert_huge_job,
-                            layer_cap)
+                            StuckState, EngineInvariantError, layer_cap)
 from rasched import driver
+from rasched import engine as engine_module
 from rasched.driver import solve
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
-from rasched.seed import seed_small_medium, round_seed, SeedInfeasible
+from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
 
-from conftest import EPS, CAP, assigned_jobs, scaled_of, schedule_of, two_value_instance
+from conftest import (EPS, CAP, assigned_jobs, insert_huge_job, scaled_of, schedule_of,
+                      two_value_instance)
 
 
 def plant(engine, job, machine, btype, layer, parent=None):
@@ -296,7 +297,7 @@ class TestRunScenarios:
         for _ in range(2):
             sc = scale_instance(inst, guess, EPS)
             try:
-                sched = round_seed(seed_small_medium(sc), sc)
+                sched = round_seed(solve_assignment_lp(sc), sc)
             except SeedInfeasible:
                 pytest.skip("seed infeasible at this guess")
             events = []
@@ -320,11 +321,12 @@ class TestRunScenarios:
                            (Frac(9, 10), {1, 2})], 2, {1: 1, 2: 1}, 3)
         assert eng.active_jobs() == {1, 3}
 
-    def test_watchdog_trips(self):
+    def test_watchdog_trips(self, monkeypatch):
         sc = scaled_of([(Frac(9, 10), {1, 2}), (Frac(1, 3), {1})], 2)
         sched = schedule_of(sc, {1: 1})
+        monkeypatch.setattr(engine_module, "WATCHDOG", 0)
         with pytest.raises(EngineInvariantError):
-            InsertionEngine(sched, 2, watchdog=0).run()
+            InsertionEngine(sched, 2).run()
 
     def test_insertion_preconditions(self):
         sc = scaled_of([(Frac(1, 3), {1}), (Frac(9, 10), {1})], 1)
@@ -397,7 +399,7 @@ class TestAuditSuite:
         guess = inst.max_size() * Frac(rng.randint(100, 125), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
-            sched = round_seed(seed_small_medium(sc), sc)
+            sched = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:
             return
         for j in sorted(sc.huge_jobs(), reverse=True):
@@ -501,7 +503,7 @@ class TestBlockerIndex:
             density=Frac(2, 3), seed=seed))
         sc = scale_instance(inst, inst.max_size() * Frac(100 + seed, 100), EPS)
         try:
-            sched = round_seed(seed_small_medium(sc), sc)
+            sched = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:
             return
         for j_new in sorted(sc.huge_jobs(), reverse=True):
@@ -585,10 +587,11 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
     monkeypatch.setattr(driver, "build_dual_certificate", recording)
     for inst in digest_instances():
         network = AssignmentNetwork(inst)
+        densest = driver.max_density(inst, network)
         for k in range(12):
             driver._probe(inst, inst.max_size() * Frac(20 + k, 20), EPS, audit=False,
                           log_events=False, run_logs=[], counters=Counter(),
-                          network=network)
+                          network=network, densest=densest)
     engines = [stuck.engine for stuck in stuck_states]
     assert len(engines) >= 90
     # blocked small jobs without an activator get their value layer from the table

@@ -7,7 +7,7 @@ from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.seed import (FractionalAssignment, SeedInfeasible,
                           solve_assignment_lp, eliminate_support_cycles,
-                          round_forest, seed_small_medium, round_seed)
+                          round_forest, round_seed)
 from rasched.generator import GenSpec, generate_instance
 from rasched.oracle import exact_config_lp_feasible
 
@@ -310,13 +310,13 @@ class TestRounding:
 class TestSeedPipeline:
     def test_only_huge_jobs_yields_empty_schedule(self):
         sc = scaled_of([(Frac(9, 10), {1}), (Frac(19, 20), {1})], 1)
-        sched = round_seed(seed_small_medium(sc), sc)
+        sched = round_seed(solve_assignment_lp(sc), sc)
         assert assigned_jobs(sched) == []
         assert validate_partial_schedule(sched) == []
 
     def test_single_small_job_lands_in_gamma(self):
         sc = scaled_of([(Frac(1, 3), {2})], 3)
-        sched = round_seed(seed_small_medium(sc), sc)
+        sched = round_seed(solve_assignment_lp(sc), sc)
         assert sched.machine_of(1) == 2
 
     @pytest.mark.parametrize("seed", range(20))
@@ -329,7 +329,7 @@ class TestSeedPipeline:
         guess = inst.max_size() * Frac(rng.randint(100, 160), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
-            sched = round_seed(seed_small_medium(sc), sc)
+            sched = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:
             assert not exact_config_lp_feasible(inst, guess)
             return

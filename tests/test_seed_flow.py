@@ -321,7 +321,7 @@ def test_reused_violators_decide_like_the_flow(monkeypatch):
     assert sum(reused) >= 100 and sum(without_flow) >= 100 and not all(without_flow)
 
     def flow_every_probe(scaled, network, densest):
-        return seed_small_medium(scaled, network)
+        return solve_assignment_lp(scaled, network)
 
     monkeypatch.setattr(driver, "seed_small_medium", flow_every_probe)
     for inst, record in zip(cases, with_reuse):
@@ -344,7 +344,7 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     assert sum(sc.size[j] for j in violator.jobs) > 1
     assert not still_violates(sc, violator.jobs)
     assert not violator.proves(sc)
-    sched = round_seed(seed_small_medium(sc, densest=violator), sc)
+    sched = round_seed(seed_small_medium(sc, AssignmentNetwork(inst), violator), sc)
     assert sched.machine_of(1) == 1 and sched.machine_of(2) is None
 
 
@@ -357,7 +357,7 @@ def test_a_violator_at_hall_equality_is_not_reused(monkeypatch):
     # at T = 6 the jobs fill the machine exactly: the LP is feasible
     sc = scale_instance(inst, 6, EPS)
     assert not violator.proves(sc) and not still_violates(sc, violator.jobs)
-    sched = round_seed(seed_small_medium(sc), sc)
+    sched = round_seed(solve_assignment_lp(sc), sc)
     assert {sched.machine_of(1), sched.machine_of(2)} == {1}
     # just below, the violator decides the guess without a flow, and a
     # single job of it does not
@@ -370,7 +370,7 @@ def test_a_violator_at_hall_equality_is_not_reused(monkeypatch):
 
     monkeypatch.setattr(seed, "solve_assignment_lp", no_flow)
     with pytest.raises(SeedInfeasible) as info:
-        seed_small_medium(sc, densest=violator)
+        seed_small_medium(sc, AssignmentNetwork(inst), violator)
     assert info.value.violator is violator
 
 
@@ -679,7 +679,7 @@ class TestLongChains:
         for k in range(1, CHAIN):
             assert entries[(inst.internal_of[k - 1], k + 1)] == 1
         assert entries[(inst.internal_of[CHAIN - 1], 1)] == 1
-        assert validate_partial_schedule(round_seed(seed_small_medium(sc), sc)) == []
+        assert validate_partial_schedule(round_seed(solve_assignment_lp(sc), sc)) == []
 
     def test_seed_rounds_the_fractional_chain_a_partial_shift_leaves(self):
         # pushing 1/2 through the chain splits every chain job 2/5 : 3/5
@@ -688,7 +688,7 @@ class TestLongChains:
         for k in range(1, CHAIN):
             j = inst.internal_of[k - 1]
             assert (entries[(j, k)], entries[(j, k + 1)]) == (Frac(2, 5), Frac(3, 5))
-        sched = round_seed(seed_small_medium(sc), sc)
+        sched = round_seed(solve_assignment_lp(sc), sc)
         assert validate_partial_schedule(sched) == []
         for k in range(1, CHAIN):
             assert sched.machine_of(inst.internal_of[k - 1]) == k + 1

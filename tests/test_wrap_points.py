@@ -4,6 +4,7 @@ src/ must fail here rather than only when a traced benchmark run starts."""
 
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
 from conftest import benchmark_pool, lp_bound_instance
@@ -80,3 +81,30 @@ def test_traced_two_value_solves_count_one_seed_call_per_probe():
     infeasible = sum(outcome == "seed-infeasible"
                      for rep in reports for _, outcome in rep.probes)
     assert metrics["driver.probes_seed_infeasible"] == infeasible > 0
+
+
+def test_every_wrap_point_but_the_seed_simplex_fires():
+    """A refactor that bypasses a traced name leaves its span silent: plain,
+    audited and `--lp-bound` solves reach every wrap point except
+    `simplex.feas`, the seed simplex that no solve calls. A plain uniform
+    solve runs one seed flow, for the seed it reads, and that flow is a
+    `seed.lp` span too."""
+    from rasched.driver import solve
+    from rasched.generator import GenSpec, generate_instance
+    tracing = load_tracing()
+    two_value = benchmark_pool("two_value", 101, 3)
+    uniform = [generate_instance(GenSpec(machines=6, jobs=24, preset="uniform", seed=k))
+               for k in range(2)]
+
+    def fired(insts, **flags):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            for inst in insts:
+                solve(inst, **flags)
+        return Counter(sp.name for sp in tracer.spans)
+
+    plain_uniform = fired(uniform)
+    assert plain_uniform["seed.lp"] == len(uniform)
+    spans = (plain_uniform + fired(two_value) + fired(two_value + uniform, audit=True)
+             + fired([lp_bound_instance(random.Random(105), 5, 10, 6)], lp_bound=True))
+    assert {name for _, _, name, *_ in tracing.WRAP_POINTS} - set(spans) == {"simplex.feas"}
