@@ -12,9 +12,20 @@ a flow; a solve reads one such schedule, the lowest successful probe's,
 through `seed.decided_seed`, which runs that flow and rounds it. A probe
 with huge jobs rounds its seed at once, for the engine. Under audit every
 successful probe does, and every probe the solve decided without a flow
-runs its own flow, which must agree. The bracket starts at [max job size,
-makespan of a polished restricted greedy schedule] and shrinks until
-high/low <= 1 + tau. The lowest successful probe's schedule is polished by
+runs its own flow, which must agree.
+
+The engine reads a guess only through its integer image
+(`ScaledInstance.engine_image`), so close guesses often repeat a search. A
+solve keeps one memo of successful insertion runs, keyed on the seed's
+placement and that image. A probe that repeats both rebuilds the stored
+final placement at its own guess, adds the stored counter increments and,
+when events are logged, replays the stored run logs with its guess, so its
+report, trace and DOT output are those of running it. A stuck probe is
+never stored, since its certificate is built at its own guess. Under audit
+a repeat runs the engine again and must reproduce the record.
+
+The bracket starts at [max job size, makespan of a polished restricted
+greedy schedule] and shrinks until high/low <= 1 + tau. The lowest successful probe's schedule is polished by
 the same move/swap descent, and the better of it and the polished greedy
 schedule is reported; reports serialize byte-identically for identical
 inputs. Both ends of the bracket are multiples of 1/L, L the scale of the
@@ -30,6 +41,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .rational import Frac, ZERO, frac, ratio_str
 from .model import (Instance, ScaledInstance, Schedule, scale_instance,
@@ -123,8 +135,24 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
+#: the counters an insertion run adds to
+ENGINE_COUNTERS = ("engine_iterations", "engine_moves", "engine_adds",
+                   "signature_checkpoints", "signature_dips")
+
+
+class EngineRecord(NamedTuple):
+    """What a probe's successful insertion runs left behind: the final
+    placement (job -> machine, index 0 unused), each engine counter's
+    increment, and each run's (inserted job, events, snapshot) when events
+    are logged."""
+
+    placement: tuple
+    counts: tuple
+    runs: tuple
+
+
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
-           counters, network, densest) -> ProbeResult:
+           counters, network, densest, memo) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] += 1
     try:
@@ -146,6 +174,13 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
         # so this one was decided without a flow: fa is None
         return ProbeResult(guess, "success", scaled=scaled)
     schedule = decided_seed(fa, scaled, network)
+    # the search reads the guess only through its engine image, so a seed
+    # and image seen before repeat that probe's runs
+    key = (tuple(schedule.assignment), scaled.engine_image)
+    stored = memo.get(key)
+    if stored is not None and not audit:
+        return _replay(stored, guess, scaled, counters, run_logs if log_events else None)
+    before, first_log = [counters[name] for name in ENGINE_COUNTERS], len(run_logs)
     for j_new in huge:
         engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
         result = engine.run()
@@ -162,6 +197,10 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                 snapshot=_tree_snapshot(engine),
             ))
         if isinstance(result, StuckState):
+            if stored is not None:
+                raise EngineInvariantError(
+                    f"the insertion runs at {ratio_str(guess)} got stuck where"
+                    " an equal engine image and seed succeeded")
             counters["stuck_events"] += 1
             cert = build_dual_certificate(result)
             if not verify_certificate(cert, scaled):
@@ -179,6 +218,33 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
                     raise EngineInvariantError("; ".join(bad))
             return ProbeResult(guess, "stuck", certificate=cert)
         schedule = result
+    record = EngineRecord(
+        tuple(schedule.assignment),
+        tuple((name, counters[name] - was) for name, was in zip(ENGINE_COUNTERS, before)),
+        tuple((r.j_new, r.events, r.snapshot) for r in run_logs[first_log:]))
+    if stored is None:
+        memo[key] = record
+    elif record != stored:
+        raise EngineInvariantError(
+            f"the insertion runs at {ratio_str(guess)} differ from those of an"
+            " equal engine image and seed")
+    return ProbeResult(guess, "success", schedule=_validated(schedule))
+
+
+def _replay(record: EngineRecord, guess, scaled: ScaledInstance, counters,
+            run_logs) -> ProbeResult:
+    """A probe's success from the record of the runs an equal engine image
+    and seed made: its placement as a schedule at this guess, its counter
+    increments and, when `run_logs` is given, its runs at this guess."""
+    schedule = Schedule(scaled)
+    for j, i in enumerate(record.placement):
+        if i is not UNASSIGNED:
+            schedule.assign(j, i)
+    for name, increment in record.counts:
+        counters[name] += increment
+    if run_logs is not None:
+        run_logs.extend(RunLog(guess, j_new, "assigned", events, snapshot)
+                        for j_new, events, snapshot in record.runs)
     return ProbeResult(guess, "success", schedule=_validated(schedule))
 
 
@@ -304,11 +370,12 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     certificates: list = []
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
+    memo: dict = {}  # (seed placement, engine image) -> EngineRecord
 
     def probe(guess) -> ProbeResult:
         res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,
                      run_logs=run_logs, counters=counters, network=network,
-                     densest=densest)
+                     densest=densest, memo=memo)
         probes.append((guess, res.outcome))
         return res
 

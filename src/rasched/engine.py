@@ -10,7 +10,11 @@ Both edits change only the tail of the (layer, sublayer, stamp) order, so
 the tree is one stack of live blockers.
 
 Every load condition sums integer sizes over the probe's unit and compares
-the sum with the integer cap (`ScaledInstance.int_cap`).
+the sum with the integer cap (`ScaledInstance.int_cap`); the schedule keeps
+each machine's small and medium load (`Schedule.plain_load`), so no
+condition sums a machine's jobs anew. These comparisons, the job classes,
+ids and counts are all the search reads of the guess
+(`ScaledInstance.engine_image`).
 
 Determinism: additions tie-break by (job id, machine id), valid moves by
 insertion stamp, so identical inputs replay identical event sequences.
@@ -313,10 +317,6 @@ class InsertionEngine:
 
     # ---------- move classification ----------
 
-    def _plain_minus_huge(self, i):
-        sched = self.schedule
-        return sched.int_load(i) - self._sum_sizes(sched.huges[i])
-
     def _sum_sizes(self, jobs):
         sizes = self.scaled.int_sizes
         return sum(sizes[j] for j in jobs)
@@ -343,7 +343,7 @@ class InsertionEngine:
         p_j = sc.int_sizes[j]
         if j < sc.small_end:
             return BlockerType.S
-        a = self._plain_minus_huge(i) + p_j
+        a = self.schedule.plain_load[i] + p_j
         if j < sc.huge_start:  # medium
             return BlockerType.BB if a <= cap else BlockerType.MS
         if a <= cap:
@@ -366,7 +366,7 @@ class InsertionEngine:
         if b.btype in (BlockerType.BB, BlockerType.S):
             return True
         if b.btype in (BlockerType.MS, BlockerType.BS):
-            return self._plain_minus_huge(b.machine) + p_j > cap
+            return self.schedule.plain_load[b.machine] + p_j > cap
         s_sum, min_sum = self._small_and_min_medium(b.machine, b.layer)
         if b.btype is BlockerType.M:
             return s_sum + min_sum + p_j > cap
@@ -381,7 +381,7 @@ class InsertionEngine:
             return False
         if sc.is_huge(j) and sched.huges[i]:
             return False
-        up_load = self._plain_minus_huge(i) + len(sched.huges[i]) * sc.unit  # a huge job counts 1
+        up_load = sched.plain_load[i] + len(sched.huges[i]) * sc.unit  # a huge job counts 1
         return up_load + sc.int_sizes[j] <= sc.int_cap
 
     def find_valid_move(self):
@@ -406,7 +406,7 @@ class InsertionEngine:
             candidates = []
             for j in sorted(by_layer[k]):
                 home = sched.machine_of(j)
-                for i in sorted(self.scaled.base.gamma[j]):
+                for i in self.scaled.base.sorted_gamma[j]:
                     if i == home:
                         continue
                     btype = self.classify_potential_move(j, i, k)
@@ -579,10 +579,10 @@ class InsertionEngine:
 
             p_j = sc.int_sizes[b.job]
             if b.btype is BlockerType.BB:
-                if self._plain_minus_huge(b.machine) + p_j > cap:
+                if sched.plain_load[b.machine] + p_j > cap:
                     out.append(f"{b}: huge-target load condition broke")
             elif b.btype in (BlockerType.BS, BlockerType.MS):
-                if self._plain_minus_huge(b.machine) + p_j <= cap:
+                if sched.plain_load[b.machine] + p_j <= cap:
                     out.append(f"{b}: overload condition no longer holds")
             elif b.btype is BlockerType.M:
                 s_sum, min_sum = self._small_and_min_medium(b.machine, b.layer)
@@ -596,6 +596,8 @@ class InsertionEngine:
         for i in sc.base.machines:
             if sched.int_load(i) != self._sum_sizes(sched.on_machine[i]):
                 out.append(f"machine {i} incremental load drifted")
+            if sched.plain_load[i] != self._sum_sizes(sched.on_machine[i] - sched.huges[i]):
+                out.append(f"machine {i} small and medium load drifted")
         out.extend(validate_partial_schedule(sched))
         return out
 

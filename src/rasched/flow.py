@@ -95,9 +95,7 @@ class AssignmentNetwork:
         self.cap = [values[o] for o in self._owner]
         self._first_phase()
         while (level := self._levels())[self.sink] >= 0:
-            cursor = [0] * len(self.out)
-            while self._push_path(level, cursor):
-                pass
+            self._blocking_flow(level)
         return [j for j in self._jobs if level[j] >= 0]
 
     def _first_phase(self):
@@ -129,8 +127,15 @@ class AssignmentNetwork:
 
     def _levels(self):
         """BFS distance from the source over arcs with residual capacity;
-        -1 marks nodes the source cannot reach."""
-        out, head, cap = self.out, self.head, self.cap
+        -1 marks nodes it has not labelled.
+
+        It returns as soon as it labels the sink, at level d: a node
+        labelled after it has level d or d + 1 and is not the sink, so no
+        path of the level graph leads from it to the sink, and leaving it
+        unlabelled only spares the phase a dead end. A search that never
+        labels the sink labels every node the source reaches.
+        """
+        out, head, cap, sink = self.out, self.head, self.cap, self.sink
         level = [-1] * len(out)
         level[self.source] = 0
         queue = deque([self.source])
@@ -141,17 +146,35 @@ class AssignmentNetwork:
                 v = head[e]
                 if level[v] < 0 and cap[e] > 0:
                     level[v] = nxt
+                    if v == sink:
+                        return level
                     queue.append(v)
         return level
 
-    def _push_path(self, level, cursor):
-        """Augment along one source-sink path of the level graph and return
-        the amount pushed, 0 once the phase's flow is blocking. Iterative
-        depth-first search; cursor[u] skips arcs already found useless."""
+    def _blocking_flow(self, level):
+        """Push a blocking flow of the level graph, one path at a time.
+
+        Iterative depth-first search; cursor[u] skips the arcs of u already
+        found useless. After each augmentation the search resumes at the
+        tail of the path's first saturated arc, whose cursor still points at
+        that arc: a search restarted at the source would walk the same
+        unsaturated prefix to that node, so the paths, and with them the
+        flow, are those of one restarted per path.
+        """
         head, cap, out, sink = self.head, self.cap, self.out, self.sink
+        cursor = [0] * len(out)
         path = []
         u = self.source
-        while u != sink:
+        while True:
+            if u == sink:
+                delta = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= delta
+                    cap[e ^ 1] += delta
+                first = next(k for k, e in enumerate(path) if not cap[e])
+                u = head[path[first] ^ 1]
+                del path[first:]
+                continue
             arcs, k, want = out[u], cursor[u], level[u] + 1
             end = len(arcs)
             while k < end:
@@ -162,18 +185,13 @@ class AssignmentNetwork:
             else:
                 cursor[u] = k
                 if not path:
-                    return 0
+                    return
                 u = head[path.pop() ^ 1]  # dead end: back up, skip that arc
                 cursor[u] += 1
                 continue
             cursor[u] = k
             path.append(e)
             u = head[e]
-        delta = min(cap[e] for e in path)
-        for e in path:
-            cap[e] -= delta
-            cap[e ^ 1] += delta
-        return delta
 
     def job_flow(self, supply):
         """(job, machine) -> the positive flow on that arc after `violator`."""

@@ -7,10 +7,13 @@ T = a/b turns it into integer scaled sizes b q_j over the unit L a, built
 once per guess as one table (`ScaledInstance.int_sizes`), and the seed and
 the search decide by integer comparisons on them: the job classes, and
 machine loads against the cap floor((1 + R) L a). R and 1 + R depend on
-epsilon alone and are computed once per epsilon. Schedules keep one integer
-plain load per machine. Rationals are built only for output: the scaled
-sizes (`ScaledInstance.size`) when first read and a load (`Schedule.load`)
-when read, for certificates, messages and tests. The engine's validity test
+epsilon alone and are computed once per epsilon. Schedules keep two integer
+loads per machine: of all its jobs, and of its small and medium jobs alone
+(`Schedule.plain_load`). The search reads a guess only through its engine
+image (`ScaledInstance.engine_image`), so a solve runs it once per image and
+seed. Rationals are built only for output: the scaled sizes
+(`ScaledInstance.size`) when first read and a load (`Schedule.load`) when
+read, for certificates, messages and tests. The engine's validity test
 counts a huge job as the unit, and the certificate rounds it down to 5/6
 (`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
 machines, so no header makes a solve build unbounded per-machine lists.
@@ -89,6 +92,12 @@ class Instance:
             for i in self.gamma[j]:
                 on[i].append(j)
         return tuple(map(tuple, on))
+
+    @cached_property
+    def sorted_gamma(self):
+        """Each job's permitted machines in increasing order, as a tuple
+        indexed by job (index 0 is empty)."""
+        return tuple(tuple(sorted(g)) for g in self.gamma)
 
 
 def make_instance(num_machines: int, jobs: list, names: list | None = None) -> Instance:
@@ -253,6 +262,31 @@ class ScaledInstance:
     def huge_jobs(self):
         return list(range(self.huge_start, self.base.num_jobs + 1))
 
+    @property
+    def engine_image(self):
+        """(floor(int_cap / b), floor((int_cap - unit) / b), small_end,
+        huge_start) for the guess T = a/b: everything through which the
+        insertion search (`rasched.engine`) reads the guess.
+
+        Proof. Each size the search reads is int_sizes[j] = b q_j, so every
+        sum it forms is b Q, Q a sum of the integer image's sizes. Its load
+        conditions compare such a sum of small and medium jobs, plus the
+        mover, with the cap: b Q <= int_cap, or b Q > int_cap, its negation.
+        Its validity test counts a machine's huge job as the unit, and a
+        valid schedule carries at most one huge job per machine, so that
+        test is b Q <= int_cap or b Q + unit <= int_cap. For integers Q and
+        b > 0, b Q <= C holds exactly when Q <= floor(C / b), so each of
+        these comparisons is decided by the first two entries. Every other
+        read is a job's class, which the ids below `small_end` and from
+        `huge_start` give, or a job id, machine id or count; the layer cap
+        depends on the machine count and epsilon alone. So two guesses of
+        one instance and epsilon with equal images run the same search from
+        the same schedule: the same moves, counts and events.
+        """
+        b = self.guess.denominator
+        return (self.int_cap // b, (self.int_cap - self.unit) // b,
+                self.small_end, self.huge_start)
+
 
 def scale_instance(inst: Instance, guess, epsilon) -> ScaledInstance:
     """Divide all sizes by the guess T exactly; the base is never mutated."""
@@ -272,7 +306,8 @@ class Schedule:
     """Total map job -> machine-or-unassigned with incremental load accounting.
 
     Loads are integers over `scaled.unit` (`int_load`); `load` reads one as
-    the scaled rational."""
+    the scaled rational. `plain_load[i]` is the load of machine i's small
+    and medium jobs alone, the part the search compares with the cap."""
 
     def __init__(self, scaled: ScaledInstance):
         self.scaled = scaled
@@ -283,6 +318,7 @@ class Schedule:
         self.mediums = [set() for _ in range(m + 1)]
         self.huges = [set() for _ in range(m + 1)]
         self._load = [0] * (m + 1)
+        self.plain_load = [0] * (m + 1)
 
     def machine_of(self, j: int):
         return self.assignment[j]
@@ -293,11 +329,14 @@ class Schedule:
         sc = self.scaled
         self.assignment[j] = i
         self.on_machine[i].add(j)
+        size = sc.int_sizes[j]
         if j >= sc.huge_start:
             self.huges[i].add(j)
-        elif j >= sc.small_end:
-            self.mediums[i].add(j)
-        self._load[i] += sc.int_sizes[j]
+        else:
+            if j >= sc.small_end:
+                self.mediums[i].add(j)
+            self.plain_load[i] += size
+        self._load[i] += size
 
     def unassign(self, j: int):
         i = self.assignment[j]
@@ -307,7 +346,10 @@ class Schedule:
         self.on_machine[i].discard(j)
         self.mediums[i].discard(j)
         self.huges[i].discard(j)
-        self._load[i] -= sc.int_sizes[j]
+        size = sc.int_sizes[j]
+        if j < sc.huge_start:
+            self.plain_load[i] -= size
+        self._load[i] -= size
 
     def move(self, j: int, i: int):
         if self.assignment[j] is not UNASSIGNED:
@@ -315,7 +357,7 @@ class Schedule:
         self.assign(j, i)
 
     def int_load(self, i: int) -> int:
-        """The plain load of machine i times `scaled.unit`."""
+        """The load of machine i times `scaled.unit`."""
         return self._load[i]
 
     def load(self, i: int):

@@ -16,7 +16,8 @@ guess.
 By Hall's condition the LP over all jobs is feasible at T exactly when
 T >= lambda* = max_J p(J)/|Gamma(J)| (Lenstra-Shmoys-Tardos). A solve finds
 lambda* and a set J* of that density once (`max_density`, Dinkelbach
-iteration on the parametric flow, Gallo-Grigoriadis-Tarjan) and decides
+iteration on the parametric flow, Gallo-Grigoriadis-Tarjan, every flow
+after the first over the previous violator's jobs alone) and decides
 each guess from it by integer comparisons (`seed_small_medium`): T >=
 lambda* is feasible, since a guess's small and medium jobs are some of all
 jobs, and below it J* proves the guess infeasible unless one of its jobs is
@@ -259,19 +260,37 @@ def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
     """A densest job set J*: p(J*)/|Gamma(J*)| = lambda* = max_J p(J)/|Gamma(J)|.
 
     Dinkelbach iteration on the parametric flow: at T = a/b, the density of
-    the current set, every job (huge ones too) supplies b q_j on `network`
-    and every machine absorbs L a. A failed flow's Hall violator J'
+    the current set, every job of that set supplies b q_j on `network` and
+    every machine absorbs L a. A failed flow's Hall violator J'
     (`AssignmentNetwork.violator`) has p(J') > T |Gamma(J')|: T moves to its
-    density and the flow runs again. The first flow that saturates shows
-    T >= lambda*, and T is the density of a set, so T = lambda*. Starts at
-    the whole job set, the set returned when the first flow saturates.
+    density and the flow runs again on the jobs of J' alone. The first flow
+    that saturates shows T >= lambda*, and T is the density of a set, so
+    T = lambda*. Starts at the whole job set, the set returned when the
+    first flow saturates.
+
+    Supplying the previous violator alone changes no violator. The flow's
+    violator is the job side of its minimal minimum cut: the least
+    maximizer A_T of f_T(J) = p(J) - T |Gamma(J)| over the supplied job
+    sets, which lies inside every maximizer and is empty exactly when the
+    flow saturates. f_T is supermodular, since |Gamma| is submodular. Let
+    A = A_T and A' = A_T' over all jobs, for T' > T. Then f_T'(A u A') <=
+    f_T(A) - (T' - T) |Gamma(A)| = f_T'(A), as A maximizes f_T and
+    |Gamma(A u A')| >= |Gamma(A)|, so supermodularity gives f_T'(A n A')
+    >= f_T'(A'): A n A' maximizes f_T' too, and A', the least maximizer,
+    lies inside it, so inside A. By induction over the flows, each
+    violator, and J* the last, lies inside the one before, so the least
+    maximizer over all job sets is a subset of the supplied ones and is
+    also the least among them: the restricted flow finds the same set.
     """
     scale, q = inst.integer_image
     jobs = inst.jobs
     while True:
         densest = HallViolator.of(inst, jobs)
         guess = Frac(densest.volume, scale * densest.width)
-        supply = [guess.denominator * x for x in q]
+        b = guess.denominator
+        supply = [0] * len(q)
+        for j in jobs:
+            supply[j] = b * q[j]
         jobs = network.violator(supply, scale * guess.numerator)
         if not jobs:
             return densest

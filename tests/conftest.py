@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from rasched import seed
+from rasched.seed import HallViolator
 from rasched.engine import InsertionEngine
 from rasched.rational import Frac
 from rasched.model import UNASSIGNED, Schedule, make_instance, parse_instance, scale_instance
@@ -308,3 +309,18 @@ class ReferenceNetwork:
             cursor = [0] * len(self.out)
             while pushed := self.push_path(source, sink, level, cursor):
                 total += pushed
+
+
+def reference_max_density(inst, network):
+    """The Dinkelbach loop that `seed.max_density` replaced, kept verbatim as
+    its reference: every flow supplies every job, not only the previous
+    violator's."""
+    scale, q = inst.integer_image
+    jobs = inst.jobs
+    while True:
+        densest = HallViolator.of(inst, jobs)
+        guess = Frac(densest.volume, scale * densest.width)
+        supply = [guess.denominator * x for x in q]
+        jobs = network.violator(supply, scale * guess.numerator)
+        if not jobs:
+            return densest

@@ -7,12 +7,14 @@ from rasched.rational import Frac, ratio_str
 from rasched import driver, seed
 from rasched.model import make_instance, scale_instance
 from rasched.driver import solve, _greedy, _polish, _makespan, _probe
+from rasched.engine import EngineInvariantError, InsertionEngine
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, PRESETS, generate_instance
 from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 from rasched.certificate import certificate_from_text, recheck_certificate
+from rasched.traceio import emit_dot, emit_jsonl
 
-from conftest import EPS, deadline, two_value_instance
+from conftest import EPS, benchmark_pool, deadline, two_value_instance
 
 TAU = Frac(1, 100)
 
@@ -153,7 +155,7 @@ def test_successful_probe_builds_no_rational_size(audit):
     # the seed, the engine's load conditions, the audit and the final
     # validation all decide on integer sizes over the unit
     inst = two_value_instance(random.Random(0), 8)
-    moved = 0
+    moved, memo = 0, {}  # a shared memo also replays repeated engine images
     for guess, outcome in solve(inst, EPS, TAU).probes:
         if outcome != "success":
             continue
@@ -161,7 +163,7 @@ def test_successful_probe_builds_no_rational_size(audit):
         network = AssignmentNetwork(inst)
         res = _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
                      counters=counters, network=network,
-                     densest=seed.max_density(inst, network))
+                     densest=seed.max_density(inst, network), memo=memo)
         assert res.outcome == "success" and res.certificate is None
         schedule = res.schedule
         if schedule is None:  # a huge-free success outside audit: read its seed
@@ -243,3 +245,90 @@ def test_solve_brackets_from_the_polished_greedy(name, inst):
     if inst.num_jobs <= MAKESPAN_JOB_CAP:
         assert rep.lower_bound <= exact_optimal_makespan(inst)
     assert rep.to_text() == again
+
+
+def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch):
+    """Over the pools at seeds 9, 1 and 101, a probe whose seed and engine
+    image repeat an earlier probe of its solve replays that probe's runs:
+    fewer runs and iterations execute, while the reports still count every
+    run. Under audit every run executes again, and the flows stay those of
+    every run."""
+    counts = Counter()
+    run, violator = InsertionEngine.run, AssignmentNetwork.violator
+
+    def counting_run(self):
+        result = run(self)
+        counts["runs"] += 1
+        counts["iterations"] += self.iterations
+        return result
+
+    def counting_violator(self, supply, capacity):
+        counts["flows"] += 1
+        return violator(self, supply, capacity)
+
+    monkeypatch.setattr(InsertionEngine, "run", counting_run)
+    monkeypatch.setattr(AssignmentNetwork, "violator", counting_violator)
+
+    def tally(workload, **flags):
+        counts.clear()
+        for pool_seed in (9, 1, 101):
+            for inst in benchmark_pool(workload, pool_seed):
+                rep = solve(inst, EPS, TAU, **flags)
+                counts["printed"] += rep.iterations.get("engine_iterations", 0)
+        return dict(counts)
+
+    assert tally("two_value") == {"runs": 6371, "iterations": 19587, "flows": 1881,
+                                  "printed": 29103}
+    assert tally("two_value", audit=True) == {"runs": 9563, "iterations": 29103,
+                                              "flows": 3773, "printed": 29103}
+    assert tally("lp_bound", lp_bound=True)["flows"] == 766
+    assert tally("uniform") == {"flows": 727, "printed": 0}
+
+
+def test_replayed_runs_report_and_trace_as_executed_ones(monkeypatch):
+    """A replayed probe gives the report, JSONL trace and DOT output that
+    executing its runs gives: audit executes every run."""
+    replays = []
+    replay = driver._replay
+
+    def counting(*args):
+        replays.append(None)
+        return replay(*args)
+
+    monkeypatch.setattr(driver, "_replay", counting)
+    for inst in benchmark_pool("two_value", 9, 40):
+        plain = solve(inst, EPS, TAU, log_events=True)
+        audited = solve(inst, EPS, TAU, log_events=True, audit=True)
+        assert plain.to_text() == audited.to_text()
+        for emit in (emit_jsonl, emit_dot):
+            assert emit(plain.run_logs, inst) == emit(audited.run_logs, inst)
+    assert len(replays) >= 20
+
+
+@pytest.mark.parametrize("part", ["placement", "counts", "runs"])
+def test_an_audited_hit_must_reproduce_the_stored_runs(part):
+    """Under audit a probe whose seed and engine image were seen runs its
+    insertions again, and a run that differs from the record raises."""
+    inst = two_value_instance(random.Random(305), 16)
+    guess = next(g for g, outcome in solve(inst, EPS, TAU).probes
+                 if outcome == "success" and scale_instance(inst, g, EPS).huge_jobs())
+    network = AssignmentNetwork(inst)
+    densest = seed.max_density(inst, network)
+    memo = {}
+
+    def probe(audit):
+        return _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
+                      counters=Counter(), network=network, densest=densest, memo=memo)
+
+    first = probe(False)
+    [(key, record)] = memo.items()
+    assert probe(True).schedule.assignment == first.schedule.assignment
+    if part == "placement":  # the largest job left unassigned
+        record = record._replace(placement=record.placement[:-1] + (None,))
+    elif part == "counts":
+        record = record._replace(counts=tuple((name, n + 1) for name, n in record.counts))
+    else:
+        record = record._replace(runs=())
+    memo[key] = record
+    with pytest.raises(EngineInvariantError, match="differ"):
+        probe(True)

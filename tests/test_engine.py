@@ -381,6 +381,17 @@ class TestAuditSuite:
         msgs = eng.check_invariants()
         assert any("huge-target load condition" in m for m in msgs)
 
+    @pytest.mark.parametrize("counter,message", [
+        ("_load", "incremental load drifted"),
+        ("plain_load", "small and medium load drifted")])
+    def test_drifted_load_counters_reported(self, counter, message):
+        eng = engine_with([(Frac(2, 5), {1}), (Frac(1, 2), {1, 2}), (Frac(9, 10), {1})],
+                          2, {1: 1, 2: 2}, 3)
+        assert eng.check_invariants() == []
+        getattr(eng.schedule, counter)[2] += 1
+        assert [m for m in eng.check_invariants() if "drifted" in m] == [
+            f"machine 2 {message}"]
+
     def test_mm_needs_two_mediums(self):
         eng = engine_with([(Frac(3, 5), {1, 2}), (Frac(9, 10), {1, 2})],
                           2, {1: 1}, 2)
@@ -591,7 +602,7 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
         for k in range(12):
             driver._probe(inst, inst.max_size() * Frac(20 + k, 20), EPS, audit=False,
                           log_events=False, run_logs=[], counters=Counter(),
-                          network=network, densest=densest)
+                          network=network, densest=densest, memo={})
     engines = [stuck.engine for stuck in stuck_states]
     assert len(engines) >= 90
     # blocked small jobs without an activator get their value layer from the table
@@ -600,21 +611,29 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
 
 def test_final_move_signature_is_computed_only_for_the_log(monkeypatch):
     """The inserted job's own move ends its run, and its signature only goes
-    to the event log: without events, that signature is not computed."""
-    calls = []
-    original = InsertionEngine.signature_vector
+    to the event log: without events, that signature is not computed. Only
+    the runs that execute count: a run that a repeated engine image replays
+    computes no signature."""
+    calls, executed = [], []
+    original, run = InsertionEngine.signature_vector, InsertionEngine.run
 
     def counting(self):
         calls.append(None)
         return original(self)
 
+    def recording(self):
+        executed.append(self)
+        return run(self)
+
     monkeypatch.setattr(InsertionEngine, "signature_vector", counting)
+    monkeypatch.setattr(InsertionEngine, "run", recording)
     inst = two_value_instance(random.Random(305), 16)
     quiet = solve(inst, EPS, Frac(1, 100))
     quiet_calls = len(calls)
+    executed.clear()
     logged = solve(inst, EPS, Frac(1, 100), log_events=True)
-    final_moves = sum(1 for run in logged.run_logs for ev in run.events
-                      if ev["event"] == "move" and ev["job"] == run.j_new)
+    final_moves = sum(1 for engine in executed for ev in engine.events
+                      if ev["event"] == "move" and ev["job"] == engine.j_new)
     assert quiet.to_text() == logged.to_text()
     assert final_moves >= 10
     assert len(calls) - quiet_calls == quiet_calls + final_moves

@@ -14,7 +14,7 @@ from rasched.oracle import CapExceededError, exact_config_lp_feasible, exact_opt
 from rasched.rational import Frac, ratio_str
 from rasched.seed import hall_bound, max_density
 
-from conftest import benchmark_pool
+from conftest import benchmark_pool, reference_max_density
 from test_acceptance import CAMPAIGN_SIZE, TAU, campaign_instance
 
 
@@ -176,3 +176,33 @@ def test_hall_bound_is_pinned_on_the_campaign_and_the_benchmark_pools():
         instances += benchmark_pool(workload, 101)
     lines = "".join(ratio_str(hall_and_density(inst)[0]) + "\n" for inst in instances)
     assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_HALL_DIGEST
+
+
+def violators_and_densest(find, inst):
+    """The densest set `find` returns on a fresh network, and the violator
+    of each flow it ran."""
+    network = AssignmentNetwork(inst)
+    seen, flow = [], network.violator
+
+    def recording(supply, capacity):
+        jobs = flow(supply, capacity)
+        seen.append(tuple(jobs))
+        return jobs
+
+    network.violator = recording
+    return find(inst, network), seen
+
+
+def test_max_density_matches_the_loop_over_every_job():
+    """Each flow over the previous violator's jobs alone finds the violator
+    the flow over every job found, so J* and the flow count are unchanged,
+    on the acceptance campaign and the three benchmark pools at seed 9."""
+    instances = [campaign_instance(k) for k in range(CAMPAIGN_SIZE)]
+    for workload in ("uniform", "two_value", "lp_bound"):
+        instances += benchmark_pool(workload, 9)
+    restricted = 0  # instances where some flow supplied a violator alone
+    for inst in instances:
+        got = violators_and_densest(max_density, inst)
+        assert got == violators_and_densest(reference_max_density, inst)
+        restricted += len(got[1]) > 1
+    assert restricted >= 300
