@@ -15,14 +15,17 @@ successful probe does, and every probe the solve decided without a flow
 runs its own flow, which must agree.
 
 The engine reads a guess only through its integer image
-(`ScaledInstance.engine_image`), so close guesses often repeat a search. A
-solve keeps one memo of successful insertion runs, keyed on the seed's
-placement and that image. A probe that repeats both rebuilds the stored
-final placement at its own guess, adds the stored counter increments and,
-when events are logged, replays the stored run logs with its guess, so its
-report, trace and DOT output are those of running it. A stuck probe is
-never stored, since its certificate is built at its own guess. Under audit
-a repeat runs the engine again and must reproduce the record.
+(`ScaledInstance.engine_image`), so close guesses often repeat a search.
+Each insertion run leaves one `EngineRun`: its job, outcome, counter
+increments and, when events are logged, events and tree snapshot. A solve
+keeps one memo of successful probes' final placements and runs, keyed on
+the seed's placement and that image; a probe that repeats both rebuilds the
+stored placement at its own guess and takes the stored runs. One loop
+counts and logs a probe's runs, executed or stored, at its guess, so a
+repeat's report, trace and DOT output are those of running it. A stuck
+probe is never stored, since its certificate is built at its own guess.
+Under audit a repeat runs the engine again, and its placement (None when
+stuck) and runs must equal the record.
 
 The bracket starts at [max job size, makespan of a polished restricted
 greedy schedule] and shrinks until high/low <= 1 + tau. The lowest successful probe's schedule is polished by
@@ -135,20 +138,37 @@ class SolveReport:
         return "\n".join(lines) + "\n"
 
 
-#: the counters an insertion run adds to
-ENGINE_COUNTERS = ("engine_iterations", "engine_moves", "engine_adds",
-                   "signature_checkpoints", "signature_dips")
+class EngineRun(NamedTuple):
+    """One insertion run: the job it inserted, its outcome ("assigned" or
+    "stuck"), each counter it adds to with its increment, and its events
+    and final tree snapshot when events are logged (else None)."""
 
-
-class EngineRecord(NamedTuple):
-    """What a probe's successful insertion runs left behind: the final
-    placement (job -> machine, index 0 unused), each engine counter's
-    increment, and each run's (inserted job, events, snapshot) when events
-    are logged."""
-
-    placement: tuple
+    j_new: int
+    outcome: str
     counts: tuple
-    runs: tuple
+    events: list | None
+    snapshot: list | None
+
+
+def _insert(schedule: Schedule, huge, *, audit, log_events):
+    """Inserts the `huge` jobs into `schedule` in turn. Returns the final
+    schedule, or the StuckState of the run that got stuck, and every run."""
+    runs = []
+    for j_new in huge:
+        engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
+        result = engine.run()
+        stuck = isinstance(result, StuckState)
+        runs.append(EngineRun(
+            j_new, "stuck" if stuck else "assigned",
+            (("engine_iterations", engine.iterations), ("engine_moves", engine.moves),
+             ("engine_adds", engine.adds),
+             ("signature_checkpoints", len(engine.checkpoints)),
+             ("signature_dips", len(engine.signature_dips))),
+            engine.events, _tree_snapshot(engine) if log_events else None))
+        if stuck:
+            return result, runs
+        schedule = result
+    return schedule, runs
 
 
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
@@ -178,74 +198,45 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     # and image seen before repeat that probe's runs
     key = (tuple(schedule.assignment), scaled.engine_image)
     stored = memo.get(key)
-    if stored is not None and not audit:
-        return _replay(stored, guess, scaled, counters, run_logs if log_events else None)
-    before, first_log = [counters[name] for name in ENGINE_COUNTERS], len(run_logs)
-    for j_new in huge:
-        engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
-        result = engine.run()
-        counters["engine_iterations"] += engine.iterations
-        counters["engine_moves"] += engine.moves
-        counters["engine_adds"] += engine.adds
-        counters["signature_checkpoints"] += len(engine.checkpoints)
-        counters["signature_dips"] += len(engine.signature_dips)
+    if stored is None or audit:
+        result, runs = _insert(schedule, huge, audit=audit, log_events=log_events)
+        stuck = isinstance(result, StuckState)
+        record = (None if stuck else tuple(result.assignment), runs)
+        if stored is not None and record != stored:
+            raise EngineInvariantError(
+                f"the insertion runs at {ratio_str(guess)} differ from those of an"
+                " equal engine image and seed")
+        if not stuck:
+            memo[key] = record
+    else:
+        placement, runs = stored
+        result = Schedule(scaled)
+        for j, i in enumerate(placement):
+            if i is not UNASSIGNED:
+                result.assign(j, i)
+    for run in runs:
+        for name, increment in run.counts:
+            counters[name] += increment
         if log_events:
-            run_logs.append(RunLog(
-                guess=guess, j_new=j_new,
-                outcome="stuck" if isinstance(result, StuckState) else "assigned",
-                events=engine.events,
-                snapshot=_tree_snapshot(engine),
-            ))
-        if isinstance(result, StuckState):
-            if stored is not None:
-                raise EngineInvariantError(
-                    f"the insertion runs at {ratio_str(guess)} got stuck where"
-                    " an equal engine image and seed succeeded")
-            counters["stuck_events"] += 1
-            cert = build_dual_certificate(result)
-            if not verify_certificate(cert, scaled):
-                raise CertificateError(
-                    f"stuck-state certificate failed to verify at guess {ratio_str(guess)}"
-                )
-            ok_counts, _ = check_bs_s_machine_counts(result)
-            counters["bs_s_checks"] += 1
-            if not ok_counts:
-                raise EngineInvariantError("per-layer BS/S machine count balance broke")
-            if audit:
-                bad = (check_covered_machine_margin(result, cert)
-                       + check_big_job_value_bound(result, cert))
-                if bad:
-                    raise EngineInvariantError("; ".join(bad))
-            return ProbeResult(guess, "stuck", certificate=cert)
-        schedule = result
-    record = EngineRecord(
-        tuple(schedule.assignment),
-        tuple((name, counters[name] - was) for name, was in zip(ENGINE_COUNTERS, before)),
-        tuple((r.j_new, r.events, r.snapshot) for r in run_logs[first_log:]))
-    if stored is None:
-        memo[key] = record
-    elif record != stored:
-        raise EngineInvariantError(
-            f"the insertion runs at {ratio_str(guess)} differ from those of an"
-            " equal engine image and seed")
-    return ProbeResult(guess, "success", schedule=_validated(schedule))
-
-
-def _replay(record: EngineRecord, guess, scaled: ScaledInstance, counters,
-            run_logs) -> ProbeResult:
-    """A probe's success from the record of the runs an equal engine image
-    and seed made: its placement as a schedule at this guess, its counter
-    increments and, when `run_logs` is given, its runs at this guess."""
-    schedule = Schedule(scaled)
-    for j, i in enumerate(record.placement):
-        if i is not UNASSIGNED:
-            schedule.assign(j, i)
-    for name, increment in record.counts:
-        counters[name] += increment
-    if run_logs is not None:
-        run_logs.extend(RunLog(guess, j_new, "assigned", events, snapshot)
-                        for j_new, events, snapshot in record.runs)
-    return ProbeResult(guess, "success", schedule=_validated(schedule))
+            run_logs.append(RunLog(guess, run.j_new, run.outcome, run.events, run.snapshot))
+    if not isinstance(result, StuckState):
+        return ProbeResult(guess, "success", schedule=_validated(result))
+    counters["stuck_events"] += 1
+    cert = build_dual_certificate(result)
+    if not verify_certificate(cert, scaled):
+        raise CertificateError(
+            f"stuck-state certificate failed to verify at guess {ratio_str(guess)}"
+        )
+    ok_counts, _ = check_bs_s_machine_counts(result)
+    counters["bs_s_checks"] += 1
+    if not ok_counts:
+        raise EngineInvariantError("per-layer BS/S machine count balance broke")
+    if audit:
+        bad = (check_covered_machine_margin(result, cert)
+               + check_big_job_value_bound(result, cert))
+        if bad:
+            raise EngineInvariantError("; ".join(bad))
+    return ProbeResult(guess, "stuck", certificate=cert)
 
 
 def _greedy(inst: Instance) -> dict:
@@ -370,7 +361,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     certificates: list = []
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
-    memo: dict = {}  # (seed placement, engine image) -> EngineRecord
+    memo: dict = {}  # (seed placement, engine image) -> (final placement, runs)
 
     def probe(guess) -> ProbeResult:
         res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -251,8 +252,8 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
     """Over the pools at seeds 9, 1 and 101, a probe whose seed and engine
     image repeat an earlier probe of its solve replays that probe's runs:
     fewer runs and iterations execute, while the reports still count every
-    run. Under audit every run executes again, and the flows stay those of
-    every run."""
+    run, and logged ones log every run. Under audit every run executes
+    again, and the flows stay those of every run."""
     counts = Counter()
     run, violator = InsertionEngine.run, AssignmentNetwork.violator
 
@@ -275,60 +276,117 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
             for inst in benchmark_pool(workload, pool_seed):
                 rep = solve(inst, EPS, TAU, **flags)
                 counts["printed"] += rep.iterations.get("engine_iterations", 0)
+                if flags.get("log_events"):
+                    counts["logs"] += len(rep.run_logs)
         return dict(counts)
 
     assert tally("two_value") == {"runs": 6371, "iterations": 19587, "flows": 1881,
                                   "printed": 29103}
+    # logged runs go through the same accounting: one RunLog per run, executed or not
+    assert tally("two_value", log_events=True) == {
+        "runs": 6371, "iterations": 19587, "flows": 1881, "printed": 29103, "logs": 9563}
     assert tally("two_value", audit=True) == {"runs": 9563, "iterations": 29103,
                                               "flows": 3773, "printed": 29103}
     assert tally("lp_bound", lp_bound=True)["flows"] == 766
     assert tally("uniform") == {"flows": 727, "printed": 0}
 
 
+PINNED_POOL_DIGEST = "946242a64aeb63f287935ec1a5e969aa48b785342247b9f74b193961322b7c77"
+
+
+def pool_digest(**flags):
+    """sha256 over the report text, JSONL trace and DOT output of every
+    seed-9 pool instance of the three benchmark workloads, events logged and
+    `lp_bound` solved with the config-LP bound."""
+    h = hashlib.sha256()
+    for workload in ("uniform", "two_value", "lp_bound"):
+        for inst in benchmark_pool(workload, 9):
+            rep = solve(inst, EPS, TAU, log_events=True,
+                        lp_bound=workload == "lp_bound", **flags)
+            for text in (rep.to_text(), emit_jsonl(rep.run_logs, inst),
+                         emit_dot(rep.run_logs, inst)):
+                h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_pool_reports_traces_and_dot_output_are_pinned():
+    """The seed-9 pools' reports, traces and DOT output are those pinned,
+    and audit, which executes every insertion run, changes none of them."""
+    assert pool_digest() == PINNED_POOL_DIGEST
+    assert pool_digest(audit=True) == PINNED_POOL_DIGEST
+
+
 def test_replayed_runs_report_and_trace_as_executed_ones(monkeypatch):
-    """A replayed probe gives the report, JSONL trace and DOT output that
-    executing its runs gives: audit executes every run."""
-    replays = []
-    replay = driver._replay
+    """A replayed run gives the report, JSONL trace and DOT output that
+    executing it gives: audit executes every run."""
+    executed, run = [], InsertionEngine.run
 
-    def counting(*args):
-        replays.append(None)
-        return replay(*args)
+    def counting_run(self):
+        executed.append(None)
+        return run(self)
 
-    monkeypatch.setattr(driver, "_replay", counting)
+    monkeypatch.setattr(InsertionEngine, "run", counting_run)
+    replayed = 0
     for inst in benchmark_pool("two_value", 9, 40):
+        executed.clear()
         plain = solve(inst, EPS, TAU, log_events=True)
+        replayed += len(plain.run_logs) - len(executed)
+        executed.clear()
         audited = solve(inst, EPS, TAU, log_events=True, audit=True)
+        assert len(executed) == len(audited.run_logs)
         assert plain.to_text() == audited.to_text()
         for emit in (emit_jsonl, emit_dot):
             assert emit(plain.run_logs, inst) == emit(audited.run_logs, inst)
-    assert len(replays) >= 20
+    assert replayed >= 20
+
+
+def audit_probe(inst, guess, memo, audit):
+    network = AssignmentNetwork(inst)
+    return _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
+                  counters=Counter(), network=network,
+                  densest=seed.max_density(inst, network), memo=memo)
+
+
+def engine_guess(inst, outcome):
+    """The first guess of `inst`'s solve with huge jobs and `outcome`."""
+    return next(g for g, o in solve(inst, EPS, TAU).probes
+                if o == outcome and scale_instance(inst, g, EPS).huge_jobs())
 
 
 @pytest.mark.parametrize("part", ["placement", "counts", "runs"])
 def test_an_audited_hit_must_reproduce_the_stored_runs(part):
     """Under audit a probe whose seed and engine image were seen runs its
     insertions again, and a run that differs from the record raises."""
-    inst = two_value_instance(random.Random(305), 16)
-    guess = next(g for g, outcome in solve(inst, EPS, TAU).probes
-                 if outcome == "success" and scale_instance(inst, g, EPS).huge_jobs())
-    network = AssignmentNetwork(inst)
-    densest = seed.max_density(inst, network)
-    memo = {}
-
-    def probe(audit):
-        return _probe(inst, guess, EPS, audit=audit, log_events=True, run_logs=[],
-                      counters=Counter(), network=network, densest=densest, memo=memo)
-
-    first = probe(False)
-    [(key, record)] = memo.items()
-    assert probe(True).schedule.assignment == first.schedule.assignment
+    inst, memo = two_value_instance(random.Random(305), 16), {}
+    guess = engine_guess(inst, "success")
+    first = audit_probe(inst, guess, memo, False)
+    [(key, (placement, runs))] = memo.items()
+    assert audit_probe(inst, guess, memo, True).schedule.assignment == first.schedule.assignment
     if part == "placement":  # the largest job left unassigned
-        record = record._replace(placement=record.placement[:-1] + (None,))
-    elif part == "counts":
-        record = record._replace(counts=tuple((name, n + 1) for name, n in record.counts))
-    else:
-        record = record._replace(runs=())
-    memo[key] = record
+        placement = placement[:-1] + (None,)
+    elif part == "counts":  # the first run counts one more of its first counter
+        (name, n), *rest = runs[0].counts
+        runs = [runs[0]._replace(counts=((name, n + 1), *rest))] + runs[1:]
+    else:  # the last run dropped
+        runs = runs[:-1]
+    memo[key] = (placement, runs)
     with pytest.raises(EngineInvariantError, match="differ"):
-        probe(True)
+        audit_probe(inst, guess, memo, True)
+
+
+def test_an_audited_hit_that_gets_stuck_raises():
+    """A success stored under the seed and engine image of a probe that gets
+    stuck (here the seed itself, placed by no run) differs from the
+    audited rerun, which raises."""
+    inst = two_value_instance(random.Random(306), 8)
+    guess = engine_guess(inst, "stuck")
+    assert audit_probe(inst, guess, {}, True).outcome == "stuck"
+    network = AssignmentNetwork(inst)
+    scaled = scale_instance(inst, guess, EPS)
+    schedule = seed.decided_seed(
+        seed.seed_small_medium(scaled, network, seed.max_density(inst, network)),
+        scaled, network)
+    placement = tuple(schedule.assignment)
+    memo = {(placement, scaled.engine_image): (placement, [])}
+    with pytest.raises(EngineInvariantError, match="differ"):
+        audit_probe(inst, guess, memo, True)
