@@ -458,84 +458,66 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
 
 @dataclass
 class ConfigLPBound:
-    """A bracket [lower, upper] around the configuration-LP optimum.
+    """A lower bound on the optimum from the configuration LP, on the grid
+    1/L of the instance's integer image, and the column-generation runs
+    that found it."""
 
-    `lower_certified` says that the infeasibility ray of a column-generation
-    run proved `lower` infeasible. Otherwise `lower` is the bracket's floor,
-    the largest size or the solve's Hall bound H (`seed.hall_bound`), below
-    which the LP is infeasible.
+    lower: object
+    probes: int
+
+
+def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict,
+                          infeasible_below) -> ConfigLPBound:
+    """A lower bound on the optimum from the configuration LP, by one binary
+    search on the grid 1/L that stops within a relative tolerance.
+
+    Every size is q_j/L, so the optimum is a multiple of 1/L, and a run that
+    proves the LP infeasible at t/L proves the optimum at least (t + 1)/L.
+    The search runs on numerators over L, from lo = ceil(max(largest size,
+    H) L), H = `infeasible_below` a Hall bound (`seed.hall_bound`), to hi/L
+    the makespan of `assignment` (internal job id -> machine), an integral
+    schedule and so a solution. The first run is at lo, every later one at
+    floor((lo + hi)/2): an infeasible run at t sets lo = t + 1 and a
+    feasible one hi = t, until hi <= lo (1 + tolerance); an unresolved run
+    stops the search. The bound is lo/L: with tolerance 0, the least grid
+    point from the floor on at which the LP is feasible, barring an
+    unresolved run.
+
+    All runs share one pool of configurations (`config_lp_feasible_cg`). It
+    starts with the job set of each machine under `assignment`, so a run
+    begins with those that fit in its T, and it collects every priced
+    configuration. Outcomes are exact, so the pool changes how many rounds a
+    run takes, not its status. Raises ValueError on a negative tolerance,
+    with which the search might never end.
     """
-
-    lower: object  # largest T proved infeasible, or the bracket's floor
-    upper: object  # smallest T with a feasible primal found
-    lower_certified: bool
-    feasible_weights: dict
-    probes: int  # column-generation runs
-
-
-def _schedule_configurations(inst: Instance, assignment: dict):
-    """The per-machine job sets of an integral schedule, as configuration-LP
-    weights (machine, config) -> 1, and the schedule's makespan.
-
-    `assignment` maps every internal job id to a machine. Raises
-    CertificateError unless it covers every job with a permitted machine.
-    """
+    if inst.num_jobs == 0:
+        raise ValueError("instance has no jobs")
+    tolerance = frac(tolerance)
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
+    L, q = inst.integer_image
     on_machine = {}
     for j in inst.jobs:
         i = assignment.get(j)
         if i not in inst.gamma[j]:
             raise CertificateError(f"job {j} is not on a permitted machine")
         on_machine.setdefault(i, []).append(j)
-    weights, makespan = {}, ZERO
-    for i, jobs in sorted(on_machine.items()):
-        weights[(i, tuple(sorted(jobs)))] = Frac(1)
-        makespan = max(makespan, sum((inst.sizes[j] for j in jobs), ZERO))
-    return weights, makespan
-
-
-def config_lp_lower_bound(inst: Instance, tolerance, *, assignment: dict,
-                          infeasible_below) -> ConfigLPBound:
-    """Bracket the configuration-LP optimum within a relative tolerance.
-
-    Bisects [max(largest size, H), makespan] by column generation, one run
-    per midpoint, from two facts of a solve:
-
-    - `infeasible_below`, a Hall bound H (`seed.hall_bound`), makes every
-      T < H infeasible: some job set J has p(J) > T |Gamma(J)|, or its
-      c = ceil(|J|/|Gamma(J)|) smallest sizes sum to more than T while some
-      configuration of positive weight would hold c jobs of J.
-    - `assignment` (internal job id -> machine), an integral schedule, makes
-      its makespan feasible: its per-machine job sets are a solution,
-      returned as `feasible_weights` until a run finds a lower one.
-
-    All runs share one pool of configurations (`config_lp_feasible_cg`). It
-    starts with the job set of each machine under `assignment`, so a run
-    begins with those that fit in its T, and it collects every priced
-    configuration. Outcomes are exact, so the pool changes how many rounds a
-    run takes, not its status. An unresolved run stops the bisection.
-    Raises ValueError unless `tolerance` is positive: the bracket would
-    never close.
-    """
-    if inst.num_jobs == 0:
-        raise ValueError("instance has no jobs")
-    tolerance = frac(tolerance)
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    weights, hi = _schedule_configurations(inst, assignment)
-    if infeasible_below > hi:
+    pool = {(i, tuple(jobs)): sum(q[j] for j in jobs) for i, jobs in on_machine.items()}
+    hi = max(pool.values())
+    H = frac(infeasible_below) * L
+    lo = max(max(q), -(-H.numerator // H.denominator))
+    if lo > hi:
         raise CertificateError("a schedule's makespan cannot be infeasible")
-    lo = max(inst.max_size(), infeasible_below)
-    q = inst.integer_image[1]
-    pool = {key: sum(q[j] for j in key[1]) for key in weights}
-    lo_certified, runs = False, 0
-    while hi > lo * (1 + tolerance):
-        mid = (lo + hi) / 2
-        run = config_lp_feasible_cg(inst, mid, pool=pool)
+    tau_num, tau_den = tolerance.numerator, tolerance.denominator
+    t, runs = lo, 0
+    while hi * tau_den > lo * (tau_den + tau_num):  # hi > lo (1 + tolerance)
+        run = config_lp_feasible_cg(inst, Frac(t, L), pool=pool)
         runs += 1
         if run.status == "feasible":
-            hi, weights = mid, run.weights
+            hi = t
         elif run.status == "infeasible":
-            lo, lo_certified = mid, True
-        else:  # unresolved pricing: stop refining rather than overclaim
+            lo = t + 1
+        else:  # unresolved pricing: stop rather than overclaim
             break
-    return ConfigLPBound(lo, hi, lo_certified, weights, runs)
+        t = (lo + hi) // 2
+    return ConfigLPBound(Frac(lo, L), runs)

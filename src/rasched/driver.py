@@ -35,8 +35,8 @@ inputs. Both ends of the bracket are multiples of 1/L, L the scale of the
 instance's integer image, so the bisection runs on integer numerators over
 the common denominator L 2^k and builds one rational per probe, its guess.
 Under `lp_bound` the solve raises lambda* to the Hall bound H on the same
-network (`seed.hall_bound`), and the config-LP bound bisects between H and
-the reported schedule's makespan, so it never prints below H.
+network (`seed.hall_bound`), and the config-LP bound searches the grid 1/L
+between H and the reported schedule's makespan, so it never prints below H.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ and otherwise a job set that outweighs the machines it may use. A solve asks
 it for the densest job set (with every job's supply), for the guesses that
 set leaves undecided, for each schedule that is read and, under
 `--lp-bound`, for the unit supplies of the Hall bound, the floor of the
-config-LP bound's bisection (`rasched.seed`).
+config-LP bound's search (`rasched.seed`).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ jobs, and below it J* proves the guess infeasible unless one of its jobs is
 huge there. Only the remaining guesses run their own flow. A guess decided
 feasible without a flow runs it only when its schedule is read
 (`decided_seed`). `hall_bound` raises lambda* to the Hall bound, the floor
-of the config-LP bound's bisection, by flows with a unit supply per job:
+of the config-LP bound's search, by flows with a unit supply per job:
 their violators are job sets of which some machine must take several.
 
 Only a schedule that is read gets rounded (`round_seed`): cycles of the
@@ -312,6 +312,19 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
     at the same k. No flow runs when the jobs number at most k times the
     least |Gamma(j)| among them, since then none of their subsets can
     outnumber k times its machines.
+
+    Two rules end the search, since no stage from k on has a violator:
+
+    - (a) best k >= lambda* (k + 1). A stage-k violator J has c >= k + 1
+      and |J| > (c - 1) |Gamma(J)|. Its c smallest sizes average at most
+      its mean size p(J)/|J|, and p(J) <= lambda* |Gamma(J)|, so they sum
+      to less than lambda* c/(c - 1) <= lambda* (k + 1)/k <= best, while a
+      violator's sum exceeds best, and lambda* (k + 1)/k only falls as k
+      grows.
+    - (b) k >= the most jobs permitted on one machine. Every job of J has a
+      machine in Gamma(J), so |J| <= sum over i in Gamma(J) of
+      |J & permitted_on(i)|, and |J| > k |Gamma(J)| needs a machine on which
+      more than k jobs are permitted.
     """
     scale, q = inst.integer_image
     n = inst.num_jobs
@@ -319,9 +332,10 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
     least_width[n + 1] = inst.num_machines
     for j in reversed(inst.jobs):
         least_width[j] = min(len(inst.gamma[j]), least_width[j + 1])
-    best = Frac(densest.volume, scale * densest.width)
+    most_permitted = max(len(inst.permitted_on[i]) for i in inst.machines)
+    density = best = Frac(densest.volume, scale * densest.width)
     k = 1
-    while k < n:
+    while k < most_permitted and best * k < density * (k + 1):
         # (k+1) s > best = a/b for s = q_j/L: q_j > L a / ((k+1) b)
         start = bisect_right(q, scale * best.numerator // ((k + 1) * best.denominator), 1)
         count = n + 1 - start

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from rasched.certificate import (_active_on, best_configuration,
                                  certificate_to_text, certificate_from_text,
                                  recheck_certificate, config_lp_feasible_cg,
                                  config_lp_lower_bound,
-                                 CertificateFormatError)
+                                 CertificateError, CertificateFormatError)
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
@@ -256,22 +257,29 @@ def solved_bound(inst, tolerance):
     return config_lp_lower_bound(inst, tolerance, **solve_facts(inst))
 
 
+def grid_floor(inst, infeasible_below):
+    """ceil(max(largest size, H) L) / L: where the bound's search starts."""
+    L = inst.integer_image[0]
+    return Frac(math.ceil(max(inst.max_size(), infeasible_below) * L), L)
+
+
+def schedule_makespan(inst, assignment):
+    return max(sum((inst.sizes[j] for j, i in assignment.items() if i == machine), ZERO)
+               for machine in inst.machines)
+
+
 class TestConfigLPBounds:
     def test_single_machine_exact_total(self):
         inst = make_instance(1, [(Frac(3, 4), {1}), (Frac(1), {1})])
         bound = solved_bound(inst, Frac(1, 100))
-        assert bound.lower <= Frac(7, 4) <= bound.upper
-        assert bound.upper <= bound.lower * Frac(101, 100)
-        assert exact_config_lp_feasible(inst, bound.upper)
-        if bound.lower_certified:
-            assert not exact_config_lp_feasible(inst, bound.lower)
+        assert (bound.lower, bound.probes) == (Frac(7, 4), 0)
+        assert exact_config_lp_feasible(inst, bound.lower)
+        assert not exact_config_lp_feasible(inst, Frac(3, 2))  # one grid step below
 
     def test_perfect_split_found_at_trivial_bound(self):
         inst = make_instance(2, [(Frac(1), {1, 2}), (Frac(1), {1, 2})])
         bound = solved_bound(inst, Frac(1, 100))
-        assert bound.lower == bound.upper == 1
-        assert not bound.lower_certified  # the bracket's floor is already tight
-        assert bound.probes == 0
+        assert (bound.lower, bound.probes) == (1, 0)  # the search starts closed
 
     def test_feasible_run_produces_covering_weights(self):
         inst = make_instance(2, [(Frac(1, 2), {1}), (Frac(1, 2), {2}), (Frac(1), {1, 2})])
@@ -302,13 +310,25 @@ class TestConfigLPBounds:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bracket_contains_enumeration_threshold(self, seed):
+        """The LP is feasible within the tolerance above the bound and, once
+        a run raised the bound above its floor, infeasible one grid step
+        below it."""
         inst = generate_instance(GenSpec(machines=2, jobs=5, seed=seed,
                                          preset="collision"))
-        bound = solved_bound(inst, Frac(1, 50))
-        assert exact_config_lp_feasible(inst, bound.upper)
-        if bound.lower_certified:
-            assert not exact_config_lp_feasible(inst, bound.lower)
-        assert bound.upper <= bound.lower * Frac(51, 50)
+        facts = solve_facts(inst)
+        bound = config_lp_lower_bound(inst, Frac(1, 50), **facts)
+        assert exact_config_lp_feasible(inst, bound.lower * Frac(51, 50))
+        if bound.lower > grid_floor(inst, facts["infeasible_below"]):
+            assert not exact_config_lp_feasible(inst, bound.lower - Frac(1, inst.integer_image[0]))
+
+    def test_a_schedule_below_its_floor_or_off_its_machines_is_refused(self):
+        # internal ids by size: job 1 (1/2) on machine 1, job 2 (1) on both
+        inst = make_instance(2, [(Frac(1), {1, 2}), (Frac(1, 2), {1})])
+        with pytest.raises(CertificateError, match="cannot be infeasible"):
+            config_lp_lower_bound(inst, TAU, assignment={1: 1, 2: 2},
+                                  infeasible_below=Frac(3, 2))
+        with pytest.raises(CertificateError, match="job 1 is not on a permitted machine"):
+            config_lp_lower_bound(inst, TAU, assignment={1: 2, 2: 1}, infeasible_below=1)
 
     def test_agreement_with_stuck_guesses(self):
         stuck, sc = rich_stuck()
@@ -316,48 +336,49 @@ class TestConfigLPBounds:
         run = config_lp_feasible_cg(sc.base, sc.guess)
         assert run.status == "infeasible"
 
-    def test_unresolved_run_stops_the_bisection_uncertified(self, monkeypatch):
+    def test_an_unresolved_run_stops_the_search(self, monkeypatch):
         import rasched.certificate as cm
-        # two machines and a schedule with every job on machine 1 (makespan
-        # 11/10): the Hall bound is 3/5 (two of the three jobs share a
-        # machine), and at the first midpoint 17/20 the pool holds no
-        # configuration that fits, so a two-job one has to be priced in a
-        # second round
+        # two machines, a schedule with every job on machine 1 (makespan
+        # 11/10, L = 10) and the floor 1/2, below the Hall bound 3/5: the
+        # run there is infeasible in one round, and a run from 3/5 on needs
+        # a second round to price the two-job configuration {2, 3} until the
+        # pool holds it
         inst = make_instance(2, [(Frac(1, 2), {1, 2}), (Frac(3, 10), {1, 2}),
                                  (Frac(3, 10), {1, 2})])
-        network = AssignmentNetwork(inst)
-        facts = {"assignment": {j: 1 for j in inst.jobs},
-                 "infeasible_below": hall_bound(inst, network, max_density(inst, network))}
-        assert facts["infeasible_below"] == Frac(3, 5)
-        assert config_lp_feasible_cg(inst, Frac(17, 20)).rounds > 1
-        assert config_lp_lower_bound(inst, Frac(1, 100), **facts).upper < Frac(17, 20)
+        facts = {"assignment": {j: 1 for j in inst.jobs}, "infeasible_below": Frac(1, 2)}
+        bound, runs = bound_with_runs(
+            monkeypatch, lambda: config_lp_lower_bound(inst, ZERO, **facts))
+        assert [(run.T, run.status, run.rounds) for run in runs] == [
+            (Frac(1, 2), "infeasible", 1), (Frac(4, 5), "feasible", 2),
+            (Frac(7, 10), "feasible", 1), (Frac(3, 5), "feasible", 1)]
+        assert (bound.lower, bound.probes) == (Frac(3, 5), 4)
+        # the unresolved run at 4/5 ends the search with the bound it has
         monkeypatch.setattr(cm, "_MAX_CG_ROUNDS", 1)
-        run = config_lp_feasible_cg(inst, Frac(17, 20))
-        assert (run.status, run.rounds) == ("unresolved", 1)
-        # the unresolved midpoint ends the refinement without a claim
-        bound = config_lp_lower_bound(inst, Frac(1, 100), **facts)
-        assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
-            Frac(3, 5), Frac(11, 10), False, 1)
+        bound, runs = bound_with_runs(
+            monkeypatch, lambda: config_lp_lower_bound(inst, ZERO, **facts))
+        assert [(run.T, run.status, run.rounds) for run in runs] == [
+            (Frac(1, 2), "infeasible", 1), (Frac(4, 5), "unresolved", 1)]
+        assert (bound.lower, bound.probes) == (Frac(3, 5), 2)
 
 
-def fresh_bisection(inst, tolerance, assignment, infeasible_below):
-    """The bound's bisection with a fresh pool per run: (lower, upper,
-    certified, [(T, status) of every run])."""
-    lo = max(inst.max_size(), infeasible_below)
-    hi = max(sum((inst.sizes[j] for j, i in assignment.items() if i == machine), ZERO)
-             for machine in inst.machines)
-    runs, lo_certified = [], False
+def fresh_search(inst, tolerance, assignment, infeasible_below):
+    """The bound's search with a fresh pool per run: (bound, [(T, status)
+    of every run])."""
+    L = inst.integer_image[0]
+    lo = int(grid_floor(inst, infeasible_below) * L)
+    hi = int(schedule_makespan(inst, assignment) * L)
+    runs, t = [], lo
     while hi > lo * (1 + tolerance):
-        mid = (lo + hi) / 2
-        run = config_lp_feasible_cg(inst, mid)
-        runs.append((mid, run.status))
+        run = config_lp_feasible_cg(inst, Frac(t, L))
+        runs.append((Frac(t, L), run.status))
         if run.status == "feasible":
-            hi = mid
+            hi = t
         elif run.status == "infeasible":
-            lo, lo_certified = mid, True
+            lo = t + 1
         else:
             break
-    return lo, hi, lo_certified, runs
+        t = (lo + hi) // 2
+    return Frac(lo, L), runs
 
 
 def assert_ray_is_knapsack_checked(inst, run):
@@ -382,15 +403,15 @@ POOLED_CASES = [(preset, seed) for preset in ("collision", "huge_heavy") for see
 class TestPooledBisection:
     @pytest.mark.parametrize("preset,seed", POOLED_CASES)
     def test_pool_matches_cold_bisection(self, preset, seed, monkeypatch):
-        """The bisection on the shared pool makes the runs, outcomes and
-        bracket of the same bisection with a fresh pool per run."""
+        """The search on the shared pool makes the runs, outcomes and bound
+        of the same search with a fresh pool per run."""
         import rasched.certificate as cm
         machines = 2 + seed % 3
         inst = generate_instance(GenSpec(machines=machines, jobs=5 + seed % 7,
                                          preset=preset, density=Frac(2, 3), seed=seed))
         tol = Frac(1, 50)
         facts = solve_facts(inst)
-        *expected, fresh_runs = fresh_bisection(inst, tol, **facts)
+        expected, fresh_runs = fresh_search(inst, tol, **facts)
 
         runs = []
         original = cm.config_lp_feasible_cg
@@ -403,14 +424,11 @@ class TestPooledBisection:
 
         monkeypatch.setattr(cm, "config_lp_feasible_cg", recording)
         bound = config_lp_lower_bound(inst, tol, **facts)
-        got = (bound.lower, bound.upper, bound.lower_certified)
-        assert list(got) == expected
+        assert bound.lower == expected
         assert [(run.T, run.status) for run in runs] == fresh_runs
         assert len(runs) == bound.probes
-        assert exact_config_lp_feasible(inst, bound.upper)
-        if bound.lower_certified:
-            assert not exact_config_lp_feasible(inst, bound.lower)
         for run in runs:
+            assert exact_config_lp_feasible(inst, run.T) == (run.status == "feasible")
             if run.status == "infeasible":
                 assert_ray_is_knapsack_checked(inst, run)
 
@@ -467,7 +485,7 @@ def bound_with_runs(monkeypatch, call):
 
 class TestDecidedProbes:
     """`driver.solve` hands the config-LP bound its schedule and its Hall
-    bound, and the bound bisects between them on its pool."""
+    bound, and the bound searches the grid between them on its pool."""
 
     CASES = (DECIDED_CASES
              + [(preset, seed) for preset in ("collision", "huge_heavy")
@@ -497,13 +515,19 @@ class TestDecidedProbes:
             placement, hall = kwargs["assignment"], kwargs["infeasible_below"]
             assert {inst.name_of(j): i for j, i in placement.items()} == report.assignment
             assert report.iterations["lp_bound_probes"] == bound.probes == len(runs), case
-            assert max(inst.max_size(), hall) <= bound.lower <= report.lower_bound, case
-            assert bound.upper <= report.makespan, case
-            assert_covering_weights(inst, bound.feasible_weights, bound.upper)
+            assert grid_floor(inst, hall) <= bound.lower <= report.lower_bound, case
+            L = inst.integer_image[0]
             for run in runs:
-                assert hall < run.T < report.makespan, case
+                # on the grid, from the floor to below the makespan, and on
+                # the side of the bound that its outcome proves
+                assert (run.T * L).denominator == 1, case
+                assert grid_floor(inst, hall) <= run.T < report.makespan, case
                 if run.status == "infeasible":
+                    assert run.T < bound.lower, case
                     assert_ray_is_knapsack_checked(inst, run)
+                else:
+                    assert run.T >= bound.lower, case
+                    assert_covering_weights(inst, run.weights, run.T)
                 statuses[run.status] += 1
         assert all(count >= 10 for count in statuses.values()), statuses
 
@@ -580,8 +604,7 @@ class TestSeededPool:
                 empty, empty_runs = bound_with_runs(
                     monkeypatch, lambda: config_lp_lower_bound(inst, TAU, **facts))
             case = (kind, seed)
-            assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (
-                empty.lower, empty.upper, empty.lower_certified, empty.probes), case
+            assert (bound.lower, bound.probes) == (empty.lower, empty.probes), case
             assert ([(run.T, run.status) for run in runs]
                     == [(run.T, run.status) for run in empty_runs]), case
             for run in runs:
@@ -650,8 +673,8 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
     for kind, seed in DECIDED_CASES:
         inst = decided_case(kind, seed)
         solve(inst, lp_bound=True)
-        # the same bisection on fresh pools: each run prices from scratch
-        fresh_bisection(inst, TAU, **solve_facts(inst))
+        # the same search on fresh pools: each run prices from scratch
+        fresh_search(inst, TAU, **solve_facts(inst))
     for kind, seed in DECIDED_CASES[::4]:
         inst = decided_case(kind, seed)
         for T in (inst.max_size(), sum(inst.sizes[1:]) / 2):
@@ -659,16 +682,17 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
     assert len(master) >= 200 and len(enumerated) >= 20
 
 
-#: computed once the bound bisected between the Hall bound and the schedule's
-#: makespan: reports and bounds (lower, upper, certified, probes)
-PINNED_LP_DIGEST = "271206d7c7307963e7fda051fdbff18b86b3e377ccb2978a3fc7d010c81e38f6"
-#: each run's T and status, computed on that bracket (40 runs; 46 while the
-#: bound replayed the midpoints of [max size, total size], 91 before the
-#: Hall bound decided the probes below it)
-PINNED_LP_RUNS_DIGEST = "99b8e16422a788898e2991651538e81c4eb7c2dad3052445c5080a8e9ea7cd52"
-#: each run's rounds on that bracket, every run from the slack basis, and
-#: their total (168 on the replayed bracket)
-PINNED_LP_ROUNDS_DIGEST = "3a7e284ae080ad579dd3d21a533e21d45ea00582b07ea2c0f62a85931d2574b3"
+#: reports and bounds (lower, probes), computed once the bound searched the
+#: grid 1/L from the Hall bound up
+PINNED_LP_DIGEST = "45e37c39c557fa9552a584317cc471d45316dde7547e14263f488946067b4f64"
+#: each run's T and status on that grid (37 runs; 40 while the bound
+#: bisected on rationals between the Hall bound and the makespan, 46 while
+#: it replayed the midpoints of [max size, total size], 91 before the Hall
+#: bound decided the probes below it)
+PINNED_LP_RUNS_DIGEST = "f77ded5c4ee90d06e149e354c834e28c7a4c2e396e2fb454830ecf5ae333e09e"
+#: each run's rounds on that grid, every run from the slack basis, and
+#: their total (also 142 on the rational bracket, 168 on the replayed one)
+PINNED_LP_ROUNDS_DIGEST = "cab46847038e50740cf6ef7d4c4e5639a66e2d041ef498c86b8980dae86464a0"
 PINNED_LP_ROUNDS_TOTAL = 142
 
 
@@ -698,19 +722,18 @@ def lp_path_solves(monkeypatch):
 
 
 def test_lp_path_matches_the_pinned_digest(monkeypatch):
-    """Reports and bounds are those of the bisection between the Hall bound
-    and the schedule's makespan."""
+    """Reports and bounds are those of the grid search between the Hall
+    bound and the schedule's makespan."""
     h = hashlib.sha256()
     for report, bound, _ in lp_path_solves(monkeypatch):
         h.update(report.to_text().encode())
-        h.update(repr((str(bound.lower), str(bound.upper), bound.lower_certified,
-                       bound.probes)).encode())
+        h.update(repr((str(bound.lower), bound.probes)).encode())
     assert h.hexdigest() == PINNED_LP_DIGEST
 
 
 def test_lp_path_runs_match_the_pinned_digest(monkeypatch):
     """The T and status of every column-generation run the solves' bounds
-    make, each a midpoint above the Hall bound."""
+    make, each on the grid from the Hall bound up."""
     h = hashlib.sha256()
     for _, _, runs in lp_path_solves(monkeypatch):
         h.update(repr([(str(run.T), run.status) for run in runs]).encode())
@@ -719,8 +742,8 @@ def test_lp_path_runs_match_the_pinned_digest(monkeypatch):
 
 def test_lp_path_rounds_match_the_pinned_digest(monkeypatch):
     """Each run's rounds once the pool starts with the schedule's
-    configurations, the bracket with the Hall bound and every run starts
-    from the slack basis."""
+    configurations, the search starts at the Hall bound and every run
+    starts from the slack basis."""
     h = hashlib.sha256()
     total = 0
     for _, _, runs in lp_path_solves(monkeypatch):
@@ -739,12 +762,14 @@ def test_every_run_starts_from_the_slack_basis(monkeypatch):
     checked = priced = 0
     for k in range(24):
         inst = lp_path_instance(k)
-        bound = solved_bound(inst, TAU)
-        T0 = bound.lower
-        if not bound.lower_certified:
-            continue
+        facts = solve_facts(inst)
+        bound = config_lp_lower_bound(inst, TAU, **facts)
+        if bound.lower == grid_floor(inst, facts["infeasible_below"]):
+            continue  # no run proved a grid point infeasible
+        T0 = bound.lower - Frac(1, inst.integer_image[0])
+        upper = schedule_makespan(inst, facts["assignment"])
         m, q = inst.num_machines, inst.integer_image[1]
-        for T in (T0, (T0 + bound.upper) / 2, bound.upper):
+        for T in (T0, (T0 + upper) / 2, upper):
             pool = {}
             assert config_lp_feasible_cg(inst, T0, pool=pool).status == "infeasible"
             before = dict(pool)
@@ -770,12 +795,79 @@ def test_every_run_starts_from_the_slack_basis(monkeypatch):
     assert checked >= 10 and priced >= 20, (checked, priced)
 
 
-@pytest.mark.parametrize("tolerance", [0, -1])
+@pytest.mark.parametrize("tolerance", [-1])
 def test_bound_refuses_a_tolerance_that_never_closes_the_bracket(tolerance):
     inst = lp_path_instance(0)
     facts = solve_facts(inst)
-    with deadline(5), pytest.raises(ValueError, match="tolerance must be positive"):
+    with deadline(5), pytest.raises(ValueError, match="tolerance must be nonnegative"):
         config_lp_lower_bound(inst, tolerance, **facts)
+
+
+def test_a_zero_tolerance_finds_the_least_feasible_grid_point():
+    """With tolerance 0 the bound is the least grid point from the floor on
+    at which the configuration LP is feasible."""
+    raised = 0
+    for k in range(24):
+        inst = lp_path_instance(k)
+        facts = solve_facts(inst)
+        bound = config_lp_lower_bound(inst, ZERO, **facts)
+        assert exact_config_lp_feasible(inst, bound.lower), k
+        if bound.lower > grid_floor(inst, facts["infeasible_below"]):
+            assert not exact_config_lp_feasible(
+                inst, bound.lower - Frac(1, inst.integer_image[0])), k
+            raised += 1
+    assert raised >= 5, raised
+
+
+def random_grid_instance(rng):
+    """2 to 4 machines and 4 to 10 jobs, with sizes over one denominator of
+    6, 7, 12 and 60 and random permitted sets."""
+    m, d = rng.randint(2, 4), rng.choice((6, 7, 12, 60))
+    return make_instance(m, [(Frac(rng.randint(1, 2 * d), d),
+                              set(rng.sample(range(1, m + 1), rng.randint(1, m))))
+                             for _ in range(rng.randint(4, 10))])
+
+
+def test_the_bound_lies_on_the_grid_between_the_floor_and_the_optimum():
+    """On acceptance-campaign instances and on random ones over small
+    denominators, the bound under the solve's facts lies between the grid
+    floor max(largest size, H) and the optimum, and above the floor the
+    configuration LP is infeasible one grid step below it."""
+    from rasched.oracle import exact_optimal_makespan
+    from test_acceptance import CAMPAIGN_SIZE, campaign_instance
+    rng = random.Random(31)
+    instances = [campaign_instance(k) for k in range(CAMPAIGN_SIZE)]
+    instances += [random_grid_instance(rng) for _ in range(200)]
+    raised = 0
+    for k, inst in enumerate(instances):
+        assert inst.num_jobs <= 12
+        facts = solve_facts(inst)
+        bound = config_lp_lower_bound(inst, TAU, **facts)
+        floor = grid_floor(inst, facts["infeasible_below"])
+        assert floor <= bound.lower <= exact_optimal_makespan(inst), k
+        if bound.lower > floor:
+            assert not exact_config_lp_feasible(
+                inst, bound.lower - Frac(1, inst.integer_image[0])), k
+            raised += 1
+    assert raised >= 200, raised
+
+
+def test_a_bound_on_a_fine_grid_takes_logarithmic_runs():
+    """Sizes over the primes 977 to 997 put L near 10^12, yet the search
+    ends within ceil(log2(gap L)) + 1 runs, gap the distance from its floor
+    to the schedule's makespan, even with tolerance 0."""
+    rng = random.Random(977)
+    inst = make_instance(6, [(Frac(rng.randint(d // 2, 2 * d), d), set(rng.sample(range(1, 7), 3)))
+                             for d in (977, 983, 991, 997) for _ in range(6)])
+    L = inst.integer_image[0]
+    assert L > 9 * 10 ** 11
+    facts = solve_facts(inst)
+    gap = (schedule_makespan(inst, facts["assignment"])
+           - grid_floor(inst, facts["infeasible_below"])) * L
+    for tolerance in (TAU, ZERO):
+        with deadline(60):
+            bound = config_lp_lower_bound(inst, tolerance, **facts)
+        assert 1 <= bound.probes <= (int(gap) - 1).bit_length() + 1, tolerance
 
 
 def two_value_16(seed):
@@ -830,8 +922,8 @@ def test_every_knapsack_query_is_integral(monkeypatch):
     for kind, seed in DECIDED_CASES:
         inst = decided_case(kind, seed)
         solve(inst, lp_bound=True)
-        # the same bisection on fresh pools: each run prices from scratch
-        fresh_bisection(inst, TAU, **solve_facts(inst))
+        # the same search on fresh pools: each run prices from scratch
+        fresh_search(inst, TAU, **solve_facts(inst))
     for seed in range(24):
         solve(two_value_16(seed), audit=True)
     # the big-job bound prices a machine only when an active job there fits

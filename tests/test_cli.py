@@ -26,11 +26,20 @@ from conftest import two_value_instance
 #: 31 unit jobs on 2 machines, each permitted on both
 WIDE_TEXT = "ra 1\nmachines 2\n" + "".join(f"job j{k} 1 : 1 2\n" for k in range(31))
 #: 31 jobs on 2 machines, each permitted on both: 9 of size 1/2, 8 of 1 and
-#: 14 of 3/2, whose config-LP bound prices 31 items at a midpoint between
-#: its Hall bound and the schedule's makespan
-OVER_CAP_TEXT = "ra 1\nmachines 2\n" + "".join(
+#: 14 of 3/2, whose Hall bound 67/4 rounds up on the grid 1/2 to the
+#: schedule's makespan 17
+GRID_HALL_TEXT = "ra 1\nmachines 2\n" + "".join(
     f"job j{k} {size} : 1 2\n"
     for k, size in enumerate(["1/2"] * 9 + ["1"] * 8 + ["3/2"] * 14))
+#: 31 jobs on 2 machines, each permitted on both: 9 of size 1/2, 8 of 1, 13
+#: of 3/2 and one of 1/3. The Hall bound 97/6 is half the total size, on
+#: the grid 1/6, so covering every job there needs configurations of size
+#: exactly 97/6. None has it: each sums to a multiple of 1/2, or to such a
+#: multiple plus 1/3. The run there, below the schedule's makespan 49/3,
+#: prices all 31 jobs on one machine
+OVER_CAP_TEXT = "ra 1\nmachines 2\n" + "".join(
+    f"job j{k} {size} : 1 2\n"
+    for k, size in enumerate(["1/2"] * 9 + ["1"] * 8 + ["3/2"] * 13 + ["1/3"]))
 
 
 @pytest.fixture
@@ -161,18 +170,32 @@ class TestSolve:
         assert err == f"input error: bad rational '{value}' (expected n or n/d)\n"
 
     def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
-        # 31 pricing items on machines 1 and 2, and a midpoint between the
-        # Hall bound and the makespan that needs a run
+        # 31 pricing items on machines 1 and 2, and a run at the grid Hall
+        # bound, below the makespan
         inst = workdir / "big.ra"
         inst.write_text(OVER_CAP_TEXT)
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
         assert code == EXIT_LIMIT and out == ""
         assert err.startswith("limit exceeded: knapsack limited to 30 items")
 
+    def test_lp_bound_at_the_grid_hall_bound_needs_no_knapsack(self, workdir, capsys):
+        # 31 pricing items per machine, but the Hall bound 67/4 rounds up on
+        # the grid 1/2 to the schedule's makespan 17, so the search starts
+        # closed and the bound prints it
+        inst = workdir / "grid.ra"
+        inst.write_text(GRID_HALL_TEXT)
+        code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert "makespan 17/1 ~17.000000" in lines
+        assert "lower-bound 17/1 kind=config-lp" in lines
+        assert "ratio-bound 1/1 ~1.000000" in lines
+        assert "iterations lp_bound_probes 0" in lines
+
     def test_lp_bound_decided_below_the_hall_bound_needs_no_knapsack(self, workdir, capsys):
         # 31 unit jobs on 2 machines: 31 pricing items per machine, but the
         # Hall bound 16 (16 jobs on one machine) is the schedule's makespan,
-        # so the bracket starts closed and the bound prints it
+        # so the search starts closed and the bound prints it
         inst = workdir / "wide.ra"
         inst.write_text(WIDE_TEXT)
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
@@ -349,7 +372,7 @@ class TestBench:
         recs = {r["instance"]: r for r in map(json.loads, rows.read_text().splitlines())}
         assert recs["wide.ra"]["lp_lower_bound"] is None
         assert recs["wide.ra"]["ratio_vs_lp"] is None
-        assert recs["wide.ra"]["makespan"] == "17/1"
+        assert recs["wide.ra"]["makespan"] == "49/3"
         assert recs["good.ra"]["ratio_vs_lp"] is not None
 
     def test_bench_gives_a_job_less_instance_the_row_solve_reports(self, workdir, capsys):

@@ -291,7 +291,8 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
     assert tally("uniform") == {"flows": 727, "printed": 0}
 
 
-PINNED_POOL_DIGEST = "946242a64aeb63f287935ec1a5e969aa48b785342247b9f74b193961322b7c77"
+#: computed once the config-LP bound searched the grid 1/L
+PINNED_POOL_DIGEST = "1d1af1b4ffb6ac2ec71072d96dd502fd2fd9069b36637a061c2ee011ff308d4c"
 
 
 def pool_digest(**flags):

@@ -1,8 +1,10 @@
-"""The Hall bound: its value against every job subset and the optimum, the
-config-LP bracket it floors, and the runs of that bound on a benchmark pool."""
+"""The Hall bound: its value against every job subset and the optimum, its
+stop rules and flow count, the config-LP search it floors, and the runs of
+that bound on a benchmark pool."""
 
 import hashlib
 import math
+import random
 
 from rasched import driver
 from rasched import certificate as cm
@@ -14,7 +16,7 @@ from rasched.oracle import CapExceededError, exact_config_lp_feasible, exact_opt
 from rasched.rational import Frac, ratio_str
 from rasched.seed import hall_bound, max_density
 
-from conftest import benchmark_pool, reference_max_density
+from conftest import benchmark_pool, deadline, reference_max_density, two_value_instance
 from test_acceptance import CAMPAIGN_SIZE, TAU, campaign_instance
 
 
@@ -77,22 +79,22 @@ def test_hall_bound_counts_jobs_per_machine():
 
 def test_a_bracket_closed_at_the_hall_bound_needs_no_run():
     """H = max size = the schedule's makespan: the configuration LP is
-    feasible at H, and the bound closes there without a run."""
+    feasible at H, and the search closes there without a run."""
     inst = make_instance(2, [(Frac(1), {1}), (Frac(1), {2})])
     hall, _ = hall_and_density(inst)
     assert hall == inst.max_size() == 1
     assert exact_config_lp_feasible(inst, hall)
     bound = config_lp_lower_bound(inst, Frac(1, 100), assignment={1: 1, 2: 2},
                                   infeasible_below=hall)
-    assert (bound.lower, bound.upper, bound.lower_certified, bound.probes) == (1, 1, False, 0)
+    assert (bound.lower, bound.probes) == (1, 0)
 
 
 def test_the_printed_bound_lies_between_the_hall_bound_and_the_optimum(monkeypatch):
     """On every campaign instance (at most 10 jobs) under `lp_bound`, the
-    printed lower bound lies in [max(p_max, H), OPT], and the bound's
-    bracket [lower, upper] lies below the makespan and closes within the
-    tolerance unless a run came back unresolved."""
-    bounds, statuses = [], []
+    printed lower bound lies in [max(p_max, H), OPT], and the search closes
+    within the tolerance of its least feasible end (the makespan or a
+    feasible run) unless a run came back unresolved."""
+    bounds, runs_seen = [], []
     bound_of, run_cg = driver.config_lp_lower_bound, cm.config_lp_feasible_cg
 
     def recording_bound(*args, **kwargs):
@@ -101,7 +103,7 @@ def test_the_printed_bound_lies_between_the_hall_bound_and_the_optimum(monkeypat
 
     def recording_cg(*args, **kwargs):
         run = run_cg(*args, **kwargs)
-        statuses.append(run.status)
+        runs_seen.append(run)
         return run
 
     monkeypatch.setattr(driver, "config_lp_lower_bound", recording_bound)
@@ -112,15 +114,17 @@ def test_the_printed_bound_lies_between_the_hall_bound_and_the_optimum(monkeypat
         assert inst.num_jobs <= 12
         hall, _ = hall_and_density(inst)
         bounds.clear()
-        statuses.clear()
+        runs_seen.clear()
         report = driver.solve(inst, tau=TAU, lp_bound=True)
         (bound,) = bounds
         assert max(inst.max_size(), hall) <= report.lower_bound, k
         assert report.lower_bound <= exact_optimal_makespan(inst), k
-        assert bound.upper <= report.makespan, k
-        assert (bound.upper <= bound.lower * (1 + TAU)
-                or statuses[-1:] == ["unresolved"]), k
-        runs += len(statuses)
+        upper = min([run.T for run in runs_seen if run.status == "feasible"],
+                    default=report.makespan)
+        assert upper <= report.makespan, k
+        assert (upper <= bound.lower * (1 + TAU)
+                or [run.status for run in runs_seen[-1:]] == ["unresolved"]), k
+        runs += len(runs_seen)
     assert runs >= 100, runs
 
 
@@ -129,10 +133,11 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
     knapsack-cap refusals of `solve(..., lp_bound=True)` over the seed-101
     lp_bound pool (48 instances), and the reports that print a lower bound
     below the Hall bound, which must be none: a change that adds runs or
-    flows shows here without a timed run. While the bound replayed the
-    midpoints of [max size, total size], the runs and rounds were 28 and
-    106, one instance was refused, and 41 of the 47 reports printed below
-    the Hall bound."""
+    flows shows here without a timed run. While the bound bisected on
+    rationals between the Hall bound and the makespan, the runs and rounds
+    were 20 and 86. While it replayed the midpoints of [max size, total
+    size], they were 28 and 106, one instance was refused, and 41 of the 47
+    reports printed below the Hall bound."""
     pool = benchmark_pool("lp_bound", 101)
     halls = [hall_and_density(inst)[0] for inst in pool]
     counts = {"runs": 0, "rounds": 0, "seed flows": 0, "network flows": 0, "refused": 0,
@@ -164,7 +169,7 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
             counts["refused"] += 1
         else:
             counts["below hall"] += report.lower_bound < hall
-    assert counts == {"runs": 20, "rounds": 86, "seed flows": 68, "network flows": 259,
+    assert counts == {"runs": 15, "rounds": 82, "seed flows": 68, "network flows": 259,
                       "refused": 0, "below hall": 0}
 
 
@@ -176,6 +181,37 @@ def test_hall_bound_is_pinned_on_the_campaign_and_the_benchmark_pools():
         instances += benchmark_pool(workload, 101)
     lines = "".join(ratio_str(hall_and_density(inst)[0]) + "\n" for inst in instances)
     assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_HALL_DIGEST
+
+
+def hall_flows(inst):
+    """(H, the flows `hall_bound` runs) on a fresh network."""
+    network = AssignmentNetwork(inst)
+    densest = max_density(inst, network)
+    flows, flow = [], network.violator
+
+    def counting(supply, capacity):
+        flows.append(None)
+        return flow(supply, capacity)
+
+    network.violator = counting
+    return hall_bound(inst, network, densest), len(flows)
+
+
+def test_hall_bound_flows_are_pinned_on_the_benchmark_pools():
+    """The flows `hall_bound` runs over the seed-101 pools, a deterministic
+    work count: 2221, 1323 and 141 before the stop rules (a) and (b)."""
+    flows = {workload: sum(hall_flows(inst)[1] for inst in benchmark_pool(workload, 101))
+             for workload in ("uniform", "two_value", "lp_bound")}
+    assert flows == {"uniform": 1491, "two_value": 332, "lp_bound": 141}
+
+
+def test_hall_bound_at_scale_stops_after_one_flow():
+    """Two-value at 1,024 machines (1,740 jobs): rule (a) stops the search
+    after one flow, where the stages up to k = n ran 869."""
+    inst = two_value_instance(random.Random("tv1024"), 1024)
+    assert inst.num_jobs == 1740
+    with deadline(10):
+        assert hall_flows(inst) == (2, 1)
 
 
 def violators_and_densest(find, inst):
