@@ -6,10 +6,10 @@ machine-checkable: together they certify that no fractional schedule of
 makespan 1 (scaled) exists, i.e. the probed guess is below the optimum.
 
 The checks and the config-LP pricing ask each machine for its best
-configuration (`best_configuration`) on integers: verification weighs jobs by
-their scaled sizes over the probe's unit and values them by one integer image
-of z; the column generation prices the master's integer duals against the
-instance's integer sizes. Rationals are built for what is printed or returned.
+configuration (`best_configuration`) on integers: both weigh jobs by the
+instance's integer sizes q against a floor cap of the guess. Verification
+values them by one integer image of z, the column generation by the
+master's integer duals. Rationals are built for what is printed or returned.
 """
 
 from __future__ import annotations
@@ -133,15 +133,15 @@ def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
     """For every machine, maximize z over permitted configurations of size <= 1
     by exact knapsack and compare with y. Returns (ok, witnesses).
 
-    The knapsacks run on integers: the weights are the scaled sizes over
-    `scaled.unit`, against the capacity `unit`, and the values one integer
-    image of z, whose scale brings each best value back to a rational."""
+    The knapsacks run on integers: the weights are the instance's q, against
+    the capacity `scaled.fit` = floor(L T), and the values one integer image
+    of z, whose scale brings each best value back to a rational."""
     witnesses = []
     ok = True
     z_scale, z_int = _z_image(cert)
-    permitted_on = scaled.base.permitted_on
+    permitted_on, q = scaled.base.permitted_on, scaled.base.integer_image[1]
     for i in scaled.base.machines:
-        best, config = best_configuration(permitted_on[i], scaled.int_sizes, z_int, scaled.unit)
+        best, config = best_configuration(permitted_on[i], q, z_int, scaled.fit)
         value = Frac(best, z_scale)
         passed = value <= cert.y[i]
         cert.transcript.append(
@@ -206,15 +206,15 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
     sched = engine.schedule
     violations = []
 
-    unit = sc.unit
+    fit, q = sc.fit, sc.base.integer_image[1]
     z_scale, z_int = _z_image(cert)
     bigs = [(j, k) for j, k in engine.heads().items()
-            if not sc.is_small(j) and sc.int_sizes[j] <= unit]
+            if not sc.is_small(j) and q[j] <= fit]
     for j, k in bigs:
         covered = engine.covered_machines(prefix=k)
         blocked = engine.blocked_small_jobs(prefix=k)
         home = sched.machine_of(j)
-        room = unit - sc.int_sizes[j]
+        room = fit - q[j]
         for i in sc.base.gamma[j]:
             if i == home or i in covered:
                 continue
@@ -223,7 +223,7 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
             z_all = sum((cert.z[jj] for jj in active_prefix), ZERO)
             best, _ = best_configuration(
                 sorted(jj for jj in active_prefix if i in sc.base.gamma[jj]),
-                sc.int_sizes, z_int, room)
+                q, z_int, room)
             overlap = Frac(best, z_scale)
             if cert.z[j] > z_all - overlap:
                 violations.append(
@@ -391,12 +391,13 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
     The run decides on integers from the master to the pricing and back.
     The master is an integer LP (0/+-1 coefficients, 0/1 costs, rhs of
     ones), whose outcome holds its duals as integers `Y` over a scale
-    `D > 0`. With T = a/b and sizes q_j/L, a machine's pricing knapsack
-    weighs job j as `b q_j` against the capacity `L a` and values it at its
-    `Y_j`, and a configuration prices in when its value plus the machine's
-    `Y_i` is positive: every comparison is the rational one times `L b` or
-    `D`. Only the returned weights and ray are rationals. A run still
-    pricing after `_MAX_CG_ROUNDS` rounds is "unresolved".
+    `D > 0`. With sizes q_j/L, a machine's pricing knapsack weighs job j as
+    `q_j` against the capacity floor(L T) and values it at its `Y_j`, and a
+    configuration prices in when its value plus the machine's `Y_i` is
+    positive: every comparison is the rational one times `L` or `D`, the
+    capacity's floored since each sum of q is an integer. Only the returned
+    weights and ray are rationals. A run still pricing after
+    `_MAX_CG_ROUNDS` rounds is "unresolved".
     """
     T = frac(T)
     m, n = inst.num_machines, inst.num_jobs
@@ -404,14 +405,13 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
         return ConfigLPRun("feasible", T, weights={})
     if pool is None:
         pool = {}
-    # T = a/b and p_j = q_j/L: p_j <= T iff b q_j <= L a
+    # p_j = q_j/L: a sum of q is at most L T iff it is at most floor(L T)
     L, q = inst.integer_image
-    b, cap = T.denominator, L * T.numerator
-    sizes = [b * x for x in q]
+    cap = L * T.numerator // T.denominator
 
-    keys = [(i, (j,)) for i in inst.machines for j in inst.permitted_on[i] if sizes[j] <= cap]
+    keys = [(i, (j,)) for i in inst.machines for j in inst.permitted_on[i] if q[j] <= cap]
     generated = set(keys)
-    keys += [key for key in sorted(pool) if b * pool[key] <= cap and key not in generated]
+    keys += [key for key in sorted(pool) if pool[key] <= cap and key not in generated]
     generated.update(keys)
     columns = [[(i - 1, 1)] + [(m - 1 + j, 1) for j in conf] for i, conf in keys]
     slack_first = len(keys)
@@ -440,7 +440,7 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
         values = Y[m - 1:]  # job j's dual at index j
         improving = False
         for i in inst.machines:
-            value, conf = best_configuration(inst.permitted_on[i], sizes, values, cap)
+            value, conf = best_configuration(inst.permitted_on[i], q, values, cap)
             if value + Y[i - 1] > 0:
                 key = (i, conf)
                 if key in generated:

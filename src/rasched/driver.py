@@ -14,8 +14,10 @@ with huge jobs rounds its seed at once, for the engine. Under audit every
 successful probe does, and every probe the solve decided without a flow
 runs its own flow, which must agree.
 
-The engine reads a guess only through its integer image
-(`ScaledInstance.engine_image`), so close guesses often repeat a search.
+The engine reads a guess only through its engine image
+(`ScaledInstance.engine_image`: the floor caps on sums of the instance's
+integer sizes and the class boundaries), so close guesses often repeat a
+search.
 Each insertion run leaves one `EngineRun`: its job, outcome, counter
 increments and, when events are logged, events and tree snapshot. A solve
 keeps one memo of successful probes' final placements and runs, keyed on
@@ -194,8 +196,8 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
         # so this one was decided without a flow: fa is None
         return ProbeResult(guess, "success", scaled=scaled)
     schedule = decided_seed(fa, scaled, network)
-    # the search reads the guess only through its engine image, so a seed
-    # and image seen before repeat that probe's runs
+    # the search reads the guess only through its caps and class boundaries,
+    # so a seed and engine image seen before repeat that probe's runs
     key = (tuple(schedule.assignment), scaled.engine_image)
     stored = memo.get(key)
     if stored is None or audit:

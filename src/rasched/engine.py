@@ -9,11 +9,11 @@ search is stuck and the final tree certifies that the guess was too small.
 Both edits change only the tail of the (layer, sublayer, stamp) order, so
 the tree is one stack of live blockers.
 
-Every load condition sums integer sizes over the probe's unit and compares
-the sum with the integer cap (`ScaledInstance.int_cap`); the schedule keeps
-each machine's small and medium load (`Schedule.plain_load`), so no
-condition sums a machine's jobs anew. These comparisons, the job classes,
-ids and counts are all the search reads of the guess
+Every load condition sums the instance's integer sizes q and compares the
+sum with a floor cap of the guess (`ScaledInstance.cap`, or `huge_cap`
+beside a huge job); the schedule keeps each machine's small and medium load
+(`Schedule.plain_load`), so no condition sums a machine's jobs anew. These
+caps and the job classes are all the search reads of the guess
 (`ScaledInstance.engine_image`).
 
 Determinism: additions tie-break by (job id, machine id), valid moves by
@@ -192,6 +192,7 @@ class InsertionEngine:
         self._moves_since_checkpoint = 0
         self._pending_move_sig = None
         self._blocked_memo = (None, None)
+        self._q = scaled.base.integer_image[1]
         self._smalls = range(1, scaled.small_end)  # ids are sorted by size
         self._rigid_smalls = [j for j in self._smalls if len(scaled.base.gamma[j]) <= 1]
 
@@ -318,15 +319,15 @@ class InsertionEngine:
     # ---------- move classification ----------
 
     def _sum_sizes(self, jobs):
-        sizes = self.scaled.int_sizes
-        return sum(sizes[j] for j in jobs)
+        q = self._q
+        return sum(q[j] for j in jobs)
 
     def _small_and_min_medium(self, i, layer):
-        """Size of the small jobs on i blocked within layers <= layer, and
-        size of i's smallest medium job (0 without one), over the unit."""
+        """The q-size of the small jobs on i blocked within layers <= layer,
+        and that of i's smallest medium job (0 without one)."""
         s_sum = self._sum_sizes(self.blocked_smalls_on(i, prefix=layer))
         mn = self.schedule.min_medium(i)
-        return s_sum, (self.scaled.int_sizes[mn] if mn is not None else 0)
+        return s_sum, (self._q[mn] if mn is not None else 0)
 
     def classify_potential_move(self, j, i, k):
         """Blocker type the move (j, i) would get in layer k, or None.
@@ -339,8 +340,8 @@ class InsertionEngine:
         if self.undesirable_on(j, i, prefix=k):
             return None
         sc = self.scaled
-        cap = sc.int_cap
-        p_j = sc.int_sizes[j]
+        cap = sc.cap
+        p_j = self._q[j]
         if j < sc.small_end:
             return BlockerType.S
         a = self.schedule.plain_load[i] + p_j
@@ -361,8 +362,8 @@ class InsertionEngine:
         """Re-check the conditions marked for re-evaluation on the blocker's
         type against the current schedule (using the blocker's own layer)."""
         sc = self.scaled
-        cap = sc.int_cap
-        p_j = sc.int_sizes[b.job]
+        cap = sc.cap
+        p_j = self._q[b.job]
         if b.btype in (BlockerType.BB, BlockerType.S):
             return True
         if b.btype in (BlockerType.MS, BlockerType.BS):
@@ -381,8 +382,8 @@ class InsertionEngine:
             return False
         if sc.is_huge(j) and sched.huges[i]:
             return False
-        up_load = sched.plain_load[i] + len(sched.huges[i]) * sc.unit  # a huge job counts 1
-        return up_load + sc.int_sizes[j] <= sc.int_cap
+        # beside a huge job (one at most) the room is R, else 1 + R
+        return sched.plain_load[i] + self._q[j] <= (sc.huge_cap if sched.huges[i] else sc.cap)
 
     def find_valid_move(self):
         """Live blocker with a valid move in the lowest (layer, sublayer),
@@ -547,7 +548,7 @@ class InsertionEngine:
     def check_invariants(self):
         """Loop-top invariant suite; returns a list of violation strings."""
         sc, sched, tree = self.scaled, self.schedule, self.tree
-        cap = sc.int_cap
+        cap = sc.cap
         out = []
         live = tree.blockers()
         seen_moves = set()
@@ -577,7 +578,7 @@ class InsertionEngine:
                 out.append(f"job {b.job} has blockers in layers {prev} and {b.layer}")
             layer_of_job[b.job] = b.layer
 
-            p_j = sc.int_sizes[b.job]
+            p_j = self._q[b.job]
             if b.btype is BlockerType.BB:
                 if sched.plain_load[b.machine] + p_j > cap:
                     out.append(f"{b}: huge-target load condition broke")

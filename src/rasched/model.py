@@ -2,20 +2,20 @@
 
 Jobs are re-sorted at parse time so internal ids 1..n are nondecreasing in
 (size, original position); min/max over id sets are therefore deterministic.
-An instance keeps one integer image of its sizes, p_j = q_j / L. A guess
-T = a/b turns it into integer scaled sizes b q_j over the unit L a, built
-once per guess as one table (`ScaledInstance.int_sizes`), and the seed and
-the search decide by integer comparisons on them: the job classes, and
-machine loads against the cap floor((1 + R) L a). R and 1 + R depend on
-epsilon alone and are computed once per epsilon. Schedules keep two integer
-loads per machine: of all its jobs, and of its small and medium jobs alone
-(`Schedule.plain_load`). The search reads a guess only through its engine
-image (`ScaledInstance.engine_image`), so a solve runs it once per image and
-seed. Rationals are built only for output: the scaled sizes
-(`ScaledInstance.size`) when first read and a load (`Schedule.load`) when
-read, for certificates, messages and tests. The engine's validity test
-counts a huge job as the unit, and the certificate rounds it down to 5/6
-(`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
+An instance keeps one integer image of its sizes, p_j = q_j / L, and every
+load and configuration is a sum of q. A guess T reaches them only as
+integer floor caps (`ScaledInstance.cap`, `huge_cap` and `fit`, the floors
+of (1 + R) L T, R L T and L T) and as the job classes: a sum of q is at
+most a cap exactly when its scaled load is at most 1 + R, R or 1. R and
+1 + R depend on epsilon alone and are computed once per epsilon. Schedules
+keep two integer loads per machine: of all its jobs, and of its small and
+medium jobs alone (`Schedule.plain_load`). The search reads a guess only
+through its engine image (`ScaledInstance.engine_image`), so a solve runs it
+once per image and seed. Rationals are built only for output: the scaled
+sizes (`ScaledInstance.size`) when first read and a load (`Schedule.load`)
+when read, for certificates, messages and tests. The engine's validity test
+leaves room R beside a huge job, and the certificate rounds a huge job down
+to 5/6 (`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
 machines, so no header makes a solve build unbounded per-machine lists.
 """
 
@@ -215,11 +215,13 @@ class ScaledInstance:
     """An instance with sizes divided by the guess T; carries epsilon and R.
 
     With T = a/b and the base's integer image (L, q), job j's scaled size is
-    b q_j / (L a), and `int_sizes[j]` = b q_j: it is small iff
-    2 b q_j <= L a and huge iff 6 b q_j > 5 L a. Since q is nondecreasing in
-    the job id, the small jobs are the ids below `small_end` and the huge
-    ones those from `huge_start`. An integer load over L a is at most
-    `int_cap` exactly when the scaled load is at most 1 + R.
+    q_j / (L T): it is small iff 2 b q_j <= L a and huge iff 6 b q_j > 5 L a.
+    Since q is nondecreasing in the job id, the small jobs are the ids below
+    `small_end` and the huge ones those from `huge_start`. A sum Q of q is a
+    scaled load Q / (L T), so it is at most 1 + R, R or 1 exactly when Q is
+    at most `cap`, `huge_cap` or `fit`, the floors of (1 + R) L T, R L T and
+    L T. The seed's flow reads the unit L a, over which b q_j is job j's
+    integer scaled size, and so does a load's rational (`Schedule.load`).
     """
 
     base: Instance
@@ -228,8 +230,9 @@ class ScaledInstance:
     R: object = field(init=False)
     load_cap: object = field(init=False)  # 1 + R, the per-machine load cap
     unit: int = field(init=False)  # L a: scaled size 1 over the common denominator
-    int_sizes: tuple = field(init=False)  # b q_j by job, int_sizes[0] = 0
-    int_cap: int = field(init=False)  # floor((1 + R) L a)
+    cap: int = field(init=False)  # floor((1 + R) L T)
+    huge_cap: int = field(init=False)  # floor(R L T): the room beside a huge job
+    fit: int = field(init=False)  # floor(L T)
     small_end: int = field(init=False)  # the first job id that is not small
     huge_start: int = field(init=False)  # the first huge job id
 
@@ -240,8 +243,9 @@ class ScaledInstance:
         unit = scale * self.guess.numerator
         # the derived fields, set in one step past the frozen __setattr__
         self.__dict__.update(
-            R=R, load_cap=load_cap, unit=unit, int_sizes=tuple([b * x for x in q]),
-            int_cap=load_cap.numerator * unit // load_cap.denominator,
+            R=R, load_cap=load_cap, unit=unit,
+            cap=load_cap.numerator * unit // (load_cap.denominator * b),
+            huge_cap=R.numerator * unit // (R.denominator * b), fit=unit // b,
             small_end=bisect_right(q, unit // (2 * b), 1),
             huge_start=bisect_right(q, 5 * unit // (6 * b), 1))
 
@@ -264,28 +268,12 @@ class ScaledInstance:
 
     @property
     def engine_image(self):
-        """(floor(int_cap / b), floor((int_cap - unit) / b), small_end,
-        huge_start) for the guess T = a/b: everything through which the
-        insertion search (`rasched.engine`) reads the guess.
-
-        Proof. Each size the search reads is int_sizes[j] = b q_j, so every
-        sum it forms is b Q, Q a sum of the integer image's sizes. Its load
-        conditions compare such a sum of small and medium jobs, plus the
-        mover, with the cap: b Q <= int_cap, or b Q > int_cap, its negation.
-        Its validity test counts a machine's huge job as the unit, and a
-        valid schedule carries at most one huge job per machine, so that
-        test is b Q <= int_cap or b Q + unit <= int_cap. For integers Q and
-        b > 0, b Q <= C holds exactly when Q <= floor(C / b), so each of
-        these comparisons is decided by the first two entries. Every other
-        read is a job's class, which the ids below `small_end` and from
-        `huge_start` give, or a job id, machine id or count; the layer cap
-        depends on the machine count and epsilon alone. So two guesses of
-        one instance and epsilon with equal images run the same search from
-        the same schedule: the same moves, counts and events.
-        """
-        b = self.guess.denominator
-        return (self.int_cap // b, (self.int_cap - self.unit) // b,
-                self.small_end, self.huge_start)
+        """(cap, huge_cap, small_end, huge_start): everything through which
+        the insertion search (`rasched.engine`) reads the guess, besides
+        job and machine ids, counts and the instance's q. Two guesses of one
+        instance and epsilon with equal images run the same search from the
+        same schedule."""
+        return self.cap, self.huge_cap, self.small_end, self.huge_start
 
 
 def scale_instance(inst: Instance, guess, epsilon) -> ScaledInstance:
@@ -305,12 +293,14 @@ UNASSIGNED = None
 class Schedule:
     """Total map job -> machine-or-unassigned with incremental load accounting.
 
-    Loads are integers over `scaled.unit` (`int_load`); `load` reads one as
-    the scaled rational. `plain_load[i]` is the load of machine i's small
-    and medium jobs alone, the part the search compares with the cap."""
+    Loads are sums of the instance's integer sizes q (`int_load`), which
+    the scaled instance's caps bound; `load` reads one as the scaled
+    rational. `plain_load[i]` is the load of machine i's small and medium
+    jobs alone, the part the search compares with the caps."""
 
     def __init__(self, scaled: ScaledInstance):
         self.scaled = scaled
+        self._q = scaled.base.integer_image[1]
         n = scaled.base.num_jobs
         m = scaled.base.num_machines
         self.assignment = [UNASSIGNED] * (n + 1)
@@ -329,7 +319,7 @@ class Schedule:
         sc = self.scaled
         self.assignment[j] = i
         self.on_machine[i].add(j)
-        size = sc.int_sizes[j]
+        size = self._q[j]
         if j >= sc.huge_start:
             self.huges[i].add(j)
         else:
@@ -346,7 +336,7 @@ class Schedule:
         self.on_machine[i].discard(j)
         self.mediums[i].discard(j)
         self.huges[i].discard(j)
-        size = sc.int_sizes[j]
+        size = self._q[j]
         if j < sc.huge_start:
             self.plain_load[i] -= size
         self._load[i] -= size
@@ -357,11 +347,12 @@ class Schedule:
         self.assign(j, i)
 
     def int_load(self, i: int) -> int:
-        """The load of machine i times `scaled.unit`."""
+        """The load of machine i, a sum of the instance's q."""
         return self._load[i]
 
     def load(self, i: int):
-        return Frac(self._load[i], self.scaled.unit)
+        sc = self.scaled
+        return Frac(sc.guess.denominator * self._load[i], sc.unit)
 
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""
@@ -377,7 +368,7 @@ def validate_partial_schedule(schedule: Schedule) -> list:
         if i is not UNASSIGNED and i not in sc.base.gamma[j]:
             violations.append(f"job {j} assigned to machine {i} outside its permitted set")
     for i in sc.base.machines:
-        if schedule.int_load(i) > sc.int_cap:
+        if schedule.int_load(i) > sc.cap:
             violations.append(f"machine {i} load {ratio_str(schedule.load(i))}"
                               f" exceeds cap {ratio_str(sc.load_cap)}")
         if len(schedule.huges[i]) > 1:

@@ -4,8 +4,8 @@ Input sizes, the bisection's guesses and bounds, certificates, reports and
 traces are exact rationals. The bisection and a probe's seed and search
 decide on integers instead: the instance keeps one integer image of its
 sizes, the bracket is kept as integer numerators over a common denominator
-(`rasched.driver`), and the guess scales the image to integer sizes and
-loads over a common unit (`rasched.model`), so a successful probe builds no
+(`rasched.driver`), and loads are sums of the image, which the guess bounds
+by integer floor caps (`rasched.model`), so a successful probe builds no
 rational size or load.
 """
 

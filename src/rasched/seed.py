@@ -34,9 +34,9 @@ fractional job. The support graph is built once per rounding and loses an
 edge when its flow reaches 0; each cycle is found by a fresh depth-first
 search over it, so the cycles, and with them the rounding, are those of a
 graph rebuilt for every cycle (one search forest for all cycles would find
-others). The resulting plain load per machine is at most U + max P_j, i.e.
-1 + max small/medium size <= 11/6 at scale. No decision here reads a
-rational: neither the x-values nor the scaled loads are ever built.
+others). The resulting plain load per machine is at most 1 + max small or
+medium size <= 11/6 at scale: in q, `fit` plus the largest such q_j. No
+decision here reads a rational: the x-values and scaled loads are not built.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def solve_assignment_lp(scaled: ScaledInstance,
         return FractionalAssignment({}, {})
     if network is None:
         network = AssignmentNetwork(scaled.base)
-    sizes, end = scaled.int_sizes, scaled.huge_start
-    supply = list(sizes[:end]) + [0] * (len(sizes) - end)
+    b, q, end = scaled.guess.denominator, scaled.base.integer_image[1], scaled.huge_start
+    supply = [b * x for x in q[:end]] + [0] * (len(q) - end)
     if jobs := network.violator(supply, scaled.unit):
         raise SeedInfeasible(HallViolator.of(scaled.base, jobs))
     return FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
@@ -380,7 +380,8 @@ def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
     schedule = round_forest(fa, scaled)
     sm = range(1, scaled.huge_start)
     assert all(schedule.machine_of(j) is not None for j in sm)
-    bound = scaled.unit + max(scaled.int_sizes[1:scaled.huge_start], default=0)
+    q = scaled.base.integer_image[1]
+    bound = scaled.fit + max(q[1:scaled.huge_start], default=0)
     for i in scaled.base.machines:
         assert schedule.int_load(i) <= bound, "seed rounding bound violated"
     return schedule

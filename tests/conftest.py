@@ -63,7 +63,8 @@ def small_jobs(scaled):
 def load_from_scratch(schedule, i):
     """Machine i's load by summation, the reference for `Schedule.load`."""
     sc = schedule.scaled
-    return Frac(sum(sc.int_sizes[j] for j in schedule.on_machine[i]), sc.unit)
+    b, q = sc.guess.denominator, sc.base.integer_image[1]
+    return Frac(sum(b * q[j] for j in schedule.on_machine[i]), sc.unit)
 
 
 def assigned_jobs(schedule):
@@ -95,7 +96,8 @@ def still_violates(scaled, jobs) -> bool:
         return False
     gamma = scaled.base.gamma
     machines = set().union(*(gamma[j] for j in jobs))
-    return sum(scaled.int_sizes[j] for j in jobs) > scaled.unit * len(machines)
+    b, q = scaled.guess.denominator, scaled.base.integer_image[1]
+    return sum(b * q[j] for j in jobs) > scaled.unit * len(machines)
 
 
 @pytest.fixture

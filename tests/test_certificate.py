@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
@@ -233,6 +234,18 @@ class TestBestConfiguration:
             assert all(values[j] > 0 for j in config)
             assert sum(sizes[j] for j in config) <= room
             assert sum(values[j] for j in config) == value
+
+    @given(st.lists(st.tuples(st.integers(1, 12), st.integers(0, 9)), max_size=12),
+           st.integers(1, 7), st.integers(0, 120))
+    def test_sizes_times_b_give_the_answer_of_the_floored_capacity(self, items, b, room):
+        """Weights b q against a capacity C give the value and job tuple of
+        weights q against floor(C / b). The floored fractional bound prunes
+        differently, so this holds only since the first optimum in
+        take-before-skip order is kept."""
+        jobs = range(1, len(items) + 1)
+        q, values = [0] + [w for w, _ in items], [0] + [v for _, v in items]
+        assert (best_configuration(jobs, [b * x for x in q], values, room)
+                == best_configuration(jobs, q, values, room // b))
 
     def test_nothing_that_fits_gives_the_empty_configuration(self):
         sizes, values = (0, 5, 1, 7), (0, 4, 0, 2)

@@ -6,9 +6,9 @@ import pytest
 
 from rasched.rational import Frac, ratio_str
 from rasched import driver, seed
-from rasched.model import make_instance, scale_instance
-from rasched.driver import solve, _greedy, _polish, _makespan, _probe
-from rasched.engine import EngineInvariantError, InsertionEngine
+from rasched.model import ScaledInstance, make_instance, scale_instance
+from rasched.driver import solve, _greedy, _insert, _polish, _makespan, _probe
+from rasched.engine import EngineInvariantError, InsertionEngine, StuckState
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, PRESETS, generate_instance
 from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
@@ -289,6 +289,47 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
                                               "flows": 3773, "printed": 29103}
     assert tally("lp_bound", lp_bound=True)["flows"] == 766
     assert tally("uniform") == {"flows": 727, "printed": 0}
+
+
+class EngineImageOnly:
+    """A scaled instance cut down to what the insertion search may read of
+    a guess, its engine image, beside the base and epsilon: reading
+    anything else raises AttributeError."""
+
+    __slots__ = ("base", "epsilon", "cap", "huge_cap", "small_end", "huge_start")
+    is_small, is_huge = ScaledInstance.is_small, ScaledInstance.is_huge
+
+    def __init__(self, scaled):
+        for name in self.__slots__:
+            setattr(self, name, getattr(scaled, name))
+
+
+@pytest.mark.parametrize("audit", [False, True])
+def test_the_engine_reads_a_guess_only_through_its_engine_image(audit):
+    """Every probe with huge jobs in the seed-9 two_value pool runs the same
+    insertions, to the same outcome, placement, counters, events and tree,
+    on a schedule whose scaled instance exposes only the engine image."""
+    probes = stuck = 0
+    for inst in benchmark_pool("two_value", 9):
+        network = AssignmentNetwork(inst)
+        densest = seed.max_density(inst, network)
+        for guess, outcome in solve(inst, EPS, TAU).probes:
+            scaled = scale_instance(inst, guess, EPS)
+            huge = sorted(scaled.huge_jobs(), reverse=True)
+            if outcome == "seed-infeasible" or not huge:
+                continue
+            results = []
+            for view in (scaled, EngineImageOnly(scaled)):
+                schedule = seed.decided_seed(seed.seed_small_medium(scaled, network, densest),
+                                             scaled, network)
+                schedule.scaled = view
+                result, runs = _insert(schedule, huge, audit=audit, log_events=True)
+                final = result.engine.schedule if isinstance(result, StuckState) else result
+                results.append((type(result), tuple(final.assignment), runs))
+            assert results[0] == results[1], (inst, guess)
+            probes += 1
+            stuck += results[0][0] is StuckState
+    assert probes >= 200 and stuck >= 30, (probes, stuck)
 
 
 #: computed once the config-LP bound searched the grid 1/L

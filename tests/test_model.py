@@ -208,10 +208,11 @@ class TestScaling:
         assert inst.integer_image is inst.integer_image
 
     @given(st.lists(rationals, min_size=1, max_size=8), rationals)
-    @example([Frac(1)], Frac(12))  # the cap (1 + R) unit = 23 is an integer
-    @example([Frac(1)], Frac(1))  # the cap (1 + R) unit = 23/12 is not
+    @example([Frac(1)], Frac(12))  # the cap (1 + R) L T = 23 is an integer
+    @example([Frac(1)], Frac(1))  # the cap (1 + R) L T = 23/12 is not
     def test_integer_classes_match_the_rational_ones(self, sizes, guess):
         inst = make_instance(1, [(p, {1}) for p in sizes])
+        L, q = inst.integer_image
         # the guesses at which some job sits exactly on a class boundary
         for T in (guess, 2 * inst.sizes[1], Frac(6, 5) * inst.sizes[-1]):
             sc = scale_instance(inst, T, EPS)
@@ -219,13 +220,15 @@ class TestScaling:
                 p = inst.sizes[j] / T
                 assert sc.is_small(j) == (classify_job(p) is JobClass.SMALL) == (p <= Frac(1, 2))
                 assert sc.is_huge(j) == (classify_job(p) is JobClass.HUGE) == (p > Frac(5, 6))
-                assert Frac(sc.int_sizes[j], sc.unit) == p == sc.size[j]
+                assert Frac(T.denominator * q[j], sc.unit) == p == sc.size[j]
             assert small_jobs(sc) == [j for j in inst.jobs if sc.is_small(j)]
             assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]
-            # integer loads one grain below, at and above (1 + R) unit
-            exact = sc.load_cap * sc.unit
-            for load in range(math.floor(exact) - 1, math.ceil(exact) + 2):
-                assert (load <= sc.int_cap) == (Frac(load, sc.unit) <= sc.load_cap)
+            # sums of q one grain below, at and above (1 + R) L T, R L T and
+            # L T: each cap admits exactly the loads Q / (L T) within its bound
+            for cap, bound in ((sc.cap, sc.load_cap), (sc.huge_cap, sc.R), (sc.fit, 1)):
+                exact = bound * L * T
+                for load in range(math.floor(exact) - 1, math.ceil(exact) + 2):
+                    assert (load <= cap) == (Frac(load, L) / T <= bound)
 
     def test_r_and_scaled_sizes_exact(self):
         inst = make_instance(2, [(Frac(3, 4), {1, 2})])

@@ -157,8 +157,9 @@ def flow_cases():
     for name, inst, guess in differential_cases():
         sc = scale_instance(inst, guess, EPS)
         supply = [0] * (inst.num_jobs + 1)
+        q = inst.integer_image[1]
         for j in range(1, sc.huge_start):
-            supply[j] = sc.int_sizes[j]
+            supply[j] = sc.guess.denominator * q[j]
         cases.append((name, inst, supply, sc.unit))
     return cases
 
