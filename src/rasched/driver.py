@@ -30,12 +30,14 @@ Under audit a repeat runs the engine again, and its placement (None when
 stuck) and runs must equal the record.
 
 The bracket starts at [max job size, makespan of a polished restricted
-greedy schedule] and shrinks until high/low <= 1 + tau. The lowest successful probe's schedule is polished by
-the same move/swap descent, and the better of it and the polished greedy
-schedule is reported; reports serialize byte-identically for identical
-inputs. Both ends of the bracket are multiples of 1/L, L the scale of the
-instance's integer image, so the bisection runs on integer numerators over
-the common denominator L 2^k and builds one rational per probe, its guess.
+greedy schedule] and shrinks until high/low <= 1 + tau. The lowest
+successful probe's schedule, whose integer maximum load must be at most its
+guess's `cap`, is polished by the same move/swap descent, and the better of
+it and the polished greedy schedule is reported; reports serialize
+byte-identically for identical inputs. Both ends of the bracket are
+multiples of 1/L, L the scale of the instance's integer image, so the
+bisection runs on integer numerators over the common denominator L 2^k and
+builds one rational per probe, its guess.
 Under `lp_bound` the solve raises lambda* to the Hall bound H on the same
 network (`seed.hall_bound`), and the config-LP bound searches the grid 1/L
 between H and the reported schedule's makespan, so it never prints below H.
@@ -408,7 +410,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         if i is UNASSIGNED:
             raise EngineInvariantError(f"job {j} left unassigned by a successful probe")
         placement[j] = i
-    if _makespan(inst, placement) > best_schedule.scaled.load_cap * best_guess:
+    if _max_load(inst, placement) > best_schedule.scaled.cap:  # above (1 + R) T
         raise EngineInvariantError("final makespan exceeds the probe guarantee")
     # polishing never raises the makespan, so the guarantee carries over
     placement = _polish(inst, placement)

@@ -95,14 +95,14 @@ class BlockerTree:
     is the newest), and a move drops every blocker after its activator's
     sublayer, then maybe that sublayer too. A popped blocker is therefore
     also the last entry in its machine's list, so the per-machine lists and
-    the set of live moves follow each push and pop.
+    the set of live moves follow each push and pop. Stamps increase along
+    the stack, so they increase along each machine's list too.
     """
 
     def __init__(self):
         self._stack = []
         self._by_machine = {}  # machine -> its live blockers, in stack order
         self._moves = set()  # live (job, machine) moves
-        self.version = 0  # bumped by every push and every non-empty truncate
         self._stamp = 0
 
     def next_stamp(self) -> int:
@@ -133,7 +133,6 @@ class BlockerTree:
         self._stack.append(blocker)
         self._by_machine.setdefault(blocker.machine, []).append(blocker)
         self._moves.add((blocker.job, blocker.machine))
-        self.version += 1
         return dropped
 
     def truncate(self, layer: int, sub: int, *, inclusive: bool = False) -> int:
@@ -150,8 +149,6 @@ class BlockerTree:
                 del self._by_machine[b.machine]
             self._moves.discard((b.job, b.machine))
             popped += 1
-        if popped:
-            self.version += 1
         return popped
 
 
@@ -187,14 +184,10 @@ class InsertionEngine:
         self.events = [] if log_events else None
         self.checkpoints = []  # (kind, signature) at add / run-end checkpoints
         self.signature_dips = []  # run-end checkpoints that failed to increase
-        self._last_checkpoint = None
         self._last_add_checkpoint = None
-        self._moves_since_checkpoint = 0
-        self._pending_move_sig = None
-        self._blocked_memo = (None, None)
+        self._pending_move_sig = None  # the signature after a run's last move
         self._q = scaled.base.integer_image[1]
         self._smalls = range(1, scaled.small_end)  # ids are sorted by size
-        self._rigid_smalls = [j for j in self._smalls if len(scaled.base.gamma[j]) <= 1]
 
     # ---------- derived sets ----------
 
@@ -202,11 +195,9 @@ class InsertionEngine:
         """Cumulative (boundary_layer, covered_machines, blocked_smalls) rows.
 
         Row 0 is the empty prefix; further rows are added at each occupied
-        layer that carries all-jobs-undesirable blockers. Memoized per tree
-        version.
+        layer that carries all-jobs-undesirable blockers. Built anew from the
+        tree and the schedule on every call.
         """
-        if self._blocked_memo[0] == self.tree.version:
-            return self._blocked_memo[1]
         assignment, gamma = self.schedule.assignment, self.scaled.base.gamma
 
         def blocked(smalls, covered):
@@ -214,15 +205,13 @@ class InsertionEngine:
             return frozenset(j for j in smalls
                              if all(i in covered or i == assignment[j] for i in gamma[j]))
 
-        # with nothing covered, a job with two permitted machines is never blocked
-        rows = [(0, frozenset(), blocked(self._rigid_smalls, ()))]
+        rows = [(0, frozenset(), blocked(self._smalls, ()))]
         covered = set()
         for k, layer in groupby(self.tree.blockers(), key=lambda b: b.layer):
             adds = {b.machine for b in layer if b.btype.all_undesirable}
             if adds - covered:
                 covered |= adds
                 rows.append((k, frozenset(covered), blocked(self._smalls, covered)))
-        self._blocked_memo = (self.tree.version, rows)
         return rows
 
     def _prefix_row(self, prefix):
@@ -267,16 +256,15 @@ class InsertionEngine:
                    if prefix is None or b.layer <= prefix)
 
     def activator_of(self, j):
-        """Earliest-stamped live blocker for sigma(j) that marks j undesirable."""
+        """Earliest-stamped live blocker for sigma(j) that marks j undesirable:
+        the first in `blockers_on`, whose stamps increase."""
         home = self.schedule.machine_of(j)
         if home is UNASSIGNED:
             return None
-        best = None
         for b in self.tree.blockers_on(home):
             if self.marks_undesirable(b, j):
-                if best is None or b.stamp < best.stamp:
-                    best = b
-        return best
+                return b
+        return None
 
     def head_layer_from(self, parent: Blocker | None, j) -> int:
         """Layer where blockers for j would be placed, given its activator."""
@@ -450,7 +438,6 @@ class InsertionEngine:
         # first would make the measured potential non-monotone.
         sig = self.signature_vector()
         self._pending_move_sig = sig
-        self._moves_since_checkpoint += 1
         if not self.starred_conditions_hold(parent):
             extra = self.tree.truncate(parent.layer, parent.sublayer, inclusive=True)
             if extra:
@@ -503,14 +490,13 @@ class InsertionEngine:
         prune); those dips are recorded, not fatal, and the following add
         restores the order by landing in a strictly smaller sublayer.
         """
-        if self._last_checkpoint is not None and not self.signature_lt(self._last_checkpoint, sig):
+        last = self.checkpoints[-1][1] if self.checkpoints else None
+        if last is not None and not self.signature_lt(last, sig):
             if kind == "run-end":
-                self.signature_dips.append((self._last_checkpoint, sig))
+                self.signature_dips.append((last, sig))
             else:
                 raise EngineInvariantError(
-                    f"signature did not increase at {kind} checkpoint: "
-                    f"{self._last_checkpoint} -> {sig}"
-                )
+                    f"signature did not increase at {kind} checkpoint: {last} -> {sig}")
         if kind == "add":
             if self._last_add_checkpoint is not None and not self.signature_lt(
                     self._last_add_checkpoint, sig):
@@ -519,13 +505,11 @@ class InsertionEngine:
                     f"{self._last_add_checkpoint} -> {sig}"
                 )
             self._last_add_checkpoint = sig
-        self._last_checkpoint = sig
         self.checkpoints.append((kind, sig))
 
     def _close_move_run(self):
-        if self._moves_since_checkpoint:
+        if self._pending_move_sig is not None:
             self._checkpoint(self._pending_move_sig, "run-end")
-            self._moves_since_checkpoint = 0
             self._pending_move_sig = None
 
     def _log(self, event, b, sig, removed):
@@ -554,7 +538,11 @@ class InsertionEngine:
         seen_moves = set()
         sma_machines = set()
         layer_of_job = {}
+        prev_stamp = 0
         for b in live:
+            if b.stamp <= prev_stamp:
+                out.append(f"{b} is not newer than the blocker before it")
+            prev_stamp = b.stamp
             key = (b.job, b.machine)
             if key in seen_moves:
                 out.append(f"duplicate move {key} in tree")
@@ -595,8 +583,6 @@ class InsertionEngine:
                 if len(sched.mediums[b.machine]) < 2:
                     out.append(f"{b}: machine has fewer than two medium jobs")
         for i in sc.base.machines:
-            if sched.int_load(i) != self._sum_sizes(sched.on_machine[i]):
-                out.append(f"machine {i} incremental load drifted")
             if sched.plain_load[i] != self._sum_sizes(sched.on_machine[i] - sched.huges[i]):
                 out.append(f"machine {i} small and medium load drifted")
         out.extend(validate_partial_schedule(sched))

@@ -8,12 +8,13 @@ integer floor caps (`ScaledInstance.cap`, `huge_cap` and `fit`, the floors
 of (1 + R) L T, R L T and L T) and as the job classes: a sum of q is at
 most a cap exactly when its scaled load is at most 1 + R, R or 1. R and
 1 + R depend on epsilon alone and are computed once per epsilon. Schedules
-keep two integer loads per machine: of all its jobs, and of its small and
-medium jobs alone (`Schedule.plain_load`). The search reads a guess only
-through its engine image (`ScaledInstance.engine_image`), so a solve runs it
-once per image and seed. Rationals are built only for output: the scaled
-sizes (`ScaledInstance.size`) when first read and a load (`Schedule.load`)
-when read, for certificates, messages and tests. The engine's validity test
+keep one integer load per machine, that of its small and medium jobs
+(`Schedule.plain_load`); a machine's full load (`Schedule.int_load`) adds
+the q of its huge job. The search reads a guess only through its engine
+image (`ScaledInstance.engine_image`), so a solve runs it once per image
+and seed. Rationals are built only for output: the scaled sizes
+(`ScaledInstance.size`) when first read and a load (`Schedule.load`) when
+read, for certificates, messages and tests. The engine's validity test
 leaves room R beside a huge job, and the certificate rounds a huge job down
 to 5/6 (`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
 machines, so no header makes a solve build unbounded per-machine lists.
@@ -293,10 +294,11 @@ UNASSIGNED = None
 class Schedule:
     """Total map job -> machine-or-unassigned with incremental load accounting.
 
-    Loads are sums of the instance's integer sizes q (`int_load`), which
-    the scaled instance's caps bound; `load` reads one as the scaled
-    rational. `plain_load[i]` is the load of machine i's small and medium
-    jobs alone, the part the search compares with the caps."""
+    Loads are sums of the instance's integer sizes q, which the scaled
+    instance's caps bound. `plain_load[i]` is the load of machine i's small
+    and medium jobs, the part the search compares with the caps; `int_load`
+    adds the machine's huge job, and `load` reads that as the scaled
+    rational."""
 
     def __init__(self, scaled: ScaledInstance):
         self.scaled = scaled
@@ -307,7 +309,6 @@ class Schedule:
         self.on_machine = [set() for _ in range(m + 1)]
         self.mediums = [set() for _ in range(m + 1)]
         self.huges = [set() for _ in range(m + 1)]
-        self._load = [0] * (m + 1)
         self.plain_load = [0] * (m + 1)
 
     def machine_of(self, j: int):
@@ -319,14 +320,12 @@ class Schedule:
         sc = self.scaled
         self.assignment[j] = i
         self.on_machine[i].add(j)
-        size = self._q[j]
         if j >= sc.huge_start:
             self.huges[i].add(j)
         else:
             if j >= sc.small_end:
                 self.mediums[i].add(j)
-            self.plain_load[i] += size
-        self._load[i] += size
+            self.plain_load[i] += self._q[j]
 
     def unassign(self, j: int):
         i = self.assignment[j]
@@ -336,10 +335,8 @@ class Schedule:
         self.on_machine[i].discard(j)
         self.mediums[i].discard(j)
         self.huges[i].discard(j)
-        size = self._q[j]
         if j < sc.huge_start:
-            self.plain_load[i] -= size
-        self._load[i] -= size
+            self.plain_load[i] -= self._q[j]
 
     def move(self, j: int, i: int):
         if self.assignment[j] is not UNASSIGNED:
@@ -348,11 +345,11 @@ class Schedule:
 
     def int_load(self, i: int) -> int:
         """The load of machine i, a sum of the instance's q."""
-        return self._load[i]
+        return self.plain_load[i] + sum(self._q[j] for j in self.huges[i])
 
     def load(self, i: int):
         sc = self.scaled
-        return Frac(sc.guess.denominator * self._load[i], sc.unit)
+        return Frac(sc.guess.denominator * self.int_load(i), sc.unit)
 
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""

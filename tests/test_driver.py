@@ -291,6 +291,38 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
     assert tally("uniform") == {"flows": 727, "printed": 0}
 
 
+def scale_counts(monkeypatch, inst):
+    """The engine iterations and additions, probes, stuck probes and
+    `AssignmentNetwork.violator` flows of one solve."""
+    flows, violator = [], AssignmentNetwork.violator
+
+    def counting_violator(self, supply, capacity):
+        flows.append(None)
+        return violator(self, supply, capacity)
+
+    monkeypatch.setattr(AssignmentNetwork, "violator", counting_violator)
+    with deadline(30):
+        counters = solve(inst, EPS, TAU).iterations
+    return tuple(counters.get(name, 0) for name in
+                 ("engine_iterations", "engine_adds", "probes", "stuck_events")) + (len(flows),)
+
+
+def test_two_value_work_grows_linearly_from_256_to_512_machines(monkeypatch):
+    """Two-value at 256 and 512 machines (436 and 870 jobs): the counts are
+    pinned, and none more than 2.5 times larger at twice the machines."""
+    small, large = (scale_counts(monkeypatch, two_value_instance(random.Random(f"tv{m}"), m))
+                    for m in (256, 512))
+    assert small == (498, 303, 8, 1, 5)
+    assert large == (973, 579, 8, 1, 6)
+    assert all(b <= 2.5 * a for a, b in zip(small, large))
+
+
+@pytest.mark.parametrize("preset,flows", [("collision", 7), ("huge_heavy", 2)])
+def test_generated_presets_at_256_by_1024_need_no_engine_run(monkeypatch, preset, flows):
+    inst = generate_instance(GenSpec(machines=256, jobs=1024, preset=preset, seed=1))
+    assert scale_counts(monkeypatch, inst) == (0, 0, 8, 0, flows)
+
+
 class EngineImageOnly:
     """A scaled instance cut down to what the insertion search may read of
     a guess, its engine image, beside the base and epsilon: reading
