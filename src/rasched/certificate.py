@@ -5,11 +5,17 @@ machine) whose objective gap and per-machine knapsack feasibility are
 machine-checkable: together they certify that no fractional schedule of
 makespan 1 (scaled) exists, i.e. the probed guess is below the optimum.
 
-The checks and the config-LP pricing ask each machine for its best
+A stuck state's dual is built on one integer grid: with epsilon = n/d, the
+guess T = a/b and sizes q_j/L, every z_j and y_i is an integer over
+D = d^t 6 L a, t the deepest layer the dual weighs (at least K), and each
+becomes a rational once, when stored (`build_dual_certificate`). The
+checks and the config-LP pricing ask each machine for its best
 configuration (`best_configuration`) on integers: both weigh jobs by the
 instance's integer sizes q against a floor cap of the guess. Verification
-values them by one integer image of z, the column generation by the
-master's integer duals. Rationals are built for what is printed or returned.
+takes one integer image of z and y, compares integer sums, and values each
+machine's configurations by that image of z against its image of y_i; the
+column generation values them by the master's integer duals. Rationals are
+built for what is printed, stored or returned.
 """
 
 from __future__ import annotations
@@ -46,12 +52,6 @@ class DualCertificate:
     y: dict  # machine id -> rational
     transcript: list = field(default_factory=list)
 
-    def z_total(self):
-        return sum(self.z.values(), ZERO)
-
-    def y_total(self):
-        return sum(self.y.values(), ZERO)
-
 
 def _active_on(engine, active):
     """Machine -> the active jobs assigned to it, for every machine."""
@@ -63,58 +63,92 @@ def _active_on(engine, active):
     return on
 
 
-def build_dual_certificate(stuck: StuckState) -> DualCertificate:
-    """Populate (z, y) from the final tree per the stuck-state construction;
-    y_i = delta^K + w_i, where w_i is kept only here."""
+def build_dual_certificate(stuck: StuckState, scaled: ScaledInstance) -> DualCertificate:
+    """The dual (z, y) of the stuck state's final tree at the guess T of
+    `scaled`: z_j = delta^k p_j/T for an active job of value layer k, with
+    5/6 in place of p_j/T for a huge job, 0 for an inactive one, and
+    y_i = delta^K + w_i, where w_i, kept only here, is z of the active jobs
+    on i, plus delta^k/6 on a machine with a BS blocker at layer k, or less
+    delta^k/6 on one with an S blocker at layer k.
+
+    The state may come from a run at another guess with the same engine
+    image and seed, and the dual is still that of running at T:
+    - The value layers, the blockers and the placement are decided by the
+      run, which reads the guess only through the engine image
+      (`ScaledInstance.engine_image`). K depends on m and epsilon alone.
+    - With T = a/b and sizes q_j/L, T enters z and y only as the scaled
+      size b q_j/(L a) of a job that is not huge, and the constant 5/6 of
+      a huge one, which `huge_start`, part of the image, tells apart.
+
+    Everything is built on one integer grid. With epsilon = n/d, so that
+    delta = (d - n)/d, let t be the largest of K and every value, BS and S
+    layer. Then z and y are integers over D = d^t 6 L a: z_j D is
+    (d - n)^k d^(t - k) 6 b q_j, or (d - n)^k d^(t - k) 5 L a for a huge
+    job; delta^K D is (d - n)^K d^(t - K) 6 L a, and delta^k/6 D is
+    (d - n)^k d^(t - k) L a. Each value becomes a rational once, when
+    stored."""
     engine = stuck.engine
-    sc = engine.scaled
-    delta = 1 - sc.epsilon
     K = engine.K
     layers = engine.value_layers()
-
-    z = {j: ZERO for j in sc.base.jobs}
-    for j, k in layers.items():
-        z[j] = delta ** k * sc.size_down(j)
-
     # Unique layer per machine among the all-undesirable blockers.
     bs_layer, s_layer = {}, {}
-    for b in engine.tree.blockers():
-        if b.btype is BlockerType.BS:
-            bs_layer[b.machine] = b.layer
-        elif b.btype is BlockerType.S:
-            s_layer[b.machine] = b.layer
+    for blocker in engine.tree.blockers():
+        if blocker.btype is BlockerType.BS:
+            bs_layer[blocker.machine] = blocker.layer
+        elif blocker.btype is BlockerType.S:
+            s_layer[blocker.machine] = blocker.layer
 
-    y = {}
-    sixth = Frac(1, 6)
+    n, d = scaled.epsilon.numerator, scaled.epsilon.denominator
+    used = {K, *layers.values(), *bs_layer.values(), *s_layer.values()}
+    top = max(used)
+    power = {k: (d - n) ** k * d ** (top - k) for k in used}  # delta^k d^t
+    unit, b, q = scaled.unit, scaled.guess.denominator, scaled.base.integer_image[1]
+    scale = d ** top * 6 * unit
+    z_int = {j: power[k] * (5 * unit if scaled.is_huge(j) else 6 * b * q[j])
+             for j, k in layers.items()}
+
+    y_int = {}
+    base = power[K] * 6 * unit
     active_on = _active_on(engine, layers)
-    for i in sc.base.machines:
-        w = sum((z[j] for j in active_on[i]), ZERO)
+    for i in scaled.base.machines:
+        w = sum(z_int[j] for j in active_on[i])
         if i in bs_layer:
-            w += delta ** bs_layer[i] * sixth
+            w += power[bs_layer[i]] * unit
         elif i in s_layer:
-            w -= delta ** s_layer[i] * sixth
-        y[i] = delta ** K + w
+            w -= power[s_layer[i]] * unit
+        y_int[i] = base + w
+    # one rational per distinct value: most machines share theirs
+    rational = {v: Frac(v, scale) for v in {*z_int.values(), *y_int.values()}}
+    z = dict.fromkeys(scaled.base.jobs, ZERO)
+    z.update((j, rational[v]) for j, v in z_int.items())
+    y = {i: rational[v] for i, v in y_int.items()}
     return DualCertificate(
-        guess=sc.guess, epsilon=sc.epsilon, delta=delta, K=K,
-        num_machines=sc.base.num_machines, z=z, y=y,
+        guess=scaled.guess, epsilon=scaled.epsilon, delta=Frac(d - n, d), K=K,
+        num_machines=scaled.base.num_machines, z=z, y=y,
     )
 
 
-def verify_objective_negative(cert: DualCertificate) -> bool:
-    """Exact check that sum(z) exceeds sum(y); both sides go to the transcript."""
-    zs, ys = cert.z_total(), cert.y_total()
+def _image(cert: DualCertificate):
+    """(scale, z, y): one integer image of the certificate's z and y, by
+    job and by machine."""
+    scale, ints = integer_image([*cert.z.values(), *cert.y.values()])
+    return scale, dict(zip(cert.z, ints)), dict(zip(cert.y, ints[len(cert.z):]))
+
+
+def _objective_negative(cert: DualCertificate, image) -> bool:
+    scale, z, y = image
+    zs, ys = sum(z.values()), sum(y.values())
     ok = zs > ys
     cert.transcript.append(
-        f"objective z_total={ratio_str(zs)} y_total={ratio_str(ys)} "
+        f"objective z_total={ratio_str(Frac(zs, scale))} y_total={ratio_str(Frac(ys, scale))} "
         f"{'PASS' if ok else 'FAIL'}"
     )
     return ok
 
 
-def _z_image(cert: DualCertificate):
-    """(scale, z_int): one integer image of the certificate's z, by job."""
-    scale, ints = integer_image(cert.z.values())
-    return scale, dict(zip(cert.z, ints))
+def verify_objective_negative(cert: DualCertificate) -> bool:
+    """Exact check that sum(z) exceeds sum(y); both sides go to the transcript."""
+    return _objective_negative(cert, _image(cert))
 
 
 def best_configuration(jobs, sizes, values, room):
@@ -129,21 +163,15 @@ def best_configuration(jobs, sizes, values, room):
     return best, tuple(items[t] for t in subset)
 
 
-def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
-    """For every machine, maximize z over permitted configurations of size <= 1
-    by exact knapsack and compare with y. Returns (ok, witnesses).
-
-    The knapsacks run on integers: the weights are the instance's q, against
-    the capacity `scaled.fit` = floor(L T), and the values one integer image
-    of z, whose scale brings each best value back to a rational."""
+def _dual_feasibility(cert: DualCertificate, scaled: ScaledInstance, image):
+    scale, z, y = image
     witnesses = []
     ok = True
-    z_scale, z_int = _z_image(cert)
     permitted_on, q = scaled.base.permitted_on, scaled.base.integer_image[1]
     for i in scaled.base.machines:
-        best, config = best_configuration(permitted_on[i], q, z_int, scaled.fit)
-        value = Frac(best, z_scale)
-        passed = value <= cert.y[i]
+        best, config = best_configuration(permitted_on[i], q, z, scaled.fit)
+        value = Frac(best, scale)
+        passed = best <= y[i]
         cert.transcript.append(
             f"machine {i} max-config z={ratio_str(value)} y={ratio_str(cert.y[i])} "
             f"{'PASS' if passed else 'FAIL'}"
@@ -154,9 +182,22 @@ def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
     return ok, witnesses
 
 
+def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
+    """For every machine, maximize z over permitted configurations of size <= 1
+    by exact knapsack and compare with y. Returns (ok, witnesses).
+
+    The knapsacks run on integers: the weights are the instance's q, against
+    the capacity `scaled.fit` = floor(L T), and the values one integer image
+    of z and y, over whose scale each best value compares with y_i."""
+    return _dual_feasibility(cert, scaled, _image(cert))
+
+
 def verify_certificate(cert: DualCertificate, scaled: ScaledInstance) -> bool:
-    ok1 = verify_objective_negative(cert)
-    ok2, _ = verify_dual_feasibility(cert, scaled)
+    """Both checks on one integer image of z and y: integer sums, and each
+    machine's knapsack best against its y_i."""
+    image = _image(cert)
+    ok1 = _objective_negative(cert, image)
+    ok2, _ = _dual_feasibility(cert, scaled, image)
     return ok1 and ok2
 
 
@@ -207,7 +248,7 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
     violations = []
 
     fit, q = sc.fit, sc.base.integer_image[1]
-    z_scale, z_int = _z_image(cert)
+    scale, z_int, _ = _image(cert)
     bigs = [(j, k) for j, k in engine.heads().items()
             if not sc.is_small(j) and q[j] <= fit]
     for j, k in bigs:
@@ -220,15 +261,14 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
                 continue
             active_prefix = {jj for jj in sched.on_machine[i]
                              if jj in blocked or engine.undesirable_on(jj, i, prefix=k)}
-            z_all = sum((cert.z[jj] for jj in active_prefix), ZERO)
             best, _ = best_configuration(
                 sorted(jj for jj in active_prefix if i in sc.base.gamma[jj]),
                 q, z_int, room)
-            overlap = Frac(best, z_scale)
-            if cert.z[j] > z_all - overlap:
+            retained = sum(z_int[jj] for jj in active_prefix) - best
+            if z_int[j] > retained:
                 violations.append(
                     f"job {j} head {k} machine {i}: z_j={ratio_str(cert.z[j])} "
-                    f"> retained={ratio_str(z_all - overlap)}"
+                    f"> retained={ratio_str(Frac(retained, scale))}"
                 )
     return violations
 

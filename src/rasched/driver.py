@@ -20,14 +20,17 @@ integer sizes and the class boundaries), so close guesses often repeat a
 search.
 Each insertion run leaves one `EngineRun`: its job, outcome, counter
 increments and, when events are logged, events and tree snapshot. A solve
-keeps one memo of successful probes' final placements and runs, keyed on
-the seed's placement and that image; a probe that repeats both rebuilds the
-stored placement at its own guess and takes the stored runs. One loop
-counts and logs a probe's runs, executed or stored, at its guess, so a
-repeat's report, trace and DOT output are those of running it. A stuck
-probe is never stored, since its certificate is built at its own guess.
-Under audit a repeat runs the engine again, and its placement (None when
-stuck) and runs must equal the record.
+keeps one memo of its probes' runs and final states, keyed on the seed's
+placement and that image: a success's placement, or a stuck run's
+`StuckState`. A probe that repeats both takes the stored runs, and either
+rebuilds the stored placement at its own guess or builds and verifies its
+certificate from the stored state at its own guess, which is the
+certificate running it gives (`certificate.build_dual_certificate` reads
+the guess only from the probe's scaled instance). One loop counts and logs
+a probe's runs, executed or stored, at its guess, so a repeat's report,
+trace and DOT output are those of running it. Under audit a repeat runs the
+engine again; its runs must equal the record's, and so must its placement,
+or its certificate text at the probe's guess.
 
 The bracket starts at [max job size, makespan of a polished restricted
 greedy schedule] and shrinks until high/low <= 1 + tau. The lowest
@@ -175,6 +178,15 @@ def _insert(schedule: Schedule, huge, *, audit, log_events):
     return schedule, runs
 
 
+def _decided(record, scaled: ScaledInstance):
+    """What a memo record's final state decides at the guess of `scaled`:
+    the placement of a success, the certificate text of a stuck run."""
+    final = record[0]
+    if isinstance(final, StuckState):
+        return certificate_to_text(build_dual_certificate(final, scaled), scaled.base)
+    return final
+
+
 def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
            counters, network, densest, memo) -> ProbeResult:
     scaled = scale_instance(inst, guess, epsilon)
@@ -199,25 +211,29 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
         return ProbeResult(guess, "success", scaled=scaled)
     schedule = decided_seed(fa, scaled, network)
     # the search reads the guess only through its caps and class boundaries,
-    # so a seed and engine image seen before repeat that probe's runs
+    # so a seed and engine image seen before repeat that probe's runs, and a
+    # stored stuck state gives this guess's certificate
     key = (tuple(schedule.assignment), scaled.engine_image)
     stored = memo.get(key)
     if stored is None or audit:
         result, runs = _insert(schedule, huge, audit=audit, log_events=log_events)
-        stuck = isinstance(result, StuckState)
-        record = (None if stuck else tuple(result.assignment), runs)
-        if stored is not None and record != stored:
+        record = (result if isinstance(result, StuckState) else tuple(result.assignment),
+                  runs)
+        if stored is not None and (runs != stored[1]
+                                   or _decided(record, scaled) != _decided(stored, scaled)):
             raise EngineInvariantError(
                 f"the insertion runs at {ratio_str(guess)} differ from those of an"
                 " equal engine image and seed")
-        if not stuck:
-            memo[key] = record
+        memo[key] = record
     else:
-        placement, runs = stored
-        result = Schedule(scaled)
-        for j, i in enumerate(placement):
-            if i is not UNASSIGNED:
-                result.assign(j, i)
+        final, runs = stored
+        if isinstance(final, StuckState):
+            result = final
+        else:
+            result = Schedule(scaled)
+            for j, i in enumerate(final):
+                if i is not UNASSIGNED:
+                    result.assign(j, i)
     for run in runs:
         for name, increment in run.counts:
             counters[name] += increment
@@ -226,7 +242,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     if not isinstance(result, StuckState):
         return ProbeResult(guess, "success", schedule=_validated(result))
     counters["stuck_events"] += 1
-    cert = build_dual_certificate(result)
+    cert = build_dual_certificate(result, scaled)
     if not verify_certificate(cert, scaled):
         raise CertificateError(
             f"stuck-state certificate failed to verify at guess {ratio_str(guess)}"
@@ -365,7 +381,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     certificates: list = []
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
-    memo: dict = {}  # (seed placement, engine image) -> (final placement, runs)
+    memo: dict = {}  # (seed placement, engine image) -> (placement or StuckState, runs)
 
     def probe(guess) -> ProbeResult:
         res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,

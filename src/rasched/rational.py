@@ -51,5 +51,8 @@ def integer_image(values):
     """(scale, ints): scale is the lcm of the values' denominators, 1 when
     there are none, and ints[k] = values[k] * scale exactly."""
     values = list(values)
-    scale = lcm(*(int(v.denominator) for v in values))
-    return scale, [int(v.numerator) * (scale // int(v.denominator)) for v in values]
+    factor = dict.fromkeys(int(v.denominator) for v in values)
+    scale = lcm(*factor)
+    for den in factor:
+        factor[den] = scale // den
+    return scale, [int(v.numerator) * factor[int(v.denominator)] for v in values]

@@ -12,8 +12,9 @@ import pytest
 
 from rasched import seed
 from rasched.seed import HallViolator
-from rasched.engine import InsertionEngine
-from rasched.rational import Frac
+from rasched.engine import BlockerType, InsertionEngine
+from rasched.certificate import DualCertificate, _active_on, best_configuration
+from rasched.rational import Frac, ZERO, integer_image, ratio_str
 from rasched.model import UNASSIGNED, Schedule, make_instance, parse_instance, scale_instance
 
 EPS = Frac(1, 24)  # load cap 1 + R = 23/12 throughout the fixed-epsilon tests
@@ -98,6 +99,62 @@ def still_violates(scaled, jobs) -> bool:
     machines = set().union(*(gamma[j] for j in jobs))
     b, q = scaled.guess.denominator, scaled.base.integer_image[1]
     return sum(b * q[j] for j in jobs) > scaled.unit * len(machines)
+
+
+def reference_dual_certificate(stuck, scaled):
+    """The rational construction that `certificate.build_dual_certificate`
+    replaced, kept as its reference: z_j = delta^k size_down(j) and
+    y_i = delta^K + w_i, summed one rational at a time, at the guess of
+    `scaled`."""
+    engine = stuck.engine
+    delta = 1 - scaled.epsilon
+    K = engine.K
+    layers = engine.value_layers()
+    z = {j: ZERO for j in scaled.base.jobs}
+    for j, k in layers.items():
+        z[j] = delta ** k * scaled.size_down(j)
+    bs_layer, s_layer = {}, {}
+    for b in engine.tree.blockers():
+        if b.btype is BlockerType.BS:
+            bs_layer[b.machine] = b.layer
+        elif b.btype is BlockerType.S:
+            s_layer[b.machine] = b.layer
+    y = {}
+    active_on = _active_on(engine, layers)
+    for i in scaled.base.machines:
+        w = sum((z[j] for j in active_on[i]), ZERO)
+        if i in bs_layer:
+            w += delta ** bs_layer[i] * Frac(1, 6)
+        elif i in s_layer:
+            w -= delta ** s_layer[i] * Frac(1, 6)
+        y[i] = delta ** K + w
+    return DualCertificate(guess=scaled.guess, epsilon=scaled.epsilon, delta=delta, K=K,
+                           num_machines=scaled.base.num_machines, z=z, y=y)
+
+
+def reference_verify(cert, scaled):
+    """The rational checks that `certificate.verify_certificate` replaced,
+    kept as its reference: rational sums of z and y, and each machine's
+    knapsack on an integer image of z alone, its best value compared with
+    y_i as a rational. Appends the transcript; returns (ok, witnesses)."""
+    zs, ys = sum(cert.z.values(), ZERO), sum(cert.y.values(), ZERO)
+    ok = zs > ys
+    cert.transcript.append(f"objective z_total={ratio_str(zs)} y_total={ratio_str(ys)} "
+                           f"{'PASS' if ok else 'FAIL'}")
+    z_scale, ints = integer_image(cert.z.values())
+    z_int = dict(zip(cert.z, ints))
+    permitted_on, q = scaled.base.permitted_on, scaled.base.integer_image[1]
+    witnesses = []
+    for i in scaled.base.machines:
+        best, config = best_configuration(permitted_on[i], q, z_int, scaled.fit)
+        value = Frac(best, z_scale)
+        passed = value <= cert.y[i]
+        cert.transcript.append(f"machine {i} max-config z={ratio_str(value)} "
+                               f"y={ratio_str(cert.y[i])} {'PASS' if passed else 'FAIL'}")
+        if not passed:
+            ok = False
+            witnesses.append((i, config, value, cert.y[i]))
+    return ok, witnesses
 
 
 @pytest.fixture

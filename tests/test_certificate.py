@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +26,8 @@ from rasched.certificate import (_active_on, best_configuration,
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import (EPS, deadline, insert_huge_job, lp_bound_instance, scaled_of,
+from conftest import (EPS, deadline, insert_huge_job, lp_bound_instance,
+                      reference_dual_certificate, reference_verify, scaled_of,
                       schedule_of, two_value_instance)
 
 DELTA = 1 - EPS  # 23/24
@@ -69,7 +71,7 @@ def rich_stuck():
 class TestBuild:
     def test_new_job_value_and_inactives(self):
         stuck, sc = three_smalls_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         assert cert.K == 48 and cert.delta == DELTA
         assert cert.z[4] == DELTA * Frac(5, 6) == Frac(115, 144)
         for j in (1, 2, 3):  # trivially blocked smalls at layer 1
@@ -78,7 +80,7 @@ class TestBuild:
 
     def test_inactive_job_gets_zero(self):
         stuck, sc = rich_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         unassigned_huge = [j for j in sc.base.jobs
                            if stuck.schedule.machine_of(j) is None and j != stuck.engine.j_new]
         assert unassigned_huge and all(cert.z[j] == 0 for j in unassigned_huge)
@@ -88,7 +90,7 @@ class TestBuild:
         eng = stuck.engine
         types = {b.btype for b in eng.tree.blockers()}
         assert {BlockerType.BB, BlockerType.BS, BlockerType.S} <= types
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         w = {i: cert.y[i] - DELTA ** cert.K for i in sc.base.machines}
         active_on = _active_on(eng, eng.active_jobs())
         for b in eng.tree.blockers():
@@ -107,7 +109,7 @@ class TestBuild:
 class TestVerify:
     def test_three_smalls_certificate_verifies(self):
         stuck, sc = three_smalls_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         assert verify_objective_negative(cert)
         ok, witnesses = verify_dual_feasibility(cert, sc)
         assert ok and witnesses == []
@@ -115,12 +117,12 @@ class TestVerify:
 
     def test_rich_certificate_verifies(self):
         stuck, sc = rich_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         assert verify_certificate(cert, sc)
 
     def test_scaling_homogeneity(self):
         stuck, sc = rich_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         for alpha in (Frac(3, 2), Frac(1, 7), Frac(12)):
             scaled_cert = dataclasses.replace(
                 cert, transcript=[],
@@ -131,7 +133,7 @@ class TestVerify:
 
     def test_corrupted_z_is_caught_with_witness(self):
         stuck, sc = three_smalls_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         cert.z[4] *= 2
         ok, witnesses = verify_dual_feasibility(cert, sc)
         assert not ok
@@ -140,7 +142,7 @@ class TestVerify:
 
     def test_claim_checks_on_stuck_states(self):
         for stuck, sc in (three_smalls_stuck(), rich_stuck()):
-            cert = build_dual_certificate(stuck)
+            cert = build_dual_certificate(stuck, sc)
             ok, counts = check_bs_s_machine_counts(stuck)
             assert ok
             assert check_covered_machine_margin(stuck, cert) == []
@@ -155,7 +157,7 @@ class TestVerify:
 class TestSerialization:
     def test_round_trip_and_recheck(self):
         stuck, sc = rich_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         verify_certificate(cert, sc)
         inst = sc.base
         text = certificate_to_text(cert, inst)
@@ -167,7 +169,7 @@ class TestSerialization:
 
     def test_tampered_text_fails_recheck(self):
         stuck, sc = three_smalls_stuck()
-        cert = build_dual_certificate(stuck)
+        cert = build_dual_certificate(stuck, sc)
         inst = sc.base
         text = certificate_to_text(cert, inst)
         tampered = text.replace("guess 1/1", "guess 2/1")
@@ -181,7 +183,7 @@ class TestSerialization:
             if any(b.btype.all_undesirable for b in stuck.engine.tree.blockers())]
         assert len(states) > 1
         for stuck in states:
-            cert = build_dual_certificate(stuck)
+            cert = build_dual_certificate(stuck, stuck.engine.scaled)
             inst = stuck.engine.scaled.base
             again = certificate_from_text(certificate_to_text(cert, inst), inst)
             assert (check_covered_machine_margin(stuck, again)
@@ -207,7 +209,7 @@ class TestCertificateFormat:
     ])
     def test_malformed_text_names_its_line(self, edit, line, message):
         stuck, sc = three_smalls_stuck()
-        text = certificate_to_text(build_dual_certificate(stuck), sc.base)
+        text = certificate_to_text(build_dual_certificate(stuck, sc), sc.base)
         bad = edit(text)
         assert bad != text
         with pytest.raises(CertificateFormatError) as info:
@@ -942,9 +944,10 @@ def test_every_knapsack_query_is_integral(monkeypatch):
     # the big-job bound prices a machine only when an active job there fits
     # beside the big job, which no audited solve above reaches
     for stuck in aggressive_stuck_states(range(400)):
-        assert check_big_job_value_bound(stuck, build_dual_certificate(stuck)) == []
+        cert = build_dual_certificate(stuck, stuck.engine.scaled)
+        assert check_big_job_value_bound(stuck, cert) == []
     assert callers["config_lp_feasible_cg"] >= 1000, callers
-    assert callers["verify_dual_feasibility"] >= 50, callers
+    assert callers["_dual_feasibility"] >= 50, callers
     assert callers["check_big_job_value_bound"] >= 2, callers
 
 
@@ -976,3 +979,170 @@ def test_verification_transcripts_match_the_pinned_digest():
     count, digest = transcript_digest()
     assert count == 10
     assert digest == PINNED_TRANSCRIPT_DIGEST
+
+
+# ---------- the integer grid against the rational reference ----------
+
+def recorded_stuck_states(monkeypatch, instances, eps):
+    """(stuck state, the probe's scaled instance) for every stuck probe of
+    solving `instances` at `eps`, a replayed stored state included."""
+    from rasched import driver
+    states, build = [], driver.build_dual_certificate
+
+    def recording(stuck, scaled):
+        states.append((stuck, scaled))
+        return build(stuck, scaled)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "build_dual_certificate", recording)
+        for inst in instances:
+            driver.solve(inst, eps, TAU)
+    return states
+
+
+def integer_checks(cert, scaled):
+    """(ok, witnesses, transcript) of `verify_certificate`, with the
+    witnesses of `verify_dual_feasibility` on a copy."""
+    ok = verify_certificate(cert, scaled)
+    _, witnesses = verify_dual_feasibility(dataclasses.replace(cert, transcript=[]), scaled)
+    return ok, witnesses, cert.transcript
+
+
+def reference_checks(cert, scaled):
+    ok, witnesses = reference_verify(cert, scaled)
+    return ok, witnesses, cert.transcript
+
+
+def grid_of(stuck, scaled):
+    """D = d^t 6 L a, the grid `build_dual_certificate` builds on."""
+    engine = stuck.engine
+    deepest = [b.layer for b in engine.tree.blockers()
+               if b.btype in (BlockerType.BS, BlockerType.S)]
+    t = max(engine.K, *engine.value_layers().values(), *deepest)
+    return scaled.epsilon.denominator ** t * 6 * scaled.unit
+
+
+def assert_grid_matches_reference(stuck, scaled):
+    """z, y, the transcript and the witnesses of the integer build and
+    checks equal the rational reference's, on the certificate, on one y_i
+    set to its machine's best configuration, which that machine passes, and
+    on two corruptions that both must refuse: that y_i a grain of the grid
+    below its best configuration, and sum(y) raised to sum(z). Returns the
+    certificate's (ok, witnesses, transcript)."""
+    cert, ref = build_dual_certificate(stuck, scaled), reference_dual_certificate(stuck, scaled)
+    assert cert == ref
+    result = integer_checks(cert, scaled)
+    assert result == reference_checks(ref, scaled)
+
+    L_q = scaled.base.integer_image[1]
+    scale, z_int = integer_image(ref.z.values())
+    best = {i: Frac(best_configuration(scaled.base.permitted_on[i], L_q,
+                                       dict(zip(ref.z, z_int)), scaled.fit)[0], scale)
+            for i in scaled.base.machines}
+    i = max(best, key=best.get)
+    tight = {**ref.y, i: best[i]}
+    lowered = {**ref.y, i: best[i] - Frac(1, grid_of(stuck, scaled))}
+    gap = sum(ref.z.values(), ZERO) - sum(ref.y.values(), ZERO)
+    even = {**ref.y, 1: ref.y[1] + gap}
+    checked = {}
+    for name, y in (("tight", tight), ("lowered", lowered), ("even", even)):
+        checked[name] = integer_checks(dataclasses.replace(cert, y=y, transcript=[]), scaled)
+        assert checked[name] == reference_checks(dataclasses.replace(ref, y=y, transcript=[]),
+                                                 scaled)
+    line = checked["tight"][2][i]  # the transcript's line for machine i
+    assert line.startswith(f"machine {i} max-config") and line.endswith("PASS")
+    assert not checked["lowered"][0] and checked["lowered"][1][0][0] == i
+    assert not checked["even"][0] and checked["even"][2][0].endswith("FAIL")
+    return result
+
+
+def test_the_grid_matches_the_reference_on_every_stuck_probe_of_the_pools(monkeypatch):
+    """Every stuck probe of the two_value pools at seeds 9, 1 and 101, the
+    18 that replay a state stored at another guess among them."""
+    from conftest import benchmark_pool
+    pools = [inst for pool_seed in (9, 1, 101) for inst in benchmark_pool("two_value", pool_seed)]
+    states = recorded_stuck_states(monkeypatch, pools, EPS)
+    replayed = [s for s, scaled in states if s.engine.scaled.guess != scaled.guess]
+    assert (len(states), len(replayed)) == (119, 18)
+    for stuck, scaled in states:
+        assert assert_grid_matches_reference(stuck, scaled)[:2] == (True, [])
+
+
+def test_the_grid_matches_the_reference_on_bs_and_s_blockers():
+    """The frozen states and the acceptance campaign's stuck states, among
+    them states whose BS and S blockers move their machines' y by
+    delta^k/6."""
+    states = [rich_stuck(), three_smalls_stuck()]
+    states += [(stuck, stuck.engine.scaled) for stuck in aggressive_stuck_states(range(400))]
+    kinds = Counter(b.btype for stuck, _ in states for b in stuck.engine.tree.blockers())
+    assert kinds[BlockerType.BS] >= 3 and kinds[BlockerType.S] >= 3, kinds
+    for stuck, scaled in states:
+        assert assert_grid_matches_reference(stuck, scaled)[:2] == (True, [])
+
+
+def odd_denominator_instance(rng, machines):
+    """The two-value shape with sizes over the denominators 977 to 997:
+    about 0.85 m jobs just below 1 and as many near 1/5, each on two
+    machines."""
+    count = round(0.85 * machines)
+    sizes = []
+    for _ in range(count):
+        den = rng.randint(977, 997)
+        sizes += [Frac(den - rng.randint(0, 9), den), Frac(den // 5 + rng.randint(-4, 4), den)]
+    rng.shuffle(sizes)
+    return make_instance(machines, [(p, set(rng.sample(range(1, machines + 1), 2)))
+                                    for p in sizes])
+
+
+@pytest.mark.parametrize("eps", [Frac(1, 13), Frac(1, 24), Frac(1, 100)])
+def test_the_grid_matches_the_reference_on_odd_denominators(monkeypatch, eps):
+    instances = [odd_denominator_instance(random.Random(seed), 16) for seed in range(30)]
+    states = recorded_stuck_states(monkeypatch, instances, eps)
+    assert len(states) >= 5, len(states)
+    for stuck, scaled in states:
+        assert scaled.base.integer_image[0] > 10 ** 12
+        assert assert_grid_matches_reference(stuck, scaled)[:2] == (True, [])
+
+
+def test_the_grid_reaches_past_K_on_a_layer_overflow():
+    """A layer cap lowered to 1 overflows with a job at value layer K + 1,
+    so the grid's exponent t exceeds K."""
+    from conftest import benchmark_pool
+    from rasched.engine import InsertionEngine
+    from rasched.seed import decided_seed, seed_small_medium
+    inst = benchmark_pool("lp_bound", 9, 1)[0]
+    scaled = scale_instance(inst, Frac(59, 60), EPS)
+    network = AssignmentNetwork(inst)
+    schedule = decided_seed(seed_small_medium(scaled, network, max_density(inst, network)),
+                            scaled, network)
+    for j in sorted(scaled.huge_jobs(), reverse=True):
+        engine = InsertionEngine(schedule, j)
+        engine.K = 1
+        result = engine.run()
+        if isinstance(result, StuckState):
+            break
+        schedule = result
+    assert result.reason == "layer-overflow"
+    assert max(engine.value_layers().values()) == engine.K + 1
+    # below the paper's K the dual need not certify: both versions refuse it alike
+    assert not assert_grid_matches_reference(result, scaled)[0]
+
+
+def test_no_rational_is_added_or_subtracted_to_build_or_verify(monkeypatch):
+    """Over the stuck probes of the seed-9 two_value pool, building and
+    verifying a certificate adds and subtracts integers only."""
+    from conftest import benchmark_pool
+    states = recorded_stuck_states(monkeypatch, benchmark_pool("two_value", 9), EPS)
+    assert len(states) >= 30
+    counts = Counter()
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        def counting(a, b, _name=name, _original=getattr(Frac, name)):
+            counts[_name] += 1
+            return _original(a, b)
+        monkeypatch.setattr(Frac, name, counting)
+    for stuck, scaled in states:
+        assert verify_certificate(build_dual_certificate(stuck, scaled), scaled)
+    assert counts == {}
+    stuck, scaled = states[0]  # the count is live: the reference sums rationals
+    reference_verify(reference_dual_certificate(stuck, scaled), scaled)
+    assert counts["__add__"] > 0 and counts["__rsub__"] > 0

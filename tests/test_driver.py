@@ -12,7 +12,7 @@ from rasched.engine import EngineInvariantError, InsertionEngine, StuckState
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, PRESETS, generate_instance
 from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
-from rasched.certificate import certificate_from_text, recheck_certificate
+from rasched.certificate import certificate_from_text, certificate_to_text, recheck_certificate
 from rasched.traceio import emit_dot, emit_jsonl
 
 from conftest import EPS, benchmark_pool, deadline, two_value_instance
@@ -250,28 +250,42 @@ def test_solve_brackets_from_the_polished_greedy(name, inst):
 
 def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch):
     """Over the pools at seeds 9, 1 and 101, a probe whose seed and engine
-    image repeat an earlier probe of its solve replays that probe's runs:
-    fewer runs and iterations execute, while the reports still count every
-    run, and logged ones log every run. Under audit every run executes
-    again, and the flows stay those of every run."""
-    counts = Counter()
+    image repeat an earlier probe of its solve replays that probe's runs,
+    stuck or not: fewer runs and iterations execute, while the reports still
+    count every run, logged ones log every run, and every stuck probe builds
+    and verifies its certificate. Under audit every run executes again, and
+    the flows stay those of every run."""
+    counts, stuck = Counter(), Counter()
     run, violator = InsertionEngine.run, AssignmentNetwork.violator
+    build, verify = driver.build_dual_certificate, driver.verify_certificate
 
     def counting_run(self):
         result = run(self)
         counts["runs"] += 1
         counts["iterations"] += self.iterations
+        stuck["executed"] += isinstance(result, StuckState)
         return result
 
     def counting_violator(self, supply, capacity):
         counts["flows"] += 1
         return violator(self, supply, capacity)
 
+    def counting_build(state, scaled):
+        stuck["built"] += 1
+        return build(state, scaled)
+
+    def counting_verify(cert, scaled):
+        stuck["verified"] += 1
+        return verify(cert, scaled)
+
     monkeypatch.setattr(InsertionEngine, "run", counting_run)
     monkeypatch.setattr(AssignmentNetwork, "violator", counting_violator)
+    monkeypatch.setattr(driver, "build_dual_certificate", counting_build)
+    monkeypatch.setattr(driver, "verify_certificate", counting_verify)
 
     def tally(workload, **flags):
         counts.clear()
+        stuck.clear()
         for pool_seed in (9, 1, 101):
             for inst in benchmark_pool(workload, pool_seed):
                 rep = solve(inst, EPS, TAU, **flags)
@@ -280,13 +294,18 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
                     counts["logs"] += len(rep.run_logs)
         return dict(counts)
 
-    assert tally("two_value") == {"runs": 6371, "iterations": 19587, "flows": 1881,
+    assert tally("two_value") == {"runs": 6129, "iterations": 18754, "flows": 1881,
                                   "printed": 29103}
+    # 18 of the 119 stuck probes replay a stored stuck run
+    assert stuck == {"executed": 101, "built": 119, "verified": 119}
     # logged runs go through the same accounting: one RunLog per run, executed or not
     assert tally("two_value", log_events=True) == {
-        "runs": 6371, "iterations": 19587, "flows": 1881, "printed": 29103, "logs": 9563}
+        "runs": 6129, "iterations": 18754, "flows": 1881, "printed": 29103, "logs": 9563}
+    assert stuck == {"executed": 101, "built": 119, "verified": 119}
     assert tally("two_value", audit=True) == {"runs": 9563, "iterations": 29103,
                                               "flows": 3773, "printed": 29103}
+    # an audited repeat builds the stored state's certificate and its own to compare
+    assert stuck == {"executed": 119, "built": 155, "verified": 119}
     assert tally("lp_bound", lp_bound=True)["flows"] == 766
     assert tally("uniform") == {"flows": 727, "printed": 0}
 
@@ -464,3 +483,67 @@ def test_an_audited_hit_that_gets_stuck_raises():
     memo = {(placement, scaled.engine_image): (placement, [])}
     with pytest.raises(EngineInvariantError, match="differ"):
         audit_probe(inst, guess, memo, True)
+
+
+def stored_stuck_run():
+    """An instance whose solve replays a stuck run at a second guess: the
+    memo after probing the first guess, which gets stuck, and both guesses."""
+    inst = two_value_instance(random.Random(329), 16)
+    first, second = Frac(19, 16), Frac(153, 128)
+    assert (scale_instance(inst, first, EPS).engine_image
+            == scale_instance(inst, second, EPS).engine_image)
+    memo = {}
+    assert audit_probe(inst, first, memo, False).outcome == "stuck"
+    return inst, memo, second
+
+
+def executed_runs(monkeypatch):
+    executed, run = [], InsertionEngine.run
+
+    def counting_run(self):
+        executed.append(None)
+        return run(self)
+
+    monkeypatch.setattr(InsertionEngine, "run", counting_run)
+    return executed
+
+
+def test_a_repeated_stuck_run_is_replayed_and_certified_at_its_own_guess(monkeypatch):
+    """A probe whose seed and engine image repeat a stored stuck run runs no
+    insertion; its certificate, built from the stored state at its own
+    guess, verifies there and is the one that running it gives (audit runs
+    the engine again, and its runs equal the record)."""
+    inst, memo, second = stored_stuck_run()
+    [(key, (state, runs))] = memo.items()
+    assert isinstance(state, StuckState) and state.engine.scaled.guess != second
+    executed = executed_runs(monkeypatch)
+    replayed = audit_probe(inst, second, dict(memo), False)
+    assert executed == []
+    audited = audit_probe(inst, second, memo, True)
+    assert len(executed) == len(runs) and list(memo) == [key]
+    assert memo[key][1] == runs
+    assert replayed.outcome == audited.outcome == "stuck"
+    assert replayed.certificate.guess == second
+    assert (certificate_to_text(replayed.certificate, inst)
+            == certificate_to_text(audited.certificate, inst))
+
+
+@pytest.mark.parametrize("part", ["placement", "counts", "runs"])
+def test_an_audited_hit_must_reproduce_the_stored_stuck_run(part):
+    """Under audit a probe that repeats a stored stuck run runs its
+    insertions again, and a record whose runs, or whose state's certificate
+    at the probe's guess, differ from the rerun's raises."""
+    inst, memo, second = stored_stuck_run()
+    [(key, (state, runs))] = memo.items()
+    if part == "placement":  # an active job off its machine: its machine's y falls
+        j = next(j for j in state.engine.value_layers()
+                 if state.schedule.machine_of(j) is not None)
+        state.schedule.unassign(j)
+    elif part == "counts":  # the stuck run counts one more of its first counter
+        (name, n), *rest = runs[-1].counts
+        runs = runs[:-1] + [runs[-1]._replace(counts=((name, n + 1), *rest))]
+    else:  # the stuck run dropped
+        runs = runs[:-1]
+    memo[key] = (state, runs)
+    with pytest.raises(EngineInvariantError, match="differ"):
+        audit_probe(inst, second, memo, True)

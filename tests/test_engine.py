@@ -599,13 +599,13 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
     stuck_states = []
     build = driver.build_dual_certificate
 
-    def recording(stuck):
+    def recording(stuck, scaled):
         engine = stuck.engine
         layers = engine.value_layers()
         assert layers == {j: reference_value_layer(engine, j) for j in layers}
         assert set(layers) == engine.active_jobs()
         stuck_states.append(stuck)
-        return build(stuck)
+        return build(stuck, scaled)
 
     monkeypatch.setattr(driver, "build_dual_certificate", recording)
     for inst in digest_instances():
