@@ -21,7 +21,7 @@ from . import rational
 from .rational import frac, ratio_str
 from .model import parse_instance, InstanceFormatError
 from .driver import solve
-from .engine import layer_cap
+from .engine import EngineInvariantError, layer_cap
 from .oracle import CapExceededError
 
 
@@ -61,7 +61,7 @@ def _run_one(args):
         lp_lower = ratio = None
     lp_seconds = time.perf_counter() - start
     if len(counts) != 1:
-        raise RuntimeError(f"nondeterministic iteration count on {name}")
+        raise EngineInvariantError(f"nondeterministic iteration count on {name}")
     return BenchRow(
         instance=name, epsilon=eps,
         layer_limit=layer_cap(inst.num_machines, eps),

@@ -90,16 +90,12 @@ def build_dual_certificate(stuck: StuckState, scaled: ScaledInstance) -> DualCer
     engine = stuck.engine
     K = engine.K
     layers = engine.value_layers()
-    # Unique layer per machine among the all-undesirable blockers.
-    bs_layer, s_layer = {}, {}
-    for blocker in engine.tree.blockers():
-        if blocker.btype is BlockerType.BS:
-            bs_layer[blocker.machine] = blocker.layer
-        elif blocker.btype is BlockerType.S:
-            s_layer[blocker.machine] = blocker.layer
+    # the BS and S covers, whose machines' y_i gain or lose delta^k/6
+    corrections = {i: blk for i, blk in engine.cover().items()
+                   if blk.btype is not BlockerType.MS}
 
     n, d = scaled.epsilon.numerator, scaled.epsilon.denominator
-    used = {K, *layers.values(), *bs_layer.values(), *s_layer.values()}
+    used = {K, *layers.values(), *(blk.layer for blk in corrections.values())}
     top = max(used)
     power = {k: (d - n) ** k * d ** (top - k) for k in used}  # delta^k d^t
     unit, b, q = scaled.unit, scaled.guess.denominator, scaled.base.integer_image[1]
@@ -112,10 +108,9 @@ def build_dual_certificate(stuck: StuckState, scaled: ScaledInstance) -> DualCer
     active_on = _active_on(engine, layers)
     for i in scaled.base.machines:
         w = sum(z_int[j] for j in active_on[i])
-        if i in bs_layer:
-            w += power[bs_layer[i]] * unit
-        elif i in s_layer:
-            w -= power[s_layer[i]] * unit
+        blk = corrections.get(i)
+        if blk is not None:
+            w += (1 if blk.btype is BlockerType.BS else -1) * power[blk.layer] * unit
         y_int[i] = base + w
     # one rational per distinct value: most machines share theirs
     rational = {v: Frac(v, scale) for v in {*z_int.values(), *y_int.values()}}
@@ -251,16 +246,17 @@ def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
     scale, z_int, _ = _image(cert)
     bigs = [(j, k) for j, k in engine.heads().items()
             if not sc.is_small(j) and q[j] <= fit]
+    cover = engine.cover()
+    blocking = engine.blocking_layers(range(1, sc.small_end))
     for j, k in bigs:
-        covered = engine.covered_machines(prefix=k)
-        blocked = engine.blocked_small_jobs(prefix=k)
         home = sched.machine_of(j)
         room = fit - q[j]
         for i in sc.base.gamma[j]:
-            if i == home or i in covered:
+            if i == home or (i in cover and cover[i].layer <= k):
                 continue
             active_prefix = {jj for jj in sched.on_machine[i]
-                             if jj in blocked or engine.undesirable_on(jj, i, prefix=k)}
+                             if blocking.get(jj, k + 1) <= k
+                             or engine.undesirable_on(jj, i, prefix=k)}
             best, _ = best_configuration(
                 sorted(jj for jj in active_prefix if i in sc.base.gamma[jj]),
                 q, z_int, room)

@@ -8,7 +8,8 @@ column-generation run, at a grid point from the Hall bound up to below the
 schedule's makespan, prices that machine. `solve --oracle` runs the
 exhaustive oracle only up to 12 jobs (`oracle.MAKESPAN_JOB_CAP`) and above
 that reports the bound it has, with exit 0. `bench` does not exit on a bound
-over the cap; it prints that row's ratio as `refused`.
+over the cap; it prints that row's ratio as `refused`. It exits 3 when the
+solves of a row count different engine iterations.
 """
 
 from __future__ import annotations

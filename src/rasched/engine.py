@@ -9,6 +9,10 @@ search is stuck and the final tree certifies that the guess was too small.
 Both edits change only the tail of the (layer, sublayer, stamp) order, so
 the tree is one stack of live blockers.
 
+A small job is blocked within a prefix of the tree when each permitted
+machine other than its own carries, within the prefix, its one
+all-undesirable blocker, its cover (`InsertionEngine.cover`).
+
 Every load condition sums the instance's integer sizes q and compares the
 sum with a floor cap of the guess (`ScaledInstance.cap`, or `huge_cap`
 beside a huge job); the schedule keeps each machine's small and medium load
@@ -26,7 +30,6 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 
 from .model import Schedule, UNASSIGNED, validate_partial_schedule
 
@@ -191,49 +194,41 @@ class InsertionEngine:
 
     # ---------- derived sets ----------
 
-    def _blocked_small_table(self):
-        """Cumulative (boundary_layer, covered_machines, blocked_smalls) rows.
+    def cover(self):
+        """Machine -> its one all-undesirable blocker (BS, MS or S).
 
-        Row 0 is the empty prefix; further rows are added at each occupied
-        layer that carries all-jobs-undesirable blockers. Built anew from the
-        tree and the schedule on every call.
-        """
-        assignment, gamma = self.schedule.assignment, self.scaled.base.gamma
+        A machine carries at most one. Once it carries one at layer k, every
+        job is undesirable there within each prefix from k on, so no
+        addition at layer k or above targets it; an addition below k drops
+        it, since `push` drops every blocker after the new one's sublayer.
+        `check_invariants` reports a second one. Read off the tree on every
+        call."""
+        return {b.machine: b for b in self.tree.blockers() if b.btype.all_undesirable}
 
-        def blocked(smalls, covered):
-            # every permitted machine other than the job's own is covered
-            return frozenset(j for j in smalls
-                             if all(i in covered or i == assignment[j] for i in gamma[j]))
+    def blocking_layers(self, smalls):
+        """Small job of `smalls` -> its blocking layer, the first prefix
+        that blocks it: the deepest cover over its permitted machines other
+        than its own, 0 without one. A job with such a machine uncovered
+        is never blocked and left out."""
+        cover, assignment, gamma = self.cover(), self.schedule.assignment, self.scaled.base.gamma
+        out = {}
+        for j in smalls:
+            others = [cover.get(i) for i in gamma[j] if i != assignment[j]]
+            if None not in others:
+                out[j] = max((b.layer for b in others), default=0)
+        return out
 
-        rows = [(0, frozenset(), blocked(self._smalls, ()))]
-        covered = set()
-        for k, layer in groupby(self.tree.blockers(), key=lambda b: b.layer):
-            adds = {b.machine for b in layer if b.btype.all_undesirable}
-            if adds - covered:
-                covered |= adds
-                rows.append((k, frozenset(covered), blocked(self._smalls, covered)))
-        return rows
-
-    def _prefix_row(self, prefix):
-        """The table row of the blockers in layers <= prefix (all when None)."""
-        rows = self._blocked_small_table()
-        row = rows[0]
-        for r in rows[1:]:
-            if prefix is not None and r[0] > prefix:
-                break
-            row = r
-        return row
+    def _blocked(self, smalls, prefix):
+        return {j for j, k in self.blocking_layers(smalls).items()
+                if prefix is None or k <= prefix}
 
     def blocked_small_jobs(self, prefix=None):
         """Small jobs undesirable on every alternative machine (prefix <= k)."""
-        return self._prefix_row(prefix)[2]
-
-    def covered_machines(self, prefix=None):
-        """Machines carrying an all-jobs-undesirable blocker (prefix <= k)."""
-        return self._prefix_row(prefix)[1]
+        return self._blocked(self._smalls, prefix)
 
     def blocked_smalls_on(self, i, prefix=None):
-        return {j for j in self.blocked_small_jobs(prefix) if self.schedule.machine_of(j) == i}
+        small_end = self.scaled.small_end
+        return self._blocked((j for j in self.schedule.on_machine[i] if j < small_end), prefix)
 
     def marks_undesirable(self, blocker: Blocker, j) -> bool:
         """Does this blocker make job j undesirable on the blocker's machine?"""
@@ -291,13 +286,12 @@ class InsertionEngine:
 
     def value_layers(self):
         """Active job -> the smallest layer at which it qualifies: its head
-        layer, or for a blocked small job the first prefix that blocks it
-        (at least 1), whichever is smaller."""
+        layer, or for a blocked small job its blocking layer (at least 1),
+        whichever is smaller."""
         layers = self.heads()
-        for k, _covered, blocked in self._blocked_small_table():
+        for j, k in self.blocking_layers(self._smalls).items():
             k = max(1, k)
-            for j in blocked:
-                layers[j] = min(layers.get(j, k), k)
+            layers[j] = min(layers.get(j, k), k)
         return layers
 
     def active_jobs(self):

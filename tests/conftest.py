@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from rasched import seed
-from rasched.seed import HallViolator
-from rasched.engine import BlockerType, InsertionEngine
+from rasched.seed import HallViolator, SeedInfeasible, round_seed, solve_assignment_lp
+from rasched.engine import BlockerType, InsertionEngine, StuckState
+from rasched.generator import GenSpec, generate_instance
 from rasched.certificate import DualCertificate, _active_on, best_configuration
 from rasched.rational import Frac, ZERO, integer_image, ratio_str
 from rasched.model import UNASSIGNED, Schedule, make_instance, parse_instance, scale_instance
@@ -202,6 +203,29 @@ def benchmark_pool(workload, seed, count=None):
     workloads = _benchmark_workloads()
     return [parse_instance(g.text)
             for g in workloads.generate(workloads.WORKLOADS[workload], seed, count)]
+
+
+def aggressive_stuck_states(seeds):
+    """Audited insertions on seeded schedules at guesses just above the
+    largest size (the acceptance campaign's construction); the first stuck
+    state of each seed that gets stuck."""
+    for seed in seeds:
+        rng = random.Random(900_000 + seed)
+        m = 2 + seed % 3
+        inst = generate_instance(GenSpec(
+            machines=m, jobs=m + 2 + seed % 6,
+            preset=("uniform", "huge_heavy", "collision")[seed % 3],
+            density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
+        sc = scale_instance(inst, inst.max_size() * Frac(rng.randint(100, 125), 100), EPS)
+        try:
+            schedule = round_seed(solve_assignment_lp(sc), sc)
+        except SeedInfeasible:
+            continue
+        for j in sorted(sc.huge_jobs(), reverse=True):
+            result = InsertionEngine(schedule, j, audit=True).run()
+            if isinstance(result, StuckState):
+                yield result
+                break
 
 
 def lp_bound_instance(rng, machines, jobs, huge):

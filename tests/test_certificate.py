@@ -26,9 +26,9 @@ from rasched.certificate import (_active_on, best_configuration,
 from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import (EPS, deadline, insert_huge_job, lp_bound_instance,
-                      reference_dual_certificate, reference_verify, scaled_of,
-                      schedule_of, two_value_instance)
+from conftest import (EPS, aggressive_stuck_states, deadline, insert_huge_job,
+                      lp_bound_instance, reference_dual_certificate, reference_verify,
+                      scaled_of, schedule_of, two_value_instance)
 
 DELTA = 1 - EPS  # 23/24
 
@@ -889,31 +889,6 @@ def two_value_16(seed):
     """The benchmark's two-value shape at 16 machines; seeds 0, 7, 8 and 14
     of range(24) reach stuck probes (two certificates each)."""
     return two_value_instance(random.Random(seed), 16)
-
-
-def aggressive_stuck_states(seeds):
-    """Audited insertions on seeded schedules at guesses just above the
-    largest size (the acceptance campaign's construction); the first stuck
-    state of each seed that gets stuck."""
-    from rasched.engine import InsertionEngine
-    from rasched.seed import SeedInfeasible
-    for seed in seeds:
-        rng = random.Random(900_000 + seed)
-        m = 2 + seed % 3
-        inst = generate_instance(GenSpec(
-            machines=m, jobs=m + 2 + seed % 6,
-            preset=("uniform", "huge_heavy", "collision")[seed % 3],
-            density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
-        sc = scale_instance(inst, inst.max_size() * Frac(rng.randint(100, 125), 100), EPS)
-        try:
-            schedule = round_seed(solve_assignment_lp(sc), sc)
-        except SeedInfeasible:
-            continue
-        for j in sorted(sc.huge_jobs(), reverse=True):
-            result = InsertionEngine(schedule, j, audit=True).run()
-            if isinstance(result, StuckState):
-                yield result
-                break
 
 
 def test_every_knapsack_query_is_integral(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 import rasched
 from rasched import bench as bench_module, rational
-from rasched.cli import main, EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_LIMIT
+from rasched.cli import main, EXIT_OK, EXIT_REJECTED, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT
 from rasched.driver import solve
 from rasched.generator import GenSpec, generate_instance
 from rasched.model import parse_instance, serialize_instance
@@ -374,6 +374,25 @@ class TestBench:
         assert recs["wide.ra"]["ratio_vs_lp"] is None
         assert recs["wide.ra"]["makespan"] == "49/3"
         assert recs["good.ra"]["ratio_vs_lp"] is not None
+
+    def test_bench_exits_3_when_a_rows_solves_disagree(self, workdir, capsys, monkeypatch):
+        # each solve counts one engine iteration more than the one before
+        calls = []
+
+        def drifting_solve(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            calls.append(None)
+            report.iterations["engine_iterations"] = len(calls)
+            return report
+
+        corpus = workdir / "corpus"
+        corpus.mkdir()
+        (corpus / "good.ra").write_text(
+            "ra 1\nmachines 2\njob a 1/3 : 1\njob b 9/10 : 1 2\n")
+        monkeypatch.setattr(bench_module, "solve", drifting_solve)
+        code, out, err = run_cli(capsys, "bench", str(corpus))
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal invariant violation: nondeterministic iteration count on good.ra\n"
 
     def test_bench_gives_a_job_less_instance_the_row_solve_reports(self, workdir, capsys):
         corpus = workdir / "corpus"

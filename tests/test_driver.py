@@ -311,19 +311,20 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
 
 
 def scale_counts(monkeypatch, inst):
-    """The engine iterations and additions, probes, stuck probes and
-    `AssignmentNetwork.violator` flows of one solve."""
-    flows, violator = [], AssignmentNetwork.violator
-
-    def counting_violator(self, supply, capacity):
-        flows.append(None)
-        return violator(self, supply, capacity)
-
-    monkeypatch.setattr(AssignmentNetwork, "violator", counting_violator)
+    """The engine iterations and additions, probes, stuck probes,
+    `AssignmentNetwork.violator` flows, and Dinic's `_levels` searches and
+    `_blocking_flow` phases, of one solve."""
+    calls = Counter()
+    for name in ("violator", "_levels", "_blocking_flow"):
+        def counting(self, *args, name=name, method=getattr(AssignmentNetwork, name)):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(AssignmentNetwork, name, counting)
     with deadline(30):
         counters = solve(inst, EPS, TAU).iterations
     return tuple(counters.get(name, 0) for name in
-                 ("engine_iterations", "engine_adds", "probes", "stuck_events")) + (len(flows),)
+                 ("engine_iterations", "engine_adds", "probes", "stuck_events")) + tuple(
+        calls[name] for name in ("violator", "_levels", "_blocking_flow"))
 
 
 def test_two_value_work_grows_linearly_from_256_to_512_machines(monkeypatch):
@@ -331,15 +332,18 @@ def test_two_value_work_grows_linearly_from_256_to_512_machines(monkeypatch):
     pinned, and none more than 2.5 times larger at twice the machines."""
     small, large = (scale_counts(monkeypatch, two_value_instance(random.Random(f"tv{m}"), m))
                     for m in (256, 512))
-    assert small == (498, 303, 8, 1, 5)
-    assert large == (973, 579, 8, 1, 6)
+    assert small == (498, 303, 8, 1, 5, 44, 39)
+    assert large == (973, 579, 8, 1, 6, 59, 53)
     assert all(b <= 2.5 * a for a, b in zip(small, large))
 
 
-@pytest.mark.parametrize("preset,flows", [("collision", 7), ("huge_heavy", 2)])
-def test_generated_presets_at_256_by_1024_need_no_engine_run(monkeypatch, preset, flows):
+@pytest.mark.parametrize("preset,flows,phases", [("collision", 7, (9, 2)),
+                                                  ("huge_heavy", 2, (4, 2))],
+                         ids=["collision-7", "huge_heavy-2"])
+def test_generated_presets_at_256_by_1024_need_no_engine_run(monkeypatch, preset, flows,
+                                                              phases):
     inst = generate_instance(GenSpec(machines=256, jobs=1024, preset=preset, seed=1))
-    assert scale_counts(monkeypatch, inst) == (0, 0, 8, 0, flows)
+    assert scale_counts(monkeypatch, inst) == (0, 0, 8, 0, flows, *phases)
 
 
 class EngineImageOnly:
