@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 certificate does not verify (`check`), 2 input
 error, 3 internal invariant violation, 4 limit exceeded: a valid input
-beyond an exact routine's cap, such as a machine with more than 30 pricing
-items for the config-LP bound (`--lp-bound`), which exits 4 only when a
-column-generation run, at a grid point from the Hall bound up to below the
-schedule's makespan, prices that machine. `solve --oracle` runs the
+beyond an exact routine's cap, such as a knapsack front of more than
+`oracle.KNAPSACK_FRONT_CAP` (2^16) pairs in a machine's configuration query,
+which `check` asks for every machine and `--lp-bound` only in a
+column-generation run at a grid point from the Hall bound up to below the
+schedule's makespan; the item count has no cap. `solve --oracle` runs the
 exhaustive oracle only up to 12 jobs (`oracle.MAKESPAN_JOB_CAP`) and above
 that reports the bound it has, with exit 0. `bench` does not exit on a bound
 over the cap; it prints that row's ratio as `refused`. It exits 3 when the

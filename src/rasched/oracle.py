@@ -1,16 +1,15 @@
-"""Brute-force ground truth for small instances.
+"""Exact ground truth for small instances, and the knapsack kernel.
 
-Everything here is exact; there are no tolerance parameters. The size caps
-are hard errors, not silent truncations, because a degraded oracle is worse
+Everything here is exact; there are no tolerance parameters. The caps are
+hard errors, not silent truncations, because a degraded oracle is worse
 than none. The knapsack is also the config-LP's pricing and verification
 kernel; it takes integer data only, which its callers build from integer
-sizes and integer duals.
+sizes and integer duals, and its cap is a front size, not an item count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .rational import ZERO, frac
 from .simplex import solve_equality_feasibility
@@ -18,7 +17,8 @@ from .model import Instance
 
 MAKESPAN_JOB_CAP = 12
 CONFIG_LP_JOB_CAP = 15
-KNAPSACK_ITEM_CAP = 30
+#: pairs one knapsack front may hold, a bound on its memory and work
+KNAPSACK_FRONT_CAP = 1 << 16
 
 
 class CapExceededError(Exception):
@@ -45,63 +45,38 @@ class KnapsackQuery:
 def knapsack_max_value(query: KnapsackQuery):
     """Exact maximum-value subset under the weight cap, with an argmax set.
 
-    Branch and bound in value-density order with the fractional relaxation as
-    the upper bound, all on the query's integers. Deterministic: the first
-    optimum found in take-before-skip order is kept. Returns the best value
-    and its items as sorted original indices. Scaling the weights and the
-    capacity by one positive factor, or the values by another, leaves every
-    comparison, and so the search and its answer, as it is; a caller with
-    rational data passes such an integer image and reads the value back over
-    its value scale.
+    A Pareto-front DP (Nemhauser-Ullmann) on the query's integers: items
+    join in index order, skipping any heavier than the capacity or of value
+    0, and the front keeps each undominated (weight <= capacity, value)
+    pair, value strictly increasing in weight, with one subset as a bit
+    mask. Tie rule: of the subsets of the largest value, those of least
+    weight, and of those the one of least sum of 2^index (on equal pairs
+    the front keeps the subset without the newer item). Returns the value
+    and the subset as sorted indices; raises CapExceededError once a front
+    holds more than KNAPSACK_FRONT_CAP pairs. Scaling the weights and the
+    capacity by one positive factor, or the values by another, leaves the
+    answer as it is; a caller with rational data passes such an integer
+    image and reads the value back over its value scale.
     """
-    if len(query.items) > KNAPSACK_ITEM_CAP:
-        raise CapExceededError(f"knapsack limited to {KNAPSACK_ITEM_CAP} items")
     cap = query.capacity
-    usable = [(w, v, idx) for idx, (w, v) in enumerate(query.items)
-              if w <= cap and v > 0]
-    # value density v/w descending, then index, compared exactly
-    usable.sort(key=cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0] or a[2] - b[2]))
-    n = len(usable)
-
-    suffix_value = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix_value[k] = suffix_value[k + 1] + usable[k][1]
-
-    best_value = 0
-    best_set: tuple = ()
-    chosen = []
-
-    def below_best(k, room, value):
-        """Whether value plus the fractional bound from item k on is <= best."""
-        total = value - best_value
-        while k < n and room > 0:
-            w, v, _ = usable[k]
-            if w <= room:
-                total += v
-                room -= w
-            else:
-                return total * w + v * room <= 0
-            k += 1
-        return total <= 0
-
-    def descend(k, room, value):
-        nonlocal best_value, best_set
-        if value > best_value:
-            best_value = value
-            best_set = tuple(sorted(idx for _, _, idx in chosen))
-        if k == n or value + suffix_value[k] <= best_value:
-            return
-        if below_best(k, room, value):
-            return
-        w, v, idx = usable[k]
-        if w <= room:
-            chosen.append(usable[k])
-            descend(k + 1, room - w, value + v)
-            chosen.pop()
-        descend(k + 1, room, value)
-
-    descend(0, cap, 0)
-    return best_value, best_set
+    front = [(0, 0, 0)]  # (weight, value, subset mask)
+    for idx, (w, v) in enumerate(query.items):
+        if w > cap or v == 0:
+            continue
+        bit = 1 << idx
+        grown = [(fw + w, fv + v, mask | bit) for fw, fv, mask in front if fw + w <= cap]
+        # by weight, then value descending; the stable sort puts an equal
+        # pair without the item first, and only a higher value is kept
+        merged, best = [], -1
+        for pair in sorted(front + grown, key=lambda p: (p[0], -p[1])):
+            if pair[1] > best:
+                merged.append(pair)
+                best = pair[1]
+        if len(merged) > KNAPSACK_FRONT_CAP:
+            raise CapExceededError(f"knapsack front limited to {KNAPSACK_FRONT_CAP} pairs")
+        front = merged
+    _, value, mask = front[-1]
+    return value, tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def exact_optimal_makespan(inst: Instance):

@@ -36,10 +36,18 @@ GRID_HALL_TEXT = "ra 1\nmachines 2\n" + "".join(
 #: the grid 1/6, so covering every job there needs configurations of size
 #: exactly 97/6. None has it: each sums to a multiple of 1/2, or to such a
 #: multiple plus 1/3. The run there, below the schedule's makespan 49/3,
-#: prices all 31 jobs on one machine
+#: prices all 31 jobs on one machine, with knapsack fronts of more than
+#: SMALL_FRONT_CAP pairs
 OVER_CAP_TEXT = "ra 1\nmachines 2\n" + "".join(
     f"job j{k} {size} : 1 2\n"
     for k, size in enumerate(["1/2"] * 9 + ["1"] * 8 + ["3/2"] * 13 + ["1/3"]))
+#: a knapsack front budget that OVER_CAP_TEXT's pricing exceeds
+SMALL_FRONT_CAP = 8
+
+
+@pytest.fixture
+def small_front_cap(monkeypatch):
+    monkeypatch.setattr("rasched.oracle.KNAPSACK_FRONT_CAP", SMALL_FRONT_CAP)
 
 
 @pytest.fixture
@@ -169,14 +177,29 @@ class TestSolve:
         assert code == EXIT_INPUT and out == ""
         assert err == f"input error: bad rational '{value}' (expected n or n/d)\n"
 
-    def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys):
+    def test_lp_bound_over_knapsack_cap_is_limit_exceeded(self, workdir, capsys,
+                                                          small_front_cap):
         # 31 pricing items on machines 1 and 2, and a run at the grid Hall
-        # bound, below the makespan
+        # bound, below the makespan, whose fronts exceed the lowered budget
         inst = workdir / "big.ra"
         inst.write_text(OVER_CAP_TEXT)
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
         assert code == EXIT_LIMIT and out == ""
-        assert err.startswith("limit exceeded: knapsack limited to 30 items")
+        assert err == "limit exceeded: knapsack front limited to 8 pairs\n"
+
+    def test_lp_bound_prices_more_than_30_items(self, workdir, capsys):
+        # the same instance within the real front budget: the one run, at
+        # the grid Hall bound 97/6, proves the LP infeasible there, so the
+        # bound rises one grid step to the schedule's makespan
+        inst = workdir / "big.ra"
+        inst.write_text(OVER_CAP_TEXT)
+        code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
+        assert code == EXIT_OK and err == ""
+        lines = out.splitlines()
+        assert "makespan 49/3 ~16.333333" in lines
+        assert "lower-bound 49/3 kind=config-lp" in lines
+        assert "ratio-bound 1/1 ~1.000000" in lines
+        assert "iterations lp_bound_probes 1" in lines
 
     def test_lp_bound_at_the_grid_hall_bound_needs_no_knapsack(self, workdir, capsys):
         # 31 pricing items per machine, but the Hall bound 67/4 rounds up on
@@ -208,8 +231,8 @@ class TestSolve:
 
     def test_lp_bound_decided_by_the_solve_needs_no_knapsack(self, workdir, capsys):
         # 31 unit jobs on one machine: the Hall bound (31) is the schedule's
-        # makespan, so the config-LP bound makes no run and the 30-item
-        # knapsack cap is never reached
+        # makespan, so the config-LP bound makes no run and asks no
+        # knapsack
         inst = workdir / "big.ra"
         inst.write_text("ra 1\nmachines 1\n"
                         + "".join(f"job j{k} 1/1 : 1\n" for k in range(31)))
@@ -282,6 +305,25 @@ class TestCheck:
         cert_path.write_text(text.replace(guess, "guess 3/1"))
         code, _, err = run_cli(capsys, "check", str(inst), str(cert_path))
         assert code == EXIT_REJECTED and "FAILED" in err
+
+    @pytest.mark.parametrize("y, code", [("31/1", EXIT_OK), ("30/1", EXIT_REJECTED)])
+    def test_check_a_machine_with_more_than_30_valued_jobs(self, workdir, capsys, y, code):
+        # 32 unit jobs on one machine at the guess 31: z = 1 on each job sums
+        # to 32 > y, and the best configuration, 31 jobs, has z = 31, which
+        # y = 31 covers and y = 30 does not
+        inst = workdir / "i.ra"
+        inst.write_text("ra 1\nmachines 1\n"
+                        + "".join(f"job j{k} 1 : 1\n" for k in range(32)))
+        cert_path = workdir / "c.cert"
+        cert_path.write_text(
+            "ra-certificate 1\nguess 31/1\nepsilon 1/24\ndelta 23/24\nK 1\nmachines 1\n"
+            + "".join(f"z j{k} 1/1\n" for k in range(32)) + f"y 1 {y}\n")
+        got, out, err = run_cli(capsys, "check", str(inst), str(cert_path))
+        assert got == code
+        if code == EXIT_OK:
+            assert out == "certificate OK: the guess 31/1 is below the optimum\n"
+        else:
+            assert err == "certificate FAILED verification\n"
 
 
 class TestBench:
@@ -356,7 +398,7 @@ class TestBench:
         assert len(out.splitlines()) == 2 + files
         assert sizes == ([expected] if expected > 1 else [])
 
-    def test_bench_marks_an_over_cap_bound_refused(self, workdir, capsys):
+    def test_bench_marks_an_over_cap_bound_refused(self, workdir, capsys, small_front_cap):
         corpus = workdir / "corpus"
         corpus.mkdir()
         (corpus / "good.ra").write_text(
@@ -437,10 +479,11 @@ class TestBench:
         assert row.max_layer == max_layer > 0
         assert row.engine_iterations == logged.iterations["engine_iterations"]
 
-    def test_bench_bound_gets_the_solve_facts(self, workdir, capsys):
+    def test_bench_bound_gets_the_solve_facts(self, workdir, capsys, small_front_cap):
         # each row's bound and ratio are the `lower-bound` and `ratio-bound`
         # that `solve --lp-bound` prints, or `refused` where it exits 4: 31
         # unit jobs on one machine, a job-less file and an over-cap file
+        # (under the lowered front budget)
         corpus = workdir / "corpus"
         corpus.mkdir()
         (corpus / "one.ra").write_text(

@@ -346,6 +346,40 @@ def test_generated_presets_at_256_by_1024_need_no_engine_run(monkeypatch, preset
     assert scale_counts(monkeypatch, inst) == (0, 0, 8, 0, flows, *phases)
 
 
+def test_lp_bound_on_a_collision_instance_prices_within_a_236_pair_front(monkeypatch):
+    """`rasched gen --machines 8 --jobs 96 --preset collision --density 1/2
+    --seed 1`, solved with `--tol 1/1000 --lp-bound`: more than 30 jobs
+    price on a machine. The bound, its column-generation runs, the knapsack
+    queries and the largest front (236 pairs, reached by one query) are
+    pinned."""
+    import rasched.certificate as cm
+    import rasched.oracle as om
+    inst = generate_instance(GenSpec(machines=8, jobs=96, preset="collision",
+                                     density=Frac(1, 2), seed=1))
+    queries, price = [], cm.knapsack_max_value
+
+    def recording(query):
+        queries.append(query)
+        return price(query)
+
+    monkeypatch.setattr(cm, "knapsack_max_value", recording)
+    monkeypatch.setattr(om, "KNAPSACK_FRONT_CAP", 236)  # the largest front fits
+    with deadline(30):
+        report = solve(inst, EPS, Frac(1, 1000), lp_bound=True)
+    assert (report.lower_bound, report.lower_bound_kind) == (Frac(337, 30), "config-lp")
+    assert report.makespan == Frac(45, 4)
+    assert report.iterations["lp_bound_probes"] == 4
+    assert max(len(query.items) for query in queries) > 30
+    monkeypatch.setattr(om, "KNAPSACK_FRONT_CAP", 235)  # and one pair less does not
+    refused = 0
+    for query in queries:
+        try:
+            price(query)
+        except om.CapExceededError:
+            refused += 1
+    assert (len(queries), refused) == (632, 1)
+
+
 class EngineImageOnly:
     """A scaled instance cut down to what the insertion search may read of
     a guess, its engine image, beside the base and epsilon: reading

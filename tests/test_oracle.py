@@ -1,11 +1,12 @@
 import itertools
 import random
+from functools import cmp_to_key
 
 import pytest
 
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import make_instance
-from rasched.oracle import (KnapsackQuery, knapsack_max_value,
+from rasched.oracle import (KnapsackQuery, knapsack_max_value, KNAPSACK_FRONT_CAP,
                             exact_optimal_makespan, exact_config_lp_feasible,
                             enumerate_configurations, CapExceededError)
 from rasched.seed import solve_assignment_lp
@@ -63,9 +64,19 @@ class TestKnapsack:
         assert knapsack_max_value(KnapsackQuery(((3, 10),), 2)) == (0, ())
 
     def test_cap_enforced(self):
-        items = tuple((1, 1) for _ in range(31))
-        with pytest.raises(CapExceededError):
-            knapsack_max_value(KnapsackQuery(items, 1))
+        # items 2^k for k < K and the capacity 2^K - 1: every subset has its
+        # own weight and value, so the front grows to 2^K pairs, within the
+        # budget of 2^16 at K = 16 and over it at K = 17
+        assert KNAPSACK_FRONT_CAP == 1 << 16
+        items = tuple((1 << k, 1 << k) for k in range(17))
+        assert knapsack_max_value(KnapsackQuery(items[:16], (1 << 16) - 1)) \
+            == ((1 << 16) - 1, tuple(range(16)))
+        with pytest.raises(CapExceededError, match="knapsack front limited to 65536 pairs"):
+            knapsack_max_value(KnapsackQuery(items, (1 << 17) - 1))
+
+    def test_more_than_30_items_are_answered(self):
+        items = tuple((1, 1) for _ in range(40))
+        assert knapsack_max_value(KnapsackQuery(items, 35)) == (35, tuple(range(35)))
 
     @pytest.mark.parametrize("items,capacity", [
         (((Frac(1, 2), 1),), 1), (((1, Frac(1, 2)),), 1), (((1, 1),), Frac(1)),
@@ -87,6 +98,110 @@ class TestKnapsack:
         assert value == brute_knapsack(items, cap)
         assert sum((items[k][0] for k in subset), ZERO) <= cap
         assert sum((items[k][1] for k in subset), ZERO) == value
+
+
+def branch_and_bound_knapsack(query):
+    """The integer branch and bound the Pareto-front DP replaced, without
+    its item cap: density order, the fractional relaxation as the bound,
+    and the first optimum in take-before-skip order."""
+    cap = query.capacity
+    usable = [(w, v, idx) for idx, (w, v) in enumerate(query.items)
+              if w <= cap and v > 0]
+    # value density v/w descending, then index, compared exactly
+    usable.sort(key=cmp_to_key(lambda a, b: b[1] * a[0] - a[1] * b[0] or a[2] - b[2]))
+    n = len(usable)
+
+    suffix_value = [0] * (n + 1)
+    for k in range(n - 1, -1, -1):
+        suffix_value[k] = suffix_value[k + 1] + usable[k][1]
+
+    best_value = 0
+    best_set: tuple = ()
+    chosen = []
+
+    def below_best(k, room, value):
+        """Whether value plus the fractional bound from item k on is <= best."""
+        total = value - best_value
+        while k < n and room > 0:
+            w, v, _ = usable[k]
+            if w <= room:
+                total += v
+                room -= w
+            else:
+                return total * w + v * room <= 0
+            k += 1
+        return total <= 0
+
+    def descend(k, room, value):
+        nonlocal best_value, best_set
+        if value > best_value:
+            best_value = value
+            best_set = tuple(sorted(idx for _, _, idx in chosen))
+        if k == n or value + suffix_value[k] <= best_value:
+            return
+        if below_best(k, room, value):
+            return
+        w, v, idx = usable[k]
+        if w <= room:
+            chosen.append(usable[k])
+            descend(k + 1, room - w, value + v)
+            chosen.pop()
+        descend(k + 1, room, value)
+
+    descend(0, cap, 0)
+    return best_value, best_set
+
+
+def tie_rule_knapsack(query):
+    """The DP's stated answer by enumeration: the largest value, then the
+    least weight, then the least sum of 2^index. Returns it and the number
+    of subsets of that value and weight."""
+    n = len(query.items)
+    keys = []
+    for mask in range(1 << n):
+        chosen = [k for k in range(n) if mask >> k & 1]
+        weight = sum(query.items[k][0] for k in chosen)
+        if weight <= query.capacity:
+            keys.append((-sum(query.items[k][1] for k in chosen), weight, mask))
+    value, weight, mask = min(keys)
+    ties = sum(key[:2] == (value, weight) for key in keys)
+    return (-value, tuple(k for k in range(n) if mask >> k & 1)), ties
+
+
+def random_integer_query(rng, n):
+    """n items with weights 1..30 and values 0..30, drawn from 4 or from 30
+    (weight, value) pairs, so that in half the queries equal pairs and equal
+    densities are common, and a capacity up to half their total weight."""
+    pairs = [(rng.randint(1, 30), rng.randint(0, 30)) for _ in range(rng.choice((4, 30)))]
+    items = tuple(rng.choice(pairs) for _ in range(n))
+    return KnapsackQuery(items, rng.randint(0, sum(w for w, _ in items) // 2))
+
+
+class TestKnapsackFront:
+    """The Pareto-front DP against the branch and bound it replaced and
+    against enumeration."""
+
+    def test_values_match_branch_and_bound_and_enumeration(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            query = random_integer_query(rng, rng.randint(0, 30))
+            value, subset = knapsack_max_value(query)
+            assert value == branch_and_bound_knapsack(query)[0], seed
+            if len(query.items) <= 12:
+                assert value == brute_knapsack(query.items, query.capacity), seed
+            assert sum(query.items[k][0] for k in subset) <= query.capacity
+            assert sum(query.items[k][1] for k in subset) == value
+            assert list(subset) == sorted(set(subset))
+
+    def test_the_tie_rule_holds_on_enumerated_queries(self):
+        tied = 0  # queries with more than one optimal subset of least weight
+        for seed in range(300):
+            rng = random.Random(seed)
+            query = random_integer_query(rng, rng.randint(0, 10))
+            answer, ties = tie_rule_knapsack(query)
+            assert knapsack_max_value(query) == answer, seed
+            tied += ties > 1
+        assert tied >= 50
 
 
 def reference_knapsack_max_value(items, capacity):
@@ -164,27 +279,34 @@ def random_rational_knapsack(rng):
 
 class TestKnapsackMatchesRational:
     """The integer search on an integer image, scaled further by positive
-    factors as callers do, returns the Fraction search's subset and its
-    value times the value scale."""
+    factors as callers do, returns the Fraction search's value times the
+    value scale, and a subset of that value that fits."""
 
-    def test_random_queries_return_identical_value_and_subset(self):
+    def test_random_queries_return_identical_value(self):
         ties = 0
         for seed in range(600):
             rng = random.Random(seed)
             items, cap = random_rational_knapsack(rng)
             query, scale = integer_query(items, cap, rng.randint(1, 7), rng.randint(1, 7))
-            ref_value, ref_subset = reference_knapsack_max_value(items, cap)
-            assert knapsack_max_value(query) == (ref_value * scale, ref_subset)
+            ref_value, _ = reference_knapsack_max_value(items, cap)
+            value, subset = knapsack_max_value(query)
+            assert value == ref_value * scale
+            assert sum((items[k][0] for k in subset), ZERO) <= cap
+            assert sum((items[k][1] for k in subset), ZERO) == ref_value
             densities = [v / w for w, v in items if v > 0 and w <= cap]
             ties += len(densities) != len(set(densities))
         assert ties >= 50
 
-    def test_equal_densities_keep_the_index_order(self):
+    def test_equal_pairs_keep_the_subset_without_the_later_item(self):
+        # {0, 2}, {0, 1, 3} and {1, 2, 3} all weigh 6 for value 6; the front
+        # keeps {0, 2}, the least sum of 2^index, where the branch and bound
+        # took the density order's first optimum {0, 1, 3}
         items = ((Frac(1, 2), Frac(1)), (Frac(1, 3), Frac(2, 3)),
                  (Frac(1, 2), Frac(1)), (Frac(1, 6), Frac(1, 3)))
         query, scale = integer_query(items, 1)
         assert query == KnapsackQuery(((3, 3), (2, 2), (3, 3), (1, 1)), 6) and scale == 3
-        assert knapsack_max_value(query) == (6, (0, 1, 3))
+        assert knapsack_max_value(query) == (6, (0, 2))
+        assert branch_and_bound_knapsack(query) == (6, (0, 1, 3))
         assert reference_knapsack_max_value(items, 1) == (2, (0, 1, 3))
 
 
