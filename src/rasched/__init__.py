@@ -8,8 +8,7 @@ from .seed import seed_small_medium, round_seed, SeedInfeasible
 from .engine import InsertionEngine, StuckState, layer_cap
 from .certificate import (build_dual_certificate, verify_certificate,
                           config_lp_lower_bound, DualCertificate)
-from .oracle import (exact_optimal_makespan, exact_config_lp_feasible,
-                     knapsack_max_value, KnapsackQuery)
+from .oracle import exact_optimal_makespan, knapsack_max_value, KnapsackQuery
 from .generator import GenSpec, generate_instance
 from .driver import solve, SolveReport
 

@@ -50,7 +50,7 @@ def _run_one(args):
     # the event log only feeds max_layer: one more solve, untimed, keeps it
     logged = solve(inst, eps, tau, log_events=True)
     counts.add(logged.iterations.get("engine_iterations", 0))
-    max_layer = max((ev["layer"] for run in logged.run_logs for ev in run.events
+    max_layer = max((ev["layer"] for _, run in logged.run_logs for ev in run.events
                      if ev["layer"]), default=0)
     start = time.perf_counter()
     try:

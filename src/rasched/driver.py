@@ -19,9 +19,10 @@ The engine reads a guess only through its engine image
 integer sizes and the class boundaries), so close guesses often repeat a
 search.
 Each insertion run leaves one `EngineRun`: its job, outcome, counter
-increments and, when events are logged, events and tree snapshot. A solve
-keeps one memo of its probes' runs and final states, keyed on the seed's
-placement and that image: a success's placement, or a stuck run's
+increments and, when events are logged, events and tree snapshot; a
+logged run goes into `SolveReport.run_logs` as a (guess, EngineRun) pair.
+A solve keeps one memo of its probes' runs and final states, keyed on the
+seed's placement and that image: a success's placement, or a stuck run's
 `StuckState`. A probe that repeats both takes the stored runs, and either
 rebuilds the stored placement at its own guess or builds and verifies its
 certificate from the stored state at its own guess, which is the
@@ -70,17 +71,6 @@ from .oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 
 
 @dataclass
-class RunLog:
-    """Event log and final tree snapshot of one insertion run."""
-
-    guess: object
-    j_new: int
-    outcome: str  # "assigned" | "stuck"
-    events: list
-    snapshot: list  # blocker dicts of the final tree
-
-
-@dataclass
 class ProbeResult:
     """One probe's outcome: "success", "seed-infeasible" or "stuck".
 
@@ -116,7 +106,7 @@ class SolveReport:
     iterations: dict
     probes: list  # (guess, outcome) in probe order
     certificates: list  # (guess, DualCertificate)
-    run_logs: list = field(default_factory=list)
+    run_logs: list = field(default_factory=list)  # (guess, EngineRun) per logged run
     placement: dict = field(default_factory=dict)  # internal job id -> machine
 
     def to_text(self) -> str:
@@ -238,7 +228,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
         for name, increment in run.counts:
             counters[name] += increment
         if log_events:
-            run_logs.append(RunLog(guess, run.j_new, run.outcome, run.events, run.snapshot))
+            run_logs.append((guess, run))
     if not isinstance(result, StuckState):
         return ProbeResult(guess, "success", schedule=_validated(result))
     counters["stuck_events"] += 1

@@ -17,7 +17,8 @@ and seed. Rationals are built only for output: the scaled sizes
 read, for certificates, messages and tests. The engine's validity test
 leaves room R beside a huge job, and the certificate rounds a huge job down
 to 5/6 (`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
-machines, so no header makes a solve build unbounded per-machine lists.
+machines, so neither a header nor a `make_instance` call makes a solve
+build unbounded per-machine lists.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .rational import Frac, frac, integer_image, parse_ratio, ratio_str
 
 FIVE_SIXTHS = Frac(5, 6)
 
-#: the most machines an instance may have; `parse_instance` rejects a larger
-#: `machines` header and `GenSpec` larger counts, since a solve builds lists
-#: of that length
+#: the most machines an instance may have; `make_instance` rejects a larger
+#: count, `parse_instance` a larger `machines` header with its line and
+#: `GenSpec` larger counts, since a solve builds lists of that length
 MAX_MACHINES = 100_000
 
 
@@ -102,9 +103,19 @@ class Instance:
 
 
 def make_instance(num_machines: int, jobs: list, names: list | None = None) -> Instance:
-    """Build an Instance from (size, permitted-set) pairs in original order."""
+    """Build an Instance from (size, permitted-set) pairs in original order.
+
+    Holds the parser's limits: 1..MAX_MACHINES machines and one distinct
+    name per job, since a solve reports its assignment by name.
+    """
+    if not 1 <= num_machines <= MAX_MACHINES:
+        raise ValueError(f"machine count must lie in 1..{MAX_MACHINES}")
     if names is None:
         names = [f"j{k + 1}" for k in range(len(jobs))]
+    if len(names) != len(jobs):
+        raise ValueError(f"{len(names)} names for {len(jobs)} jobs")
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate job name")
     for size, perm in jobs:
         if size <= 0:
             raise ValueError("job sizes must be positive")

@@ -1,22 +1,22 @@
-"""Exact ground truth for small instances, and the knapsack kernel.
+"""The exact makespan oracle for small instances, and the knapsack kernel.
 
-Everything here is exact; there are no tolerance parameters. The caps are
-hard errors, not silent truncations, because a degraded oracle is worse
-than none. The knapsack is also the config-LP's pricing and verification
-kernel; it takes integer data only, which its callers build from integer
-sizes and integer duals, and its cap is a front size, not an item count.
+`exact_optimal_makespan` is the `--oracle` bound: a branch and bound over
+the permitted assignments of at most `MAKESPAN_JOB_CAP` jobs. Everything
+here is exact; there are no tolerance parameters. The caps are hard
+errors, not silent truncations, because a degraded oracle is worse than
+none. The knapsack is the config-LP's pricing and verification kernel; it
+takes integer data only, which its callers build from integer sizes and
+integer duals, and its cap is a front size, not an item count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rational import ZERO, frac
-from .simplex import solve_equality_feasibility
+from .rational import ZERO
 from .model import Instance
 
 MAKESPAN_JOB_CAP = 12
-CONFIG_LP_JOB_CAP = 15
 #: pairs one knapsack front may hold, a bound on its memory and work
 KNAPSACK_FRONT_CAP = 1 << 16
 
@@ -113,67 +113,3 @@ def exact_optimal_makespan(inst: Instance):
 
     descend(0, ZERO)
     return best
-
-
-def enumerate_configurations(inst: Instance, machine: int, T, *, maximal_only=False):
-    """All job subsets permitted on the machine with total size <= T.
-
-    With maximal_only, keep only inclusion-maximal subsets (no further
-    permitted job fits), which preserves feasibility of the covering LP.
-    """
-    T = frac(T)
-    eligible = sorted(j for j in inst.jobs if machine in inst.gamma[j] and inst.sizes[j] <= T)
-    configs = []
-    chosen = []
-    in_chosen = set()
-
-    def maximal(room):
-        return all(j in in_chosen or inst.sizes[j] > room for j in eligible)
-
-    def descend(k, room):
-        if k == len(eligible):
-            if not maximal_only or maximal(room):
-                configs.append(frozenset(chosen))
-            return
-        j = eligible[k]
-        if inst.sizes[j] <= room:
-            chosen.append(j)
-            in_chosen.add(j)
-            descend(k + 1, room - inst.sizes[j])
-            chosen.pop()
-            in_chosen.discard(j)
-        descend(k + 1, room)
-
-    descend(0, T)
-    return configs
-
-
-def exact_config_lp_feasible(inst: Instance, T, *, configs="maximal") -> bool:
-    """Solve the configuration covering LP at makespan T by full enumeration.
-
-    Rows: one <=1 unit per machine (+slack), one >=1 cover per job
-    (+surplus); feasible iff the minimized uncovered mass is zero. `configs`
-    selects "maximal" (default, equivalent) or "all" enumeration.
-    """
-    if inst.num_jobs > CONFIG_LP_JOB_CAP:
-        raise CapExceededError(f"configuration LP oracle limited to {CONFIG_LP_JOB_CAP} jobs")
-    if inst.num_jobs == 0:
-        return True
-    T = frac(T)
-    m = inst.num_machines
-    n = inst.num_jobs
-    job_row = {j: m + idx for idx, j in enumerate(inst.jobs)}
-
-    columns = []
-    for i in inst.machines:
-        for conf in enumerate_configurations(inst, i, T, maximal_only=(configs == "maximal")):
-            col = [(i - 1, 1)] + [(job_row[j], 1) for j in sorted(conf)]
-            columns.append(col)
-    for i in inst.machines:  # machine slack
-        columns.append([(i - 1, 1)])
-    for j in inst.jobs:  # cover surplus
-        columns.append([(job_row[j], -1)])
-
-    rhs = [1] * (m + n)
-    out = solve_equality_feasibility(m + n, columns, rhs, artificial_rows=range(m, m + n))
-    return out.feasible

@@ -10,10 +10,12 @@ A cold start is the warm start from the identity basis.
 Dantzig pricing with a permanent switch to Bland's rule after a degenerate
 streak guarantees termination; all arithmetic is exact.
 
-The data are plain ints. Every LP here is a configuration covering LP (the
-column-generation master of `certificate.config_lp_feasible_cg` and the
-enumerated master of `oracle.exact_config_lp_feasible`): its coefficients
-are 0/+-1, its costs 0/1 and its rhs all ones. The arithmetic is
+The data are plain ints. The one LP a solve runs here is the configuration
+covering LP, the column-generation master of
+`certificate.config_lp_feasible_cg`: its coefficients are 0/+-1, its costs
+0/1 and its rhs all ones. The phase-one `solve_equality_feasibility` has no
+caller in a solve; it is kept for the benchmark's `simplex.feas` wrap
+point, which resolves it through `rasched.seed`. The arithmetic is
 fraction-free (Edmonds 1967; Bareiss 1968): the solver keeps B^-1 = A / D
 with an integer matrix A and D = |det B| > 0, the basic values as
 X = D x_B and the duals as Y = D c_B B^-1, all plain ints. Every reduced

@@ -9,11 +9,12 @@ from .rational import ratio_str
 
 
 def emit_jsonl(run_logs, inst: Instance) -> str:
-    """One JSON record per engine event (`InsertionEngine._log`), with its
-    run number, guess and inserted job; jobs referenced by original name."""
+    """One JSON record per engine event (`InsertionEngine._log`) of the
+    (guess, `driver.EngineRun`) pairs in `run_logs`, with its run number,
+    guess and inserted job; jobs referenced by original name."""
     lines = []
-    for run_no, run in enumerate(run_logs, start=1):
-        head = {"run": run_no, "guess": ratio_str(run.guess),
+    for run_no, (guess, run) in enumerate(run_logs, start=1):
+        head = {"run": run_no, "guess": ratio_str(guess),
                 "inserting": inst.name_of(run.j_new)}
         for ev in run.events:
             rec = {**ev, **head, "job": inst.name_of(ev["job"])}
@@ -29,9 +30,9 @@ def _dot_string(text: str) -> str:
 def emit_dot(run_logs, inst: Instance) -> str:
     """One digraph per final tree snapshot; activation edges parent -> child."""
     out = []
-    for run_no, run in enumerate(run_logs, start=1):
+    for run_no, (guess, run) in enumerate(run_logs, start=1):
         out.append(f"digraph run{run_no} {{")
-        label = f"insert {inst.name_of(run.j_new)} at T={ratio_str(run.guess)} ({run.outcome})"
+        label = f"insert {inst.name_of(run.j_new)} at T={ratio_str(guess)} ({run.outcome})"
         out.append(f"  label={_dot_string(label)};")
         out.append('  root [shape=point];')
         for b in run.snapshot:

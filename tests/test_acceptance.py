@@ -20,9 +20,10 @@ from rasched.engine import InsertionEngine, StuckState
 from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
 from rasched.certificate import (verify_objective_negative,
                                  verify_dual_feasibility, check_bs_s_machine_counts)
-from rasched.oracle import (exact_optimal_makespan, exact_config_lp_feasible,
-                            knapsack_max_value, KnapsackQuery)
+from rasched.oracle import exact_optimal_makespan, knapsack_max_value, KnapsackQuery
 from rasched.generator import GenSpec, generate_instance
+
+from reference import exact_config_lp_feasible
 
 EPSILON = Frac(1, 24)
 TAU = Frac(1, 100)

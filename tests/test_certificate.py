@@ -23,12 +23,12 @@ from rasched.certificate import (_active_on, best_configuration,
                                  recheck_certificate, config_lp_feasible_cg,
                                  config_lp_lower_bound,
                                  CertificateError, CertificateFormatError)
-from rasched.oracle import exact_config_lp_feasible
 from rasched.generator import GenSpec, generate_instance
 
 from conftest import (EPS, aggressive_stuck_states, deadline, insert_huge_job,
                       lp_bound_instance, reference_dual_certificate, reference_verify,
                       scaled_of, schedule_of, two_value_instance)
+from reference import exact_config_lp_feasible
 
 DELTA = 1 - EPS  # 23/24
 
@@ -480,6 +480,33 @@ def assert_covering_weights(inst, weights, T):
             cover[j] += wgt
     assert all(v <= 1 for v in used.values())
     assert all(v >= 1 for v in cover.values())
+
+
+GRID_CASES = [(preset, seed) for preset in ("uniform", "huge_heavy", "collision")
+              for seed in range(8)]
+
+
+@pytest.mark.parametrize("preset,seed", GRID_CASES)
+def test_column_generation_agrees_with_the_reference_on_the_grid(preset, seed):
+    """At every grid point t/L from the largest size to the solve's
+    makespan, column generation is feasible exactly when the enumerated LP
+    is, with covering weights when feasible and a knapsack-checked ray when
+    not."""
+    from rasched.driver import solve
+    inst = generate_instance(GenSpec(machines=2 + seed % 2, jobs=5 + seed % 3,
+                                     preset=preset, seed=seed))
+    L, _ = inst.integer_image
+    top = solve(inst, tau=TAU).makespan * L
+    assert top.denominator == 1
+    for t in range(math.ceil(inst.max_size() * L), top.numerator + 1):
+        T = Frac(t, L)
+        run = config_lp_feasible_cg(inst, T)
+        assert run.status in ("feasible", "infeasible")
+        assert (run.status == "feasible") == exact_config_lp_feasible(inst, T), T
+        if run.status == "feasible":
+            assert_covering_weights(inst, run.weights, T)
+        else:
+            assert_ray_is_knapsack_checked(inst, run)
 
 
 def bound_with_runs(monkeypatch, call):

@@ -471,7 +471,7 @@ class TestBench:
         (corpus / "tv.ra").write_text(text)
         logged = solve(parse_instance(text), Fraction(1, 24), Fraction(1, 100),
                        log_events=True)
-        max_layer = max(ev["layer"] for run in logged.run_logs for ev in run.events
+        max_layer = max(ev["layer"] for _, run in logged.run_logs for ev in run.events
                         if ev["layer"])
         monkeypatch.setattr(bench_module, "solve", recording_solve)
         (row,) = bench_module.bench(str(corpus), [Fraction(1, 24)], repetitions=3)

@@ -298,7 +298,7 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
                                   "printed": 29103}
     # 18 of the 119 stuck probes replay a stored stuck run
     assert stuck == {"executed": 101, "built": 119, "verified": 119}
-    # logged runs go through the same accounting: one RunLog per run, executed or not
+    # logged runs go through the same accounting: one log entry per run, executed or not
     assert tally("two_value", log_events=True) == {
         "runs": 6129, "iterations": 18754, "flows": 1881, "printed": 29103, "logs": 9563}
     assert stuck == {"executed": 101, "built": 119, "verified": 119}

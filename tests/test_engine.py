@@ -586,8 +586,8 @@ def trace_digest():
     for k, inst in enumerate(digest_instances()):
         rep = solve(inst, EPS, Frac(1, 100), log_events=True, audit=k % 4 == 0)
         h.update(rep.to_text().encode())
-        for run in rep.run_logs:
-            h.update(json.dumps([str(run.guess), run.j_new, run.outcome, run.events,
+        for guess, run in rep.run_logs:
+            h.update(json.dumps([str(guess), run.j_new, run.outcome, run.events,
                                  run.snapshot], sort_keys=True).encode())
     return h.hexdigest()
 

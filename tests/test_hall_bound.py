@@ -12,11 +12,12 @@ from rasched import seed
 from rasched.certificate import config_lp_lower_bound
 from rasched.flow import AssignmentNetwork
 from rasched.model import make_instance
-from rasched.oracle import CapExceededError, exact_config_lp_feasible, exact_optimal_makespan
+from rasched.oracle import CapExceededError, exact_optimal_makespan
 from rasched.rational import Frac, ratio_str
 from rasched.seed import hall_bound, max_density
 
 from conftest import benchmark_pool, deadline, reference_max_density, two_value_instance
+from reference import exact_config_lp_feasible
 from test_acceptance import CAMPAIGN_SIZE, TAU, campaign_instance
 
 

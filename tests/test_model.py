@@ -197,6 +197,25 @@ class TestParsing:
         assert again == inst
 
 
+TWO_JOBS = [(Frac(1), {1}), (Frac(1, 2), {2})]
+
+
+@pytest.mark.parametrize("machines, jobs, names, message", [
+    (2, TWO_JOBS, ["a"], "1 names for 2 jobs"),
+    (2, TWO_JOBS, ["a", "b", "c"], "3 names for 2 jobs"),
+    (2, TWO_JOBS, ["a", "a"], "duplicate job name"),
+    (0, [], None, "machine count"),
+    (MAX_MACHINES + 1, [(Frac(1), {1})], None, "machine count"),
+], ids=["names-short", "names-long", "name-repeated", "no-machines", "machines-over-cap"])
+def test_make_instance_holds_the_parsers_limits(machines, jobs, names, message):
+    """The public constructor rejects what `parse_instance` rejects: a name
+    list of another length, a repeated name (a solve keys its assignment by
+    name) and a machine count outside 1..MAX_MACHINES."""
+    with pytest.raises(ValueError, match=message):
+        make_instance(machines, jobs, names)
+    assert make_instance(2, TWO_JOBS, ["a", "b"]).names == ("a", "b")
+
+
 class TestScaling:
     def test_integer_image_scales_by_the_lcm(self):
         assert integer_image([]) == (1, [])

@@ -7,13 +7,13 @@ import pytest
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import make_instance
 from rasched.oracle import (KnapsackQuery, knapsack_max_value, KNAPSACK_FRONT_CAP,
-                            exact_optimal_makespan, exact_config_lp_feasible,
-                            enumerate_configurations, CapExceededError)
+                            exact_optimal_makespan, CapExceededError)
 from rasched.seed import solve_assignment_lp
 from rasched.model import scale_instance
 from rasched.generator import GenSpec, generate_instance
 
 from conftest import EPS, job_sum
+from reference import enumerate_configurations, exact_config_lp_feasible
 
 
 def brute_knapsack(items, capacity):

@@ -9,11 +9,11 @@ from rasched.seed import (FractionalAssignment, SeedInfeasible,
                           solve_assignment_lp, eliminate_support_cycles,
                           round_forest, round_seed)
 from rasched.generator import GenSpec, generate_instance
-from rasched.oracle import exact_config_lp_feasible
 
 from conftest import (EPS, assigned_jobs, deadline, entries_of, job_sum, machine_load,
                       record_cycles, reference_eliminate_support_cycles,
                       reference_support_cycle, scaled_of)
+from reference import exact_config_lp_feasible
 
 
 class TestAssignmentLP:

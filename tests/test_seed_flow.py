@@ -297,8 +297,8 @@ def solve_cases():
 
 def solve_record(inst):
     rep = driver.solve(inst, EPS, log_events=True)
-    return rep.to_text(), [(run.guess, run.j_new, run.outcome, run.events, run.snapshot)
-                           for run in rep.run_logs]
+    return rep.to_text(), [(guess, run.j_new, run.outcome, run.events, run.snapshot)
+                           for guess, run in rep.run_logs]
 
 
 def test_reused_violators_decide_like_the_flow(monkeypatch):

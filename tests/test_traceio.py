@@ -136,7 +136,7 @@ class TestDot:
 
     def test_stuck_snapshot_keeps_blockers(self):
         inst, rep = collision_report()
-        stuck_runs = [r for r in rep.run_logs if r.outcome == "stuck"]
+        stuck_runs = [(g, r) for g, r in rep.run_logs if r.outcome == "stuck"]
         assert stuck_runs
         text = emit_dot(stuck_runs, inst)
         assert "root" in text and "->" in text
