@@ -1,11 +1,12 @@
 """Dual certificates of infeasibility and configuration-LP bounds.
 
-A stuck search state yields an exact dual assignment (z per job, y per
-machine) whose objective gap and per-machine knapsack feasibility are
-machine-checkable: together they certify that no fractional schedule of
-makespan 1 (scaled) exists, i.e. the probed guess is below the optimum.
+The stuck engine `InsertionEngine.run` returns yields an exact dual
+assignment (z per job, y per machine) whose objective gap and per-machine
+knapsack feasibility are machine-checkable: together they certify that no
+fractional schedule of makespan 1 (scaled) exists, i.e. the probed guess is
+below the optimum.
 
-A stuck state's dual is built on one integer grid: with epsilon = n/d, the
+A stuck engine's dual is built on one integer grid: with epsilon = n/d, the
 guess T = a/b and sizes q_j/L, every z_j and y_i is an integer over
 D = d^t 6 L a, t the deepest layer the dual weighs (at least K), and each
 becomes a rational once, when stored (`build_dual_certificate`). The
@@ -25,7 +26,7 @@ from functools import cached_property
 
 from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 from .model import Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, scale_instance
-from .engine import BlockerType, StuckState
+from .engine import BlockerType, InsertionEngine, layer_cap
 from .oracle import KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
 
@@ -63,15 +64,15 @@ def _active_on(engine, active):
     return on
 
 
-def build_dual_certificate(stuck: StuckState, scaled: ScaledInstance) -> DualCertificate:
-    """The dual (z, y) of the stuck state's final tree at the guess T of
+def build_dual_certificate(engine: InsertionEngine, scaled: ScaledInstance) -> DualCertificate:
+    """The dual (z, y) of a stuck engine's final tree at the guess T of
     `scaled`: z_j = delta^k p_j/T for an active job of value layer k, with
     5/6 in place of p_j/T for a huge job, 0 for an inactive one, and
     y_i = delta^K + w_i, where w_i, kept only here, is z of the active jobs
     on i, plus delta^k/6 on a machine with a BS blocker at layer k, or less
     delta^k/6 on one with an S blocker at layer k.
 
-    The state may come from a run at another guess with the same engine
+    The engine may come from a run at another guess with the same engine
     image and seed, and the dual is still that of running at T:
     - The value layers, the blockers and the placement are decided by the
       run, which reads the guess only through the engine image
@@ -87,7 +88,6 @@ def build_dual_certificate(stuck: StuckState, scaled: ScaledInstance) -> DualCer
     job; delta^K D is (d - n)^K d^(t - K) 6 L a, and delta^k/6 D is
     (d - n)^k d^(t - k) L a. Each value becomes a rational once, when
     stored."""
-    engine = stuck.engine
     K = engine.K
     layers = engine.value_layers()
     # the BS and S covers, whose machines' y_i gain or lose delta^k/6
@@ -196,11 +196,11 @@ def verify_certificate(cert: DualCertificate, scaled: ScaledInstance) -> bool:
     return ok1 and ok2
 
 
-def check_bs_s_machine_counts(stuck: StuckState):
+def check_bs_s_machine_counts(engine: InsertionEngine):
     """Per layer, machines holding BS blockers never outnumber machines
     holding S blockers. Returns (ok, per-layer counts)."""
     per_layer = {}
-    for b in stuck.engine.tree.blockers():
+    for b in engine.tree.blockers():
         if b.btype in (BlockerType.BS, BlockerType.S):
             entry = per_layer.setdefault(b.layer, [set(), set()])
             entry[0 if b.btype is BlockerType.BS else 1].add(b.machine)
@@ -209,10 +209,9 @@ def check_bs_s_machine_counts(stuck: StuckState):
     return ok, counts
 
 
-def check_covered_machine_margin(stuck: StuckState, cert: DualCertificate):
+def check_covered_machine_margin(engine: InsertionEngine, cert: DualCertificate):
     """Audit: on every machine carrying an all-undesirable blocker at layer k,
     w_i = y_i - delta^K >= z(active_i) + delta^k * (1 - delta * p_down(active_i))."""
-    engine = stuck.engine
     sc = engine.scaled
     delta = cert.delta
     violations = []
@@ -233,11 +232,10 @@ def check_covered_machine_margin(stuck: StuckState, cert: DualCertificate):
     return violations
 
 
-def check_big_job_value_bound(stuck: StuckState, cert: DualCertificate):
+def check_big_job_value_bound(engine: InsertionEngine, cert: DualCertificate):
     """Audit: for each big active job j with head layer k and each permitted
     machine i (not all-undesirable within the prefix, sigma(j) != i), the worst
     configuration through i still retains z(active_i^<=k \\ C) >= z_j."""
-    engine = stuck.engine
     sc = engine.scaled
     sched = engine.schedule
     violations = []
@@ -299,8 +297,10 @@ def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
 
     Raises CertificateFormatError on a first line (past blanks and comments)
     other than 'ra-certificate 1', an unknown line or job name, a bad or
-    repeated entry, a missing header field, or a y row that is missing or
-    names no machine of the instance. Jobs without a z row get z = 0.
+    repeated entry, a missing header field, a header the instance does not
+    give (machines, epsilon in (0, 1/12), delta = 1 - epsilon and K =
+    `engine.layer_cap`), or a y row that is missing or names no machine of
+    the instance. Jobs without a z row get z = 0.
     """
     name_to_internal = {
         inst.names[orig]: inst.internal_of[orig] for orig in range(len(inst.names))
@@ -354,6 +354,17 @@ def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
             where["machines", "machines"],
             f"certificate has {fields['machines']} machines, "
             f"the instance {inst.num_machines}")
+    epsilon = fields["epsilon"]
+    if not 0 < epsilon < Frac(1, 12):  # before layer_cap, which divides by it
+        raise CertificateFormatError(where["epsilon", "epsilon"],
+                                     "epsilon must lie strictly between 0 and 1/12")
+    if fields["delta"] != 1 - epsilon:
+        raise CertificateFormatError(where["delta", "delta"],
+                                     f"delta must be 1 - epsilon = {ratio_str(1 - epsilon)}")
+    K = layer_cap(inst.num_machines, epsilon)
+    if fields["K"] != K:
+        raise CertificateFormatError(
+            where["K", "K"], f"K must be the layer cap {K} of the instance at this epsilon")
     for i in sorted(y):
         if i not in inst.machines:
             raise CertificateFormatError(where["y", i], f"no machine {i} in the instance")

@@ -22,10 +22,11 @@ Each insertion run leaves one `EngineRun`: its job, outcome, counter
 increments and, when events are logged, events and tree snapshot; a
 logged run goes into `SolveReport.run_logs` as a (guess, EngineRun) pair.
 A solve keeps one memo of its probes' runs and final states, keyed on the
-seed's placement and that image: a success's placement, or a stuck run's
-`StuckState`. A probe that repeats both takes the stored runs, and either
-rebuilds the stored placement at its own guess or builds and verifies its
-certificate from the stored state at its own guess, which is the
+seed's placement and that image: a success's placement, a tuple by job id
+validated where the search ran, which its `ProbeResult` holds, or the stuck
+engine `InsertionEngine.run` returned. A probe that repeats both takes the
+stored runs, and either the stored placement or builds and verifies its
+certificate from the stored engine at its own guess, which is the
 certificate running it gives (`certificate.build_dual_certificate` reads
 the guess only from the probe's scaled instance). One loop counts and logs
 a probe's runs, executed or stored, at its guess, so a repeat's report,
@@ -61,7 +62,7 @@ from .flow import AssignmentNetwork
 from . import seed
 from .seed import (SeedInfeasible, seed_small_medium, decided_seed, max_density,
                    hall_bound)
-from .engine import InsertionEngine, StuckState, EngineInvariantError
+from .engine import InsertionEngine, EngineInvariantError
 from .certificate import (DualCertificate, build_dual_certificate,
                           verify_certificate, check_bs_s_machine_counts,
                           check_covered_machine_margin, check_big_job_value_bound,
@@ -74,22 +75,24 @@ from .oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
 class ProbeResult:
     """One probe's outcome: "success", "seed-infeasible" or "stuck".
 
-    A success without huge jobs outside audit holds no schedule, only its
-    `scaled` guess: the solve reads its seed through `seed.decided_seed`.
+    A success holds its `scaled` guess and, as the memo stores it, its
+    `placement`; one without huge jobs outside audit holds none, and the
+    solve reads its seed through `seed.decided_seed`.
     """
 
     guess: object
     outcome: str
-    schedule: Schedule | None = None
+    placement: tuple | None = None
     certificate: DualCertificate | None = None
     scaled: ScaledInstance | None = None
 
 
-def _validated(schedule: Schedule) -> Schedule:
+def _placement(schedule: Schedule) -> tuple:
+    """The machine of each job id (index 0 unused), once `schedule` validates."""
     bad = validate_partial_schedule(schedule)
     if bad:
         raise EngineInvariantError("; ".join(bad))
-    return schedule
+    return tuple(schedule.assignment)
 
 
 @dataclass
@@ -149,12 +152,12 @@ class EngineRun(NamedTuple):
 
 def _insert(schedule: Schedule, huge, *, audit, log_events):
     """Inserts the `huge` jobs into `schedule` in turn. Returns the final
-    schedule, or the StuckState of the run that got stuck, and every run."""
+    placement, or the engine of the run that got stuck, and every run."""
     runs = []
     for j_new in huge:
         engine = InsertionEngine(schedule, j_new, audit=audit, log_events=log_events)
         result = engine.run()
-        stuck = isinstance(result, StuckState)
+        stuck = result is engine
         runs.append(EngineRun(
             j_new, "stuck" if stuck else "assigned",
             (("engine_iterations", engine.iterations), ("engine_moves", engine.moves),
@@ -163,16 +166,15 @@ def _insert(schedule: Schedule, huge, *, audit, log_events):
              ("signature_dips", len(engine.signature_dips))),
             engine.events, _tree_snapshot(engine) if log_events else None))
         if stuck:
-            return result, runs
+            return engine, runs
         schedule = result
-    return schedule, runs
+    return _placement(schedule), runs
 
 
-def _decided(record, scaled: ScaledInstance):
+def _decided(final, scaled: ScaledInstance):
     """What a memo record's final state decides at the guess of `scaled`:
-    the placement of a success, the certificate text of a stuck run."""
-    final = record[0]
-    if isinstance(final, StuckState):
+    the placement of a success, the certificate text of a stuck engine."""
+    if isinstance(final, InsertionEngine):
         return certificate_to_text(build_dual_certificate(final, scaled), scaled.base)
     return final
 
@@ -202,48 +204,39 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     schedule = decided_seed(fa, scaled, network)
     # the search reads the guess only through its caps and class boundaries,
     # so a seed and engine image seen before repeat that probe's runs, and a
-    # stored stuck state gives this guess's certificate
+    # stored stuck engine gives this guess's certificate
     key = (tuple(schedule.assignment), scaled.engine_image)
     stored = memo.get(key)
     if stored is None or audit:
-        result, runs = _insert(schedule, huge, audit=audit, log_events=log_events)
-        record = (result if isinstance(result, StuckState) else tuple(result.assignment),
-                  runs)
+        final, runs = _insert(schedule, huge, audit=audit, log_events=log_events)
         if stored is not None and (runs != stored[1]
-                                   or _decided(record, scaled) != _decided(stored, scaled)):
+                                   or _decided(final, scaled) != _decided(stored[0], scaled)):
             raise EngineInvariantError(
                 f"the insertion runs at {ratio_str(guess)} differ from those of an"
                 " equal engine image and seed")
-        memo[key] = record
+        memo[key] = (final, runs)
     else:
         final, runs = stored
-        if isinstance(final, StuckState):
-            result = final
-        else:
-            result = Schedule(scaled)
-            for j, i in enumerate(final):
-                if i is not UNASSIGNED:
-                    result.assign(j, i)
     for run in runs:
         for name, increment in run.counts:
             counters[name] += increment
         if log_events:
             run_logs.append((guess, run))
-    if not isinstance(result, StuckState):
-        return ProbeResult(guess, "success", schedule=_validated(result))
+    if not isinstance(final, InsertionEngine):
+        return ProbeResult(guess, "success", placement=final, scaled=scaled)
     counters["stuck_events"] += 1
-    cert = build_dual_certificate(result, scaled)
+    cert = build_dual_certificate(final, scaled)
     if not verify_certificate(cert, scaled):
         raise CertificateError(
             f"stuck-state certificate failed to verify at guess {ratio_str(guess)}"
         )
-    ok_counts, _ = check_bs_s_machine_counts(result)
+    ok_counts, _ = check_bs_s_machine_counts(final)
     counters["bs_s_checks"] += 1
     if not ok_counts:
         raise EngineInvariantError("per-layer BS/S machine count balance broke")
     if audit:
-        bad = (check_covered_machine_margin(result, cert)
-               + check_big_job_value_bound(result, cert))
+        bad = (check_covered_machine_margin(final, cert)
+               + check_big_job_value_bound(final, cert))
         if bad:
             raise EngineInvariantError("; ".join(bad))
     return ProbeResult(guess, "stuck", certificate=cert)
@@ -371,7 +364,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     certificates: list = []
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
-    memo: dict = {}  # (seed placement, engine image) -> (placement or StuckState, runs)
+    memo: dict = {}  # (seed placement, engine image) -> (placement or stuck engine, runs)
 
     def probe(guess) -> ProbeResult:
         res = _probe(inst, guess, epsilon, audit=audit, log_events=log_events,
@@ -407,16 +400,12 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
             lo_n, lower_kind = mid_n, "stuck-certificate"
     counters["probes"] = len(probes)
 
-    best_guess, best_schedule = best.guess, best.schedule
-    if best_schedule is None:
-        best_schedule = _validated(decided_seed(None, best.scaled, network))
-    placement = {}
-    for j in inst.jobs:
-        i = best_schedule.machine_of(j)
+    machine_of = best.placement or _placement(decided_seed(None, best.scaled, network))
+    placement = {j: machine_of[j] for j in inst.jobs}
+    for j, i in placement.items():
         if i is UNASSIGNED:
             raise EngineInvariantError(f"job {j} left unassigned by a successful probe")
-        placement[j] = i
-    if _max_load(inst, placement) > best_schedule.scaled.cap:  # above (1 + R) T
+    if _max_load(inst, placement) > best.scaled.cap:  # above (1 + R) T
         raise EngineInvariantError("final makespan exceeds the probe guarantee")
     # polishing never raises the makespan, so the guarantee carries over
     placement = _polish(inst, placement)
@@ -439,7 +428,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
 
     return SolveReport(
         instance=inst, epsilon=epsilon, tau=tau, assignment=assignment,
-        makespan=makespan, guess_final=best_guess, lower_bound=lower,
+        makespan=makespan, guess_final=best.guess, lower_bound=lower,
         lower_bound_kind=lower_kind, ratio_bound=makespan / lower,
         iterations=dict(counters), probes=probes, certificates=certificates,
         run_logs=run_logs, placement=placement,

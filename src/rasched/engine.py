@@ -6,6 +6,8 @@ layers of five sublayers each. Each loop iteration either performs the valid
 move in the lowest sublayer or adds the highest-priority potential move to
 the lowest possible layer; when neither is possible below the layer cap, the
 search is stuck and the final tree certifies that the guess was too small.
+`InsertionEngine.run` returns the schedule once the job is placed, or, once
+stuck, the engine itself, whose final tree a certificate is built from.
 Both edits change only the tail of the (layer, sublayer, stamp) order, so
 the tree is one stack of live blockers.
 
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import Schedule, UNASSIGNED, validate_partial_schedule
@@ -155,18 +156,6 @@ class BlockerTree:
         return popped
 
 
-@dataclass
-class StuckState:
-    """Terminal search state used to build the dual certificate."""
-
-    engine: "InsertionEngine"
-    reason: str  # "no-potential-move" | "layer-overflow"
-
-    @property
-    def schedule(self):
-        return self.engine.schedule
-
-
 class InsertionEngine:
     def __init__(self, schedule: Schedule, j_new: int, *, audit: bool = False,
                  log_events: bool = False):
@@ -181,6 +170,7 @@ class InsertionEngine:
         self.K = layer_cap(scaled.base.num_machines, scaled.epsilon)
         self.tree = BlockerTree()
         self.audit = audit
+        self.stuck_reason = None  # "no-potential-move" | "layer-overflow" once stuck
         self.iterations = 0
         self.moves = 0
         self.adds = 0
@@ -585,7 +575,8 @@ class InsertionEngine:
     # ---------- main loop ----------
 
     def run(self):
-        """Insert the job, or return the StuckState that certifies failure."""
+        """Insert the job and return the schedule, or return the engine,
+        `stuck_reason` set, whose final tree certifies failure."""
         while True:
             self.iterations += 1
             if self.iterations > WATCHDOG:
@@ -602,5 +593,6 @@ class InsertionEngine:
             self._close_move_run()
             selection = self.select_addition()
             if isinstance(selection, str):
-                return StuckState(engine=self, reason=selection)
+                self.stuck_reason = selection
+                return self
             self.add_blocker(*selection)

@@ -105,8 +105,10 @@ class Instance:
 def make_instance(num_machines: int, jobs: list, names: list | None = None) -> Instance:
     """Build an Instance from (size, permitted-set) pairs in original order.
 
-    Holds the parser's limits: 1..MAX_MACHINES machines and one distinct
-    name per job, since a solve reports its assignment by name.
+    Holds the parser's limits: 1..MAX_MACHINES machines, one distinct name
+    per job, since a solve reports its assignment by name, and no name the
+    text format cannot carry (empty, or with whitespace or '#'). Sizes are
+    positive ints or Fractions, the exact types the solve computes with.
     """
     if not 1 <= num_machines <= MAX_MACHINES:
         raise ValueError(f"machine count must lie in 1..{MAX_MACHINES}")
@@ -116,7 +118,12 @@ def make_instance(num_machines: int, jobs: list, names: list | None = None) -> I
         raise ValueError(f"{len(names)} names for {len(jobs)} jobs")
     if len(set(names)) != len(names):
         raise ValueError("duplicate job name")
+    for name in names:
+        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+            raise ValueError(f"job name {name!r} is empty or holds whitespace or '#'")
     for size, perm in jobs:
+        if not isinstance(size, (int, Frac)):
+            raise ValueError(f"job size {size!r} is neither an int nor a Fraction")
         if size <= 0:
             raise ValueError("job sizes must be positive")
         if not perm:

@@ -12,7 +12,7 @@ import pytest
 
 from rasched import seed
 from rasched.seed import HallViolator, SeedInfeasible, round_seed, solve_assignment_lp
-from rasched.engine import BlockerType, InsertionEngine, StuckState
+from rasched.engine import BlockerType, InsertionEngine
 from rasched.generator import GenSpec, generate_instance
 from rasched.certificate import DualCertificate, _active_on, best_configuration
 from rasched.rational import Frac, ZERO, integer_image, ratio_str
@@ -107,7 +107,7 @@ def reference_dual_certificate(stuck, scaled):
     replaced, kept as its reference: z_j = delta^k size_down(j) and
     y_i = delta^K + w_i, summed one rational at a time, at the guess of
     `scaled`."""
-    engine = stuck.engine
+    engine = stuck
     delta = 1 - scaled.epsilon
     K = engine.K
     layers = engine.value_layers()
@@ -223,7 +223,7 @@ def aggressive_stuck_states(seeds):
             continue
         for j in sorted(sc.huge_jobs(), reverse=True):
             result = InsertionEngine(schedule, j, audit=True).run()
-            if isinstance(result, StuckState):
+            if isinstance(result, InsertionEngine):
                 yield result
                 break
 

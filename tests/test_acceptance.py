@@ -16,7 +16,7 @@ import pytest
 from rasched.rational import Frac, ZERO
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.driver import solve
-from rasched.engine import InsertionEngine, StuckState
+from rasched.engine import InsertionEngine
 from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
 from rasched.certificate import (verify_objective_negative,
                                  verify_dual_feasibility, check_bs_s_machine_counts)
@@ -125,7 +125,7 @@ def _randomized_engine_runs(target_iterations):
             total += engine.iterations
             runs += 1
             dips += len(engine.signature_dips)
-            if isinstance(result, StuckState):
+            if isinstance(result, InsertionEngine):
                 stuck_states.append(result)
                 break
         assert validate_partial_schedule(schedule) == []

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import parse_instance, make_instance, scale_instance
-from rasched.engine import BlockerType, StuckState
+from rasched.engine import BlockerType, InsertionEngine
 from rasched.flow import AssignmentNetwork
 from rasched.seed import solve_assignment_lp, round_seed, hall_bound, max_density
 from rasched.certificate import (_active_on, best_configuration,
@@ -53,7 +53,7 @@ def three_smalls_stuck():
                     (Frac(9, 10), {1})], 1)
     sched = schedule_of(sc, {1: 1, 2: 1, 3: 1})
     result, _ = insert_huge_job(sched, 4, audit=True)
-    assert isinstance(result, StuckState)
+    assert isinstance(result, InsertionEngine)
     return result, sc
 
 
@@ -63,7 +63,7 @@ def rich_stuck():
     sched = round_seed(solve_assignment_lp(sc), sc)
     for j in sorted(sc.huge_jobs(), reverse=True):
         result, _ = insert_huge_job(sched, j, audit=True)
-        if isinstance(result, StuckState):
+        if isinstance(result, InsertionEngine):
             return result, sc
     pytest.fail("frozen fixture no longer reaches a stuck state")
 
@@ -82,12 +82,12 @@ class TestBuild:
         stuck, sc = rich_stuck()
         cert = build_dual_certificate(stuck, sc)
         unassigned_huge = [j for j in sc.base.jobs
-                           if stuck.schedule.machine_of(j) is None and j != stuck.engine.j_new]
+                           if stuck.schedule.machine_of(j) is None and j != stuck.j_new]
         assert unassigned_huge and all(cert.z[j] == 0 for j in unassigned_huge)
 
     def test_w_corrections_on_bs_and_s_machines(self):
         stuck, sc = rich_stuck()
-        eng = stuck.engine
+        eng = stuck
         types = {b.btype for b in eng.tree.blockers()}
         assert {BlockerType.BB, BlockerType.BS, BlockerType.S} <= types
         cert = build_dual_certificate(stuck, sc)
@@ -180,11 +180,11 @@ class TestSerialization:
         """The covered-machine margin reads only what the text keeps."""
         states = [rich_stuck()[0]] + [
             stuck for stuck in aggressive_stuck_states(range(400))
-            if any(b.btype.all_undesirable for b in stuck.engine.tree.blockers())]
+            if any(b.btype.all_undesirable for b in stuck.tree.blockers())]
         assert len(states) > 1
         for stuck in states:
-            cert = build_dual_certificate(stuck, stuck.engine.scaled)
-            inst = stuck.engine.scaled.base
+            cert = build_dual_certificate(stuck, stuck.scaled)
+            inst = stuck.scaled.base
             again = certificate_from_text(certificate_to_text(cert, inst), inst)
             assert (check_covered_machine_margin(stuck, again)
                     == check_covered_machine_margin(stuck, cert))
@@ -200,6 +200,12 @@ class TestCertificateFormat:
         (lambda t: t.replace("K ", "Kay "), 5, "unknown certificate line"),
         (lambda t: t.replace("delta 23/24", "delta 23/24 1"), 4, "wrong number of fields"),
         (lambda t: t.replace("epsilon 1/24", "epsilon 1/0"), 3, "bad number"),
+        (lambda t: t.replace("epsilon 1/24", "epsilon 0/1"), 3,
+         "epsilon must lie strictly between 0 and 1/12"),
+        (lambda t: t.replace("epsilon 1/24", "epsilon 1/12"), 3,
+         "epsilon must lie strictly between 0 and 1/12"),
+        (lambda t: t.replace("delta 23/24", "delta 1/7"), 4, "delta must be 1 - epsilon = 23/24"),
+        (lambda t: t.replace("K 48", "K 1"), 5, "K must be the layer cap 48"),
         (lambda t: t + "y 2 0/1\n", None, "no machine 2 in the instance"),
         (lambda t: t + "y 1 0/1\n", None, "repeated 'y 1' line"),
         (lambda t: t.replace("ra-certificate 1\n", ""), 1, "expected header 'ra-certificate 1'"),
@@ -948,7 +954,7 @@ def test_every_knapsack_query_is_integral(monkeypatch):
     # the big-job bound prices a machine only when an active job there fits
     # beside the big job, which no audited solve above reaches
     for stuck in aggressive_stuck_states(range(400)):
-        cert = build_dual_certificate(stuck, stuck.engine.scaled)
+        cert = build_dual_certificate(stuck, stuck.scaled)
         assert check_big_job_value_bound(stuck, cert) == []
     assert callers["config_lp_feasible_cg"] >= 1000, callers
     assert callers["_dual_feasibility"] >= 50, callers
@@ -1019,7 +1025,7 @@ def reference_checks(cert, scaled):
 
 def grid_of(stuck, scaled):
     """D = d^t 6 L a, the grid `build_dual_certificate` builds on."""
-    engine = stuck.engine
+    engine = stuck
     deepest = [b.layer for b in engine.tree.blockers()
                if b.btype in (BlockerType.BS, BlockerType.S)]
     t = max(engine.K, *engine.value_layers().values(), *deepest)
@@ -1066,7 +1072,7 @@ def test_the_grid_matches_the_reference_on_every_stuck_probe_of_the_pools(monkey
     from conftest import benchmark_pool
     pools = [inst for pool_seed in (9, 1, 101) for inst in benchmark_pool("two_value", pool_seed)]
     states = recorded_stuck_states(monkeypatch, pools, EPS)
-    replayed = [s for s, scaled in states if s.engine.scaled.guess != scaled.guess]
+    replayed = [s for s, scaled in states if s.scaled.guess != scaled.guess]
     assert (len(states), len(replayed)) == (119, 18)
     for stuck, scaled in states:
         assert assert_grid_matches_reference(stuck, scaled)[:2] == (True, [])
@@ -1077,8 +1083,8 @@ def test_the_grid_matches_the_reference_on_bs_and_s_blockers():
     them states whose BS and S blockers move their machines' y by
     delta^k/6."""
     states = [rich_stuck(), three_smalls_stuck()]
-    states += [(stuck, stuck.engine.scaled) for stuck in aggressive_stuck_states(range(400))]
-    kinds = Counter(b.btype for stuck, _ in states for b in stuck.engine.tree.blockers())
+    states += [(stuck, stuck.scaled) for stuck in aggressive_stuck_states(range(400))]
+    kinds = Counter(b.btype for stuck, _ in states for b in stuck.tree.blockers())
     assert kinds[BlockerType.BS] >= 3 and kinds[BlockerType.S] >= 3, kinds
     for stuck, scaled in states:
         assert assert_grid_matches_reference(stuck, scaled)[:2] == (True, [])
@@ -1112,7 +1118,6 @@ def test_the_grid_reaches_past_K_on_a_layer_overflow():
     """A layer cap lowered to 1 overflows with a job at value layer K + 1,
     so the grid's exponent t exceeds K."""
     from conftest import benchmark_pool
-    from rasched.engine import InsertionEngine
     from rasched.seed import decided_seed, seed_small_medium
     inst = benchmark_pool("lp_bound", 9, 1)[0]
     scaled = scale_instance(inst, Frac(59, 60), EPS)
@@ -1123,10 +1128,10 @@ def test_the_grid_reaches_past_K_on_a_layer_overflow():
         engine = InsertionEngine(schedule, j)
         engine.K = 1
         result = engine.run()
-        if isinstance(result, StuckState):
+        if isinstance(result, InsertionEngine):
             break
         schedule = result
-    assert result.reason == "layer-overflow"
+    assert result.stuck_reason == "layer-overflow"
     assert max(engine.value_layers().values()) == engine.K + 1
     # below the paper's K the dual need not certify: both versions refuse it alike
     assert not assert_grid_matches_reference(result, scaled)[0]

@@ -316,7 +316,7 @@ class TestCheck:
                         + "".join(f"job j{k} 1 : 1\n" for k in range(32)))
         cert_path = workdir / "c.cert"
         cert_path.write_text(
-            "ra-certificate 1\nguess 31/1\nepsilon 1/24\ndelta 23/24\nK 1\nmachines 1\n"
+            "ra-certificate 1\nguess 31/1\nepsilon 1/24\ndelta 23/24\nK 48\nmachines 1\n"
             + "".join(f"z j{k} 1/1\n" for k in range(32)) + f"y 1 {y}\n")
         got, out, err = run_cli(capsys, "check", str(inst), str(cert_path))
         assert got == code
@@ -636,3 +636,19 @@ class TestCheckMalformed:
             return [("K many" if ln.startswith("K ") else ln) for ln in body]
         code, _, err = self.check_edited(workdir, capsys, corrupt)
         assert code == EXIT_INPUT and "line 5: bad number in 'K many'" in err
+
+    @pytest.mark.parametrize("edited, line, message", [
+        ("delta 1/7", 4, "delta must be 1 - epsilon = 23/24"),
+        ("K 1", 5, "K must be the layer cap 144 of the instance at this epsilon"),
+    ])
+    def test_header_that_disagrees_with_its_epsilon_names_its_line(
+            self, workdir, capsys, edited, line, message):
+        # the checks read only the guess, epsilon, z and y, so a delta or K
+        # that nothing checked would pass as the solve's own
+        field = edited.split()[0] + " "
+
+        def replace(body):
+            return [(edited if ln.startswith(field) else ln) for ln in body]
+        code, out, err = self.check_edited(workdir, capsys, replace)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"input error: line {line}: {message}\n"

@@ -1,14 +1,17 @@
+import dataclasses
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from rasched.rational import Frac, ratio_str
 from rasched import driver, seed
-from rasched.model import ScaledInstance, make_instance, scale_instance
+from rasched.cli import main, EXIT_INTERNAL
+from rasched.model import ScaledInstance, make_instance, scale_instance, serialize_instance
 from rasched.driver import solve, _greedy, _insert, _polish, _makespan, _probe
-from rasched.engine import EngineInvariantError, InsertionEngine, StuckState
+from rasched.engine import EngineInvariantError, InsertionEngine
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, PRESETS, generate_instance
 from rasched.oracle import exact_optimal_makespan, MAKESPAN_JOB_CAP
@@ -166,11 +169,10 @@ def test_successful_probe_builds_no_rational_size(audit):
                      counters=counters, network=network,
                      densest=seed.max_density(inst, network), memo=memo)
         assert res.outcome == "success" and res.certificate is None
-        schedule = res.schedule
-        if schedule is None:  # a huge-free success outside audit: read its seed
+        if res.placement is None:  # a huge-free success outside audit: read its seed
             assert not audit and not res.scaled.huge_jobs()
-            schedule = seed.decided_seed(None, res.scaled, network)
-        assert "size" not in schedule.scaled.__dict__
+            seed.decided_seed(None, res.scaled, network)
+        assert "size" not in res.scaled.__dict__
         moved += counters.get("engine_moves", 0)
     assert moved > 0
 
@@ -203,7 +205,7 @@ def test_a_huge_free_solve_rounds_only_the_schedule_it_reads(monkeypatch):
     plain = solve(inst, EPS, TAU)
     assert not any(scale_instance(inst, g, EPS).huge_jobs() for g, _ in plain.probes)
     # each success holds only its scaled guess; the read runs its one flow
-    assert len(successes) > 1 and all(res.schedule is None for res in successes)
+    assert len(successes) > 1 and all(res.placement is None for res in successes)
     assert rounded == flows == [plain.guess_final]
     rounded.clear()
     audited = solve(inst, EPS, TAU, audit=True)
@@ -263,7 +265,7 @@ def test_engine_runs_once_per_image_and_seed_on_the_benchmark_pools(monkeypatch)
         result = run(self)
         counts["runs"] += 1
         counts["iterations"] += self.iterations
-        stuck["executed"] += isinstance(result, StuckState)
+        stuck["executed"] += isinstance(result, InsertionEngine)
         return result
 
     def counting_violator(self, supply, capacity):
@@ -413,11 +415,12 @@ def test_the_engine_reads_a_guess_only_through_its_engine_image(audit):
                                              scaled, network)
                 schedule.scaled = view
                 result, runs = _insert(schedule, huge, audit=audit, log_events=True)
-                final = result.engine.schedule if isinstance(result, StuckState) else result
-                results.append((type(result), tuple(final.assignment), runs))
+                final = (tuple(result.schedule.assignment)
+                         if isinstance(result, InsertionEngine) else result)
+                results.append((type(result), final, runs))
             assert results[0] == results[1], (inst, guess)
             probes += 1
-            stuck += results[0][0] is StuckState
+            stuck += results[0][0] is InsertionEngine
     assert probes >= 200 and stuck >= 30, (probes, stuck)
 
 
@@ -492,7 +495,7 @@ def test_an_audited_hit_must_reproduce_the_stored_runs(part):
     guess = engine_guess(inst, "success")
     first = audit_probe(inst, guess, memo, False)
     [(key, (placement, runs))] = memo.items()
-    assert audit_probe(inst, guess, memo, True).schedule.assignment == first.schedule.assignment
+    assert audit_probe(inst, guess, memo, True).placement == first.placement
     if part == "placement":  # the largest job left unassigned
         placement = placement[:-1] + (None,)
     elif part == "counts":  # the first run counts one more of its first counter
@@ -553,7 +556,7 @@ def test_a_repeated_stuck_run_is_replayed_and_certified_at_its_own_guess(monkeyp
     the engine again, and its runs equal the record)."""
     inst, memo, second = stored_stuck_run()
     [(key, (state, runs))] = memo.items()
-    assert isinstance(state, StuckState) and state.engine.scaled.guess != second
+    assert isinstance(state, InsertionEngine) and state.scaled.guess != second
     executed = executed_runs(monkeypatch)
     replayed = audit_probe(inst, second, dict(memo), False)
     assert executed == []
@@ -574,7 +577,7 @@ def test_an_audited_hit_must_reproduce_the_stored_stuck_run(part):
     inst, memo, second = stored_stuck_run()
     [(key, (state, runs))] = memo.items()
     if part == "placement":  # an active job off its machine: its machine's y falls
-        j = next(j for j in state.engine.value_layers()
+        j = next(j for j in state.value_layers()
                  if state.schedule.machine_of(j) is not None)
         state.schedule.unassign(j)
     elif part == "counts":  # the stuck run counts one more of its first counter
@@ -585,3 +588,38 @@ def test_an_audited_hit_must_reproduce_the_stored_stuck_run(part):
     memo[key] = (state, runs)
     with pytest.raises(EngineInvariantError, match="differ"):
         audit_probe(inst, second, memo, True)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("placement", r"job \d+ left unassigned by a successful probe"),
+    ("cap", "final makespan exceeds the probe guarantee"),
+])
+def test_the_solve_refuses_a_success_its_guards_reject(monkeypatch, tmp_path, capsys,
+                                                       fault, message):
+    """Every success carries a placement with its last job unassigned, or a
+    scaled instance at a quarter of its guess, whose cap the makespan
+    exceeds: the solve raises, and `rasched solve` exits 3 without a
+    traceback."""
+    inst = two_value_instance(random.Random(305), 16)
+    probe = driver._probe
+
+    def faulty(inst, guess, epsilon, **kwargs):
+        res = probe(inst, guess, epsilon, **kwargs)
+        if res.outcome != "success":
+            return res
+        if fault == "placement":
+            placement = res.placement or tuple(
+                seed.decided_seed(None, res.scaled, kwargs["network"]).assignment)
+            return dataclasses.replace(res, placement=placement[:-1] + (None,))
+        return dataclasses.replace(res, scaled=scale_instance(inst, guess / 4, epsilon))
+
+    monkeypatch.setattr(driver, "_probe", faulty)
+    with pytest.raises(EngineInvariantError, match=message):
+        solve(inst, EPS, TAU)
+    path = tmp_path / "guarded.ra"
+    path.write_text(serialize_instance(inst))
+    capsys.readouterr()
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("internal invariant violation: ") and re.search(message, err)

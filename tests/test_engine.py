@@ -9,7 +9,7 @@ import pytest
 from rasched.rational import Frac
 from rasched.model import Schedule, scale_instance, validate_partial_schedule
 from rasched.engine import (BlockerType, Blocker, BlockerTree, InsertionEngine,
-                            StuckState, EngineInvariantError, layer_cap)
+                            EngineInvariantError, layer_cap)
 from rasched import driver
 from rasched import engine as engine_module
 from rasched.driver import solve
@@ -228,8 +228,8 @@ class TestRunScenarios:
                         (Frac(9, 10), {1})], 1)
         sched = schedule_of(sc, {1: 1, 2: 1, 3: 1})
         result, eng = insert_huge_job(sched, 4, audit=True)
-        assert isinstance(result, StuckState)
-        assert result.reason == "no-potential-move"
+        assert isinstance(result, InsertionEngine)
+        assert result.stuck_reason == "no-potential-move"
         assert eng.K == 48
         assert eng.tree.blockers() == []
 
@@ -275,9 +275,9 @@ class TestRunScenarios:
         sched = Schedule(sc)
         for j in sorted(sc.huge_jobs(), reverse=True):
             result, eng = insert_huge_job(sched, j, audit=True)
-            if isinstance(result, StuckState):
+            if isinstance(result, InsertionEngine):
                 assert j == min(sc.huge_jobs())
-                assert result.reason == "no-potential-move"
+                assert result.stuck_reason == "no-potential-move"
                 return
         pytest.fail("expected the roaming huge job to get stuck")
 
@@ -318,7 +318,7 @@ class TestRunScenarios:
             for j in sorted(sc.huge_jobs(), reverse=True):
                 result, eng = insert_huge_job(sched, j, log_events=True)
                 events.extend(eng.events)
-                if isinstance(result, StuckState):
+                if isinstance(result, InsertionEngine):
                     break
             runs.append(events)
         assert runs[0] == runs[1]
@@ -452,7 +452,7 @@ class TestAuditSuite:
             return
         for j in sorted(sc.huge_jobs(), reverse=True):
             result, eng = insert_huge_job(sched, j, audit=True)
-            if isinstance(result, StuckState):
+            if isinstance(result, InsertionEngine):
                 break
         assert validate_partial_schedule(sched) == []
 
@@ -561,7 +561,7 @@ class TestBlockerIndex:
                            if b.machine == home and eng.marks_undesirable(b, j)]
                 expected = min(marking, key=lambda b: b.stamp, default=None)
                 assert eng.activator_of(j) is expected
-            if isinstance(result, StuckState):
+            if isinstance(result, InsertionEngine):
                 break
 
 
@@ -649,16 +649,15 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
     """On every stuck state of probes at twelve guesses from the largest
     size up, on each digest instance, `value_layers` gives every active job
     the layer of the per-job derivation."""
-    stuck_states = []
+    engines = []
     build = driver.build_dual_certificate
 
-    def recording(stuck, scaled):
-        engine = stuck.engine
+    def recording(engine, scaled):
         layers = engine.value_layers()
         assert layers == {j: reference_value_layer(engine, j) for j in layers}
         assert set(layers) == engine.active_jobs()
-        stuck_states.append(stuck)
-        return build(stuck, scaled)
+        engines.append(engine)
+        return build(engine, scaled)
 
     monkeypatch.setattr(driver, "build_dual_certificate", recording)
     for inst in digest_instances():
@@ -668,7 +667,6 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
             driver._probe(inst, inst.max_size() * Frac(20 + k, 20), EPS, audit=False,
                           log_events=False, run_logs=[], counters=Counter(),
                           network=network, densest=densest, memo={})
-    engines = [stuck.engine for stuck in stuck_states]
     assert len(engines) >= 90
     # blocked small jobs without an activator get their value layer from the table
     assert sum(len(e.blocked_small_jobs() - set(e.heads())) for e in engines) >= 10

@@ -206,11 +206,18 @@ TWO_JOBS = [(Frac(1), {1}), (Frac(1, 2), {2})]
     (2, TWO_JOBS, ["a", "a"], "duplicate job name"),
     (0, [], None, "machine count"),
     (MAX_MACHINES + 1, [(Frac(1), {1})], None, "machine count"),
-], ids=["names-short", "names-long", "name-repeated", "no-machines", "machines-over-cap"])
+    (2, TWO_JOBS, ["a b", "c"], "job name 'a b'"),
+    (2, TWO_JOBS, ["", "c"], "job name ''"),
+    (2, TWO_JOBS, ["#x", "c"], "job name '#x'"),
+    (1, [(0.5, {1})], None, "job size 0.5"),
+], ids=["names-short", "names-long", "name-repeated", "no-machines", "machines-over-cap",
+        "name-with-space", "name-empty", "name-with-hash", "size-float"])
 def test_make_instance_holds_the_parsers_limits(machines, jobs, names, message):
     """The public constructor rejects what `parse_instance` rejects: a name
     list of another length, a repeated name (a solve keys its assignment by
-    name) and a machine count outside 1..MAX_MACHINES."""
+    name), a name the text format cannot carry (its tokens split on
+    whitespace and '#' starts a comment), a size that is not an exact int or
+    Fraction and a machine count outside 1..MAX_MACHINES."""
     with pytest.raises(ValueError, match=message):
         make_instance(machines, jobs, names)
     assert make_instance(2, TWO_JOBS, ["a", "b"]).names == ("a", "b")
