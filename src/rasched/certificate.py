@@ -12,11 +12,12 @@ D = d^t 6 L a, t the deepest layer the dual weighs (at least K), and each
 becomes a rational once, when stored (`build_dual_certificate`). The
 checks and the config-LP pricing ask each machine for its best
 configuration (`best_configuration`) on integers: both weigh jobs by the
-instance's integer sizes q against a floor cap of the guess. Verification
-takes one integer image of z and y, compares integer sums, and values each
-machine's configurations by that image of z against its image of y_i; the
-column generation values them by the master's integer duals. Rationals are
-built for what is printed, stored or returned.
+instance's integer sizes q against a floor cap of the guess. Verification,
+whose one entry point `verify_certificate` logs each check's outcome to the
+transcript, takes one integer image of z and y, compares integer sums, and
+values each machine's configurations by that image of z against its image
+of y_i; the column generation values them by the master's integer duals.
+Rationals are built for what is printed, stored or returned.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
-from .model import Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, scale_instance
+from .model import (Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, check_epsilon,
+                    scale_instance)
 from .engine import BlockerType, InsertionEngine, layer_cap
 from .oracle import KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
@@ -130,22 +132,6 @@ def _image(cert: DualCertificate):
     return scale, dict(zip(cert.z, ints)), dict(zip(cert.y, ints[len(cert.z):]))
 
 
-def _objective_negative(cert: DualCertificate, image) -> bool:
-    scale, z, y = image
-    zs, ys = sum(z.values()), sum(y.values())
-    ok = zs > ys
-    cert.transcript.append(
-        f"objective z_total={ratio_str(Frac(zs, scale))} y_total={ratio_str(Frac(ys, scale))} "
-        f"{'PASS' if ok else 'FAIL'}"
-    )
-    return ok
-
-
-def verify_objective_negative(cert: DualCertificate) -> bool:
-    """Exact check that sum(z) exceeds sum(y); both sides go to the transcript."""
-    return _objective_negative(cert, _image(cert))
-
-
 def best_configuration(jobs, sizes, values, room):
     """(value, config): a subset of `jobs` (ids in increasing order) of the
     largest total `values` whose `sizes` sum to at most `room`, all ints and
@@ -158,42 +144,28 @@ def best_configuration(jobs, sizes, values, room):
     return best, tuple(items[t] for t in subset)
 
 
-def _dual_feasibility(cert: DualCertificate, scaled: ScaledInstance, image):
-    scale, z, y = image
-    witnesses = []
-    ok = True
+def verify_certificate(cert: DualCertificate, scaled: ScaledInstance) -> bool:
+    """Exact checks, each logged to the transcript, that sum(z) exceeds
+    sum(y) and that no machine's permitted configurations of scaled size at
+    most 1 have z above y_i. Both run on one integer image of z and y: the
+    knapsacks weigh jobs by q against the capacity `scaled.fit` = floor(L T)."""
+    scale, z, y = _image(cert)
+    zs, ys = sum(z.values()), sum(y.values())
+    ok = zs > ys
+    cert.transcript.append(
+        f"objective z_total={ratio_str(Frac(zs, scale))} y_total={ratio_str(Frac(ys, scale))} "
+        f"{'PASS' if ok else 'FAIL'}"
+    )
     permitted_on, q = scaled.base.permitted_on, scaled.base.integer_image[1]
     for i in scaled.base.machines:
-        best, config = best_configuration(permitted_on[i], q, z, scaled.fit)
-        value = Frac(best, scale)
+        best, _ = best_configuration(permitted_on[i], q, z, scaled.fit)
         passed = best <= y[i]
         cert.transcript.append(
-            f"machine {i} max-config z={ratio_str(value)} y={ratio_str(cert.y[i])} "
+            f"machine {i} max-config z={ratio_str(Frac(best, scale))} y={ratio_str(cert.y[i])} "
             f"{'PASS' if passed else 'FAIL'}"
         )
-        if not passed:
-            ok = False
-            witnesses.append((i, config, value, cert.y[i]))
-    return ok, witnesses
-
-
-def verify_dual_feasibility(cert: DualCertificate, scaled: ScaledInstance):
-    """For every machine, maximize z over permitted configurations of size <= 1
-    by exact knapsack and compare with y. Returns (ok, witnesses).
-
-    The knapsacks run on integers: the weights are the instance's q, against
-    the capacity `scaled.fit` = floor(L T), and the values one integer image
-    of z and y, over whose scale each best value compares with y_i."""
-    return _dual_feasibility(cert, scaled, _image(cert))
-
-
-def verify_certificate(cert: DualCertificate, scaled: ScaledInstance) -> bool:
-    """Both checks on one integer image of z and y: integer sums, and each
-    machine's knapsack best against its y_i."""
-    image = _image(cert)
-    ok1 = _objective_negative(cert, image)
-    ok2, _ = _dual_feasibility(cert, scaled, image)
-    return ok1 and ok2
+        ok = ok and passed
+    return ok
 
 
 def check_bs_s_machine_counts(engine: InsertionEngine):
@@ -211,9 +183,11 @@ def check_bs_s_machine_counts(engine: InsertionEngine):
 
 def check_covered_machine_margin(engine: InsertionEngine, cert: DualCertificate):
     """Audit: on every machine carrying an all-undesirable blocker at layer k,
-    w_i = y_i - delta^K >= z(active_i) + delta^k * (1 - delta * p_down(active_i))."""
+    w_i = y_i - delta^K >= z(active_i) + delta^k * (1 - delta * p_down(active_i)),
+    p_down 5/6 for a huge job and the scaled size b q_j/(L a) for any other."""
     sc = engine.scaled
     delta = cert.delta
+    den, q = sc.guess.denominator, sc.base.integer_image[1]
     violations = []
     active_on = _active_on(engine, engine.active_jobs())
     for b in engine.tree.blockers():
@@ -222,7 +196,8 @@ def check_covered_machine_margin(engine: InsertionEngine, cert: DualCertificate)
         i, k = b.machine, b.layer
         active_i = active_on[i]
         z_active = sum((cert.z[j] for j in active_i), ZERO)
-        p_down = sum((sc.size_down(j) for j in active_i), ZERO)
+        p_down = sum((Frac(5, 6) if sc.is_huge(j) else Frac(den * q[j], sc.unit)
+                      for j in active_i), ZERO)
         bound = z_active + delta ** k * (1 - delta * p_down)
         w = cert.y[i] - delta ** cert.K
         if w < bound:
@@ -355,9 +330,10 @@ def certificate_from_text(text: str, inst: Instance) -> DualCertificate:
             f"certificate has {fields['machines']} machines, "
             f"the instance {inst.num_machines}")
     epsilon = fields["epsilon"]
-    if not 0 < epsilon < Frac(1, 12):  # before layer_cap, which divides by it
-        raise CertificateFormatError(where["epsilon", "epsilon"],
-                                     "epsilon must lie strictly between 0 and 1/12")
+    try:
+        check_epsilon(epsilon)  # before layer_cap, which divides by it
+    except ValueError as exc:
+        raise CertificateFormatError(where["epsilon", "epsilon"], str(exc)) from None
     if fields["delta"] != 1 - epsilon:
         raise CertificateFormatError(where["delta", "delta"],
                                      f"delta must be 1 - epsilon = {ratio_str(1 - epsilon)}")

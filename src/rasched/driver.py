@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .rational import Frac, ZERO, frac, ratio_str
-from .model import (Instance, ScaledInstance, Schedule, scale_instance,
+from .model import (Instance, ScaledInstance, Schedule, check_epsilon, scale_instance,
                     validate_partial_schedule, UNASSIGNED)
 from .flow import AssignmentNetwork
 from . import seed
@@ -350,8 +350,7 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
     probe, or the polished greedy one if its makespan is strictly smaller.
     """
     epsilon, tau = frac(epsilon), frac(tau)
-    if not (0 < epsilon < Frac(1, 12)):
-        raise ValueError("epsilon must lie strictly between 0 and 1/12")
+    check_epsilon(epsilon)
     if tau <= 0:
         raise ValueError("tau must be positive")
     if inst.num_jobs == 0:

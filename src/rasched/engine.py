@@ -13,7 +13,10 @@ the tree is one stack of live blockers.
 
 A small job is blocked within a prefix of the tree when each permitted
 machine other than its own carries, within the prefix, its one
-all-undesirable blocker, its cover (`InsertionEngine.cover`).
+all-undesirable blocker, its cover (`InsertionEngine.cover`). Its blocking
+layer (`InsertionEngine.blocking_layers`) is the first prefix that blocks
+it, and a load condition at layer k sums the machine's small jobs whose
+blocking layer is at most k.
 
 Every load condition sums the instance's integer sizes q and compares the
 sum with a floor cap of the guess (`ScaledInstance.cap`, or `huge_cap`
@@ -208,18 +211,6 @@ class InsertionEngine:
                 out[j] = max((b.layer for b in others), default=0)
         return out
 
-    def _blocked(self, smalls, prefix):
-        return {j for j, k in self.blocking_layers(smalls).items()
-                if prefix is None or k <= prefix}
-
-    def blocked_small_jobs(self, prefix=None):
-        """Small jobs undesirable on every alternative machine (prefix <= k)."""
-        return self._blocked(self._smalls, prefix)
-
-    def blocked_smalls_on(self, i, prefix=None):
-        small_end = self.scaled.small_end
-        return self._blocked((j for j in self.schedule.on_machine[i] if j < small_end), prefix)
-
     def marks_undesirable(self, blocker: Blocker, j) -> bool:
         """Does this blocker make job j undesirable on the blocker's machine?"""
         btype = blocker.btype
@@ -297,9 +288,11 @@ class InsertionEngine:
     def _small_and_min_medium(self, i, layer):
         """The q-size of the small jobs on i blocked within layers <= layer,
         and that of i's smallest medium job (0 without one)."""
-        s_sum = self._sum_sizes(self.blocked_smalls_on(i, prefix=layer))
+        q, small_end = self._q, self.scaled.small_end
+        blocking = self.blocking_layers(j for j in self.schedule.on_machine[i] if j < small_end)
+        s_sum = sum(q[j] for j, k in blocking.items() if k <= layer)
         mn = self.schedule.min_medium(i)
-        return s_sum, (self._q[mn] if mn is not None else 0)
+        return s_sum, (q[mn] if mn is not None else 0)
 
     def classify_potential_move(self, j, i, k):
         """Blocker type the move (j, i) would get in layer k, or None.

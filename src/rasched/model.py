@@ -5,31 +5,28 @@ Jobs are re-sorted at parse time so internal ids 1..n are nondecreasing in
 An instance keeps one integer image of its sizes, p_j = q_j / L, and every
 load and configuration is a sum of q. A guess T reaches them only as
 integer floor caps (`ScaledInstance.cap`, `huge_cap` and `fit`, the floors
-of (1 + R) L T, R L T and L T) and as the job classes: a sum of q is at
-most a cap exactly when its scaled load is at most 1 + R, R or 1. R and
-1 + R depend on epsilon alone and are computed once per epsilon. Schedules
-keep one integer load per machine, that of its small and medium jobs
+of (1 + R) L T, R L T and L T, with R = 5/6 + 2 epsilon) and as the job
+classes: a sum of q is at most a cap exactly when its scaled load is at
+most 1 + R, R or 1. The caps are computed on integers straight from
+epsilon, whose range `check_epsilon` alone states. Schedules keep one
+integer load per machine, that of its small and medium jobs
 (`Schedule.plain_load`); a machine's full load (`Schedule.int_load`) adds
 the q of its huge job. The search reads a guess only through its engine
 image (`ScaledInstance.engine_image`), so a solve runs it once per image
-and seed. Rationals are built only for output: the scaled sizes
-(`ScaledInstance.size`) when first read and a load (`Schedule.load`) when
-read, for certificates, messages and tests. The engine's validity test
-leaves room R beside a huge job, and the certificate rounds a huge job down
-to 5/6 (`ScaledInstance.size_down`). An instance has at most `MAX_MACHINES`
-machines, so neither a header nor a `make_instance` call makes a solve
-build unbounded per-machine lists.
+and seed. No scaled size or load is kept as a rational: at T = a/b, job
+j's scaled size is b q_j over the unit L a, and the one audit that sums
+such sizes (rounding a huge job down to 5/6) builds them itself. An
+instance has at most `MAX_MACHINES` machines, so neither a header nor a
+`make_instance` call makes a solve build unbounded per-machine lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .rational import Frac, frac, integer_image, parse_ratio, ratio_str
-
-FIVE_SIXTHS = Frac(5, 6)
 
 #: the most machines an instance may have; `make_instance` rejects a larger
 #: count, `parse_instance` a larger `machines` header with its line and
@@ -75,9 +72,6 @@ class Instance:
     def name_of(self, j: int) -> str:
         return self.names[self.orig_of[j]]
 
-    def max_size(self):
-        return max(self.sizes[1:])
-
     @cached_property
     def integer_image(self):
         """(L, q): L is the lcm of the sizes' denominators and q[j] = L p_j,
@@ -108,7 +102,8 @@ def make_instance(num_machines: int, jobs: list, names: list | None = None) -> I
     Holds the parser's limits: 1..MAX_MACHINES machines, one distinct name
     per job, since a solve reports its assignment by name, and no name the
     text format cannot carry (empty, or with whitespace or '#'). Sizes are
-    positive ints or Fractions, the exact types the solve computes with.
+    positive ints or Fractions, the exact types the solve computes with, and
+    machine ids are ints, which a solve indexes its lists with.
     """
     if not 1 <= num_machines <= MAX_MACHINES:
         raise ValueError(f"machine count must lie in 1..{MAX_MACHINES}")
@@ -128,8 +123,11 @@ def make_instance(num_machines: int, jobs: list, names: list | None = None) -> I
             raise ValueError("job sizes must be positive")
         if not perm:
             raise ValueError("empty permitted set")
-        if any(i < 1 or i > num_machines for i in perm):
-            raise ValueError("permitted machine out of range")
+        for i in perm:
+            if not isinstance(i, int):
+                raise ValueError("permitted machine ids must be ints")
+            if not 1 <= i <= num_machines:
+                raise ValueError("permitted machine out of range")
     order = sorted(range(len(jobs)), key=lambda k: (jobs[k][0], k))
     sizes = [None] + [jobs[k][0] for k in order]
     gamma = [frozenset()] + [frozenset(jobs[k][1]) for k in order]
@@ -219,62 +217,49 @@ def serialize_instance(inst: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
-@lru_cache(maxsize=64)
-def _epsilon_constants(num: int, den: int):
-    """(R, 1 + R) for epsilon = num/den, after its range check."""
-    epsilon = Frac(num, den)
-    if not (0 < epsilon < Frac(1, 12)):
+def check_epsilon(epsilon):
+    """Raise ValueError unless 0 < epsilon < 1/12, the paper's range, read
+    on the integers of epsilon = n/d (d > 0) as 0 < 12 n < d."""
+    if not 0 < 12 * epsilon.numerator < epsilon.denominator:
         raise ValueError("epsilon must lie strictly between 0 and 1/12")
-    R = FIVE_SIXTHS + 2 * epsilon
-    return R, 1 + R
 
 
 @dataclass(frozen=True)
 class ScaledInstance:
-    """An instance with sizes divided by the guess T; carries epsilon and R.
+    """An instance with sizes divided by the guess T; carries epsilon.
 
     With T = a/b and the base's integer image (L, q), job j's scaled size is
-    q_j / (L T): it is small iff 2 b q_j <= L a and huge iff 6 b q_j > 5 L a.
-    Since q is nondecreasing in the job id, the small jobs are the ids below
-    `small_end` and the huge ones those from `huge_start`. A sum Q of q is a
-    scaled load Q / (L T), so it is at most 1 + R, R or 1 exactly when Q is
-    at most `cap`, `huge_cap` or `fit`, the floors of (1 + R) L T, R L T and
-    L T. The seed's flow reads the unit L a, over which b q_j is job j's
-    integer scaled size, and so does a load's rational (`Schedule.load`).
+    b q_j over the unit L a: it is small iff 2 b q_j <= L a and huge iff
+    6 b q_j > 5 L a. Since q is nondecreasing in the job id, the small jobs
+    are the ids below `small_end` and the huge ones those from `huge_start`.
+    A sum Q of q is a scaled load Q / (L T), so it is at most 1 + R, R or 1
+    exactly when Q is at most `cap`, `huge_cap` or `fit`, the floors of
+    (1 + R) L T, R L T and L T. With epsilon = n/d, 1 + R = (11d + 12n)/(6d)
+    and R = (5d + 12n)/(6d), so each cap is one integer floor division.
     """
 
     base: Instance
     guess: object  # positive rational T
     epsilon: object  # rational in (0, 1/12)
-    R: object = field(init=False)
-    load_cap: object = field(init=False)  # 1 + R, the per-machine load cap
     unit: int = field(init=False)  # L a: scaled size 1 over the common denominator
-    cap: int = field(init=False)  # floor((1 + R) L T)
+    cap: int = field(init=False)  # floor((1 + R) L T), the per-machine load cap
     huge_cap: int = field(init=False)  # floor(R L T): the room beside a huge job
     fit: int = field(init=False)  # floor(L T)
     small_end: int = field(init=False)  # the first job id that is not small
     huge_start: int = field(init=False)  # the first huge job id
 
     def __post_init__(self):
-        R, load_cap = _epsilon_constants(self.epsilon.numerator, self.epsilon.denominator)
+        check_epsilon(self.epsilon)
+        n, d = self.epsilon.numerator, self.epsilon.denominator
         scale, q = self.base.integer_image
         b = self.guess.denominator
         unit = scale * self.guess.numerator
         # the derived fields, set in one step past the frozen __setattr__
         self.__dict__.update(
-            R=R, load_cap=load_cap, unit=unit,
-            cap=load_cap.numerator * unit // (load_cap.denominator * b),
-            huge_cap=R.numerator * unit // (R.denominator * b), fit=unit // b,
+            unit=unit, cap=(11 * d + 12 * n) * unit // (6 * d * b),
+            huge_cap=(5 * d + 12 * n) * unit // (6 * d * b), fit=unit // b,
             small_end=bisect_right(q, unit // (2 * b), 1),
             huge_start=bisect_right(q, 5 * unit // (6 * b), 1))
-
-    @cached_property
-    def size(self):
-        """Scaled sizes p_j / T, index 0 unused."""
-        return tuple([None] + [self.base.sizes[j] / self.guess for j in self.base.jobs])
-
-    def size_down(self, j):
-        return FIVE_SIXTHS if j >= self.huge_start else self.size[j]
 
     def is_small(self, j) -> bool:
         return j < self.small_end
@@ -315,8 +300,7 @@ class Schedule:
     Loads are sums of the instance's integer sizes q, which the scaled
     instance's caps bound. `plain_load[i]` is the load of machine i's small
     and medium jobs, the part the search compares with the caps; `int_load`
-    adds the machine's huge job, and `load` reads that as the scaled
-    rational."""
+    adds the machine's huge job."""
 
     def __init__(self, scaled: ScaledInstance):
         self.scaled = scaled
@@ -365,10 +349,6 @@ class Schedule:
         """The load of machine i, a sum of the instance's q."""
         return self.plain_load[i] + sum(self._q[j] for j in self.huges[i])
 
-    def load(self, i: int):
-        sc = self.scaled
-        return Frac(sc.guess.denominator * self.int_load(i), sc.unit)
-
     def min_medium(self, i: int):
         """Smallest-id medium job on machine i, or None."""
         return min(self.mediums[i]) if self.mediums[i] else None
@@ -383,9 +363,9 @@ def validate_partial_schedule(schedule: Schedule) -> list:
         if i is not UNASSIGNED and i not in sc.base.gamma[j]:
             violations.append(f"job {j} assigned to machine {i} outside its permitted set")
     for i in sc.base.machines:
-        if schedule.int_load(i) > sc.cap:
-            violations.append(f"machine {i} load {ratio_str(schedule.load(i))}"
-                              f" exceeds cap {ratio_str(sc.load_cap)}")
+        load = schedule.int_load(i)
+        if load > sc.cap:
+            violations.append(f"machine {i} load {load} exceeds cap {sc.cap}")
         if len(schedule.huges[i]) > 1:
             violations.append(f"machine {i} carries {len(schedule.huges[i])} huge jobs")
     return violations

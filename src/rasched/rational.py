@@ -19,13 +19,14 @@ BACKEND = "fraction"  # printed by `bench` and the benchmark records
 ZERO = Frac(0)
 
 
-def frac(numerator, denominator=None):
-    """Build a rational from ints, another rational, or a 'n/d' string."""
-    if denominator is not None:
-        return Frac(numerator, denominator)
-    if isinstance(numerator, str):
-        return parse_ratio(numerator)
-    return Frac(numerator)
+def frac(value):
+    """Build a rational from an int, a Fraction or an 'n/d' string; anything
+    else, such as a float and its inexact binary value, raises ValueError."""
+    if isinstance(value, str):
+        return parse_ratio(value)
+    if not isinstance(value, (int, Frac)):
+        raise ValueError(f"{value!r} is neither an int, a Fraction nor an 'n/d' string")
+    return Frac(value)
 
 
 def parse_ratio(text: str):

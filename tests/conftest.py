@@ -62,8 +62,25 @@ def small_jobs(scaled):
     return list(range(1, scaled.small_end))
 
 
+def scaled_size(scaled, j):
+    """Job j's scaled size p_j / T = b q_j / (L a) at T = a/b, as a rational."""
+    return Frac(scaled.guess.denominator * scaled.base.integer_image[1][j], scaled.unit)
+
+
+def size_down(scaled, j):
+    """Job j's scaled size rounded down as the certificate counts it: 5/6
+    for a huge job, its scaled size for any other."""
+    return Frac(5, 6) if scaled.is_huge(j) else scaled_size(scaled, j)
+
+
+def scaled_load(schedule, i):
+    """Machine i's full load `Schedule.int_load` as a scaled rational."""
+    sc = schedule.scaled
+    return Frac(sc.guess.denominator * schedule.int_load(i), sc.unit)
+
+
 def load_from_scratch(schedule, i):
-    """Machine i's load by summation, the reference for `Schedule.load`."""
+    """Machine i's load by summation, the reference for `scaled_load`."""
     sc = schedule.scaled
     b, q = sc.guess.denominator, sc.base.integer_image[1]
     return Frac(sum(b * q[j] for j in schedule.on_machine[i]), sc.unit)
@@ -85,7 +102,7 @@ def job_sum(fa, j):
 
 
 def machine_load(fa, scaled, i):
-    return sum((scaled.size[j] * v for (j, ii), v in entries_of(fa).items() if ii == i),
+    return sum((scaled_size(scaled, j) * v for (j, ii), v in entries_of(fa).items() if ii == i),
                Frac(0))
 
 
@@ -104,7 +121,7 @@ def still_violates(scaled, jobs) -> bool:
 
 def reference_dual_certificate(stuck, scaled):
     """The rational construction that `certificate.build_dual_certificate`
-    replaced, kept as its reference: z_j = delta^k size_down(j) and
+    replaced, kept as its reference: z_j = delta^k size_down(scaled, j) and
     y_i = delta^K + w_i, summed one rational at a time, at the guess of
     `scaled`."""
     engine = stuck
@@ -113,7 +130,7 @@ def reference_dual_certificate(stuck, scaled):
     layers = engine.value_layers()
     z = {j: ZERO for j in scaled.base.jobs}
     for j, k in layers.items():
-        z[j] = delta ** k * scaled.size_down(j)
+        z[j] = delta ** k * size_down(scaled, j)
     bs_layer, s_layer = {}, {}
     for b in engine.tree.blockers():
         if b.btype is BlockerType.BS:
@@ -216,7 +233,7 @@ def aggressive_stuck_states(seeds):
             machines=m, jobs=m + 2 + seed % 6,
             preset=("uniform", "huge_heavy", "collision")[seed % 3],
             density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
-        sc = scale_instance(inst, inst.max_size() * Frac(rng.randint(100, 125), 100), EPS)
+        sc = scale_instance(inst, max(inst.sizes[1:]) * Frac(rng.randint(100, 125), 100), EPS)
         try:
             schedule = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:

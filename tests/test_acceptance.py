@@ -18,11 +18,11 @@ from rasched.model import scale_instance, validate_partial_schedule
 from rasched.driver import solve
 from rasched.engine import InsertionEngine
 from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
-from rasched.certificate import (verify_objective_negative,
-                                 verify_dual_feasibility, check_bs_s_machine_counts)
+from rasched.certificate import verify_certificate, check_bs_s_machine_counts
 from rasched.oracle import exact_optimal_makespan, knapsack_max_value, KnapsackQuery
 from rasched.generator import GenSpec, generate_instance
 
+from conftest import scaled_load, scaled_size
 from reference import exact_config_lp_feasible
 
 EPSILON = Frac(1, 24)
@@ -84,11 +84,16 @@ def test_criterion_2_certificates_sound(campaign):
             certs += 1
             scaled = scale_instance(inst, guess, EPSILON)
             probe = dataclasses.replace(cert, transcript=[])  # fresh transcript, same values
-            if not verify_objective_negative(probe):
+            # the transcript logs the objective check, then one line per machine
+            ok = verify_certificate(probe, scaled)
+            objective, *machines = probe.transcript
+            if not objective.endswith(" PASS"):
                 bad.append((k, "objective"))
-            ok, _ = verify_dual_feasibility(probe, scaled)
-            if not ok:
+            if len(machines) != inst.num_machines or not all(
+                    line.endswith(" PASS") for line in machines):
                 bad.append((k, "feasibility"))
+            if not ok:
+                bad.append((k, "verdict"))
             if inst.num_jobs <= 12 and exact_config_lp_feasible(inst, guess):
                 bad.append((k, "oracle-disagrees"))
     verdict(
@@ -113,7 +118,7 @@ def _randomized_engine_runs(target_iterations):
             machines=m, jobs=m + 2 + seed % 6,
             preset=("uniform", "huge_heavy", "collision")[seed % 3],
             density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
-        guess = inst.max_size() * Frac(rng.randint(100, 125), 100)
+        guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 125), 100)
         scaled = scale_instance(inst, guess, EPSILON)
         try:
             schedule = round_seed(solve_assignment_lp(scaled), scaled)
@@ -184,17 +189,17 @@ def test_criterion_6_seed_bound(campaign):
     bad = 0
     for k, inst, _ in campaign["records"]:
         rng = random.Random(k)
-        guess = inst.max_size() * Frac(rng.randint(100, 240), 100)
+        guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 240), 100)
         scaled = scale_instance(inst, guess, EPSILON)
         try:
             schedule = round_seed(solve_assignment_lp(scaled), scaled)
         except SeedInfeasible:
             continue
         checked += 1
-        p_max = max((scaled.size[j] for j in scaled.base.jobs
+        p_max = max((scaled_size(scaled, j) for j in scaled.base.jobs
                      if not scaled.is_huge(j)), default=ZERO)
         for i in scaled.base.machines:
-            if not (schedule.load(i) <= 1 + p_max <= Frac(11, 6)):
+            if not (scaled_load(schedule, i) <= 1 + p_max <= Frac(11, 6)):
                 bad += 1
     verdict(
         "6 seed-bound", checked >= 100 and bad == 0,

@@ -8,14 +8,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from rasched.rational import Frac, ZERO, integer_image
+from rasched.rational import Frac, ZERO, integer_image, parse_ratio
 from rasched.model import parse_instance, make_instance, scale_instance
 from rasched.engine import BlockerType, InsertionEngine
 from rasched.flow import AssignmentNetwork
 from rasched.seed import solve_assignment_lp, round_seed, hall_bound, max_density
 from rasched.certificate import (_active_on, best_configuration,
-                                 build_dual_certificate, verify_objective_negative,
-                                 verify_dual_feasibility, verify_certificate,
+                                 build_dual_certificate, verify_certificate,
                                  check_bs_s_machine_counts,
                                  check_covered_machine_margin,
                                  check_big_job_value_bound,
@@ -110,9 +109,8 @@ class TestVerify:
     def test_three_smalls_certificate_verifies(self):
         stuck, sc = three_smalls_stuck()
         cert = build_dual_certificate(stuck, sc)
-        assert verify_objective_negative(cert)
-        ok, witnesses = verify_dual_feasibility(cert, sc)
-        assert ok and witnesses == []
+        assert verify_certificate(cert, sc)
+        assert all(line.endswith(" PASS") for line in cert.transcript)
         assert len(cert.transcript) == 1 + sc.base.num_machines
 
     def test_rich_certificate_verifies(self):
@@ -128,17 +126,20 @@ class TestVerify:
                 cert, transcript=[],
                 z={j: v * alpha for j, v in cert.z.items()},
                 y={i: v * alpha for i, v in cert.y.items()})
-            assert verify_objective_negative(scaled_cert)
-            assert verify_dual_feasibility(scaled_cert, sc)[0]
+            assert verify_certificate(scaled_cert, sc)
 
     def test_corrupted_z_is_caught_with_witness(self):
         stuck, sc = three_smalls_stuck()
         cert = build_dual_certificate(stuck, sc)
         cert.z[4] *= 2
-        ok, witnesses = verify_dual_feasibility(cert, sc)
-        assert not ok
-        machine, config, value, bound = witnesses[0]
-        assert machine == 1 and 4 in config and value > bound
+        assert not verify_certificate(cert, sc)
+        machine, value, bound = failed_machines(cert.transcript)[0]
+        assert machine == 1 and value > bound
+        # the best configuration on machine 1 holds the corrupted job
+        scale, ints = integer_image(cert.z.values())
+        _, config = best_configuration(sc.base.permitted_on[1], sc.base.integer_image[1],
+                                       dict(zip(cert.z, ints)), sc.fit)
+        assert 4 in config
 
     def test_claim_checks_on_stuck_states(self):
         for stuck, sc in (three_smalls_stuck(), rich_stuck()):
@@ -281,7 +282,7 @@ def solved_bound(inst, tolerance):
 def grid_floor(inst, infeasible_below):
     """ceil(max(largest size, H) L) / L: where the bound's search starts."""
     L = inst.integer_image[0]
-    return Frac(math.ceil(max(inst.max_size(), infeasible_below) * L), L)
+    return Frac(math.ceil(max(*inst.sizes[1:], infeasible_below) * L), L)
 
 
 def schedule_makespan(inst, assignment):
@@ -504,7 +505,7 @@ def test_column_generation_agrees_with_the_reference_on_the_grid(preset, seed):
     L, _ = inst.integer_image
     top = solve(inst, tau=TAU).makespan * L
     assert top.denominator == 1
-    for t in range(math.ceil(inst.max_size() * L), top.numerator + 1):
+    for t in range(math.ceil(max(inst.sizes[1:]) * L), top.numerator + 1):
         T = Frac(t, L)
         run = config_lp_feasible_cg(inst, T)
         assert run.status in ("feasible", "infeasible")
@@ -725,7 +726,7 @@ def test_every_lp_handed_to_the_simplex_is_integral(monkeypatch):
         fresh_search(inst, TAU, **solve_facts(inst))
     for kind, seed in DECIDED_CASES[::4]:
         inst = decided_case(kind, seed)
-        for T in (inst.max_size(), sum(inst.sizes[1:]) / 2):
+        for T in (max(inst.sizes[1:]), sum(inst.sizes[1:]) / 2):
             exact_config_lp_feasible(inst, T)
     assert len(master) >= 200 and len(enumerated) >= 20
 
@@ -957,7 +958,7 @@ def test_every_knapsack_query_is_integral(monkeypatch):
         cert = build_dual_certificate(stuck, stuck.scaled)
         assert check_big_job_value_bound(stuck, cert) == []
     assert callers["config_lp_feasible_cg"] >= 1000, callers
-    assert callers["_dual_feasibility"] >= 50, callers
+    assert callers["verify_certificate"] >= 50, callers
     assert callers["check_big_job_value_bound"] >= 2, callers
 
 
@@ -993,6 +994,18 @@ def test_verification_transcripts_match_the_pinned_digest():
 
 # ---------- the integer grid against the rational reference ----------
 
+def failed_machines(transcript):
+    """(machine, best configuration's z, y_i) of each machine line of a
+    verification transcript that failed, in transcript order."""
+    out = []
+    for line in transcript:
+        if line.startswith("machine ") and line.endswith(" FAIL"):
+            _, i, _, z, y, _ = line.split()
+            out.append((int(i), parse_ratio(z.removeprefix("z=")),
+                        parse_ratio(y.removeprefix("y="))))
+    return out
+
+
 def recorded_stuck_states(monkeypatch, instances, eps):
     """(stuck state, the probe's scaled instance) for every stuck probe of
     solving `instances` at `eps`, a replayed stored state included."""
@@ -1011,16 +1024,15 @@ def recorded_stuck_states(monkeypatch, instances, eps):
 
 
 def integer_checks(cert, scaled):
-    """(ok, witnesses, transcript) of `verify_certificate`, with the
-    witnesses of `verify_dual_feasibility` on a copy."""
+    """(ok, witnesses, transcript) of `verify_certificate`, the witnesses
+    read off the transcript's failed machine lines."""
     ok = verify_certificate(cert, scaled)
-    _, witnesses = verify_dual_feasibility(dataclasses.replace(cert, transcript=[]), scaled)
-    return ok, witnesses, cert.transcript
+    return ok, failed_machines(cert.transcript), cert.transcript
 
 
 def reference_checks(cert, scaled):
     ok, witnesses = reference_verify(cert, scaled)
-    return ok, witnesses, cert.transcript
+    return ok, [(i, value, y) for i, _, value, y in witnesses], cert.transcript
 
 
 def grid_of(stuck, scaled):

@@ -121,7 +121,7 @@ def rational_bisection(inst, probes, tau):
     each midpoint (lo + hi) / 2 replaces hi after a success and lo after a
     failure, read off `probes`, until hi <= lo (1 + tau). Returns the
     guesses and the final lo."""
-    lo, hi = inst.max_size(), _makespan(inst, _polish(inst, _greedy(inst)))
+    lo, hi = max(inst.sizes[1:]), _makespan(inst, _polish(inst, _greedy(inst)))
     guesses = [hi]
     for _, outcome in probes[1:]:
         assert hi > lo * (1 + tau)

@@ -18,7 +18,18 @@ from rasched.generator import GenSpec, generate_instance
 from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
 
 from conftest import (EPS, CAP, aggressive_stuck_states, assigned_jobs, insert_huge_job,
-                      scaled_of, schedule_of, two_value_instance)
+                      scaled_load, scaled_of, schedule_of, two_value_instance)
+
+
+def blocked_smalls(engine, prefix=None, on=None):
+    """The small jobs whose blocking layer (`blocking_layers`) is at most
+    `prefix` (any, when None); with `on`, those among machine `on`'s small
+    jobs, the set the engine's load conditions sum."""
+    small_end = engine.scaled.small_end
+    smalls = range(1, small_end) if on is None else \
+        [j for j in engine.schedule.on_machine[on] if j < small_end]
+    return {j for j, k in engine.blocking_layers(smalls).items()
+            if prefix is None or k <= prefix}
 
 
 def plant(engine, job, machine, btype, layer, parent=None):
@@ -60,20 +71,20 @@ class TestBlockedAndActive:
     def test_trivially_blocked_small(self):
         # small with no alternative machine is blocked under the empty tree
         eng = engine_with([(Frac(1, 3), {1}), (Frac(9, 10), {1, 2})], 2, {1: 1}, 2)
-        assert eng.blocked_small_jobs() == {1}
+        assert blocked_smalls(eng) == {1}
         assert eng.value_layers()[1] == 1
 
     def test_small_with_covered_alternative(self):
         eng = engine_with([(Frac(1, 3), {1, 2}), (Frac(1, 3), {2}),
                            (Frac(9, 10), {1})], 2, {1: 1, 2: 2}, 3)
-        assert eng.blocked_small_jobs() == {2}  # job 2 has no alternative
+        assert blocked_smalls(eng) == {2}  # job 2 has no alternative
         plant(eng, 2, 2, BlockerType.S, 1)
-        assert eng.blocked_small_jobs(prefix=1) == {1, 2}
-        assert eng.blocked_smalls_on(1, prefix=1) == {1}
+        assert blocked_smalls(eng, prefix=1) == {1, 2}
+        assert blocked_smalls(eng, prefix=1, on=1) == {1}
 
     def test_big_jobs_never_blocked(self):
         eng = engine_with([(Frac(3, 5), {1}), (Frac(9, 10), {1})], 1, {1: 1}, 2)
-        assert eng.blocked_small_jobs() == set()
+        assert blocked_smalls(eng) == set()
 
     def test_blocked_small_value_layer_below_its_head(self):
         # machine 2 is covered in layer 1 and machine 1 in layer 2: jobs 1
@@ -95,9 +106,9 @@ class TestBlockedAndActive:
         plant(eng, 3, 2, BlockerType.S, 1)
         plant(eng, 2, 3, BlockerType.S, 2)
         assert eng.blocking_layers(range(1, 4)) == {1: 2, 2: 2, 3: 1}
-        assert eng.blocked_small_jobs(prefix=1) == {3}
-        assert eng.blocked_smalls_on(1, prefix=1) == set()
-        assert eng.blocked_smalls_on(1, prefix=2) == {1}
+        assert blocked_smalls(eng, prefix=1) == {3}
+        assert blocked_smalls(eng, prefix=1, on=1) == set()
+        assert blocked_smalls(eng, prefix=2, on=1) == {1}
         assert eng.value_layers() == {4: 1, 1: 2, 2: 2, 3: 1}
         assert check_against_the_reference_table(eng)
 
@@ -146,7 +157,7 @@ class TestClassification:
                            (Frac(3, 5), {1, 2}), (Frac(9, 10), {1, 2})],
                           3, {1: 1, 2: 1, 3: 1}, 4)
         plant(eng, 1, 3, BlockerType.S, 1)  # covers the small's alternative
-        assert eng.blocked_smalls_on(1, prefix=1) == {1}
+        assert blocked_smalls(eng, prefix=1, on=1) == {1}
         assert eng.classify_potential_move(4, 1, 1) is BlockerType.MM
 
     def test_small_mover_is_s_without_conditions(self):
@@ -191,7 +202,7 @@ class TestSelectionAndValidity:
                           2, {1: 2, 2: 2}, 3)
         # no huge job on machine 2, so its up-rounded load is its plain load
         assert not eng.schedule.huges[2]
-        assert eng.schedule.load(2) + Frac(9, 10) == CAP
+        assert scaled_load(eng.schedule, 2) + Frac(9, 10) == CAP
         assert eng.move_is_valid(3, 2)
         # one grain over the cap: invalid
         eng2 = engine_with([(Frac(5, 6), {2}), (Frac(12, 60), {2}), (Frac(9, 10), {1, 2})],
@@ -306,7 +317,7 @@ class TestRunScenarios:
     def test_determinism_identical_event_streams(self):
         inst = generate_instance(GenSpec(machines=3, jobs=8, preset="collision",
                                          density=Frac(1, 2), seed=7))
-        guess = inst.max_size() * Frac(21, 20)
+        guess = max(inst.sizes[1:]) * Frac(21, 20)
         runs = []
         for _ in range(2):
             sc = scale_instance(inst, guess, EPS)
@@ -444,7 +455,7 @@ class TestAuditSuite:
             machines=m, jobs=m + 2 + seed % 5,
             preset=("uniform", "huge_heavy", "collision")[seed % 3],
             density=Frac(2, 3), seed=seed))
-        guess = inst.max_size() * Frac(rng.randint(100, 125), 100)
+        guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 125), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
             sched = round_seed(solve_assignment_lp(sc), sc)
@@ -548,7 +559,7 @@ class TestBlockerIndex:
             machines=3 + seed % 4, jobs=10 + seed % 7,
             preset=("uniform", "huge_heavy", "collision")[seed % 3],
             density=Frac(2, 3), seed=seed))
-        sc = scale_instance(inst, inst.max_size() * Frac(100 + seed, 100), EPS)
+        sc = scale_instance(inst, max(inst.sizes[1:]) * Frac(100 + seed, 100), EPS)
         try:
             sched = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:
@@ -664,12 +675,12 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
         network = AssignmentNetwork(inst)
         densest = driver.max_density(inst, network)
         for k in range(12):
-            driver._probe(inst, inst.max_size() * Frac(20 + k, 20), EPS, audit=False,
+            driver._probe(inst, max(inst.sizes[1:]) * Frac(20 + k, 20), EPS, audit=False,
                           log_events=False, run_logs=[], counters=Counter(),
                           network=network, densest=densest, memo={})
     assert len(engines) >= 90
     # blocked small jobs without an activator get their value layer from the table
-    assert sum(len(e.blocked_small_jobs() - set(e.heads())) for e in engines) >= 10
+    assert sum(len(blocked_smalls(e) - set(e.heads())) for e in engines) >= 10
 
 
 def test_final_move_signature_is_computed_only_for_the_log(monkeypatch):
@@ -727,18 +738,22 @@ def test_blocking_layers_match_the_reference_table(monkeypatch):
 
 
 def check_against_the_reference_table(engine):
-    """Compare the engine's derived sets with the reference table's; True
-    when a cover blocks a small job outside row 0."""
+    """Compare the engine's derived sets, and the blocked small load its
+    load conditions read, with the reference table's; True when a cover
+    blocks a small job outside row 0."""
     rows = reference_blocked_small_table(engine)
     cover = engine.cover()
+    q = engine.scaled.base.integer_image[1]
     top = max((b.layer for b in engine.tree.blockers()), default=0)
     for prefix in [*range(top + 2), None]:
         _, covered, blocked = reference_prefix_row(rows, prefix)
-        assert engine.blocked_small_jobs(prefix) == blocked
+        assert blocked_smalls(engine, prefix) == blocked
         assert {i for i, b in cover.items() if prefix is None or b.layer <= prefix} == covered
         for i in engine.scaled.base.machines:
-            assert engine.blocked_smalls_on(i, prefix) == {
-                j for j in blocked if engine.schedule.machine_of(j) == i}
+            on_i = {j for j in blocked if engine.schedule.machine_of(j) == i}
+            assert blocked_smalls(engine, prefix, on=i) == on_i
+            if prefix is not None:
+                assert engine._small_and_min_medium(i, prefix)[0] == sum(q[j] for j in on_i)
     layers = engine.value_layers()
     assert set(layers) == set(engine.heads()) | rows[-1][2]
     assert layers == {j: reference_value_layer(engine, j) for j in layers}

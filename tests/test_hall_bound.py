@@ -83,7 +83,7 @@ def test_a_bracket_closed_at_the_hall_bound_needs_no_run():
     feasible at H, and the search closes there without a run."""
     inst = make_instance(2, [(Frac(1), {1}), (Frac(1), {2})])
     hall, _ = hall_and_density(inst)
-    assert hall == inst.max_size() == 1
+    assert hall == max(inst.sizes[1:]) == 1
     assert exact_config_lp_feasible(inst, hall)
     bound = config_lp_lower_bound(inst, Frac(1, 100), assignment={1: 1, 2: 2},
                                   infeasible_below=hall)
@@ -118,7 +118,7 @@ def test_the_printed_bound_lies_between_the_hall_bound_and_the_optimum(monkeypat
         runs_seen.clear()
         report = driver.solve(inst, tau=TAU, lp_bound=True)
         (bound,) = bounds
-        assert max(inst.max_size(), hall) <= report.lower_bound, k
+        assert max(hall, *inst.sizes[1:]) <= report.lower_bound, k
         assert report.lower_bound <= exact_optimal_makespan(inst), k
         upper = min([run.T for run in runs_seen if run.status == "feasible"],
                     default=report.makespan)

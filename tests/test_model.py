@@ -8,9 +8,11 @@ from rasched.model import (validate_partial_schedule, parse_instance,
                            serialize_instance, make_instance, scale_instance,
                            Schedule, InstanceFormatError, MAX_MACHINES)
 from rasched.generator import GenSpec, generate_instance
+from rasched.driver import solve
+from rasched.certificate import config_lp_lower_bound
 
-from conftest import (EPS, CAP, JobClass, classify_job, load_from_scratch, scaled_of,
-                      schedule_of, small_jobs)
+from conftest import (EPS, CAP, JobClass, classify_job, load_from_scratch, scaled_load,
+                      scaled_of, scaled_size, schedule_of, size_down, small_jobs)
 
 rationals = st.builds(Frac, st.integers(1, 240), st.integers(1, 120))
 
@@ -43,7 +45,7 @@ class TestClassify:
     @given(rationals)
     def test_agrees_with_rounding(self, p):
         sc = scaled_of([(p, {1})], 1)
-        down = sc.size_down(1)
+        down = size_down(sc, 1)
         assert (down != p) == (classify_job(p) is JobClass.HUGE) == sc.is_huge(1)
         assert down <= p
         if classify_job(p) is JobClass.HUGE:
@@ -52,9 +54,9 @@ class TestClassify:
 
 def rounded(p):
     """(up, down) for one job of size p: the engine counts a huge job as 1,
-    the certificate reads `size_down`."""
+    the certificate rounds it down to 5/6."""
     sc = scaled_of([(p, {1})], 1)
-    return (Frac(1) if sc.is_huge(1) else sc.size[1]), sc.size_down(1)
+    return (Frac(1) if sc.is_huge(1) else scaled_size(sc, 1)), size_down(sc, 1)
 
 
 class TestRoundedSizes:
@@ -72,27 +74,27 @@ class TestLoads:
     def test_empty_machine_all_systems(self):
         sc = scaled_of([(Frac(1, 3), {1})], 2)
         sched = Schedule(sc)
-        assert sched.load(1) == 0 and not sched.huges[1]
-        assert sched.load(2) == 0 and not sched.huges[2]
+        assert sched.int_load(1) == 0 and not sched.huges[1]
+        assert sched.int_load(2) == 0 and not sched.huges[2]
 
     def test_mixed_loads_exact(self):
         sc = scaled_of([(Frac(1, 3), {1}), (Frac(9, 10), {1})], 1)
         sched = schedule_of(sc, {1: 1, 2: 1})
-        assert sched.load(1) == Frac(37, 30)
+        assert scaled_load(sched, 1) == Frac(37, 30)
         assert sched.huges[1] == {2}
         # huge jobs rounded up to 1, as the engine's validity test counts them
-        huge = sum(sc.size[h] for h in sched.huges[1])
-        assert sched.load(1) - huge + len(sched.huges[1]) == Frac(4, 3)
+        huge = sum(scaled_size(sc, h) for h in sched.huges[1])
+        assert scaled_load(sched, 1) - huge + len(sched.huges[1]) == Frac(4, 3)
         # and down to 5/6, as the certificate counts them
-        assert sum(sc.size_down(j) for j in sched.on_machine[1]) == Frac(7, 6)
+        assert sum(size_down(sc, j) for j in sched.on_machine[1]) == Frac(7, 6)
 
     def test_move_drops_load_by_exact_size(self):
         sc = scaled_of([(Frac(1, 3), {1, 2}), (Frac(9, 10), {1, 2})], 2)
         sched = schedule_of(sc, {1: 1, 2: 1})
-        before = sched.load(1)
+        before = scaled_load(sched, 1)
         sched.move(2, 2)
-        assert before - sched.load(1) == sc.size[2]
-        assert sched.load(2) == sc.size[2]
+        assert before - scaled_load(sched, 1) == scaled_size(sc, 2)
+        assert scaled_load(sched, 2) == scaled_size(sc, 2)
         assert sched.huges[1] == set() and sched.huges[2] == {2}
 
     def test_incremental_matches_scratch_random_walk(self, rng):
@@ -108,7 +110,7 @@ class TestLoads:
             else:
                 sched.move(j, rng.randint(1, 3))
         for i in (1, 2, 3):
-            assert sched.load(i) == load_from_scratch(sched, i)
+            assert scaled_load(sched, i) == load_from_scratch(sched, i)
 
 
 class TestValidate:
@@ -126,7 +128,7 @@ class TestValidate:
         # mediums 5/6 + 5/6 plus small 4/15 sum to (1+R) + 1/60 at eps=1/24
         sc = scaled_of([(Frac(4, 15), {1}), (Frac(5, 6), {1}), (Frac(5, 6), {1})], 1)
         sched = schedule_of(sc, {1: 1, 2: 1, 3: 1})
-        assert sched.load(1) == CAP + Frac(1, 60)
+        assert scaled_load(sched, 1) == CAP + Frac(1, 60)
         msgs = validate_partial_schedule(sched)
         assert len(msgs) == 1 and "exceeds cap" in msgs[0]
 
@@ -210,14 +212,18 @@ TWO_JOBS = [(Frac(1), {1}), (Frac(1, 2), {2})]
     (2, TWO_JOBS, ["", "c"], "job name ''"),
     (2, TWO_JOBS, ["#x", "c"], "job name '#x'"),
     (1, [(0.5, {1})], None, "job size 0.5"),
+    (2, [(Frac(1), {1.5})], None, "machine ids must be ints"),
+    (2, [(Frac(1), {"1"})], None, "machine ids must be ints"),
 ], ids=["names-short", "names-long", "name-repeated", "no-machines", "machines-over-cap",
-        "name-with-space", "name-empty", "name-with-hash", "size-float"])
+        "name-with-space", "name-empty", "name-with-hash", "size-float", "machine-float",
+        "machine-str"])
 def test_make_instance_holds_the_parsers_limits(machines, jobs, names, message):
     """The public constructor rejects what `parse_instance` rejects: a name
     list of another length, a repeated name (a solve keys its assignment by
     name), a name the text format cannot carry (its tokens split on
     whitespace and '#' starts a comment), a size that is not an exact int or
-    Fraction and a machine count outside 1..MAX_MACHINES."""
+    Fraction, a machine id that is not an int and a machine count outside
+    1..MAX_MACHINES."""
     with pytest.raises(ValueError, match=message):
         make_instance(machines, jobs, names)
     assert make_instance(2, TWO_JOBS, ["a", "b"]).names == ("a", "b")
@@ -246,21 +252,27 @@ class TestScaling:
                 p = inst.sizes[j] / T
                 assert sc.is_small(j) == (classify_job(p) is JobClass.SMALL) == (p <= Frac(1, 2))
                 assert sc.is_huge(j) == (classify_job(p) is JobClass.HUGE) == (p > Frac(5, 6))
-                assert Frac(T.denominator * q[j], sc.unit) == p == sc.size[j]
+                assert Frac(T.denominator * q[j], sc.unit) == p
             assert small_jobs(sc) == [j for j in inst.jobs if sc.is_small(j)]
             assert sc.huge_jobs() == [j for j in inst.jobs if sc.is_huge(j)]
-            # sums of q one grain below, at and above (1 + R) L T, R L T and
-            # L T: each cap admits exactly the loads Q / (L T) within its bound
-            for cap, bound in ((sc.cap, sc.load_cap), (sc.huge_cap, sc.R), (sc.fit, 1)):
-                exact = bound * L * T
-                for load in range(math.floor(exact) - 1, math.ceil(exact) + 2):
-                    assert (load <= cap) == (Frac(load, L) / T <= bound)
+            for eps in (Frac(1, 24), Frac(1, 13), Frac(1, 100), Frac(5, 61)):
+                sc = scale_instance(inst, T, eps)
+                R = Frac(5, 6) + 2 * eps  # the paper's room beside a huge job
+                # each cap is the floor of (1 + R) L T, R L T or L T, and sums
+                # of q one grain below, at and above it: each cap admits
+                # exactly the loads Q / (L T) within its bound
+                for cap, bound in ((sc.cap, 1 + R), (sc.huge_cap, R), (sc.fit, 1)):
+                    exact = bound * L * T
+                    assert cap == math.floor(exact)
+                    for load in range(math.floor(exact) - 1, math.ceil(exact) + 2):
+                        assert (load <= cap) == (Frac(load, L) / T <= bound)
 
     def test_r_and_scaled_sizes_exact(self):
         inst = make_instance(2, [(Frac(3, 4), {1, 2})])
         sc = scale_instance(inst, Frac(3, 2), EPS)
-        assert sc.R == Frac(5, 6) + 2 * EPS
-        assert sc.size[1] == Frac(1, 2)
+        # L T = 6, so R L T = 11/2 and (1 + R) L T = 23/2 with R = 5/6 + 2 EPS
+        assert (sc.huge_cap, sc.cap, sc.fit) == (5, 11, 6)
+        assert scaled_size(sc, 1) == Frac(1, 2)
         assert inst.sizes[1] == Frac(3, 4)  # base untouched
 
     def test_epsilon_range_enforced(self):
@@ -280,3 +292,21 @@ class TestScaling:
     def test_ratio_str_round_trip(self):
         q = Frac(-38025, 19942)
         assert parse_ratio(ratio_str(q)) == q
+
+
+ONE_JOB = make_instance(1, [(Frac(1, 2), {1})])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: solve(ONE_JOB, 0.04),
+    lambda: solve(ONE_JOB, EPS, 0.01),
+    lambda: scale_instance(ONE_JOB, 0.75, EPS),
+    lambda: GenSpec(machines=2, jobs=4, density=0.3),
+    lambda: config_lp_lower_bound(ONE_JOB, 0.01, assignment={1: 1}, infeasible_below=0),
+], ids=["solve-epsilon", "solve-tau", "scale-guess", "gen-density", "lp-bound-tolerance"])
+def test_a_float_input_is_refused_not_made_an_inexact_rational(call):
+    """A float parameter would become the exact rational of its binary value
+    (0.04 as 5764607523034235/144115188075855872), so it is refused like a
+    float size; an int, a Fraction or an 'n/d' string is the exact input."""
+    with pytest.raises(ValueError, match="neither an int, a Fraction nor an 'n/d' string"):
+        call()

@@ -12,7 +12,7 @@ from rasched.generator import GenSpec, generate_instance
 
 from conftest import (EPS, assigned_jobs, deadline, entries_of, job_sum, machine_load,
                       record_cycles, reference_eliminate_support_cycles,
-                      reference_support_cycle, scaled_of)
+                      reference_support_cycle, scaled_load, scaled_of, scaled_size)
 from reference import exact_config_lp_feasible
 
 
@@ -102,7 +102,7 @@ def rational_eliminate_support_cycles(entries, scaled, lengths):
         deltas = {}
         for k in range(q):
             j = jobs_seq[k]
-            t_k = scaled.size[jobs_seq[0]] / scaled.size[j]
+            t_k = scaled_size(scaled, jobs_seq[0]) / scaled_size(scaled, j)
             deltas[(j, machines_seq[k])] = t_k
             deltas[(j, machines_seq[k - 1])] = -t_k
         theta = min(entries[e] / -d for e, d in deltas.items() if d < 0)
@@ -123,7 +123,7 @@ def random_support(rng):
     sizes = [Frac(rng.randint(1, 5 * d // 6), d)
              for d in (rng.choice((2, 3, 5, 7, 12, 35)) for _ in range(jobs))]
     sc = scaled_of([(p, set(range(1, machines + 1))) for p in sizes], machines)
-    _, supplies = integer_image(sc.size[j] for j in sc.base.jobs)
+    _, supplies = integer_image(scaled_size(sc, j) for j in sc.base.jobs)
     grain = rng.randint(4, 12)  # a finer common scale, so every split is integral
     planted = rng.randint(3, min(jobs, machines))
     flow, supply = {}, {}
@@ -161,7 +161,7 @@ def max_flow_supports():
     for k in range(60):
         inst = generate_instance(GenSpec(machines=3 + k % 4, jobs=8 + k % 9,
                                          density=(Frac(1, 2), Frac(2, 3))[k % 2], seed=k))
-        guess = max(inst.max_size(), sum(inst.sizes[1:]) / inst.num_machines) * Frac(11, 10)
+        guess = max(*inst.sizes[1:], sum(inst.sizes[1:]) / inst.num_machines) * Frac(11, 10)
         sc = scale_instance(inst, guess, EPS)
         try:
             out.append((sc, solve_assignment_lp(sc)))
@@ -285,8 +285,9 @@ class TestRounding:
         sched = round_forest(fa, sc)
         landing = sched.machine_of(3)
         assert landing in (1, 2)
-        assert sched.load(landing) <= machine_load(fa, sc, landing) + sc.size[3] / 2
-        assert sched.load(landing) <= 1 + sc.size[3]
+        assert (scaled_load(sched, landing)
+                <= machine_load(fa, sc, landing) + scaled_size(sc, 3) / 2)
+        assert scaled_load(sched, landing) <= 1 + scaled_size(sc, 3)
 
     def test_three_job_star_gives_center_at_most_one(self):
         sizes = [Frac(1, 3), Frac(2, 5), Frac(1, 2)]
@@ -326,17 +327,17 @@ class TestSeedPipeline:
                                          jobs=rng.randint(3, 9),
                                          preset=("uniform", "huge_heavy")[seed % 2],
                                          density=Frac(2, 3), seed=seed))
-        guess = inst.max_size() * Frac(rng.randint(100, 160), 100)
+        guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 160), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
             sched = round_seed(solve_assignment_lp(sc), sc)
         except SeedInfeasible:
             assert not exact_config_lp_feasible(inst, guess)
             return
-        p_max = max((sc.size[j] for j in sc.base.jobs if not sc.is_huge(j)),
+        p_max = max((scaled_size(sc, j) for j in sc.base.jobs if not sc.is_huge(j)),
                     default=ZERO)
         for i in sc.base.machines:
-            assert sched.load(i) <= 1 + p_max <= Frac(11, 6)
+            assert scaled_load(sched, i) <= 1 + p_max <= Frac(11, 6)
         for j in sc.base.jobs:
             if sc.is_huge(j):
                 assert sched.machine_of(j) is None

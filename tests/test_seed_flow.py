@@ -18,7 +18,8 @@ from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
 from conftest import (EPS, ReferenceNetwork, benchmark_pool, entries_of, job_sum, machine_load,
-                      record_cycles, reference_support_cycle, still_violates, two_value_instance)
+                      record_cycles, reference_support_cycle, scaled_size, still_violates,
+                      two_value_instance)
 
 CHAIN = 700
 
@@ -32,7 +33,7 @@ def lp_feasible(scaled):
     if not sm_jobs:
         return True
     n, m = len(sm_jobs), scaled.base.num_machines
-    L, sizes = integer_image(scaled.size[j] for j in sm_jobs)
+    L, sizes = integer_image(scaled_size(scaled, j) for j in sm_jobs)
     columns = []
     for row, j in enumerate(sm_jobs):
         for i in sorted(scaled.base.gamma[j]):
@@ -221,7 +222,7 @@ def test_hall_violator_on_every_infeasible_probe(monkeypatch):
     for sc, jobs in violators:
         assert jobs and all(not sc.is_huge(j) for j in jobs)
         machines = set().union(*(sc.base.gamma[j] for j in jobs))
-        assert sum(sc.size[j] for j in jobs) > len(machines)
+        assert sum(scaled_size(sc, j) for j in jobs) > len(machines)
 
 
 def test_violator_summaries_decide_like_still_violates(monkeypatch):
@@ -342,7 +343,7 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     assert violator == max_density(inst, AssignmentNetwork(inst))
     sc = scale_instance(inst, Frac(7, 2), EPS)
     assert sc.is_huge(2) and not sc.is_huge(1)
-    assert sum(sc.size[j] for j in violator.jobs) > 1
+    assert sum(scaled_size(sc, j) for j in violator.jobs) > 1
     assert not still_violates(sc, violator.jobs)
     assert not violator.proves(sc)
     sched = round_seed(seed_small_medium(sc, AssignmentNetwork(inst), violator), sc)
