@@ -4,7 +4,7 @@ from .rational import Frac, frac, ratio_str, BACKEND
 from .model import (Instance, ScaledInstance, Schedule,
                     validate_partial_schedule, parse_instance,
                     serialize_instance, make_instance, scale_instance)
-from .seed import seed_small_medium, round_seed, SeedInfeasible
+from .seed import seed_small_medium, decided_seed, SeedInfeasible
 from .engine import InsertionEngine, layer_cap
 from .certificate import (build_dual_certificate, verify_certificate,
                           config_lp_lower_bound, DualCertificate)

@@ -9,7 +9,8 @@ below the optimum.
 A stuck engine's dual is built on one integer grid: with epsilon = n/d, the
 guess T = a/b and sizes q_j/L, every z_j and y_i is an integer over
 D = d^t 6 L a, t the deepest layer the dual weighs (at least K), and each
-becomes a rational once, when stored (`build_dual_certificate`). The
+becomes a rational once, when stored (`build_dual_certificate`), unless
+its integers would print with more digits than Python allows. The
 checks and the config-LP pricing ask each machine for its best
 configuration (`best_configuration`) on integers: both weigh jobs by the
 instance's integer sizes q against a floor cap of the guess. Verification,
@@ -22,6 +23,7 @@ Rationals are built for what is printed, stored or returned.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +31,7 @@ from .rational import Frac, ZERO, frac, integer_image, parse_ratio, ratio_str
 from .model import (Instance, InstanceFormatError, ScaledInstance, UNASSIGNED, check_epsilon,
                     scale_instance)
 from .engine import BlockerType, InsertionEngine, layer_cap
-from .oracle import KnapsackQuery, knapsack_max_value
+from .oracle import CapExceededError, KnapsackQuery, knapsack_max_value
 from .simplex import simplex_min
 
 #: column-generation rounds per covering-LP run before it is "unresolved"
@@ -89,7 +91,13 @@ def build_dual_certificate(engine: InsertionEngine, scaled: ScaledInstance) -> D
     (d - n)^k d^(t - k) 6 b q_j, or (d - n)^k d^(t - k) 5 L a for a huge
     job; delta^K D is (d - n)^K d^(t - K) 6 L a, and delta^k/6 D is
     (d - n)^k d^(t - k) L a. Each value becomes a rational once, when
-    stored."""
+    stored.
+
+    Every integer the certificate and its transcript print is a reduced z_j,
+    y_i or sum of them over a divisor of D, so it is at most D or the sum of
+    |z_j D| and |y_i D|. Raises CapExceededError, before any is printed,
+    when an upper bound on that bound's decimal digits exceeds what Python
+    prints (`sys.get_int_max_str_digits`): t >= K grows as epsilon falls."""
     K = engine.K
     layers = engine.value_layers()
     # the BS and S covers, whose machines' y_i gain or lose delta^k/6
@@ -114,6 +122,13 @@ def build_dual_certificate(engine: InsertionEngine, scaled: ScaledInstance) -> D
         if blk is not None:
             w += (1 if blk.btype is BlockerType.BS else -1) * power[blk.layer] * unit
         y_int[i] = base + w
+    most = max(scale, sum(z_int.values()) + sum(map(abs, y_int.values())))
+    digits = most.bit_length() * 30103 // 100000 + 1  # 0.30103 > log10(2)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and digits > limit:
+        raise CapExceededError(
+            f"at epsilon {ratio_str(scaled.epsilon)} a certificate prints integers of up to"
+            f" {digits} digits, over Python's limit of {limit}")
     # one rational per distinct value: most machines share theirs
     rational = {v: Frac(v, scale) for v in {*z_int.values(), *y_int.values()}}
     z = dict.fromkeys(scaled.base.jobs, ZERO)
@@ -189,7 +204,7 @@ def check_covered_machine_margin(engine: InsertionEngine, cert: DualCertificate)
     delta = cert.delta
     den, q = sc.guess.denominator, sc.base.integer_image[1]
     violations = []
-    active_on = _active_on(engine, engine.active_jobs())
+    active_on = _active_on(engine, engine.value_layers())
     for b in engine.tree.blockers():
         if not b.btype.all_undesirable:
             continue
@@ -393,7 +408,7 @@ class ConfigLPRun:
         return {i: -Frac(Y[i - 1], D) for i in range(1, m + 1)}
 
 
-def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> ConfigLPRun:
+def config_lp_feasible_cg(inst: Instance, T, *, pool: dict) -> ConfigLPRun:
     """Column generation on the covering LP at makespan T.
 
     The restricted master minimizes uncovered job mass; pricing is an exact
@@ -402,7 +417,7 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
     ray (z per job, y per machine) with z(C) <= y_i for every configuration,
     verified by the pricing knapsacks themselves.
 
-    `pool`, shared across the runs of one bound (None: a fresh one), maps
+    `pool`, shared across the runs of one bound, maps
     (machine, sorted job tuple) to the configuration's integer size `sum q_j`
     over the instance's `integer_image`. The master's columns are the single
     jobs (by machine, then job), the pooled configurations that fit in T in
@@ -424,10 +439,6 @@ def config_lp_feasible_cg(inst: Instance, T, *, pool: dict | None = None) -> Con
     """
     T = frac(T)
     m, n = inst.num_machines, inst.num_jobs
-    if n == 0:
-        return ConfigLPRun("feasible", T, weights={})
-    if pool is None:
-        pool = {}
     # p_j = q_j/L: a sum of q is at most L T iff it is at most floor(L T)
     L, q = inst.integer_image
     cap = L * T.numerator // T.denominator

@@ -6,7 +6,11 @@ beyond an exact routine's cap, such as a knapsack front of more than
 `oracle.KNAPSACK_FRONT_CAP` (2^16) pairs in a machine's configuration query,
 which `check` asks for every machine and `--lp-bound` only in a
 column-generation run at a grid point from the Hall bound up to below the
-schedule's makespan; the item count has no cap. `solve --oracle` runs the
+schedule's makespan; the item count has no cap. A stuck-search
+certificate whose integers would print with more digits than Python allows
+(`sys.get_int_max_str_digits`, 4300 by default) is also over a cap: its
+grid grows as d^K with epsilon = n/d, so a small enough epsilon, such as
+1/1000 on 16 machines, ends `solve` with exit 4. `solve --oracle` runs the
 exhaustive oracle only up to 12 jobs (`oracle.MAKESPAN_JOB_CAP`) and above
 that reports the bound it has, with exit 0. `bench` does not exit on a bound
 over the cap; it prints that row's ratio as `refused`. It exits 3 when the

@@ -44,8 +44,9 @@ multiples of 1/L, L the scale of the instance's integer image, so the
 bisection runs on integer numerators over the common denominator L 2^k and
 builds one rational per probe, its guess.
 Under `lp_bound` the solve raises lambda* to the Hall bound H on the same
-network (`seed.hall_bound`), and the config-LP bound searches the grid 1/L
-between H and the reported schedule's makespan, so it never prints below H.
+network (`seed.hall_bound`), which stops once it reaches the reported
+schedule's makespan, and the config-LP bound searches the grid 1/L between
+H and that makespan, so it never prints below H.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class SolveReport:
     probes: list  # (guess, outcome) in probe order
     certificates: list  # (guess, DualCertificate)
     run_logs: list = field(default_factory=list)  # (guess, EngineRun) per logged run
-    placement: dict = field(default_factory=dict)  # internal job id -> machine
 
     def to_text(self) -> str:
         inst = self.instance
@@ -184,7 +184,7 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     scaled = scale_instance(inst, guess, epsilon)
     counters["seed_lps"] += 1
     try:
-        fa = seed_small_medium(scaled, network, densest)
+        flow = seed_small_medium(scaled, network, densest)
     except SeedInfeasible as exc:
         if audit and exc.violator is densest:
             try:
@@ -199,9 +199,9 @@ def _probe(inst: Instance, guess, epsilon, *, audit, log_events, run_logs,
     huge = sorted(scaled.huge_jobs(), reverse=True)  # decreasing size, det. ties
     if not huge and not audit:
         # below lambda* the densest set refutes a guess without huge jobs,
-        # so this one was decided without a flow: fa is None
+        # so this one was decided without a flow: flow is None
         return ProbeResult(guess, "success", scaled=scaled)
-    schedule = decided_seed(fa, scaled, network)
+    schedule = decided_seed(flow, scaled, network)
     # the search reads the guess only through its caps and class boundaries,
     # so a seed and engine image seen before repeat that probe's runs, and a
     # stored stuck engine gives this guess's certificate
@@ -415,8 +415,8 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
 
     lower = Frac(lo_n, den)
     if lp_bound:
-        bound = config_lp_lower_bound(inst, tau, assignment=placement,
-                                      infeasible_below=hall_bound(inst, network, densest))
+        hall = hall_bound(inst, network, densest, _max_load(inst, placement))
+        bound = config_lp_lower_bound(inst, tau, assignment=placement, infeasible_below=hall)
         counters["lp_bound_probes"] = bound.probes
         if bound.lower > lower:
             lower, lower_kind = bound.lower, "config-lp"
@@ -430,5 +430,5 @@ def solve(inst: Instance, epsilon=Frac(1, 24), tau=Frac(1, 100), *,
         makespan=makespan, guess_final=best.guess, lower_bound=lower,
         lower_bound_kind=lower_kind, ratio_bound=makespan / lower,
         iterations=dict(counters), probes=probes, certificates=certificates,
-        run_logs=run_logs, placement=placement,
+        run_logs=run_logs,
     )

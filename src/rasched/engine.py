@@ -226,10 +226,10 @@ class InsertionEngine:
         mn = self.schedule.min_medium(blocker.machine)  # M: up to the smallest medium
         return mn is not None and j <= mn
 
-    def undesirable_on(self, j, i, prefix=None) -> bool:
+    def undesirable_on(self, j, i, prefix) -> bool:
         """Is job j undesirable on machine i w.r.t. the prefix's blockers?"""
         return any(self.marks_undesirable(b, j) for b in self.tree.blockers_on(i)
-                   if prefix is None or b.layer <= prefix)
+                   if b.layer <= prefix)
 
     def activator_of(self, j):
         """Earliest-stamped live blocker for sigma(j) that marks j undesirable:
@@ -266,18 +266,14 @@ class InsertionEngine:
         return heads
 
     def value_layers(self):
-        """Active job -> the smallest layer at which it qualifies: its head
-        layer, or for a blocked small job its blocking layer (at least 1),
-        whichever is smaller."""
+        """Active job (j_new, a blocked small job, or one undesirable where it
+        sits) -> the smallest layer at which it qualifies: its head layer, or
+        for a blocked small job its blocking layer (at least 1), if smaller."""
         layers = self.heads()
         for j, k in self.blocking_layers(self._smalls).items():
             k = max(1, k)
             layers[j] = min(layers.get(j, k), k)
         return layers
-
-    def active_jobs(self):
-        """j_new, blocked small jobs, and jobs undesirable where they sit."""
-        return set(self.value_layers())
 
     # ---------- move classification ----------
 

@@ -23,6 +23,8 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.machines, int) and isinstance(self.jobs, int)):
+            raise ValueError("machine and job counts must be ints")
         if self.machines < 1 or self.jobs < 1:
             raise ValueError("need at least one machine and one job")
         if self.machines > MAX_MACHINES or self.jobs > MAX_MACHINES:

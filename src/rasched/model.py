@@ -99,14 +99,15 @@ class Instance:
 def make_instance(num_machines: int, jobs: list, names: list | None = None) -> Instance:
     """Build an Instance from (size, permitted-set) pairs in original order.
 
-    Holds the parser's limits: 1..MAX_MACHINES machines, one distinct name
-    per job, since a solve reports its assignment by name, and no name the
-    text format cannot carry (empty, or with whitespace or '#'). Sizes are
-    positive ints or Fractions, the exact types the solve computes with, and
-    machine ids are ints, which a solve indexes its lists with.
+    Holds the parser's limits: an int count of 1..MAX_MACHINES machines,
+    one distinct name per job, since a solve reports its assignment by name,
+    and no name the text format cannot carry (empty, or with whitespace or
+    '#'). Sizes are positive ints or Fractions, the exact types the solve
+    computes with, and machine ids are ints, which a solve indexes its lists
+    with.
     """
-    if not 1 <= num_machines <= MAX_MACHINES:
-        raise ValueError(f"machine count must lie in 1..{MAX_MACHINES}")
+    if not isinstance(num_machines, int) or not 1 <= num_machines <= MAX_MACHINES:
+        raise ValueError(f"machine count must be an int in 1..{MAX_MACHINES}")
     if names is None:
         names = [f"j{k + 1}" for k in range(len(jobs))]
     if len(names) != len(jobs):

@@ -25,24 +25,25 @@ huge there. Only the remaining guesses run their own flow. A guess decided
 feasible without a flow runs it only when its schedule is read
 (`decided_seed`). `hall_bound` raises lambda* to the Hall bound, the floor
 of the config-LP bound's search, by flows with a unit supply per job:
-their violators are job sets of which some machine must take several.
+their violators are job sets of which some machine must take several. It
+stops once it reaches the schedule's makespan, where that search ends.
 
-Only a schedule that is read gets rounded (`round_seed`): cycles of the
-flow's support are cancelled on the integers until it is a forest, and the
-forest is rounded so that every machine receives at most one extra
-fractional job. The support graph is built once per rounding and loses an
-edge when its flow reaches 0; each cycle is found by a fresh depth-first
-search over it, so the cycles, and with them the rounding, are those of a
-graph rebuilt for every cycle (one search forest for all cycles would find
-others). The resulting plain load per machine is at most 1 + max small or
-medium size <= 11/6 at scale: in q, `fit` plus the largest such q_j. No
+A decided LP solution is its flow, (job, machine) -> f. Only a schedule
+that is read gets rounded (`decided_seed`): cycles of the flow's support
+are cancelled on the integers until it is a forest, and the forest is
+rounded so that every machine receives at most one extra fractional job.
+The support graph is built once per rounding and loses an edge when its
+flow reaches 0; each cycle is found by a fresh depth-first search over it,
+so the cycles, and with them the rounding, are those of a graph rebuilt
+for every cycle (one search forest for all cycles would find others). The
+resulting plain load per machine is at most 1 + max small or medium size
+<= 11/6 at scale: in q, `fit` plus the largest such q_j. No
 decision here reads a rational: the x-values and scaled loads are not built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .engine import EngineInvariantError
@@ -87,43 +88,26 @@ class SeedInfeasible(Exception):
         super().__init__("assignment LP infeasible")
         self.violator = violator
 
-    @property
-    def jobs(self) -> tuple:
-        return self.violator.jobs
 
-
-@dataclass
-class FractionalAssignment:
-    flow: dict  # (job, machine) -> positive integer flow f
-    supply: dict  # participating (small+medium) job -> its integer supply P_j
-
-    @property
-    def jobs(self):
-        return list(self.supply)
-
-
-def solve_assignment_lp(scaled: ScaledInstance,
-                        network: AssignmentNetwork | None = None) -> FractionalAssignment:
-    """A solution of the small/medium assignment LP, or its Hall violator.
+def solve_assignment_lp(scaled: ScaledInstance, network: AssignmentNetwork) -> dict:
+    """A solution x[j,i] = f/P_j of the small/medium assignment LP as its
+    flow, (job, machine) -> positive integer f; {} without such jobs.
 
     Constraints: sum_i x[j,i] = 1 per job, sum_j p_j x[j,i] <= 1 per machine.
     Solved as an exact max-flow on integer capacities: job j supplies
     P_j = b q_j and every machine absorbs U = L a (see the module docstring).
-    `network` is the instance's arc template, laid here when not given; the
-    flow is copied out of it, since the next guess resets it. Raises
+    The flow is copied out of `network`, which the next guess resets. Raises
     SeedInfeasible, carrying the Hall violator of the network's query
     (`AssignmentNetwork.violator`), when the flow cannot saturate every job.
     """
-    sm_jobs = range(1, scaled.huge_start)
-    if not sm_jobs:
-        return FractionalAssignment({}, {})
-    if network is None:
-        network = AssignmentNetwork(scaled.base)
-    b, q, end = scaled.guess.denominator, scaled.base.integer_image[1], scaled.huge_start
+    end = scaled.huge_start
+    if end == 1:
+        return {}
+    b, q = scaled.guess.denominator, scaled.base.integer_image[1]
     supply = [b * x for x in q[:end]] + [0] * (len(q) - end)
     if jobs := network.violator(supply, scaled.unit):
         raise SeedInfeasible(HallViolator.of(scaled.base, jobs))
-    return FractionalAssignment(network.job_flow(supply), {j: supply[j] for j in sm_jobs})
+    return network.job_flow(supply)
 
 
 def _support_cycle(adj, order):
@@ -168,7 +152,7 @@ def _inflow(flow, machines):
     return total
 
 
-def eliminate_support_cycles(fa: FractionalAssignment) -> int:
+def eliminate_support_cycles(flow: dict) -> int:
     """Cancel support cycles with load-preserving alternating adjustments.
 
     Around the even cycle j_0, m_0, j_1, m_1, ..., job j_k's flow to m_k
@@ -180,7 +164,6 @@ def eliminate_support_cycles(fa: FractionalAssignment) -> int:
     0, and each cycle is found by a fresh search over what is left. Returns
     the number of cancelled cycles.
     """
-    flow = fa.flow
     # job j is node j and machine i node offset + i, after every job, so
     # node order is jobs by id, then machines by id
     offset = max((j for j, _ in flow), default=0)
@@ -220,17 +203,18 @@ def eliminate_support_cycles(fa: FractionalAssignment) -> int:
         assert _inflow(flow, machines_seq) == before  # preserved by construction
 
 
-def round_forest(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
-    """Round a forest-supported assignment: integral jobs stay, each tree is
-    rooted at its lowest machine, and every remaining fractional job goes to
-    its lowest-id child machine, so machines gain at most one extra job.
+def round_forest(flow: dict, scaled: ScaledInstance) -> Schedule:
+    """Round a forest-supported flow of the small and medium jobs: integral
+    jobs stay, each tree is rooted at its lowest machine, and every
+    remaining fractional job goes to its lowest-id child machine, so
+    machines gain at most one extra job.
 
     A fractional job has two or more support machines, so it always has a
     child; in a tree, a job's parent is the machine it is first reached
     from, whatever the order of the walk."""
     schedule = Schedule(scaled)
-    support = {j: [] for j in fa.jobs}
-    for j, i in sorted(fa.flow):
+    support = {j: [] for j in range(1, scaled.huge_start)}
+    for j, i in sorted(flow):
         support[j].append(i)
     jobs_on = {}  # machine -> its fractional jobs
     for j, machines in support.items():
@@ -296,7 +280,8 @@ def max_density(inst: Instance, network: AssignmentNetwork) -> HallViolator:
             return densest
 
 
-def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator) -> Frac:
+def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator,
+               makespan: int) -> Frac:
     """A lower bound H on the configuration-LP optimum, and so on the
     optimum: the largest bound(J) = max(p(J)/|Gamma(J)|, sum of the
     c = ceil(|J|/|Gamma(J)|) smallest sizes in J) that the search finds.
@@ -313,7 +298,8 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
     least |Gamma(j)| among them, since then none of their subsets can
     outnumber k times its machines.
 
-    Two rules end the search, since no stage from k on has a violator:
+    Rules (a) and (b) end the search, since no stage from k on has a
+    violator:
 
     - (a) best k >= lambda* (k + 1). A stage-k violator J has c >= k + 1
       and |J| > (c - 1) |Gamma(J)|. Its c smallest sizes average at most
@@ -325,6 +311,15 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
       machine in Gamma(J), so |J| <= sum over i in Gamma(J) of
       |J & permitted_on(i)|, and |J| > k |Gamma(J)| needs a machine on which
       more than k jobs are permitted.
+
+    Rule (c) ends it where what is left changes no use of H:
+
+    - (c) ceil(best L) >= `makespan`, the makespan of a schedule times L.
+      best <= H <= OPT <= that makespan, so ceil(best L) = ceil(H L) =
+      `makespan` from then on. The config-LP search that H floors
+      (`certificate.config_lp_lower_bound`) runs from ceil(max(largest
+      size, H) L) to its schedule's makespan, so with best as with H it
+      starts at that makespan and makes no run.
     """
     scale, q = inst.integer_image
     n = inst.num_jobs
@@ -335,7 +330,8 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
     most_permitted = max(len(inst.permitted_on[i]) for i in inst.machines)
     density = best = Frac(densest.volume, scale * densest.width)
     k = 1
-    while k < most_permitted and best * k < density * (k + 1):
+    while (k < most_permitted and best * k < density * (k + 1)
+           and -(-scale * best.numerator // best.denominator) < makespan):
         # (k+1) s > best = a/b for s = q_j/L: q_j > L a / ((k+1) b)
         start = bisect_right(q, scale * best.numerator // ((k + 1) * best.denominator), 1)
         count = n + 1 - start
@@ -352,9 +348,9 @@ def hall_bound(inst: Instance, network: AssignmentNetwork, densest: HallViolator
 
 
 def seed_small_medium(scaled: ScaledInstance, network: AssignmentNetwork,
-                      densest: HallViolator) -> FractionalAssignment | None:
+                      densest: HallViolator) -> dict | None:
     """Decide whether the small and medium jobs fit the guess, and return
-    the decided LP solution; `decided_seed` turns it into a schedule.
+    the decided LP solution's flow; `decided_seed` turns it into a schedule.
 
     `densest` is the solve's `max_density` set J*, whose density is
     lambda*. A guess T >= lambda* is feasible, since its small and medium
@@ -372,33 +368,26 @@ def seed_small_medium(scaled: ScaledInstance, network: AssignmentNetwork,
     return solve_assignment_lp(scaled, network)
 
 
-def round_seed(fa: FractionalAssignment, scaled: ScaledInstance) -> Schedule:
-    """Assign every small and medium job of a decided LP solution, with
-    plain load <= 1 + max small/medium size on every machine. Cancels the
-    support cycles of `fa` in place, then rounds the forest."""
-    eliminate_support_cycles(fa)
-    schedule = round_forest(fa, scaled)
-    sm = range(1, scaled.huge_start)
-    assert all(schedule.machine_of(j) is not None for j in sm)
-    q = scaled.base.integer_image[1]
-    bound = scaled.fit + max(q[1:scaled.huge_start], default=0)
-    for i in scaled.base.machines:
-        assert schedule.int_load(i) <= bound, "seed rounding bound violated"
-    return schedule
-
-
-def decided_seed(fa: FractionalAssignment | None, scaled: ScaledInstance,
+def decided_seed(flow: dict | None, scaled: ScaledInstance,
                  network: AssignmentNetwork) -> Schedule:
-    """The rounded seed of a guess `seed_small_medium` decided feasible: of
-    `fa`, or, when the densest set decided it without a flow (`fa` None),
-    of the flow on `network` that the guess left out, since every flow
-    resets the network's capacities. Raises EngineInvariantError when that
-    flow does not saturate."""
-    if fa is None:
+    """The rounded seed of a guess `seed_small_medium` decided feasible, with
+    plain load <= 1 + max small/medium size on every machine: of `flow`, or,
+    when the densest set decided the guess without a flow (None), of the
+    flow on `network` that it left out, which raises EngineInvariantError if
+    it does not saturate. Cancels the support cycles in place, then rounds
+    the forest."""
+    if flow is None:
         try:
-            fa = solve_assignment_lp(scaled, network)
+            flow = solve_assignment_lp(scaled, network)
         except SeedInfeasible:
             raise EngineInvariantError(
                 f"the densest set decided the infeasible guess {ratio_str(scaled.guess)}"
             ) from None
-    return round_seed(fa, scaled)
+    eliminate_support_cycles(flow)
+    schedule = round_forest(flow, scaled)
+    end, q = scaled.huge_start, scaled.base.integer_image[1]
+    assert all(schedule.machine_of(j) is not None for j in range(1, end))
+    bound = scaled.fit + max(q[1:end], default=0)
+    for i in scaled.base.machines:
+        assert schedule.int_load(i) <= bound, "seed rounding bound violated"
+    return schedule

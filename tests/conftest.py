@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from rasched import seed
-from rasched.seed import HallViolator, SeedInfeasible, round_seed, solve_assignment_lp
+from rasched.seed import HallViolator, SeedInfeasible, decided_seed, solve_assignment_lp
 from rasched.engine import BlockerType, InsertionEngine
+from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
 from rasched.certificate import DualCertificate, _active_on, best_configuration
 from rasched.rational import Frac, ZERO, integer_image, ratio_str
@@ -91,19 +92,37 @@ def assigned_jobs(schedule):
             if schedule.machine_of(j) is not UNASSIGNED]
 
 
-def entries_of(fa):
-    """(job, machine) -> x-value f / P_j in (0, 1] of a seed LP solution,
-    built anew on every call."""
-    return {(j, i): Frac(f, fa.supply[j]) for (j, i), f in fa.flow.items()}
+def lp_flow(scaled):
+    """The seed LP's flow at the guess of `scaled`, on a fresh network."""
+    return solve_assignment_lp(scaled, AssignmentNetwork(scaled.base))
 
 
-def job_sum(fa, j):
-    return sum((v for (jj, _), v in entries_of(fa).items() if jj == j), Frac(0))
+def rounded_seed(scaled):
+    """The rounded seed at the guess of `scaled`, on a fresh network; raises
+    SeedInfeasible as the flow does."""
+    network = AssignmentNetwork(scaled.base)
+    return decided_seed(solve_assignment_lp(scaled, network), scaled, network)
 
 
-def machine_load(fa, scaled, i):
-    return sum((scaled_size(scaled, j) * v for (j, ii), v in entries_of(fa).items() if ii == i),
-               Frac(0))
+def lp_supply(scaled):
+    """Small or medium job -> its supply P_j = b q_j in the seed LP's flow."""
+    b, q = scaled.guess.denominator, scaled.base.integer_image[1]
+    return {j: b * q[j] for j in range(1, scaled.huge_start)}
+
+
+def entries_of(flow, supply):
+    """(job, machine) -> x-value f / P_j in (0, 1] of a flow whose jobs
+    supply `supply`, built anew on every call."""
+    return {(j, i): Frac(f, supply[j]) for (j, i), f in flow.items()}
+
+
+def job_sum(flow, supply, j):
+    return sum((v for (jj, _), v in entries_of(flow, supply).items() if jj == j), Frac(0))
+
+
+def machine_load(flow, supply, scaled, i):
+    return sum((scaled_size(scaled, j) * v
+                for (j, ii), v in entries_of(flow, supply).items() if ii == i), Frac(0))
 
 
 def still_violates(scaled, jobs) -> bool:
@@ -235,7 +254,7 @@ def aggressive_stuck_states(seeds):
             density=(Frac(1, 3), Frac(2, 3))[seed % 2], seed=seed))
         sc = scale_instance(inst, max(inst.sizes[1:]) * Frac(rng.randint(100, 125), 100), EPS)
         try:
-            schedule = round_seed(solve_assignment_lp(sc), sc)
+            schedule = rounded_seed(sc)
         except SeedInfeasible:
             continue
         for j in sorted(sc.huge_jobs(), reverse=True):

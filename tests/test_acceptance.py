@@ -17,12 +17,12 @@ from rasched.rational import Frac, ZERO
 from rasched.model import scale_instance, validate_partial_schedule
 from rasched.driver import solve
 from rasched.engine import InsertionEngine
-from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
+from rasched.seed import SeedInfeasible
 from rasched.certificate import verify_certificate, check_bs_s_machine_counts
 from rasched.oracle import exact_optimal_makespan, knapsack_max_value, KnapsackQuery
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import scaled_load, scaled_size
+from conftest import rounded_seed, scaled_load, scaled_size
 from reference import exact_config_lp_feasible
 
 EPSILON = Frac(1, 24)
@@ -121,7 +121,7 @@ def _randomized_engine_runs(target_iterations):
         guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 125), 100)
         scaled = scale_instance(inst, guess, EPSILON)
         try:
-            schedule = round_seed(solve_assignment_lp(scaled), scaled)
+            schedule = rounded_seed(scaled)
         except SeedInfeasible:
             continue
         for j in sorted(scaled.huge_jobs(), reverse=True):
@@ -192,7 +192,7 @@ def test_criterion_6_seed_bound(campaign):
         guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 240), 100)
         scaled = scale_instance(inst, guess, EPSILON)
         try:
-            schedule = round_seed(solve_assignment_lp(scaled), scaled)
+            schedule = rounded_seed(scaled)
         except SeedInfeasible:
             continue
         checked += 1

@@ -12,7 +12,7 @@ from rasched.rational import Frac, ZERO, integer_image, parse_ratio
 from rasched.model import parse_instance, make_instance, scale_instance
 from rasched.engine import BlockerType, InsertionEngine
 from rasched.flow import AssignmentNetwork
-from rasched.seed import solve_assignment_lp, round_seed, hall_bound, max_density
+from rasched.seed import hall_bound, max_density
 from rasched.certificate import (_active_on, best_configuration,
                                  build_dual_certificate, verify_certificate,
                                  check_bs_s_machine_counts,
@@ -26,7 +26,7 @@ from rasched.generator import GenSpec, generate_instance
 
 from conftest import (EPS, aggressive_stuck_states, deadline, insert_huge_job,
                       lp_bound_instance, reference_dual_certificate, reference_verify,
-                      scaled_of, schedule_of, two_value_instance)
+                      rounded_seed, scaled_of, schedule_of, two_value_instance)
 from reference import exact_config_lp_feasible
 
 DELTA = 1 - EPS  # 23/24
@@ -59,12 +59,33 @@ def three_smalls_stuck():
 def rich_stuck():
     inst = parse_instance(RICH_TEXT)
     sc = scale_instance(inst, RICH_GUESS, EPS)
-    sched = round_seed(solve_assignment_lp(sc), sc)
+    sched = rounded_seed(sc)
     for j in sorted(sc.huge_jobs(), reverse=True):
         result, _ = insert_huge_job(sched, j, audit=True)
         if isinstance(result, InsertionEngine):
             return result, sc
     pytest.fail("frozen fixture no longer reaches a stuck state")
+
+
+def test_a_certificate_too_long_to_print_is_over_a_cap():
+    """At epsilon = 1/1000 on four machines, K = 6000, so the grid d^t has
+    more than 18,000 digits, past what Python prints (4300 by default): the
+    build refuses it before any integer is printed, naming epsilon and the
+    digit count. At 1/200 the same stuck probe's certificate is built,
+    printed and verified."""
+    import sys
+    from rasched.driver import solve
+    from rasched.oracle import CapExceededError
+    inst = make_instance(4, [(Frac(1), {1}), (Frac(1), {2}), (Frac(1), {3}), (Frac(1), {4}),
+                             (Frac(59, 60), {1, 2, 3, 4})])
+    assert sys.get_int_max_str_digits() == 4300
+    with pytest.raises(CapExceededError, match="at epsilon 1/1000 .* 180[0-9]{2} digits"):
+        solve(inst, Frac(1, 1000))
+    report = solve(inst, Frac(1, 200))
+    assert report.certificates and report.lower_bound_kind == "stuck-certificate"
+    for _, cert in report.certificates:
+        text = certificate_to_text(cert, inst)
+        assert recheck_certificate(certificate_from_text(text, inst), inst)
 
 
 class TestBuild:
@@ -91,7 +112,7 @@ class TestBuild:
         assert {BlockerType.BB, BlockerType.BS, BlockerType.S} <= types
         cert = build_dual_certificate(stuck, sc)
         w = {i: cert.y[i] - DELTA ** cert.K for i in sc.base.machines}
-        active_on = _active_on(eng, eng.active_jobs())
+        active_on = _active_on(eng, eng.value_layers())
         for b in eng.tree.blockers():
             base = sum((cert.z[j] for j in active_on[b.machine]), ZERO)
             if b.btype is BlockerType.BS:
@@ -268,11 +289,15 @@ TAU = Frac(1, 100)
 def solve_facts(inst):
     """The keyword facts that `solve(..., lp_bound=True)` hands the config-LP
     bound: its reported schedule and the Hall bound on the instance's
-    network."""
+    network, stopped once it reaches that schedule's makespan."""
     from rasched.driver import solve
+    report = solve(inst, tau=TAU)
+    makespan = report.makespan * inst.integer_image[0]
+    assert makespan.denominator == 1
     network = AssignmentNetwork(inst)
-    return {"assignment": solve(inst, tau=TAU).placement,
-            "infeasible_below": hall_bound(inst, network, max_density(inst, network))}
+    hall = hall_bound(inst, network, max_density(inst, network), makespan.numerator)
+    return {"assignment": {j: report.assignment[inst.name_of(j)] for j in inst.jobs},
+            "infeasible_below": hall}
 
 
 def solved_bound(inst, tolerance):
@@ -305,7 +330,7 @@ class TestConfigLPBounds:
 
     def test_feasible_run_produces_covering_weights(self):
         inst = make_instance(2, [(Frac(1, 2), {1}), (Frac(1, 2), {2}), (Frac(1), {1, 2})])
-        run = config_lp_feasible_cg(inst, Frac(3, 2))
+        run = config_lp_feasible_cg(inst, Frac(3, 2), pool={})
         assert run.status == "feasible"
         cover = {j: ZERO for j in inst.jobs}
         used = {i: ZERO for i in inst.machines}
@@ -321,14 +346,14 @@ class TestConfigLPBounds:
 
     def test_infeasible_run_produces_knapsack_checked_ray(self):
         inst = make_instance(2, [(Frac(1, 2), {1}), (Frac(1, 2), {2}), (Frac(1), {1, 2})])
-        run = config_lp_feasible_cg(inst, Frac(13, 10))
+        run = config_lp_feasible_cg(inst, Frac(13, 10), pool={})
         assert run.status == "infeasible"
         assert_ray_is_knapsack_checked(inst, run)
 
     def test_job_larger_than_T_is_never_covered(self):
         inst = make_instance(2, [(Frac(1), {1, 2}), (Frac(1, 4), {1})])
-        assert config_lp_feasible_cg(inst, Frac(3, 4)).status == "infeasible"
-        assert config_lp_feasible_cg(inst, Frac(1)).status == "feasible"
+        assert config_lp_feasible_cg(inst, Frac(3, 4), pool={}).status == "infeasible"
+        assert config_lp_feasible_cg(inst, Frac(1), pool={}).status == "feasible"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bracket_contains_enumeration_threshold(self, seed):
@@ -355,7 +380,7 @@ class TestConfigLPBounds:
     def test_agreement_with_stuck_guesses(self):
         stuck, sc = rich_stuck()
         assert not exact_config_lp_feasible(sc.base, sc.guess)
-        run = config_lp_feasible_cg(sc.base, sc.guess)
+        run = config_lp_feasible_cg(sc.base, sc.guess, pool={})
         assert run.status == "infeasible"
 
     def test_an_unresolved_run_stops_the_search(self, monkeypatch):
@@ -391,7 +416,7 @@ def fresh_search(inst, tolerance, assignment, infeasible_below):
     hi = int(schedule_makespan(inst, assignment) * L)
     runs, t = [], lo
     while hi > lo * (1 + tolerance):
-        run = config_lp_feasible_cg(inst, Frac(t, L))
+        run = config_lp_feasible_cg(inst, Frac(t, L), pool={})
         runs.append((Frac(t, L), run.status))
         if run.status == "feasible":
             hi = t
@@ -507,7 +532,7 @@ def test_column_generation_agrees_with_the_reference_on_the_grid(preset, seed):
     assert top.denominator == 1
     for t in range(math.ceil(max(inst.sizes[1:]) * L), top.numerator + 1):
         T = Frac(t, L)
-        run = config_lp_feasible_cg(inst, T)
+        run = config_lp_feasible_cg(inst, T, pool={})
         assert run.status in ("feasible", "infeasible")
         assert (run.status == "feasible") == exact_config_lp_feasible(inst, T), T
         if run.status == "feasible":
@@ -835,7 +860,7 @@ def test_every_run_starts_from_the_slack_basis(monkeypatch):
                 run = config_lp_feasible_cg(inst, T, pool=pool)
             columns, first_count, warm = masters[0]
             assert warm is None, (k, T)
-            assert run.status == config_lp_feasible_cg(inst, T).status, (k, T)
+            assert run.status == config_lp_feasible_cg(inst, T, pool={}).status, (k, T)
             assert pool.items() >= before.items()
             # the columns appended after the first master solve are the priced ones
             for (machine_row, _), *jobs in columns[first_count:]:

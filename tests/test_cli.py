@@ -41,6 +41,9 @@ GRID_HALL_TEXT = "ra 1\nmachines 2\n" + "".join(
 OVER_CAP_TEXT = "ra 1\nmachines 2\n" + "".join(
     f"job j{k} {size} : 1 2\n"
     for k, size in enumerate(["1/2"] * 9 + ["1"] * 8 + ["3/2"] * 13 + ["1/3"]))
+#: four private unit jobs plus a roamer: some probe gets stuck
+ROAMER_TEXT = ("ra 1\nmachines 4\njob a 1/1 : 1\njob b 1/1 : 2\n"
+               "job c 1/1 : 3\njob e 1/1 : 4\njob d 59/60 : 1 2 3 4\n")
 #: a knapsack front budget that OVER_CAP_TEXT's pricing exceeds
 SMALL_FRONT_CAP = 8
 
@@ -186,6 +189,19 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", str(inst), "--lp-bound")
         assert code == EXIT_LIMIT and out == ""
         assert err == "limit exceeded: knapsack front limited to 8 pairs\n"
+
+    def test_a_certificate_too_long_to_print_is_limit_exceeded(self, workdir, capsys):
+        # a valid epsilon whose stuck certificate needs integers of more
+        # digits than Python prints: exit 4 with a message naming epsilon,
+        # not an input error; a larger epsilon still solves and checks
+        inst = workdir / "i.ra"
+        inst.write_text(ROAMER_TEXT)
+        code, out, err = run_cli(capsys, "solve", str(inst), "--epsilon", "1/1000")
+        assert code == EXIT_LIMIT and out == ""
+        assert err.startswith("limit exceeded: at epsilon 1/1000 a certificate prints")
+        assert "digits" in err and "input error" not in err and "Traceback" not in err
+        code, out, err = run_cli(capsys, "solve", str(inst), "--epsilon", "1/200")
+        assert code == EXIT_OK and err == "" and "certificate-at" in out
 
     def test_lp_bound_prices_more_than_30_items(self, workdir, capsys):
         # the same instance within the real front budget: the one run, at

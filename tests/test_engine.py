@@ -15,10 +15,10 @@ from rasched import engine as engine_module
 from rasched.driver import solve
 from rasched.flow import AssignmentNetwork
 from rasched.generator import GenSpec, generate_instance
-from rasched.seed import solve_assignment_lp, round_seed, SeedInfeasible
+from rasched.seed import SeedInfeasible
 
 from conftest import (EPS, CAP, aggressive_stuck_states, assigned_jobs, insert_huge_job,
-                      scaled_load, scaled_of, schedule_of, two_value_instance)
+                      rounded_seed, scaled_load, scaled_of, schedule_of, two_value_instance)
 
 
 def blocked_smalls(engine, prefix=None, on=None):
@@ -116,7 +116,7 @@ class TestBlockedAndActive:
         eng = engine_with([(Frac(9, 10), {1, 2}), (Frac(19, 20), {1, 2})],
                           2, {1: 1}, 2)
         planted = plant(eng, 2, 1, BlockerType.BB, 1)
-        assert 1 in eng.active_jobs()
+        assert 1 in eng.value_layers()
         assert eng.activator_of(1) is planted
         # BB children stay in the activator's layer
         assert eng.head_layer_from(planted, 1) == 1
@@ -125,7 +125,7 @@ class TestBlockedAndActive:
         eng = engine_with([(Frac(3, 5), {1, 2}), (Frac(7, 10), {1, 2}),
                            (Frac(9, 10), {1, 2})], 2, {1: 1, 2: 1}, 3)
         plant(eng, 3, 1, BlockerType.M, 1)
-        active = eng.active_jobs()
+        active = eng.value_layers()
         assert 1 in active and 2 not in active  # only the smallest medium
 
     def test_undesirable_table(self):
@@ -133,16 +133,16 @@ class TestBlockedAndActive:
                            (Frac(7, 10), {1, 2}), (Frac(9, 10), {1, 2})],
                           2, {2: 1, 3: 1}, 4)
         plant(eng, 4, 1, BlockerType.BB, 1)
-        assert not eng.undesirable_on(1, 1)          # small vs BB: fine
-        assert eng.undesirable_on(4, 1)              # huge vs BB
+        assert not eng.undesirable_on(1, 1, prefix=1)  # small vs BB: fine
+        assert eng.undesirable_on(4, 1, prefix=1)  # huge vs BB
         plant(eng, 1, 2, BlockerType.S, 1)
-        assert eng.undesirable_on(1, 2) and eng.undesirable_on(4, 2)  # S: all
+        assert eng.undesirable_on(1, 2, 1) and eng.undesirable_on(4, 2, 1)  # S: all
         # M blocker marks mediums up to the current smallest medium
         eng2 = engine_with([(Frac(3, 5), {1, 2}), (Frac(7, 10), {1, 2}),
                             (Frac(9, 10), {1, 2})], 2, {1: 1, 2: 1}, 3)
         plant(eng2, 3, 1, BlockerType.M, 1)
-        assert eng2.undesirable_on(1, 1)
-        assert not eng2.undesirable_on(2, 1)
+        assert eng2.undesirable_on(1, 1, prefix=1)
+        assert not eng2.undesirable_on(2, 1, prefix=1)
 
 
 class TestClassification:
@@ -322,7 +322,7 @@ class TestRunScenarios:
         for _ in range(2):
             sc = scale_instance(inst, guess, EPS)
             try:
-                sched = round_seed(solve_assignment_lp(sc), sc)
+                sched = rounded_seed(sc)
             except SeedInfeasible:
                 pytest.skip("seed infeasible at this guess")
             events = []
@@ -336,7 +336,7 @@ class TestRunScenarios:
 
     def test_layer_overflow_reported_when_cap_too_low(self):
         eng = engine_with([(Frac(1, 3), {1}), (Frac(9, 10), {1, 2})], 2, {1: 1}, 2)
-        assert 2 in eng.active_jobs() and eng.select_addition()[3] == 1
+        assert 2 in eng.value_layers() and eng.select_addition()[3] == 1
         eng.K = 0  # shrink the cap below the head layer of the new job
         assert eng.select_addition() == "layer-overflow"
 
@@ -344,7 +344,7 @@ class TestRunScenarios:
         # the new job plus trivially blocked smalls, nothing else
         eng = engine_with([(Frac(1, 4), {1}), (Frac(1, 4), {1, 2}),
                            (Frac(9, 10), {1, 2})], 2, {1: 1, 2: 1}, 3)
-        assert eng.active_jobs() == {1, 3}
+        assert set(eng.value_layers()) == {1, 3}
 
     def test_watchdog_trips(self, monkeypatch):
         sc = scaled_of([(Frac(9, 10), {1, 2}), (Frac(1, 3), {1})], 2)
@@ -458,7 +458,7 @@ class TestAuditSuite:
         guess = max(inst.sizes[1:]) * Frac(rng.randint(100, 125), 100)
         sc = scale_instance(inst, guess, EPS)
         try:
-            sched = round_seed(solve_assignment_lp(sc), sc)
+            sched = rounded_seed(sc)
         except SeedInfeasible:
             return
         for j in sorted(sc.huge_jobs(), reverse=True):
@@ -561,7 +561,7 @@ class TestBlockerIndex:
             density=Frac(2, 3), seed=seed))
         sc = scale_instance(inst, max(inst.sizes[1:]) * Frac(100 + seed, 100), EPS)
         try:
-            sched = round_seed(solve_assignment_lp(sc), sc)
+            sched = rounded_seed(sc)
         except SeedInfeasible:
             return
         for j_new in sorted(sc.huge_jobs(), reverse=True):
@@ -666,7 +666,7 @@ def test_value_layers_match_the_per_job_reference(monkeypatch):
     def recording(engine, scaled):
         layers = engine.value_layers()
         assert layers == {j: reference_value_layer(engine, j) for j in layers}
-        assert set(layers) == engine.active_jobs()
+        assert set(layers) == set(engine.heads()) | blocked_smalls(engine)
         engines.append(engine)
         return build(engine, scaled)
 

@@ -18,6 +18,13 @@ class TestGenerator:
         with pytest.raises(ValueError, match=f"at most {MAX_MACHINES} machines and jobs"):
             GenSpec(**{**counts, field: MAX_MACHINES + 1})
 
+    @pytest.mark.parametrize("counts", [{"machines": 2.0, "jobs": 4},
+                                        {"machines": 2, "jobs": 4.0},
+                                        {"machines": Frac(2), "jobs": 4}])
+    def test_counts_are_ints(self, counts):
+        with pytest.raises(ValueError, match="machine and job counts must be ints"):
+            GenSpec(**counts)
+
     def test_different_seeds_differ(self):
         a = generate_instance(GenSpec(machines=3, jobs=12, seed=1))
         b = generate_instance(GenSpec(machines=3, jobs=12, seed=2))

@@ -11,6 +11,7 @@ from rasched import certificate as cm
 from rasched import seed
 from rasched.certificate import config_lp_lower_bound
 from rasched.flow import AssignmentNetwork
+from rasched.generator import GenSpec, generate_instance
 from rasched.model import make_instance
 from rasched.oracle import CapExceededError, exact_optimal_makespan
 from rasched.rational import Frac, ratio_str
@@ -21,10 +22,16 @@ from reference import exact_config_lp_feasible
 from test_acceptance import CAMPAIGN_SIZE, TAU, campaign_instance
 
 
+def unreached(inst):
+    """A makespan numerator over L that no schedule reaches, the total size
+    plus one, so that `hall_bound`'s rule (c) never stops the search."""
+    return sum(inst.integer_image[1]) + 1
+
+
 def hall_and_density(inst):
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
-    return hall_bound(inst, network, densest), densest
+    return hall_bound(inst, network, densest, unreached(inst)), densest
 
 
 #: sha256 of `hall_bound` over the acceptance campaign, then the seed-101
@@ -138,7 +145,8 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
     rationals between the Hall bound and the makespan, the runs and rounds
     were 20 and 86. While it replayed the midpoints of [max size, total
     size], they were 28 and 106, one instance was refused, and 41 of the 47
-    reports printed below the Hall bound."""
+    reports printed below the Hall bound. Before the Hall bound's rule (c)
+    the network flows were 259."""
     pool = benchmark_pool("lp_bound", 101)
     halls = [hall_and_density(inst)[0] for inst in pool]
     counts = {"runs": 0, "rounds": 0, "seed flows": 0, "network flows": 0, "refused": 0,
@@ -170,7 +178,7 @@ def test_config_lp_runs_over_a_benchmark_pool(monkeypatch):
             counts["refused"] += 1
         else:
             counts["below hall"] += report.lower_bound < hall
-    assert counts == {"runs": 15, "rounds": 82, "seed flows": 68, "network flows": 259,
+    assert counts == {"runs": 15, "rounds": 82, "seed flows": 68, "network flows": 207,
                       "refused": 0, "below hall": 0}
 
 
@@ -184,8 +192,9 @@ def test_hall_bound_is_pinned_on_the_campaign_and_the_benchmark_pools():
     assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_HALL_DIGEST
 
 
-def hall_flows(inst):
-    """(H, the flows `hall_bound` runs) on a fresh network."""
+def hall_flows(inst, makespan=None):
+    """(H, the flows `hall_bound` runs) on a fresh network, stopped at
+    `makespan` (default: one no schedule reaches)."""
     network = AssignmentNetwork(inst)
     densest = max_density(inst, network)
     flows, flow = [], network.violator
@@ -195,7 +204,7 @@ def hall_flows(inst):
         return flow(supply, capacity)
 
     network.violator = counting
-    return hall_bound(inst, network, densest), len(flows)
+    return hall_bound(inst, network, densest, makespan or unreached(inst)), len(flows)
 
 
 def test_hall_bound_flows_are_pinned_on_the_benchmark_pools():
@@ -213,6 +222,19 @@ def test_hall_bound_at_scale_stops_after_one_flow():
     assert inst.num_jobs == 1740
     with deadline(10):
         assert hall_flows(inst) == (2, 1)
+
+
+def test_the_schedule_makespan_stops_the_hall_bound_at_scale():
+    """`collision` 64x256 (`rasched gen` seed 1) under `lp_bound`: lambda*
+    is already the makespan 14/3, so rule (c) runs no flow where rules (a)
+    and (b) alone run 75, and the printed bound is the same 14/3."""
+    inst = generate_instance(GenSpec(machines=64, jobs=256, preset="collision", seed=1))
+    report = driver.solve(inst, lp_bound=True)
+    assert report.makespan == report.lower_bound == Frac(14, 3)
+    assert (report.lower_bound_kind, report.iterations["lp_bound_probes"]) == ("config-lp", 0)
+    makespan = report.makespan * inst.integer_image[0]
+    assert hall_flows(inst, makespan.numerator) == (Frac(14, 3), 0)
+    assert hall_flows(inst) == (Frac(14, 3), 75)
 
 
 def violators_and_densest(find, inst):

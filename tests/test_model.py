@@ -208,6 +208,8 @@ TWO_JOBS = [(Frac(1), {1}), (Frac(1, 2), {2})]
     (2, TWO_JOBS, ["a", "a"], "duplicate job name"),
     (0, [], None, "machine count"),
     (MAX_MACHINES + 1, [(Frac(1), {1})], None, "machine count"),
+    (2.0, [(Frac(1), {1})], None, "machine count must be an int"),
+    (Frac(2), [(Frac(1), {1})], None, "machine count must be an int"),
     (2, TWO_JOBS, ["a b", "c"], "job name 'a b'"),
     (2, TWO_JOBS, ["", "c"], "job name ''"),
     (2, TWO_JOBS, ["#x", "c"], "job name '#x'"),
@@ -215,15 +217,15 @@ TWO_JOBS = [(Frac(1), {1}), (Frac(1, 2), {2})]
     (2, [(Frac(1), {1.5})], None, "machine ids must be ints"),
     (2, [(Frac(1), {"1"})], None, "machine ids must be ints"),
 ], ids=["names-short", "names-long", "name-repeated", "no-machines", "machines-over-cap",
-        "name-with-space", "name-empty", "name-with-hash", "size-float", "machine-float",
+        "machines-float", "machines-fraction", "name-with-space", "name-empty", "name-with-hash", "size-float", "machine-float",
         "machine-str"])
 def test_make_instance_holds_the_parsers_limits(machines, jobs, names, message):
     """The public constructor rejects what `parse_instance` rejects: a name
     list of another length, a repeated name (a solve keys its assignment by
     name), a name the text format cannot carry (its tokens split on
     whitespace and '#' starts a comment), a size that is not an exact int or
-    Fraction, a machine id that is not an int and a machine count outside
-    1..MAX_MACHINES."""
+    Fraction, a machine id that is not an int and a machine count that is
+    not an int in 1..MAX_MACHINES, which the solve indexes its lists with."""
     with pytest.raises(ValueError, match=message):
         make_instance(machines, jobs, names)
     assert make_instance(2, TWO_JOBS, ["a", "b"]).names == ("a", "b")

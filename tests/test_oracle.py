@@ -8,11 +8,10 @@ from rasched.rational import Frac, ZERO, integer_image
 from rasched.model import make_instance
 from rasched.oracle import (KnapsackQuery, knapsack_max_value, KNAPSACK_FRONT_CAP,
                             exact_optimal_makespan, CapExceededError)
-from rasched.seed import solve_assignment_lp
 from rasched.model import scale_instance
 from rasched.generator import GenSpec, generate_instance
 
-from conftest import EPS, job_sum
+from conftest import EPS, job_sum, lp_flow, lp_supply
 from reference import enumerate_configurations, exact_config_lp_feasible
 
 
@@ -358,8 +357,7 @@ class TestConfigLP:
         # the job-splitting relaxation is feasible at T=13/10 < 3/2 (the unit
         # job is medium at that scale and may split across both machines)
         sc = scale_instance(inst, Frac(13, 10), EPS)
-        fa = solve_assignment_lp(sc)
-        assert job_sum(fa, 3) == 1
+        assert job_sum(lp_flow(sc), lp_supply(sc), 3) == 1
         assert not exact_config_lp_feasible(inst, Frac(13, 10))
 
     def test_integral_optimum_is_lp_feasible(self):

@@ -11,15 +11,14 @@ from rasched.engine import EngineInvariantError
 from rasched.flow import AssignmentNetwork
 from rasched.rational import Frac, integer_image, ratio_str
 from rasched.model import make_instance, scale_instance, validate_partial_schedule
-from rasched.seed import (FractionalAssignment, SeedInfeasible, solve_assignment_lp, seed_small_medium,
-                          round_seed, eliminate_support_cycles,
-                          HallViolator, max_density)
+from rasched.seed import (SeedInfeasible, solve_assignment_lp, seed_small_medium, decided_seed,
+                          eliminate_support_cycles, HallViolator, max_density)
 from rasched.simplex import solve_equality_feasibility
 from rasched.generator import GenSpec, PRESETS, generate_instance
 
-from conftest import (EPS, ReferenceNetwork, benchmark_pool, entries_of, job_sum, machine_load,
-                      record_cycles, reference_support_cycle, scaled_size, still_violates,
-                      two_value_instance)
+from conftest import (EPS, ReferenceNetwork, benchmark_pool, entries_of, job_sum, lp_flow,
+                      lp_supply, machine_load, record_cycles, reference_support_cycle,
+                      rounded_seed, scaled_size, still_violates, two_value_instance)
 
 CHAIN = 700
 
@@ -76,21 +75,22 @@ def test_flow_decides_exactly_like_the_lp():
     for name, inst, guess in cases:
         sc = scale_instance(inst, guess, EPS)
         try:
-            fa = solve_assignment_lp(sc)
+            flow = lp_flow(sc)
         except SeedInfeasible:
-            fa = None
-        assert (fa is not None) == lp_feasible(sc), (name, guess)
-        outcomes.add(fa is not None)
-        if fa is None:
+            flow = None
+        assert (flow is not None) == lp_feasible(sc), (name, guess)
+        outcomes.add(flow is not None)
+        if flow is None:
             continue
-        for j in fa.jobs:
-            assert job_sum(fa, j) == 1
+        supply = lp_supply(sc)
+        for j in supply:
+            assert job_sum(flow, supply, j) == 1
         for i in sc.base.machines:
-            assert machine_load(fa, sc, i) <= 1
-        for (j, i), v in entries_of(fa).items():
+            assert machine_load(flow, supply, sc, i) <= 1
+        for (j, i), v in entries_of(flow, supply).items():
             assert 0 < v <= 1 and i in sc.base.gamma[j]
-        eliminate_support_cycles(fa)
-        assert reference_support_cycle(entries_of(fa)) is None
+        eliminate_support_cycles(flow)
+        assert reference_support_cycle(flow) is None
     assert outcomes == {True, False}
 
 
@@ -212,7 +212,7 @@ def test_hall_violator_on_every_infeasible_probe(monkeypatch):
         try:
             return seed_small_medium(scaled, *args)
         except SeedInfeasible as exc:
-            violators.append((scaled, exc.jobs))
+            violators.append((scaled, exc.violator.jobs))
             raise
 
     monkeypatch.setattr(driver, "seed_small_medium", recording_seed)
@@ -275,11 +275,11 @@ def test_a_shared_network_flows_like_a_fresh_one():
         sc = scale_instance(inst, guess, EPS)
         shared = networks.setdefault(id(inst), AssignmentNetwork(inst))
         outcomes = []
-        for network in (shared, None):
+        for network in (shared, AssignmentNetwork(inst)):
             try:
-                outcomes.append(entries_of(solve_assignment_lp(sc, network)))
+                outcomes.append(entries_of(solve_assignment_lp(sc, network), lp_supply(sc)))
             except SeedInfeasible as exc:
-                outcomes.append(exc.jobs)
+                outcomes.append(exc.violator.jobs)
         assert outcomes[0] == outcomes[1], (name, guess)
 
 
@@ -311,12 +311,12 @@ def test_reused_violators_decide_like_the_flow(monkeypatch):
 
     def counting_seed(scaled, network, densest):
         try:
-            fa = seed_small_medium(scaled, network, densest)
+            flow = seed_small_medium(scaled, network, densest)
         except SeedInfeasible as exc:
             reused.append(exc.violator is densest)
             raise
-        without_flow.append(fa is None)
-        return fa
+        without_flow.append(flow is None)
+        return flow
 
     monkeypatch.setattr(driver, "seed_small_medium", counting_seed)
     with_reuse = [solve_record(inst) for inst in cases]
@@ -336,7 +336,7 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     # still weigh more than the machine holds
     inst = make_instance(1, [(Frac(3), {1}), (Frac(2), {1})])
     with pytest.raises(SeedInfeasible) as info:
-        solve_assignment_lp(scale_instance(inst, 4, EPS))
+        lp_flow(scale_instance(inst, 4, EPS))
     violator = info.value.violator
     assert violator.jobs == (1, 2)
     # the flow's violator is the instance's densest set
@@ -346,20 +346,21 @@ def test_a_violator_with_a_job_now_huge_is_not_reused():
     assert sum(scaled_size(sc, j) for j in violator.jobs) > 1
     assert not still_violates(sc, violator.jobs)
     assert not violator.proves(sc)
-    sched = round_seed(seed_small_medium(sc, AssignmentNetwork(inst), violator), sc)
+    network = AssignmentNetwork(inst)
+    sched = decided_seed(seed_small_medium(sc, network, violator), sc, network)
     assert sched.machine_of(1) == 1 and sched.machine_of(2) is None
 
 
 def test_a_violator_at_hall_equality_is_not_reused(monkeypatch):
     inst = make_instance(1, [(Frac(3), {1}), (Frac(3), {1})])
     with pytest.raises(SeedInfeasible) as info:
-        solve_assignment_lp(scale_instance(inst, 5, EPS))
+        lp_flow(scale_instance(inst, 5, EPS))
     violator = info.value.violator
     assert violator == max_density(inst, AssignmentNetwork(inst))
     # at T = 6 the jobs fill the machine exactly: the LP is feasible
     sc = scale_instance(inst, 6, EPS)
     assert not violator.proves(sc) and not still_violates(sc, violator.jobs)
-    sched = round_seed(solve_assignment_lp(sc), sc)
+    sched = rounded_seed(sc)
     assert {sched.machine_of(1), sched.machine_of(2)} == {1}
     # just below, the violator decides the guess without a flow, and a
     # single job of it does not
@@ -367,7 +368,7 @@ def test_a_violator_at_hall_equality_is_not_reused(monkeypatch):
     single = HallViolator.of(inst, (2,))
     assert violator.proves(sc) and not single.proves(sc)
 
-    def no_flow(scaled, network=None):
+    def no_flow(scaled, network):
         raise AssertionError(f"a flow ran at {scaled.guess}")
 
     monkeypatch.setattr(seed, "solve_assignment_lp", no_flow)
@@ -435,7 +436,7 @@ def test_every_probe_the_densest_set_leaves_runs_its_own_flow(monkeypatch, audit
     assert Frac(densest.volume, inst.integer_image[0] * densest.width) == Frac(6, 5)
     failed = []
 
-    def recording_flow(scaled, network=None):
+    def recording_flow(scaled, network):
         try:
             return solve_assignment_lp(scaled, network)
         except SeedInfeasible:
@@ -456,7 +457,7 @@ def test_seed_flow_counts_on_two_benchmark_pools(monkeypatch):
     timed run."""
     flows = []
 
-    def counting_flow(scaled, network=None):
+    def counting_flow(scaled, network):
         flows.append(scaled.guess)
         return solve_assignment_lp(scaled, network)
 
@@ -475,7 +476,7 @@ def test_audit_runs_the_flow_behind_every_reused_violator(monkeypatch):
     inst = bisection_instance()
     flows, reused = [], []
 
-    def counting_flow(scaled, network=None):
+    def counting_flow(scaled, network):
         flows.append(scaled.guess)
         return solve_assignment_lp(scaled, network)
 
@@ -510,7 +511,7 @@ def test_audited_solves_run_every_seed_flow_through_the_seed_module(monkeypatch)
             counts["other"] += 1
         return network_flow(self, supply, capacity)
 
-    def counting_seed_flow(scaled, network=None):
+    def counting_seed_flow(scaled, network):
         counts["seed"] += 1
         inside.append(True)
         try:
@@ -599,14 +600,14 @@ def test_density_decided_probes_get_their_own_flows_outcome(monkeypatch):
 
     def recording_seed(scaled, network, densest):
         try:
-            fa = seed_small_medium(scaled, network, densest)
+            flow = seed_small_medium(scaled, network, densest)
         except SeedInfeasible as exc:
             if exc.violator is densest:
                 decided.append((scaled, False))
             raise
-        if fa is None:
+        if flow is None:
             decided.append((scaled, True))
-        return fa
+        return flow
 
     monkeypatch.setattr(driver, "seed_small_medium", recording_seed)
     for workload in ("uniform", "two_value", "lp_bound"):
@@ -614,7 +615,7 @@ def test_density_decided_probes_get_their_own_flows_outcome(monkeypatch):
             driver.solve(inst)
     for scaled, feasible in decided:
         try:
-            solve_assignment_lp(scaled)
+            lp_flow(scaled)
         except SeedInfeasible:
             assert not feasible, scaled.guess
         else:
@@ -650,19 +651,18 @@ def test_hall_violator_of_a_hand_built_instance():
                                           (Frac(1, 2), {1}), (Frac(1, 2), {1, 2})]),
                         1, EPS)
     with pytest.raises(SeedInfeasible) as info:
-        solve_assignment_lp(sc)
-    assert info.value.jobs == (1, 2, 3)
+        lp_flow(sc)
+    assert info.value.violator.jobs == (1, 2, 3)
 
 
 class TestLongChains:
     def test_support_cycle_on_a_long_path_and_a_long_cycle(self, monkeypatch):
         cycles = record_cycles(monkeypatch)
         flow = {e: 1 for k in range(1, CHAIN + 1) for e in ((k, k), (k, k + 1))}
-        path = FractionalAssignment(dict(flow), dict.fromkeys(range(1, CHAIN + 1), 2))
-        assert eliminate_support_cycles(path) == 0 and path.flow == flow
+        path = dict(flow)
+        assert eliminate_support_cycles(path) == 0 and path == flow
         flow[(CHAIN + 1, CHAIN + 1)] = flow[(CHAIN + 1, 1)] = 1
-        cycle = FractionalAssignment(flow, dict.fromkeys(range(1, CHAIN + 2), 2))
-        assert eliminate_support_cycles(cycle) == 1
+        assert eliminate_support_cycles(flow) == 1
         assert [len(nodes) for nodes in cycles] == [2 * (CHAIN + 1)]
 
     @staticmethod
@@ -677,20 +677,20 @@ class TestLongChains:
 
     def test_flow_shifts_the_whole_chain_along_one_path(self):
         inst, sc = self.pinned_chain(Frac(5, 6))
-        entries = entries_of(solve_assignment_lp(sc))
+        entries = entries_of(lp_flow(sc), lp_supply(sc))
         for k in range(1, CHAIN):
             assert entries[(inst.internal_of[k - 1], k + 1)] == 1
         assert entries[(inst.internal_of[CHAIN - 1], 1)] == 1
-        assert validate_partial_schedule(round_seed(solve_assignment_lp(sc), sc)) == []
+        assert validate_partial_schedule(rounded_seed(sc)) == []
 
     def test_seed_rounds_the_fractional_chain_a_partial_shift_leaves(self):
         # pushing 1/2 through the chain splits every chain job 2/5 : 3/5
         inst, sc = self.pinned_chain(Frac(1, 2))
-        entries = entries_of(solve_assignment_lp(sc))
+        entries = entries_of(lp_flow(sc), lp_supply(sc))
         for k in range(1, CHAIN):
             j = inst.internal_of[k - 1]
             assert (entries[(j, k)], entries[(j, k + 1)]) == (Frac(2, 5), Frac(3, 5))
-        sched = round_seed(solve_assignment_lp(sc), sc)
+        sched = rounded_seed(sc)
         assert validate_partial_schedule(sched) == []
         for k in range(1, CHAIN):
             assert sched.machine_of(inst.internal_of[k - 1]) == k + 1
